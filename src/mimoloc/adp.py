@@ -105,24 +105,31 @@ def gaussian_profile(
     return out
 
 
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalized correlation between two angle-delay profiles.
+def similarity(a: np.ndarray, b: np.ndarray):
+    """Normalized correlation between angle-delay profiles.
 
     Defined as <vec(a), vec(b)> / (||a||_F * ||b||_F), which lands in
     [0, 1] for nonnegative images; the result is clipped to that interval
     to shed floating-point spill.
 
+    ``b`` is either one profile shaped like ``a``, giving a float, or a
+    stack of n such profiles, giving the n similarities as a float64
+    array from a single matrix-vector product.
+
     Raises:
-        ZeroAdp: if either profile has zero Frobenius norm (the lost-link
-            signal upstream).
+        ZeroAdp: if ``a`` or any profile in ``b`` has zero Frobenius norm
+            (the lost-link signal upstream).
         DimensionMismatch: on shape disagreement.
     """
-    if a.shape != b.shape:
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if b.shape[b.ndim - a.ndim:] != a.shape or b.ndim - a.ndim not in (0, 1):
         raise DimensionMismatch(f"profile shapes {a.shape} vs {b.shape}")
     av = np.asarray(a, dtype=np.float64).ravel()
-    bv = np.asarray(b, dtype=np.float64).ravel()
+    bm = np.asarray(b, dtype=np.float64).reshape(-1, av.size)
     na = np.linalg.norm(av)
-    nb = np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
+    nb = np.linalg.norm(bm, axis=1)
+    if na == 0.0 or np.any(nb == 0.0):
         raise ZeroAdp("similarity against an all-zero profile")
-    return float(np.clip(np.dot(av, bv) / (na * nb), 0.0, 1.0))
+    sims = np.clip(bm @ av / (na * nb), 0.0, 1.0)
+    return float(sims[0]) if b.ndim == a.ndim else sims

@@ -232,9 +232,11 @@ def cmd_report(out: str) -> None:
     print(f"config seed {report['config']['seed']}, scenario "
           f"{report['config']['scenario']}, environment "
           f"{report['config']['environment']}")
-    print(f"detection precision={det['precision']:.3f} "
-          f"recall={det['recall']:.3f} (tp={det['tp']} fp={det['fp']} "
-          f"fn={det['fn']} tn={det['tn']})")
+    # an undefined ratio (nothing flagged, nothing distorted) is null
+    precision, recall = (("n/a" if det[k] is None else f"{det[k]:.3f}")
+                         for k in ("precision", "recall"))
+    print(f"detection precision={precision} recall={recall} "
+          f"(tp={det['tp']} fp={det['fp']} fn={det['fn']} tn={det['tn']})")
     for method, value in sorted(report["median_distorted_rmse_m"].items()):
         print(f"{method:16s} median distorted-frame rmse {value:.3f} m")
     print(f"runtime {report['runtime_seconds']:.1f} s")

@@ -12,10 +12,19 @@ Version 1 record: position as two float64 (x, y), then n_t*n_c float32
 pixels row-major. Version 2 appends walk metadata per record: sequence id
 u32, frame index u16, distorted flag u8. Pixels are stored exactly as
 given (float32), so write -> read -> write is byte-identical.
+
+Model checkpoints (localizer and predictor) share a second layout:
+
+    magic   4 bytes  format tag
+    version u16
+    hlen    u32      header length
+    header  hlen bytes of JSON (sorted keys)
+    weights each array as little-endian float32, in a fixed order
 """
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -97,3 +106,67 @@ def read_container(path, expect_version: int | None = None):
 def make_records(version: int, n_t: int, n_c: int, count: int) -> np.ndarray:
     """Allocate an empty record array with the exact on-disk layout."""
     return np.zeros(count, dtype=_record_dtype(version, n_t, n_c))
+
+
+# --- model checkpoints -------------------------------------------------------
+
+_CHECKPOINT_PREFIX = struct.Struct("<4sHI")
+
+
+def write_checkpoint(path, magic: bytes, version: int, header: dict,
+                     arrays) -> None:
+    """Write a JSON header and float32 weights under a magic and version."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_CHECKPOINT_PREFIX.pack(magic, version, len(blob)))
+        fh.write(blob)
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
+
+
+def read_checkpoint(path, magic: bytes, version: int) -> tuple[dict, bytes]:
+    """Read a checkpoint's header and its raw weight bytes.
+
+    Raises:
+        TruncatedFile: the file ends inside the prefix or the header.
+        FormatError: bad magic, or a header that is not a JSON object.
+        VersionError: a version other than ``version``.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < _CHECKPOINT_PREFIX.size:
+        raise TruncatedFile(f"{len(raw)} bytes is too short for a header")
+    found, found_version, head_len = _CHECKPOINT_PREFIX.unpack_from(raw)
+    if found != magic:
+        raise FormatError(f"bad checkpoint magic {found!r}")
+    if found_version != version:
+        raise VersionError(f"unsupported checkpoint version {found_version}")
+    end = _CHECKPOINT_PREFIX.size + head_len
+    if len(raw) < end:
+        raise TruncatedFile("checkpoint header is cut off")
+    try:
+        header = json.loads(raw[_CHECKPOINT_PREFIX.size:end].decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"checkpoint header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header is not a JSON object")
+    return header, raw[end:]
+
+
+def read_weights(body: bytes, arrays) -> None:
+    """Fill ``arrays`` in order from the float32 weights of a checkpoint.
+
+    Raises:
+        TruncatedFile: fewer bytes than the arrays need.
+        FormatError: bytes left over after the last array.
+    """
+    offset = 0
+    for array in arrays:
+        nbytes = array.size * 4
+        if offset + nbytes > len(body):
+            raise TruncatedFile("checkpoint weights are cut off")
+        flat = np.frombuffer(body, dtype="<f4", count=array.size, offset=offset)
+        array[...] = flat.reshape(array.shape)
+        offset += nbytes
+    if offset != len(body):
+        raise FormatError(f"{len(body) - offset} trailing bytes after weights")

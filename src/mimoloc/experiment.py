@@ -163,8 +163,10 @@ class ExperimentConfig:
                      "train_learning_rate"):
             if float(getattr(self, name)) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.distort_from:
-            raise ConfigError("distort_from must be nonnegative")
+        if not 0 <= self.distort_from < self.sequence_length:
+            raise ConfigError(
+                "distort_from must be nonnegative and below sequence_length, "
+                "so that some frames are distorted")
         if len(self.grid_origin) != 2:
             raise ConfigError("grid_origin needs exactly two coordinates")
 
@@ -464,8 +466,11 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
             "similarity_floor": result.thresholds.similarity_floor,
             "recovery_radius": result.thresholds.recovery_radius,
         },
+        # a ratio over an empty set (nothing flagged, nothing distorted)
+        # is undefined and written as null
         "detection": {"tp": tp, "fp": fp, "fn": fn, "tn": tn,
-                      "precision": precision, "recall": recall},
+                      "precision": None if np.isnan(precision) else precision,
+                      "recall": None if np.isnan(recall) else recall},
         "median_distorted_error_m": {
             m: float(np.median(result.distorted_errors(m))) for m in METHODS
         },
@@ -480,7 +485,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
     }
     with open(os.path.join(out_dir, "report.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -12,15 +12,14 @@ the matching forward and is held to finite-difference checks in the tests.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .adp import similarity
-from .errors import DimensionMismatch, DivergedLoss, FormatError, VersionError
+from .container import read_checkpoint, read_weights, write_checkpoint
+from .errors import DimensionMismatch, DivergedLoss, FormatError
 from .fingerprint import FingerprintDb
 
 CHECKPOINT_MAGIC = b"NNCK"
@@ -318,13 +317,20 @@ class ClassifierGrid:
     def n_cells(self) -> int:
         return self.n_rows * self.n_cols
 
-    def cell_of(self, position, extent) -> int:
+    def cell_of(self, position, extent):
+        """Cell index of one (x, y) point, or an int array of the cell
+        indices of every row of an (n, 2) array of points.
+
+        Coordinates are truncated toward zero, then clamped into the grid.
+        """
         x0, y0, x1, y1 = extent
         dx = (x1 - x0) / self.n_cols if x1 > x0 else 1.0
         dy = (y1 - y0) / self.n_rows if y1 > y0 else 1.0
-        col = min(int((position[0] - x0) / dx), self.n_cols - 1)
-        row = min(int((position[1] - y0) / dy), self.n_rows - 1)
-        return max(0, row) * self.n_cols + max(0, col)
+        p = np.asarray(position, dtype=float)
+        col = np.minimum(((p[..., 0] - x0) / dx).astype(int), self.n_cols - 1)
+        row = np.minimum(((p[..., 1] - y0) / dy).astype(int), self.n_rows - 1)
+        cell = np.maximum(0, row) * self.n_cols + np.maximum(0, col)
+        return int(cell) if cell.ndim == 0 else cell
 
 
 @dataclass(frozen=True)
@@ -508,11 +514,7 @@ def training_data(model: Model, db: FingerprintDb):
     if model.head.kind == "regression":
         y = model.normalize_positions(db.positions[keep])
     else:
-        extent = db.grid.extent()
-        y = np.array(
-            [model.head.cells.cell_of(p, extent) for p in db.positions[keep]],
-            dtype=int,
-        )
+        y = model.head.cells.cell_of(db.positions[keep], db.grid.extent())
     return x, y
 
 
@@ -583,17 +585,14 @@ def classify_then_wknn(
     """
     probs = forward(model, adp)
     cell = int(np.argmax(probs))
-    extent = db.grid.extent()
     usable = np.flatnonzero(~db.zero_flags)
-    members = np.array(
-        [i for i in usable if model.head.cells.cell_of(db.positions[i], extent) == cell],
-        dtype=int,
-    )
+    cells = model.head.cells.cell_of(db.positions[usable], db.grid.extent())
+    members = usable[cells == cell]
     used_fallback = False
     if len(members) == 0:
         members = usable
         used_fallback = True
-    sims = np.array([similarity(adp, db.adps[i]) for i in members])
+    sims = similarity(adp, db.adps[members])
     order = np.lexsort((members, -sims))[: min(k, len(members))]
     chosen = members[order]
     w = sims[order]
@@ -659,46 +658,37 @@ def save_model(model: Model, path) -> None:
         "pos_offset": [float(v) for v in model.pos_offset],
         "pos_scale": [float(v) for v in model.pos_scale],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for p in model.parameters():
-            fh.write(p.astype("<f4").tobytes())
+    write_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                     model.parameters())
 
 
 def load_model(path) -> Model:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {data[:4]!r}")
-    version, hlen = struct.unpack_from("<HI", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    header = json.loads(data[10:10 + hlen].decode("utf-8"))
-    cells = header["head"]["cells"]
-    head = Head(
-        kind=header["head"]["kind"],
-        cells=ClassifierGrid(cells[0], cells[1]) if cells else None,
-    )
-    model = build_model(
-        header["layer_specs"],
-        tuple(header["input_shape"]),
-        head,
-        seed=header["seed"],
-        normalize_input=header["normalize_input"],
-    )
-    model.pos_offset = np.array(header["pos_offset"])
-    model.pos_scale = np.array(header["pos_scale"])
-    offset = 10 + hlen
-    for p in model.parameters():
-        n = p.size * 4
-        if offset + n > len(data):
-            raise FormatError("checkpoint parameter blob shorter than declared")
-        vals = np.frombuffer(data[offset:offset + n], dtype="<f4")
-        p[...] = vals.reshape(p.shape).astype(np.float64)
-        offset += n
-    if offset != len(data):
-        raise FormatError("trailing bytes after checkpoint parameters")
+    """Rebuild a model saved by ``save_model``.
+
+    Raises:
+        TruncatedFile: the file is cut short.
+        FormatError: bad magic, trailing bytes, or a header that does not
+            describe a model.
+        VersionError: unsupported checkpoint version.
+    """
+    header, body = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    try:
+        cells = header["head"]["cells"]
+        head = Head(
+            kind=header["head"]["kind"],
+            cells=ClassifierGrid(cells[0], cells[1]) if cells else None,
+        )
+        model = build_model(
+            header["layer_specs"],
+            tuple(header["input_shape"]),
+            head,
+            seed=header["seed"],
+            normalize_input=header["normalize_input"],
+        )
+        model.pos_offset = np.array(header["pos_offset"], dtype=float)
+        model.pos_scale = np.array(header["pos_scale"], dtype=float)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint header does not describe a model: "
+                          f"{exc!r}") from exc
+    read_weights(body, model.parameters())
     return model

@@ -94,7 +94,7 @@ def calibrate_similarity_floor(db: FingerprintDb, radius: float | None = None,
         idx = idx[(idx != i) & ~db.zero_flags[idx]]
         if idx.size == 0:
             continue
-        maxima.append(max(similarity(db.adps[i], db.adps[j]) for j in idx))
+        maxima.append(similarity(db.adps[i], db.adps[idx]).max())
     if not maxima:
         raise EmptyNeighborhood("no grid point has a neighbor within the radius")
     return float(np.percentile(maxima, percentile))
@@ -123,9 +123,7 @@ def detect_distorted(adp, localizer, db: FingerprintDb,
     position = np.asarray(localizer(adp), dtype=float)
     idx = neighbor_indices_within(db, position, thresholds.neighborhood_radius)
     idx = idx[~db.zero_flags[idx]]
-    best = 0.0
-    for j in idx:
-        best = max(best, similarity(frame, db.adps[j]))
+    best = float(np.max(similarity(frame, db.adps[idx]), initial=0.0))
     verdict = (Verdict.ACCURATE if best >= thresholds.similarity_floor
                else Verdict.DISTORTED)
     return DetectionResult(verdict, position, best, int(idx.size))
@@ -176,39 +174,35 @@ def recover_and_locate(measured, history, prev_position, localizer,
             )
         return RecoveryResult(predicted_position, predicted,
                               predicted_position, 1.0, 0)
-    positions, adps, sims = [], [], []
-    neighbor_count = 0
+    idx = np.empty(0, dtype=int)
     if prev_position is not None:
         idx = neighbor_indices_within(db, prev_position,
                                       thresholds.recovery_radius)
         idx = idx[~db.zero_flags[idx]]
-        neighbor_count = int(idx.size)
-        for j in idx:
-            positions.append(np.asarray(db.positions[j], dtype=float))
-            adps.append(np.asarray(db.adps[j], dtype=np.float64))
-            sims.append(similarity(frame, db.adps[j]))
+    positions = db.positions[idx]
+    adps = db.adps[idx].astype(np.float64)
+    weights = similarity(frame, adps)
     if has_prediction and include_prediction:
-        positions.append(predicted_position)
-        adps.append(predicted)
-        sims.append(similarity(frame, predicted))
-    if not positions:
+        weights = np.append(weights, similarity(frame, predicted))
+        positions = np.vstack([positions, predicted_position])
+        adps = np.concatenate([adps, predicted[None]])
+    if not weights.size:
         raise EmptyNeighborhood(
             "no database entries near the previous position and no usable "
             "prediction"
         )
-    weights = np.asarray(sims, dtype=np.float64)
     total = float(weights.sum())
     if total > 0.0:
         weights /= total
     else:
-        weights = np.full(len(sims), 1.0 / len(sims))
-    position = np.einsum("i,ij->j", weights, np.stack(positions))
-    fused = np.einsum("i,ijk->jk", weights, np.stack(adps))
+        weights = np.full(weights.size, 1.0 / weights.size)
+    position = np.einsum("i,ij->j", weights, positions)
+    fused = np.einsum("i,ijk->jk", weights, adps)
     prediction_weight = (
         float(weights[-1]) if include_prediction and has_prediction else 0.0
     )
     return RecoveryResult(position, fused, predicted_position,
-                          prediction_weight, neighbor_count)
+                          prediction_weight, int(idx.size))
 
 
 class FrameEstimate(NamedTuple):

@@ -17,23 +17,20 @@ resynthesis all wrap cyclically.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .adp import gaussian_profile
+from .container import read_checkpoint, read_weights, write_checkpoint
 from .errors import (
     DimensionMismatch,
     DivergedLoss,
     EmptyHistory,
     FormatError,
     LengthMismatch,
-    TruncatedFile,
-    VersionError,
 )
 from .neural import Conv2d
 
@@ -397,60 +394,44 @@ def save_predictor(predictor, path) -> None:
                   "max_misses": predictor.max_misses,
                   "sigma": predictor.sigma,
                   "min_amplitude": predictor.min_amplitude}
-        blobs = []
+        weights = []
     elif isinstance(predictor, ConvRecurrentPredictor):
         header = predictor.spec()
-        blobs = [np.ascontiguousarray(p, dtype="<f4").tobytes()
-                 for p in predictor.parameters()]
+        weights = predictor.parameters()
     else:
         raise FormatError(f"cannot serialize a {type(predictor).__name__}")
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(PREDICTOR_MAGIC)
-        fh.write(struct.pack("<HI", PREDICTOR_VERSION, len(head)))
-        fh.write(head)
-        for blob in blobs:
-            fh.write(blob)
+    write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION, header, weights)
 
 
 def load_predictor(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fixed = len(PREDICTOR_MAGIC) + struct.calcsize("<HI")
-    if len(raw) < fixed:
-        raise TruncatedFile(f"{len(raw)} bytes is too short for a header")
-    if raw[:4] != PREDICTOR_MAGIC:
-        raise FormatError(f"bad magic {raw[:4]!r}")
-    version, head_len = struct.unpack_from("<HI", raw, 4)
-    if version != PREDICTOR_VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    if len(raw) < fixed + head_len:
-        raise TruncatedFile("header is cut off")
-    header = json.loads(raw[fixed:fixed + head_len].decode("utf-8"))
-    body = raw[fixed + head_len:]
+    """Rebuild a predictor saved by ``save_predictor``.
+
+    Raises:
+        TruncatedFile: the file is cut short.
+        FormatError: bad magic, trailing bytes, or a header that does not
+            describe a predictor.
+        VersionError: unsupported checkpoint version.
+    """
+    header, body = read_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION)
     kind = header.get("kind")
-    if kind == "peak-track":
-        if body:
-            raise FormatError(f"{len(body)} unexpected trailing bytes")
-        return PeakTrackingPredictor(
-            max_peaks=header["max_peaks"], gate=header["gate"],
-            max_misses=header["max_misses"], sigma=header["sigma"],
-            min_amplitude=header["min_amplitude"])
-    if kind == "conv-recurrent":
-        model = ConvRecurrentPredictor(
-            header["n_antennas"], header["n_subcarriers"],
-            hidden_channels=header["hidden_channels"],
-            kernel_size=header["kernel_size"], seed=header["seed"])
-        model.scale = header["scale"]
-        offset = 0
-        for p in model.parameters():
-            nbytes = p.size * 4
-            if offset + nbytes > len(body):
-                raise TruncatedFile("weight blob is cut off")
-            flat = np.frombuffer(body, dtype="<f4", count=p.size, offset=offset)
-            p[...] = flat.reshape(p.shape)
-            offset += nbytes
-        if offset != len(body):
-            raise FormatError(f"{len(body) - offset} unexpected trailing bytes")
-        return model
-    raise FormatError(f"unknown predictor kind {kind!r}")
+    weights = []
+    try:
+        if kind == "peak-track":
+            predictor = PeakTrackingPredictor(
+                max_peaks=header["max_peaks"], gate=header["gate"],
+                max_misses=header["max_misses"], sigma=header["sigma"],
+                min_amplitude=header["min_amplitude"])
+        elif kind == "conv-recurrent":
+            predictor = ConvRecurrentPredictor(
+                header["n_antennas"], header["n_subcarriers"],
+                hidden_channels=header["hidden_channels"],
+                kernel_size=header["kernel_size"], seed=header["seed"])
+            predictor.scale = header["scale"]
+            weights = predictor.parameters()
+        else:
+            raise FormatError(f"unknown predictor kind {kind!r}")
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint header does not describe a "
+                          f"predictor: {exc!r}") from exc
+    read_weights(body, weights)
+    return predictor

@@ -54,3 +54,13 @@ def wknn_centroid(positions, similarities):
     xs = sum(w * p[0] for w, p in zip(similarities, positions)) / total
     ys = sum(w * p[1] for w, p in zip(similarities, positions)) / total
     return (xs, ys)
+
+
+def classifier_cell(position, extent, n_rows, n_cols):
+    """Row-major cell of a point: truncate toward zero, then clamp."""
+    x0, y0, x1, y1 = extent
+    dx = (x1 - x0) / n_cols if x1 > x0 else 1.0
+    dy = (y1 - y0) / n_rows if y1 > y0 else 1.0
+    col = min(int((position[0] - x0) / dx), n_cols - 1)
+    row = min(int((position[1] - y0) / dy), n_rows - 1)
+    return max(0, row) * n_cols + max(0, col)

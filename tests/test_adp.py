@@ -144,6 +144,49 @@ class TestSimilarity:
             similarity(np.ones((4, 4)), np.ones((4, 5)))
 
 
+class TestStackedSimilarity:
+    """A stack of profiles gives the scalar similarity of each row."""
+
+    def test_matches_scalar_row_by_row(self):
+        rng = np.random.default_rng(12)
+        a = rng.uniform(0, 1, size=(16, 16))
+        stack = rng.uniform(0, 1, size=(40, 16, 16)).astype(np.float32)
+        stack[3] = a  # self-similarity, clipped at one
+        stack[5] = 0.0
+        stack[5, 0, 0] = 1.0  # nearly disjoint support
+        sims = similarity(a, stack)
+        assert isinstance(sims, np.ndarray)
+        assert sims.shape == (40,) and sims.dtype == np.float64
+        for row, value in zip(stack, sims):
+            assert abs(value - similarity(a, row)) <= 1e-12
+            b = row.astype(np.float64)
+            direct = np.sum(a * b) / math.sqrt(np.sum(a * a) * np.sum(b * b))
+            assert abs(value - min(direct, 1.0)) <= 1e-12
+        assert np.all((sims >= 0.0) & (sims <= 1.0))
+
+    def test_single_profile_still_gives_a_float(self):
+        a = np.ones((4, 4))
+        assert type(similarity(a, 2.0 * a)) is float
+
+    def test_empty_stack_gives_empty_array(self):
+        assert similarity(np.ones((4, 4)), np.ones((0, 4, 4))).shape == (0,)
+
+    def test_zero_row_raises(self):
+        stack = np.ones((3, 4, 4))
+        stack[1] = 0.0
+        with pytest.raises(ZeroAdp):
+            similarity(np.ones((4, 4)), stack)
+
+    def test_zero_reference_raises(self):
+        with pytest.raises(ZeroAdp):
+            similarity(np.zeros((4, 4)), np.ones((3, 4, 4)))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (3, 5, 4), (2, 3, 4, 4)])
+    def test_shape_mismatch_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            similarity(np.ones((4, 4)), np.ones(shape))
+
+
 class TestGaussianProfile:
     def test_peak_at_center(self):
         img = gaussian_profile((16, 16), np.array([[5.0, 9.0]]), np.array([2.0]), 0.7)

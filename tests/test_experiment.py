@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mimoloc.channel import Environment, Reflector, save_environment
+from mimoloc.cli import main as cli_main
 from mimoloc.dynamics import WalkMode
 from mimoloc.errors import ConfigError, DimensionMismatch
 from mimoloc.experiment import (
@@ -84,6 +85,7 @@ class TestConfig:
         ("train_learning_rate", -0.1),
         ("distort_from", -1),
         ("grid_origin", (1.0, 2.0, 3.0)),
+        ("distort_from", ExperimentConfig().sequence_length),
     ])
     def test_bad_field_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})
@@ -184,6 +186,22 @@ class TestEmitReport:
         assert report["config"] == smoke_result.config.to_dict()
         assert set(report["median_distorted_rmse_m"]) == set(METHODS)
         assert report["runtime_seconds"] > 0.0
+
+    def test_undefined_ratios_are_null_in_strict_json(self, clean_result,
+                                                      tmp_path, capsys):
+        # nothing distorted and nothing flagged: precision and recall are
+        # ratios over empty sets
+        emit_report(clean_result, tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["detection"]["precision"] is None
+        assert report["detection"]["recall"] is None
+        assert cli_main(["report", "--out", str(tmp_path)]) == 0
+        assert "precision=n/a recall=n/a" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = ExperimentConfig(scenario="nlos-block", **TINY)

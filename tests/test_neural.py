@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from oracles import classifier_cell
 
-from mimoloc.errors import DimensionMismatch, DivergedLoss
+from mimoloc.container import write_checkpoint
+from mimoloc.errors import (
+    DimensionMismatch,
+    DivergedLoss,
+    FormatError,
+    MimolocError,
+    TruncatedFile,
+)
 from mimoloc.fingerprint import FingerprintDb, GridSpec
 from mimoloc.neural import (
+    CHECKPOINT_MAGIC,
     ClassifierGrid,
     Conv2d,
     Dense,
@@ -23,6 +32,12 @@ from mimoloc.neural import (
     load_model,
     save_model,
     train,
+)
+from mimoloc.predictor import (
+    PREDICTOR_MAGIC,
+    ConvRecurrentPredictor,
+    load_predictor,
+    save_predictor,
 )
 
 RNG = np.random.default_rng(0)
@@ -304,23 +319,47 @@ class TestTraining:
         assert curve[-1] < curve[0] / 2
 
 
+def cells_of_each(cells, points, extent):
+    """Cell of every point, the scalar and the array form checked against
+    the scalar oracle."""
+    ids = [cells.cell_of(p, extent) for p in points]
+    assert all(type(i) is int for i in ids)
+    assert ids == [classifier_cell(p, extent, cells.n_rows, cells.n_cols)
+                   for p in points]
+    batched = cells.cell_of(np.asarray(points, dtype=float), extent)
+    assert batched.shape == (len(points),)
+    assert batched.tolist() == ids
+    return ids
+
+
 class TestClassifierGrid:
     def test_every_point_maps_to_one_cell(self):
         db = synthetic_db(n_rows=5, n_cols=7)
         cells = ClassifierGrid(2, 3)
         extent = db.grid.extent()
-        ids = [cells.cell_of(p, extent) for p in db.positions]
+        ids = cells_of_each(cells, db.positions, extent)
         assert min(ids) >= 0 and max(ids) < cells.n_cells
         # the extent corners land in the corner cells
-        assert cells.cell_of((extent[0], extent[1]), extent) == 0
-        assert cells.cell_of((extent[2], extent[3]), extent) == cells.n_cells - 1
+        corners = [(extent[0], extent[1]), (extent[2], extent[1]),
+                   (extent[0], extent[3]), (extent[2], extent[3])]
+        assert cells_of_each(cells, corners, extent) == [0, 2, 3, 5]
+
+    def test_points_outside_the_box_clamp_to_edge_cells(self):
+        db = synthetic_db(n_rows=5, n_cols=7)
+        cells = ClassifierGrid(2, 3)
+        x0, y0, x1, y1 = db.grid.extent()
+        outside = [(x0 - 0.3, y0 - 0.3), (x1 + 5.0, y1 + 5.0),
+                   (x0 - 100.0, y1 + 0.01), (x1 + 0.01, y0 - 100.0),
+                   ((x0 + x1) / 2, y0 - 1e-9), ((x0 + x1) / 2, y1 + 1e-9)]
+        assert cells_of_each(cells, outside, (x0, y0, x1, y1)) == \
+            [0, 5, 3, 2, 1, 4]
 
     def test_degenerate_single_row(self):
         grid = GridSpec(origin=(0, 0), spacing=1.0, n_rows=1, n_cols=4)
         extent = grid.extent()
         cells = ClassifierGrid(2, 2)
-        for p in grid.all_positions():
-            assert 0 <= cells.cell_of(p, extent) < 4
+        for i in cells_of_each(cells, grid.all_positions(), extent):
+            assert 0 <= i < 4
 
 
 class ZeroModel(Model):
@@ -428,6 +467,54 @@ class TestCheckpoints:
         loaded = load_model(path)
         assert loaded.head.cells == ClassifierGrid(2, 2)
         assert loaded.normalize_input
+
+
+def save_small_classifier(path):
+    head = Head("classification", ClassifierGrid(2, 2))
+    specs = [{"kind": "flatten"}, {"kind": "dense", "out_width": 4},
+             {"kind": "softmax"}]
+    save_model(build_model(specs, (1, 4, 4), head, seed=1), path)
+
+
+def save_small_recurrent(path):
+    save_predictor(ConvRecurrentPredictor(4, 4, hidden_channels=2, seed=0),
+                   path)
+
+
+class TestCorruptCheckpoints:
+    """A cut or malformed checkpoint surfaces as a typed package error."""
+
+    @pytest.mark.parametrize("save,load", [
+        (save_small_classifier, load_model),
+        (save_small_recurrent, load_predictor),
+    ], ids=["model", "predictor"])
+    def test_every_cut_raises_a_package_error(self, tmp_path, save, load):
+        full = tmp_path / "full.ckpt"
+        save(full)
+        raw = full.read_bytes()
+        load(full)  # the uncut file loads
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(MimolocError) as info:
+                load(cut)
+            assert isinstance(info.value, TruncatedFile), (size, info.value)
+
+    @pytest.mark.parametrize("magic,load", [
+        (CHECKPOINT_MAGIC, load_model),
+        (PREDICTOR_MAGIC, load_predictor),
+    ], ids=["model", "predictor"])
+    @pytest.mark.parametrize("header", [
+        {}, {"kind": "conv-recurrent"}, {"head": {"kind": "regression"}},
+        {"layer_specs": 3, "head": {"kind": "regression", "cells": None}},
+        [1, 2],
+    ])
+    def test_header_without_its_fields_is_a_format_error(self, tmp_path,
+                                                         magic, load, header):
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(path, magic, 1, header, [])
+        with pytest.raises(FormatError):
+            load(path)
 
 
 class TestInputNormalization:
