@@ -44,7 +44,6 @@ from .fingerprint import (
     GridSpec,
     build_db,
     load_db,
-    neighbors_within,
     save_db,
 )
 from .neural import (

@@ -272,16 +272,15 @@ def rmse_per_frame(errors) -> np.ndarray:
     return np.sqrt(np.mean(e * e, axis=0))
 
 
-def _baseline_track(localizer, adps, fallback):
-    # lost-link frames give a localizer nothing to work with; the baseline
+def _baseline_track(fixes, fallback):
+    # ``fixes`` holds a static localizer's position for each frame, None on
+    # a lost-link frame, which gives it nothing to work with; the baseline
     # holds its previous estimate (or the grid center before any fix)
     positions = []
-    last = None
-    for adp in adps:
-        if np.any(adp):
-            last = np.asarray(localizer(adp), dtype=float)
-        elif last is None:
-            last = np.asarray(fallback, dtype=float)
+    last = np.asarray(fallback, dtype=float)
+    for fix in fixes:
+        if fix is not None:
+            last = np.asarray(fix, dtype=float)
         positions.append(last)
     return np.stack(positions)
 
@@ -372,8 +371,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             PredictorTrainConfig(epochs=config.predictor_epochs,
                                  seed=config.seed))
 
-    dynamic_localizer = (regressor if config.localizer == "regressor"
-                         else classifier)
+    localizers = {"regressor": regressor, "classifier-wknn": classifier}
     scenario = None
     if config.scenario != "none":
         scenario = DistortionScenario(
@@ -399,22 +397,27 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         truth = seq.positions()
         truths[i] = truth
         distorted[i] = [fr.distorted for fr in seq.frames]
-        estimates = run_sequence(seq.adps(), dynamic_localizer, db,
+        adps = seq.adps()
+        estimates = run_sequence(adps, localizers[config.localizer], db,
                                  thresholds, predictor,
                                  history_length=config.history_length)
         flagged[i] = [e.verdict is not Verdict.ACCURATE for e in estimates]
         tracks = {
             "dynamic": np.stack([e.position for e in estimates]),
-            "regressor": _baseline_track(regressor, seq.adps(), fallback),
-            "classifier-wknn": _baseline_track(classifier, seq.adps(),
-                                               fallback),
             "predictor-only": _predictor_only_track(estimates),
         }
+        # the dynamic head's baseline is the fix detection already took of
+        # each measured frame; only the other head localizes the walk again
+        for name, localizer in localizers.items():
+            fixes = ([e.measured_position for e in estimates]
+                     if name == config.localizer
+                     else [localizer(a) if np.any(a) else None for a in adps])
+            tracks[name] = _baseline_track(fixes, fallback)
         for method, track in tracks.items():
             errors[method][i] = np.linalg.norm(track - truth, axis=1)
     result = ExperimentResult(
         config=config, db=db, thresholds=thresholds,
-        localizers={"regressor": regressor, "classifier-wknn": classifier},
+        localizers=localizers,
         predictor=predictor, modes=modes, truths=truths, errors=errors,
         flagged=flagged, distorted=distorted,
         train_losses={"regressor": reg_losses, "classifier-wknn": cls_losses,

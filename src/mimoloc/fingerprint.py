@@ -25,6 +25,7 @@ from .channel import (
     synthesize_csi,
     trace_paths,
 )
+from .errors import FormatError
 
 META_FORMAT_VERSION = 1
 
@@ -162,20 +163,13 @@ def build_db(
     return FingerprintDb(grid=grid, positions=positions, adps=adps, meta=meta)
 
 
-def neighbors_within(
-    db: FingerprintDb, center, radius: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All (position, profile) entries within ``radius`` of ``center``.
+def neighbor_indices_within(db: FingerprintDb, center, radius: float) -> np.ndarray:
+    """Indices of the entries within ``radius`` of ``center``.
 
     Sorted by distance, ties broken by row-major grid order. Zero-profile
     entries are included; callers that feed similarities filter them via
     ``db.zero_flags``.
     """
-    idx = neighbor_indices_within(db, center, radius)
-    return [(db.positions[i], db.adps[i]) for i in idx]
-
-
-def neighbor_indices_within(db: FingerprintDb, center, radius: float) -> np.ndarray:
     if radius < 0.0:
         raise ValueError("radius must be nonnegative")
     c = np.asarray(center, dtype=float)
@@ -201,12 +195,33 @@ def save_db(db: FingerprintDb, path) -> None:
 
 
 def load_db(path) -> FingerprintDb:
+    """Read a database written by ``save_db``.
+
+    Raises:
+        FormatError: the container is malformed, or the sidecar is not
+            JSON, lacks a valid grid, or describes a grid whose point
+            count differs from the record count.
+        TruncatedFile: the container is cut short.
+        VersionError: the container is not a fingerprint container.
+    """
     _, n_t, n_c, records = container.read_container(
         path, expect_version=container.VERSION_FINGERPRINTS
     )
-    with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    grid = GridSpec.from_meta(meta["grid"])
+    sidecar = _sidecar_path(path)
+    with open(sidecar, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{sidecar}: not JSON: {exc}") from exc
+    try:
+        grid = GridSpec.from_meta(meta["grid"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"{sidecar}: no valid grid: {exc!r}") from exc
+    if grid.n_points != len(records):
+        raise FormatError(
+            f"{sidecar}: grid has {grid.n_points} points, container "
+            f"holds {len(records)} records"
+        )
     return FingerprintDb(
         grid=grid,
         positions=records["position"].astype(np.float64),

@@ -29,7 +29,19 @@ CHECKPOINT_VERSION = 1
 # --- layers ---------------------------------------------------------------
 
 class Conv2d:
-    """2D convolution, stride 1, 'valid' (default) or 'same' zero padding."""
+    """2D convolution, stride 1, 'valid' (default) or 'same' zero padding.
+
+    'same' pads ``(k - 1) // 2`` before and ``k // 2`` after, so an even
+    kernel pads one more at the bottom and right. The input is copied once
+    into a zero-filled channels-last buffer, and the column matrix is
+    filled from its k x k shifted slices; the gradient is scattered back
+    the same way. Outputs and gradients are bit-identical to the plain
+    pad-and-window im2col: the columns hold the same values in the same
+    order, the products are the same calls, and every input-gradient
+    pixel sums its taps in the same (row, column) order. The input
+    gradient is returned C-contiguous, since the memory order of an array
+    can change the summation order of a later matrix product.
+    """
 
     def __init__(self, out_channels: int, kernel_size: int, padding: str = "valid"):
         if padding not in ("valid", "same"):
@@ -75,50 +87,78 @@ class Conv2d:
     def gradients(self):
         return [self.gw, self.gb]
 
-    def _pad(self, x):
+    def _pad(self):
         if self.padding == "valid":
-            return x, (0, 0)
+            return 0, 0
         k = self.kernel_size
-        lo, hi = (k - 1) // 2, k // 2
-        return np.pad(x, ((0, 0), (0, 0), (lo, hi), (lo, hi))), (lo, hi)
+        return (k - 1) // 2, k // 2
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        xp, pad = self._pad(x)
+        b, c, h, w = x.shape
         k = self.kernel_size
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        b, c, ho, wo = win.shape[:4]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho, wo, c * k * k)
+        lo, hi = self._pad()
+        xp = np.zeros((b, h + lo + hi, w + lo + hi, c), dtype=x.dtype)
+        xp[:, lo:lo + h, lo:lo + w] = x.transpose(0, 2, 3, 1)
+        ho, wo = h + lo + hi - k + 1, w + lo + hi - k + 1
+        # column (ci, i, j) of output pixel (y, x) is input pixel
+        # (y + i, x + j) of channel ci
+        cols = np.empty((b, ho, wo, c, k, k), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[..., i, j] = xp[:, i:i + ho, j:j + wo]
+        cols = cols.reshape(b, ho, wo, c * k * k)
         wmat = self.w.reshape(self.out_channels, -1)
         y = cols @ wmat.T + self.b
-        self._cache = (xp.shape, pad, cols)
+        self._cache = (x.shape, cols)
         return y.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xp_shape, pad, cols = self._cache
+        (b, c, h, w), cols = self._cache
         k = self.kernel_size
-        b, _, ho, wo = grad.shape
+        lo, hi = self._pad()
+        ho, wo = grad.shape[2:]
         gt = grad.transpose(0, 2, 3, 1)  # (B, H', W', out)
         wmat = self.w.reshape(self.out_channels, -1)
         self.gw = np.tensordot(gt, cols, axes=([0, 1, 2], [0, 1, 2])).reshape(
             self.w.shape
         )
         self.gb = gt.sum(axis=(0, 1, 2))
-        dcols = (gt @ wmat).reshape(b, ho, wo, xp_shape[1], k, k)
-        dxp = np.zeros(xp_shape)
+        dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
+        dxp = np.zeros((b, h + lo + hi, w + lo + hi, c))
         for i in range(k):
             for j in range(k):
-                dxp[:, :, i:i + ho, j:j + wo] += dcols[:, :, :, :, i, j].transpose(
-                    0, 3, 1, 2
-                )
-        lo, hi = pad
-        if hi == 0 and lo == 0:
-            return dxp
-        h, w = xp_shape[2] - lo - hi, xp_shape[3] - lo - hi
-        return dxp[:, :, lo:lo + h, lo:lo + w]
+                dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
+        return np.ascontiguousarray(
+            dxp[:, lo:lo + h, lo:lo + w].transpose(0, 3, 1, 2))
+
+
+def _pool_taps(x: np.ndarray, h2: int, w2: int) -> list:
+    """Strided views of the four taps of every 2x2 window of ``x``, in
+    row-major window order: top-left, top-right, bottom-left,
+    bottom-right."""
+    return [x[:, :, dy:2 * h2:2, dx:2 * w2:2] for dy in (0, 1) for dx in (0, 1)]
+
+
+def _first_wins(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # True where a is at least b, or where a is NaN: a NaN counts as the
+    # largest value, as in argmax
+    return (a >= b) | (a != a)
 
 
 class MaxPool2x2:
-    """2x2 max pooling, stride 2; odd trailing rows/cols are dropped."""
+    """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
+
+    The gradient of a window goes to one tap: the first maximal tap in
+    row-major window order, a NaN counting as the largest value, which is
+    the rule of ``argmax`` over the four taps. The forward pass takes pair
+    maxima of the four strided taps, top pair, bottom pair, then the two
+    pair maxima; the backward pass compares the same taps to route the
+    gradient, so inference never builds the masks. Gradients are
+    bit-identical to the ``argmax`` form, and so are outputs on any input
+    without a negative zero (a ReLU output holds none): where zeros of
+    both signs tie for a window's maximum, the sign of the output zero is
+    the one ``np.maximum`` returns.
+    """
 
     def __init__(self):
         self._cache = None
@@ -142,31 +182,25 @@ class MaxPool2x2:
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        h2, w2 = h // 2, w // 2
-        wins = (
-            x[:, :, : h2 * 2, : w2 * 2]
-            .reshape(b, c, h2, 2, w2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h2, w2, 4)
-        )
-        idx = wins.argmax(axis=-1)  # first max wins ties
-        y = np.take_along_axis(wins, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
-        return y
+        tl, tr, bl, br = _pool_taps(x, x.shape[2] // 2, x.shape[3] // 2)
+        # later tap first: np.maximum returns its second operand on a tie
+        top, bottom = np.maximum(tr, tl), np.maximum(br, bl)
+        self._cache = (x, top, bottom)
+        return np.maximum(bottom, top)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x_shape, idx = self._cache
-        b, c, h, w = x_shape
-        h2, w2 = h // 2, w // 2
-        dwins = np.zeros((b, c, h2, w2, 4))
-        np.put_along_axis(dwins, idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros(x_shape)
-        dx[:, :, : h2 * 2, : w2 * 2] = (
-            dwins.reshape(b, c, h2, w2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h2 * 2, w2 * 2)
-        )
+        x, top, bottom = self._cache
+        h2, w2 = grad.shape[2:]
+        tl, tr, bl, br = _pool_taps(x, h2, w2)
+        left_top, left_bottom = _first_wins(tl, tr), _first_wins(bl, br)
+        top_wins = _first_wins(top, bottom)
+        bottom_wins = ~top_wins
+        dx = np.zeros(x.shape)
+        dtl, dtr, dbl, dbr = _pool_taps(dx, h2, w2)
+        dtl[...] = np.where(top_wins & left_top, grad, 0.0)
+        dtr[...] = np.where(top_wins & ~left_top, grad, 0.0)
+        dbl[...] = np.where(bottom_wins & left_bottom, grad, 0.0)
+        dbr[...] = np.where(bottom_wins & ~left_bottom, grad, 0.0)
         return dx
 
 
@@ -378,7 +412,7 @@ class Model:
             )
         if self.normalize_input:
             peak = np.abs(x).max(axis=(1, 2, 3), keepdims=True)
-            x = np.divide(x, peak, out=x.astype(float).copy(), where=peak > 0)
+            x = np.divide(x, peak, out=x.astype(float), where=peak > 0)
         for layer in self.layers:
             x = layer.forward(x)
         return x
@@ -553,10 +587,11 @@ def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
             total += loss * len(sel)
             params = model.parameters()
             grads = model.gradients()
-            for i, (p, g) in enumerate(zip(params, grads)):
+            for p, g, v in zip(params, grads, velocity):
                 if cfg.momentum > 0.0:
-                    velocity[i] = cfg.momentum * velocity[i] - cfg.learning_rate * g
-                    p += velocity[i]
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * g
+                    p += v
                 else:
                     p -= cfg.learning_rate * g
         curve.append(total / n)

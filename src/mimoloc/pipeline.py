@@ -206,6 +206,10 @@ def recover_and_locate(measured, history, prev_position, localizer,
 
 
 class FrameEstimate(NamedTuple):
+    """One frame's outcome. ``measured_position`` is the localizer's fix
+    of the frame as measured, the one detection judged (None on a
+    lost-link frame); the estimate stream does not carry it."""
+
     frame_index: int
     verdict: Verdict
     position: np.ndarray
@@ -213,6 +217,7 @@ class FrameEstimate(NamedTuple):
     source: str
     predicted_position: np.ndarray | None
     prediction_weight: float
+    measured_position: np.ndarray | None = None
 
 
 def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
@@ -248,7 +253,7 @@ def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
             history.append(np.asarray(adp, dtype=np.float64))
             estimates.append(FrameEstimate(
                 t, det.verdict, position, det.best_similarity, "measured",
-                predicted_position, 0.0))
+                predicted_position, 0.0, det.position))
         elif not history:
             if det.verdict is Verdict.LOST_LINK:
                 raise EmptyNeighborhood(
@@ -258,7 +263,7 @@ def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
             history.append(np.asarray(adp, dtype=np.float64))
             estimates.append(FrameEstimate(
                 t, det.verdict, position, det.best_similarity, "fallback",
-                predicted_position, 0.0))
+                predicted_position, 0.0, det.position))
         else:
             rec = recover_and_locate(adp, history, prev_position, localizer,
                                      db, thresholds,
@@ -268,7 +273,7 @@ def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
             history.append(rec.adp)
             estimates.append(FrameEstimate(
                 t, det.verdict, position, det.best_similarity, "recovered",
-                rec.predicted_position, rec.prediction_weight))
+                rec.predicted_position, rec.prediction_weight, det.position))
         prev_position = position
     return estimates
 

@@ -5,7 +5,9 @@ import os
 
 import numpy as np
 import pytest
+from oracles import baseline_track
 
+from mimoloc import experiment, pipeline
 from mimoloc.channel import Environment, Reflector, save_environment
 from mimoloc.cli import main as cli_main
 from mimoloc.dynamics import WalkMode
@@ -163,6 +165,30 @@ class TestRunExperiment:
 
     def test_distorted_errors_flatten(self, smoke_result):
         assert smoke_result.distorted_errors("dynamic").shape == (9,)
+
+    @pytest.mark.parametrize("localizer", ["regressor", "classifier-wknn"])
+    def test_baselines_equal_a_second_localization(self, monkeypatch,
+                                                   localizer):
+        # the dynamic head's baseline reuses detection's fixes; it must be
+        # the track a second pass of the same localizer gives
+        walks = []
+
+        def run_sequence(adps, *args, **kwargs):
+            adps[2] = 0.0  # a lost link mid-walk: the baseline holds
+            walks.append(adps.copy())
+            return pipeline.run_sequence(adps, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_sequence", run_sequence)
+        result = run_experiment(ExperimentConfig(
+            scenario="los-block", **dict(TINY, localizer=localizer)))
+        x0, y0, x1, y1 = result.db.grid.extent()
+        center = ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+        for name, loc in result.localizers.items():
+            for i, adps in enumerate(walks):
+                track = baseline_track(loc, adps, center)
+                assert np.array_equal(
+                    np.linalg.norm(track - result.truths[i], axis=1),
+                    result.errors[name][i])
 
 
 class TestEmitReport:

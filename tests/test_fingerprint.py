@@ -14,7 +14,6 @@ from mimoloc.fingerprint import (
     environment_from_meta,
     load_db,
     neighbor_indices_within,
-    neighbors_within,
     save_db,
 )
 
@@ -166,6 +165,24 @@ class TestBuildDb:
         save_db(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("sidecar", [
+        "{not json",
+        "[1, 2]",
+        '{"format_version": 1}',
+        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 2}}',
+        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.0, "n_rows": 2, '
+        '"n_cols": 3}}',
+        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 3, '
+        '"n_cols": 3}}',
+    ])
+    def test_bad_sidecar_is_a_format_error(self, tmp_path, sidecar):
+        grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
+        path = tmp_path / "db.adpf"
+        save_db(build_db(ENV, grid, ARRAY, OFDM), path)
+        (tmp_path / "db.adpf.meta.json").write_text(sidecar)
+        with pytest.raises(FormatError):
+            load_db(path)
+
 
 @pytest.fixture(scope="module")
 def db():
@@ -178,9 +195,9 @@ class TestNeighborsWithin:
 
     def test_radius_counts(self, db):
         center = (1.0, 1.0)
-        assert len(neighbors_within(db, center, 0.5)) == 1
-        assert len(neighbors_within(db, center, 1.1)) == 5
-        assert len(neighbors_within(db, center, 1.5)) == 9
+        assert len(neighbor_indices_within(db, center, 0.5)) == 1
+        assert len(neighbor_indices_within(db, center, 1.1)) == 5
+        assert len(neighbor_indices_within(db, center, 1.5)) == 9
 
     def test_monotone_in_radius(self, db):
         rng = np.random.default_rng(2)
@@ -198,9 +215,3 @@ class TestNeighborsWithin:
         assert all(dist[i] <= dist[i + 1] + 1e-12 for i in range(len(dist) - 1))
         # the four distance-1 neighbors tie: row-major order
         np.testing.assert_array_equal(idx[1:5], [1, 3, 5, 7])
-
-    def test_result_pairs_positions(self, db):
-        pairs = neighbors_within(db, (0.0, 0.0), 0.1)
-        assert len(pairs) == 1
-        np.testing.assert_allclose(pairs[0][0], [0.0, 0.0])
-        assert pairs[0][1].shape == (2, 2)

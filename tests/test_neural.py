@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import classifier_cell
+from oracles import ReferenceConv2d, ReferenceMaxPool2x2, classifier_cell
 
 from mimoloc.container import write_checkpoint
 from mimoloc.errors import (
@@ -36,8 +36,10 @@ from mimoloc.neural import (
 from mimoloc.predictor import (
     PREDICTOR_MAGIC,
     ConvRecurrentPredictor,
+    PredictorTrainConfig,
     load_predictor,
     save_predictor,
+    train_predictor,
 )
 
 RNG = np.random.default_rng(0)
@@ -134,6 +136,117 @@ class TestLayerGradients:
         p = Softmax().forward(RNG.standard_normal((5, 7)) * 10)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert (p > 0).all()
+
+
+def layouts(a):
+    """``a`` in C order, and the same values in channels-last memory, the
+    order in which a conv output reaches the next layer."""
+    return [a, np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestKernelsMatchReference:
+    """The layers against their plainer reference forms: equal to the bit."""
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    @pytest.mark.parametrize("padding,k", [("valid", 3), ("same", 3),
+                                           ("valid", 2), ("same", 2)])
+    def test_conv(self, padding, k, batch):
+        rng = np.random.default_rng(batch * 10 + k)
+        layer = Conv2d(4, k, padding)
+        layer.init_params((3, 7, 9), rng)
+        ref = ReferenceConv2d(4, k, padding)
+        ref.w, ref.b = layer.w, layer.b
+        x = rng.standard_normal((batch, 3, 7, 9))
+        for xi in layouts(x):
+            y = layer.forward(xi)
+            assert_same_bits(y, ref.forward(xi))
+            for g in layouts(rng.standard_normal(y.shape)):
+                dx = layer.backward(g)
+                assert_same_bits(dx, ref.backward(g))
+                assert dx.flags.c_contiguous
+                assert_same_bits(layer.gw, ref.gw)
+                assert_same_bits(layer.gb, ref.gb)
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    @pytest.mark.parametrize("h,w", [(8, 8), (7, 9)])
+    @pytest.mark.parametrize("values", ["continuous", "ties"])
+    def test_maxpool(self, values, h, w, batch):
+        rng = np.random.default_rng(batch + h)
+        if values == "ties":
+            # three levels plus relu-style zeros: most windows tie
+            x = np.maximum(rng.integers(-1, 3, size=(batch, 3, h, w)), 0.0)
+        else:
+            x = rng.standard_normal((batch, 3, h, w))
+        layer, ref = MaxPool2x2(), ReferenceMaxPool2x2()
+        for xi in layouts(x):
+            y = layer.forward(xi)
+            assert_same_bits(y, ref.forward(xi))
+            g = rng.standard_normal(y.shape)
+            assert_same_bits(layer.backward(g), ref.backward(g))
+
+    def test_maxpool_tie_goes_to_first_tap(self):
+        layer = MaxPool2x2()
+        x = np.array([[[[1.0, 2.0], [2.0, 2.0]]]])
+        layer.forward(x)
+        dx = layer.backward(np.ones((1, 1, 1, 1)))
+        np.testing.assert_array_equal(dx[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_maxpool_nan_wins_like_argmax(self):
+        x = np.array([[[[1.0, np.nan], [3.0, np.nan]],
+                       [[np.nan, 5.0], [2.0, 7.0]]]])
+        layer, ref = MaxPool2x2(), ReferenceMaxPool2x2()
+        y = layer.forward(x)
+        assert np.isnan(y).all()
+        assert_same_bits(y, ref.forward(x))
+        g = np.array([[[[1.5]], [[-2.0]]]])
+        assert_same_bits(layer.backward(g), ref.backward(g))
+
+    @staticmethod
+    def use_reference_layers(monkeypatch):
+        for cls, ref in ((Conv2d, ReferenceConv2d),
+                         (MaxPool2x2, ReferenceMaxPool2x2)):
+            monkeypatch.setattr(cls, "forward", ref.forward)
+            monkeypatch.setattr(cls, "backward", ref.backward)
+
+    @pytest.mark.parametrize("head", [
+        Head("regression"), Head("classification", ClassifierGrid(2, 2))])
+    def test_localizer_training(self, monkeypatch, head):
+        db = synthetic_db(n_rows=4, n_cols=4)
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1, seed=0)
+
+        def fit():
+            model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
+                                head, seed=3, normalize_input=True)
+            return train(model, db, cfg), model.parameters()
+
+        curve, params = fit()
+        with monkeypatch.context() as m:
+            self.use_reference_layers(m)
+            ref_curve, ref_params = fit()
+        assert curve == ref_curve
+        for p, q in zip(params, ref_params):
+            assert_same_bits(p, q)
+
+    def test_predictor_training(self, monkeypatch):
+        seqs = np.random.default_rng(4).uniform(0.0, 1.0, size=(2, 5, 8, 8))
+        cfg = PredictorTrainConfig(epochs=2, batch_size=2, seed=0)
+
+        def fit():
+            model = ConvRecurrentPredictor(8, 8, seed=1)
+            return train_predictor(model, seqs, cfg), model.parameters()
+
+        history, params = fit()
+        with monkeypatch.context() as m:
+            self.use_reference_layers(m)
+            ref_history, ref_params = fit()
+        assert history == ref_history
+        for p, q in zip(params, ref_params):
+            assert_same_bits(p, q)
 
 
 class TestComposedGradients:
