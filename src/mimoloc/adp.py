@@ -66,17 +66,6 @@ def adp_from_csi(csi: np.ndarray, dft: DftPair) -> np.ndarray:
     return np.abs(dft.v.conj().T @ csi @ dft.f)
 
 
-def angle_bin_of_aoa(aoa: float, n_antennas: int, element_spacing: float,
-                     wavelength: float) -> int:
-    """Nearest angle row for an arrival angle, matching the V convention.
-
-    The continuous bin coordinate is n_antennas*(1/2 + d*cos(aoa)/wavelength);
-    broadside therefore maps to row n_antennas/2.
-    """
-    u = n_antennas * (0.5 + element_spacing * np.cos(aoa) / wavelength)
-    return int(round(u)) % n_antennas
-
-
 def gaussian_profile(
     shape: tuple[int, int],
     centers: np.ndarray,
@@ -96,12 +85,20 @@ def gaussian_profile(
     out = np.zeros(shape, dtype=np.float64)
     if len(centers) == 0:
         return out
-    rows = np.arange(n_t)[:, None]
-    cols = np.arange(n_c)[None, :]
-    for (cz, cq), amp in zip(np.atleast_2d(centers), np.ravel(amplitudes)):
-        dz = (rows - cz + n_t / 2.0) % n_t - n_t / 2.0
-        dq = (cols - cq + n_c / 2.0) % n_c - n_c / 2.0
-        out += amp * np.exp(-(dz * dz + dq * dq) / (2.0 * sigma * sigma))
+    centers = np.atleast_2d(centers)
+    amplitudes = np.ravel(amplitudes)
+    k = min(len(centers), len(amplitudes))
+    cz, cq = centers[:k].T
+    dz = (np.arange(n_t)[None, :, None] - cz[:, None, None] + n_t / 2.0) \
+        % n_t - n_t / 2.0
+    dq = (np.arange(n_c)[None, None, :] - cq[:, None, None] + n_c / 2.0) \
+        % n_c - n_c / 2.0
+    bumps = amplitudes[:k, None, None] * np.exp(
+        -(dz * dz + dq * dq) / (2.0 * sigma * sigma))
+    # added one at a time, in order: a sum over the first axis may pair
+    # the terms differently and move the last bits
+    for bump in bumps:
+        out += bump
     return out
 
 

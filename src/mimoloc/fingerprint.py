@@ -21,7 +21,6 @@ from .channel import (
     Environment,
     OfdmConfig,
     format_environment,
-    parse_environment,
     synthesize_csi,
     trace_paths,
 )
@@ -228,10 +227,6 @@ def load_db(path) -> FingerprintDb:
         adps=records["pixels"],
         meta=meta,
     )
-
-
-def environment_from_meta(meta: dict) -> Environment:
-    return parse_environment(meta["environment"])
 
 
 def _sidecar_path(path) -> str:

@@ -137,20 +137,23 @@ class RecoveryResult(NamedTuple):
     neighbor_count: int
 
 
-def recover_and_locate(measured, history, prev_position, localizer,
-                       db: FingerprintDb, thresholds: Thresholds, predictor,
+def recover_and_locate(measured, predicted, predicted_position,
+                       prev_position, db: FingerprintDb,
+                       thresholds: Thresholds,
                        include_prediction: bool = True) -> RecoveryResult:
     """Rebuild position and profile for a frame that cannot be trusted.
 
-    The predictor extrapolates a frame from recent history. Fusion
+    ``predicted`` is the frame a predictor extrapolated from recent
+    history and ``predicted_position`` the localizer's fix of it, or None
+    when the prediction is empty (all zero) and so unusable. Fusion
     candidates are the identifiable database entries within the recovery
-    radius of the previous position, plus the predicted frame itself
-    (located with the localizer). Every candidate is weighted by its
-    similarity to the measured frame, distorted as it is: the distortion
-    usually leaves part of the profile intact, and that part votes for
-    the right candidates. Weights are normalized to sum to one; if every
-    similarity is zero the candidates are weighted uniformly. The fused
-    position and profile are the weighted means.
+    radius of the previous position, plus the predicted frame itself at
+    its fix. Every candidate is weighted by its similarity to the
+    measured frame, distorted as it is: the distortion usually leaves
+    part of the profile intact, and that part votes for the right
+    candidates. Weights are normalized to sum to one; if every similarity
+    is zero the candidates are weighted uniformly. The fused position and
+    profile are the weighted means.
 
     A measured frame with no energy carries no vote at all, so recovery
     falls back to the prediction alone: its localized position and the
@@ -158,15 +161,14 @@ def recover_and_locate(measured, history, prev_position, localizer,
 
     Raises:
         EmptyNeighborhood: no candidates (no identifiable database entry
-            in range and no usable prediction), or a lost link with a
-            prediction of zero energy.
+            in range and no usable prediction), or a lost link without a
+            usable prediction.
     """
     frame = np.asarray(measured, dtype=np.float64)
-    predicted = np.asarray(predictor(list(history)), dtype=np.float64)
-    has_prediction = bool(np.any(predicted))
-    predicted_position = None
+    predicted = np.asarray(predicted, dtype=np.float64)
+    has_prediction = predicted_position is not None
     if has_prediction:
-        predicted_position = np.asarray(localizer(predicted), dtype=float)
+        predicted_position = np.asarray(predicted_position, dtype=float)
     if not np.any(frame):
         if not has_prediction:
             raise EmptyNeighborhood(
@@ -234,7 +236,8 @@ def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
     The predictor runs on every frame that has a history, accepted or
     not, and its localized output is recorded as ``predicted_position``.
     That keeps the predictive arm observable as a method of its own even
-    on frames the detector waves through.
+    on frames the detector waves through. Recovery fuses that same
+    prediction at that same fix, so each prediction is localized once.
 
     Raises:
         EmptyNeighborhood: if the link is lost on the very first frame.
@@ -265,9 +268,8 @@ def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
                 t, det.verdict, position, det.best_similarity, "fallback",
                 predicted_position, 0.0, det.position))
         else:
-            rec = recover_and_locate(adp, history, prev_position, localizer,
-                                     db, thresholds,
-                                     lambda _history: predicted,
+            rec = recover_and_locate(adp, predicted, predicted_position,
+                                     prev_position, db, thresholds,
                                      include_prediction)
             position = rec.position
             history.append(rec.adp)
@@ -303,28 +305,44 @@ def save_estimates(path, estimates) -> None:
 
 
 def load_estimates(path) -> list[FrameEstimate]:
+    """Read estimates written by ``save_estimates``.
+
+    Raises:
+        FormatError: an empty file, a header or row that is not JSON, a
+            header of another format, or a row that lacks a field or
+            holds a bad value (an unknown verdict, say).
+        VersionError: unsupported estimate version.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line]
     if not lines:
         raise FormatError("empty estimate file")
-    header = json.loads(lines[0])
-    if header.get("format") != ESTIMATES_FORMAT:
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise FormatError(f"estimate header is not JSON: {exc}") from exc
+    if (not isinstance(header, dict)
+            or header.get("format") != ESTIMATES_FORMAT):
         raise FormatError(f"unexpected header {header!r}")
     if header.get("format_version") != ESTIMATES_VERSION:
         raise VersionError(
             f"unsupported estimate version {header.get('format_version')!r}"
         )
     estimates = []
-    for line in lines[1:]:
-        row = json.loads(line)
-        predicted = row["predicted_position"]
-        estimates.append(FrameEstimate(
-            int(row["frame_index"]),
-            Verdict(row["verdict"]),
-            np.asarray(row["position"], dtype=float),
-            float(row["best_similarity"]),
-            str(row["source"]),
-            None if predicted is None else np.asarray(predicted, dtype=float),
-            float(row["prediction_weight"]),
-        ))
+    for number, line in enumerate(lines[1:], start=1):
+        try:
+            row = json.loads(line)
+            predicted = row["predicted_position"]
+            estimates.append(FrameEstimate(
+                int(row["frame_index"]),
+                Verdict(row["verdict"]),
+                np.asarray(row["position"], dtype=float),
+                float(row["best_similarity"]),
+                str(row["source"]),
+                None if predicted is None
+                else np.asarray(predicted, dtype=float),
+                float(row["prediction_weight"]),
+            ))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise FormatError(f"estimate row {number}: {exc!r}") from exc
     return estimates

@@ -18,7 +18,7 @@ resynthesis all wrap cyclically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +46,10 @@ class Peak(NamedTuple):
     amplitude: float
 
 
+# the cyclic 3x3 window in centroid summation order, center included
+_NEIGHBORS = tuple((dz, dq) for dz in (-1, 0, 1) for dq in (-1, 0, 1))
+
+
 def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0) -> list[Peak]:
     """Find strict local maxima over the cyclic 8-neighborhood.
 
@@ -65,28 +69,27 @@ def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0) -> list[Pe
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2D profile, got shape {a.shape}")
     n_t, n_c = a.shape
+    # cyclically padded by one bin; its shifted slices are the 8 neighbors
+    padded = np.concatenate([a[-1:], a, a[:1]])
+    padded = np.concatenate([padded[:, -1:], padded, padded[:, :1]], axis=1)
     is_max = a > min_amplitude
-    for dz in (-1, 0, 1):
-        for dq in (-1, 0, 1):
-            if dz == 0 and dq == 0:
-                continue
-            is_max &= a > np.roll(a, (dz, dq), axis=(0, 1))
-    peaks = []
-    for z, q in zip(*np.nonzero(is_max)):
-        num_z = num_q = den = 0.0
-        for dz in (-1, 0, 1):
-            for dq in (-1, 0, 1):
-                w = a[(z + dz) % n_t, (q + dq) % n_c]
-                den += w
-                num_z += w * dz
-                num_q += w * dq
-        peaks.append(
-            Peak(
-                (z + num_z / den) % n_t,
-                (q + num_q / den) % n_c,
-                float(a[z, q]),
-            )
-        )
+    for dz, dq in _NEIGHBORS:
+        if dz or dq:
+            is_max &= a > padded[1 + dz:1 + dz + n_t, 1 + dq:1 + dq + n_c]
+    zs, qs = np.nonzero(is_max)
+    num_z = np.zeros(zs.size)
+    num_q = np.zeros(zs.size)
+    den = np.zeros(zs.size)
+    for dz, dq in _NEIGHBORS:
+        w = padded[zs + 1 + dz, qs + 1 + dq]
+        den += w
+        num_z += w * dz
+        num_q += w * dq
+    peaks = [
+        Peak(z, q, amp) for z, q, amp in zip(
+            (zs + num_z / den) % n_t, (qs + num_q / den) % n_c,
+            a[zs, qs].tolist())
+    ]
     peaks.sort(key=lambda p: (-p.amplitude, p.angle_bin, p.delay_bin))
     return peaks[:max_peaks]
 
@@ -121,6 +124,11 @@ class PeakTrackingPredictor:
     last observation (a single-observation track is held stationary), and
     amplitude is clamped at zero.
 
+    The prediction is a pure function of the history. An instance keeps
+    the peaks it detected in the frames of its last call, keyed by their
+    bytes, so that a rolling history is detected one new frame per call;
+    that memo is replaced on every call and takes no part in equality.
+
     Attributes:
         max_peaks: peaks kept per frame.
         gate: association radius in bins.
@@ -134,6 +142,8 @@ class PeakTrackingPredictor:
     max_misses: int = 2
     sigma: float = 0.5
     min_amplitude: float = 0.0
+    _last_peaks: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def __call__(self, history) -> np.ndarray:
         return self.predict(history)
@@ -160,26 +170,41 @@ class PeakTrackingPredictor:
             (n_t, n_c), np.array(centers).reshape(-1, 2), np.array(amps), self.sigma
         )
 
+    def _detect(self, frames) -> list:
+        """Peaks of every frame, detecting each distinct frame once."""
+        keys = [(frame.shape, frame.tobytes()) for frame in frames]
+        peaks = {}
+        for key, frame in zip(keys, frames):
+            if key not in peaks:
+                known = self._last_peaks.get(key)
+                peaks[key] = known if known is not None else detect_peaks(
+                    frame, self.max_peaks, self.min_amplitude)
+        self._last_peaks.clear()
+        self._last_peaks.update(peaks)
+        return [peaks[key] for key in keys]
+
     def _build_tracks(self, frames, n_t, n_c) -> list[_Track]:
-        tracks: list[_Track] = []
         for t, frame in enumerate(frames):
             if frame.shape != (n_t, n_c):
                 raise DimensionMismatch(
                     f"frame {t} has shape {frame.shape}, expected {(n_t, n_c)}"
                 )
-            detected = detect_peaks(frame, self.max_peaks, self.min_amplitude)
+        tracks: list[_Track] = []
+        for t, detected in enumerate(self._detect(frames)):
+            # tracks that existed before this frame, reduced onto the grid
+            live = [(i, tr.zs[-1] % n_t, tr.qs[-1] % n_c)
+                    for i, tr in enumerate(tracks)]
             taken = set()
-            n_existing = len(tracks)
             for peak in detected:
-                best, best_dist = None, self.gate
-                for i, tr in enumerate(tracks[:n_existing]):
+                best, best_dist, step = None, self.gate, None
+                for i, z, q in live:
                     if i in taken:
                         continue
-                    dz = _wrap(peak.angle_bin - (tr.zs[-1] % n_t), n_t)
-                    dq = _wrap(peak.delay_bin - (tr.qs[-1] % n_c), n_c)
+                    dz = _wrap(peak.angle_bin - z, n_t)
+                    dq = _wrap(peak.delay_bin - q, n_c)
                     dist = math.hypot(dz, dq)
                     if dist <= best_dist:
-                        best, best_dist = i, dist
+                        best, best_dist, step = i, dist, (dz, dq)
                 if best is None:
                     tracks.append(
                         _Track([t], [peak.angle_bin], [peak.delay_bin],
@@ -188,11 +213,9 @@ class PeakTrackingPredictor:
                 else:
                     taken.add(best)
                     tr = tracks[best]
-                    dz = _wrap(peak.angle_bin - (tr.zs[-1] % n_t), n_t)
-                    dq = _wrap(peak.delay_bin - (tr.qs[-1] % n_c), n_c)
                     tr.times.append(t)
-                    tr.zs.append(tr.zs[-1] + dz)
-                    tr.qs.append(tr.qs[-1] + dq)
+                    tr.zs.append(tr.zs[-1] + step[0])
+                    tr.qs.append(tr.qs[-1] + step[1])
                     tr.amps.append(peak.amplitude)
                     tr.misses = 0
             survivors = []

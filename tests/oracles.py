@@ -2,9 +2,10 @@
 
 Most of this is written directly from the interface contracts with scalar
 arithmetic, deliberately not reusing the package's vectorized code. The
-reference layers and ``baseline_track`` are earlier, plainer forms of
-package code, kept as the references their replacements must match bit
-for bit.
+reference layers, ``baseline_track``, ``detect_peaks``,
+``gaussian_profile`` and the reference peak tracker are earlier, plainer
+forms of package code, kept as the references their replacements must
+match bit for bit.
 """
 
 import cmath
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from mimoloc.neural import Conv2d, MaxPool2x2
+from mimoloc.predictor import Peak, PeakTrackingPredictor, _Track
 
 
 def direct_adp(csi: np.ndarray) -> np.ndarray:
@@ -151,3 +153,128 @@ def baseline_track(localizer, adps, fallback):
             last = np.asarray(fallback, dtype=float)
         positions.append(last)
     return np.stack(positions)
+
+
+def angle_bin_of_aoa(aoa: float, n_antennas: int, element_spacing: float,
+                     wavelength: float) -> int:
+    """Nearest angle row for an arrival angle, matching the V convention.
+
+    The continuous bin coordinate is n_antennas*(1/2 + d*cos(aoa)/wavelength);
+    broadside therefore maps to row n_antennas/2.
+    """
+    u = n_antennas * (0.5 + element_spacing * np.cos(aoa) / wavelength)
+    return int(round(u)) % n_antennas
+
+
+def detect_peaks(adp, max_peaks=8, min_amplitude=0.0):
+    """``predictor.detect_peaks`` by ``np.roll`` and a scalar 3x3 centroid."""
+    a = np.asarray(adp, dtype=np.float64)
+    n_t, n_c = a.shape
+    is_max = a > min_amplitude
+    for dz in (-1, 0, 1):
+        for dq in (-1, 0, 1):
+            if dz == 0 and dq == 0:
+                continue
+            is_max &= a > np.roll(a, (dz, dq), axis=(0, 1))
+    peaks = []
+    for z, q in zip(*np.nonzero(is_max)):
+        num_z = num_q = den = 0.0
+        for dz in (-1, 0, 1):
+            for dq in (-1, 0, 1):
+                w = a[(z + dz) % n_t, (q + dq) % n_c]
+                den += w
+                num_z += w * dz
+                num_q += w * dq
+        peaks.append(
+            Peak(
+                (z + num_z / den) % n_t,
+                (q + num_q / den) % n_c,
+                float(a[z, q]),
+            )
+        )
+    peaks.sort(key=lambda p: (-p.amplitude, p.angle_bin, p.delay_bin))
+    return peaks[:max_peaks]
+
+
+def gaussian_profile(shape, centers, amplitudes, sigma):
+    """``adp.gaussian_profile`` with one ``exp`` per bump."""
+    n_t, n_c = shape
+    out = np.zeros(shape, dtype=np.float64)
+    if len(centers) == 0:
+        return out
+    rows = np.arange(n_t)[:, None]
+    cols = np.arange(n_c)[None, :]
+    for (cz, cq), amp in zip(np.atleast_2d(centers), np.ravel(amplitudes)):
+        dz = (rows - cz + n_t / 2.0) % n_t - n_t / 2.0
+        dq = (cols - cq + n_c / 2.0) % n_c - n_c / 2.0
+        out += amp * np.exp(-(dz * dz + dq * dq) / (2.0 * sigma * sigma))
+    return out
+
+
+def _wrap(delta, period):
+    return (delta + period / 2.0) % period - period / 2.0
+
+
+class ReferencePeakTrackingPredictor(PeakTrackingPredictor):
+    """PeakTrackingPredictor that detects every frame of every history
+    afresh and reduces each track onto the grid once per peak."""
+
+    def predict(self, history):
+        frames = [np.asarray(f, dtype=np.float64) for f in history]
+        n_t, n_c = frames[0].shape
+        tracks = self._build_tracks(frames, n_t, n_c)
+        t_next = len(frames)
+        centers, amps = [], []
+        for tr in tracks:
+            t_last, z, q, amp = tr.last()
+            if len(tr.times) >= 2:
+                span = tr.times[-1] - tr.times[0]
+                dt = t_next - t_last
+                z = z + (tr.zs[-1] - tr.zs[0]) / span * dt
+                q = q + (tr.qs[-1] - tr.qs[0]) / span * dt
+                amp = amp + (tr.amps[-1] - tr.amps[0]) / span * dt
+            centers.append((z % n_t, q % n_c))
+            amps.append(max(amp, 0.0))
+        return gaussian_profile(
+            (n_t, n_c), np.array(centers).reshape(-1, 2), np.array(amps),
+            self.sigma)
+
+    def _build_tracks(self, frames, n_t, n_c):
+        tracks = []
+        for t, frame in enumerate(frames):
+            detected = detect_peaks(frame, self.max_peaks, self.min_amplitude)
+            taken = set()
+            n_existing = len(tracks)
+            for peak in detected:
+                best, best_dist = None, self.gate
+                for i, tr in enumerate(tracks[:n_existing]):
+                    if i in taken:
+                        continue
+                    dz = _wrap(peak.angle_bin - (tr.zs[-1] % n_t), n_t)
+                    dq = _wrap(peak.delay_bin - (tr.qs[-1] % n_c), n_c)
+                    dist = math.hypot(dz, dq)
+                    if dist <= best_dist:
+                        best, best_dist = i, dist
+                if best is None:
+                    tracks.append(
+                        _Track([t], [peak.angle_bin], [peak.delay_bin],
+                               [peak.amplitude])
+                    )
+                else:
+                    taken.add(best)
+                    tr = tracks[best]
+                    dz = _wrap(peak.angle_bin - (tr.zs[-1] % n_t), n_t)
+                    dq = _wrap(peak.delay_bin - (tr.qs[-1] % n_c), n_c)
+                    tr.times.append(t)
+                    tr.zs.append(tr.zs[-1] + dz)
+                    tr.qs.append(tr.qs[-1] + dq)
+                    tr.amps.append(peak.amplitude)
+                    tr.misses = 0
+            survivors = []
+            for tr in tracks:
+                if tr.times[-1] != t:
+                    tr.misses += 1
+                if tr.misses < self.max_misses:
+                    survivors.append(tr)
+            tracks = survivors
+        return tracks

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import direct_adp
+from oracles import angle_bin_of_aoa, direct_adp
 
 from mimoloc.adp import (
     adp_from_csi,
-    angle_bin_of_aoa,
     build_dft_pair,
     gaussian_profile,
     similarity,

@@ -5,13 +5,18 @@ import pytest
 
 from mimoloc import container
 from mimoloc.adp import similarity
-from mimoloc.channel import ArrayConfig, Environment, OfdmConfig, Reflector
+from mimoloc.channel import (
+    ArrayConfig,
+    Environment,
+    OfdmConfig,
+    Reflector,
+    parse_environment,
+)
 from mimoloc.errors import FormatError, TruncatedFile, VersionError
 from mimoloc.fingerprint import (
     FingerprintDb,
     GridSpec,
     build_db,
-    environment_from_meta,
     load_db,
     neighbor_indices_within,
     save_db,
@@ -159,7 +164,7 @@ class TestBuildDb:
         np.testing.assert_array_equal(loaded.positions, db.positions)
         np.testing.assert_array_equal(loaded.adps, db.adps)
         assert loaded.meta == db.meta
-        assert environment_from_meta(loaded.meta) == ENV
+        assert parse_environment(loaded.meta["environment"]) == ENV
         # save the loaded copy again: bytes identical
         path2 = tmp_path / "db2.adpf"
         save_db(loaded, path2)

@@ -4,7 +4,8 @@
 (``similarity`` in ``mimoloc.pipeline`` and ``mimoloc.neural``, and so
 on), so a refactor that renames or drops one of them breaks the traced
 benchmark without breaking any library test. The ``selftest`` workload
-runs the whole harness on a tiny world in a few seconds.
+runs the whole harness on a tiny world in a few seconds; its traced run
+also guards a per-layer count the benchmark reports.
 """
 
 import json
@@ -26,3 +27,8 @@ def test_selftest_workload_is_correct(trace):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True, proc.stdout[-2000:]
+    if trace == "1":
+        # the peak tracker detects each frame of a rolling history once,
+        # not once per window that holds it
+        per_predict = last["metrics"]["predictor.detect_peaks.per_predict"]
+        assert per_predict["value"] <= 1.0

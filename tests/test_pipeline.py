@@ -179,9 +179,7 @@ class TestRecovery:
         elsewhere = np.array([7.5, 0.5])
         thr = Thresholds(thresholds.neighborhood_radius,
                          thresholds.similarity_floor, 0.1 * GRID.spacing)
-        rec = recover_and_locate(
-            entry, [entry], point, lambda adp: elsewhere, db, thr,
-            lambda history: entry)
+        rec = recover_and_locate(entry, entry, elsewhere, point, db, thr)
         assert rec.neighbor_count == 1
         assert np.allclose(rec.position, (point + elsewhere) / 2.0, atol=1e-9)
         assert np.allclose(rec.adp, entry, atol=1e-9)
@@ -201,9 +199,8 @@ class TestRecovery:
         measured = np.zeros((4, 4))
         measured[3, 3] = 1.0
         thr = Thresholds(1.0, 0.5, 1.0)
-        rec = recover_and_locate(
-            measured, [measured], tiny.position(1, 1), nn_localizer(tiny_db),
-            tiny_db, thr, lambda history: np.zeros((4, 4)))
+        rec = recover_and_locate(measured, np.zeros((4, 4)), None,
+                                 tiny.position(1, 1), tiny_db, thr)
         assert rec.neighbor_count == 5
         assert np.allclose(rec.position, tiny.position(1, 1), atol=1e-12)
         assert rec.predicted_position is None
@@ -213,9 +210,9 @@ class TestRecovery:
         point_index = 5 * GRID.n_cols + 5
         point = db.positions[point_index]
         entry = np.asarray(db.adps[point_index], dtype=np.float64)
-        rec = recover_and_locate(
-            np.zeros((16, 16)), [entry], point, nn_localizer(db), db,
-            thresholds, lambda history: entry)
+        rec = recover_and_locate(np.zeros((16, 16)), entry,
+                                 nn_localizer(db)(entry), point, db,
+                                 thresholds)
         assert np.allclose(rec.position, point, atol=1e-12)
         assert np.allclose(rec.adp, entry, atol=1e-12)
         assert rec.prediction_weight == 1.0
@@ -224,12 +221,10 @@ class TestRecovery:
     def test_nothing_to_fuse_raises(self, db, thresholds):
         zero = np.zeros((16, 16))
         with pytest.raises(EmptyNeighborhood):
-            recover_and_locate(zero, [zero], None, nn_localizer(db),
-                               db, thresholds, lambda history: zero)
+            recover_and_locate(zero, zero, None, None, db, thresholds)
         with pytest.raises(EmptyNeighborhood):
-            recover_and_locate(frame_at(GRID.position(4, 4)), [zero], None,
-                               nn_localizer(db), db, thresholds,
-                               lambda history: zero)
+            recover_and_locate(frame_at(GRID.position(4, 4)), zero, None,
+                               None, db, thresholds)
 
     def test_prediction_can_be_excluded(self, db, thresholds):
         point_index = 5 * GRID.n_cols + 5
@@ -237,9 +232,8 @@ class TestRecovery:
         entry = np.asarray(db.adps[point_index], dtype=np.float64)
         thr = Thresholds(thresholds.neighborhood_radius,
                          thresholds.similarity_floor, 0.1 * GRID.spacing)
-        rec = recover_and_locate(
-            entry, [entry], point, nn_localizer(db), db, thr,
-            lambda history: entry, include_prediction=False)
+        rec = recover_and_locate(entry, entry, nn_localizer(db)(entry),
+                                 point, db, thr, include_prediction=False)
         assert np.allclose(rec.position, point, atol=1e-12)
         assert rec.prediction_weight == 0.0
         # diagnostics still report where the prediction alone would land
@@ -254,9 +248,10 @@ class TestRecovery:
             history = [frame_at(point)] * 3
             measured = frame_at(
                 point, DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE))
-            rec = recover_and_locate(measured, history, point,
-                                     nn_localizer(db), db, thresholds,
-                                     tracker)
+            predicted = tracker(history)
+            rec = recover_and_locate(measured, predicted,
+                                     nn_localizer(db)(predicted), point, db,
+                                     thresholds)
             lo = point - thresholds.recovery_radius - 1e-9
             hi = point + thresholds.recovery_radius + 1e-9
             assert np.all(rec.position >= lo) and np.all(rec.position <= hi)
@@ -343,6 +338,51 @@ class TestRunSequence:
             assert e.source == "recovered"
             assert np.all(np.isfinite(e.position))
 
+    @staticmethod
+    def count_localizations(adps, db, thresholds):
+        """(localizer calls, frames with energy, nonzero predictions,
+        estimates) of one run."""
+        localize = nn_localizer(db)
+        tracker = PeakTrackingPredictor()
+        calls, nonzero = [], []
+
+        def counting_localizer(adp):
+            calls.append(1)
+            return localize(adp)
+
+        def predictor(history):
+            out = tracker(history)
+            nonzero.append(bool(np.any(out)))
+            return out
+
+        est = run_sequence(adps, counting_localizer, db, thresholds,
+                           predictor)
+        detected = sum(bool(np.any(a)) for a in adps)
+        return len(calls), detected, sum(nonzero), est
+
+    def test_each_prediction_localized_once(self, db, thresholds):
+        # detection localizes every frame with energy and the prediction
+        # is localized once; recovery reuses that fix
+        scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
+        seq = walk_sequence(scen, 5, [200, 0])
+        calls, detected, predictions, est = self.count_localizations(
+            seq.adps(), db, thresholds)
+        assert sum(e.source == "recovered" for e in est) == 7
+        assert calls == detected + predictions
+
+    def test_lost_link_frames_are_not_localized(self, thresholds):
+        free = Environment(bs_position=(0.0, 0.0))
+        tiny = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=3, n_cols=3)
+        free_db = build_db(free, tiny, ARRAY, OFDM, seed=0)
+        walk = random_walk(tiny, WalkMode.MODE2, 8, 1)
+        scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
+        seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
+        thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
+        calls, detected, predictions, est = self.count_localizations(
+            seq.adps(), free_db, thr)
+        assert detected < len(est)
+        assert calls == detected + predictions
+
     def test_prediction_exclusion_zeroes_weight(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 4])
@@ -378,6 +418,32 @@ class TestEstimateStream:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "estimates.jsonl"
         path.write_text('{"format": "something-else", "format_version": 1}\n')
+        with pytest.raises(FormatError):
+            load_estimates(path)
+
+    HEADER = '{"format": "mimoloc-estimates", "format_version": 1}\n'
+    ROW = ('{"best_similarity": 0.9, "frame_index": 0, "position": [1.0, 2.0],'
+           ' "predicted_position": null, "prediction_weight": 0.0,'
+           ' "source": "measured", "verdict": "accurate"}\n')
+
+    def test_minimal_file_loads(self, tmp_path):
+        path = tmp_path / "estimates.jsonl"
+        path.write_text(self.HEADER + self.ROW)
+        (e,) = load_estimates(path)
+        assert e.verdict is Verdict.ACCURATE
+        assert np.array_equal(e.position, [1.0, 2.0])
+
+    @pytest.mark.parametrize("text", [
+        "{not json\n" + ROW,
+        '["mimoloc-estimates", 1]\n' + ROW,
+        HEADER + ROW + '{"frame_index": 1,\n',
+        HEADER + ROW.replace(' "source": "measured",', ""),
+        HEADER + ROW.replace('"accurate"', '"fine"'),
+    ], ids=["header-not-json", "header-list", "row-not-json",
+            "row-missing-field", "unknown-verdict"])
+    def test_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "estimates.jsonl"
+        path.write_text(text)
         with pytest.raises(FormatError):
             load_estimates(path)
 

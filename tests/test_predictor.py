@@ -1,10 +1,18 @@
 """Peak detection, tracking, and next-frame prediction."""
 
 import numpy as np
+import oracles
 import pytest
 
 from mimoloc.adp import adp_from_csi, build_dft_pair, gaussian_profile, similarity
-from mimoloc.channel import ArrayConfig, Environment, OfdmConfig, synthesize_csi, trace_paths
+from mimoloc.channel import (
+    ArrayConfig,
+    Environment,
+    OfdmConfig,
+    Reflector,
+    synthesize_csi,
+    trace_paths,
+)
 from mimoloc.dynamics import WalkMode, random_walk
 from mimoloc.errors import (
     DimensionMismatch,
@@ -216,6 +224,119 @@ class TestPeakTracking:
             sims.append(similarity(a, gaussian_profile(a.shape, centers, amps, 0.5)))
         assert np.mean(sims) > 0.9
         assert np.min(sims) > 0.8
+
+
+MULTIPATH = Environment(
+    bs_position=(0.0, 0.0),
+    reflectors=(Reflector((2.0, 4.0), (12.0, 4.0), 0.9),
+                Reflector((12.0, -6.0), (12.0, 6.0), 0.85)),
+)
+
+
+def peak_types(peaks):
+    return [tuple(type(v) for v in p) for p in peaks]
+
+
+def assert_same_peaks(frame, **kwargs):
+    got = detect_peaks(frame, **kwargs)
+    want = oracles.detect_peaks(frame, **kwargs)
+    assert got == want
+    assert peak_types(got) == peak_types(want)
+
+
+def walk_frames(seed, env=MULTIPATH, length=16):
+    grid = GridSpec(origin=(6.0, -2.0), spacing=0.5, n_rows=8, n_cols=8)
+    walk = random_walk(grid, WalkMode.MODE2, length, [11, seed])
+    return [adp_from_csi(synthesize_csi(
+        trace_paths(env, p, ARRAY, OFDM), ARRAY, OFDM), DFT)
+        for p in walk.positions()]
+
+
+class TestMatchesReference:
+    """The vectorized detector, the memoizing tracker and the one-exp
+    resynthesis against the forms they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("max_peaks, floor", [(8, 0.0), (3, 0.0),
+                                                  (8, 0.2)])
+    def test_detect_peaks_on_measured_profiles(self, max_peaks, floor):
+        frames = walk_frames(0) + [adp_at(p) for p in
+                                   [(5.0, 1.0), (30.0, -20.0), (3.0, 9.0)]]
+        for frame in frames:
+            kwargs = {"max_peaks": max_peaks,
+                      "min_amplitude": floor * frame.max()}
+            assert detect_peaks(frame, **kwargs)
+            assert_same_peaks(frame, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"max_peaks": 3}, {"min_amplitude": 0.5}])
+    def test_detect_peaks_on_random_frames(self, kwargs):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            shape = tuple(int(n) for n in rng.integers(1, 18, size=2))
+            frame = rng.uniform(0.0, 1.0, size=shape)
+            assert_same_peaks(frame, **kwargs)
+            # coarse levels make plateaus and ties between peaks
+            assert_same_peaks(np.round(frame, 1), **kwargs)
+
+    def test_detect_peaks_edge_cases(self):
+        wrapped = bumps((16, 16), [(0.3, 15.6), (15.7, 8.0), (8.0, 0.0)],
+                        [1.0, 0.7, 0.4])
+        plateau = np.zeros((8, 8))
+        plateau[3, 5] = plateau[3, 6] = 1.0
+        plateau[6, 1] = 0.5
+        corners = np.zeros((6, 7))
+        corners[0, 0] = corners[5, 6] = 2.0
+        for frame in (wrapped, plateau, corners, np.zeros((8, 8)),
+                      np.ones((1, 1)), np.zeros((0, 5)), np.zeros((5, 0))):
+            for kwargs in ({}, {"max_peaks": 3}, {"min_amplitude": 0.45}):
+                assert_same_peaks(frame, **kwargs)
+        assert len(detect_peaks(wrapped)) == 3
+        assert detect_peaks(np.zeros((8, 8))) == []
+
+    def test_gaussian_profile(self):
+        rng = np.random.default_rng(22)
+        for k in range(13):
+            for n_amps in sorted({max(k - 2, 0), k, k + 2}):
+                shape = tuple(int(n) for n in rng.integers(1, 20, size=2))
+                centers = rng.uniform(-4.0, 24.0, size=(k, 2))
+                amps = rng.uniform(0.0, 2.0, size=n_amps)
+                sigma = float(rng.uniform(0.3, 2.0))
+                got = gaussian_profile(shape, centers, amps, sigma)
+                want = oracles.gaussian_profile(shape, centers, amps, sigma)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_tracker_reused_over_a_walk(self):
+        frames = walk_frames(1, length=14)
+        # a held position and a frame that comes back make windows that
+        # repeat a frame
+        frames[5] = frames[4].copy()
+        frames[9] = frames[7].copy()
+        reused = PeakTrackingPredictor()
+        for t in range(1, len(frames)):
+            window = frames[max(0, t - 4):t]
+            pred = reused(window)
+            assert np.array_equal(pred, PeakTrackingPredictor()(window))
+            assert np.array_equal(
+                pred, oracles.ReferencePeakTrackingPredictor()(window))
+        odd = [frames[2], frames[3], frames[2], frames[2]]
+        assert np.array_equal(reused(odd), PeakTrackingPredictor()(odd))
+
+    def test_memo_tells_shapes_apart(self):
+        # the same bytes laid out as 8x8 and as 4x16 are different frames
+        flat = bumps((8, 8), [(2.0, 3.0), (6.0, 6.0)], [1.0, 0.5]).ravel()
+        tracker = PeakTrackingPredictor()
+        tracker([flat.reshape(8, 8)])
+        pred = tracker([flat.reshape(4, 16)])
+        assert np.array_equal(pred,
+                              PeakTrackingPredictor()([flat.reshape(4, 16)]))
+
+    def test_memo_takes_no_part_in_equality(self):
+        used = PeakTrackingPredictor()
+        used([bumps((8, 8), [(2.0, 3.0)], [1.0])])
+        assert used == PeakTrackingPredictor()
+        assert hash(used) == hash(PeakTrackingPredictor())
+        assert repr(used) == repr(PeakTrackingPredictor())
 
 
 def moving_bump_sequences(n_seq=5, length=6, shape=(8, 8)):
