@@ -19,8 +19,6 @@ import sys
 
 import numpy as np
 
-from .adp import build_dft_pair
-from .channel import ArrayConfig, OfdmConfig
 from .dynamics import (
     DistortionKind,
     DistortionScenario,
@@ -33,28 +31,16 @@ from .errors import ConfigError, MimolocError
 from .experiment import (
     METHODS,
     ExperimentConfig,
-    environment_for,
     load_config,
+    pieces,
     run_experiment,
+    train_localizer,
+    train_recurrent_predictor,
 )
-from .fingerprint import GridSpec, build_db, save_db
-from .neural import (
-    ClassifierGrid,
-    Head,
-    TrainConfig,
-    build_model,
-    default_localizer_spec,
-    save_model,
-    train,
-)
+from .fingerprint import build_db, save_db
+from .neural import save_model
 from .pipeline import calibrate_similarity_floor, default_thresholds
-from .predictor import (
-    ConvRecurrentPredictor,
-    PeakTrackingPredictor,
-    PredictorTrainConfig,
-    save_predictor,
-    train_predictor,
-)
+from .predictor import save_predictor
 
 SUBCOMMANDS = ("build-db", "train-localizer", "train-predictor",
                "gen-sequences", "calibrate-thresholds", "run", "report")
@@ -103,18 +89,8 @@ def _load_effective_config(args) -> ExperimentConfig:
     return config
 
 
-def _pieces(config: ExperimentConfig):
-    array = ArrayConfig(config.n_antennas, config.wavelength)
-    ofdm = OfdmConfig(config.n_subcarriers, config.bandwidth)
-    grid = GridSpec(origin=tuple(config.grid_origin),
-                    spacing=config.grid_spacing,
-                    n_rows=config.grid_rows, n_cols=config.grid_cols)
-    dft = build_dft_pair(config.n_antennas, config.n_subcarriers)
-    return environment_for(config), array, ofdm, grid, dft
-
-
 def _build_db(config: ExperimentConfig):
-    env, array, ofdm, grid, dft = _pieces(config)
+    env, array, ofdm, grid, dft = pieces(config)
     return build_db(env, grid, array, ofdm, dft, seed=config.seed)
 
 
@@ -128,21 +104,8 @@ def cmd_build_db(config: ExperimentConfig, out: str) -> None:
 
 
 def cmd_train_localizer(config: ExperimentConfig, out: str) -> None:
-    db = _build_db(config)
-    if config.localizer == "regressor":
-        head = Head("regression")
-    else:
-        head = Head("classification",
-                    ClassifierGrid(config.classifier_cells,
-                                   config.classifier_cells))
-    seed = config.seed if config.localizer == "regressor" else config.seed + 1
-    model = build_model(default_localizer_spec(db.n_t, db.n_c, head),
-                        (1, db.n_t, db.n_c), head, seed=seed,
-                        normalize_input=True)
-    losses = train(model, db,
-                   TrainConfig(epochs=config.train_epochs,
-                               learning_rate=config.train_learning_rate,
-                               seed=seed))
+    model, losses = train_localizer(config, _build_db(config),
+                                    config.localizer)
     path = os.path.join(out, f"localizer_{config.localizer}.ckpt")
     save_model(model, path)
     print(f"wrote {path}: final loss {losses[-1]:.6f} "
@@ -154,20 +117,7 @@ def cmd_train_predictor(config: ExperimentConfig, out: str) -> None:
         print("peak-track predictor has no trainable parameters; "
               "nothing to do")
         return
-    env, array, ofdm, grid, dft = _pieces(config)
-    clean = []
-    for i in range(config.predictor_train_walks):
-        mode = WalkMode.MODE1 if i % 2 == 0 else WalkMode.MODE2
-        walk = random_walk(grid, mode, config.sequence_length,
-                           [config.seed, 9_000_000 + i])
-        clean.append(generate_sequence(env, walk, None, 0, array, ofdm, dft))
-    predictor = ConvRecurrentPredictor(config.n_antennas,
-                                       config.n_subcarriers,
-                                       seed=config.seed)
-    losses = train_predictor(predictor, clean,
-                             PredictorTrainConfig(
-                                 epochs=config.predictor_epochs,
-                                 seed=config.seed))
+    predictor, losses = train_recurrent_predictor(config)
     path = os.path.join(out, "predictor.ckpt")
     save_predictor(predictor, path)
     print(f"wrote {path}: final loss {losses[-1]:.6f} "
@@ -175,7 +125,7 @@ def cmd_train_predictor(config: ExperimentConfig, out: str) -> None:
 
 
 def cmd_gen_sequences(config: ExperimentConfig, out: str) -> None:
-    env, array, ofdm, grid, dft = _pieces(config)
+    env, array, ofdm, grid, dft = pieces(config)
     scenario = None
     if config.scenario != "none":
         scenario = DistortionScenario(

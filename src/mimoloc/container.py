@@ -75,7 +75,8 @@ def read_container(path, expect_version: int | None = None):
         with fields position/pixels (+ sequence metadata for version 2).
 
     Raises:
-        FormatError: bad magic or trailing garbage.
+        FormatError: bad magic, a profile size of zero or too large for a
+            record, or trailing garbage.
         VersionError: version unsupported or not the expected one.
         TruncatedFile: file ends before the declared record count.
     """
@@ -90,7 +91,13 @@ def read_container(path, expect_version: int | None = None):
         raise VersionError(f"unsupported container version {version}")
     if expect_version is not None and version != expect_version:
         raise VersionError(f"expected version {expect_version}, found {version}")
-    dtype = _record_dtype(version, n_t, n_c)
+    if n_t == 0 or n_c == 0:
+        raise FormatError(f"empty {n_t}x{n_c} profile size")
+    try:
+        dtype = _record_dtype(version, n_t, n_c)
+    except ValueError as exc:  # numpy caps a record's size and dimensions
+        raise FormatError(f"profile size {n_t}x{n_c} is too large: {exc}") \
+            from exc
     body = data[_HEADER.size:]
     need = count * dtype.itemsize
     if len(body) < need:

@@ -55,3 +55,7 @@ class LengthMismatch(MimolocError):
 
 class ConfigError(MimolocError):
     """An experiment configuration failed validation."""
+
+
+class HelperFailed(MimolocError):
+    """A helper process ended without sending its jobs' results."""

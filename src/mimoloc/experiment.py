@@ -1,9 +1,11 @@
 """End-to-end evaluation harness over simulated walks.
 
 One experiment run builds a fingerprint database for a chosen
-environment, trains both localizer heads on it, calibrates detection
-thresholds, simulates a batch of random walks with a distortion
-scenario, and scores four estimation methods frame by frame:
+environment, trains both localizer heads on it (and the recurrent
+predictor, when one is chosen) in two helper processes while it
+calibrates detection thresholds, simulates a batch of random walks with
+a distortion scenario, and scores four estimation methods frame by
+frame:
 
 * ``dynamic``: detection plus prediction-fused recovery (the full
   pipeline).
@@ -22,6 +24,7 @@ to a separate JSON report.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -41,6 +44,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DimensionMismatch
 from .fingerprint import FingerprintDb, GridSpec, build_db
+from .helper import Helper
 from .neural import (
     ClassifierGrid,
     ClassifierWknnLocalizer,
@@ -216,6 +220,68 @@ def environment_for(config: ExperimentConfig) -> Environment:
     return load_environment(config.environment)
 
 
+def pieces(config: ExperimentConfig):
+    """(environment, array, OFDM band, grid, DFT pair) of a config."""
+    array = ArrayConfig(config.n_antennas, config.wavelength)
+    ofdm = OfdmConfig(config.n_subcarriers, config.bandwidth)
+    grid = GridSpec(origin=tuple(config.grid_origin),
+                    spacing=config.grid_spacing,
+                    n_rows=config.grid_rows, n_cols=config.grid_cols)
+    dft = build_dft_pair(config.n_antennas, config.n_subcarriers)
+    return environment_for(config), array, ofdm, grid, dft
+
+
+# --- training jobs -----------------------------------------------------------
+# run_experiment runs these in helper processes and the CLI's stage commands
+# call them directly, so both train the same models from the same seeds
+
+def train_localizer(config: ExperimentConfig, db: FingerprintDb,
+                    localizer: str):
+    """Train the ``localizer`` head ("regressor" or "classifier-wknn").
+
+    Returns (model, per-epoch losses). The classifier takes ``seed + 1``
+    for its weights and its batch order, so the two heads differ.
+    """
+    if localizer == "regressor":
+        head, seed = Head("regression"), config.seed
+    else:
+        head = Head("classification",
+                    ClassifierGrid(config.classifier_cells,
+                                   config.classifier_cells))
+        seed = config.seed + 1
+    model = build_model(default_localizer_spec(db.n_t, db.n_c, head),
+                        (1, db.n_t, db.n_c), head, seed=seed,
+                        normalize_input=True)
+    losses = train(model, db,
+                   TrainConfig(epochs=config.train_epochs,
+                               learning_rate=config.train_learning_rate,
+                               seed=seed))
+    return model, losses
+
+
+def train_recurrent_predictor(config: ExperimentConfig):
+    """Fit the conv-recurrent predictor on clean walks of the world.
+
+    Returns (predictor, per-epoch losses). Walk ``i`` takes the seed
+    ``[seed, 9_000_000 + i]``, apart from every evaluation walk's.
+    """
+    env, array, ofdm, grid, dft = pieces(config)
+    clean = []
+    for i in range(config.predictor_train_walks):
+        mode = WalkMode.MODE1 if i % 2 == 0 else WalkMode.MODE2
+        walk = random_walk(grid, mode, config.sequence_length,
+                           [config.seed, 9_000_000 + i])
+        clean.append(generate_sequence(env, walk, None, 0, array, ofdm, dft))
+    predictor = ConvRecurrentPredictor(config.n_antennas,
+                                       config.n_subcarriers,
+                                       seed=config.seed)
+    losses = train_predictor(predictor, clean,
+                             PredictorTrainConfig(
+                                 epochs=config.predictor_epochs,
+                                 seed=config.seed))
+    return predictor, losses
+
+
 @dataclass
 class ExperimentResult:
     """Everything produced by one run, kept for scoring and reporting."""
@@ -309,69 +375,42 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     disk), so per-frame ground truth and walk modes are always available.
     The first half of the sequences walks with a persistent heading
     (mode 1), the second half redraws the direction every step (mode 2).
+
+    Training runs in two helper processes (see ``mimoloc.helper``), one
+    per head, or, with the recurrent predictor, one for both heads and
+    one for the predictor; each uses one BLAS thread. ``runtime_seconds``
+    includes the wait for them.
     """
     config.validate()
     say = log if log is not None else (lambda msg: None)
     t0 = time.perf_counter()
-    array = ArrayConfig(config.n_antennas, config.wavelength)
-    ofdm = OfdmConfig(config.n_subcarriers, config.bandwidth)
-    env = environment_for(config)
-    grid = GridSpec(origin=tuple(config.grid_origin),
-                    spacing=config.grid_spacing,
-                    n_rows=config.grid_rows, n_cols=config.grid_cols)
-    dft = build_dft_pair(config.n_antennas, config.n_subcarriers)
+    env, array, ofdm, grid, dft = pieces(config)
 
     say("building fingerprint database")
     db = build_db(env, grid, array, ofdm, dft, seed=config.seed)
 
-    say("training regression localizer")
-    reg_head = Head("regression")
-    reg_model = build_model(
-        default_localizer_spec(db.n_t, db.n_c, reg_head),
-        (1, db.n_t, db.n_c), reg_head, seed=config.seed,
-        normalize_input=True)
-    reg_losses = train(reg_model, db,
-                       TrainConfig(epochs=config.train_epochs,
-                                   learning_rate=config.train_learning_rate,
-                                   seed=config.seed))
-    regressor = RegressionLocalizer(reg_model)
-
-    say("training classification localizer")
-    cls_head = Head("classification",
-                    ClassifierGrid(config.classifier_cells,
-                                   config.classifier_cells))
-    cls_model = build_model(
-        default_localizer_spec(db.n_t, db.n_c, cls_head),
-        (1, db.n_t, db.n_c), cls_head, seed=config.seed + 1,
-        normalize_input=True)
-    cls_losses = train(cls_model, db,
-                       TrainConfig(epochs=config.train_epochs,
-                                   learning_rate=config.train_learning_rate,
-                                   seed=config.seed + 1))
-    classifier = ClassifierWknnLocalizer(cls_model, db, k=config.wknn_k)
-
-    thresholds = default_thresholds(grid, calibrate_similarity_floor(db))
-    say(f"similarity floor {thresholds.similarity_floor:.4f}")
-
-    predictor_losses = []
+    heads = [(train_localizer, (config, db, name)) for name in LOCALIZERS]
     if config.predictor == "peak-track":
-        predictor = PeakTrackingPredictor()
+        say("training the localizers in two helper processes")
+        jobs = [heads[:1], heads[1:]]
     else:
-        say("training recurrent predictor")
-        clean = []
-        for i in range(config.predictor_train_walks):
-            mode = WalkMode.MODE1 if i % 2 == 0 else WalkMode.MODE2
-            walk = random_walk(grid, mode, config.sequence_length,
-                               [config.seed, 9_000_000 + i])
-            clean.append(generate_sequence(env, walk, None, 0, array, ofdm,
-                                           dft))
-        predictor = ConvRecurrentPredictor(db.n_t, db.n_c, seed=config.seed)
-        predictor_losses = train_predictor(
-            predictor, clean,
-            PredictorTrainConfig(epochs=config.predictor_epochs,
-                                 seed=config.seed))
+        say("training the localizers and the recurrent predictor "
+            "in two helper processes")
+        jobs = [heads, [(train_recurrent_predictor, (config,))]]
+    with contextlib.ExitStack() as stack:
+        helpers = [stack.enter_context(Helper(calls)) for calls in jobs]
+        thresholds = default_thresholds(grid, calibrate_similarity_floor(db))
+        say(f"similarity floor {thresholds.similarity_floor:.4f}")
+        trained = [r for helper in helpers for r in helper.results()]
+    (reg_model, reg_losses), (cls_model, cls_losses) = trained[:2]
+    predictor, predictor_losses = (
+        trained[2] if len(trained) > 2 else (PeakTrackingPredictor(), []))
 
-    localizers = {"regressor": regressor, "classifier-wknn": classifier}
+    localizers = {
+        "regressor": RegressionLocalizer(reg_model),
+        "classifier-wknn": ClassifierWknnLocalizer(cls_model, db,
+                                                   k=config.wknn_k),
+    }
     scenario = None
     if config.scenario != "none":
         scenario = DistortionScenario(

@@ -40,7 +40,9 @@ class Conv2d:
     order, the products are the same calls, and every input-gradient
     pixel sums its taps in the same (row, column) order. The input
     gradient is returned C-contiguous, since the memory order of an array
-    can change the summation order of a later matrix product.
+    can change the summation order of a later matrix product. A layer
+    whose input is data skips its input gradient (``input_grad=False``)
+    and fills only ``gw`` and ``gb``.
     """
 
     def __init__(self, out_channels: int, kernel_size: int, padding: str = "valid"):
@@ -112,17 +114,19 @@ class Conv2d:
         self._cache = (x.shape, cols)
         return y.transpose(0, 3, 1, 2)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True):
         (b, c, h, w), cols = self._cache
         k = self.kernel_size
         lo, hi = self._pad()
         ho, wo = grad.shape[2:]
         gt = grad.transpose(0, 2, 3, 1)  # (B, H', W', out)
-        wmat = self.w.reshape(self.out_channels, -1)
         self.gw = np.tensordot(gt, cols, axes=([0, 1, 2], [0, 1, 2])).reshape(
             self.w.shape
         )
         self.gb = gt.sum(axis=(0, 1, 2))
+        if not input_grad:
+            return None
+        wmat = self.w.reshape(self.out_channels, -1)
         dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
         dxp = np.zeros((b, h + lo + hi, w + lo + hi, c))
         for i in range(k):
@@ -290,10 +294,10 @@ class Dense:
         self._x = x
         return x @ self.w.T + self.b
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad: bool = True):
         self.gw = grad.T @ self._x
         self.gb = grad.sum(axis=0)
-        return grad @ self.w
+        return grad @ self.w if input_grad else None
 
 
 class Softmax:
@@ -417,10 +421,20 @@ class Model:
             x = layer.forward(x)
         return x
 
-    def backward_batch(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward_batch(self, grad: np.ndarray, skip_top: int = 0) -> None:
+        """Fill every layer's parameter gradients from ``grad``, the
+        gradient at the output of the stack without its top ``skip_top``
+        layers.
+
+        The input is data, so nothing below the first layer with
+        parameters is backpropagated, and that layer computes no input
+        gradient.
+        """
+        layers = self.layers[:len(self.layers) - skip_top]
+        first = next(i for i, layer in enumerate(layers) if layer.parameters())
+        for layer in reversed(layers[first + 1:]):
             grad = layer.backward(grad)
-        return grad
+        layers[first].backward(grad, input_grad=False)
 
     def normalize_positions(self, positions: np.ndarray) -> np.ndarray:
         return (positions - self.pos_offset) / self.pos_scale
@@ -532,12 +546,9 @@ def _loss_and_grad(model: Model, x, y):
         grad_logits[np.arange(b), y] -= 1.0
         grad_logits /= b
         # invert the softmax layer: feed the logits-space gradient around it
-        softmax = model.layers[-1]
-        if not isinstance(softmax, Softmax):
+        if not isinstance(model.layers[-1], Softmax):
             raise DimensionMismatch("classification stack must end in softmax")
-        grad = grad_logits
-        for layer in reversed(model.layers[:-1]):
-            grad = layer.backward(grad)
+        model.backward_batch(grad_logits, skip_top=1)
     return loss
 
 

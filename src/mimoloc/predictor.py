@@ -330,7 +330,7 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray):
         g_out = gpred[:, t][:, None] * (pre_out > 0.0)
         gh = out.backward(g_out) + gh_next
         gpre = gh * (1.0 - h_t * h_t)
-        xh.backward(gpre)
+        xh.backward(gpre, input_grad=False)  # its input is data
         gh_next = hh.backward(gpre)
         for acc, g in zip(grads, [xh.gw, xh.gb, hh.gw, hh.gb, out.gw, out.gb]):
             acc += g

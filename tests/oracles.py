@@ -88,7 +88,9 @@ class ReferenceConv2d(Conv2d):
         self._cache = (xp.shape, (lo, hi), cols)
         return y.transpose(0, 3, 1, 2)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        # always computes the input gradient, as the old layer did; a
+        # caller that passes input_grad=False discards it
         xp_shape, (lo, hi), cols = self._cache
         k = self.kernel_size
         b, _, ho, wo = grad.shape

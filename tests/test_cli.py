@@ -7,7 +7,12 @@ import pytest
 
 from mimoloc.cli import main
 from mimoloc.dynamics import load_sequences
-from mimoloc.experiment import ExperimentConfig, save_config
+from mimoloc.experiment import (
+    LOCALIZERS,
+    ExperimentConfig,
+    run_experiment,
+    save_config,
+)
 from mimoloc.fingerprint import load_db
 from mimoloc.neural import load_model
 from mimoloc.predictor import ConvRecurrentPredictor, load_predictor
@@ -72,6 +77,30 @@ def test_train_predictor_conv_recurrent(config_path, tmp_path):
                  "--predictor", "conv-recurrent"]) == 0
     predictor = load_predictor(out + "/predictor.ckpt")
     assert isinstance(predictor, ConvRecurrentPredictor)
+
+
+def test_checkpoints_hold_the_models_of_a_run(config_path, tmp_path):
+    # the stage commands train what run_experiment trains, to the last
+    # float32 bit a checkpoint keeps
+    result = run_experiment(ExperimentConfig(**TINY,
+                                             predictor="conv-recurrent"))
+    out = str(tmp_path / "out")
+    for localizer in LOCALIZERS:
+        assert main(["train-localizer", "--config", config_path, "--out",
+                     out, "--localizer", localizer]) == 0
+    assert main(["train-predictor", "--config", config_path, "--out", out,
+                 "--predictor", "conv-recurrent"]) == 0
+    saved = {name: load_model(f"{out}/localizer_{name}.ckpt").parameters()
+             for name in LOCALIZERS}
+    saved["predictor"] = load_predictor(out + "/predictor.ckpt").parameters()
+    trained = {name: loc.model.parameters()
+               for name, loc in result.localizers.items()}
+    trained["predictor"] = result.predictor.parameters()
+    assert set(saved) == set(trained)
+    for name, params in trained.items():
+        assert len(saved[name]) == len(params)
+        for p, q in zip(saved[name], params):
+            assert np.array_equal(p, q.astype(np.float32)), name
 
 
 def test_gen_sequences(config_path, tmp_path):

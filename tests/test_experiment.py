@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ from oracles import baseline_track
 from mimoloc import experiment, pipeline
 from mimoloc.channel import Environment, Reflector, save_environment
 from mimoloc.cli import main as cli_main
-from mimoloc.dynamics import WalkMode
-from mimoloc.errors import ConfigError, DimensionMismatch
+from mimoloc.dynamics import WalkMode, generate_sequence, random_walk
+from mimoloc.errors import (
+    ConfigError,
+    DimensionMismatch,
+    DivergedLoss,
+    HelperFailed,
+)
 from mimoloc.experiment import (
     METHODS,
     ExperimentConfig,
@@ -19,11 +25,27 @@ from mimoloc.experiment import (
     emit_report,
     environment_for,
     load_config,
+    pieces,
     rich_environment,
     rmse_per_frame,
     run_experiment,
     save_config,
     sparse_environment,
+)
+from mimoloc.fingerprint import build_db
+from mimoloc.helper import Helper, serve
+from mimoloc.neural import (
+    ClassifierGrid,
+    Head,
+    TrainConfig,
+    build_model,
+    default_localizer_spec,
+    train,
+)
+from mimoloc.predictor import (
+    ConvRecurrentPredictor,
+    PredictorTrainConfig,
+    train_predictor,
 )
 
 TINY = dict(
@@ -247,3 +269,97 @@ class TestEmitReport:
             else:
                 assert ((dir_a / name).read_bytes()
                         == (dir_b / name).read_bytes())
+
+
+def train_in_process(config):
+    """The models and loss curves of a run, trained here, one at a time.
+
+    Regressor at the config seed, classifier at seed + 1, and the
+    recurrent predictor on clean walks seeded [seed, 9_000_000 + i].
+    """
+    env, array, ofdm, grid, dft = pieces(config)
+    db = build_db(env, grid, array, ofdm, dft, seed=config.seed)
+    cells = ClassifierGrid(config.classifier_cells, config.classifier_cells)
+    models, curves = {}, {}
+    for name, head, seed in (
+            ("regressor", Head("regression"), config.seed),
+            ("classifier-wknn", Head("classification", cells),
+             config.seed + 1)):
+        model = build_model(default_localizer_spec(db.n_t, db.n_c, head),
+                            (1, db.n_t, db.n_c), head, seed=seed,
+                            normalize_input=True)
+        curves[name] = train(model, db, TrainConfig(
+            epochs=config.train_epochs,
+            learning_rate=config.train_learning_rate, seed=seed))
+        models[name] = model
+    curves["predictor"] = []
+    if config.predictor == "conv-recurrent":
+        clean = []
+        for i in range(config.predictor_train_walks):
+            mode = WalkMode.MODE1 if i % 2 == 0 else WalkMode.MODE2
+            walk = random_walk(grid, mode, config.sequence_length,
+                               [config.seed, 9_000_000 + i])
+            clean.append(generate_sequence(env, walk, None, 0, array, ofdm,
+                                           dft))
+        models["predictor"] = ConvRecurrentPredictor(db.n_t, db.n_c,
+                                                     seed=config.seed)
+        curves["predictor"] = train_predictor(
+            models["predictor"], clean, PredictorTrainConfig(
+                epochs=config.predictor_epochs, seed=config.seed))
+    return models, curves
+
+
+class TestHelpers:
+    """Training runs in helper processes; the caller sees the same run."""
+
+    @pytest.mark.parametrize("predictor", ["peak-track", "conv-recurrent"])
+    def test_run_equals_in_process_training(self, predictor):
+        config = ExperimentConfig(
+            scenario="los-block", predictor=predictor, predictor_epochs=3,
+            predictor_train_walks=4, **TINY)
+        environ = dict(os.environ)
+        result = run_experiment(config)
+        assert dict(os.environ) == environ
+        models, curves = train_in_process(config)
+        assert result.train_losses == curves
+        for name, localizer in result.localizers.items():
+            got, want = localizer.model, models[name]
+            for p, q in zip(got.parameters(), want.parameters()):
+                assert np.array_equal(p, q)
+            assert np.array_equal(got.pos_offset, want.pos_offset)
+            assert np.array_equal(got.pos_scale, want.pos_scale)
+        if predictor == "conv-recurrent":
+            got, want = result.predictor, models["predictor"]
+            assert got.scale == want.scale
+            for p, q in zip(got.parameters(), want.parameters()):
+                assert np.array_equal(p, q)
+
+    def test_diverged_training_raises_in_the_caller(self):
+        with pytest.raises(DivergedLoss):
+            run_experiment(ExperimentConfig(**dict(TINY,
+                                                   train_learning_rate=1e6)))
+
+    def test_helper_runs_with_one_blas_thread(self):
+        environ = dict(os.environ)
+        with Helper([(os.getenv, (name,)) for name in
+                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                      "MKL_NUM_THREADS")]) as helper:
+            assert helper.results() == ["1", "1", "1"]
+        assert dict(os.environ) == environ
+
+    def test_helper_refuses_another_package_tree(self, capsys):
+        # a helper that imported mimoloc from elsewhere (say, a copy in
+        # its working directory) would train with other sources
+        assert serve(os.path.join("elsewhere", "src")) == 2
+        assert "elsewhere" in capsys.readouterr().err
+
+    def test_job_that_exits_without_a_result(self):
+        t0 = time.perf_counter()
+        with Helper([(time.sleep, (120,))]) as sleeper, \
+                Helper([(os._exit, (3,))]) as failing:
+            with pytest.raises(HelperFailed, match="_exit.*status 3"):
+                failing.results()
+        # leaving the block kills the helper still at work, and reaps both
+        assert time.perf_counter() - t0 < 60.0
+        assert failing.proc.returncode == 3
+        assert sleeper.proc.returncode is not None

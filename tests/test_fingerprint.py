@@ -98,6 +98,31 @@ class TestContainer:
         with pytest.raises(TruncatedFile):
             container.read_container(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_every_cut_raises_truncated(self, tmp_path, version):
+        recs = _fill_records(version, 2, 3, 2, np.random.default_rng(2))
+        path = tmp_path / "c.adpf"
+        container.write_container(path, version, 2, 3, recs)
+        raw = path.read_bytes()
+        container.read_container(path)  # the uncut file loads
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(TruncatedFile):
+                container.read_container(path)
+
+    @pytest.mark.parametrize("n_t,n_c", [
+        (0, 4), (4, 0), (2**20, 2**20), (2**32 - 1, 2**32 - 1)])
+    def test_bad_profile_size_in_header(self, tmp_path, n_t, n_c):
+        # the body is one record of an empty profile (its position
+        # alone); numpy refuses the last two layouts with a bare ValueError
+        path = tmp_path / "s.adpf"
+        path.write_bytes(b"ADPF" + (1).to_bytes(2, "little")
+                         + n_t.to_bytes(4, "little")
+                         + n_c.to_bytes(4, "little")
+                         + (1).to_bytes(8, "little") + bytes(16))
+        with pytest.raises(FormatError):
+            container.read_container(path)
+
     def test_trailing_garbage(self, tmp_path):
         recs = container.make_records(1, 4, 4, 1)
         path = tmp_path / "g.adpf"

@@ -171,6 +171,10 @@ class TestKernelsMatchReference:
                 assert dx.flags.c_contiguous
                 assert_same_bits(layer.gw, ref.gw)
                 assert_same_bits(layer.gb, ref.gb)
+                # a first layer skips its input gradient, and nothing else
+                assert layer.backward(g, input_grad=False) is None
+                assert_same_bits(layer.gw, ref.gw)
+                assert_same_bits(layer.gb, ref.gb)
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
     @pytest.mark.parametrize("h,w", [(8, 8), (7, 9)])
@@ -270,6 +274,24 @@ class TestComposedGradients:
         model = build_model(specs, (1, 12, 12), head, seed=3)
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 1, 12, 12))
         target = np.random.default_rng(5).uniform(0, 1, size=(2, 2))
+
+        def loss():
+            return float(np.mean(np.sum((model.forward_batch(x) - target) ** 2, 1)))
+
+        out = model.forward_batch(x)
+        model.backward_batch(2.0 * (out - target) / len(x))
+        for p, g in zip(model.parameters(), model.gradients()):
+            assert rel_err(g, fd_input_grad(loss, p)) < 1e-4
+
+    def test_stack_without_a_conv_layer(self):
+        # the input is data: backpropagation stops at the first layer with
+        # parameters, here a dense layer behind a flatten
+        head = Head("regression")
+        specs = [{"kind": "flatten"}, {"kind": "dense", "out_width": 5},
+                 {"kind": "relu"}, {"kind": "dense", "out_width": 2}]
+        model = build_model(specs, (1, 3, 4), head, seed=8)
+        x = np.random.default_rng(9).uniform(0, 1, size=(3, 1, 3, 4))
+        target = np.random.default_rng(10).uniform(0, 1, size=(3, 2))
 
         def loss():
             return float(np.mean(np.sum((model.forward_batch(x) - target) ** 2, 1)))
