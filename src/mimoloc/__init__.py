@@ -32,7 +32,6 @@ from .dynamics import (
     FrameSequence,
     Walk,
     WalkMode,
-    build_training_set,
     distort_paths,
     generate_sequence,
     load_sequences,
@@ -86,9 +85,12 @@ from .pipeline import (
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
+    World,
+    build_world,
     config_from_dict,
     emit_report,
     environment_for,
+    evaluate,
     load_config,
     rich_environment,
     rmse_per_frame,

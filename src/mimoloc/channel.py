@@ -22,10 +22,6 @@ logger = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299792458.0
 
-#: Diagnostic count of traced paths dropped because their quantized delay
-#: fell outside the OFDM delay window. Advisory only, not thread-safe.
-dropped_delay_count = 0
-
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -36,13 +32,11 @@ class ArrayConfig:
         wavelength: carrier wavelength in meters.
         element_spacing: inter-element spacing in meters; defaults to half
             the wavelength.
-        carrier_frequency: redundant with wavelength, kept for reporting.
     """
 
     n_antennas: int
     wavelength: float
     element_spacing: float | None = None
-    carrier_frequency: float | None = None
 
     def __post_init__(self):
         if self.n_antennas < 1:
@@ -53,10 +47,6 @@ class ArrayConfig:
             object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
         if self.element_spacing <= 0.0:
             raise ValueError("element_spacing must be positive")
-        if self.carrier_frequency is None:
-            object.__setattr__(
-                self, "carrier_frequency", SPEED_OF_LIGHT / self.wavelength
-            )
 
 
 @dataclass(frozen=True)
@@ -226,13 +216,12 @@ def trace_paths(
     wavelength / (4*pi*length) with phase -2*pi*length/wavelength.
 
     Paths whose quantized delay does not fit in the OFDM window are dropped
-    (counted in ``dropped_delay_count``). The result is sorted by descending
+    (logged at debug level). The result is sorted by descending
     gain magnitude, ties broken by cluster id.
 
     Raises:
         ZeroDistance: if the user sits exactly on the base station.
     """
-    global dropped_delay_count
     user = np.asarray(user_position, dtype=float)
     bs = np.asarray(env.bs_position, dtype=float)
     if np.array_equal(user, bs):
@@ -271,7 +260,6 @@ def trace_paths(
         delay = length / env.speed_of_light
         n = quantize_delay(delay, ofdm)
         if n >= ofdm.n_subcarriers:
-            dropped_delay_count += 1
             logger.debug("dropped path with sampled delay %d (cluster %d)", n, cluster)
             continue
         amplitude = coeff * array.wavelength / (4.0 * np.pi * length)

@@ -19,25 +19,19 @@ import sys
 
 import numpy as np
 
-from .dynamics import (
-    DistortionKind,
-    DistortionScenario,
-    WalkMode,
-    generate_sequence,
-    random_walk,
-    save_sequences,
-)
-from .errors import ConfigError, MimolocError
+from .dynamics import save_sequences
+from .errors import ConfigError, FormatError, MimolocError
 from .experiment import (
     METHODS,
     ExperimentConfig,
+    database_for,
+    evaluation_walks,
     load_config,
-    pieces,
     run_experiment,
     train_localizer,
     train_recurrent_predictor,
 )
-from .fingerprint import build_db, save_db
+from .fingerprint import save_db
 from .neural import save_model
 from .pipeline import calibrate_similarity_floor, default_thresholds
 from .predictor import save_predictor
@@ -71,13 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_effective_config(args) -> ExperimentConfig:
-    if args.config:
-        try:
-            config = load_config(args.config)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {exc}") from exc
-    else:
-        config = ExperimentConfig()
+    config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
     for name in ("seed", "scenario", "localizer", "predictor"):
         value = getattr(args, name)
@@ -89,13 +77,8 @@ def _load_effective_config(args) -> ExperimentConfig:
     return config
 
 
-def _build_db(config: ExperimentConfig):
-    env, array, ofdm, grid, dft = pieces(config)
-    return build_db(env, grid, array, ofdm, dft, seed=config.seed)
-
-
 def cmd_build_db(config: ExperimentConfig, out: str) -> None:
-    db = _build_db(config)
+    db = database_for(config)
     path = os.path.join(out, "db.adpf")
     save_db(db, path)
     usable = int(np.sum(~db.zero_flags))
@@ -104,7 +87,7 @@ def cmd_build_db(config: ExperimentConfig, out: str) -> None:
 
 
 def cmd_train_localizer(config: ExperimentConfig, out: str) -> None:
-    model, losses = train_localizer(config, _build_db(config),
+    model, losses = train_localizer(config, database_for(config),
                                     config.localizer)
     path = os.path.join(out, f"localizer_{config.localizer}.ckpt")
     save_model(model, path)
@@ -125,22 +108,7 @@ def cmd_train_predictor(config: ExperimentConfig, out: str) -> None:
 
 
 def cmd_gen_sequences(config: ExperimentConfig, out: str) -> None:
-    env, array, ofdm, grid, dft = pieces(config)
-    scenario = None
-    if config.scenario != "none":
-        scenario = DistortionScenario(
-            kind=DistortionKind(config.scenario),
-            addition_level_db=config.addition_level_db,
-            rng_seed=config.seed)
-    sequences = []
-    for i in range(config.n_sequences):
-        mode = (WalkMode.MODE1 if i < config.n_sequences // 2
-                else WalkMode.MODE2)
-        walk = random_walk(grid, mode, config.sequence_length,
-                           [config.seed, i])
-        sequences.append(generate_sequence(env, walk, scenario,
-                                           config.distort_from, array, ofdm,
-                                           dft))
+    sequences = list(evaluation_walks(config))
     path = os.path.join(out, "sequences.adpf")
     save_sequences(path, sequences)
     n_frames = sum(len(s) for s in sequences)
@@ -148,14 +116,9 @@ def cmd_gen_sequences(config: ExperimentConfig, out: str) -> None:
 
 
 def cmd_calibrate_thresholds(config: ExperimentConfig, out: str) -> None:
-    db = _build_db(config)
-    grid = db.grid
-    thresholds = default_thresholds(grid, calibrate_similarity_floor(db))
-    payload = {
-        "neighborhood_radius": thresholds.neighborhood_radius,
-        "similarity_floor": thresholds.similarity_floor,
-        "recovery_radius": thresholds.recovery_radius,
-    }
+    db = database_for(config)
+    thresholds = default_thresholds(db.grid, calibrate_similarity_floor(db))
+    payload = dataclasses.asdict(thresholds)
     path = os.path.join(out, "thresholds.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -177,19 +140,28 @@ def cmd_run(config: ExperimentConfig, out: str) -> None:
 def cmd_report(out: str) -> None:
     path = os.path.join(out, "report.json")
     with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    det = report["detection"]
-    print(f"config seed {report['config']['seed']}, scenario "
-          f"{report['config']['scenario']}, environment "
-          f"{report['config']['environment']}")
-    # an undefined ratio (nothing flagged, nothing distorted) is null
-    precision, recall = (("n/a" if det[k] is None else f"{det[k]:.3f}")
-                         for k in ("precision", "recall"))
-    print(f"detection precision={precision} recall={recall} "
-          f"(tp={det['tp']} fp={det['fp']} fn={det['fn']} tn={det['tn']})")
-    for method, value in sorted(report["median_distorted_rmse_m"].items()):
-        print(f"{method:16s} median distorted-frame rmse {value:.3f} m")
-    print(f"runtime {report['runtime_seconds']:.1f} s")
+        try:
+            report = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON
+            raise FormatError(f"{path}: not JSON: {exc}") from exc
+    try:
+        config, det = report["config"], report["detection"]
+        # an undefined ratio (nothing flagged, nothing distorted) is null
+        precision, recall = (("n/a" if det[k] is None else f"{det[k]:.3f}")
+                             for k in ("precision", "recall"))
+        lines = [
+            f"config seed {config['seed']}, scenario {config['scenario']}, "
+            f"environment {config['environment']}",
+            f"detection precision={precision} recall={recall} "
+            f"(tp={det['tp']} fp={det['fp']} fn={det['fn']} tn={det['tn']})",
+        ]
+        lines += [f"{method:16s} median distorted-frame rmse {value:.3f} m"
+                  for method, value in
+                  sorted(report["median_distorted_rmse_m"].items())]
+        lines.append(f"runtime {report['runtime_seconds']:.1f} s")
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a run report: {exc!r}") from exc
+    print("\n".join(lines))
 
 
 def main(argv=None) -> int:

@@ -11,12 +11,12 @@ foreign reflection a fixed level below the strongest path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
-from .adp import DftPair, adp_from_csi, build_dft_pair, gaussian_profile
+from .adp import DftPair, adp_from_csi, build_dft_pair
 from .channel import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -31,11 +31,6 @@ from .fingerprint import GridSpec
 
 _DIRECTIONS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _DIRECTIONS_8 = _DIRECTIONS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
-
-#: Window half-width and kernel width used by the pixel-level distortion
-#: variant (see ``generate_sequence(distortion_level="adp")``).
-ADP_MASK_HALFWIDTH = 1
-ADP_BUMP_SIGMA = 0.7
 
 
 class WalkMode(enum.Enum):
@@ -55,14 +50,12 @@ class DistortionScenario:
 
     ``addition_level_db`` sets the injected path magnitude relative to the
     strongest existing path (amplitude dB, default -6). The injected path is
-    drawn once per sequence and held fixed across its distorted frames
-    unless ``refresh_each_frame`` is set.
+    drawn once per sequence and held fixed across its distorted frames.
     """
 
     kind: DistortionKind
     addition_level_db: float = -6.0
     rng_seed: int = 0
-    refresh_each_frame: bool = False
 
 
 @dataclass
@@ -154,9 +147,10 @@ def draw_foreground_path(
     paths: list[Path],
     ofdm: OfdmConfig,
     speed_of_light: float = SPEED_OF_LIGHT,
-    rng: np.random.Generator | None = None,
 ) -> Path:
     """Draw the injected foreign path for an addition scenario.
+
+    The draw is seeded by ``scenario.rng_seed``.
 
     Arrival angle is uniform over (0, pi), the delay bin uniform over the
     OFDM window, the phase uniform; magnitude sits ``addition_level_db``
@@ -164,8 +158,7 @@ def draw_foreground_path(
     """
     if not paths:
         raise NotEnoughPaths("addition needs at least one reference path")
-    if rng is None:
-        rng = np.random.default_rng(scenario.rng_seed)
+    rng = np.random.default_rng(scenario.rng_seed)
     aoa = float(rng.uniform(0.0, np.pi))
     nbin = int(rng.integers(0, ofdm.n_subcarriers))
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -222,41 +215,6 @@ def distort_paths(
     return result
 
 
-def _mask_window(adp: np.ndarray, row: int, col: int) -> None:
-    h = ADP_MASK_HALFWIDTH
-    r0, r1 = max(0, row - h), min(adp.shape[0], row + h + 1)
-    c0, c1 = max(0, col - h), min(adp.shape[1], col + h + 1)
-    adp[r0:r1, c0:c1] = 0.0
-
-
-def _distort_adp(
-    adp: np.ndarray,
-    scenario: DistortionScenario,
-    injection: tuple[int, int, float] | None,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, tuple[int, int, float] | None]:
-    """Pixel-level distortion variant operating on the profile image."""
-    out = adp.copy()
-    first = np.unravel_index(int(np.argmax(out)), out.shape)
-    if scenario.kind is DistortionKind.LOS_BLOCKAGE:
-        _mask_window(out, first[0], first[1])
-    elif scenario.kind is DistortionKind.NLOS_BLOCKAGE:
-        probe = out.copy()
-        _mask_window(probe, first[0], first[1])
-        second = np.unravel_index(int(np.argmax(probe)), probe.shape)
-        _mask_window(out, second[0], second[1])
-    else:
-        if injection is None:
-            z = int(rng.integers(out.shape[0]))
-            q = int(rng.integers(out.shape[1]))
-            amp = 10.0 ** (scenario.addition_level_db / 20.0) * float(out.max())
-            injection = (z, q, amp)
-        z, q, amp = injection
-        out += gaussian_profile(out.shape, np.array([[z, q]]), np.array([amp]),
-                                ADP_BUMP_SIGMA)
-    return out, injection
-
-
 def generate_sequence(
     env: Environment,
     walk: Walk,
@@ -265,51 +223,32 @@ def generate_sequence(
     array: ArrayConfig,
     ofdm: OfdmConfig,
     dft: DftPair | None = None,
-    distortion_level: str = "path",
 ) -> FrameSequence:
     """Simulate one walk into a frame sequence of angle-delay profiles.
 
     Frames before ``distort_from`` (or all frames when ``scenario`` is
     None) replay the static pipeline exactly, so their profiles match the
     fingerprint database bit for bit. From ``distort_from`` on, the
-    scenario is applied to the traced paths before CSI synthesis; with
-    ``distortion_level="adp"`` it is applied to the profile image instead
-    (an A/B variant, see ``_distort_adp``). A frame with no remaining path
-    is marked ``lost_link``.
+    scenario is applied to the traced paths before CSI synthesis. A frame
+    with no remaining path is marked ``lost_link``.
     """
-    if distortion_level not in ("path", "adp"):
-        raise ValueError("distortion_level must be 'path' or 'adp'")
     if dft is None:
         dft = build_dft_pair(array.n_antennas, ofdm.n_subcarriers)
     foreground: Path | None = None
-    injection: tuple[int, int, float] | None = None
-    adp_rng = (
-        np.random.default_rng(scenario.rng_seed) if scenario is not None else None
-    )
     frames: list[Frame] = []
     for i, pos in enumerate(walk.positions()):
         paths = trace_paths(env, pos, array, ofdm)
         distorted = scenario is not None and i >= distort_from
         effective = paths
-        if distorted and distortion_level == "path":
-            if scenario.kind is DistortionKind.NLOS_ADDITION:
-                if scenario.refresh_each_frame:
-                    fg = draw_foreground_path(
-                        scenario, paths, ofdm, env.speed_of_light,
-                        rng=np.random.default_rng([scenario.rng_seed, i]),
-                    )
-                else:
-                    if foreground is None:
-                        foreground = draw_foreground_path(
-                            scenario, paths, ofdm, env.speed_of_light
-                        )
-                    fg = foreground
-                effective = distort_paths(paths, scenario, ofdm, foreground=fg)
-            else:
-                effective = distort_paths(paths, scenario, ofdm)
+        if distorted:
+            if (scenario.kind is DistortionKind.NLOS_ADDITION
+                    and foreground is None):
+                foreground = draw_foreground_path(
+                    scenario, paths, ofdm, env.speed_of_light
+                )
+            effective = distort_paths(paths, scenario, ofdm,
+                                      foreground=foreground)
         adp = adp_from_csi(synthesize_csi(effective, array, ofdm), dft)
-        if distorted and distortion_level == "adp":
-            adp, injection = _distort_adp(adp, scenario, injection, adp_rng)
         adp32 = adp.astype("<f4")
         frames.append(
             Frame(
@@ -326,29 +265,6 @@ def generate_sequence(
         scenario=scenario,
         distort_from=distort_from if scenario is not None else None,
     )
-
-
-def build_training_set(
-    env: Environment,
-    grid: GridSpec,
-    n_sequences: int,
-    length: int,
-    array: ArrayConfig,
-    ofdm: OfdmConfig,
-    seed: int,
-    mode: WalkMode = WalkMode.MODE1,
-) -> list[FrameSequence]:
-    """Undistorted mode-1 walk sequences for predictor training.
-
-    Each sequence gets its own RNG stream derived from (seed, index), so
-    the set is reproducible and order-independent.
-    """
-    dft = build_dft_pair(array.n_antennas, ofdm.n_subcarriers)
-    out = []
-    for i in range(n_sequences):
-        walk = random_walk(grid, mode, length, rng_seed=[seed, i])
-        out.append(generate_sequence(env, walk, None, 0, array, ofdm, dft=dft))
-    return out
 
 
 def save_sequences(path, sequences: list[FrameSequence]) -> None:

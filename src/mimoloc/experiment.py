@@ -1,11 +1,12 @@
 """End-to-end evaluation harness over simulated walks.
 
-One experiment run builds a fingerprint database for a chosen
-environment, trains both localizer heads on it (and the recurrent
-predictor, when one is chosen) in two helper processes while it
-calibrates detection thresholds, simulates a batch of random walks with
-a distortion scenario, and scores four estimation methods frame by
-frame:
+One experiment run has two parts. ``build_world`` builds a fingerprint
+database for a chosen environment and trains both localizer heads on it
+(and the recurrent predictor, when one is chosen) in two helper
+processes while it calibrates detection thresholds; none of this depends
+on the distortion scenario. ``evaluate`` then simulates a batch of random
+walks with one distortion scenario in that world and scores four
+estimation methods frame by frame:
 
 * ``dynamic``: detection plus prediction-fused recovery (the full
   pipeline).
@@ -29,7 +30,7 @@ import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,12 +146,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}")
-        if self.localizer not in LOCALIZERS:
-            raise ConfigError(f"localizer must be one of {LOCALIZERS}")
-        if self.predictor not in PREDICTORS:
-            raise ConfigError(f"predictor must be one of {PREDICTORS}")
+        """Raise ``ConfigError`` unless every field holds a usable value.
+
+        Each field takes the type it is annotated with (see ``_IS_TYPE``).
+        """
+        for f in dataclasses.fields(self):
+            if not _IS_TYPE[f.type](getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be of type {f.type}")
+        for name, allowed in (("scenario", SCENARIOS),
+                              ("localizer", LOCALIZERS),
+                              ("predictor", PREDICTORS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}")
         if (self.environment not in _NAMED_ENVIRONMENTS
                 and not os.path.exists(self.environment)):
             raise ConfigError(
@@ -161,18 +168,18 @@ class ExperimentConfig:
                      "n_sequences", "sequence_length", "classifier_cells",
                      "wknn_k", "history_length", "train_epochs",
                      "predictor_epochs", "predictor_train_walks"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         for name in ("wavelength", "bandwidth", "grid_spacing",
                      "train_learning_rate"):
-            if float(getattr(self, name)) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be at least 0")
         if not 0 <= self.distort_from < self.sequence_length:
             raise ConfigError(
                 "distort_from must be nonnegative and below sequence_length, "
                 "so that some frames are distorted")
-        if len(self.grid_origin) != 2:
-            raise ConfigError("grid_origin needs exactly two coordinates")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -180,28 +187,41 @@ class ExperimentConfig:
         return d
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each field annotation of ExperimentConfig admits: an int field
+# takes no bool, a float field takes an int, grid_origin two numbers
+_IS_TYPE = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: _is_real(v) and isinstance(v, int),
+    "float": _is_real,
+    "tuple": lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
+                        and all(map(_is_real, v))),
+}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "grid_origin" in data:
-        data = dict(data)
-        data["grid_origin"] = tuple(float(v) for v in data["grid_origin"])
-    try:
-        config = ExperimentConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    origin = data.get("grid_origin")
+    if isinstance(origin, list) and all(_is_real(v) for v in origin):
+        data = dict(data, grid_origin=tuple(float(v) for v in origin))
+    config = ExperimentConfig(**data)
     config.validate()
     return config
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read a config file; an unreadable or malformed one is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return config_from_dict(data)
@@ -231,8 +251,36 @@ def pieces(config: ExperimentConfig):
     return environment_for(config), array, ofdm, grid, dft
 
 
+def database_for(config: ExperimentConfig) -> FingerprintDb:
+    """The fingerprint database of a config's world."""
+    env, array, ofdm, grid, dft = pieces(config)
+    return build_db(env, grid, array, ofdm, dft, seed=config.seed)
+
+
+def evaluation_walks(config: ExperimentConfig):
+    """Yield each evaluation walk of ``config`` as a ``FrameSequence``.
+
+    Walk ``i`` takes the seed ``[seed, i]``. The first half keeps a heading
+    (mode 1), the second half redraws it every step (mode 2).
+    """
+    env, array, ofdm, grid, dft = pieces(config)
+    scenario = None
+    if config.scenario != "none":
+        scenario = DistortionScenario(
+            kind=DistortionKind(config.scenario),
+            addition_level_db=config.addition_level_db,
+            rng_seed=config.seed)
+    n_seq = config.n_sequences
+    for i in range(n_seq):
+        mode = WalkMode.MODE1 if i < n_seq // 2 else WalkMode.MODE2
+        walk = random_walk(grid, mode, config.sequence_length,
+                           [config.seed, i])
+        yield generate_sequence(env, walk, scenario, config.distort_from,
+                                array, ofdm, dft)
+
+
 # --- training jobs -----------------------------------------------------------
-# run_experiment runs these in helper processes and the CLI's stage commands
+# build_world runs these in helper processes and the CLI's stage commands
 # call them directly, so both train the same models from the same seeds
 
 def train_localizer(config: ExperimentConfig, db: FingerprintDb,
@@ -283,20 +331,36 @@ def train_recurrent_predictor(config: ExperimentConfig):
 
 
 @dataclass
-class ExperimentResult:
-    """Everything produced by one run, kept for scoring and reporting."""
+class World:
+    """What a run builds and trains before its walks.
+
+    Nothing in it depends on the distortion scenario, so one world serves
+    every scenario (see ``evaluate``).
+    """
 
     config: ExperimentConfig
     db: FingerprintDb
     thresholds: Thresholds
     localizers: dict
     predictor: object
+    train_losses: dict
+    build_seconds: float
+
+
+@dataclass
+class ExperimentResult:
+    """Everything produced by one run, kept for scoring and reporting.
+
+    ``runtime_seconds`` counts the build of ``world`` and the evaluation.
+    """
+
+    config: ExperimentConfig
+    world: World
     modes: list
     truths: np.ndarray
     errors: dict
     flagged: np.ndarray
     distorted: np.ndarray
-    train_losses: dict
     runtime_seconds: float
 
     def rmse(self, method: str) -> np.ndarray:
@@ -367,27 +431,18 @@ def _predictor_only_track(estimates):
     return np.stack(positions)
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None,
-                   log=None) -> ExperimentResult:
-    """Run one full evaluation; optionally write reports to ``out_dir``.
-
-    Sequences are regenerated from the seed on every run (never read from
-    disk), so per-frame ground truth and walk modes are always available.
-    The first half of the sequences walks with a persistent heading
-    (mode 1), the second half redraws the direction every step (mode 2).
+def build_world(config: ExperimentConfig, log=None) -> World:
+    """Build the database and thresholds, train the localizers and predictor.
 
     Training runs in two helper processes (see ``mimoloc.helper``), one
     per head, or, with the recurrent predictor, one for both heads and
-    one for the predictor; each uses one BLAS thread. ``runtime_seconds``
-    includes the wait for them.
+    one for the predictor; each uses one BLAS thread.
     """
     config.validate()
     say = log if log is not None else (lambda msg: None)
     t0 = time.perf_counter()
-    env, array, ofdm, grid, dft = pieces(config)
-
     say("building fingerprint database")
-    db = build_db(env, grid, array, ofdm, dft, seed=config.seed)
+    db = database_for(config)
 
     heads = [(train_localizer, (config, db, name)) for name in LOCALIZERS]
     if config.predictor == "peak-track":
@@ -399,27 +454,40 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         jobs = [heads, [(train_recurrent_predictor, (config,))]]
     with contextlib.ExitStack() as stack:
         helpers = [stack.enter_context(Helper(calls)) for calls in jobs]
-        thresholds = default_thresholds(grid, calibrate_similarity_floor(db))
+        thresholds = default_thresholds(db.grid,
+                                        calibrate_similarity_floor(db))
         say(f"similarity floor {thresholds.similarity_floor:.4f}")
         trained = [r for helper in helpers for r in helper.results()]
     (reg_model, reg_losses), (cls_model, cls_losses) = trained[:2]
     predictor, predictor_losses = (
         trained[2] if len(trained) > 2 else (PeakTrackingPredictor(), []))
+    return World(
+        config=config, db=db, thresholds=thresholds,
+        localizers={
+            "regressor": RegressionLocalizer(reg_model),
+            "classifier-wknn": ClassifierWknnLocalizer(cls_model, db,
+                                                       k=config.wknn_k),
+        },
+        predictor=predictor,
+        train_losses={"regressor": reg_losses, "classifier-wknn": cls_losses,
+                      "predictor": predictor_losses},
+        build_seconds=time.perf_counter() - t0,
+    )
 
-    localizers = {
-        "regressor": RegressionLocalizer(reg_model),
-        "classifier-wknn": ClassifierWknnLocalizer(cls_model, db,
-                                                   k=config.wknn_k),
-    }
-    scenario = None
-    if config.scenario != "none":
-        scenario = DistortionScenario(
-            kind=DistortionKind(config.scenario),
-            addition_level_db=config.addition_level_db,
-            rng_seed=config.seed)
 
+def evaluate(world: World, scenario: str, out_dir=None,
+             log=None) -> ExperimentResult:
+    """Score the four methods on ``scenario``'s walks in ``world``.
+
+    Optionally writes the reports to ``out_dir``. An unknown scenario
+    raises ``ConfigError``.
+    """
+    config = dataclasses.replace(world.config, scenario=scenario)
+    config.validate()
+    say = log if log is not None else (lambda msg: None)
+    t0 = time.perf_counter()
     n_seq, length = config.n_sequences, config.sequence_length
-    x0, y0, x1, y1 = grid.extent()
+    x0, y0, x1, y1 = world.db.grid.extent()
     fallback = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
     errors = {m: np.zeros((n_seq, length)) for m in METHODS}
     flagged = np.zeros((n_seq, length), dtype=bool)
@@ -427,18 +495,14 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     truths = np.zeros((n_seq, length, 2))
     modes = []
     say(f"running {n_seq} sequences")
-    for i in range(n_seq):
-        mode = WalkMode.MODE1 if i < n_seq // 2 else WalkMode.MODE2
-        modes.append(mode)
-        walk = random_walk(grid, mode, length, [config.seed, i])
-        seq = generate_sequence(env, walk, scenario, config.distort_from,
-                                array, ofdm, dft)
+    for i, seq in enumerate(evaluation_walks(config)):
+        modes.append(seq.mode)
         truth = seq.positions()
         truths[i] = truth
         distorted[i] = [fr.distorted for fr in seq.frames]
         adps = seq.adps()
-        estimates = run_sequence(adps, localizers[config.localizer], db,
-                                 thresholds, predictor,
+        estimates = run_sequence(adps, world.localizers[config.localizer],
+                                 world.db, world.thresholds, world.predictor,
                                  history_length=config.history_length)
         flagged[i] = [e.verdict is not Verdict.ACCURATE for e in estimates]
         tracks = {
@@ -447,7 +511,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         }
         # the dynamic head's baseline is the fix detection already took of
         # each measured frame; only the other head localizes the walk again
-        for name, localizer in localizers.items():
+        for name, localizer in world.localizers.items():
             fixes = ([e.measured_position for e in estimates]
                      if name == config.localizer
                      else [localizer(a) if np.any(a) else None for a in adps])
@@ -455,17 +519,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         for method, track in tracks.items():
             errors[method][i] = np.linalg.norm(track - truth, axis=1)
     result = ExperimentResult(
-        config=config, db=db, thresholds=thresholds,
-        localizers=localizers,
-        predictor=predictor, modes=modes, truths=truths, errors=errors,
-        flagged=flagged, distorted=distorted,
-        train_losses={"regressor": reg_losses, "classifier-wknn": cls_losses,
-                      "predictor": predictor_losses},
-        runtime_seconds=time.perf_counter() - t0,
+        config=config, world=world, modes=modes, truths=truths,
+        errors=errors, flagged=flagged, distorted=distorted,
+        runtime_seconds=world.build_seconds + time.perf_counter() - t0,
     )
     if out_dir is not None:
         emit_report(result, out_dir)
     return result
+
+
+def run_experiment(config: ExperimentConfig, out_dir=None,
+                   log=None) -> ExperimentResult:
+    """Build ``config``'s world and evaluate its scenario in it."""
+    return evaluate(build_world(config, log), config.scenario, out_dir, log)
 
 
 # --- reports -----------------------------------------------------------------
@@ -503,11 +569,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
     precision, recall = result.precision_recall()
     report = {
         "config": result.config.to_dict(),
-        "thresholds": {
-            "neighborhood_radius": result.thresholds.neighborhood_radius,
-            "similarity_floor": result.thresholds.similarity_floor,
-            "recovery_radius": result.thresholds.recovery_radius,
-        },
+        "thresholds": dataclasses.asdict(result.world.thresholds),
         # a ratio over an empty set (nothing flagged, nothing distorted)
         # is undefined and written as null
         "detection": {"tp": tp, "fp": fp, "fn": fn, "tn": tn,
@@ -521,7 +583,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
         },
         "final_train_loss": {
             name: (losses[-1] if losses else None)
-            for name, losses in result.train_losses.items()
+            for name, losses in result.world.train_losses.items()
         },
         "runtime_seconds": result.runtime_seconds,
     }

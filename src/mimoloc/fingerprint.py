@@ -153,7 +153,6 @@ def build_db(
             "n_antennas": array.n_antennas,
             "wavelength": array.wavelength,
             "element_spacing": array.element_spacing,
-            "carrier_frequency": array.carrier_frequency,
         },
         "ofdm": {"n_subcarriers": ofdm.n_subcarriers, "bandwidth": ofdm.bandwidth},
         "environment": format_environment(env),

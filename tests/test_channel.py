@@ -1,6 +1,7 @@
 """Channel simulator: steering vectors, ray tracing, CSI synthesis."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -176,15 +177,14 @@ class TestTracePaths:
         with pytest.raises(ZeroDistance):
             trace_paths(env, (1.0, 2.0), ARRAY, OFDM)
 
-    def test_delay_overflow_dropped_with_counter(self):
-        import mimoloc.channel as ch
-
+    def test_delay_overflow_dropped_with_counter(self, caplog):
         narrow = OfdmConfig(n_subcarriers=4, bandwidth=200e6)
         # 10 m -> 33 ns -> bin 7 >= 4: dropped
         env = Environment(bs_position=(0.0, 0.0))
-        before = ch.dropped_delay_count
-        assert trace_paths(env, (10.0, 0.0), ARRAY, narrow) == []
-        assert ch.dropped_delay_count == before + 1
+        with caplog.at_level(logging.DEBUG, logger="mimoloc.channel"):
+            assert trace_paths(env, (10.0, 0.0), ARRAY, narrow) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped path with sampled delay 7 (cluster 0)"]
 
 
 class TestSynthesizeCsi:

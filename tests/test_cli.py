@@ -94,8 +94,8 @@ def test_checkpoints_hold_the_models_of_a_run(config_path, tmp_path):
              for name in LOCALIZERS}
     saved["predictor"] = load_predictor(out + "/predictor.ckpt").parameters()
     trained = {name: loc.model.parameters()
-               for name, loc in result.localizers.items()}
-    trained["predictor"] = result.predictor.parameters()
+               for name, loc in result.world.localizers.items()}
+    trained["predictor"] = result.world.predictor.parameters()
     assert set(saved) == set(trained)
     for name, params in trained.items():
         assert len(saved[name]) == len(params)
@@ -111,6 +111,12 @@ def test_gen_sequences(config_path, tmp_path):
     assert len(sequences) == 3
     assert all(len(s) == 6 for s in sequences)
     assert any(f.distorted for s in sequences for f in s.frames)
+    # exactly the walks a run of the same config evaluates
+    result = run_experiment(ExperimentConfig(**TINY, scenario="nlos-add"))
+    assert np.array_equal(np.stack([s.positions() for s in sequences]),
+                          result.truths)
+    assert np.array_equal([[f.distorted for f in s.frames]
+                           for s in sequences], result.distorted)
 
 
 def test_calibrate_thresholds(config_path, tmp_path):
@@ -143,10 +149,22 @@ def test_seed_override_lands_in_report(config_path, tmp_path):
     assert report["config"]["seed"] == 9
 
 
-def test_bad_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content", [
+    json.dumps({"scenario": "jamming"}).encode(),
+    json.dumps({"grid_origin": 5}).encode(),
+    json.dumps({"grid_origin": ["a", "b"]}).encode(),
+    json.dumps({"n_sequences": "abc"}).encode(),
+    b'{"scenario": "los-block\xff"}',  # not UTF-8
+    None,  # a directory, not a file
+], ids=["unknown-scenario", "number-origin", "text-origin", "text-count",
+        "not-utf8", "directory"])
+def test_bad_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"scenario": "jamming"}))
-    assert main(["run", "--config", str(path),
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["build-db", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
 
@@ -157,9 +175,20 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_missing_report_exits_3(tmp_path, capsys):
-    assert main(["report", "--out", str(tmp_path / "empty")]) == 3
-    assert "missing file" in capsys.readouterr().err
+@pytest.mark.parametrize("content,message", [
+    (None, "missing file"),
+    (b"{not json", "not JSON"),
+    (b'"\xff"', "not JSON"),  # not UTF-8
+    (json.dumps({"config": {"seed": 0}}).encode(), "not a run report"),
+    (b"[]", "not a run report"),
+], ids=["missing", "not-json", "not-utf8", "no-detection", "not-an-object"])
+def test_missing_report_exits_3(tmp_path, capsys, content, message):
+    out = tmp_path / "out"
+    if content is not None:
+        out.mkdir()
+        (out / "report.json").write_bytes(content)
+    assert main(["report", "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(config_path, tmp_path):

@@ -12,7 +12,6 @@ from mimoloc.dynamics import (
     DistortionKind,
     DistortionScenario,
     WalkMode,
-    build_training_set,
     distort_paths,
     draw_foreground_path,
     generate_sequence,
@@ -226,17 +225,6 @@ class TestGenerateSequence:
         bins = {self._secondary_peak(f.adp) for f in seq.frames[4:]}
         assert len(bins) == 1
 
-    def test_refreshed_foreground_moves(self):
-        free = Environment(bs_position=(0.0, 0.0))
-        scenario = DistortionScenario(
-            DistortionKind.NLOS_ADDITION, rng_seed=11, refresh_each_frame=True
-        )
-        seq = generate_sequence(
-            free, self.walk(), scenario, 4, ARRAY, OFDM, dft=self.DFT
-        )
-        bins = {self._secondary_peak(f.adp) for f in seq.frames[4:]}
-        assert len(bins) > 1
-
     @staticmethod
     def _secondary_peak(adp):
         masked = adp.astype(np.float64).copy()
@@ -250,55 +238,6 @@ class TestGenerateSequence:
         b = generate_sequence(ENV, self.walk(), scenario, 6, ARRAY, OFDM, dft=self.DFT)
         for fa, fb in zip(a.frames, b.frames):
             np.testing.assert_array_equal(fa.adp, fb.adp)
-
-    def test_adp_level_blockage_masks_argmax_window(self):
-        walk = self.walk()
-        clean = generate_sequence(ENV, walk, None, 0, ARRAY, OFDM, dft=self.DFT)
-        scenario = DistortionScenario(DistortionKind.LOS_BLOCKAGE)
-        seq = generate_sequence(
-            ENV, walk, scenario, 6, ARRAY, OFDM, dft=self.DFT,
-            distortion_level="adp",
-        )
-        for i in range(6, 12):
-            ref = clean.frames[i].adp.astype(np.float64)
-            r, c = np.unravel_index(np.argmax(ref), ref.shape)
-            expected = ref.copy()
-            expected[max(0, r - 1): r + 2, max(0, c - 1): c + 2] = 0.0
-            np.testing.assert_allclose(
-                seq.frames[i].adp, expected.astype("<f4"), rtol=1e-6
-            )
-
-    def test_adp_level_addition_raises_energy(self):
-        walk = self.walk()
-        clean = generate_sequence(ENV, walk, None, 0, ARRAY, OFDM, dft=self.DFT)
-        scenario = DistortionScenario(DistortionKind.NLOS_ADDITION, rng_seed=2)
-        seq = generate_sequence(
-            ENV, walk, scenario, 6, ARRAY, OFDM, dft=self.DFT,
-            distortion_level="adp",
-        )
-        for i in range(6, 12):
-            assert np.linalg.norm(seq.frames[i].adp) > np.linalg.norm(
-                clean.frames[i].adp
-            )
-
-
-class TestTrainingSet:
-    def test_shape_and_flags(self):
-        seqs = build_training_set(ENV, GRID, 3, 11, ARRAY, OFDM, seed=0)
-        assert len(seqs) == 3
-        for seq in seqs:
-            assert len(seq) == 11
-            assert seq.mode is WalkMode.MODE1
-            assert all(not f.distorted for f in seq.frames)
-
-    def test_deterministic_and_streams_independent(self):
-        a = build_training_set(ENV, GRID, 3, 5, ARRAY, OFDM, seed=0)
-        b = build_training_set(ENV, GRID, 3, 5, ARRAY, OFDM, seed=0)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.adps(), sb.adps())
-        # different sequences explore different cells with this seed
-        assert not np.array_equal(a[0].positions(), a[1].positions())
-
 
 class TestSequencePersistence:
     def test_round_trip(self, tmp_path):

@@ -20,10 +20,13 @@ from mimoloc.errors import (
 )
 from mimoloc.experiment import (
     METHODS,
+    SCENARIOS,
     ExperimentConfig,
+    build_world,
     config_from_dict,
     emit_report,
     environment_for,
+    evaluate,
     load_config,
     pieces,
     rich_environment,
@@ -110,6 +113,12 @@ class TestConfig:
         ("distort_from", -1),
         ("grid_origin", (1.0, 2.0, 3.0)),
         ("distort_from", ExperimentConfig().sequence_length),
+        ("n_sequences", "abc"),
+        ("grid_origin", 5),
+        ("wavelength", None),
+        ("n_sequences", 2.5),
+        ("n_sequences", True),
+        ("seed", -1),
     ])
     def test_bad_field_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})
@@ -203,14 +212,53 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "run_sequence", run_sequence)
         result = run_experiment(ExperimentConfig(
             scenario="los-block", **dict(TINY, localizer=localizer)))
-        x0, y0, x1, y1 = result.db.grid.extent()
+        x0, y0, x1, y1 = result.world.db.grid.extent()
         center = ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-        for name, loc in result.localizers.items():
+        for name, loc in result.world.localizers.items():
             for i, adps in enumerate(walks):
                 track = baseline_track(loc, adps, center)
                 assert np.array_equal(
                     np.linalg.norm(track - result.truths[i], axis=1),
                     result.errors[name][i])
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    return build_world(ExperimentConfig(**TINY))
+
+
+def assert_same_run(got, want):
+    assert got.config == want.config
+    assert got.modes == want.modes
+    for name in ("truths", "flagged", "distorted"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert set(got.errors) == set(want.errors)
+    for method, errors in want.errors.items():
+        assert np.array_equal(got.errors[method], errors), method
+
+
+class TestWorld:
+    """One world serves every scenario, as a fresh run of each would."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_evaluate_equals_run_experiment(self, tiny_world, scenario):
+        want = run_experiment(ExperimentConfig(**dict(TINY,
+                                                      scenario=scenario)))
+        assert_same_run(evaluate(tiny_world, scenario), want)
+
+    def test_second_evaluation_is_the_same(self, tiny_world):
+        # the peak tracker's memo and the localizers carry nothing over
+        first = evaluate(tiny_world, "nlos-add")
+        assert_same_run(evaluate(tiny_world, "nlos-add"), first)
+
+    def test_runtime_counts_the_build(self, tiny_world):
+        result = evaluate(tiny_world, "none")
+        assert result.world is tiny_world
+        assert result.runtime_seconds >= tiny_world.build_seconds > 0.0
+
+    def test_unknown_scenario_rejected(self, tiny_world):
+        with pytest.raises(ConfigError):
+            evaluate(tiny_world, "jamming")
 
 
 class TestEmitReport:
@@ -321,15 +369,15 @@ class TestHelpers:
         result = run_experiment(config)
         assert dict(os.environ) == environ
         models, curves = train_in_process(config)
-        assert result.train_losses == curves
-        for name, localizer in result.localizers.items():
+        assert result.world.train_losses == curves
+        for name, localizer in result.world.localizers.items():
             got, want = localizer.model, models[name]
             for p, q in zip(got.parameters(), want.parameters()):
                 assert np.array_equal(p, q)
             assert np.array_equal(got.pos_offset, want.pos_offset)
             assert np.array_equal(got.pos_scale, want.pos_scale)
         if predictor == "conv-recurrent":
-            got, want = result.predictor, models["predictor"]
+            got, want = result.world.predictor, models["predictor"]
             assert got.scale == want.scale
             for p, q in zip(got.parameters(), want.parameters()):
                 assert np.array_equal(p, q)
