@@ -45,7 +45,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DimensionMismatch
 from .fingerprint import FingerprintDb, GridSpec, build_db
-from .helper import Helper
+from .helper import Helper, collect
 from .neural import (
     ClassifierGrid,
     ClassifierWknnLocalizer,
@@ -61,6 +61,7 @@ from .pipeline import (
     Verdict,
     calibrate_similarity_floor,
     default_thresholds,
+    locate_each,
     run_sequence,
 )
 from .predictor import (
@@ -159,7 +160,7 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")
         if (self.environment not in _NAMED_ENVIRONMENTS
-                and not os.path.exists(self.environment)):
+                and not os.path.isfile(self.environment)):
             raise ConfigError(
                 f"environment {self.environment!r} is neither a preset "
                 f"({sorted(_NAMED_ENVIRONMENTS)}) nor a file"
@@ -234,10 +235,15 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def environment_for(config: ExperimentConfig) -> Environment:
+    """A preset, or the environment file; one that cannot be read or is
+    not UTF-8 is a ConfigError."""
     builder = _NAMED_ENVIRONMENTS.get(config.environment)
     if builder is not None:
         return builder()
-    return load_environment(config.environment)
+    try:
+        return load_environment(config.environment)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"environment {config.environment}: {exc}") from exc
 
 
 def pieces(config: ExperimentConfig):
@@ -457,7 +463,7 @@ def build_world(config: ExperimentConfig, log=None) -> World:
         thresholds = default_thresholds(db.grid,
                                         calibrate_similarity_floor(db))
         say(f"similarity floor {thresholds.similarity_floor:.4f}")
-        trained = [r for helper in helpers for r in helper.results()]
+        trained = [r for results in collect(helpers) for r in results]
     (reg_model, reg_losses), (cls_model, cls_losses) = trained[:2]
     predictor, predictor_losses = (
         trained[2] if len(trained) > 2 else (PeakTrackingPredictor(), []))
@@ -493,31 +499,35 @@ def evaluate(world: World, scenario: str, out_dir=None,
     flagged = np.zeros((n_seq, length), dtype=bool)
     distorted = np.zeros((n_seq, length), dtype=bool)
     truths = np.zeros((n_seq, length, 2))
-    modes = []
+    modes, walks = [], []
     say(f"running {n_seq} sequences")
     for i, seq in enumerate(evaluation_walks(config)):
         modes.append(seq.mode)
-        truth = seq.positions()
-        truths[i] = truth
+        truths[i] = seq.positions()
         distorted[i] = [fr.distorted for fr in seq.frames]
-        adps = seq.adps()
-        estimates = run_sequence(adps, world.localizers[config.localizer],
-                                 world.db, world.thresholds, world.predictor,
-                                 history_length=config.history_length)
+        walks.append(seq.adps())
+    runs = run_sequence(walks, world.localizers[config.localizer], world.db,
+                        world.thresholds, world.predictor,
+                        history_length=config.history_length)
+    # the dynamic head's baseline is the fix detection already took of each
+    # measured frame; only the other head localizes the walks again, each
+    # time step of every walk in one call
+    other = next(name for name in LOCALIZERS if name != config.localizer)
+    other_fixes = [locate_each(world.localizers[other],
+                               [walk[t] for walk in walks])
+                   for t in range(length)]
+    for i, estimates in enumerate(runs):
         flagged[i] = [e.verdict is not Verdict.ACCURATE for e in estimates]
         tracks = {
             "dynamic": np.stack([e.position for e in estimates]),
             "predictor-only": _predictor_only_track(estimates),
+            config.localizer: _baseline_track(
+                [e.measured_position for e in estimates], fallback),
+            other: _baseline_track([fixes[i] for fixes in other_fixes],
+                                   fallback),
         }
-        # the dynamic head's baseline is the fix detection already took of
-        # each measured frame; only the other head localizes the walk again
-        for name, localizer in world.localizers.items():
-            fixes = ([e.measured_position for e in estimates]
-                     if name == config.localizer
-                     else [localizer(a) if np.any(a) else None for a in adps])
-            tracks[name] = _baseline_track(fixes, fallback)
         for method, track in tracks.items():
-            errors[method][i] = np.linalg.norm(track - truth, axis=1)
+            errors[method][i] = np.linalg.norm(track - truths[i], axis=1)
     result = ExperimentResult(
         config=config, world=world, modes=modes, truths=truths,
         errors=errors, flagged=flagged, distorted=distorted,

@@ -197,7 +197,7 @@ def load_db(path) -> FingerprintDb:
 
     Raises:
         FormatError: the container is malformed, or the sidecar is not
-            JSON, lacks a valid grid, or describes a grid whose point
+            UTF-8 JSON, lacks a valid grid, or describes a grid whose point
             count differs from the record count.
         TruncatedFile: the container is cut short.
         VersionError: the container is not a fingerprint container.
@@ -209,7 +209,7 @@ def load_db(path) -> FingerprintDb:
     with open(sidecar, "r", encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise FormatError(f"{sidecar}: not JSON: {exc}") from exc
     try:
         grid = GridSpec.from_meta(meta["grid"])

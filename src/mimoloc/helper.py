@@ -2,11 +2,12 @@
 
 ``Helper(calls)`` starts a fresh interpreter running ``serve`` with BLAS
 pinned to one thread in the child's environment, sends it a pickled list
-of ``(function, args)`` calls over its stdin, and ``results()`` reads back
-the list of their return values from its stdout. Functions travel by
-import path, so a job is a module-level function. An exception a job
-raises is sent back and raised again in the caller; a helper that ends
-without a result raises ``HelperFailed``.
+of ``(function, args)`` calls over its stdin, and ``collect(helpers)``
+reads back each helper's list of return values from its stdout, from all
+helpers at once, as each finishes. Functions travel by import path, so a
+job is a module-level function. An exception a job raises is sent back
+and raised again in the caller; a helper that ends without a result
+raises ``HelperFailed``.
 
 A plain child process, not ``multiprocessing``: the caller's environment
 is never touched, nothing outlives the ``with`` block (a helper still
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import selectors
 import subprocess
 import sys
 
@@ -54,20 +56,14 @@ class Helper:
                 pickle.dump(calls, self.proc.stdin,
                             protocol=pickle.HIGHEST_PROTOCOL)
         except BrokenPipeError:
-            pass  # the helper died at start; results() reports its status
+            pass  # the helper died at start; collect() reports its status
         except BaseException:
             self.close()
             raise
 
-    def results(self) -> list:
-        """Wait for the helper and return its calls' results in order.
-
-        Raises:
-            HelperFailed: the helper ended without sending a result.
-            Exception: whatever a job raised, raised again here.
-        """
-        with self.proc.stdout:
-            data = self.proc.stdout.read()
+    def _finish(self, data: bytes) -> list:
+        # the helper closed its stdout after sending ``data``
+        self.proc.stdout.close()
         status = self.proc.wait()
         # a helper exits 0 only after its whole reply is written
         if status != 0 or not data:
@@ -93,6 +89,36 @@ class Helper:
     def __exit__(self, *exc):
         self.close()
         return False
+
+
+def collect(helpers) -> list:
+    """Wait for the helpers and return, for each in the order given, the
+    list of its calls' results.
+
+    The helpers are read all at once and finished in the order they end,
+    so a failure raises here as soon as its helper ends, while the others
+    may still run (the caller's ``with`` blocks then kill them).
+
+    Raises:
+        HelperFailed: a helper ended without sending a result.
+        Exception: whatever a job raised, raised again here.
+    """
+    chunks = {helper: [] for helper in helpers}
+    results = {}
+    with selectors.DefaultSelector() as selector:
+        for helper in helpers:
+            selector.register(helper.proc.stdout, selectors.EVENT_READ,
+                              helper)
+        while selector.get_map():
+            for key, _ in selector.select():
+                data = os.read(key.fd, 1 << 16)
+                if data:
+                    chunks[key.data].append(data)
+                else:
+                    selector.unregister(key.fileobj)
+                    results[key.data] = key.data._finish(
+                        b"".join(chunks[key.data]))
+    return [results[helper] for helper in helpers]
 
 
 def serve(root: str) -> int:

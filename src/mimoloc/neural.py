@@ -28,7 +28,50 @@ CHECKPOINT_VERSION = 1
 
 # --- layers ---------------------------------------------------------------
 
-class Conv2d:
+class Layer:
+    """What the layers share, with the defaults of a layer without weights.
+
+    ``forward(x)`` keeps in ``_cache`` what ``backward`` needs.
+    ``forward(x, train=False)`` is inference: it keeps nothing, and no row
+    of its output depends on the other rows of the batch, so a batch of n
+    gives the outputs of n batches of one, bit for bit.
+    """
+
+    _cache = None
+
+    def out_shape(self, in_shape):
+        return in_shape
+
+    def init_params(self, in_shape, rng):
+        pass
+
+    def parameters(self):
+        return []
+
+    def gradients(self):
+        return []
+
+    def forget(self) -> None:
+        """Drop what the last training step left: activations, gradients."""
+        self._cache = None
+
+
+class WeightedLayer(Layer):
+    """A layer with a weight ``w`` and a bias ``b``, and their gradients."""
+
+    w = b = gw = gb = None
+
+    def parameters(self):
+        return [self.w, self.b]
+
+    def gradients(self):
+        return [self.gw, self.gb]
+
+    def forget(self) -> None:
+        self._cache = self.gw = self.gb = None
+
+
+class Conv2d(WeightedLayer):
     """2D convolution, stride 1, 'valid' (default) or 'same' zero padding.
 
     'same' pads ``(k - 1) // 2`` before and ``k // 2`` after, so an even
@@ -51,11 +94,6 @@ class Conv2d:
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.padding = padding
-        self.w = None  # (out, in, k, k)
-        self.b = None  # (out,)
-        self.gw = None
-        self.gb = None
-        self._cache = None
 
     def spec(self) -> dict:
         return {
@@ -83,19 +121,13 @@ class Conv2d:
         self.w = rng.uniform(-scale, scale, size=(self.out_channels, c, k, k))
         self.b = np.zeros(self.out_channels)
 
-    def parameters(self):
-        return [self.w, self.b]
-
-    def gradients(self):
-        return [self.gw, self.gb]
-
     def _pad(self):
         if self.padding == "valid":
             return 0, 0
         k = self.kernel_size
         return (k - 1) // 2, k // 2
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         b, c, h, w = x.shape
         k = self.kernel_size
         lo, hi = self._pad()
@@ -110,8 +142,11 @@ class Conv2d:
                 cols[..., i, j] = xp[:, i:i + ho, j:j + wo]
         cols = cols.reshape(b, ho, wo, c * k * k)
         wmat = self.w.reshape(self.out_channels, -1)
+        # one product per output row of each image: a row's result never
+        # depends on the batch around it
         y = cols @ wmat.T + self.b
-        self._cache = (x.shape, cols)
+        if train:
+            self._cache = (x.shape, cols)
         return y.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True):
@@ -149,7 +184,7 @@ def _first_wins(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a >= b) | (a != a)
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
 
     The gradient of a window goes to one tap: the first maximal tap in
@@ -164,9 +199,6 @@ class MaxPool2x2:
     the one ``np.maximum`` returns.
     """
 
-    def __init__(self):
-        self._cache = None
-
     def spec(self) -> dict:
         return {"kind": "maxpool2x2"}
 
@@ -176,20 +208,12 @@ class MaxPool2x2:
             raise DimensionMismatch(f"cannot pool {h}x{w} input")
         return (c, h // 2, w // 2)
 
-    def init_params(self, in_shape, rng):
-        pass
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         tl, tr, bl, br = _pool_taps(x, x.shape[2] // 2, x.shape[3] // 2)
         # later tap first: np.maximum returns its second operand on a tie
         top, bottom = np.maximum(tr, tl), np.maximum(br, bl)
-        self._cache = (x, top, bottom)
+        if train:
+            self._cache = (x, top, bottom)
         return np.maximum(bottom, top)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -208,68 +232,44 @@ class MaxPool2x2:
         return dx
 
 
-class Relu:
-    def __init__(self):
-        self._mask = None
-
+class Relu(Layer):
     def spec(self) -> dict:
         return {"kind": "relu"}
 
-    def out_shape(self, in_shape):
-        return in_shape
-
-    def init_params(self, in_shape, rng):
-        pass
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    def forward(self, x, train: bool = True):
+        mask = x > 0
+        if train:
+            self._cache = mask
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad):
-        return grad * self._mask
+        return grad * self._cache
 
 
-class Flatten:
-    def __init__(self):
-        self._shape = None
-
+class Flatten(Layer):
     def spec(self) -> dict:
         return {"kind": "flatten"}
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def init_params(self, in_shape, rng):
-        pass
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def forward(self, x):
-        self._shape = x.shape
+    def forward(self, x, train: bool = True):
+        if train:
+            self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return grad.reshape(self._cache)
 
 
-class Dense:
+class Dense(WeightedLayer):
+    """Fully connected layer. Training takes one matrix product for the
+    whole batch; inference takes one per row, since a blocked product over
+    many rows may sum a row's terms in another order than it does for a
+    single row."""
+
     def __init__(self, out_width: int):
         self.out_width = out_width
-        self.w = None  # (out, in)
-        self.b = None
-        self.gw = None
-        self.gb = None
-        self._x = None
 
     def spec(self) -> dict:
         return {"kind": "dense", "out_width": self.out_width}
@@ -284,26 +284,19 @@ class Dense:
         self.w = rng.uniform(-scale, scale, size=(self.out_width, in_shape[0]))
         self.b = np.zeros(self.out_width)
 
-    def parameters(self):
-        return [self.w, self.b]
-
-    def gradients(self):
-        return [self.gw, self.gb]
-
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, train: bool = True):
+        if not train:
+            return (x[:, None, :] @ self.w.T)[:, 0] + self.b
+        self._cache = x
         return x @ self.w.T + self.b
 
     def backward(self, grad, input_grad: bool = True):
-        self.gw = grad.T @ self._x
+        self.gw = grad.T @ self._cache
         self.gb = grad.sum(axis=0)
         return grad @ self.w if input_grad else None
 
 
-class Softmax:
-    def __init__(self):
-        self._p = None
-
+class Softmax(Layer):
     def spec(self) -> dict:
         return {"kind": "softmax"}
 
@@ -312,23 +305,16 @@ class Softmax:
             raise DimensionMismatch("softmax needs a flat input")
         return in_shape
 
-    def init_params(self, in_shape, rng):
-        pass
-
-    def parameters(self):
-        return []
-
-    def gradients(self):
-        return []
-
-    def forward(self, x):
+    def forward(self, x, train: bool = True):
         z = x - x.max(axis=1, keepdims=True)
         e = np.exp(z)
-        self._p = e / e.sum(axis=1, keepdims=True)
-        return self._p
+        p = e / e.sum(axis=1, keepdims=True)
+        if train:
+            self._cache = p
+        return p
 
     def backward(self, grad):
-        p = self._p
+        p = self._cache
         return p * (grad - (grad * p).sum(axis=1, keepdims=True))
 
 
@@ -409,7 +395,9 @@ class Model:
     def gradients(self):
         return [g for layer in self.layers for g in layer.gradients()]
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+    def forward_batch(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """The stack's output for a batch ``x``; ``train=False`` is
+        inference (see ``Layer``)."""
         if x.shape[1:] != self.input_shape:
             raise DimensionMismatch(
                 f"input shape {x.shape[1:]}, expected {self.input_shape}"
@@ -418,7 +406,7 @@ class Model:
             peak = np.abs(x).max(axis=(1, 2, 3), keepdims=True)
             x = np.divide(x, peak, out=x.astype(float), where=peak > 0)
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, train)
         return x
 
     def backward_batch(self, grad: np.ndarray, skip_top: int = 0) -> None:
@@ -506,16 +494,17 @@ def default_localizer_spec(n_t: int, n_c: int, head: Head) -> list[dict]:
 
 
 def forward(model: Model, adp: np.ndarray) -> np.ndarray:
-    """Single-profile inference.
+    """Inference on one profile (n_t, n_c), or on a stack (n, n_t, n_c).
 
     Regression heads return the denormalized 2D position estimate;
-    classification heads return the cell probability vector.
+    classification heads return the cell probability vector; a stack gets
+    one row per profile, bit for bit the output of its own single call.
     """
-    x = np.asarray(adp, dtype=np.float64)[None, None, :, :]
-    out = model.forward_batch(x)[0]
+    x = np.asarray(adp, dtype=np.float64)
+    out = model.forward_batch(x.reshape((-1, 1) + x.shape[-2:]), train=False)
     if model.head.kind == "regression":
-        return model.denormalize_positions(out)
-    return out
+        out = model.denormalize_positions(out)
+    return out[0] if x.ndim == 2 else out
 
 
 # --- training -------------------------------------------------------------
@@ -568,7 +557,8 @@ def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
 
     Sets the model's position normalization from the database grid, then
     runs seeded epochs of shuffled mini-batches. Returns the per-epoch mean
-    loss curve.
+    loss curve. The trained model keeps no activations or gradients of its
+    last step.
 
     Raises:
         DivergedLoss: on the first non-finite batch loss.
@@ -606,6 +596,8 @@ def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
                 else:
                     p -= cfg.learning_rate * g
         curve.append(total / n)
+    for layer in model.layers:
+        layer.forget()
     return curve
 
 
@@ -618,22 +610,30 @@ class WknnResult(NamedTuple):
     used_fallback: bool
 
 
-def classify_then_wknn(
-    model: Model, adp: np.ndarray, db: FingerprintDb, k: int = 3
-) -> WknnResult:
+def print_cells(model: Model, db: FingerprintDb):
+    """(indices of the usable prints, the classifier cell of each)."""
+    usable = np.flatnonzero(~db.zero_flags)
+    return usable, model.head.cells.cell_of(db.positions[usable],
+                                            db.grid.extent())
+
+
+def classify_then_wknn(model: Model, adp: np.ndarray, db: FingerprintDb,
+                       k: int = 3, probs=None, cells=None) -> WknnResult:
     """Pick the most likely cell, then fuse the k most similar prints in it.
 
     Weights are the similarities normalized to sum to one, so the estimate
     stays inside the convex hull of the selected fingerprints. A predicted
     cell with no usable fingerprint falls back to a whole-database search
     (flagged in the result). A zero total similarity degrades to uniform
-    weights.
+    weights. ``probs`` (the model's output for ``adp``) and ``cells``
+    (``print_cells(model, db)``) are computed here unless the caller has
+    them already.
     """
-    probs = forward(model, adp)
-    cell = int(np.argmax(probs))
-    usable = np.flatnonzero(~db.zero_flags)
-    cells = model.head.cells.cell_of(db.positions[usable], db.grid.extent())
-    members = usable[cells == cell]
+    if probs is None:
+        probs = forward(model, adp)
+    usable, cell_of_print = cells if cells is not None else print_cells(
+        model, db)
+    members = usable[cell_of_print == int(np.argmax(probs))]
     used_fallback = False
     if len(members) == 0:
         members = usable
@@ -649,6 +649,9 @@ def classify_then_wknn(
 
 
 # --- localizer adapters ----------------------------------------------------
+# a localizer maps one profile (n_t, n_c) to its position (2,), and a stack
+# of profiles (n, n_t, n_c) to one position per profile (n, 2), each row
+# bit for bit the position of its own single call
 
 class RegressionLocalizer:
     """Callable adp -> position using a regression-head model.
@@ -671,7 +674,11 @@ class RegressionLocalizer:
 
 
 class ClassifierWknnLocalizer:
-    """Callable adp -> position using cell classification + refinement."""
+    """Callable adp -> position using cell classification + refinement.
+
+    One forward pass classifies a whole stack; each profile is then
+    refined on its own. The cell of every usable print is computed once.
+    """
 
     def __init__(self, model: Model, db: FingerprintDb, k: int = 3):
         if model.head.kind != "classification":
@@ -679,9 +686,18 @@ class ClassifierWknnLocalizer:
         self.model = model
         self.db = db
         self.k = k
+        self.cells = print_cells(model, db)
 
     def __call__(self, adp: np.ndarray) -> np.ndarray:
-        return classify_then_wknn(self.model, adp, self.db, self.k).position
+        adps = np.asarray(adp)
+        probs = forward(self.model, adps)
+        if adps.ndim == 2:
+            return self._refine(adps, probs)
+        return np.stack([self._refine(a, p) for a, p in zip(adps, probs)])
+
+    def _refine(self, adp, probs) -> np.ndarray:
+        return classify_then_wknn(self.model, adp, self.db, self.k, probs,
+                                  self.cells).position
 
 
 # --- checkpoints -----------------------------------------------------------

@@ -8,9 +8,12 @@ are not trusted; their position and profile are rebuilt from a
 prediction out of recent history, fused with database entries around
 the previous position.
 
-Localizers and predictors are plain callables here (profile in,
-position out; history in, profile out), so the pieces can be swapped or
-faked independently.
+``run_sequence`` steps any number of equal-length walks together, so the
+localizer and the predictor see each time step's frames of every walk as
+one stack. Localizers and predictors are plain callables here (a stack
+of profiles in, a stack of positions out; a stack of equal-length
+histories in, a stack of predicted profiles out), so the pieces can be
+swapped or faked independently.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .adp import similarity
-from .errors import EmptyNeighborhood, FormatError, VersionError
+from .errors import (
+    EmptyNeighborhood,
+    FormatError,
+    LengthMismatch,
+    VersionError,
+)
 from .fingerprint import FingerprintDb, GridSpec, neighbor_indices_within
 
 ESTIMATES_FORMAT = "mimoloc-estimates"
@@ -107,20 +115,21 @@ class DetectionResult(NamedTuple):
     neighbor_count: int
 
 
-def detect_distorted(adp, localizer, db: FingerprintDb,
+def detect_distorted(adp, position, db: FingerprintDb,
                      thresholds: Thresholds) -> DetectionResult:
-    """Judge one measured frame.
+    """Judge one measured frame, given the localizer's fix of it.
 
-    An all-zero frame is ``LOST_LINK``. Otherwise the frame is located
-    and compared against identifiable database entries within the
-    detection radius of that estimate: ``ACCURATE`` when the best
-    similarity reaches the floor, ``DISTORTED`` when it does not (in
-    particular when there are no neighbors at all to vouch for it).
+    An all-zero frame is ``LOST_LINK``, and its ``position`` is not read
+    (it can be None). Otherwise the frame is compared against
+    identifiable database entries within the detection radius of its
+    fix: ``ACCURATE`` when the best similarity reaches the floor,
+    ``DISTORTED`` when it does not (in particular when there are no
+    neighbors at all to vouch for it).
     """
     frame = np.asarray(adp, dtype=np.float64)
     if not np.any(frame):
         return DetectionResult(Verdict.LOST_LINK, None, 0.0, 0)
-    position = np.asarray(localizer(adp), dtype=float)
+    position = np.asarray(position, dtype=float)
     idx = neighbor_indices_within(db, position, thresholds.neighborhood_radius)
     idx = idx[~db.zero_flags[idx]]
     best = float(np.max(similarity(frame, db.adps[idx]), initial=0.0))
@@ -222,13 +231,34 @@ class FrameEstimate(NamedTuple):
     measured_position: np.ndarray | None = None
 
 
-def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
-                 predictor, history_length: int = 4,
-                 include_prediction: bool = True) -> list[FrameEstimate]:
-    """Estimate a position for every frame of one sequence.
+def locate_each(localizer, frames) -> list:
+    """The localizer's fix of each frame of a stack that has energy, all
+    taken in one call, and None for each all-zero frame."""
+    frames = np.asarray(frames)
+    live = [i for i, frame in enumerate(frames) if np.any(frame)]
+    fixes = [None] * len(frames)
+    if live:
+        for i, fix in zip(live, localizer(frames[live])):
+            fixes[i] = fix
+    return fixes
 
-    Accurate frames feed the rolling history as measured; distorted and
-    lost-link frames are recovered and feed it as rebuilt. ``source``
+
+def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
+                 predictor, history_length: int = 4,
+                 include_prediction: bool = True) -> list[list[FrameEstimate]]:
+    """Estimate a position for every frame of each of ``walks``.
+
+    ``walks`` is a list of equal-length walks, each a sequence of profiles;
+    one walk is a list of one. They are stepped together: at each time
+    step the localizer locates the frames with energy of every walk in one
+    call, the predictor predicts every walk's history in one call, and the
+    localizer locates the nonempty predictions in one more. Every walk is
+    then judged, recovered and scored on its own, and its estimates are
+    those it would get alone, since a localizer or predictor answers each
+    row of a stack as it would answer that row by itself.
+
+    Accurate frames feed a walk's rolling history as measured; distorted
+    and lost-link frames are recovered and feed it as rebuilt. ``source``
     records which happened: "measured", "recovered", or "fallback" for a
     distorted very first frame, where there is no history to predict
     from and the untrusted estimate is kept as the best available.
@@ -239,44 +269,55 @@ def run_sequence(adps, localizer, db: FingerprintDb, thresholds: Thresholds,
     on frames the detector waves through. Recovery fuses that same
     prediction at that same fix, so each prediction is localized once.
 
+    Returns:
+        One list of estimates per walk, in the order of ``walks``.
+
     Raises:
-        EmptyNeighborhood: if the link is lost on the very first frame.
+        EmptyNeighborhood: if the link is lost on the very first frame of
+            a walk.
+        LengthMismatch: if the walks differ in length.
     """
-    history = deque(maxlen=history_length)
-    prev_position = None
-    estimates = []
-    for t, adp in enumerate(adps):
-        det = detect_distorted(adp, localizer, db, thresholds)
-        predicted = predictor(list(history)) if history else None
-        predicted_position = None
-        if predicted is not None and np.any(predicted):
-            predicted_position = localizer(predicted)
-        if det.verdict is Verdict.ACCURATE:
-            position = det.position
-            history.append(np.asarray(adp, dtype=np.float64))
-            estimates.append(FrameEstimate(
-                t, det.verdict, position, det.best_similarity, "measured",
-                predicted_position, 0.0, det.position))
-        elif not history:
-            if det.verdict is Verdict.LOST_LINK:
-                raise EmptyNeighborhood(
-                    f"frame {t}: link lost before any usable frame"
-                )
-            position = det.position
-            history.append(np.asarray(adp, dtype=np.float64))
-            estimates.append(FrameEstimate(
-                t, det.verdict, position, det.best_similarity, "fallback",
-                predicted_position, 0.0, det.position))
-        else:
-            rec = recover_and_locate(adp, predicted, predicted_position,
-                                     prev_position, db, thresholds,
-                                     include_prediction)
-            position = rec.position
-            history.append(rec.adp)
-            estimates.append(FrameEstimate(
-                t, det.verdict, position, det.best_similarity, "recovered",
-                rec.predicted_position, rec.prediction_weight, det.position))
-        prev_position = position
+    if len({len(w) for w in walks}) > 1:
+        raise LengthMismatch("the walks differ in length")
+    histories = [deque(maxlen=history_length) for _ in walks]
+    prev_positions = [None] * len(walks)
+    estimates = [[] for _ in walks]
+    for t in range(len(walks[0]) if walks else 0):
+        frames = np.stack([np.asarray(w[t], dtype=np.float64) for w in walks])
+        fixes = locate_each(localizer, frames)
+        predicted = predicted_positions = [None] * len(walks)
+        if t > 0:  # every history holds min(t, history_length) frames
+            predicted = predictor(np.stack([np.stack(h) for h in histories]))
+            predicted_positions = locate_each(localizer, predicted)
+        for i, frame in enumerate(frames):
+            det = detect_distorted(frame, fixes[i], db, thresholds)
+            history = histories[i]
+            if det.verdict is Verdict.ACCURATE:
+                history.append(frame)
+                estimate = FrameEstimate(
+                    t, det.verdict, det.position, det.best_similarity,
+                    "measured", predicted_positions[i], 0.0, det.position)
+            elif not history:
+                if det.verdict is Verdict.LOST_LINK:
+                    raise EmptyNeighborhood(
+                        f"frame {t}: link lost before any usable frame"
+                    )
+                history.append(frame)
+                estimate = FrameEstimate(
+                    t, det.verdict, det.position, det.best_similarity,
+                    "fallback", predicted_positions[i], 0.0, det.position)
+            else:
+                rec = recover_and_locate(frame, predicted[i],
+                                         predicted_positions[i],
+                                         prev_positions[i], db, thresholds,
+                                         include_prediction)
+                history.append(rec.adp)
+                estimate = FrameEstimate(
+                    t, det.verdict, rec.position, det.best_similarity,
+                    "recovered", rec.predicted_position,
+                    rec.prediction_weight, det.position)
+            estimates[i].append(estimate)
+            prev_positions[i] = estimate.position
     return estimates
 
 

@@ -1,7 +1,9 @@
 """Next-frame prediction for angle-delay profile sequences.
 
-Two predictors share one calling convention: a list of past profiles in,
-one predicted profile out.
+Two predictors share one calling convention: a history (a list of past
+profiles) in, one predicted profile out; or a stack of equal-length
+histories, one (n, frames, n_t, n_c) array, in, and the stack of their
+predictions out, each row bit for bit its own history's prediction.
 
 * ``PeakTrackingPredictor`` is model based. It detects local maxima in
   each frame, associates them across frames into tracks, extrapolates
@@ -125,9 +127,12 @@ class PeakTrackingPredictor:
     amplitude is clamped at zero.
 
     The prediction is a pure function of the history. An instance keeps
-    the peaks it detected in the frames of its last call, keyed by their
-    bytes, so that a rolling history is detected one new frame per call;
-    that memo is replaced on every call and takes no part in equality.
+    the peaks it detected in the frames of its last step, keyed by their
+    bytes: a step is one call, of one history or of a stack of histories
+    (which ``predict`` then takes one by one). A rolling history is thus
+    detected one new frame per step, and a frame that several histories of
+    a step share is detected once. The memo is replaced on every step and
+    takes no part in equality.
 
     Attributes:
         max_peaks: peaks kept per frame.
@@ -146,14 +151,23 @@ class PeakTrackingPredictor:
                               compare=False, repr=False)
 
     def __call__(self, history) -> np.ndarray:
-        return self.predict(history)
+        if getattr(history, "ndim", None) != 4:
+            return self.predict(history)
+        step = {}
+        predictions = np.stack([self.predict(h, step) for h in history])
+        self._last_peaks.clear()
+        self._last_peaks.update(step)
+        return predictions
 
-    def predict(self, history) -> np.ndarray:
+    def predict(self, history, step=None) -> np.ndarray:
+        """Predict one history. ``step``, a dict shared by the histories of
+        one step, gathers their frames' peaks; without it the call is a
+        step of its own."""
         frames = [np.asarray(f, dtype=np.float64) for f in history]
         if not frames:
             raise EmptyHistory("need at least one past frame")
         n_t, n_c = frames[0].shape
-        tracks = self._build_tracks(frames, n_t, n_c)
+        tracks = self._build_tracks(frames, n_t, n_c, step)
         t_next = len(frames)
         centers, amps = [], []
         for tr in tracks:
@@ -170,27 +184,28 @@ class PeakTrackingPredictor:
             (n_t, n_c), np.array(centers).reshape(-1, 2), np.array(amps), self.sigma
         )
 
-    def _detect(self, frames) -> list:
+    def _detect(self, frames, step) -> list:
         """Peaks of every frame, detecting each distinct frame once."""
         keys = [(frame.shape, frame.tobytes()) for frame in frames]
-        peaks = {}
+        peaks = {} if step is None else step
         for key, frame in zip(keys, frames):
             if key not in peaks:
                 known = self._last_peaks.get(key)
                 peaks[key] = known if known is not None else detect_peaks(
                     frame, self.max_peaks, self.min_amplitude)
-        self._last_peaks.clear()
-        self._last_peaks.update(peaks)
+        if step is None:
+            self._last_peaks.clear()
+            self._last_peaks.update(peaks)
         return [peaks[key] for key in keys]
 
-    def _build_tracks(self, frames, n_t, n_c) -> list[_Track]:
+    def _build_tracks(self, frames, n_t, n_c, step=None) -> list[_Track]:
         for t, frame in enumerate(frames):
             if frame.shape != (n_t, n_c):
                 raise DimensionMismatch(
                     f"frame {t} has shape {frame.shape}, expected {(n_t, n_c)}"
                 )
         tracks: list[_Track] = []
-        for t, detected in enumerate(self._detect(frames)):
+        for t, detected in enumerate(self._detect(frames, step)):
             # tracks that existed before this frame, reduced onto the grid
             live = [(i, tr.zs[-1] % n_t, tr.qs[-1] % n_c)
                     for i, tr in enumerate(tracks)]
@@ -278,21 +293,27 @@ class ConvRecurrentPredictor:
         return self.predict(history)
 
     def predict(self, history) -> np.ndarray:
-        frames = [np.asarray(f, dtype=np.float64) for f in history]
-        if not frames:
-            raise EmptyHistory("need at least one past frame")
+        """Predict one history, or a stack of them in one recurrence."""
         shape = (self.n_antennas, self.n_subcarriers)
-        for t, frame in enumerate(frames):
-            if frame.shape != shape:
-                raise DimensionMismatch(
-                    f"frame {t} has shape {frame.shape}, expected {shape}"
-                )
-        x = np.stack(frames)[:, None] / self.scale
-        h = np.zeros((1, self.hidden_channels) + shape)
-        for t in range(len(frames)):
-            h = np.tanh(self._xh.forward(x[t:t + 1]) + self._hh.forward(h))
-        out = np.maximum(x[-1:] + self._out.forward(h), 0.0)
-        return out[0, 0] * self.scale
+        stack = getattr(history, "ndim", None) == 4
+        try:
+            x = np.array(history if stack else [list(history)],
+                         dtype=np.float64)
+        except ValueError as exc:  # frames of different shapes
+            raise DimensionMismatch(f"frames differ in shape: {exc}") from exc
+        if x.shape[1] == 0:
+            raise EmptyHistory("need at least one past frame")
+        if x.shape[2:] != shape:
+            raise DimensionMismatch(
+                f"frames have shape {x.shape[2:]}, expected {shape}")
+        x = x / self.scale
+        h = np.zeros((len(x), self.hidden_channels) + shape)
+        for t in range(x.shape[1]):
+            h = np.tanh(self._xh.forward(x[:, t, None], train=False)
+                        + self._hh.forward(h, train=False))
+        out = np.maximum(x[:, -1, None] + self._out.forward(h, train=False),
+                         0.0)[:, 0] * self.scale
+        return out if stack else out[0]
 
 
 def _clone_conv(proto: Conv2d) -> Conv2d:

@@ -3,17 +3,25 @@
 Most of this is written directly from the interface contracts with scalar
 arithmetic, deliberately not reusing the package's vectorized code. The
 reference layers, ``baseline_track``, ``detect_peaks``,
-``gaussian_profile`` and the reference peak tracker are earlier, plainer
-forms of package code, kept as the references their replacements must
-match bit for bit.
+``gaussian_profile``, the reference peak tracker and ``run_sequence`` are
+earlier, plainer forms of package code, kept as the references their
+replacements must match bit for bit.
 """
 
 import cmath
 import math
+from collections import deque
 
 import numpy as np
 
+from mimoloc.errors import EmptyNeighborhood
 from mimoloc.neural import Conv2d, MaxPool2x2
+from mimoloc.pipeline import (
+    FrameEstimate,
+    Verdict,
+    detect_distorted,
+    recover_and_locate,
+)
 from mimoloc.predictor import Peak, PeakTrackingPredictor, _Track
 
 
@@ -74,9 +82,10 @@ def classifier_cell(position, extent, n_rows, n_cols):
 
 
 class ReferenceConv2d(Conv2d):
-    """Conv2d by ``np.pad`` plus a ``sliding_window_view`` im2col copy."""
+    """Conv2d by ``np.pad`` plus a ``sliding_window_view`` im2col copy.
+    It keeps its cache whether or not it trains."""
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         k = self.kernel_size
         lo, hi = (0, 0) if self.padding == "valid" else ((k - 1) // 2, k // 2)
         xp = np.pad(x, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
@@ -112,9 +121,10 @@ class ReferenceConv2d(Conv2d):
 
 
 class ReferenceMaxPool2x2(MaxPool2x2):
-    """MaxPool2x2 by ``argmax`` over copied-out windows."""
+    """MaxPool2x2 by ``argmax`` over copied-out windows. It keeps its cache
+    whether or not it trains."""
 
-    def forward(self, x):
+    def forward(self, x, train=True):
         b, c, h, w = x.shape
         h2, w2 = h // 2, w // 2
         wins = (
@@ -280,3 +290,60 @@ class ReferencePeakTrackingPredictor(PeakTrackingPredictor):
                     survivors.append(tr)
             tracks = survivors
         return tracks
+
+
+def run_sequence(adps, localizer, db, thresholds, predictor,
+                 history_length=4, include_prediction=True):
+    """``pipeline.run_sequence`` over one walk, frame by frame: one
+    localizer call per frame with energy and per nonzero prediction, and
+    one predictor call per history."""
+    history = deque(maxlen=history_length)
+    prev_position = None
+    estimates = []
+    for t, adp in enumerate(adps):
+        fix = localizer(adp) if np.any(adp) else None
+        det = detect_distorted(adp, fix, db, thresholds)
+        predicted = predictor(list(history)) if history else None
+        predicted_position = None
+        if predicted is not None and np.any(predicted):
+            predicted_position = localizer(predicted)
+        if det.verdict is Verdict.ACCURATE:
+            position = det.position
+            history.append(np.asarray(adp, dtype=np.float64))
+            estimates.append(FrameEstimate(
+                t, det.verdict, position, det.best_similarity, "measured",
+                predicted_position, 0.0, det.position))
+        elif not history:
+            if det.verdict is Verdict.LOST_LINK:
+                raise EmptyNeighborhood(
+                    f"frame {t}: link lost before any usable frame"
+                )
+            position = det.position
+            history.append(np.asarray(adp, dtype=np.float64))
+            estimates.append(FrameEstimate(
+                t, det.verdict, position, det.best_similarity, "fallback",
+                predicted_position, 0.0, det.position))
+        else:
+            rec = recover_and_locate(adp, predicted, predicted_position,
+                                     prev_position, db, thresholds,
+                                     include_prediction)
+            position = rec.position
+            history.append(rec.adp)
+            estimates.append(FrameEstimate(
+                t, det.verdict, position, det.best_similarity, "recovered",
+                rec.predicted_position, rec.prediction_weight, det.position))
+        prev_position = position
+    return estimates
+
+
+def assert_same_estimates(got, want):
+    """Two runs' estimates are equal field by field, arrays to the bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g._fields == w._fields
+        for name, a, b in zip(g._fields, g, w):
+            if isinstance(b, np.ndarray):
+                assert isinstance(a, np.ndarray), name
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            else:
+                assert type(a) is type(b) and a == b, name

@@ -156,14 +156,22 @@ def test_seed_override_lands_in_report(config_path, tmp_path):
     json.dumps({"n_sequences": "abc"}).encode(),
     b'{"scenario": "los-block\xff"}',  # not UTF-8
     None,  # a directory, not a file
+    json.dumps({"environment": "ENV_DIR"}).encode(),
+    json.dumps({"environment": "ENV_NOT_UTF8"}).encode(),
 ], ids=["unknown-scenario", "number-origin", "text-origin", "text-count",
-        "not-utf8", "directory"])
+        "not-utf8", "directory", "environment-directory",
+        "environment-not-utf8"])
 def test_bad_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     if content is None:
         path.mkdir()
     else:
-        path.write_bytes(content)
+        # the environment is a directory, or a file that is not UTF-8
+        (tmp_path / "env-dir").mkdir()
+        (tmp_path / "env.txt").write_bytes(b"\xff\xfe bs_position = 0 0\n")
+        path.write_bytes(
+            content.replace(b"ENV_DIR", str(tmp_path / "env-dir").encode())
+            .replace(b"ENV_NOT_UTF8", str(tmp_path / "env.txt").encode()))
     assert main(["build-db", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Harness tests: metrics, config round-trips, and small end-to-end runs."""
 
+import contextlib
+import dataclasses
 import json
 import os
 import time
 
 import numpy as np
+import oracles
 import pytest
 from oracles import baseline_track
 
@@ -27,6 +30,7 @@ from mimoloc.experiment import (
     emit_report,
     environment_for,
     evaluate,
+    evaluation_walks,
     load_config,
     pieces,
     rich_environment,
@@ -36,7 +40,7 @@ from mimoloc.experiment import (
     sparse_environment,
 )
 from mimoloc.fingerprint import build_db
-from mimoloc.helper import Helper, serve
+from mimoloc.helper import Helper, collect, serve
 from mimoloc.neural import (
     ClassifierGrid,
     Head,
@@ -204,10 +208,11 @@ class TestRunExperiment:
         # the track a second pass of the same localizer gives
         walks = []
 
-        def run_sequence(adps, *args, **kwargs):
-            adps[2] = 0.0  # a lost link mid-walk: the baseline holds
-            walks.append(adps.copy())
-            return pipeline.run_sequence(adps, *args, **kwargs)
+        def run_sequence(adps_of_walks, *args, **kwargs):
+            for adps in adps_of_walks:
+                adps[2] = 0.0  # a lost link mid-walk: the baseline holds
+                walks.append(adps.copy())
+            return pipeline.run_sequence(adps_of_walks, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "run_sequence", run_sequence)
         result = run_experiment(ExperimentConfig(
@@ -259,6 +264,34 @@ class TestWorld:
     def test_unknown_scenario_rejected(self, tiny_world):
         with pytest.raises(ConfigError):
             evaluate(tiny_world, "jamming")
+
+
+@pytest.fixture(scope="module")
+def recurrent_world():
+    return build_world(ExperimentConfig(**dict(
+        TINY, predictor="conv-recurrent", predictor_epochs=3,
+        predictor_train_walks=4)))
+
+
+class TestLockstep:
+    """Every walk of a scenario, stepped together in a trained world, gets
+    the estimates it gets alone."""
+
+    @pytest.mark.parametrize("localizer", ["regressor", "classifier-wknn"])
+    @pytest.mark.parametrize("predictor", ["peak-track", "conv-recurrent"])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_equals_one_walk_at_a_time(self, tiny_world, recurrent_world,
+                                       scenario, predictor, localizer):
+        world = tiny_world if predictor == "peak-track" else recurrent_world
+        config = dataclasses.replace(world.config, scenario=scenario)
+        walks = [seq.adps() for seq in evaluation_walks(config)]
+        assert len(walks) >= 3
+        args = (world.localizers[localizer], world.db, world.thresholds,
+                world.predictor)
+        runs = pipeline.run_sequence(walks, *args)
+        for adps, got in zip(walks, runs):
+            oracles.assert_same_estimates(got,
+                                          oracles.run_sequence(adps, *args))
 
 
 class TestEmitReport:
@@ -392,7 +425,7 @@ class TestHelpers:
         with Helper([(os.getenv, (name,)) for name in
                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                       "MKL_NUM_THREADS")]) as helper:
-            assert helper.results() == ["1", "1", "1"]
+            assert collect([helper]) == [["1", "1", "1"]]
         assert dict(os.environ) == environ
 
     def test_helper_refuses_another_package_tree(self, capsys):
@@ -406,8 +439,26 @@ class TestHelpers:
         with Helper([(time.sleep, (120,))]) as sleeper, \
                 Helper([(os._exit, (3,))]) as failing:
             with pytest.raises(HelperFailed, match="_exit.*status 3"):
-                failing.results()
+                collect([failing])
         # leaving the block kills the helper still at work, and reaps both
         assert time.perf_counter() - t0 < 60.0
         assert failing.proc.returncode == 3
         assert sleeper.proc.returncode is not None
+
+    def test_failure_surfaces_before_a_slower_helper_ends(self):
+        # collected as they end, not in order: the second helper's failure
+        # arrives while the first still sleeps
+        t0 = time.perf_counter()
+        with pytest.raises(HelperFailed, match="_exit.*status 3"):
+            with contextlib.ExitStack() as stack:
+                helpers = [stack.enter_context(Helper(calls)) for calls in
+                           ([(time.sleep, (120,))], [(os._exit, (3,))])]
+                collect(helpers)
+        assert time.perf_counter() - t0 < 60.0
+        assert [h.proc.returncode for h in helpers][1] == 3
+        assert helpers[0].proc.returncode is not None
+
+    def test_collect_returns_results_in_the_order_given(self):
+        with Helper([(time.sleep, (0.5,)), (os.getenv, ("OMP_NUM_THREADS",))]
+                    ) as slow, Helper([(abs, (-2,))]) as fast:
+            assert collect([slow, fast]) == [[None, "1"], [2]]

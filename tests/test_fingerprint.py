@@ -204,12 +204,17 @@ class TestBuildDb:
         '"n_cols": 3}}',
         '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 3, '
         '"n_cols": 3}}',
+        b'{"grid": "\xff"}',  # not UTF-8
     ])
     def test_bad_sidecar_is_a_format_error(self, tmp_path, sidecar):
         grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
         path = tmp_path / "db.adpf"
         save_db(build_db(ENV, grid, ARRAY, OFDM), path)
-        (tmp_path / "db.adpf.meta.json").write_text(sidecar)
+        meta = tmp_path / "db.adpf.meta.json"
+        if isinstance(sidecar, bytes):
+            meta.write_bytes(sidecar)
+        else:
+            meta.write_text(sidecar)
         with pytest.raises(FormatError):
             load_db(path)
 

@@ -1,5 +1,7 @@
 """Layer-by-layer gradient checks and training behavior for the localizer."""
 
+import pickle
+
 import numpy as np
 import pytest
 from oracles import ReferenceConv2d, ReferenceMaxPool2x2, classifier_cell
@@ -16,15 +18,19 @@ from mimoloc.fingerprint import FingerprintDb, GridSpec
 from mimoloc.neural import (
     CHECKPOINT_MAGIC,
     ClassifierGrid,
+    ClassifierWknnLocalizer,
     Conv2d,
     Dense,
     Flatten,
     Head,
+    Layer,
     MaxPool2x2,
     Model,
+    RegressionLocalizer,
     Relu,
     Softmax,
     TrainConfig,
+    WeightedLayer,
     build_model,
     classify_then_wknn,
     default_localizer_spec,
@@ -452,6 +458,62 @@ class TestTraining:
         curve = train(model, db, TrainConfig(epochs=60, batch_size=8,
                                              learning_rate=0.1, seed=0))
         assert curve[-1] < curve[0] / 2
+
+
+HEADS = [Head("regression"), Head("classification", ClassifierGrid(2, 2))]
+
+
+def trained_localizer(head, db):
+    """A default-stack localizer with input normalization, briefly trained."""
+    model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8), head,
+                        seed=3, normalize_input=True)
+    train(model, db, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05,
+                                 seed=0))
+    if head.kind == "regression":
+        return RegressionLocalizer(model)
+    return ClassifierWknnLocalizer(model, db, k=3)
+
+
+class TestInference:
+    """A trained model holds only its parameters, and inference answers
+    each row of a stack as it answers that row alone."""
+
+    @pytest.mark.parametrize("head", HEADS, ids=["regression", "classifier"])
+    def test_trained_model_keeps_no_activations(self, monkeypatch, head):
+        db = synthetic_db(n_rows=4, n_cols=4)
+        with monkeypatch.context() as m:
+            for cls in (Layer, WeightedLayer):
+                m.setattr(cls, "forget", lambda layer: None)
+            kept = trained_localizer(head, db).model
+        model = trained_localizer(head, db).model
+        assert any(layer._cache is not None for layer in kept.layers)
+        for layer in model.layers:
+            assert layer._cache is None
+            assert all(g is None for g in layer.gradients())
+            arrays = [v for v in vars(layer).values()
+                      if isinstance(v, np.ndarray)]
+            assert all(any(a is p for p in layer.parameters())
+                       for a in arrays)
+        # forgetting leaves the parameters as training left them
+        for p, q in zip(model.parameters(), kept.parameters()):
+            assert_same_bits(p, q)
+        weights = sum(p.nbytes for p in model.parameters())
+        assert len(pickle.dumps(model)) < weights + 16384
+
+    @pytest.mark.parametrize("head", HEADS, ids=["regression", "classifier"])
+    def test_stack_equals_single_calls(self, head):
+        db = synthetic_db(n_rows=4, n_cols=4)
+        localizer = trained_localizer(head, db)
+        rng = np.random.default_rng(7)
+        frames = rng.uniform(0.0, 1.0, size=(37, 8, 8)).astype("<f4")
+        frames[::5] *= 40.0  # input normalization at work
+        got = forward(localizer.model, frames)
+        assert_same_bits(got, np.stack([forward(localizer.model, f)
+                                        for f in frames]))
+        got = localizer(frames)
+        assert got.shape == (37, 2)
+        assert_same_bits(got, np.stack([localizer(f) for f in frames]))
+        assert all(layer._cache is None for layer in localizer.model.layers)
 
 
 def cells_of_each(cells, points, extent):

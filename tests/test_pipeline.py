@@ -1,8 +1,10 @@
 """Detection verdicts, recovery fusion, and whole-sequence runs."""
 
 import numpy as np
+import oracles
 import pytest
 
+from mimoloc import predictor as predictor_module
 from mimoloc.adp import adp_from_csi, build_dft_pair, similarity
 from mimoloc.channel import (
     ArrayConfig,
@@ -20,7 +22,12 @@ from mimoloc.dynamics import (
     generate_sequence,
     random_walk,
 )
-from mimoloc.errors import EmptyNeighborhood, FormatError, VersionError
+from mimoloc.errors import (
+    EmptyNeighborhood,
+    FormatError,
+    LengthMismatch,
+    VersionError,
+)
 from mimoloc.fingerprint import FingerprintDb, GridSpec, build_db
 from mimoloc.pipeline import (
     Thresholds,
@@ -59,13 +66,22 @@ def thresholds(db):
 
 
 def nn_localizer(db):
-    """Closest database entry by profile similarity; exact on clean frames."""
+    """Closest database entry by profile similarity; exact on clean frames.
 
-    def localize(adp):
+    Like the package's localizers, it takes one profile or a stack.
+    """
+
+    def locate_one(adp):
         sims = np.array(
             [similarity(adp, a) if np.any(a) else -1.0 for a in db.adps]
         )
         return db.positions[int(np.argmax(sims))]
+
+    def localize(adps):
+        adps = np.asarray(adps)
+        if adps.ndim == 2:
+            return locate_one(adps)
+        return np.stack([locate_one(a) for a in adps])
 
     return localize
 
@@ -116,15 +132,15 @@ class TestCalibration:
 
 class TestDetection:
     def test_zero_frame_is_lost_link(self, db, thresholds):
-        det = detect_distorted(np.zeros((16, 16)), nn_localizer(db), db,
-                               thresholds)
+        det = detect_distorted(np.zeros((16, 16)), None, db, thresholds)
         assert det.verdict is Verdict.LOST_LINK
         assert det.position is None
         assert det.neighbor_count == 0
 
     def test_clean_frame_is_accurate(self, db, thresholds):
         point = GRID.position(7, 9)
-        det = detect_distorted(frame_at(point), nn_localizer(db), db, thresholds)
+        frame = frame_at(point)
+        det = detect_distorted(frame, nn_localizer(db)(frame), db, thresholds)
         assert det.verdict is Verdict.ACCURATE
         assert det.best_similarity > 0.999
         assert np.allclose(det.position, point)
@@ -135,7 +151,8 @@ class TestDetection:
         point = GRID.position(7, 9)
         scen = DistortionScenario(kind=kind, addition_level_db=-1.0,
                                   rng_seed=3)
-        det = detect_distorted(frame_at(point, scen), nn_localizer(db), db,
+        frame = frame_at(point, scen)
+        det = detect_distorted(frame, nn_localizer(db)(frame), db,
                                thresholds)
         assert det.verdict is Verdict.DISTORTED
 
@@ -143,7 +160,8 @@ class TestDetection:
         point = GRID.position(7, 9)
         scen = DistortionScenario(kind=DistortionKind.NLOS_ADDITION,
                                   addition_level_db=-30.0, rng_seed=3)
-        det = detect_distorted(frame_at(point, scen), nn_localizer(db), db,
+        frame = frame_at(point, scen)
+        det = detect_distorted(frame, nn_localizer(db)(frame), db,
                                thresholds)
         assert det.verdict is Verdict.ACCURATE
 
@@ -155,15 +173,15 @@ class TestDetection:
             DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE),
         )
         for frame in (clean, blocked):
-            base = detect_distorted(frame, loc, db, thresholds)
-            scaled = detect_distorted(3.0 * frame, loc, db, thresholds)
+            base = detect_distorted(frame, loc(frame), db, thresholds)
+            scaled = detect_distorted(3.0 * frame, loc(3.0 * frame), db,
+                                      thresholds)
             assert scaled.verdict is base.verdict
             assert scaled.best_similarity == pytest.approx(base.best_similarity)
 
     def test_no_neighbors_means_distorted(self, db, thresholds):
-        far = lambda adp: np.array([1000.0, 1000.0])
-        det = detect_distorted(frame_at(GRID.position(2, 2)), far, db,
-                               thresholds)
+        det = detect_distorted(frame_at(GRID.position(2, 2)),
+                               np.array([1000.0, 1000.0]), db, thresholds)
         assert det.verdict is Verdict.DISTORTED
         assert det.neighbor_count == 0
         assert det.best_similarity == 0.0
@@ -266,8 +284,8 @@ def walk_sequence(scenario, distort_from, seed, length=12):
 class TestRunSequence:
     def test_clean_sequence_tracks_exactly(self, db, thresholds):
         seq = walk_sequence(None, 0, [200, 0])
-        est = run_sequence(seq.adps(), nn_localizer(db), db, thresholds,
-                           PeakTrackingPredictor())
+        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+                              PeakTrackingPredictor())
         assert all(e.verdict is Verdict.ACCURATE for e in est)
         assert all(e.source == "measured" for e in est)
         assert np.allclose(np.stack([e.position for e in est]),
@@ -276,8 +294,8 @@ class TestRunSequence:
     def test_blocked_tail_is_recovered(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 0])
-        est = run_sequence(seq.adps(), nn_localizer(db), db, thresholds,
-                           PeakTrackingPredictor())
+        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+                              PeakTrackingPredictor())
         truth = seq.positions()
         for e, p in zip(est[:5], truth[:5]):
             assert e.source == "measured"
@@ -292,8 +310,8 @@ class TestRunSequence:
         scen = DistortionScenario(kind=DistortionKind.NLOS_ADDITION, rng_seed=2)
         seq = walk_sequence(scen, 4, [200, 2])
         runs = [
-            run_sequence(seq.adps(), nn_localizer(db), db, thresholds,
-                         PeakTrackingPredictor())
+            run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+                         PeakTrackingPredictor())[0]
             for _ in range(2)
         ]
         for a, b in zip(*runs):
@@ -304,8 +322,8 @@ class TestRunSequence:
     def test_distorted_first_frame_falls_back(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=1)
         seq = walk_sequence(scen, 0, [200, 3])
-        est = run_sequence(seq.adps(), nn_localizer(db), db, thresholds,
-                           PeakTrackingPredictor())
+        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+                              PeakTrackingPredictor())
         assert est[0].source == "fallback"
         assert est[0].verdict is Verdict.DISTORTED
         assert all(e.source == "recovered" for e in est[1:])
@@ -319,7 +337,7 @@ class TestRunSequence:
         seq = generate_sequence(free, walk, scen, 0, ARRAY, OFDM)
         thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
         with pytest.raises(EmptyNeighborhood):
-            run_sequence(seq.adps(), nn_localizer(free_db), free_db, thr,
+            run_sequence([seq.adps()], nn_localizer(free_db), free_db, thr,
                          PeakTrackingPredictor())
 
     def test_lost_link_mid_sequence_is_recovered(self, thresholds):
@@ -331,8 +349,8 @@ class TestRunSequence:
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
         assert any(fr.lost_link for fr in seq.frames[4:])
         thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
-        est = run_sequence(seq.adps(), nn_localizer(free_db), free_db, thr,
-                           PeakTrackingPredictor())
+        (est,) = run_sequence([seq.adps()], nn_localizer(free_db), free_db,
+                              thr, PeakTrackingPredictor())
         for e in est[4:]:
             assert e.verdict is Verdict.LOST_LINK
             assert e.source == "recovered"
@@ -340,25 +358,25 @@ class TestRunSequence:
 
     @staticmethod
     def count_localizations(adps, db, thresholds):
-        """(localizer calls, frames with energy, nonzero predictions,
+        """(profiles localized, frames with energy, nonzero predictions,
         estimates) of one run."""
         localize = nn_localizer(db)
         tracker = PeakTrackingPredictor()
         calls, nonzero = [], []
 
-        def counting_localizer(adp):
-            calls.append(1)
-            return localize(adp)
+        def counting_localizer(stack):
+            calls.append(len(stack))
+            return localize(stack)
 
-        def predictor(history):
-            out = tracker(history)
-            nonzero.append(bool(np.any(out)))
+        def predictor(histories):
+            out = tracker(histories)
+            nonzero.extend(bool(np.any(p)) for p in out)
             return out
 
-        est = run_sequence(adps, counting_localizer, db, thresholds,
-                           predictor)
+        (est,) = run_sequence([adps], counting_localizer, db, thresholds,
+                              predictor)
         detected = sum(bool(np.any(a)) for a in adps)
-        return len(calls), detected, sum(nonzero), est
+        return sum(calls), detected, sum(nonzero), est
 
     def test_each_prediction_localized_once(self, db, thresholds):
         # detection localizes every frame with energy and the prediction
@@ -386,18 +404,86 @@ class TestRunSequence:
     def test_prediction_exclusion_zeroes_weight(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 4])
-        est = run_sequence(seq.adps(), nn_localizer(db), db, thresholds,
-                           PeakTrackingPredictor(), include_prediction=False)
+        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+                              PeakTrackingPredictor(),
+                              include_prediction=False)
         assert all(e.prediction_weight == 0.0 for e in est if
                    e.source == "recovered")
+
+
+def lockstep_walks():
+    """Six walks of one length: clean, blocked, added-path, a repeat of the
+    first (so that every frame is shared within a step) and two more."""
+    block = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
+    add = DistortionScenario(kind=DistortionKind.NLOS_ADDITION, rng_seed=2)
+    seqs = [walk_sequence(None, 0, [300, 0]),
+            walk_sequence(block, 5, [300, 1]),
+            walk_sequence(add, 4, [300, 2]),
+            walk_sequence(None, 0, [300, 0]),
+            walk_sequence(block, 0, [300, 3]),
+            walk_sequence(add, 7, [300, 4])]
+    return [seq.adps() for seq in seqs]
+
+
+class TestLockstep:
+    """Walks stepped together get the estimates each gets alone."""
+
+    def test_equals_one_walk_at_a_time(self, db, thresholds):
+        walks = lockstep_walks()
+        runs = run_sequence(walks, nn_localizer(db), db, thresholds,
+                            PeakTrackingPredictor())
+        assert len(runs) == len(walks)
+        assert {e.source for run in runs for e in run} == {
+            "measured", "recovered", "fallback"}
+        for adps, got in zip(walks, runs):
+            oracles.assert_same_estimates(got, oracles.run_sequence(
+                adps, nn_localizer(db), db, thresholds,
+                PeakTrackingPredictor()))
+
+    def test_peaks_detected_once_per_distinct_frame(self, db, thresholds,
+                                                    monkeypatch):
+        # per step: the frames of its histories, and those detected in it
+        steps = []
+        tracker = PeakTrackingPredictor()
+        detect = predictor_module.detect_peaks
+
+        def key(frame):
+            return np.asarray(frame, dtype=np.float64).tobytes()
+
+        def counting_detect(frame, *args):
+            steps[-1][1].append(key(frame))
+            return detect(frame, *args)
+
+        def predictor(histories):
+            steps.append(({key(f) for h in histories for f in h}, []))
+            return tracker(histories)
+
+        monkeypatch.setattr(predictor_module, "detect_peaks",
+                            counting_detect)
+        run_sequence(lockstep_walks(), nn_localizer(db), db, thresholds,
+                     predictor)
+        assert len(steps) == 11
+        previous = set()
+        for frames, detected in steps:
+            # each frame new to this step once, and no other frame
+            assert sorted(detected) == sorted(frames - previous)
+            previous = frames
+
+    def test_no_walks_and_unequal_walks(self, db, thresholds):
+        assert run_sequence([], nn_localizer(db), db, thresholds,
+                            PeakTrackingPredictor()) == []
+        adps = walk_sequence(None, 0, [300, 0]).adps()
+        with pytest.raises(LengthMismatch):
+            run_sequence([adps, adps[:-1]], nn_localizer(db), db,
+                         thresholds, PeakTrackingPredictor())
 
 
 class TestEstimateStream:
     def test_round_trip(self, db, thresholds, tmp_path):
         scen = DistortionScenario(kind=DistortionKind.NLOS_BLOCKAGE, rng_seed=7)
         seq = walk_sequence(scen, 5, [200, 5])
-        est = run_sequence(seq.adps(), nn_localizer(db), db, thresholds,
-                           PeakTrackingPredictor())
+        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+                              PeakTrackingPredictor())
         path = tmp_path / "estimates.jsonl"
         save_estimates(path, est)
         loaded = load_estimates(path)

@@ -331,6 +331,17 @@ class TestMatchesReference:
         assert np.array_equal(pred,
                               PeakTrackingPredictor()([flat.reshape(4, 16)]))
 
+    def test_stack_equals_single_predictions(self):
+        frames = walk_frames(3, length=9)
+        frames[6] = frames[2].copy()
+        histories = np.stack([frames[i:i + 4] for i in range(6)])
+        tracker = PeakTrackingPredictor()
+        for _ in range(2):  # the second step reads the first step's memo
+            got = tracker(histories)
+            for row, history in zip(got, histories):
+                want = oracles.ReferencePeakTrackingPredictor()(history)
+                assert row.tobytes() == want.tobytes()
+
     def test_memo_takes_no_part_in_equality(self):
         used = PeakTrackingPredictor()
         used([bumps((8, 8), [(2.0, 3.0)], [1.0])])
@@ -411,9 +422,23 @@ class TestConvRecurrent:
         with pytest.raises(DivergedLoss):
             train_predictor(model, seqs, PredictorTrainConfig(epochs=3, seed=0))
 
+    def test_stack_equals_single_predictions(self):
+        seqs = moving_bump_sequences(n_seq=9, length=6)
+        model = ConvRecurrentPredictor(8, 8, hidden_channels=4, seed=0)
+        train_predictor(model, seqs, PredictorTrainConfig(epochs=3, seed=0))
+        histories = np.stack(seqs)[:, :4]
+        got = model(histories)
+        assert got.shape == (9, 8, 8)
+        for row, history in zip(got, histories):
+            assert row.tobytes() == model.predict(list(history)).tobytes()
+        assert all(conv._cache is None
+                   for conv in (model._xh, model._hh, model._out))
+
     def test_empty_history_raises(self):
         with pytest.raises(EmptyHistory):
             ConvRecurrentPredictor(8, 8)([])
+        with pytest.raises(EmptyHistory):
+            ConvRecurrentPredictor(8, 8)(np.zeros((3, 0, 8, 8)))
 
     def test_wrong_frame_shape_raises(self):
         with pytest.raises(DimensionMismatch):
