@@ -56,12 +56,14 @@ def adp_from_csi(csi: np.ndarray, dft: DftPair) -> np.ndarray:
 
     Rows index angle bins, columns index delay bins. Unitarity of both
     factors makes the Frobenius norm of the output equal that of the input.
+    A stack of n CSI matrices gives the n profiles; the stacked product is
+    the same to the bit as one matrix at a time.
 
     Raises:
         DimensionMismatch: if csi shape disagrees with the transform pair.
     """
     expected = (dft.n_antennas, dft.n_subcarriers)
-    if csi.shape != expected:
+    if csi.shape[-2:] != expected or csi.ndim not in (2, 3):
         raise DimensionMismatch(f"csi shape {csi.shape}, expected {expected}")
     return np.abs(dft.v.conj().T @ csi @ dft.f)
 

@@ -6,6 +6,14 @@ line-segment blockers. Each surviving ray becomes a propagation path with
 an angle of arrival at a uniform linear array, a free-space amplitude that
 decays as 1 / path length, and a delay quantized to the OFDM sample grid.
 CSI synthesis stacks the per-path rank-one contributions.
+
+``trace_paths`` and ``synthesize_csi`` take one user position (one path
+list) or a stack of them, the way ``adp_from_csi`` takes one CSI matrix or
+a stack: a stack runs as one vectorized pass over all of its positions,
+with a loop over reflectors and blockers only, and a single item goes
+through the same code as a stack of one. Each row of a stack is the same
+to the bit as the item traced alone; the comments below mark the choices
+that keep it so.
 """
 
 from __future__ import annotations
@@ -127,85 +135,124 @@ class Environment:
     speed_of_light: float = SPEED_OF_LIGHT
 
 
-def array_response(aoa: float, array: ArrayConfig) -> np.ndarray:
+def array_response(aoa, array: ArrayConfig) -> np.ndarray:
     """Steering vector of the uniform linear array for one arrival angle.
 
     Element q carries phase -2*pi*q*d*cos(aoa)/wavelength, so element 0 is
     always 1. ``aoa`` should lie in (0, pi); the formula itself is defined
-    everywhere and endfire angles are simply ambiguous, not invalid.
+    everywhere and endfire angles are simply ambiguous, not invalid. An
+    array of angles gives one steering vector per angle.
 
     Returns:
-        complex128 vector of length n_antennas.
+        complex128 array of shape aoa.shape + (n_antennas,).
     """
     q = np.arange(array.n_antennas)
-    phase = -2.0 * np.pi * q * array.element_spacing * np.cos(aoa) / array.wavelength
+    cos = np.cos(np.asarray(aoa, dtype=float))[..., None]
+    # factors kept in this order, left to right, so every element is the
+    # same double as with a single angle
+    phase = -2.0 * np.pi * q * array.element_spacing * cos / array.wavelength
     return np.exp(1j * phase)
 
 
-def quantize_delay(delay: float, ofdm: OfdmConfig) -> int:
-    """Round a delay in seconds to the nearest OFDM sample (ties to even)."""
-    if delay < 0.0:
+def quantize_delay(delay, ofdm: OfdmConfig):
+    """Round delays in seconds to the nearest OFDM sample (ties to even).
+
+    A float gives an int; an array gives an int64 array of its shape.
+    """
+    d = np.asarray(delay, dtype=float)
+    if np.any(d < 0.0):
         raise ValueError("delay must be nonnegative")
-    return int(round(delay / ofdm.sample_duration))
+    n = np.rint(d / ofdm.sample_duration).astype(np.int64)
+    return int(n) if n.ndim == 0 else n
 
 
-# --- 2D geometry helpers -------------------------------------------------
+# --- 2D geometry ---------------------------------------------------------
+#
+# Points are arrays whose last axis holds (x, y); leading axes broadcast.
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _within_bbox(p, a, b) -> bool:
-    return (
-        min(a[0], b[0]) - 1e-12 <= p[0] <= max(a[0], b[0]) + 1e-12
-        and min(a[1], b[1]) - 1e-12 <= p[1] <= max(a[1], b[1]) + 1e-12
-    )
+def _cross(o, a, b):
+    """z component of (a - o) x (b - o)."""
+    return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
+            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
 
 
-def segments_intersect(p1, p2, q1, q2) -> bool:
-    """True if closed segments p1-p2 and q1-q2 share at least one point."""
+def segments_intersect(p1, p2, q1, q2):
+    """True where closed segments p1-p2 and q1-q2 share at least one point.
+
+    Each argument is one point (x, y) or an array of points shaped
+    (..., 2); they broadcast against each other. Returns a bool array of
+    the broadcast shape, a numpy bool for four single points.
+    """
+    p1, p2, q1, q2 = (np.asarray(v, dtype=float) for v in (p1, p2, q1, q2))
     d1 = _cross(q1, q2, p1)
     d2 = _cross(q1, q2, p2)
     d3 = _cross(p1, p2, q1)
     d4 = _cross(p1, p2, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _within_bbox(p1, q1, q2):
-        return True
-    if d2 == 0 and _within_bbox(p2, q1, q2):
-        return True
-    if d3 == 0 and _within_bbox(q1, p1, p2):
-        return True
-    if d4 == 0 and _within_bbox(q2, p1, p2):
-        return True
-    return False
+    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
+
+    def touches(d, p, a, b):
+        # p lies on the line through a and b, inside their bounding box
+        inside = ((np.minimum(a, b) - 1e-12 <= p)
+                  & (p <= np.maximum(a, b) + 1e-12))
+        return (d == 0) & inside[..., 0] & inside[..., 1]
+
+    return (proper | touches(d1, p1, q1, q2) | touches(d2, p2, q1, q2)
+            | touches(d3, q1, p1, p2) | touches(d4, q2, p1, p2))
 
 
-def _reflect_point(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    t = float(np.dot(p - a, d) / np.dot(d, d))
-    foot = a + t * d
-    return 2.0 * foot - p
+def _blocked(env: Environment, a, b) -> np.ndarray:
+    """True where segment a-b crosses any blocker."""
+    hit = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b))[:-1], bool)
+    for blk in env.blockers:
+        hit |= segments_intersect(a, b, blk.p1, blk.p2)
+    return hit
 
 
-def _segment_blocked(env: Environment, a, b) -> bool:
-    return any(segments_intersect(a, b, blk.p1, blk.p2) for blk in env.blockers)
+def _candidates(env: Environment, users: np.ndarray):
+    """Every LOS and first-order reflected ray of an (n, 2) user stack.
+
+    Column 0 is the direct ray, column i + 1 the reflection off reflector
+    i. Returns (valid, direction): valid (n, k) marks rays that exist and
+    cross no blocker; direction (n, k, 2) points from the base station to
+    the user or to the user's mirror image, so its norm is the path length.
+    """
+    n, k = len(users), 1 + len(env.reflectors)
+    bs = np.asarray(env.bs_position, dtype=float)
+    origin = np.zeros(2)
+    valid = np.zeros((n, k), dtype=bool)
+    direction = np.empty((n, k, 2))
+    valid[:, 0] = ~_blocked(env, bs, users)
+    direction[:, 0] = users - bs
+    for i, ref in enumerate(env.reflectors, start=1):
+        a = np.asarray(ref.p1, dtype=float)
+        b = np.asarray(ref.p2, dtype=float)
+        side_bs = _cross(a, b, bs)
+        side_user = _cross(a, b, users)
+        d_wall = b - a
+        # NaN and inf land only in rows the mask below drops (a point wall,
+        # a ray parallel to the wall)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # mirror image across the wall line; np.vecdot takes the same
+            # BLAS ddot as np.dot on one 2-vector, so it is the same double
+            t = np.vecdot(users - a, d_wall) / np.vecdot(d_wall, d_wall)
+            image = 2.0 * (a + t[:, None] * d_wall) - users
+            # specular point: where the bs->image segment crosses the wall
+            d_ray = image - bs
+            denom = _cross(origin, d_wall, d_ray)
+            s = _cross(origin, bs - a, d_ray) / denom
+        ok = ((side_bs != 0.0) & (side_user != 0.0)
+              & ((side_bs > 0) == (side_user > 0))
+              & (denom != 0.0) & (0.0 <= s) & (s <= 1.0))
+        spec = a + np.where(ok, s, 0.0)[:, None] * d_wall
+        valid[:, i] = (ok & ~_blocked(env, bs, spec)
+                       & ~_blocked(env, spec, users))
+        direction[:, i] = d_ray
+    return valid, direction
 
 
-def _aoa_from_axis(env: Environment, direction: np.ndarray) -> float:
-    axis = np.array([math.cos(env.array_axis), math.sin(env.array_axis)])
-    u = direction / np.linalg.norm(direction)
-    return float(math.acos(max(-1.0, min(1.0, float(np.dot(axis, u))))))
-
-
-def trace_paths(
-    env: Environment,
-    user_position,
-    array: ArrayConfig,
-    ofdm: OfdmConfig,
-) -> list[Path]:
+def trace_paths(env: Environment, user_position, array: ArrayConfig,
+                ofdm: OfdmConfig):
     """Trace LOS and first-order reflected paths from the user to the array.
 
     A reflection is valid when the base station and the user sit strictly on
@@ -216,95 +263,107 @@ def trace_paths(
     wavelength / (4*pi*length) with phase -2*pi*length/wavelength.
 
     Paths whose quantized delay does not fit in the OFDM window are dropped
-    (logged at debug level). The result is sorted by descending
-    gain magnitude, ties broken by cluster id.
+    (logged at debug level, in position order). Each list is sorted by
+    descending gain magnitude, ties broken by cluster id.
+
+    ``user_position`` is one point (x, y), giving one path list, or an
+    (n, 2) stack, giving n lists traced in one vectorized pass.
 
     Raises:
-        ZeroDistance: if the user sits exactly on the base station.
+        ZeroDistance: if a user sits exactly on the base station.
     """
-    user = np.asarray(user_position, dtype=float)
-    bs = np.asarray(env.bs_position, dtype=float)
-    if np.array_equal(user, bs):
+    users = np.asarray(user_position, dtype=float)
+    stack = users.reshape(-1, 2)
+    if np.any(np.all(stack == np.asarray(env.bs_position, dtype=float),
+                     axis=1)):
         raise ZeroDistance("user position coincides with the base station")
-
-    candidates: list[tuple[float, np.ndarray, float, int, bool]] = []
-
-    if not _segment_blocked(env, bs, user):
-        candidates.append((float(np.linalg.norm(user - bs)), user - bs, 1.0, 0, True))
-
-    for i, ref in enumerate(env.reflectors):
-        a = np.asarray(ref.p1, dtype=float)
-        b = np.asarray(ref.p2, dtype=float)
-        side_bs = _cross(a, b, bs)
-        side_user = _cross(a, b, user)
-        if side_bs == 0.0 or side_user == 0.0 or (side_bs > 0) != (side_user > 0):
-            continue
-        image = _reflect_point(user, a, b)
-        # Specular point: where the bs->image segment crosses the wall line.
-        d_wall = b - a
-        d_ray = image - bs
-        denom = _cross((0.0, 0.0), d_wall, d_ray)
-        if denom == 0.0:
-            continue
-        t = _cross((0.0, 0.0), bs - a, d_ray) / denom
-        if not 0.0 <= t <= 1.0:
-            continue
-        spec = a + t * d_wall
-        if _segment_blocked(env, bs, spec) or _segment_blocked(env, spec, user):
-            continue
-        length = float(np.linalg.norm(image - bs))
-        candidates.append((length, d_ray, ref.coefficient, i + 1, False))
-
-    paths: list[Path] = []
-    for length, direction, coeff, cluster, los in candidates:
-        delay = length / env.speed_of_light
-        n = quantize_delay(delay, ofdm)
-        if n >= ofdm.n_subcarriers:
-            logger.debug("dropped path with sampled delay %d (cluster %d)", n, cluster)
-            continue
-        amplitude = coeff * array.wavelength / (4.0 * np.pi * length)
-        gain = amplitude * np.exp(-2j * np.pi * length / array.wavelength)
-        paths.append(
-            Path(
-                aoa=_aoa_from_axis(env, direction),
-                delay=delay,
-                sampled_delay=n,
-                gain=complex(gain),
-                path_length=length,
-                cluster_id=cluster,
-                is_los=los,
-            )
-        )
-    paths.sort(key=lambda p: (-abs(p.gain), p.cluster_id))
-    return paths
+    valid, direction = _candidates(env, stack)
+    n, k = valid.shape
+    direction[~valid] = 1.0  # keeps the unused entries finite
+    # sqrt of the BLAS ddot, as np.linalg.norm takes it on one 2-vector;
+    # hypot, einsum or a sum of squares may differ in the last bit
+    length = np.sqrt(np.vecdot(direction, direction))
+    delay = length / env.speed_of_light
+    sampled = quantize_delay(delay, ofdm)
+    for row, col in zip(*np.nonzero(valid & (sampled >= ofdm.n_subcarriers))):
+        logger.debug("dropped path with sampled delay %d (cluster %d)",
+                     sampled[row, col], col)
+    keep = valid & (sampled < ofdm.n_subcarriers)
+    coeff = np.array([1.0] + [r.coefficient for r in env.reflectors])
+    amplitude = coeff * array.wavelength / (4.0 * np.pi * length)
+    # a real phase times 1j: Python's complex / float (-2j*pi*L/wavelength)
+    # is not numpy's complex division, but this is the same double
+    gain = amplitude * np.exp(1j * (-2.0 * np.pi * length / array.wavelength))
+    axis = np.array([math.cos(env.array_axis), math.sin(env.array_axis)])
+    cos_aoa = np.clip(np.vecdot(direction / length[..., None], axis), -1.0, 1.0)
+    # |gain| by np.hypot, the libm hypot that Python's abs(complex) calls;
+    # np.abs on complex128 takes a SIMD path that can differ in the last bit
+    key = np.where(keep, -np.hypot(gain.real, gain.imag), np.inf)
+    order = np.argsort(key, axis=1, kind="stable")  # ties: cluster order
+    kept = np.take_along_axis(keep, order, axis=1)  # a prefix of each row
+    cluster = np.broadcast_to(np.arange(k), (n, k))
+    cos_aoa, delay, sampled, gain, length, cluster = (
+        np.take_along_axis(x, order, axis=1)[kept].tolist()
+        for x in (cos_aoa, delay, sampled, gain, length, cluster))
+    # math.acos per path: np.arccos differs from it in the last bit
+    flat = [Path(math.acos(c), d, s, g, ln, cid, cid == 0)
+            for c, d, s, g, ln, cid in zip(cos_aoa, delay, sampled, gain,
+                                            length, cluster)]
+    counts = kept.sum(axis=1)
+    rows = [flat[end - count:end]
+            for end, count in zip(np.cumsum(counts).tolist(), counts.tolist())]
+    return rows if users.ndim > 1 else rows[0]
 
 
-def synthesize_csi(
-    paths: list[Path], array: ArrayConfig, ofdm: OfdmConfig
-) -> np.ndarray:
+def synthesize_csi(paths, array: ArrayConfig, ofdm: OfdmConfig) -> np.ndarray:
     """Stack per-path contributions into the CSI matrix.
 
     Subcarrier l of a path with sampled delay n carries the phase ramp
     exp(-2j*pi*l*n/n_subcarriers) on top of the steering vector, so the CSI
-    is a sum of rank-one terms. An empty path list yields the zero matrix
-    (lost link).
+    is a sum of rank-one terms, added in list order. An empty path list
+    yields the zero matrix (lost link).
+
+    ``paths`` is one path list, giving one matrix, or a list of n path
+    lists, giving their n matrices in one pass.
 
     Returns:
-        complex128 matrix of shape (n_antennas, n_subcarriers).
+        complex128 array of shape (n_antennas, n_subcarriers), or
+        (n, n_antennas, n_subcarriers) for a list of path lists.
 
     Raises:
         DelayOverflow: if a path's sampled delay is outside [0, n_subcarriers).
     """
-    h = np.zeros((array.n_antennas, ofdm.n_subcarriers), dtype=np.complex128)
+    stacked = len(paths) > 0 and not isinstance(paths[0], Path)
+    lists = paths if stacked else [paths]
+    flat = [p for lst in lists for p in lst]
+    sampled = np.array([p.sampled_delay for p in flat], dtype=np.int64)
+    bad = np.flatnonzero((sampled < 0) | (sampled >= ofdm.n_subcarriers))
+    if len(bad):
+        raise DelayOverflow(
+            f"sampled delay {sampled[bad[0]]} outside [0, {ofdm.n_subcarriers})"
+        )
+    steering = array_response(np.array([p.aoa for p in flat]), array)
     l = np.arange(ofdm.n_subcarriers)
-    for p in paths:
-        if not 0 <= p.sampled_delay < ofdm.n_subcarriers:
-            raise DelayOverflow(
-                f"sampled delay {p.sampled_delay} outside [0, {ofdm.n_subcarriers})"
-            )
-        ramp = np.exp(-2j * np.pi * l * p.sampled_delay / ofdm.n_subcarriers)
-        h += p.gain * np.outer(array_response(p.aoa, array), ramp)
-    return h
+    # ramp of every delay bin, each element the same double as the ramp of
+    # one path: the same factors in the same order
+    ramps = np.exp(-2j * np.pi * l * l[:, None] / ofdm.n_subcarriers)
+    gain = np.array([p.gain for p in flat], dtype=np.complex128)
+    counts = np.array([len(lst) for lst in lists], dtype=np.int64)
+    owner = np.repeat(np.arange(len(lists)), counts)
+    rank = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+    h = np.zeros((len(lists), array.n_antennas, ofdm.n_subcarriers),
+                 dtype=np.complex128)
+    # the j-th terms of all lists at once: each matrix sums its own terms
+    # one at a time in list order, as a loop over one list would
+    for j in range(int(counts.max(initial=0))):
+        sel = np.flatnonzero(rank == j)
+        term = gain[sel, None, None] * (
+            steering[sel, :, None] * ramps[sampled[sel], None, :])
+        if len(sel) == len(lists):
+            h += term  # every list has a j-th term; half the time of h[idx]
+        else:
+            h[owner[sel]] += term
+    return h if stacked else h[0]
 
 
 # --- environment description files ---------------------------------------

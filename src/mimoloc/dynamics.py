@@ -230,35 +230,41 @@ def generate_sequence(
     None) replay the static pipeline exactly, so their profiles match the
     fingerprint database bit for bit. From ``distort_from`` on, the
     scenario is applied to the traced paths before CSI synthesis. A frame
-    with no remaining path is marked ``lost_link``.
+    with no remaining path is marked ``lost_link``. The whole walk is
+    traced in one call and its frames are synthesized in one call.
     """
     if dft is None:
         dft = build_dft_pair(array.n_antennas, ofdm.n_subcarriers)
+    positions = walk.positions()
+    traced = trace_paths(env, positions, array, ofdm)
     foreground: Path | None = None
-    frames: list[Frame] = []
-    for i, pos in enumerate(walk.positions()):
-        paths = trace_paths(env, pos, array, ofdm)
+    flags = []
+    effective = []
+    for i, paths in enumerate(traced):
         distorted = scenario is not None and i >= distort_from
-        effective = paths
         if distorted:
             if (scenario.kind is DistortionKind.NLOS_ADDITION
                     and foreground is None):
                 foreground = draw_foreground_path(
                     scenario, paths, ofdm, env.speed_of_light
                 )
-            effective = distort_paths(paths, scenario, ofdm,
-                                      foreground=foreground)
-        adp = adp_from_csi(synthesize_csi(effective, array, ofdm), dft)
-        adp32 = adp.astype("<f4")
-        frames.append(
-            Frame(
-                position=pos,
-                adp=adp32,
-                distorted=distorted,
-                lost_link=not np.any(adp32),
-                paths=tuple(paths),
-            )
+            paths = distort_paths(paths, scenario, ofdm,
+                                  foreground=foreground)
+        flags.append(distorted)
+        effective.append(paths)
+    adps = adp_from_csi(synthesize_csi(effective, array, ofdm), dft)
+    adps32 = adps.astype("<f4")
+    frames = [
+        Frame(
+            position=pos,
+            adp=adp32,
+            distorted=distorted,
+            lost_link=not np.any(adp32),
+            paths=tuple(paths),
         )
+        for pos, adp32, distorted, paths in zip(positions, adps32, flags,
+                                                traced)
+    ]
     return FrameSequence(
         frames=frames,
         mode=walk.mode,

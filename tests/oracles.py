@@ -3,18 +3,21 @@
 Most of this is written directly from the interface contracts with scalar
 arithmetic, deliberately not reusing the package's vectorized code. The
 reference layers, ``baseline_track``, ``detect_peaks``,
-``gaussian_profile``, the reference peak tracker and ``run_sequence`` are
-earlier, plainer forms of package code, kept as the references their
+``gaussian_profile``, the reference peak tracker, ``run_sequence`` and the
+scalar channel (``trace_paths``, ``synthesize_csi``, ``build_db_adps``)
+are earlier, plainer forms of package code, kept as the references their
 replacements must match bit for bit.
 """
 
 import cmath
+import logging
 import math
 from collections import deque
 
 import numpy as np
 
-from mimoloc.errors import EmptyNeighborhood
+from mimoloc.channel import Path
+from mimoloc.errors import DelayOverflow, EmptyNeighborhood, ZeroDistance
 from mimoloc.neural import Conv2d, MaxPool2x2
 from mimoloc.pipeline import (
     FrameEstimate,
@@ -347,3 +350,150 @@ def assert_same_estimates(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             else:
                 assert type(a) is type(b) and a == b, name
+
+
+# --- the scalar channel: one position, one path, one blocker at a time ------
+
+_channel_log = logging.getLogger("mimoloc.channel")
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _within_bbox(p, a, b):
+    return (
+        min(a[0], b[0]) - 1e-12 <= p[0] <= max(a[0], b[0]) + 1e-12
+        and min(a[1], b[1]) - 1e-12 <= p[1] <= max(a[1], b[1]) + 1e-12
+    )
+
+
+def segments_intersect(p1, p2, q1, q2):
+    """Closed segments p1-p2 and q1-q2 share a point; one pair at a time."""
+    d1 = _cross(q1, q2, p1)
+    d2 = _cross(q1, q2, p2)
+    d3 = _cross(p1, p2, q1)
+    d4 = _cross(p1, p2, q2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and _within_bbox(p1, q1, q2):
+        return True
+    if d2 == 0 and _within_bbox(p2, q1, q2):
+        return True
+    if d3 == 0 and _within_bbox(q1, p1, p2):
+        return True
+    if d4 == 0 and _within_bbox(q2, p1, p2):
+        return True
+    return False
+
+
+def _reflect_point(p, a, b):
+    d = b - a
+    t = float(np.dot(p - a, d) / np.dot(d, d))
+    foot = a + t * d
+    return 2.0 * foot - p
+
+
+def _segment_blocked(env, a, b):
+    return any(segments_intersect(a, b, blk.p1, blk.p2) for blk in env.blockers)
+
+
+def _aoa_from_axis(env, direction):
+    axis = np.array([math.cos(env.array_axis), math.sin(env.array_axis)])
+    u = direction / np.linalg.norm(direction)
+    return float(math.acos(max(-1.0, min(1.0, float(np.dot(axis, u))))))
+
+
+def trace_paths(env, user_position, array, ofdm):
+    """``channel.trace_paths`` for one position, ray by ray."""
+    user = np.asarray(user_position, dtype=float)
+    bs = np.asarray(env.bs_position, dtype=float)
+    if np.array_equal(user, bs):
+        raise ZeroDistance("user position coincides with the base station")
+    candidates = []
+    if not _segment_blocked(env, bs, user):
+        candidates.append((float(np.linalg.norm(user - bs)), user - bs, 1.0, 0,
+                           True))
+    for i, ref in enumerate(env.reflectors):
+        a = np.asarray(ref.p1, dtype=float)
+        b = np.asarray(ref.p2, dtype=float)
+        side_bs = _cross(a, b, bs)
+        side_user = _cross(a, b, user)
+        if side_bs == 0.0 or side_user == 0.0 or (side_bs > 0) != (side_user > 0):
+            continue
+        image = _reflect_point(user, a, b)
+        d_wall = b - a
+        d_ray = image - bs
+        denom = _cross((0.0, 0.0), d_wall, d_ray)
+        if denom == 0.0:
+            continue
+        t = _cross((0.0, 0.0), bs - a, d_ray) / denom
+        if not 0.0 <= t <= 1.0:
+            continue
+        spec = a + t * d_wall
+        if _segment_blocked(env, bs, spec) or _segment_blocked(env, spec, user):
+            continue
+        length = float(np.linalg.norm(image - bs))
+        candidates.append((length, d_ray, ref.coefficient, i + 1, False))
+    paths = []
+    for length, direction, coeff, cluster, los in candidates:
+        delay = length / env.speed_of_light
+        n = int(round(delay / ofdm.sample_duration))
+        if n >= ofdm.n_subcarriers:
+            _channel_log.debug("dropped path with sampled delay %d (cluster %d)",
+                               n, cluster)
+            continue
+        amplitude = coeff * array.wavelength / (4.0 * np.pi * length)
+        gain = amplitude * np.exp(-2j * np.pi * length / array.wavelength)
+        paths.append(Path(
+            aoa=_aoa_from_axis(env, direction),
+            delay=delay,
+            sampled_delay=n,
+            gain=complex(gain),
+            path_length=length,
+            cluster_id=cluster,
+            is_los=los,
+        ))
+    paths.sort(key=lambda p: (-abs(p.gain), p.cluster_id))
+    return paths
+
+
+def synthesize_csi(paths, array, ofdm):
+    """``channel.synthesize_csi`` for one path list, one term at a time."""
+    h = np.zeros((array.n_antennas, ofdm.n_subcarriers), dtype=np.complex128)
+    q = np.arange(array.n_antennas)
+    l = np.arange(ofdm.n_subcarriers)
+    for p in paths:
+        if not 0 <= p.sampled_delay < ofdm.n_subcarriers:
+            raise DelayOverflow(
+                f"sampled delay {p.sampled_delay} outside [0, {ofdm.n_subcarriers})"
+            )
+        phase = (-2.0 * np.pi * q * array.element_spacing * np.cos(p.aoa)
+                 / array.wavelength)
+        steering = np.exp(1j * phase)
+        ramp = np.exp(-2j * np.pi * l * p.sampled_delay / ofdm.n_subcarriers)
+        h += p.gain * np.outer(steering, ramp)
+    return h
+
+
+def build_db_adps(env, grid, array, ofdm, dft):
+    """``fingerprint.build_db``'s profiles, one grid point at a time."""
+    positions = grid.all_positions()
+    adps = np.zeros((grid.n_points, array.n_antennas, ofdm.n_subcarriers),
+                    dtype="<f4")
+    for i, pos in enumerate(positions):
+        csi = synthesize_csi(trace_paths(env, pos, array, ofdm), array, ofdm)
+        adps[i] = np.abs(dft.v.conj().T @ csi @ dft.f).astype("<f4")
+    return adps
+
+
+def assert_same_paths(got, want):
+    """Two path lists are equal field by field, in order, type for type."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("aoa", "delay", "sampled_delay", "gain", "path_length",
+                     "cluster_id", "is_los"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert type(a) is type(b) and repr(a) == repr(b), (name, a, b)

@@ -103,6 +103,19 @@ class TestAdpFromCsi:
         with pytest.raises(DimensionMismatch):
             adp_from_csi(np.zeros((8, 16), dtype=complex), DFT)
 
+    @pytest.mark.parametrize("shape", [(3, 8, 16), (2, 3, 16, 16), (16,)])
+    def test_stack_shape_mismatch_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            adp_from_csi(np.zeros(shape, dtype=complex), DFT)
+
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(10)
+        h = rng.standard_normal((20, 16, 16)) + 1j * rng.standard_normal((20, 16, 16))
+        a = adp_from_csi(h, DFT)
+        assert a.shape == (20, 16, 16)
+        for ai, hi in zip(a, h):
+            assert np.array_equal(ai, adp_from_csi(hi, DFT))
+
 
 class TestSimilarity:
     def test_self_similarity_is_one(self):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from mimoloc.channel import (
     ArrayConfig,
     Blocker,
@@ -23,6 +24,7 @@ from mimoloc.channel import (
     trace_paths,
 )
 from mimoloc.errors import DelayOverflow, FormatError, ZeroDistance
+from mimoloc.experiment import rich_environment, sparse_environment
 
 ARRAY = ArrayConfig(n_antennas=8, wavelength=0.1)
 OFDM = OfdmConfig(n_subcarriers=16, bandwidth=20e6)
@@ -186,6 +188,150 @@ class TestTracePaths:
         assert [r.getMessage() for r in caplog.records] == [
             "dropped path with sampled delay 7 (cluster 0)"]
 
+    def test_stack_logs_each_drop_in_position_order(self, caplog):
+        narrow = OfdmConfig(n_subcarriers=4, bandwidth=200e6)
+        env = Environment(
+            bs_position=(0.0, 0.0),
+            reflectors=(Reflector((-30.0, 3.0), (30.0, 3.0), 0.6),),
+        )
+        # 10 m and 12 m direct (bins 7, 8); reflections sqrt(136) and
+        # sqrt(180) m (bins 8, 9): every path of both positions is dropped
+        with caplog.at_level(logging.DEBUG, logger="mimoloc.channel"):
+            assert trace_paths(env, [(10.0, 0.0), (12.0, 0.0)], ARRAY,
+                               narrow) == [[], []]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropped path with sampled delay 7 (cluster 0)",
+            "dropped path with sampled delay 8 (cluster 1)",
+            "dropped path with sampled delay 8 (cluster 0)",
+            "dropped path with sampled delay 9 (cluster 1)",
+        ]
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_stack_holding_the_base_station_rejected(self, where):
+        env = Environment(bs_position=(1.0, 2.0))
+        users = np.array([(3.0, 2.0), (1.0, 5.0), (4.0, 4.0), (2.0, 1.0),
+                          (0.0, 0.0)])
+        users[where] = env.bs_position
+        with pytest.raises(ZeroDistance):
+            trace_paths(env, users, ARRAY, OFDM)
+
+    def test_stack_rows_equal_single_calls(self):
+        env = rich_environment()
+        users = np.random.default_rng(5).uniform(-1.0, 15.0, size=(40, 2))
+        rows = trace_paths(env, users, ARRAY, OFDM)
+        assert len(rows) == 40
+        for user, row in zip(users, rows):
+            oracles.assert_same_paths(row, trace_paths(env, user, ARRAY, OFDM))
+
+    def test_empty_stack(self):
+        env = sparse_environment()
+        assert trace_paths(env, np.zeros((0, 2)), ARRAY, OFDM) == []
+
+
+def _blocked_environment():
+    # LOS and both legs of the wall's reflection are cut for parts of the
+    # grid, a blocker end touches a ray exactly, and one blocker lies on
+    # the x axis, collinear with the direct rays of users on it; the
+    # zero-length wall reflects nothing
+    return parse_environment(
+        "bs_position = 0 0\n"
+        "reflector = -20 6 20 6 0.9\n"
+        "reflector = 12 -20 12 20 0.7\n"
+        "reflector = 8 8 8 8 0.5\n"
+        "blocker = 3 1 3 2.5      # LOS for users beyond x = 3 at y 1..2.5\n"
+        "blocker = 1 4 2 4        # bs -> specular leg off the y = 6 wall\n"
+        "blocker = 5 5 7 5        # specular -> user leg off the y = 6 wall\n"
+        "blocker = 10 -3 11 -3    # specular -> user leg off the x = 12 wall\n"
+        "blocker = 4 -1 4 -2      # end touches the ray to (8, -2)\n"
+        "blocker = 6 0 7 0        # collinear with the direct rays on y = 0\n"
+    )
+
+
+class TestStackedTraceMatchesScalarOracle:
+    """Every row of a stacked trace equals the old one-position tracer."""
+
+    @staticmethod
+    def check(env, users, array=ARRAY, ofdm=OFDM):
+        rows = trace_paths(env, np.asarray(users, dtype=float), array, ofdm)
+        for user, row in zip(users, rows):
+            oracles.assert_same_paths(
+                row, oracles.trace_paths(env, user, array, ofdm))
+        return rows
+
+    @pytest.mark.parametrize("env", [sparse_environment(), rich_environment()],
+                             ids=["sparse", "rich"])
+    def test_random_off_grid_points(self, env):
+        users = np.random.default_rng(17).uniform(-3.0, 18.0, size=(300, 2))
+        rows = self.check(env, users)
+        assert sum(map(len, rows)) > 300
+
+    def test_blockers_from_an_environment_file(self):
+        env = _blocked_environment()
+        xs, ys = np.meshgrid(np.arange(1.0, 11.5, 0.5), np.arange(-4.0, 5.5, 0.5))
+        users = np.stack([xs.ravel(), ys.ravel()], axis=1)
+        users = users[np.any(users != 0.0, axis=1)]
+        self.check(env, users)
+        open_env = Environment(bs_position=env.bs_position,
+                               reflectors=env.reflectors)
+        for blk in env.blockers:
+            # each blocker alone removes a path somewhere on the grid
+            alone = Environment(bs_position=env.bs_position,
+                                reflectors=env.reflectors, blockers=(blk,))
+            assert any(
+                len(oracles.trace_paths(alone, u, ARRAY, OFDM))
+                < len(oracles.trace_paths(open_env, u, ARRAY, OFDM))
+                for u in users), blk
+
+    def test_touching_and_collinear_blockers(self):
+        env = _blocked_environment()
+        # the ray to (8, -2) passes (4, -1), the blocker's end point; the
+        # ray to (9, 0) runs along the collinear blocker
+        for user in ((8.0, -2.0), (9.0, 0.0)):
+            assert 0 not in [p.cluster_id for p in self.check(env, [user])[0]]
+        # short of the collinear blocker, the ray is clear
+        assert 0 in [p.cluster_id for p in self.check(env, [(5.0, 0.0)])[0]]
+
+    def test_user_or_base_station_on_a_reflector_line(self):
+        wall = Reflector((-10.0, 3.0), (10.0, 3.0), 0.6)
+        env = Environment(bs_position=(0.0, 0.0), reflectors=(wall,))
+        rows = self.check(env, [(4.0, 3.0), (4.0, 0.0)])
+        assert [p.cluster_id for p in rows[0]] == [0]
+        assert [p.cluster_id for p in rows[1]] == [0, 1]
+        on_line = Environment(bs_position=(0.0, 3.0), reflectors=(wall,))
+        assert [p.cluster_id for p in self.check(on_line, [(4.0, 0.0)])[0]] \
+            == [0]
+
+    def test_ray_parallel_to_the_wall(self):
+        # both ends sit a rounding error off the wall line, so the ray to
+        # the mirror image runs exactly parallel to the wall (denom == 0)
+        a, b = np.array([0.4, 2.7]), np.array([-0.2, 1.5])
+        bs, user = np.array([-0.71, 0.48]), np.array([1.176, 4.252])
+        side_bs, side_user = oracles._cross(a, b, bs), oracles._cross(a, b, user)
+        assert side_bs != 0.0 and side_user != 0.0
+        assert (side_bs > 0) == (side_user > 0)
+        d_ray = oracles._reflect_point(user, a, b) - bs
+        assert oracles._cross((0.0, 0.0), b - a, d_ray) == 0.0
+        env = Environment(bs_position=tuple(bs),
+                          reflectors=(Reflector(tuple(a), tuple(b), 0.5),))
+        assert [p.cluster_id for p in self.check(env, [user])[0]] == [0]
+
+    def test_narrow_band_drops_match(self, caplog):
+        # a 1.2 us window: the long reflections overflow it, the short
+        # paths stay
+        narrow = OfdmConfig(n_subcarriers=8, bandwidth=100e6)
+        env = rich_environment()
+        users = np.random.default_rng(3).uniform(-1.0, 15.0, size=(60, 2))
+        with caplog.at_level(logging.DEBUG, logger="mimoloc.channel"):
+            rows = trace_paths(env, users, ARRAY, narrow)
+            stacked = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            want = [oracles.trace_paths(env, u, ARRAY, narrow) for u in users]
+            scalar = [r.getMessage() for r in caplog.records]
+        for row, w in zip(rows, want):
+            oracles.assert_same_paths(row, w)
+        assert stacked == scalar
+        assert stacked and all(rows)
+
 
 class TestSynthesizeCsi:
     def test_empty_paths_zero_matrix(self):
@@ -220,6 +366,30 @@ class TestSynthesizeCsi:
     def test_delay_out_of_window_raises(self):
         with pytest.raises(DelayOverflow):
             synthesize_csi([make_path(sampled_delay=16)], ARRAY, OFDM)
+
+    def test_delay_out_of_window_in_a_stack_raises(self):
+        good = [make_path(sampled_delay=3)]
+        for bad in (16, -1):
+            with pytest.raises(DelayOverflow, match=f"sampled delay {bad} "):
+                synthesize_csi([good, [], good + [make_path(sampled_delay=bad)]],
+                               ARRAY, OFDM)
+
+    def test_stack_equals_scalar_oracle(self):
+        env = rich_environment()
+        users = np.random.default_rng(9).uniform(-1.0, 15.0, size=(50, 2))
+        lists = trace_paths(env, users, ARRAY, OFDM)
+        lists[7] = []  # a lost link inside the stack
+        h = synthesize_csi(lists, ARRAY, OFDM)
+        assert h.shape == (50, 8, 16)
+        for hi, paths in zip(h, lists):
+            want = oracles.synthesize_csi(paths, ARRAY, OFDM)
+            assert np.array_equal(hi, want)
+            assert np.array_equal(synthesize_csi(paths, ARRAY, OFDM), want)
+        assert not np.any(h[7])
+
+    def test_stack_of_empty_lists(self):
+        h = synthesize_csi([[], []], ARRAY, OFDM)
+        assert h.shape == (2, 8, 16) and not np.any(h)
 
 
 def _random_environment(rng):
@@ -314,6 +484,29 @@ class TestSegmentsIntersect:
 
     def test_touching_endpoint(self):
         assert segments_intersect((0, 0), (1, 1), (1, 1), (2, 0))
+
+    def test_collinear(self):
+        assert segments_intersect((0, 0), (4, 0), (3, 0), (6, 0))
+        assert not segments_intersect((0, 0), (2, 0), (3, 0), (6, 0))
+
+    def test_array_call_equals_element_calls(self):
+        rng = np.random.default_rng(4)
+        # small integer coordinates make touching and collinear cases common
+        pts = rng.integers(-3, 4, size=(4, 500, 2)).astype(float)
+        pts[:, :100] += rng.uniform(-1, 1, size=(4, 100, 2))
+        got = segments_intersect(*pts)
+        assert got.shape == (500,) and got.dtype == bool
+        want = [oracles.segments_intersect(*(p[i] for p in pts))
+                for i in range(500)]
+        assert got.tolist() == want
+        assert 50 < sum(want) < 450
+        for i in range(0, 500, 25):
+            assert segments_intersect(*(p[i] for p in pts)) == want[i]
+
+    def test_broadcasts_one_segment_against_many(self):
+        ends = np.array([(2.0, 2.0), (2.0, -2.0), (0.5, 0.5), (1.0, 1.0)])
+        got = segments_intersect((0.0, 0.0), ends, (1.0, 0.0), (1.0, 3.0))
+        assert got.tolist() == [True, False, False, True]
 
 
 class TestEnvironmentFiles:

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from mimoloc.adp import build_dft_pair, similarity
 from mimoloc.channel import ArrayConfig, Environment, OfdmConfig, Reflector
 from mimoloc.dynamics import (
@@ -180,6 +181,24 @@ class TestGenerateSequence:
             assert not frame.distorted and not frame.lost_link
             idx = r * GRID.n_cols + c
             np.testing.assert_array_equal(frame.adp, db.adps[idx])
+
+    @pytest.mark.parametrize("kind", list(DistortionKind))
+    def test_frames_match_scalar_oracle(self, kind):
+        walk = self.walk()
+        scenario = DistortionScenario(kind, rng_seed=3)
+        seq = generate_sequence(ENV, walk, scenario, 6, ARRAY, OFDM, dft=self.DFT)
+        foreground = None
+        for i, (frame, pos) in enumerate(zip(seq.frames, walk.positions())):
+            paths = oracles.trace_paths(ENV, pos, ARRAY, OFDM)
+            oracles.assert_same_paths(frame.paths, paths)
+            if i >= 6:
+                if kind is DistortionKind.NLOS_ADDITION and foreground is None:
+                    foreground = draw_foreground_path(scenario, paths, OFDM)
+                paths = distort_paths(paths, scenario, OFDM,
+                                      foreground=foreground)
+            csi = oracles.synthesize_csi(paths, ARRAY, OFDM)
+            want = np.abs(self.DFT.v.conj().T @ csi @ self.DFT.f)
+            assert np.array_equal(frame.adp, want.astype("<f4"))
 
     def test_blockage_lowers_energy_from_distort_from(self):
         walk = self.walk()
