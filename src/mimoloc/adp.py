@@ -83,25 +83,34 @@ def gaussian_profile(
     Returns:
         float64 image of the given shape.
     """
-    n_t, n_c = shape
     out = np.zeros(shape, dtype=np.float64)
     if len(centers) == 0:
         return out
     centers = np.atleast_2d(centers)
     amplitudes = np.ravel(amplitudes)
     k = min(len(centers), len(amplitudes))
-    cz, cq = centers[:k].T
+    # added one at a time, in order: a sum over the first axis may pair
+    # the terms differently and move the last bits
+    for bump in gaussian_bumps(shape, centers[:k], amplitudes[:k], sigma):
+        out += bump
+    return out
+
+
+def gaussian_bumps(shape: tuple[int, int], centers: np.ndarray,
+                   amplitudes: np.ndarray, sigma: float) -> np.ndarray:
+    """The bumps ``gaussian_profile`` sums, one image per center.
+
+    ``centers`` is a (k, 2) array and ``amplitudes`` a (k,) array;
+    returns (k, n_t, n_c).
+    """
+    n_t, n_c = shape
+    cz, cq = centers.T
     dz = (np.arange(n_t)[None, :, None] - cz[:, None, None] + n_t / 2.0) \
         % n_t - n_t / 2.0
     dq = (np.arange(n_c)[None, None, :] - cq[:, None, None] + n_c / 2.0) \
         % n_c - n_c / 2.0
-    bumps = amplitudes[:k, None, None] * np.exp(
+    return amplitudes[:, None, None] * np.exp(
         -(dz * dz + dq * dq) / (2.0 * sigma * sigma))
-    # added one at a time, in order: a sum over the first axis may pair
-    # the terms differently and move the last bits
-    for bump in bumps:
-        out += bump
-    return out
 
 
 def similarity(a: np.ndarray, b: np.ndarray):

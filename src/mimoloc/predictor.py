@@ -8,7 +8,10 @@ predictions out, each row bit for bit its own history's prediction.
 * ``PeakTrackingPredictor`` is model based. It detects local maxima in
   each frame, associates them across frames into tracks, extrapolates
   every track one step, and repaints the frame as a sum of narrow
-  Gaussian bumps.
+  Gaussian bumps. A stack is worked in array passes over all histories
+  at once: one detection call, then one association pass per frame
+  index, with ties and rounding settled exactly as the scalar rule for
+  one history settles them.
 * ``ConvRecurrentPredictor`` is learned. A small convolutional recurrent
   net, trained by backpropagation through time, emits the next frame as
   a residual correction on the latest one.
@@ -20,12 +23,12 @@ resynthesis all wrap cyclically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .adp import gaussian_profile
+from .adp import gaussian_bumps
 from .container import read_checkpoint, read_weights, write_checkpoint
 from .errors import (
     DimensionMismatch,
@@ -50,68 +53,159 @@ class Peak(NamedTuple):
 
 # the cyclic 3x3 window in centroid summation order, center included
 _NEIGHBORS = tuple((dz, dq) for dz in (-1, 0, 1) for dq in (-1, 0, 1))
+# np.hypot and math.hypot, which defines the association rule, differ in
+# the last bit now and then; a distance this close (relative) to another
+# or to the gate is taken again with math.hypot
+_HYPOT_TIE = 1e-12
 
 
-def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0) -> list[Peak]:
+def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0):
     """Find strict local maxima over the cyclic 8-neighborhood.
 
     Each maximum is refined to subpixel coordinates with an intensity
     centroid over its cyclic 3x3 window. Plateaus (exact ties with a
-    neighbor) are not maxima, so an all-zero frame yields no peaks.
+    neighbor) are not maxima, so an all-zero frame yields no peaks. A
+    frame's peaks are sorted by descending amplitude, ties by coordinates,
+    and the first ``max_peaks`` are kept.
 
     Args:
-        adp: 2D profile, any real dtype.
-        max_peaks: keep at most this many, strongest first.
+        adp: one 2D profile, or an (F, n_t, n_c) stack of them; any real
+            dtype.
+        max_peaks: keep at most this many per frame, strongest first.
         min_amplitude: discard maxima at or below this pixel value.
 
     Returns:
-        Peaks sorted by descending amplitude, ties by coordinates.
+        For one profile, its peaks as a list. For a stack, one ``Peak`` of
+        three (F, P) float64 arrays, P the most peaks kept in any frame:
+        row f holds frame f's peaks in list order, padded with NaN.
     """
     a = np.asarray(adp, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2D profile, got shape {a.shape}")
-    n_t, n_c = a.shape
+    if a.ndim not in (2, 3):
+        raise DimensionMismatch(
+            f"expected a 2D profile or a stack of them, got shape {a.shape}")
+    stack = a if a.ndim == 3 else a[None]
+    n_f, n_t, n_c = stack.shape
     # cyclically padded by one bin; its shifted slices are the 8 neighbors
-    padded = np.concatenate([a[-1:], a, a[:1]])
-    padded = np.concatenate([padded[:, -1:], padded, padded[:, :1]], axis=1)
-    is_max = a > min_amplitude
+    padded = np.zeros((n_f, n_t + 2, n_c + 2))
+    padded[:, 1:-1, 1:-1] = stack
+    if stack.size:
+        padded[:, 0, 1:-1], padded[:, -1, 1:-1] = stack[:, -1], stack[:, 0]
+        padded[:, :, 0], padded[:, :, -1] = padded[:, :, -2], padded[:, :, 1]
+    is_max = stack > min_amplitude
     for dz, dq in _NEIGHBORS:
         if dz or dq:
-            is_max &= a > padded[1 + dz:1 + dz + n_t, 1 + dq:1 + dq + n_c]
-    zs, qs = np.nonzero(is_max)
-    num_z = np.zeros(zs.size)
-    num_q = np.zeros(zs.size)
-    den = np.zeros(zs.size)
+            is_max &= stack > padded[:, 1 + dz:1 + dz + n_t,
+                                     1 + dq:1 + dq + n_c]
+    fs, zs, qs = np.nonzero(is_max)
+    flat = padded.reshape(-1)
+    at = (fs * (n_t + 2) + zs + 1) * (n_c + 2) + qs + 1  # in padded
+    num_z, num_q, den = np.zeros((3, zs.size))
     for dz, dq in _NEIGHBORS:
-        w = padded[zs + 1 + dz, qs + 1 + dq]
+        w = flat[at + (dz * (n_c + 2) + dq)]
         den += w
         num_z += w * dz
         num_q += w * dq
-    peaks = [
-        Peak(z, q, amp) for z, q, amp in zip(
-            (zs + num_z / den) % n_t, (qs + num_q / den) % n_c,
-            a[zs, qs].tolist())
-    ]
-    peaks.sort(key=lambda p: (-p.amplitude, p.angle_bin, p.delay_bin))
-    return peaks[:max_peaks]
+    z = (zs + num_z / den) % n_t
+    q = (qs + num_q / den) % n_c
+    amp = flat[at]
+    # by frame, then the stable sort on (-amplitude, angle, delay)
+    order = np.lexsort((q, z, -amp, fs))
+    fs, z, q, amp = fs[order], z[order], q[order], amp[order]
+    counts = np.bincount(fs, minlength=n_f)
+    rank = np.arange(fs.size) - (np.cumsum(counts) - counts)[fs]
+    # as the slice peaks[:max_peaks] keeps them, a negative bound included
+    keep = rank < (max_peaks if max_peaks >= 0 else counts[fs] + max_peaks)
+    fs, rank, z, q, amp = fs[keep], rank[keep], z[keep], q[keep], amp[keep]
+    if a.ndim == 2:
+        return [Peak(*p) for p in zip(z, q, amp.tolist())]
+    out = np.full((3, n_f, rank.max(initial=-1) + 1), np.nan)
+    out[:, fs, rank] = z, q, amp
+    return Peak(*out)
 
 
-def _wrap(delta: float, period: int) -> float:
-    return (delta + period / 2.0) % period - period / 2.0
+def _hypot(dz, dq, candidate, gate):
+    """Distances, as ``math.hypot`` would order the candidates of each row
+    (last axis) among themselves and against ``gate``."""
+    dist = np.hypot(dz, dq)
+    ranked = np.sort(np.where(candidate, dist, np.nan), axis=-1)  # NaN last
+    near = ((np.diff(ranked, axis=-1) <= _HYPOT_TIE * ranked[..., 1:])
+            .any(axis=-1) | (np.abs(ranked - gate)
+                             <= _HYPOT_TIE * abs(gate)).any(axis=-1))
+    for row in zip(*np.nonzero(near)):
+        dist[row] = [math.hypot(z, q)
+                     for z, q in zip(dz[row].tolist(), dq[row].tolist())]
+    return dist
 
 
-@dataclass
-class _Track:
-    # coordinates are unwrapped so straight motion across the seam stays
-    # straight; they are reduced mod the grid only at resynthesis time
-    times: list
-    zs: list
-    qs: list
-    amps: list
-    misses: int = 0
+def _associate(pz, pq, pamp, shape, gate, max_misses):
+    """Link the (n, frames, P) peaks, padded as ``detect_peaks`` pads
+    them, into tracks: slot s of row i is the s-th track history i opened.
 
-    def last(self):
-        return self.times[-1], self.zs[-1], self.qs[-1], self.amps[-1]
+    Returns the first and last observation of every slot, as (4, n,
+    slots) arrays of frame index, angle bin, delay bin and amplitude, and
+    the (n, slots) mask of slots alive after the last frame. Coordinates
+    are unwrapped, so straight motion across the seam stays straight.
+    """
+    n, n_frames, width = pz.shape
+    n_t, n_c = shape
+    rows = np.arange(n)
+    first = np.zeros((4, n, n_frames * width))
+    last = np.zeros_like(first)
+    alive = np.zeros(first.shape[1:], dtype=bool)
+    opened = np.zeros(n, dtype=np.int64)
+    for t in range(n_frames):
+        found = ~np.isnan(pamp[:, t])
+        slot = np.full((n, width), -1)  # the track each peak joins
+        k = opened.max(initial=0)
+        if k:
+            # wrapped offsets from every peak to every track, on the grid
+            dz = (pz[:, t, :, None] - last[1, :, None, :k] % n_t
+                  + n_t / 2.0) % n_t - n_t / 2.0
+            dq = (pq[:, t, :, None] - last[2, :, None, :k] % n_c
+                  + n_c / 2.0) % n_c - n_c / 2.0
+            # candidates are the tracks alive before this frame
+            candidate = alive[:, None, :k] & found[:, :, None]
+            dist = _hypot(dz, dq, candidate, gate)
+            # a peak joins the last of its nearest candidates within the
+            # gate (a scan keeping each dist <= the best so far); tracks
+            # reversed so argmin finds it. Offsets are finite or NaN, so
+            # only non-candidates cost inf.
+            cost = np.where(candidate & (dist <= gate), dist,
+                            np.inf)[:, :, ::-1]
+            for r in range(found.sum(axis=1).max()):  # strongest first
+                j = cost[:, r].argmin(axis=1)
+                i = np.nonzero(cost[rows, r, j] < np.inf)[0]
+                cost[i, :, j[i]] = np.inf  # taken for the weaker peaks
+                slot[i, r] = k - 1 - j[i]
+            i, r = np.nonzero(slot >= 0)
+            s = slot[i, r]
+            last[:, i, s] = (np.full(i.size, t), last[1, i, s] + dz[i, r, s],
+                             last[2, i, s] + dq[i, r, s], pamp[i, t, r])
+        # unmatched peaks open tracks after the existing ones, in order
+        new = found & (slot < 0)
+        i, r = np.nonzero(new)
+        s = (opened[:, None] + np.cumsum(new, axis=1) - 1)[i, r]
+        first[:, i, s] = last[:, i, s] = (
+            np.full(i.size, t), pz[i, t, r], pq[i, t, r], pamp[i, t, r])
+        alive[i, s] = True
+        opened += new.sum(axis=1)
+        alive &= t - last[0] < max_misses  # frames missed in a row
+    return first, last, alive
+
+
+def _history_stack(history):
+    """One history (a list of frames) or a stack of them as one float64
+    (n, frames, n_t, n_c) array, and whether it came as a stack."""
+    stack = getattr(history, "ndim", None) == 4
+    try:
+        x = np.array(history if stack else [list(history)], dtype=np.float64)
+    except ValueError as exc:  # frames of different shapes
+        raise DimensionMismatch(f"frames differ in shape: {exc}") from exc
+    if x.shape[1] == 0:
+        raise EmptyHistory("need at least one past frame")
+    if x.ndim != 4:
+        raise DimensionMismatch(f"expected 2D frames, got {x.shape[2:]}")
+    return x, stack
 
 
 @dataclass(frozen=True)
@@ -119,20 +213,20 @@ class PeakTrackingPredictor:
     """Track peaks across past frames and extrapolate them one step.
 
     Peaks are associated frame to frame greedily, strongest first, to the
-    nearest live track within ``gate`` bins (cyclic distance). A track
-    that goes unmatched ``max_misses`` frames in a row is dropped. Each
-    surviving track contributes one Gaussian bump to the predicted frame:
-    position and amplitude are extrapolated linearly from the first and
-    last observation (a single-observation track is held stationary), and
-    amplitude is clamped at zero.
+    nearest live track within ``gate`` bins (cyclic distance); of tracks
+    at equal distance the one opened last wins, and a track opened in a
+    frame is no candidate in it. A track that goes unmatched
+    ``max_misses`` frames in a row is dropped. Each surviving track
+    contributes one Gaussian bump to the predicted frame, in the order
+    the tracks were opened: position and amplitude are extrapolated
+    linearly from the first and last observation (a single-observation
+    track is held stationary), and amplitude is clamped at zero.
 
-    The prediction is a pure function of the history. An instance keeps
-    the peaks it detected in the frames of its last step, keyed by their
-    bytes: a step is one call, of one history or of a stack of histories
-    (which ``predict`` then takes one by one). A rolling history is thus
-    detected one new frame per step, and a frame that several histories of
-    a step share is detected once. The memo is replaced on every step and
-    takes no part in equality.
+    A stack of histories is worked as one (one history is a stack of
+    one): one ``detect_peaks`` call over all its frames, then per frame
+    index one distance tensor over every history's peaks and tracks and
+    one masked argmin per peak rank, with the tracks in fixed slots under
+    an alive mask. The prediction is a pure function of the history.
 
     Attributes:
         max_peaks: peaks kept per frame.
@@ -147,100 +241,39 @@ class PeakTrackingPredictor:
     max_misses: int = 2
     sigma: float = 0.5
     min_amplitude: float = 0.0
-    _last_peaks: dict = field(default_factory=dict, init=False,
-                              compare=False, repr=False)
 
     def __call__(self, history) -> np.ndarray:
-        if getattr(history, "ndim", None) != 4:
-            return self.predict(history)
-        step = {}
-        predictions = np.stack([self.predict(h, step) for h in history])
-        self._last_peaks.clear()
-        self._last_peaks.update(step)
-        return predictions
+        return self.predict(history)
 
-    def predict(self, history, step=None) -> np.ndarray:
-        """Predict one history. ``step``, a dict shared by the histories of
-        one step, gathers their frames' peaks; without it the call is a
-        step of its own."""
-        frames = [np.asarray(f, dtype=np.float64) for f in history]
-        if not frames:
-            raise EmptyHistory("need at least one past frame")
-        n_t, n_c = frames[0].shape
-        tracks = self._build_tracks(frames, n_t, n_c, step)
-        t_next = len(frames)
-        centers, amps = [], []
-        for tr in tracks:
-            t_last, z, q, amp = tr.last()
-            if len(tr.times) >= 2:
-                span = tr.times[-1] - tr.times[0]
-                dt = t_next - t_last
-                z = z + (tr.zs[-1] - tr.zs[0]) / span * dt
-                q = q + (tr.qs[-1] - tr.qs[0]) / span * dt
-                amp = amp + (tr.amps[-1] - tr.amps[0]) / span * dt
-            centers.append((z % n_t, q % n_c))
-            amps.append(max(amp, 0.0))
-        return gaussian_profile(
-            (n_t, n_c), np.array(centers).reshape(-1, 2), np.array(amps), self.sigma
-        )
-
-    def _detect(self, frames, step) -> list:
-        """Peaks of every frame, detecting each distinct frame once."""
-        keys = [(frame.shape, frame.tobytes()) for frame in frames]
-        peaks = {} if step is None else step
-        for key, frame in zip(keys, frames):
-            if key not in peaks:
-                known = self._last_peaks.get(key)
-                peaks[key] = known if known is not None else detect_peaks(
-                    frame, self.max_peaks, self.min_amplitude)
-        if step is None:
-            self._last_peaks.clear()
-            self._last_peaks.update(peaks)
-        return [peaks[key] for key in keys]
-
-    def _build_tracks(self, frames, n_t, n_c, step=None) -> list[_Track]:
-        for t, frame in enumerate(frames):
-            if frame.shape != (n_t, n_c):
-                raise DimensionMismatch(
-                    f"frame {t} has shape {frame.shape}, expected {(n_t, n_c)}"
-                )
-        tracks: list[_Track] = []
-        for t, detected in enumerate(self._detect(frames, step)):
-            # tracks that existed before this frame, reduced onto the grid
-            live = [(i, tr.zs[-1] % n_t, tr.qs[-1] % n_c)
-                    for i, tr in enumerate(tracks)]
-            taken = set()
-            for peak in detected:
-                best, best_dist, step = None, self.gate, None
-                for i, z, q in live:
-                    if i in taken:
-                        continue
-                    dz = _wrap(peak.angle_bin - z, n_t)
-                    dq = _wrap(peak.delay_bin - q, n_c)
-                    dist = math.hypot(dz, dq)
-                    if dist <= best_dist:
-                        best, best_dist, step = i, dist, (dz, dq)
-                if best is None:
-                    tracks.append(
-                        _Track([t], [peak.angle_bin], [peak.delay_bin],
-                               [peak.amplitude])
-                    )
-                else:
-                    taken.add(best)
-                    tr = tracks[best]
-                    tr.times.append(t)
-                    tr.zs.append(tr.zs[-1] + step[0])
-                    tr.qs.append(tr.qs[-1] + step[1])
-                    tr.amps.append(peak.amplitude)
-                    tr.misses = 0
-            survivors = []
-            for tr in tracks:
-                if tr.times[-1] != t:
-                    tr.misses += 1
-                if tr.misses < self.max_misses:
-                    survivors.append(tr)
-            tracks = survivors
-        return tracks
+    def predict(self, history) -> np.ndarray:
+        """Predict one history, or a stack of them in one pass."""
+        x, stack = _history_stack(history)
+        n, n_frames, n_t, n_c = x.shape
+        peaks = detect_peaks(x.reshape(n * n_frames, n_t, n_c),
+                             self.max_peaks, self.min_amplitude)
+        pz, pq, pamp = (p.reshape(n, n_frames, p.shape[1]) for p in peaks)
+        first, last, alive = _associate(pz, pq, pamp, (n_t, n_c), self.gate,
+                                        self.max_misses)
+        (t0, z0, q0, a0), (t1, z1, q1, a1) = first, last
+        moved = t1 > t0  # seen more than once
+        span = np.where(moved, t1 - t0, 1.0)
+        dt = n_frames - t1
+        z = np.where(moved, z1 + (z1 - z0) / span * dt, z1) % n_t
+        q = np.where(moved, q1 + (q1 - q0) / span * dt, q1) % n_c
+        amp = np.where(moved, a1 + (a1 - a0) / span * dt, a1)
+        amp = np.where(0.0 > amp, 0.0, amp)  # max(amp, 0.0): keeps -0.0, NaN
+        # each row's bumps added one track at a time, in slot order, as
+        # gaussian_profile adds them
+        i, s = np.nonzero(alive)
+        rank = np.arange(i.size) - np.searchsorted(i, i)
+        centers = np.stack([z[i, s], q[i, s]], axis=1)
+        amp = amp[i, s]
+        out = np.zeros((n, n_t, n_c))
+        for j in range(rank.max(initial=-1) + 1):
+            pick = rank == j
+            out[i[pick]] += gaussian_bumps((n_t, n_c), centers[pick],
+                                           amp[pick], self.sigma)
+        return out if stack else out[0]
 
 
 # --- learned predictor ------------------------------------------------------
@@ -295,14 +328,7 @@ class ConvRecurrentPredictor:
     def predict(self, history) -> np.ndarray:
         """Predict one history, or a stack of them in one recurrence."""
         shape = (self.n_antennas, self.n_subcarriers)
-        stack = getattr(history, "ndim", None) == 4
-        try:
-            x = np.array(history if stack else [list(history)],
-                         dtype=np.float64)
-        except ValueError as exc:  # frames of different shapes
-            raise DimensionMismatch(f"frames differ in shape: {exc}") from exc
-        if x.shape[1] == 0:
-            raise EmptyHistory("need at least one past frame")
+        x, stack = _history_stack(history)
         if x.shape[2:] != shape:
             raise DimensionMismatch(
                 f"frames have shape {x.shape[2:]}, expected {shape}")

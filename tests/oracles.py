@@ -13,6 +13,7 @@ import cmath
 import logging
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from mimoloc.pipeline import (
     detect_distorted,
     recover_and_locate,
 )
-from mimoloc.predictor import Peak, PeakTrackingPredictor, _Track
+from mimoloc.predictor import Peak, PeakTrackingPredictor
 
 
 def direct_adp(csi: np.ndarray) -> np.ndarray:
@@ -230,11 +231,27 @@ def _wrap(delta, period):
     return (delta + period / 2.0) % period - period / 2.0
 
 
+@dataclass
+class _Track:
+    # coordinates are unwrapped so straight motion across the seam stays
+    # straight; they are reduced mod the grid only at resynthesis time
+    times: list
+    zs: list
+    qs: list
+    amps: list
+    misses: int = 0
+
+    def last(self):
+        return self.times[-1], self.zs[-1], self.qs[-1], self.amps[-1]
+
+
 class ReferencePeakTrackingPredictor(PeakTrackingPredictor):
-    """PeakTrackingPredictor that detects every frame of every history
-    afresh and reduces each track onto the grid once per peak."""
+    """PeakTrackingPredictor as a scalar loop over the histories of a
+    stack, their frames, and the (peak, track) pairs of each frame."""
 
     def predict(self, history):
+        if getattr(history, "ndim", None) == 4:
+            return np.stack([self.predict(h) for h in history])
         frames = [np.asarray(f, dtype=np.float64) for f in history]
         n_t, n_c = frames[0].shape
         tracks = self._build_tracks(frames, n_t, n_c)

@@ -252,7 +252,8 @@ class TestWorld:
         assert_same_run(evaluate(tiny_world, scenario), want)
 
     def test_second_evaluation_is_the_same(self, tiny_world):
-        # the peak tracker's memo and the localizers carry nothing over
+        # the peak tracker and the localizers carry nothing from one
+        # evaluation over to the next
         first = evaluate(tiny_world, "nlos-add")
         assert_same_run(evaluate(tiny_world, "nlos-add"), first)
 

@@ -440,34 +440,32 @@ class TestLockstep:
                 adps, nn_localizer(db), db, thresholds,
                 PeakTrackingPredictor()))
 
-    def test_peaks_detected_once_per_distinct_frame(self, db, thresholds,
-                                                    monkeypatch):
-        # per step: the frames of its histories, and those detected in it
+    def test_one_detection_per_step(self, db, thresholds, monkeypatch):
+        # per step: the stack of histories, and the frames of each
+        # detect_peaks call made in it
         steps = []
         tracker = PeakTrackingPredictor()
         detect = predictor_module.detect_peaks
 
-        def key(frame):
-            return np.asarray(frame, dtype=np.float64).tobytes()
-
-        def counting_detect(frame, *args):
-            steps[-1][1].append(key(frame))
-            return detect(frame, *args)
+        def counting_detect(frames, *args):
+            steps[-1][1].append(np.array(frames))
+            return detect(frames, *args)
 
         def predictor(histories):
-            steps.append(({key(f) for h in histories for f in h}, []))
+            steps.append((histories, []))
             return tracker(histories)
 
         monkeypatch.setattr(predictor_module, "detect_peaks",
                             counting_detect)
-        run_sequence(lockstep_walks(), nn_localizer(db), db, thresholds,
-                     predictor)
-        assert len(steps) == 11
-        previous = set()
-        for frames, detected in steps:
-            # each frame new to this step once, and no other frame
-            assert sorted(detected) == sorted(frames - previous)
-            previous = frames
+        walks = lockstep_walks()
+        run_sequence(walks, nn_localizer(db), db, thresholds, predictor)
+        assert len(steps) == len(walks[0]) - 1
+        for t, (histories, detected) in enumerate(steps, start=1):
+            n_t, n_c = histories.shape[2:]
+            assert histories.shape[:2] == (len(walks), min(t, 4))
+            # one call over all n x T frames of the step
+            (frames,) = detected
+            assert np.array_equal(frames, histories.reshape(-1, n_t, n_c))
 
     def test_no_walks_and_unequal_walks(self, db, thresholds):
         assert run_sequence([], nn_localizer(db), db, thresholds,

@@ -1,5 +1,7 @@
 """Peak detection, tracking, and next-frame prediction."""
 
+import math
+
 import numpy as np
 import oracles
 import pytest
@@ -112,9 +114,31 @@ class TestDetectPeaks:
             assert s.delay_bin == pytest.approx((p.delay_bin + 7) % 16, abs=1e-9)
             assert s.amplitude == pytest.approx(p.amplitude)
 
-    def test_rejects_non_2d(self):
-        with pytest.raises(DimensionMismatch):
-            detect_peaks(np.zeros((3, 4, 5)))
+    def test_rejects_other_than_frame_or_stack(self):
+        for shape in [(5,), (2, 3, 4, 5)]:
+            with pytest.raises(DimensionMismatch):
+                detect_peaks(np.zeros(shape))
+
+    @pytest.mark.parametrize("kwargs", [{}, {"max_peaks": 2},
+                                        {"min_amplitude": 0.5}])
+    def test_stack_rows_are_frame_lists(self, kwargs):
+        rng = np.random.default_rng(8)
+        frames = rng.uniform(0.0, 1.0, size=(7, 9, 11))
+        frames[2] = np.round(frames[2], 1)
+        frames[4] = 0.0
+        got = detect_peaks(frames, **kwargs)
+        lists = [detect_peaks(f, **kwargs) for f in frames]
+        width = max(len(peaks) for peaks in lists)
+        assert all(field.shape == (7, width) for field in got)
+        for row, peaks in enumerate(lists):
+            want = np.full((3, width), np.nan)
+            want[:, :len(peaks)] = np.array(peaks, dtype=float).T.reshape(3, -1)
+            assert np.array_equal(np.array([f[row] for f in got]), want,
+                                  equal_nan=True)
+
+    def test_empty_stack(self):
+        got = detect_peaks(np.zeros((0, 8, 8)))
+        assert all(field.shape == (0, 0) for field in got)
 
 
 class TestPeakTracking:
@@ -158,6 +182,8 @@ class TestPeakTracking:
     def test_empty_history_raises(self):
         with pytest.raises(EmptyHistory):
             PeakTrackingPredictor()([])
+        with pytest.raises(EmptyHistory):
+            PeakTrackingPredictor()(np.zeros((3, 0, 8, 8)))
 
     def test_stale_track_dropped(self):
         both = bumps((16, 16), [(3.0, 3.0), (10.0, 12.0)], [1.0, 0.8])
@@ -252,9 +278,103 @@ def walk_frames(seed, env=MULTIPATH, length=16):
         for p in walk.positions()]
 
 
+@pytest.mark.parametrize("predictor", [PeakTrackingPredictor(),
+                                       ConvRecurrentPredictor(16, 16)],
+                         ids=["peak-track", "conv-recurrent"])
+def test_empty_stack_gives_empty_stack(predictor):
+    got = predictor(np.zeros((0, 3, 16, 16)))
+    assert got.shape == (0, 16, 16) and got.dtype == np.float64
+
+
+def moving_bump_stack(rng, n, frames):
+    """n histories of moving, fading Gaussian bumps on 16x16; about a fifth
+    of the frames rounded to 0.1 (plateaus, ties) and a twentieth zeroed."""
+    stack = np.empty((n, frames, 16, 16))
+    for history in stack:
+        k = int(rng.integers(1, 5))
+        start = rng.uniform(0.0, 16.0, size=(k, 2))
+        velocity = rng.uniform(-1.5, 1.5, size=(k, 2))
+        amps = rng.uniform(0.2, 1.0, size=k)
+        fade = rng.uniform(-0.3, 0.3, size=k)
+        sigma = float(rng.uniform(0.4, 1.2))
+        for t, frame in enumerate(history):
+            frame[:] = gaussian_profile((16, 16), (start + velocity * t) % 16,
+                                        np.abs(amps + fade * t), sigma)
+            u = rng.uniform()
+            if u < 0.2:
+                frame[:] = np.round(frame, 1)
+            elif u < 0.25:
+                frame[:] = 0.0
+    return stack
+
+
+def assert_rows_match_reference(tracker, stack):
+    got = tracker(stack)
+    assert got.shape == (len(stack),) + stack.shape[2:]
+    reference = oracles.ReferencePeakTrackingPredictor(
+        tracker.max_peaks, tracker.gate, tracker.max_misses, tracker.sigma,
+        tracker.min_amplitude)
+    for row, history in zip(got, stack):
+        assert row.tobytes() == reference(history).tobytes()
+
+
 class TestMatchesReference:
-    """The vectorized detector, the memoizing tracker and the one-exp
+    """The vectorized detector, the stacked tracker and the one-exp
     resynthesis against the forms they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"gate": 1.0},
+                                        {"max_misses": 1}, {"max_peaks": 3}])
+    def test_random_stacks(self, kwargs):
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            stack = moving_bump_stack(rng, int(rng.integers(1, 12)),
+                                      int(rng.integers(1, 6)))
+            assert_rows_match_reference(PeakTrackingPredictor(**kwargs), stack)
+
+    def test_equidistant_tracks(self):
+        # a peak halfway between two tracks joins the one opened last
+        rng = np.random.default_rng(11)
+        stack = np.zeros((24, 3, 16, 16))
+        for history in stack:
+            z, q = rng.integers(0, 16, size=2)
+            dz, dq = rng.choice([-2, -1, 0, 1, 2], size=2)
+            if dz == dq == 0:
+                dz = 1
+            history[0, (z - dz) % 16, (q - dq) % 16] = rng.uniform(0.5, 1.0)
+            history[0, (z + dz) % 16, (q + dq) % 16] = rng.uniform(0.5, 1.0)
+            history[1:, z, q] = rng.uniform(0.5, 1.0)
+        assert_rows_match_reference(PeakTrackingPredictor(), stack[:, :2])
+        assert_rows_match_reference(PeakTrackingPredictor(), stack)
+        two = np.zeros((2, 16, 16))
+        two[0, 4, 4], two[0, 4, 8], two[1, 4, 6] = 1.0, 0.5, 0.8
+        pred = PeakTrackingPredictor()(two)
+        # (4, 8) moved on to (4, 4), where the missed (4, 4) holds still
+        assert pred[4, 4] == pytest.approx(1.1 + 1.0)
+        assert pred[4, 8] < 1e-6
+
+    def test_hypot_at_the_gate(self):
+        # A track at (4, 4) and, one frame later, a peak whose offset from
+        # it np.hypot and math.hypot round apart. With the gate at the
+        # smaller of the two, np.hypot alone would decide the match the
+        # other way.
+        rng = np.random.default_rng(12)
+        traps = []
+        while len(traps) < 12:
+            a, b = rng.uniform(0.05, 0.95, size=2)
+            later = np.zeros((16, 16))
+            later[5, 6], later[6, 6], later[5, 7] = 1.0, a, b
+            (peak,) = detect_peaks(later)
+            dz = oracles._wrap(peak.angle_bin - 4.0, 16)
+            dq = oracles._wrap(peak.delay_bin - 4.0, 16)
+            fast, exact = float(np.hypot(dz, dq)), math.hypot(dz, dq)
+            if fast != exact:
+                traps.append((later, min(fast, exact)))
+        first = np.zeros((16, 16))
+        first[4, 4] = 1.0
+        stack = np.stack([[first, later] for later, _ in traps])
+        for later, gate in traps:
+            assert_rows_match_reference(PeakTrackingPredictor(gate=gate),
+                                        stack)
 
     @pytest.mark.parametrize("max_peaks, floor", [(8, 0.0), (3, 0.0),
                                                   (8, 0.2)])
@@ -336,7 +456,7 @@ class TestMatchesReference:
         frames[6] = frames[2].copy()
         histories = np.stack([frames[i:i + 4] for i in range(6)])
         tracker = PeakTrackingPredictor()
-        for _ in range(2):  # the second step reads the first step's memo
+        for _ in range(2):  # a second step is worked afresh
             got = tracker(histories)
             for row, history in zip(got, histories):
                 want = oracles.ReferencePeakTrackingPredictor()(history)
