@@ -49,8 +49,13 @@ class DistortionScenario:
     """What the foreground object does to frames past ``distort_from``.
 
     ``addition_level_db`` sets the injected path magnitude relative to the
-    strongest existing path (amplitude dB, default -6). The injected path is
-    drawn once per sequence and held fixed across its distorted frames.
+    strongest existing path (amplitude dB, default -6). The injected path's
+    angle, delay and phase come from ``rng_seed`` alone, so every sequence
+    generated with one scenario shares them: ``evaluation_walks`` seeds it
+    with the config's seed, which makes every walk of an evaluation carry
+    the same draw. Only its magnitude follows each sequence, set from the
+    strongest path of its first distorted frame, and the path is held
+    fixed across that sequence's distorted frames.
     """
 
     kind: DistortionKind
@@ -150,7 +155,9 @@ def draw_foreground_path(
 ) -> Path:
     """Draw the injected foreign path for an addition scenario.
 
-    The draw is seeded by ``scenario.rng_seed``.
+    The draw is seeded by ``scenario.rng_seed`` alone, so every call with
+    one scenario draws the same angle, delay and phase; only the magnitude
+    depends on ``paths``.
 
     Arrival angle is uniform over (0, pi), the delay bin uniform over the
     OFDM window, the phase uniform; magnitude sits ``addition_level_db``

@@ -3,10 +3,11 @@
 One experiment run has two parts. ``build_world`` builds a fingerprint
 database for a chosen environment and trains both localizer heads on it
 (and the recurrent predictor, when one is chosen) in two helper
-processes while it calibrates detection thresholds; none of this depends
-on the distortion scenario. ``evaluate`` then simulates a batch of random
-walks with one distortion scenario in that world and scores four
-estimation methods frame by frame:
+processes, started before the database is built, while it calibrates
+detection thresholds; none of this depends on the distortion scenario.
+``evaluate`` then simulates a batch of random walks with one distortion
+scenario in that world and scores four estimation methods frame by
+frame:
 
 * ``dynamic``: detection plus prediction-fused recovery (the full
   pipeline).
@@ -45,7 +46,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DimensionMismatch
 from .fingerprint import FingerprintDb, GridSpec, build_db
-from .helper import Helper, collect
+from .helper import Helper, collect, deliver
 from .neural import (
     ClassifierGrid,
     ClassifierWknnLocalizer,
@@ -442,24 +443,36 @@ def build_world(config: ExperimentConfig, log=None) -> World:
 
     Training runs in two helper processes (see ``mimoloc.helper``), one
     per head, or, with the recurrent predictor, one for both heads and
-    one for the predictor; each uses one BLAS thread.
+    one for the predictor; each uses one BLAS thread. Both helpers start
+    before the database is built, so their start-up overlaps the build,
+    and each is handed its job as soon as that job exists: the
+    predictor's, which needs no database, at once, and the heads' once
+    the database is built. The caller calibrates the thresholds while
+    they train. Leaving the build for any reason kills and reaps every
+    helper it started.
     """
     config.validate()
     say = log if log is not None else (lambda msg: None)
     t0 = time.perf_counter()
-    say("building fingerprint database")
-    db = database_for(config)
-
-    heads = [(train_localizer, (config, db, name)) for name in LOCALIZERS]
-    if config.predictor == "peak-track":
-        say("training the localizers in two helper processes")
-        jobs = [heads[:1], heads[1:]]
-    else:
-        say("training the localizers and the recurrent predictor "
-            "in two helper processes")
-        jobs = [heads, [(train_recurrent_predictor, (config,))]]
+    recurrent = config.predictor == "conv-recurrent"
     with contextlib.ExitStack() as stack:
-        helpers = [stack.enter_context(Helper(calls)) for calls in jobs]
+        helpers = [stack.enter_context(Helper()) for _ in range(2)]
+        if recurrent:
+            say("training the recurrent predictor in a helper process")
+            helpers[1].send([(train_recurrent_predictor, (config,))])
+        say("building fingerprint database")
+        db = database_for(config)
+        heads = [(train_localizer, (config, db, name)) for name in LOCALIZERS]
+        if recurrent:
+            say("training the localizers in a helper process")
+            helpers[0].send(heads)
+        else:
+            say("training the localizers in two helper processes")
+            helpers[0].send(heads[:1])
+            helpers[1].send(heads[1:])
+        # both helpers hold their jobs before the caller turns to its own
+        # work, so neither waits for it
+        deliver(helpers)
         thresholds = default_thresholds(db.grid,
                                         calibrate_similarity_floor(db))
         say(f"similarity floor {thresholds.similarity_floor:.4f}")

@@ -1,23 +1,30 @@
 """Helper processes that run training jobs beside the calling process.
 
-``Helper(calls)`` starts a fresh interpreter running ``serve`` with BLAS
-pinned to one thread in the child's environment, sends it a pickled list
-of ``(function, args)`` calls over its stdin, and ``collect(helpers)``
-reads back each helper's list of return values from its stdout, from all
-helpers at once, as each finishes. Functions travel by import path, so a
-job is a module-level function. An exception a job raises is sent back
-and raised again in the caller; a helper that ends without a result
-raises ``HelperFailed``.
+A helper is used in two steps, so that its start-up overlaps the caller's
+own work. ``Helper()`` starts a fresh interpreter running ``serve``, with
+BLAS pinned to one thread in the child's environment; the child imports
+numpy and mimoloc and then waits for its job. ``helper.send(calls)``
+hands it a pickled list of ``(function, args)`` calls over its stdin. It
+never waits: what the pipe takes now is written at once, and the rest as
+the helper reads it, in ``deliver(helpers)`` (which ``collect`` calls
+first); large arrays are written from their own memory, not copied.
+``collect(helpers)`` reads back each helper's list of return values from
+its stdout, from all helpers at once, as each finishes. Functions travel
+by import path, so a job is a module-level function. An exception a job
+raises is sent back and raised again in the caller; a helper that ends
+without a result, before or after its hand-off, raises ``HelperFailed``.
 
 A plain child process, not ``multiprocessing``: the caller's environment
 is never touched, nothing outlives the ``with`` block (a helper still
-running at its end is killed), the caller's ``__main__`` is not imported
-again, and the caller starts no thread. Pickled bytes only ever pass
-between a caller and the helpers it started.
+running at its end, handed a job or not, is killed and reaped), the
+caller's ``__main__`` is not imported again, and the caller starts no
+thread. Pickled bytes only ever pass between a caller and the helpers it
+started.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import pickle
 import selectors
@@ -40,28 +47,65 @@ _ENTRY = ("import sys; from mimoloc.helper import serve; "
           "sys.exit(serve(sys.argv[1]))")
 
 
-class Helper:
-    """One child interpreter running a list of calls in order."""
+class _Chunks(collections.deque):
+    """A file that keeps what is written to it as byte views.
 
-    def __init__(self, calls):
-        self.name = ", ".join(fn.__qualname__ for fn, _ in calls)
+    The pickler hands a large array over as a ``PickleBuffer`` on the
+    array's own memory, so a job's pickle copies none of its arrays.
+    """
+
+    def write(self, data) -> None:
+        self.append(data.raw() if isinstance(data, pickle.PickleBuffer)
+                    else memoryview(data))
+
+
+class Helper:
+    """One child interpreter that runs the calls it is handed, in order."""
+
+    def __init__(self):
+        self._unsent = None  # the pickled calls not yet written
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, **BLAS_THREADS,
                    PYTHONPATH=_ROOT + (os.pathsep + path if path else ""))
         self.proc = subprocess.Popen(
             [sys.executable, "-c", _ENTRY, _ROOT],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-        try:
-            with self.proc.stdin:
-                pickle.dump(calls, self.proc.stdin,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        except BrokenPipeError:
-            pass  # the helper died at start; collect() reports its status
-        except BaseException:
-            self.close()
-            raise
 
-    def _finish(self, data: bytes) -> list:
+    def send(self, calls) -> None:
+        """Hand the helper its calls; a helper takes one list of calls.
+
+        Writes what the pipe takes now and leaves the rest to
+        ``deliver``, so it never waits for the helper's start-up. Large
+        arrays in ``calls`` are written from their own memory, so they
+        must not change until ``deliver`` returns.
+        """
+        if self._unsent is not None:
+            raise ValueError(f"helper for {self.name} already has its calls")
+        self.name = ", ".join(fn.__qualname__ for fn, _ in calls)
+        self._unsent = _Chunks()
+        pickle.dump(calls, self._unsent, protocol=pickle.HIGHEST_PROTOCOL)
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        if self._write():
+            self.proc.stdin.close()
+
+    def _write(self) -> bool:
+        """Write what the pipe takes now of the unsent calls; True once
+        nothing is left to write."""
+        try:
+            while self._unsent:
+                chunk = self._unsent[0]
+                n = os.write(self.proc.stdin.fileno(), chunk)
+                if n < len(chunk):
+                    self._unsent[0] = chunk[n:]
+                else:
+                    self._unsent.popleft()
+        except BlockingIOError:
+            return False
+        except BrokenPipeError:
+            pass  # the helper died; collect() reports its status
+        return True
+
+    def _finish(self, data: bytearray) -> list:
         # the helper closed its stdout after sending ``data``
         self.proc.stdout.close()
         status = self.proc.wait()
@@ -91,6 +135,27 @@ class Helper:
         return False
 
 
+def deliver(helpers) -> None:
+    """Write the rest of every helper's calls, to each as it reads them,
+    and return once all are written (or their helpers are gone).
+
+    Raises:
+        ValueError: a helper has not been handed its calls.
+    """
+    with selectors.DefaultSelector() as selector:
+        for helper in helpers:
+            if helper._unsent is None:
+                raise ValueError("a helper was handed no calls")
+            if not helper.proc.stdin.closed:
+                selector.register(helper.proc.stdin, selectors.EVENT_WRITE,
+                                  helper)
+        while selector.get_map():
+            for key, _ in selector.select():
+                if key.data._write():
+                    selector.unregister(key.fileobj)
+                    key.fileobj.close()
+
+
 def collect(helpers) -> list:
     """Wait for the helpers and return, for each in the order given, the
     list of its calls' results.
@@ -103,7 +168,10 @@ def collect(helpers) -> list:
         HelperFailed: a helper ended without sending a result.
         Exception: whatever a job raised, raised again here.
     """
-    chunks = {helper: [] for helper in helpers}
+    deliver(helpers)
+    # one growing buffer per reply, dropped once unpickled: replies that
+    # arrive together hold no more than their own size each
+    replies = {helper: bytearray() for helper in helpers}
     results = {}
     with selectors.DefaultSelector() as selector:
         for helper in helpers:
@@ -113,11 +181,11 @@ def collect(helpers) -> list:
             for key, _ in selector.select():
                 data = os.read(key.fd, 1 << 16)
                 if data:
-                    chunks[key.data].append(data)
+                    replies[key.data] += data
                 else:
                     selector.unregister(key.fileobj)
                     results[key.data] = key.data._finish(
-                        b"".join(chunks[key.data]))
+                        replies.pop(key.data))
     return [results[helper] for helper in helpers]
 
 

@@ -85,7 +85,9 @@ class Conv2d(WeightedLayer):
     gradient is returned C-contiguous, since the memory order of an array
     can change the summation order of a later matrix product. A layer
     whose input is data skips its input gradient (``input_grad=False``)
-    and fills only ``gw`` and ``gb``.
+    and fills only ``gw`` and ``gb``; its trainer builds the columns of
+    the whole data set once (``columns``) and runs each batch's rows
+    (``forward_columns``).
     """
 
     def __init__(self, out_channels: int, kernel_size: int, padding: str = "valid"):
@@ -127,7 +129,13 @@ class Conv2d(WeightedLayer):
         k = self.kernel_size
         return (k - 1) // 2, k // 2
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def columns(self, x: np.ndarray) -> np.ndarray:
+        """The (b, ho, wo, c*k*k) column matrix of a (b, c, h, w) batch.
+
+        Row (n, y, x) of it depends on image n alone, so the columns of a
+        whole data set may be built once and any batch's rows gathered
+        from them.
+        """
         b, c, h, w = x.shape
         k = self.kernel_size
         lo, hi = self._pad()
@@ -140,20 +148,28 @@ class Conv2d(WeightedLayer):
         for i in range(k):
             for j in range(k):
                 cols[..., i, j] = xp[:, i:i + ho, j:j + wo]
-        cols = cols.reshape(b, ho, wo, c * k * k)
+        return cols.reshape(b, ho, wo, c * k * k)
+
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        return self.forward_columns(self.columns(x), train)
+
+    def forward_columns(self, cols: np.ndarray,
+                        train: bool = True) -> np.ndarray:
+        """``forward`` of the batch whose column matrix is ``cols``."""
         wmat = self.w.reshape(self.out_channels, -1)
         # one product per output row of each image: a row's result never
         # depends on the batch around it
         y = cols @ wmat.T + self.b
         if train:
-            self._cache = (x.shape, cols)
+            self._cache = cols
         return y.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True):
-        (b, c, h, w), cols = self._cache
+        cols = self._cache
         k = self.kernel_size
         lo, hi = self._pad()
-        ho, wo = grad.shape[2:]
+        b, ho, wo = cols.shape[:3]
+        c = cols.shape[3] // (k * k)
         gt = grad.transpose(0, 2, 3, 1)  # (B, H', W', out)
         self.gw = np.tensordot(gt, cols, axes=([0, 1, 2], [0, 1, 2])).reshape(
             self.w.shape
@@ -163,10 +179,12 @@ class Conv2d(WeightedLayer):
             return None
         wmat = self.w.reshape(self.out_channels, -1)
         dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
-        dxp = np.zeros((b, h + lo + hi, w + lo + hi, c))
+        # the padded input is (ho + k - 1) x (wo + k - 1)
+        dxp = np.zeros((b, ho + k - 1, wo + k - 1, c))
         for i in range(k):
             for j in range(k):
                 dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
+        h, w = ho + k - 1 - lo - hi, wo + k - 1 - lo - hi
         return np.ascontiguousarray(
             dxp[:, lo:lo + h, lo:lo + w].transpose(0, 3, 1, 2))
 
@@ -398,16 +416,43 @@ class Model:
     def forward_batch(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """The stack's output for a batch ``x``; ``train=False`` is
         inference (see ``Layer``)."""
+        x = self._normalized(x)
+        for layer in self.layers:
+            x = layer.forward(x, train)
+        return x
+
+    def training_input(self, x: np.ndarray) -> np.ndarray:
+        """What ``forward_training`` takes for the input batch ``x``: the
+        batch as ``forward_batch`` hands it to the first layer, or, when
+        that layer is a ``Conv2d``, its column matrix.
+
+        A row of it depends on its own input row alone, so a training set
+        is prepared once and each batch gathers its rows.
+        """
+        x = self._normalized(x)
+        first = self.layers[0]
+        return first.columns(x) if isinstance(first, Conv2d) else x
+
+    def forward_training(self, data: np.ndarray) -> np.ndarray:
+        """``forward_batch(x)`` of the batch whose ``training_input`` is
+        ``data``, bit for bit."""
+        first = self.layers[0]
+        x = (first.forward_columns(data) if isinstance(first, Conv2d)
+             else first.forward(data))
+        for layer in self.layers[1:]:
+            x = layer.forward(x)
+        return x
+
+    def _normalized(self, x: np.ndarray) -> np.ndarray:
+        # each row divided by its own peak magnitude, a zero row left zero
         if x.shape[1:] != self.input_shape:
             raise DimensionMismatch(
                 f"input shape {x.shape[1:]}, expected {self.input_shape}"
             )
-        if self.normalize_input:
-            peak = np.abs(x).max(axis=(1, 2, 3), keepdims=True)
-            x = np.divide(x, peak, out=x.astype(float), where=peak > 0)
-        for layer in self.layers:
-            x = layer.forward(x, train)
-        return x
+        if not self.normalize_input:
+            return x
+        peak = np.abs(x).max(axis=(1, 2, 3), keepdims=True)
+        return np.divide(x, peak, out=x.astype(float), where=peak > 0)
 
     def backward_batch(self, grad: np.ndarray, skip_top: int = 0) -> None:
         """Fill every layer's parameter gradients from ``grad``, the
@@ -518,9 +563,10 @@ class TrainConfig:
     seed: int = 0
 
 
-def _loss_and_grad(model: Model, x, y):
-    out = model.forward_batch(x)
-    b = len(x)
+def _loss_and_grad(model: Model, data, y):
+    # ``data``: the batch's rows of the training set's ``training_input``
+    out = model.forward_training(data)
+    b = len(data)
     if model.head.kind == "regression":
         diff = out - y
         loss = float(np.sum(diff * diff) / b)
@@ -556,9 +602,12 @@ def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
     """Mini-batch SGD over the fingerprint database.
 
     Sets the model's position normalization from the database grid, then
-    runs seeded epochs of shuffled mini-batches. Returns the per-epoch mean
-    loss curve. The trained model keeps no activations or gradients of its
-    last step.
+    runs seeded epochs of shuffled mini-batches. The usable prints are
+    normalized, and the first layer's columns built, once for the whole
+    call (``Model.training_input``), and each batch gathers its rows:
+    the same weights and losses as preparing every batch on its own.
+    Returns the per-epoch mean loss curve. The trained model keeps no
+    activations or gradients of its last step.
 
     Raises:
         DivergedLoss: on the first non-finite batch loss.
@@ -572,6 +621,7 @@ def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
     n = len(x)
     if n == 0:
         raise ValueError("database has no usable fingerprints")
+    data = model.training_input(x)
     rng = np.random.default_rng(cfg.seed)
     velocity = [np.zeros_like(p) for p in model.parameters()]
     curve = []
@@ -582,7 +632,7 @@ def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
             sel = perm[start:start + cfg.batch_size]
             # overflow here just means the loss is about to be caught below
             with np.errstate(over="ignore", invalid="ignore"):
-                loss = _loss_and_grad(model, x[sel], y[sel])
+                loss = _loss_and_grad(model, data[sel], y[sel])
             if not np.isfinite(loss):
                 raise DivergedLoss(f"loss became {loss}")
             total += loss * len(sel)

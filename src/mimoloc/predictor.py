@@ -23,6 +23,7 @@ resynthesis all wrap cyclically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,14 +72,19 @@ def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0):
     Args:
         adp: one 2D profile, or an (F, n_t, n_c) stack of them; any real
             dtype.
-        max_peaks: keep at most this many per frame, strongest first.
+        max_peaks: keep at most this many per frame, strongest first;
+            an integer of at least 1.
         min_amplitude: discard maxima at or below this pixel value.
 
     Returns:
         For one profile, its peaks as a list. For a stack, one ``Peak`` of
         three (F, P) float64 arrays, P the most peaks kept in any frame:
         row f holds frame f's peaks in list order, padded with NaN.
+
+    Raises:
+        ValueError: ``max_peaks`` is not an integer of at least 1.
     """
+    _check_count("max_peaks", max_peaks)
     a = np.asarray(adp, dtype=np.float64)
     if a.ndim not in (2, 3):
         raise DimensionMismatch(
@@ -113,14 +119,26 @@ def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0):
     fs, z, q, amp = fs[order], z[order], q[order], amp[order]
     counts = np.bincount(fs, minlength=n_f)
     rank = np.arange(fs.size) - (np.cumsum(counts) - counts)[fs]
-    # as the slice peaks[:max_peaks] keeps them, a negative bound included
-    keep = rank < (max_peaks if max_peaks >= 0 else counts[fs] + max_peaks)
+    keep = rank < max_peaks
     fs, rank, z, q, amp = fs[keep], rank[keep], z[keep], q[keep], amp[keep]
     if a.ndim == 2:
         return [Peak(*p) for p in zip(z, q, amp.tolist())]
     out = np.full((3, n_f, rank.max(initial=-1) + 1), np.nan)
     out[:, fs, rank] = z, q, amp
     return Peak(*out)
+
+
+def _check_count(name, value):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer of at least 1, "
+                         f"got {value!r}")
+
+
+def _check_width(name, value):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and above 0, got {value!r}")
 
 
 def _hypot(dz, dq, candidate, gate):
@@ -234,6 +252,10 @@ class PeakTrackingPredictor:
         max_misses: consecutive unmatched frames before a track is dropped.
         sigma: width of the resynthesis bumps, in bins.
         min_amplitude: detection floor passed to :func:`detect_peaks`.
+
+    Raises:
+        ValueError: ``max_peaks`` or ``max_misses`` is not an integer of at
+            least 1, or ``gate`` or ``sigma`` is not finite and above 0.
     """
 
     max_peaks: int = 8
@@ -241,6 +263,12 @@ class PeakTrackingPredictor:
     max_misses: int = 2
     sigma: float = 0.5
     min_amplitude: float = 0.0
+
+    def __post_init__(self):
+        _check_count("max_peaks", self.max_peaks)
+        _check_count("max_misses", self.max_misses)
+        _check_width("gate", self.gate)
+        _check_width("sigma", self.sigma)
 
     def __call__(self, history) -> np.ndarray:
         return self.predict(history)
@@ -348,13 +376,24 @@ def _clone_conv(proto: Conv2d) -> Conv2d:
     return layer
 
 
-def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray):
+def _step_columns(model: ConvRecurrentPredictor, x: np.ndarray) -> np.ndarray:
+    """The input layer's column matrices of a (b, frames, n_t, n_c) batch
+    of scaled sequences, one C-contiguous (b, n_t, n_c, k*k) block per
+    input frame (each but the last, which is only a target): a
+    (frames - 1, b, n_t, n_c, k*k) array."""
+    b, t_len, n_t, n_c = x.shape
+    inputs = x[:, :-1].transpose(1, 0, 2, 3).reshape(-1, 1, n_t, n_c)
+    return model._xh.columns(inputs).reshape((t_len - 1, b, n_t, n_c, -1))
+
+
+def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
+                    xcols: np.ndarray):
     """Teacher-forced squared error over a batch of scaled sequences.
 
     ``x`` is (batch, frames, n_t, n_c), already divided by the model
-    scale. Every frame after the first is a target for the prediction
-    made from the frames before it. Returns the mean loss and gradients
-    in ``parameters()`` order.
+    scale, and ``xcols`` its ``_step_columns``. Every frame after the
+    first is a target for the prediction made from the frames before it.
+    Returns the mean loss and gradients in ``parameters()`` order.
     """
     b, t_len, n_t, n_c = x.shape
     h = np.zeros((b, model.hidden_channels, n_t, n_c))
@@ -363,7 +402,7 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray):
     for t in range(t_len - 1):
         xh, hh, out = (_clone_conv(model._xh), _clone_conv(model._hh),
                        _clone_conv(model._out))
-        h = np.tanh(xh.forward(x[:, t][:, None]) + hh.forward(h))
+        h = np.tanh(xh.forward_columns(xcols[t]) + hh.forward(h))
         pre_out = x[:, t][:, None] + out.forward(h)
         preds[:, t] = np.maximum(pre_out, 0.0)[:, 0]
         steps.append((xh, hh, out, h, pre_out))
@@ -413,7 +452,10 @@ def train_predictor(model: ConvRecurrentPredictor, sequences,
     Sequences may be ``FrameSequence`` objects or plain (frames, n_t, n_c)
     arrays; all must share one shape. Sets the model scale to the peak
     pixel of the training set, then runs mini-batch gradient descent with
-    momentum on the teacher-forced next-frame loss.
+    momentum on the teacher-forced next-frame loss. The input layer's
+    columns of every frame are built once for the whole call, and each
+    batch gathers its rows: the same weights and losses as building them
+    at every step.
 
     Returns:
         Mean training loss per epoch, in scaled units.
@@ -427,6 +469,7 @@ def train_predictor(model: ConvRecurrentPredictor, sequences,
     peak = float(data.max())
     model.scale = peak if peak > 0.0 else 1.0
     data /= model.scale
+    xcols = _step_columns(model, data)
     n = len(data)
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
@@ -438,7 +481,8 @@ def train_predictor(model: ConvRecurrentPredictor, sequences,
         for start in range(0, n, config.batch_size):
             sel = perm[start:start + config.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = _loss_and_grads(model, data[sel])
+                loss, grads = _loss_and_grads(model, data[sel],
+                                              xcols[:, sel])
             if not np.isfinite(loss):
                 raise DivergedLoss(f"loss became {loss}")
             total += loss * len(sel)

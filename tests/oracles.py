@@ -2,7 +2,8 @@
 
 Most of this is written directly from the interface contracts with scalar
 arithmetic, deliberately not reusing the package's vectorized code. The
-reference layers, ``baseline_track``, ``detect_peaks``,
+reference layers, the trainers that prepare every batch on their own
+(``train``, ``train_predictor``), ``baseline_track``, ``detect_peaks``,
 ``gaussian_profile``, the reference peak tracker, ``run_sequence`` and the
 scalar channel (``trace_paths``, ``synthesize_csi``, ``build_db_adps``)
 are earlier, plainer forms of package code, kept as the references their
@@ -19,14 +20,19 @@ import numpy as np
 
 from mimoloc.channel import Path
 from mimoloc.errors import DelayOverflow, EmptyNeighborhood, ZeroDistance
-from mimoloc.neural import Conv2d, MaxPool2x2
+from mimoloc.neural import Conv2d, MaxPool2x2, Softmax, training_data
 from mimoloc.pipeline import (
     FrameEstimate,
     Verdict,
     detect_distorted,
     recover_and_locate,
 )
-from mimoloc.predictor import Peak, PeakTrackingPredictor
+from mimoloc.predictor import (
+    Peak,
+    PeakTrackingPredictor,
+    _as_frame_array,
+    _clone_conv,
+)
 
 
 def direct_adp(csi: np.ndarray) -> np.ndarray:
@@ -89,31 +95,37 @@ class ReferenceConv2d(Conv2d):
     """Conv2d by ``np.pad`` plus a ``sliding_window_view`` im2col copy.
     It keeps its cache whether or not it trains."""
 
-    def forward(self, x, train=True):
+    def columns(self, x):
         k = self.kernel_size
         lo, hi = (0, 0) if self.padding == "valid" else ((k - 1) // 2, k // 2)
         xp = np.pad(x, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         b, c, ho, wo = win.shape[:4]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho, wo, c * k * k)
+        return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho, wo, c * k * k)
+
+    def forward(self, x, train=True):
+        cols = self.columns(x)
         wmat = self.w.reshape(self.out_channels, -1)
         y = cols @ wmat.T + self.b
-        self._cache = (xp.shape, (lo, hi), cols)
+        self._cache = cols
         return y.transpose(0, 3, 1, 2)
 
     def backward(self, grad, input_grad=True):
         # always computes the input gradient, as the old layer did; a
         # caller that passes input_grad=False discards it
-        xp_shape, (lo, hi), cols = self._cache
+        cols = self._cache
         k = self.kernel_size
+        lo, hi = (0, 0) if self.padding == "valid" else ((k - 1) // 2, k // 2)
         b, _, ho, wo = grad.shape
+        c = cols.shape[3] // (k * k)
+        xp_shape = (b, c, ho + k - 1, wo + k - 1)
         gt = grad.transpose(0, 2, 3, 1)
         wmat = self.w.reshape(self.out_channels, -1)
         self.gw = np.tensordot(gt, cols, axes=([0, 1, 2], [0, 1, 2])).reshape(
             self.w.shape
         )
         self.gb = gt.sum(axis=(0, 1, 2))
-        dcols = (gt @ wmat).reshape(b, ho, wo, xp_shape[1], k, k)
+        dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
         dxp = np.zeros(xp_shape)
         for i in range(k):
             for j in range(k):
@@ -155,6 +167,118 @@ class ReferenceMaxPool2x2(MaxPool2x2):
             .reshape(b, c, h2 * 2, w2 * 2)
         )
         return dx
+
+
+# --- the trainers before their column cache --------------------------------
+
+def _loss_and_grad(model, x, y):
+    out = model.forward_batch(x)
+    b = len(x)
+    if model.head.kind == "regression":
+        diff = out - y
+        loss = float(np.sum(diff * diff) / b)
+        model.backward_batch(2.0 * diff / b)
+    else:
+        p = out
+        loss = float(-np.mean(np.log(p[np.arange(b), y] + 1e-12)))
+        grad_logits = p.copy()
+        grad_logits[np.arange(b), y] -= 1.0
+        grad_logits /= b
+        assert isinstance(model.layers[-1], Softmax)
+        model.backward_batch(grad_logits, skip_top=1)
+    return loss
+
+
+def train(model, db, cfg):
+    """``neural.train`` with every batch normalized, and its first layer's
+    columns built, on its own by ``Model.forward_batch``."""
+    extent = db.grid.extent()
+    model.pos_offset = np.array([extent[0], extent[1]])
+    model.pos_scale = np.array(
+        [max(extent[2] - extent[0], 1e-12), max(extent[3] - extent[1], 1e-12)]
+    )
+    x, y = training_data(model, db)
+    n = len(x)
+    rng = np.random.default_rng(cfg.seed)
+    velocity = [np.zeros_like(p) for p in model.parameters()]
+    curve = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            sel = perm[start:start + cfg.batch_size]
+            loss = _loss_and_grad(model, x[sel], y[sel])
+            total += loss * len(sel)
+            for p, g, v in zip(model.parameters(), model.gradients(),
+                               velocity):
+                if cfg.momentum > 0.0:
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * g
+                    p += v
+                else:
+                    p -= cfg.learning_rate * g
+        curve.append(total / n)
+    return curve
+
+
+def _predictor_loss_and_grads(model, x):
+    # the input layer runs on each step's frames, columns built at each step
+    b, t_len, n_t, n_c = x.shape
+    h = np.zeros((b, model.hidden_channels, n_t, n_c))
+    steps = []
+    preds = np.empty((b, t_len - 1, n_t, n_c))
+    for t in range(t_len - 1):
+        xh, hh, out = (_clone_conv(model._xh), _clone_conv(model._hh),
+                       _clone_conv(model._out))
+        h = np.tanh(xh.forward(x[:, t][:, None]) + hh.forward(h))
+        pre_out = x[:, t][:, None] + out.forward(h)
+        preds[:, t] = np.maximum(pre_out, 0.0)[:, 0]
+        steps.append((xh, hh, out, h, pre_out))
+    diff = preds - x[:, 1:]
+    loss = float(np.mean(diff * diff))
+    gpred = 2.0 * diff / diff.size
+    grads = [np.zeros_like(p) for p in model.parameters()]
+    gh_next = np.zeros_like(h)
+    for t in reversed(range(t_len - 1)):
+        xh, hh, out, h_t, pre_out = steps[t]
+        g_out = gpred[:, t][:, None] * (pre_out > 0.0)
+        gh = out.backward(g_out) + gh_next
+        gpre = gh * (1.0 - h_t * h_t)
+        xh.backward(gpre, input_grad=False)
+        gh_next = hh.backward(gpre)
+        for acc, g in zip(grads, [xh.gw, xh.gb, hh.gw, hh.gb, out.gw, out.gb]):
+            acc += g
+    return loss, grads
+
+
+def train_predictor(model, sequences, config):
+    """``predictor.train_predictor`` with the input layer's columns built
+    at every step of every batch."""
+    data = _as_frame_array(sequences)
+    peak = float(data.max())
+    model.scale = peak if peak > 0.0 else 1.0
+    data /= model.scale
+    n = len(data)
+    rng = np.random.default_rng(config.seed)
+    params = model.parameters()
+    velocity = [np.zeros_like(p) for p in params]
+    history = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            sel = perm[start:start + config.batch_size]
+            loss, grads = _predictor_loss_and_grads(model, data[sel])
+            total += loss * len(sel)
+            for i, (p, g) in enumerate(zip(params, grads)):
+                if config.momentum > 0.0:
+                    velocity[i] = config.momentum * velocity[i] \
+                        - config.learning_rate * g
+                    p += velocity[i]
+                else:
+                    p -= config.learning_rate * g
+        history.append(total / n)
+    return history
 
 
 def baseline_track(localizer, adps, fallback):

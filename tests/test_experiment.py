@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import json
 import os
+import signal
+import subprocess
 import time
 
 import numpy as np
@@ -423,9 +425,10 @@ class TestHelpers:
 
     def test_helper_runs_with_one_blas_thread(self):
         environ = dict(os.environ)
-        with Helper([(os.getenv, (name,)) for name in
-                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                      "MKL_NUM_THREADS")]) as helper:
+        with Helper() as helper:
+            helper.send([(os.getenv, (name,)) for name in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")])
             assert collect([helper]) == [["1", "1", "1"]]
         assert dict(os.environ) == environ
 
@@ -437,8 +440,9 @@ class TestHelpers:
 
     def test_job_that_exits_without_a_result(self):
         t0 = time.perf_counter()
-        with Helper([(time.sleep, (120,))]) as sleeper, \
-                Helper([(os._exit, (3,))]) as failing:
+        with Helper() as sleeper, Helper() as failing:
+            sleeper.send([(time.sleep, (120,))])
+            failing.send([(os._exit, (3,))])
             with pytest.raises(HelperFailed, match="_exit.*status 3"):
                 collect([failing])
         # leaving the block kills the helper still at work, and reaps both
@@ -452,14 +456,98 @@ class TestHelpers:
         t0 = time.perf_counter()
         with pytest.raises(HelperFailed, match="_exit.*status 3"):
             with contextlib.ExitStack() as stack:
-                helpers = [stack.enter_context(Helper(calls)) for calls in
-                           ([(time.sleep, (120,))], [(os._exit, (3,))])]
+                helpers = [stack.enter_context(Helper()) for _ in range(2)]
+                helpers[0].send([(time.sleep, (120,))])
+                helpers[1].send([(os._exit, (3,))])
                 collect(helpers)
         assert time.perf_counter() - t0 < 60.0
         assert [h.proc.returncode for h in helpers][1] == 3
         assert helpers[0].proc.returncode is not None
 
     def test_collect_returns_results_in_the_order_given(self):
-        with Helper([(time.sleep, (0.5,)), (os.getenv, ("OMP_NUM_THREADS",))]
-                    ) as slow, Helper([(abs, (-2,))]) as fast:
+        with Helper() as slow, Helper() as fast:
+            slow.send([(time.sleep, (0.5,)),
+                       (os.getenv, ("OMP_NUM_THREADS",))])
+            fast.send([(abs, (-2,))])
             assert collect([slow, fast]) == [[None, "1"], [2]]
+
+    def test_send_never_waits_for_the_helper(self):
+        # the pipe takes 64 KiB of the 4 MiB; send returns all the same,
+        # even to a helper that reads nothing, and the rest goes as the
+        # helper reads it, arrays from their own memory in either order
+        data = np.arange(1 << 18, dtype=np.float64).reshape(512, 512)
+        calls = [(np.copy, (data,)), (np.copy, (np.asfortranarray(data),)),
+                 (bytes, (bytes(1 << 17),))]
+
+        def waited(signum, frame):
+            raise TimeoutError("send waited for the helper")
+
+        with Helper() as helper:
+            os.kill(helper.proc.pid, signal.SIGSTOP)
+            handler = signal.signal(signal.SIGALRM, waited)
+            signal.alarm(10)
+            try:
+                helper.send(calls)
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, handler)
+                os.kill(helper.proc.pid, signal.SIGCONT)
+            (c_order, f_order, raw), = collect([helper])
+        assert np.array_equal(c_order, data) and c_order.flags.c_contiguous
+        assert np.array_equal(f_order, data) and f_order.flags.f_contiguous
+        assert raw == bytes(1 << 17)
+
+    def test_helper_never_handed_a_job_is_killed(self):
+        with Helper() as idle:
+            pass
+        assert idle.proc.returncode is not None
+        assert idle.proc.stdin.closed and idle.proc.stdout.closed
+
+    def test_collect_needs_every_helper_handed_its_calls(self):
+        with Helper() as idle:
+            with pytest.raises(ValueError, match="no calls"):
+                collect([idle])
+            idle.send([(abs, (-1,))])
+            with pytest.raises(ValueError, match="already"):
+                idle.send([(abs, (-1,))])
+
+    @pytest.mark.parametrize("dies", ["before send", "during delivery"])
+    def test_helper_that_dies_before_its_hand_off(self, dies):
+        calls = [(len, (np.zeros(1 << 18),))]  # more than the pipe holds
+        with Helper() as helper:
+            if dies == "during delivery":
+                os.kill(helper.proc.pid, signal.SIGSTOP)  # reads nothing
+                helper.send(calls)
+            helper.proc.kill()
+            helper.proc.wait()
+            if dies == "before send":
+                helper.send(calls)
+            with pytest.raises(HelperFailed, match="len.*status -9"):
+                collect([helper])
+
+    def test_database_error_leaves_no_helper(self, monkeypatch):
+        started = []
+
+        class Recorded(Helper):
+            def __init__(self):
+                super().__init__()
+                started.append(self)
+
+        def broken(config):
+            raise MemoryError("no room for the database")
+
+        monkeypatch.setattr(experiment, "Helper", Recorded)
+        monkeypatch.setattr(experiment, "database_for", broken)
+        for predictor in ("peak-track", "conv-recurrent"):
+            with pytest.raises(MemoryError):
+                build_world(ExperimentConfig(predictor=predictor, **TINY))
+        assert len(started) == 4
+        assert all(h.proc.returncode is not None for h in started)
+
+    def test_bad_config_starts_no_process(self, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        with pytest.raises(ConfigError):
+            build_world(ExperimentConfig(**dict(TINY, scenario="jamming")))

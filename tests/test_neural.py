@@ -3,6 +3,7 @@
 import pickle
 
 import numpy as np
+import oracles
 import pytest
 from oracles import ReferenceConv2d, ReferenceMaxPool2x2, classifier_cell
 
@@ -218,6 +219,9 @@ class TestKernelsMatchReference:
 
     @staticmethod
     def use_reference_layers(monkeypatch):
+        # the trainers build a data layer's columns with ``columns`` and
+        # run it with ``forward_columns``, so the reference columns too
+        monkeypatch.setattr(Conv2d, "columns", ReferenceConv2d.columns)
         for cls, ref in ((Conv2d, ReferenceConv2d),
                          (MaxPool2x2, ReferenceMaxPool2x2)):
             monkeypatch.setattr(cls, "forward", ref.forward)
@@ -257,6 +261,61 @@ class TestKernelsMatchReference:
         assert history == ref_history
         for p, q in zip(params, ref_params):
             assert_same_bits(p, q)
+
+
+class TestColumnCache:
+    """The trainers normalize the data and build the data layer's columns
+    once per call, and each batch gathers its rows; the weights and loss
+    curves are those of preparing every batch on its own
+    (``oracles.train``, ``oracles.train_predictor``), to the bit."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("head", [
+        Head("regression"), Head("classification", ClassifierGrid(2, 2))],
+        ids=["regression", "classifier"])
+    def test_localizer_training(self, head, normalize):
+        db = synthetic_db(n_rows=5, n_cols=5)
+        adps = db.adps.copy()
+        adps[7] = 0.0  # a zero-profile print, left out of training
+        adps[::4] *= 37.0  # prints of other magnitudes, for normalization
+        db = FingerprintDb(grid=db.grid, positions=db.positions, adps=adps)
+        assert db.zero_flags.sum() == 1
+        # 24 usable prints in batches of 10: the last batch holds 4
+        cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05, seed=2)
+        models = [build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
+                              head, seed=3, normalize_input=normalize)
+                  for _ in range(2)]
+        curve = train(models[0], db, cfg)
+        assert curve == oracles.train(models[1], db, cfg)
+        got, want = models
+        for p, q in zip(got.parameters(), want.parameters()):
+            assert np.array_equal(p, q)
+        assert np.array_equal(got.pos_offset, want.pos_offset)
+        assert np.array_equal(got.pos_scale, want.pos_scale)
+
+    def test_stack_without_a_conv_layer(self):
+        db = synthetic_db(n_rows=3, n_cols=3)
+        head = Head("regression")
+        specs = [{"kind": "flatten"}, {"kind": "dense", "out_width": 2}]
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.05, seed=0)
+        models = [build_model(specs, (1, 8, 8), head, seed=1,
+                              normalize_input=True) for _ in range(2)]
+        assert train(models[0], db, cfg) == oracles.train(models[1], db, cfg)
+        for p, q in zip(models[0].parameters(), models[1].parameters()):
+            assert np.array_equal(p, q)
+
+    def test_predictor_training(self):
+        rng = np.random.default_rng(6)
+        seqs = rng.uniform(0.0, 1.0, size=(5, 6, 8, 8))
+        seqs[1, 2] = 0.0  # a dark frame
+        # five walks in batches of two: the last batch holds one
+        cfg = PredictorTrainConfig(epochs=3, batch_size=2, seed=1)
+        models = [ConvRecurrentPredictor(8, 8, seed=2) for _ in range(2)]
+        history = train_predictor(models[0], seqs, cfg)
+        assert history == oracles.train_predictor(models[1], seqs, cfg)
+        assert models[0].scale == models[1].scale
+        for p, q in zip(models[0].parameters(), models[1].parameters()):
+            assert np.array_equal(p, q)
 
 
 class TestComposedGradients:

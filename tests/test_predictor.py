@@ -15,6 +15,7 @@ from mimoloc.channel import (
     synthesize_csi,
     trace_paths,
 )
+from mimoloc.container import write_checkpoint
 from mimoloc.dynamics import WalkMode, random_walk
 from mimoloc.errors import (
     DimensionMismatch,
@@ -27,10 +28,13 @@ from mimoloc.errors import (
 )
 from mimoloc.fingerprint import GridSpec
 from mimoloc.predictor import (
+    PREDICTOR_MAGIC,
+    PREDICTOR_VERSION,
     ConvRecurrentPredictor,
     PeakTrackingPredictor,
     PredictorTrainConfig,
     _loss_and_grads,
+    _step_columns,
     detect_peaks,
     load_predictor,
     save_predictor,
@@ -95,6 +99,12 @@ class TestDetectPeaks:
         assert abs(peak.angle_bin - 0.3) < 0.1
         assert abs(peak.delay_bin - 15.6) < 0.1
 
+    @pytest.mark.parametrize("max_peaks", [0, -1, 2.5, True, "8"])
+    def test_rejects_max_peaks_below_one(self, max_peaks):
+        a = bumps((16, 16), [(2, 2), (8, 8), (13, 4)], [0.3, 1.0, 0.6])
+        with pytest.raises(ValueError, match="max_peaks"):
+            detect_peaks(a, max_peaks=max_peaks)
+
     def test_zero_frame_has_no_peaks(self):
         assert detect_peaks(np.zeros((8, 8))) == []
 
@@ -142,6 +152,16 @@ class TestDetectPeaks:
 
 
 class TestPeakTracking:
+    @pytest.mark.parametrize("field, value", [
+        ("max_peaks", 0), ("max_peaks", -1), ("max_peaks", 2.0),
+        ("max_misses", 0), ("max_misses", -2),
+        ("gate", 0.0), ("gate", -1.0), ("gate", math.nan),
+        ("gate", math.inf), ("gate", "3"),
+        ("sigma", 0.0), ("sigma", math.nan), ("sigma", math.inf)])
+    def test_rejects_bad_parameters(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PeakTrackingPredictor(**{field: value})
+
     def test_static_history_reproduces_frame(self):
         frame = bumps((16, 16), [(4.0, 6.0), (10.0, 12.0)], [1.0, 0.6])
         pred = PeakTrackingPredictor()([frame] * 4)
@@ -489,15 +509,16 @@ class TestConvRecurrent:
     def test_bptt_gradients_match_finite_differences(self):
         model = ConvRecurrentPredictor(6, 5, hidden_channels=2, seed=1)
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 3, 6, 5))
-        _, grads = _loss_and_grads(model, x)
+        xcols = _step_columns(model, x)  # data: no parameter moves them
+        _, grads = _loss_and_grads(model, x, xcols)
         for pi, p in enumerate(model.parameters()):
             flat = p.reshape(-1)
             for j in range(0, flat.size, max(flat.size // 5, 1)):
                 old = flat[j]
                 flat[j] = old + 1e-6
-                lp, _ = _loss_and_grads(model, x)
+                lp, _ = _loss_and_grads(model, x, xcols)
                 flat[j] = old - 1e-6
-                lm, _ = _loss_and_grads(model, x)
+                lm, _ = _loss_and_grads(model, x, xcols)
                 flat[j] = old
                 fd = (lp - lm) / 2e-6
                 an = grads[pi].reshape(-1)[j]
@@ -608,6 +629,18 @@ class TestCheckpoints:
         path = tmp_path / "tracker.ckpt"
         save_predictor(tracker, path)
         assert load_predictor(path) == tracker
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_peaks", -1), ("max_misses", 0), ("gate", None), ("gate", -3.0),
+        ("sigma", 0.0)])
+    def test_tracker_header_out_of_range(self, tmp_path, field, value):
+        header = {"kind": "peak-track", "max_peaks": 8, "gate": 3.0,
+                  "max_misses": 2, "sigma": 0.5, "min_amplitude": 0.0}
+        path = tmp_path / "tracker.ckpt"
+        write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION,
+                         dict(header, **{field: value}), [])
+        with pytest.raises(FormatError, match=field):
+            load_predictor(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
