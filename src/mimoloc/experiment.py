@@ -46,7 +46,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DimensionMismatch
 from .fingerprint import FingerprintDb, GridSpec, build_db
-from .helper import Helper, collect, deliver
+from .helper import Helper, collect
 from .neural import (
     ClassifierGrid,
     ClassifierWknnLocalizer,
@@ -447,9 +447,10 @@ def build_world(config: ExperimentConfig, log=None) -> World:
     before the database is built, so their start-up overlaps the build,
     and each is handed its job as soon as that job exists: the
     predictor's, which needs no database, at once, and the heads' once
-    the database is built. The caller calibrates the thresholds while
-    they train. Leaving the build for any reason kills and reaps every
-    helper it started.
+    the database is built (a job larger than the pipe is handed over
+    once its helper reads it). The caller calibrates the thresholds
+    while they train. Leaving the build for any reason kills and reaps
+    every helper it started.
     """
     config.validate()
     say = log if log is not None else (lambda msg: None)
@@ -470,9 +471,6 @@ def build_world(config: ExperimentConfig, log=None) -> World:
             say("training the localizers in two helper processes")
             helpers[0].send(heads[:1])
             helpers[1].send(heads[1:])
-        # both helpers hold their jobs before the caller turns to its own
-        # work, so neither waits for it
-        deliver(helpers)
         thresholds = default_thresholds(db.grid,
                                         calibrate_similarity_floor(db))
         say(f"similarity floor {thresholds.similarity_floor:.4f}")

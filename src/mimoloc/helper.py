@@ -4,10 +4,11 @@ A helper is used in two steps, so that its start-up overlaps the caller's
 own work. ``Helper()`` starts a fresh interpreter running ``serve``, with
 BLAS pinned to one thread in the child's environment; the child imports
 numpy and mimoloc and then waits for its job. ``helper.send(calls)``
-hands it a pickled list of ``(function, args)`` calls over its stdin. It
-never waits: what the pipe takes now is written at once, and the rest as
-the helper reads it, in ``deliver(helpers)`` (which ``collect`` calls
-first); large arrays are written from their own memory, not copied.
+hands it a pickled list of ``(function, args)`` calls over its stdin;
+large arrays are written from their own memory, not copied. ``send``
+returns once the pipe holds what the helper has not read, so a job
+larger than the pipe waits for the helper's start-up: start helpers
+early and hand them their jobs late.
 ``collect(helpers)`` reads back each helper's list of return values from
 its stdout, from all helpers at once, as each finishes. Functions travel
 by import path, so a job is a module-level function. An exception a job
@@ -24,7 +25,6 @@ started.
 
 from __future__ import annotations
 
-import collections
 import os
 import pickle
 import selectors
@@ -47,23 +47,11 @@ _ENTRY = ("import sys; from mimoloc.helper import serve; "
           "sys.exit(serve(sys.argv[1]))")
 
 
-class _Chunks(collections.deque):
-    """A file that keeps what is written to it as byte views.
-
-    The pickler hands a large array over as a ``PickleBuffer`` on the
-    array's own memory, so a job's pickle copies none of its arrays.
-    """
-
-    def write(self, data) -> None:
-        self.append(data.raw() if isinstance(data, pickle.PickleBuffer)
-                    else memoryview(data))
-
-
 class Helper:
     """One child interpreter that runs the calls it is handed, in order."""
 
     def __init__(self):
-        self._unsent = None  # the pickled calls not yet written
+        self.name = None  # set when the helper is handed its calls
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, **BLAS_THREADS,
                    PYTHONPATH=_ROOT + (os.pathsep + path if path else ""))
@@ -74,36 +62,18 @@ class Helper:
     def send(self, calls) -> None:
         """Hand the helper its calls; a helper takes one list of calls.
 
-        Writes what the pipe takes now and leaves the rest to
-        ``deliver``, so it never waits for the helper's start-up. Large
-        arrays in ``calls`` are written from their own memory, so they
-        must not change until ``deliver`` returns.
+        Returns once the pipe holds what the helper has not read yet, so
+        calls larger than the pipe wait for the helper's start-up.
         """
-        if self._unsent is not None:
+        if self.name is not None:
             raise ValueError(f"helper for {self.name} already has its calls")
         self.name = ", ".join(fn.__qualname__ for fn, _ in calls)
-        self._unsent = _Chunks()
-        pickle.dump(calls, self._unsent, protocol=pickle.HIGHEST_PROTOCOL)
-        os.set_blocking(self.proc.stdin.fileno(), False)
-        if self._write():
-            self.proc.stdin.close()
-
-    def _write(self) -> bool:
-        """Write what the pipe takes now of the unsent calls; True once
-        nothing is left to write."""
         try:
-            while self._unsent:
-                chunk = self._unsent[0]
-                n = os.write(self.proc.stdin.fileno(), chunk)
-                if n < len(chunk):
-                    self._unsent[0] = chunk[n:]
-                else:
-                    self._unsent.popleft()
-        except BlockingIOError:
-            return False
+            with self.proc.stdin:
+                pickle.dump(calls, self.proc.stdin,
+                            protocol=pickle.HIGHEST_PROTOCOL)
         except BrokenPipeError:
             pass  # the helper died; collect() reports its status
-        return True
 
     def _finish(self, data: bytearray) -> list:
         # the helper closed its stdout after sending ``data``
@@ -135,27 +105,6 @@ class Helper:
         return False
 
 
-def deliver(helpers) -> None:
-    """Write the rest of every helper's calls, to each as it reads them,
-    and return once all are written (or their helpers are gone).
-
-    Raises:
-        ValueError: a helper has not been handed its calls.
-    """
-    with selectors.DefaultSelector() as selector:
-        for helper in helpers:
-            if helper._unsent is None:
-                raise ValueError("a helper was handed no calls")
-            if not helper.proc.stdin.closed:
-                selector.register(helper.proc.stdin, selectors.EVENT_WRITE,
-                                  helper)
-        while selector.get_map():
-            for key, _ in selector.select():
-                if key.data._write():
-                    selector.unregister(key.fileobj)
-                    key.fileobj.close()
-
-
 def collect(helpers) -> list:
     """Wait for the helpers and return, for each in the order given, the
     list of its calls' results.
@@ -165,10 +114,12 @@ def collect(helpers) -> list:
     may still run (the caller's ``with`` blocks then kill them).
 
     Raises:
+        ValueError: a helper has not been handed its calls.
         HelperFailed: a helper ended without sending a result.
         Exception: whatever a job raised, raised again here.
     """
-    deliver(helpers)
+    if any(helper.name is None for helper in helpers):
+        raise ValueError("a helper was handed no calls")
     # one growing buffer per reply, dropped once unpickled: replies that
     # arrive together hold no more than their own size each
     replies = {helper: bytearray() for helper in helpers}

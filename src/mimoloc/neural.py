@@ -416,15 +416,12 @@ class Model:
     def forward_batch(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """The stack's output for a batch ``x``; ``train=False`` is
         inference (see ``Layer``)."""
-        x = self._normalized(x)
-        for layer in self.layers:
-            x = layer.forward(x, train)
-        return x
+        return self.forward_training(self.training_input(x), train)
 
     def training_input(self, x: np.ndarray) -> np.ndarray:
         """What ``forward_training`` takes for the input batch ``x``: the
-        batch as ``forward_batch`` hands it to the first layer, or, when
-        that layer is a ``Conv2d``, its column matrix.
+        batch, normalized if the model normalizes its input, or, when the
+        first layer is a ``Conv2d``, that batch's column matrix.
 
         A row of it depends on its own input row alone, so a training set
         is prepared once and each batch gathers its rows.
@@ -433,14 +430,19 @@ class Model:
         first = self.layers[0]
         return first.columns(x) if isinstance(first, Conv2d) else x
 
-    def forward_training(self, data: np.ndarray) -> np.ndarray:
-        """``forward_batch(x)`` of the batch whose ``training_input`` is
-        ``data``, bit for bit."""
+    def forward_training(self, x: np.ndarray,
+                         train: bool = True) -> np.ndarray:
+        """The stack's output for the batch whose ``training_input`` is
+        ``x``."""
+        # ``x`` is rebound at every layer, so inference frees the column
+        # matrix once the first layer is done with it, as
+        # ``Conv2d.forward`` does: held through the later layers, it made
+        # inference on a batch of 30 profiles about 40% slower
         first = self.layers[0]
-        x = (first.forward_columns(data) if isinstance(first, Conv2d)
-             else first.forward(data))
+        x = (first.forward_columns(x, train) if isinstance(first, Conv2d)
+             else first.forward(x, train))
         for layer in self.layers[1:]:
-            x = layer.forward(x)
+            x = layer.forward(x, train)
         return x
 
     def _normalized(self, x: np.ndarray) -> np.ndarray:

@@ -471,31 +471,18 @@ class TestHelpers:
             fast.send([(abs, (-2,))])
             assert collect([slow, fast]) == [[None, "1"], [2]]
 
-    def test_send_never_waits_for_the_helper(self):
-        # the pipe takes 64 KiB of the 4 MiB; send returns all the same,
-        # even to a helper that reads nothing, and the rest goes as the
-        # helper reads it, arrays from their own memory in either order
+    def test_large_calls_arrive_whole(self):
+        # far more than the pipe holds: arrays in either order, and a str
+        # whose only owner is the temporary list of calls
         data = np.arange(1 << 18, dtype=np.float64).reshape(512, 512)
-        calls = [(np.copy, (data,)), (np.copy, (np.asfortranarray(data),)),
-                 (bytes, (bytes(1 << 17),))]
-
-        def waited(signum, frame):
-            raise TimeoutError("send waited for the helper")
-
         with Helper() as helper:
-            os.kill(helper.proc.pid, signal.SIGSTOP)
-            handler = signal.signal(signal.SIGALRM, waited)
-            signal.alarm(10)
-            try:
-                helper.send(calls)
-            finally:
-                signal.alarm(0)
-                signal.signal(signal.SIGALRM, handler)
-                os.kill(helper.proc.pid, signal.SIGCONT)
+            helper.send([(np.copy, (data,)),
+                         (np.copy, (np.asfortranarray(data),)),
+                         (str.encode, ("x" * (1 << 17),))])
             (c_order, f_order, raw), = collect([helper])
         assert np.array_equal(c_order, data) and c_order.flags.c_contiguous
         assert np.array_equal(f_order, data) and f_order.flags.f_contiguous
-        assert raw == bytes(1 << 17)
+        assert raw == b"x" * (1 << 17)
 
     def test_helper_never_handed_a_job_is_killed(self):
         with Helper() as idle:
@@ -511,16 +498,27 @@ class TestHelpers:
             with pytest.raises(ValueError, match="already"):
                 idle.send([(abs, (-1,))])
 
-    @pytest.mark.parametrize("dies", ["before send", "during delivery"])
+    @pytest.mark.parametrize("dies", ["before send", "during send"])
     def test_helper_that_dies_before_its_hand_off(self, dies):
         calls = [(len, (np.zeros(1 << 18),))]  # more than the pipe holds
-        with Helper() as helper:
-            if dies == "during delivery":
-                os.kill(helper.proc.pid, signal.SIGSTOP)  # reads nothing
-                helper.send(calls)
+
+        def kill(signum, frame):
             helper.proc.kill()
-            helper.proc.wait()
-            if dies == "before send":
+
+        with Helper() as helper:
+            if dies == "during send":
+                # the helper reads nothing, so send waits until it dies
+                os.kill(helper.proc.pid, signal.SIGSTOP)
+                handler = signal.signal(signal.SIGALRM, kill)
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+                try:
+                    helper.send(calls)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    signal.signal(signal.SIGALRM, handler)
+            else:
+                helper.proc.kill()
+                helper.proc.wait()
                 helper.send(calls)
             with pytest.raises(HelperFailed, match="len.*status -9"):
                 collect([helper])
