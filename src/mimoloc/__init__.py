@@ -63,7 +63,6 @@ from .neural import (
 from .predictor import (
     ConvRecurrentPredictor,
     PeakTrackingPredictor,
-    PredictorTrainConfig,
     detect_peaks,
     load_predictor,
     save_predictor,

@@ -368,16 +368,21 @@ def synthesize_csi(paths, array: ArrayConfig, ofdm: OfdmConfig) -> np.ndarray:
 
 # --- environment description files ---------------------------------------
 #
-# Plain text, one statement per line, '#' starts a comment. Scalars:
+# Plain text, one statement per line, '#' starts a comment. Every value is
+# a finite number. Scalars:
 #   bs_position = X Y
 #   array_axis = RADIANS          (optional, default pi/2)
-#   speed_of_light = M_PER_S      (optional)
+#   speed_of_light = M_PER_S      (optional, above 0)
 # Repeatable segment lines, coordinates in meters:
-#   reflector = X1 Y1 X2 Y2 COEFFICIENT
+#   reflector = X1 Y1 X2 Y2 COEFFICIENT   (coefficient in (0, 1])
 #   blocker = X1 Y1 X2 Y2
 
 def parse_environment(text: str) -> Environment:
-    """Parse an environment description; see the module-level schema note."""
+    """Parse an environment description; see the schema note above.
+
+    Raises:
+        FormatError: a line that breaks the schema, or a value out of range.
+    """
     bs = None
     axis = math.pi / 2.0
     v_c = SPEED_OF_LIGHT
@@ -395,6 +400,8 @@ def parse_environment(text: str) -> Environment:
             values = [float(tok) for tok in rest.split()]
         except ValueError as exc:
             raise FormatError(f"line {lineno}: non-numeric value") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise FormatError(f"line {lineno}: non-finite value")
         if key == "bs_position":
             if len(values) != 2:
                 raise FormatError(f"line {lineno}: bs_position needs 2 values")
@@ -406,13 +413,18 @@ def parse_environment(text: str) -> Environment:
         elif key == "speed_of_light":
             if len(values) != 1:
                 raise FormatError(f"line {lineno}: speed_of_light needs 1 value")
+            if values[0] <= 0.0:
+                raise FormatError(f"line {lineno}: speed_of_light must be "
+                                  f"above 0")
             v_c = values[0]
         elif key == "reflector":
             if len(values) != 5:
                 raise FormatError(f"line {lineno}: reflector needs 5 values")
-            reflectors.append(
-                Reflector((values[0], values[1]), (values[2], values[3]), values[4])
-            )
+            try:
+                reflectors.append(Reflector((values[0], values[1]),
+                                            (values[2], values[3]), values[4]))
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
         elif key == "blocker":
             if len(values) != 4:
                 raise FormatError(f"line {lineno}: blocker needs 4 values")

@@ -1,11 +1,11 @@
 """User motion and channel distortion over frame sequences.
 
-Random walks live on the fingerprint grid (4-neighborhood by default).
-Two regimes: mode 1 keeps a heading until the grid edge forces a new
-uniformly-drawn feasible one, mode 2 redraws a feasible heading every
-step. Distortions model a foreground object appearing mid-sequence:
-blocking the strongest path, blocking the second-strongest, or adding a
-foreign reflection a fixed level below the strongest path.
+Random walks live on the fingerprint grid and step to one of the four
+neighboring cells. Two regimes: mode 1 keeps a heading until the grid
+edge forces a new uniformly-drawn feasible one, mode 2 redraws a feasible
+heading every step. Distortions model a foreground object appearing
+mid-sequence: blocking the strongest path, blocking the second-strongest,
+or adding a foreign reflection a fixed level below the strongest path.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .channel import (
 from .errors import NotEnoughPaths
 from .fingerprint import GridSpec
 
-_DIRECTIONS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_DIRECTIONS_8 = _DIRECTIONS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 class WalkMode(enum.Enum):
@@ -86,7 +85,6 @@ class Frame:
     adp: np.ndarray  # (n_t, n_c) float32, the persisted precision
     distorted: bool
     lost_link: bool
-    paths: tuple[Path, ...] | None = None
 
 
 @dataclass
@@ -106,13 +104,7 @@ class FrameSequence:
         return np.stack([f.position for f in self.frames])
 
 
-def random_walk(
-    grid: GridSpec,
-    mode: WalkMode,
-    length: int,
-    rng_seed,
-    neighborhood: int = 4,
-) -> Walk:
+def random_walk(grid: GridSpec, mode: WalkMode, length: int, rng_seed) -> Walk:
     """Seeded on-grid random walk of ``length`` positions.
 
     Start cell is uniform over the grid. Every move stays on the grid; when
@@ -120,9 +112,6 @@ def random_walk(
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if neighborhood not in (4, 8):
-        raise ValueError("neighborhood must be 4 or 8")
-    dirs = _DIRECTIONS_4 if neighborhood == 4 else _DIRECTIONS_8
     rng = np.random.default_rng(rng_seed)
     cell = (int(rng.integers(grid.n_rows)), int(rng.integers(grid.n_cols)))
     cells = [cell]
@@ -130,7 +119,7 @@ def random_walk(
     for _ in range(length - 1):
         feasible = [
             d
-            for d in dirs
+            for d in _DIRECTIONS
             if 0 <= cell[0] + d[0] < grid.n_rows and 0 <= cell[1] + d[1] < grid.n_cols
         ]
         if not feasible:
@@ -267,10 +256,8 @@ def generate_sequence(
             adp=adp32,
             distorted=distorted,
             lost_link=not np.any(adp32),
-            paths=tuple(paths),
         )
-        for pos, adp32, distorted, paths in zip(positions, adps32, flags,
-                                                traced)
+        for pos, adp32, distorted in zip(positions, adps32, flags)
     ]
     return FrameSequence(
         frames=frames,
@@ -283,8 +270,7 @@ def generate_sequence(
 def save_sequences(path, sequences: list[FrameSequence]) -> None:
     """Persist sequences to an ADPF version-2 container.
 
-    Sequence ids are assigned by list position; path lists are simulation
-    intermediates and are not persisted.
+    Sequence ids are assigned by list position.
     """
     if not sequences:
         raise ValueError("nothing to save")

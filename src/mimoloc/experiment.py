@@ -68,7 +68,6 @@ from .pipeline import (
 from .predictor import (
     ConvRecurrentPredictor,
     PeakTrackingPredictor,
-    PredictorTrainConfig,
     train_predictor,
 )
 
@@ -331,9 +330,9 @@ def train_recurrent_predictor(config: ExperimentConfig):
                                        config.n_subcarriers,
                                        seed=config.seed)
     losses = train_predictor(predictor, clean,
-                             PredictorTrainConfig(
-                                 epochs=config.predictor_epochs,
-                                 seed=config.seed))
+                             TrainConfig(epochs=config.predictor_epochs,
+                                         batch_size=8, learning_rate=0.2,
+                                         seed=config.seed))
     return predictor, losses
 
 

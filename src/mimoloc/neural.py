@@ -1,8 +1,9 @@
 """From-scratch convolutional localizer on angle-delay profiles.
 
 Minimal layer zoo (valid/same conv, 2x2 max pool, relu, flatten, dense,
-softmax), batched float64 forward/backward, plain mini-batch SGD with
-optional momentum. Two heads: direct 2D regression on positions normalized
+softmax), batched float64 forward/backward, and ``sgd``: the one seeded
+mini-batch momentum loop that trains both localizer heads and the
+recurrent predictor. Two heads: direct 2D regression on positions normalized
 to the unit square, or classification over coarse cells followed by a
 similarity-weighted k-nearest refinement inside the predicted cell.
 
@@ -12,7 +13,7 @@ the matching forward and is held to finite-difference checks in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -556,7 +557,7 @@ def forward(model: Model, adp: np.ndarray) -> np.ndarray:
 
 # --- training -------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 150
     batch_size: int = 32
@@ -565,8 +566,47 @@ class TrainConfig:
     seed: int = 0
 
 
-def _loss_and_grad(model: Model, data, y):
-    # ``data``: the batch's rows of the training set's ``training_input``
+def sgd(params, n: int, loss_and_grads, cfg: TrainConfig) -> list[float]:
+    """Seeded mini-batch SGD with momentum over ``n`` examples.
+
+    Each epoch steps through a permutation of the examples, drawn from a
+    generator seeded with ``cfg.seed``, in batches of ``cfg.batch_size``.
+    ``loss_and_grads(sel)`` returns the mean loss over the examples
+    ``sel`` and the gradients in ``params`` order; each parameter is then
+    updated in place: ``v = momentum * v - learning_rate * g; p += v``.
+    At momentum 0 this gives the weights of ``p -= learning_rate * g``.
+
+    Returns:
+        The per-epoch mean loss curve.
+
+    Raises:
+        DivergedLoss: on the first non-finite batch loss.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    velocity = [np.zeros_like(p) for p in params]
+    curve = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            sel = perm[start:start + cfg.batch_size]
+            # overflow here just means the loss is about to be caught below
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = loss_and_grads(sel)
+            if not np.isfinite(loss):
+                raise DivergedLoss(f"loss became {loss}")
+            total += loss * len(sel)
+            for p, g, v in zip(params, grads, velocity):
+                v *= cfg.momentum
+                v -= cfg.learning_rate * g
+                p += v
+        curve.append(total / n)
+    return curve
+
+
+def _loss_and_grads(model: Model, data, y):
+    # ``data``: the batch's rows of the training set's ``training_input``;
+    # returns the mean loss and the gradients in ``parameters()`` order
     out = model.forward_training(data)
     b = len(data)
     if model.head.kind == "regression":
@@ -586,7 +626,7 @@ def _loss_and_grad(model: Model, data, y):
         if not isinstance(model.layers[-1], Softmax):
             raise DimensionMismatch("classification stack must end in softmax")
         model.backward_batch(grad_logits, skip_top=1)
-    return loss
+    return loss, model.gradients()
 
 
 def training_data(model: Model, db: FingerprintDb):
@@ -601,15 +641,14 @@ def training_data(model: Model, db: FingerprintDb):
 
 
 def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
-    """Mini-batch SGD over the fingerprint database.
+    """Fit the model to the fingerprint database with ``sgd``.
 
-    Sets the model's position normalization from the database grid, then
-    runs seeded epochs of shuffled mini-batches. The usable prints are
-    normalized, and the first layer's columns built, once for the whole
-    call (``Model.training_input``), and each batch gathers its rows:
-    the same weights and losses as preparing every batch on its own.
-    Returns the per-epoch mean loss curve. The trained model keeps no
-    activations or gradients of its last step.
+    Sets the model's position normalization from the database grid. The
+    usable prints are normalized, and the first layer's columns built,
+    once for the whole call (``Model.training_input``), and each batch
+    gathers its rows: the same weights and losses as preparing every batch
+    on its own. Returns the per-epoch mean loss curve. The trained model
+    keeps no activations or gradients of its last step.
 
     Raises:
         DivergedLoss: on the first non-finite batch loss.
@@ -624,30 +663,8 @@ def train(model: Model, db: FingerprintDb, cfg: TrainConfig) -> list[float]:
     if n == 0:
         raise ValueError("database has no usable fingerprints")
     data = model.training_input(x)
-    rng = np.random.default_rng(cfg.seed)
-    velocity = [np.zeros_like(p) for p in model.parameters()]
-    curve = []
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            sel = perm[start:start + cfg.batch_size]
-            # overflow here just means the loss is about to be caught below
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = _loss_and_grad(model, data[sel], y[sel])
-            if not np.isfinite(loss):
-                raise DivergedLoss(f"loss became {loss}")
-            total += loss * len(sel)
-            params = model.parameters()
-            grads = model.gradients()
-            for p, g, v in zip(params, grads, velocity):
-                if cfg.momentum > 0.0:
-                    v *= cfg.momentum
-                    v -= cfg.learning_rate * g
-                    p += v
-                else:
-                    p -= cfg.learning_rate * g
-        curve.append(total / n)
+    curve = sgd(model.parameters(), n,
+                lambda sel: _loss_and_grads(model, data[sel], y[sel]), cfg)
     for layer in model.layers:
         layer.forget()
     return curve
@@ -782,7 +799,8 @@ def load_model(path) -> Model:
     Raises:
         TruncatedFile: the file is cut short.
         FormatError: bad magic, trailing bytes, or a header that does not
-            describe a model.
+            describe a model, such as a position normalization that is not
+            two finite numbers (scales above 0) per field.
         VersionError: unsupported checkpoint version.
     """
     header, body = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
@@ -801,6 +819,11 @@ def load_model(path) -> Model:
         )
         model.pos_offset = np.array(header["pos_offset"], dtype=float)
         model.pos_scale = np.array(header["pos_scale"], dtype=float)
+        if (model.pos_offset.shape != (2,) or model.pos_scale.shape != (2,)
+                or not np.isfinite(model.pos_offset).all()
+                or not 0.0 < model.pos_scale.min() < np.inf):
+            raise ValueError("pos_offset and pos_scale must each be two "
+                             "finite numbers, pos_scale above 0")
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a model: "
                           f"{exc!r}") from exc

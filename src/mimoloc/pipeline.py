@@ -148,8 +148,7 @@ class RecoveryResult(NamedTuple):
 
 def recover_and_locate(measured, predicted, predicted_position,
                        prev_position, db: FingerprintDb,
-                       thresholds: Thresholds,
-                       include_prediction: bool = True) -> RecoveryResult:
+                       thresholds: Thresholds) -> RecoveryResult:
     """Rebuild position and profile for a frame that cannot be trusted.
 
     ``predicted`` is the frame a predictor extrapolated from recent
@@ -193,7 +192,7 @@ def recover_and_locate(measured, predicted, predicted_position,
     positions = db.positions[idx]
     adps = db.adps[idx].astype(np.float64)
     weights = similarity(frame, adps)
-    if has_prediction and include_prediction:
+    if has_prediction:
         weights = np.append(weights, similarity(frame, predicted))
         positions = np.vstack([positions, predicted_position])
         adps = np.concatenate([adps, predicted[None]])
@@ -209,9 +208,7 @@ def recover_and_locate(measured, predicted, predicted_position,
         weights = np.full(weights.size, 1.0 / weights.size)
     position = np.einsum("i,ij->j", weights, positions)
     fused = np.einsum("i,ijk->jk", weights, adps)
-    prediction_weight = (
-        float(weights[-1]) if include_prediction and has_prediction else 0.0
-    )
+    prediction_weight = float(weights[-1]) if has_prediction else 0.0
     return RecoveryResult(position, fused, predicted_position,
                           prediction_weight, int(idx.size))
 
@@ -244,8 +241,8 @@ def locate_each(localizer, frames) -> list:
 
 
 def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
-                 predictor, history_length: int = 4,
-                 include_prediction: bool = True) -> list[list[FrameEstimate]]:
+                 predictor,
+                 history_length: int = 4) -> list[list[FrameEstimate]]:
     """Estimate a position for every frame of each of ``walks``.
 
     ``walks`` is a list of equal-length walks, each a sequence of profiles;
@@ -309,8 +306,7 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
             else:
                 rec = recover_and_locate(frame, predicted[i],
                                          predicted_positions[i],
-                                         prev_positions[i], db, thresholds,
-                                         include_prediction)
+                                         prev_positions[i], db, thresholds)
                 history.append(rec.adp)
                 estimate = FrameEstimate(
                     t, det.verdict, rec.position, det.best_similarity,

@@ -33,12 +33,11 @@ from .adp import gaussian_bumps
 from .container import read_checkpoint, read_weights, write_checkpoint
 from .errors import (
     DimensionMismatch,
-    DivergedLoss,
     EmptyHistory,
     FormatError,
     LengthMismatch,
 )
-from .neural import Conv2d
+from .neural import Conv2d, TrainConfig, sgd
 
 PREDICTOR_MAGIC = b"PRED"
 PREDICTOR_VERSION = 1
@@ -315,10 +314,18 @@ class ConvRecurrentPredictor:
     correction on the latest frame; an untrained model therefore starts
     out close to persistence. Inputs are divided by a global scale fitted
     on the training set so tanh stays responsive.
+
+    Raises:
+        ValueError: a size is not an integer of at least 1, or
+            ``kernel_size`` is even.
     """
 
     def __init__(self, n_antennas: int, n_subcarriers: int,
                  hidden_channels: int = 8, kernel_size: int = 3, seed: int = 0):
+        for name, size in (("n_antennas", n_antennas),
+                           ("n_subcarriers", n_subcarriers),
+                           ("hidden_channels", hidden_channels)):
+            _check_count(name, size)
         if kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd")
         self.n_antennas = n_antennas
@@ -423,15 +430,6 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
     return loss, grads
 
 
-@dataclass(frozen=True)
-class PredictorTrainConfig:
-    epochs: int = 60
-    batch_size: int = 8
-    learning_rate: float = 0.2
-    momentum: float = 0.9
-    seed: int = 0
-
-
 def _as_frame_array(sequences) -> np.ndarray:
     arrays = []
     for seq in sequences:
@@ -446,16 +444,15 @@ def _as_frame_array(sequences) -> np.ndarray:
 
 
 def train_predictor(model: ConvRecurrentPredictor, sequences,
-                    config: PredictorTrainConfig = PredictorTrainConfig()):
-    """Fit the recurrent predictor on whole sequences.
+                    config: TrainConfig):
+    """Fit the recurrent predictor on whole sequences with ``neural.sgd``.
 
     Sequences may be ``FrameSequence`` objects or plain (frames, n_t, n_c)
     arrays; all must share one shape. Sets the model scale to the peak
-    pixel of the training set, then runs mini-batch gradient descent with
-    momentum on the teacher-forced next-frame loss. The input layer's
-    columns of every frame are built once for the whole call, and each
-    batch gathers its rows: the same weights and losses as building them
-    at every step.
+    pixel of the training set, then descends the teacher-forced
+    next-frame loss, one walk per example. The input layer's columns of
+    every frame are built once for the whole call, and each batch gathers
+    its rows: the same weights and losses as building them at every step.
 
     Returns:
         Mean training loss per epoch, in scaled units.
@@ -470,31 +467,9 @@ def train_predictor(model: ConvRecurrentPredictor, sequences,
     model.scale = peak if peak > 0.0 else 1.0
     data /= model.scale
     xcols = _step_columns(model, data)
-    n = len(data)
-    rng = np.random.default_rng(config.seed)
-    params = model.parameters()
-    velocity = [np.zeros_like(p) for p in params]
-    history = []
-    for _ in range(config.epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            sel = perm[start:start + config.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = _loss_and_grads(model, data[sel],
-                                              xcols[:, sel])
-            if not np.isfinite(loss):
-                raise DivergedLoss(f"loss became {loss}")
-            total += loss * len(sel)
-            for i, (p, g) in enumerate(zip(params, grads)):
-                if config.momentum > 0.0:
-                    velocity[i] = config.momentum * velocity[i] \
-                        - config.learning_rate * g
-                    p += velocity[i]
-                else:
-                    p -= config.learning_rate * g
-        history.append(total / n)
-    return history
+    return sgd(model.parameters(), len(data),
+               lambda sel: _loss_and_grads(model, data[sel], xcols[:, sel]),
+               config)
 
 
 # --- persistence -------------------------------------------------------------
@@ -540,6 +515,7 @@ def load_predictor(path):
                 header["n_antennas"], header["n_subcarriers"],
                 hidden_channels=header["hidden_channels"],
                 kernel_size=header["kernel_size"], seed=header["seed"])
+            _check_width("scale", header["scale"])
             predictor.scale = header["scale"]
             weights = predictor.parameters()
         else:

@@ -437,7 +437,7 @@ class ReferencePeakTrackingPredictor(PeakTrackingPredictor):
 
 
 def run_sequence(adps, localizer, db, thresholds, predictor,
-                 history_length=4, include_prediction=True):
+                 history_length=4):
     """``pipeline.run_sequence`` over one walk, frame by frame: one
     localizer call per frame with energy and per nonzero prediction, and
     one predictor call per history."""
@@ -469,8 +469,7 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
                 predicted_position, 0.0, det.position))
         else:
             rec = recover_and_locate(adp, predicted, predicted_position,
-                                     prev_position, db, thresholds,
-                                     include_prediction)
+                                     prev_position, db, thresholds)
             position = rec.position
             history.append(rec.adp)
             estimates.append(FrameEstimate(

@@ -536,6 +536,12 @@ class TestEnvironmentFiles:
             "bs_position = 0 0\nwall = 1 2 3 4",  # unknown key
             "bs_position = 0 0\nreflector = 1 2 3 4",  # reflector arity
             "just words",
+            "bs_position = 0 0\nreflector = 0 6 17 6 1.5",  # coefficient > 1
+            "bs_position = 0 0\nreflector = 0 6 17 6 nan",  # NaN coefficient
+            "bs_position = 0 0\nspeed_of_light = -3e8",
+            "bs_position = 0 0\nspeed_of_light = 0",
+            "bs_position = 0 0\narray_axis = inf",
+            "bs_position = nan 0",
         ],
     )
     def test_malformed_rejected(self, text):

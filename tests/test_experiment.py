@@ -53,7 +53,6 @@ from mimoloc.neural import (
 )
 from mimoloc.predictor import (
     ConvRecurrentPredictor,
-    PredictorTrainConfig,
     train_predictor,
 )
 
@@ -388,8 +387,9 @@ def train_in_process(config):
         models["predictor"] = ConvRecurrentPredictor(db.n_t, db.n_c,
                                                      seed=config.seed)
         curves["predictor"] = train_predictor(
-            models["predictor"], clean, PredictorTrainConfig(
-                epochs=config.predictor_epochs, seed=config.seed))
+            models["predictor"], clean, TrainConfig(
+                epochs=config.predictor_epochs, batch_size=8,
+                learning_rate=0.2, seed=config.seed))
     return models, curves
 
 

@@ -7,7 +7,7 @@ import oracles
 import pytest
 from oracles import ReferenceConv2d, ReferenceMaxPool2x2, classifier_cell
 
-from mimoloc.container import write_checkpoint
+from mimoloc.container import read_checkpoint, write_checkpoint
 from mimoloc.errors import (
     DimensionMismatch,
     DivergedLoss,
@@ -43,7 +43,6 @@ from mimoloc.neural import (
 from mimoloc.predictor import (
     PREDICTOR_MAGIC,
     ConvRecurrentPredictor,
-    PredictorTrainConfig,
     load_predictor,
     save_predictor,
     train_predictor,
@@ -248,7 +247,7 @@ class TestKernelsMatchReference:
 
     def test_predictor_training(self, monkeypatch):
         seqs = np.random.default_rng(4).uniform(0.0, 1.0, size=(2, 5, 8, 8))
-        cfg = PredictorTrainConfig(epochs=2, batch_size=2, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.2, seed=0)
 
         def fit():
             model = ConvRecurrentPredictor(8, 8, seed=1)
@@ -267,13 +266,19 @@ class TestColumnCache:
     """The trainers normalize the data and build the data layer's columns
     once per call, and each batch gathers its rows; the weights and loss
     curves are those of preparing every batch on its own
-    (``oracles.train``, ``oracles.train_predictor``), to the bit."""
+    (``oracles.train``, ``oracles.train_predictor``), to the bit. Both
+    trainers run ``neural.sgd``'s one update rule, the oracles their own
+    loops with a separate ``p -= learning_rate * g`` step at momentum 0,
+    and the two agree at either momentum."""
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    @pytest.mark.parametrize("head", [
+    each_head = pytest.mark.parametrize("head", [
         Head("regression"), Head("classification", ClassifierGrid(2, 2))],
         ids=["regression", "classifier"])
-    def test_localizer_training(self, head, normalize):
+    each_normalization = pytest.mark.parametrize("normalize", [True, False])
+
+    @each_normalization
+    @each_head
+    def test_localizer_training(self, head, normalize, momentum=0.9):
         db = synthetic_db(n_rows=5, n_cols=5)
         adps = db.adps.copy()
         adps[7] = 0.0  # a zero-profile print, left out of training
@@ -281,7 +286,8 @@ class TestColumnCache:
         db = FingerprintDb(grid=db.grid, positions=db.positions, adps=adps)
         assert db.zero_flags.sum() == 1
         # 24 usable prints in batches of 10: the last batch holds 4
-        cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05, seed=2)
+        cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05,
+                          momentum=momentum, seed=2)
         models = [build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
                               head, seed=3, normalize_input=normalize)
                   for _ in range(2)]
@@ -292,6 +298,11 @@ class TestColumnCache:
             assert np.array_equal(p, q)
         assert np.array_equal(got.pos_offset, want.pos_offset)
         assert np.array_equal(got.pos_scale, want.pos_scale)
+
+    @each_normalization
+    @each_head
+    def test_localizer_training_without_momentum(self, head, normalize):
+        self.test_localizer_training(head, normalize, momentum=0.0)
 
     def test_stack_without_a_conv_layer(self):
         db = synthetic_db(n_rows=3, n_cols=3)
@@ -304,18 +315,22 @@ class TestColumnCache:
         for p, q in zip(models[0].parameters(), models[1].parameters()):
             assert np.array_equal(p, q)
 
-    def test_predictor_training(self):
+    def test_predictor_training(self, momentum=0.9):
         rng = np.random.default_rng(6)
         seqs = rng.uniform(0.0, 1.0, size=(5, 6, 8, 8))
         seqs[1, 2] = 0.0  # a dark frame
         # five walks in batches of two: the last batch holds one
-        cfg = PredictorTrainConfig(epochs=3, batch_size=2, seed=1)
+        cfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.2,
+                          momentum=momentum, seed=1)
         models = [ConvRecurrentPredictor(8, 8, seed=2) for _ in range(2)]
         history = train_predictor(models[0], seqs, cfg)
         assert history == oracles.train_predictor(models[1], seqs, cfg)
         assert models[0].scale == models[1].scale
         for p, q in zip(models[0].parameters(), models[1].parameters()):
             assert np.array_equal(p, q)
+
+    def test_predictor_training_without_momentum(self):
+        self.test_predictor_training(momentum=0.0)
 
 
 class TestComposedGradients:
@@ -723,6 +738,21 @@ class TestCheckpoints:
         loaded = load_model(path)
         assert loaded.head.cells == ClassifierGrid(2, 2)
         assert loaded.normalize_input
+
+    @pytest.mark.parametrize("field, value", [
+        ("pos_scale", [1.0, 1.0, 1.0]), ("pos_scale", [0.0, 1.0]),
+        ("pos_scale", [1.0, -2.0]), ("pos_scale", [1.0, None]),
+        ("pos_offset", [0.0]), ("pos_offset", [0.0, None])])
+    def test_position_normalization_out_of_range(self, tmp_path, field,
+                                                 value):
+        path = tmp_path / "m.nnck"
+        save_small_classifier(path)
+        header, _ = read_checkpoint(path, CHECKPOINT_MAGIC, 1)
+        weights = load_model(path).parameters()
+        write_checkpoint(path, CHECKPOINT_MAGIC, 1,
+                         dict(header, **{field: value}), weights)
+        with pytest.raises(FormatError, match="pos_"):
+            load_model(path)
 
 
 def save_small_classifier(path):

@@ -244,19 +244,6 @@ class TestRecovery:
             recover_and_locate(frame_at(GRID.position(4, 4)), zero, None,
                                None, db, thresholds)
 
-    def test_prediction_can_be_excluded(self, db, thresholds):
-        point_index = 5 * GRID.n_cols + 5
-        point = db.positions[point_index]
-        entry = np.asarray(db.adps[point_index], dtype=np.float64)
-        thr = Thresholds(thresholds.neighborhood_radius,
-                         thresholds.similarity_floor, 0.1 * GRID.spacing)
-        rec = recover_and_locate(entry, entry, nn_localizer(db)(entry),
-                                 point, db, thr, include_prediction=False)
-        assert np.allclose(rec.position, point, atol=1e-12)
-        assert rec.prediction_weight == 0.0
-        # diagnostics still report where the prediction alone would land
-        assert rec.predicted_position is not None
-
     def test_fused_position_stays_in_candidate_hull(self, db, thresholds):
         rng = np.random.default_rng(9)
         tracker = PeakTrackingPredictor()
@@ -400,15 +387,6 @@ class TestRunSequence:
             seq.adps(), free_db, thr)
         assert detected < len(est)
         assert calls == detected + predictions
-
-    def test_prediction_exclusion_zeroes_weight(self, db, thresholds):
-        scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
-        seq = walk_sequence(scen, 5, [200, 4])
-        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
-                              PeakTrackingPredictor(),
-                              include_prediction=False)
-        assert all(e.prediction_weight == 0.0 for e in est if
-                   e.source == "recovered")
 
 
 def lockstep_walks():

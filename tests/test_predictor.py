@@ -27,12 +27,12 @@ from mimoloc.errors import (
     VersionError,
 )
 from mimoloc.fingerprint import GridSpec
+from mimoloc.neural import TrainConfig
 from mimoloc.predictor import (
     PREDICTOR_MAGIC,
     PREDICTOR_VERSION,
     ConvRecurrentPredictor,
     PeakTrackingPredictor,
-    PredictorTrainConfig,
     _loss_and_grads,
     _step_columns,
     detect_peaks,
@@ -490,6 +490,12 @@ class TestMatchesReference:
         assert repr(used) == repr(PeakTrackingPredictor())
 
 
+def fit_config(epochs, learning_rate=0.2, seed=0):
+    """Training settings for the predictor: batches of 8, as in a run."""
+    return TrainConfig(epochs=epochs, batch_size=8,
+                       learning_rate=learning_rate, seed=seed)
+
+
 def moving_bump_sequences(n_seq=5, length=6, shape=(8, 8)):
     g = np.random.default_rng(3)
     seqs = []
@@ -531,7 +537,7 @@ class TestConvRecurrent:
         persistence_mse = float(np.mean((stacked[:, 1:] - stacked[:, :-1]) ** 2))
         model = ConvRecurrentPredictor(8, 8, hidden_channels=8, seed=0)
         losses = train_predictor(
-            model, seqs, PredictorTrainConfig(epochs=200, learning_rate=1.0, seed=0)
+            model, seqs, fit_config(200, learning_rate=1.0)
         )
         assert losses[-1] < 0.5 * losses[0]
         assert losses[-1] < persistence_mse
@@ -539,7 +545,7 @@ class TestConvRecurrent:
     def test_prediction_shape_and_scale(self):
         seqs = moving_bump_sequences()
         model = ConvRecurrentPredictor(8, 8, hidden_channels=4, seed=0)
-        train_predictor(model, seqs, PredictorTrainConfig(epochs=5, seed=0))
+        train_predictor(model, seqs, fit_config(5))
         assert model.scale == pytest.approx(float(np.stack(seqs).max()))
         pred = model.predict(list(seqs[0][:4]))
         assert pred.shape == (8, 8)
@@ -547,7 +553,7 @@ class TestConvRecurrent:
 
     def test_training_deterministic(self):
         seqs = moving_bump_sequences(n_seq=3, length=4)
-        cfg = PredictorTrainConfig(epochs=10, seed=7)
+        cfg = fit_config(10, seed=7)
         models = []
         for _ in range(2):
             m = ConvRecurrentPredictor(8, 8, hidden_channels=4, seed=2)
@@ -561,12 +567,12 @@ class TestConvRecurrent:
         model = ConvRecurrentPredictor(8, 8, hidden_channels=4, seed=0)
         model._out.w *= 1e201
         with pytest.raises(DivergedLoss):
-            train_predictor(model, seqs, PredictorTrainConfig(epochs=3, seed=0))
+            train_predictor(model, seqs, fit_config(3))
 
     def test_stack_equals_single_predictions(self):
         seqs = moving_bump_sequences(n_seq=9, length=6)
         model = ConvRecurrentPredictor(8, 8, hidden_channels=4, seed=0)
-        train_predictor(model, seqs, PredictorTrainConfig(epochs=3, seed=0))
+        train_predictor(model, seqs, fit_config(3))
         histories = np.stack(seqs)[:, :4]
         got = model(histories)
         assert got.shape == (9, 8, 8)
@@ -589,21 +595,22 @@ class TestConvRecurrent:
         with pytest.raises(LengthMismatch):
             train_predictor(
                 ConvRecurrentPredictor(8, 8),
-                [np.zeros((4, 8, 8)), np.zeros((5, 8, 8))],
+                [np.zeros((4, 8, 8)), np.zeros((5, 8, 8))], fit_config(1),
             )
 
     def test_single_frame_sequences_raise(self):
         with pytest.raises(LengthMismatch):
-            train_predictor(ConvRecurrentPredictor(8, 8), [np.zeros((1, 8, 8))])
+            train_predictor(ConvRecurrentPredictor(8, 8),
+                            [np.zeros((1, 8, 8))], fit_config(1))
 
     def test_no_sequences_raise(self):
         with pytest.raises(EmptyHistory):
-            train_predictor(ConvRecurrentPredictor(8, 8), [])
+            train_predictor(ConvRecurrentPredictor(8, 8), [], fit_config(1))
 
     def test_all_zero_training_set_keeps_unit_scale(self):
         model = ConvRecurrentPredictor(8, 8, hidden_channels=2, seed=0)
         losses = train_predictor(
-            model, [np.zeros((3, 8, 8))], PredictorTrainConfig(epochs=3, seed=0)
+            model, [np.zeros((3, 8, 8))], fit_config(3)
         )
         assert model.scale == 1.0
         assert np.all(np.isfinite(losses))
@@ -613,7 +620,7 @@ class TestCheckpoints:
     def test_conv_recurrent_round_trip(self, tmp_path):
         seqs = moving_bump_sequences(n_seq=2, length=4)
         model = ConvRecurrentPredictor(8, 8, hidden_channels=4, seed=3)
-        train_predictor(model, seqs, PredictorTrainConfig(epochs=5, seed=0))
+        train_predictor(model, seqs, fit_config(5))
         path = tmp_path / "pred.ckpt"
         save_predictor(model, path)
         loaded = load_predictor(path)
@@ -639,6 +646,19 @@ class TestCheckpoints:
         path = tmp_path / "tracker.ckpt"
         write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION,
                          dict(header, **{field: value}), [])
+        with pytest.raises(FormatError, match=field):
+            load_predictor(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scale", "abc"), ("scale", 0), ("scale", -1.0), ("scale", None),
+        ("hidden_channels", 0), ("n_antennas", 0), ("n_subcarriers", 2.5),
+        ("n_antennas", True)])
+    def test_recurrent_header_out_of_range(self, tmp_path, field, value):
+        model = ConvRecurrentPredictor(4, 4, hidden_channels=2, seed=0)
+        path = tmp_path / "recurrent.ckpt"
+        write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION,
+                         dict(model.spec(), **{field: value}),
+                         model.parameters())
         with pytest.raises(FormatError, match=field):
             load_predictor(path)
 
