@@ -15,7 +15,7 @@ from .channel import (
     Blocker,
     Environment,
     OfdmConfig,
-    Path,
+    Paths,
     Reflector,
     array_response,
     load_environment,
@@ -32,7 +32,6 @@ from .dynamics import (
     FrameSequence,
     Walk,
     WalkMode,
-    distort_paths,
     generate_sequence,
     load_sequences,
     random_walk,

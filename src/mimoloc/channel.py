@@ -7,13 +7,12 @@ an angle of arrival at a uniform linear array, a free-space amplitude that
 decays as 1 / path length, and a delay quantized to the OFDM sample grid.
 CSI synthesis stacks the per-path rank-one contributions.
 
-``trace_paths`` and ``synthesize_csi`` take one user position (one path
-list) or a stack of them, the way ``adp_from_csi`` takes one CSI matrix or
-a stack: a stack runs as one vectorized pass over all of its positions,
-with a loop over reflectors and blockers only, and a single item goes
-through the same code as a stack of one. Each row of a stack is the same
-to the bit as the item traced alone; the comments below mark the choices
-that keep it so.
+``trace_paths`` traces a stack of user positions in one vectorized pass,
+with a loop over reflectors and blockers only, into a ``Paths`` record of
+(n, k) arrays, a row per position and a column per ray. ``synthesize_csi``
+turns it into an (n, n_antennas, n_subcarriers) CSI stack, looping over
+columns only. Each row is the same to the bit as its position traced
+alone; the comments below mark the choices that keep it so.
 """
 
 from __future__ import annotations
@@ -75,28 +74,32 @@ class OfdmConfig:
         return 1.0 / self.bandwidth
 
 
-@dataclass(frozen=True)
-class Path:
-    """One resolved propagation path.
+@dataclass(frozen=True, eq=False)
+class Paths:
+    """The propagation paths of n positions: (n, k) arrays, len() is n.
+
+    Entry (i, j) is a path of position i where ``valid[i, j]`` is set; the
+    values of the other entries mean nothing.
 
     Attributes:
         aoa: angle of arrival in radians, measured from the array axis.
-        delay: continuous propagation delay in seconds.
         sampled_delay: delay quantized to OFDM samples, in [0, n_subcarriers).
         gain: complex path gain.
-        path_length: geometric length in meters.
-        cluster_id: 0 for line of sight, reflector index + 1 for first-order
+        length: geometric length in meters (delay times speed of light).
+        cluster: 0 for line of sight, reflector index + 1 for first-order
             reflections, -1 for injected foreign paths.
-        is_los: True only for the direct ray.
+        valid: which entries are paths.
     """
 
-    aoa: float
-    delay: float
-    sampled_delay: int
-    gain: complex
-    path_length: float
-    cluster_id: int
-    is_los: bool
+    aoa: np.ndarray
+    sampled_delay: np.ndarray
+    gain: np.ndarray
+    length: np.ndarray
+    cluster: np.ndarray
+    valid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.valid)
 
 
 @dataclass(frozen=True)
@@ -252,8 +255,8 @@ def _candidates(env: Environment, users: np.ndarray):
 
 
 def trace_paths(env: Environment, user_position, array: ArrayConfig,
-                ofdm: OfdmConfig):
-    """Trace LOS and first-order reflected paths from the user to the array.
+                ofdm: OfdmConfig) -> Paths:
+    """Trace LOS and first-order reflected paths from users to the array.
 
     A reflection is valid when the base station and the user sit strictly on
     the same side of the reflector's line, the specular point falls on the
@@ -263,28 +266,26 @@ def trace_paths(env: Environment, user_position, array: ArrayConfig,
     wavelength / (4*pi*length) with phase -2*pi*length/wavelength.
 
     Paths whose quantized delay does not fit in the OFDM window are dropped
-    (logged at debug level, in position order). Each list is sorted by
-    descending gain magnitude, ties broken by cluster id.
+    (logged at debug level, in position order). Each row holds its paths
+    first, sorted by descending gain magnitude, ties broken by cluster id.
 
-    ``user_position`` is one point (x, y), giving one path list, or an
-    (n, 2) stack, giving n lists traced in one vectorized pass.
+    ``user_position`` is an (n, 2) stack of points, giving n rows, or one
+    point (x, y), traced as a stack of one.
 
     Raises:
         ZeroDistance: if a user sits exactly on the base station.
     """
-    users = np.asarray(user_position, dtype=float)
-    stack = users.reshape(-1, 2)
-    if np.any(np.all(stack == np.asarray(env.bs_position, dtype=float),
+    users = np.asarray(user_position, dtype=float).reshape(-1, 2)
+    if np.any(np.all(users == np.asarray(env.bs_position, dtype=float),
                      axis=1)):
         raise ZeroDistance("user position coincides with the base station")
-    valid, direction = _candidates(env, stack)
+    valid, direction = _candidates(env, users)
     n, k = valid.shape
     direction[~valid] = 1.0  # keeps the unused entries finite
     # sqrt of the BLAS ddot, as np.linalg.norm takes it on one 2-vector;
     # hypot, einsum or a sum of squares may differ in the last bit
     length = np.sqrt(np.vecdot(direction, direction))
-    delay = length / env.speed_of_light
-    sampled = quantize_delay(delay, ofdm)
+    sampled = quantize_delay(length / env.speed_of_light, ofdm)
     for row, col in zip(*np.nonzero(valid & (sampled >= ofdm.n_subcarriers))):
         logger.debug("dropped path with sampled delay %d (cluster %d)",
                      sampled[row, col], col)
@@ -300,70 +301,56 @@ def trace_paths(env: Environment, user_position, array: ArrayConfig,
     # np.abs on complex128 takes a SIMD path that can differ in the last bit
     key = np.where(keep, -np.hypot(gain.real, gain.imag), np.inf)
     order = np.argsort(key, axis=1, kind="stable")  # ties: cluster order
-    kept = np.take_along_axis(keep, order, axis=1)  # a prefix of each row
     cluster = np.broadcast_to(np.arange(k), (n, k))
-    cos_aoa, delay, sampled, gain, length, cluster = (
-        np.take_along_axis(x, order, axis=1)[kept].tolist()
-        for x in (cos_aoa, delay, sampled, gain, length, cluster))
+    cos_aoa, sampled, gain, length, cluster, keep = (
+        np.take_along_axis(x, order, axis=1)
+        for x in (cos_aoa, sampled, gain, length, cluster, keep))
+    aoa = np.zeros((n, k))
     # math.acos per path: np.arccos differs from it in the last bit
-    flat = [Path(math.acos(c), d, s, g, ln, cid, cid == 0)
-            for c, d, s, g, ln, cid in zip(cos_aoa, delay, sampled, gain,
-                                            length, cluster)]
-    counts = kept.sum(axis=1)
-    rows = [flat[end - count:end]
-            for end, count in zip(np.cumsum(counts).tolist(), counts.tolist())]
-    return rows if users.ndim > 1 else rows[0]
+    aoa[keep] = [math.acos(c) for c in cos_aoa[keep].tolist()]
+    return Paths(aoa, sampled, gain, length, cluster, keep)
 
 
-def synthesize_csi(paths, array: ArrayConfig, ofdm: OfdmConfig) -> np.ndarray:
-    """Stack per-path contributions into the CSI matrix.
+def synthesize_csi(paths: Paths, array: ArrayConfig,
+                   ofdm: OfdmConfig) -> np.ndarray:
+    """Stack per-path contributions into one CSI matrix per position.
 
     Subcarrier l of a path with sampled delay n carries the phase ramp
-    exp(-2j*pi*l*n/n_subcarriers) on top of the steering vector, so the CSI
-    is a sum of rank-one terms, added in list order. An empty path list
-    yields the zero matrix (lost link).
-
-    ``paths`` is one path list, giving one matrix, or a list of n path
-    lists, giving their n matrices in one pass.
+    exp(-2j*pi*l*n/n_subcarriers) on top of the steering vector, so a CSI
+    matrix is a sum of rank-one terms, one per path of its row, added in
+    column order. A row without a path yields the zero matrix (lost link).
 
     Returns:
-        complex128 array of shape (n_antennas, n_subcarriers), or
-        (n, n_antennas, n_subcarriers) for a list of path lists.
+        complex128 array of shape (len(paths), n_antennas, n_subcarriers).
 
     Raises:
         DelayOverflow: if a path's sampled delay is outside [0, n_subcarriers).
     """
-    stacked = len(paths) > 0 and not isinstance(paths[0], Path)
-    lists = paths if stacked else [paths]
-    flat = [p for lst in lists for p in lst]
-    sampled = np.array([p.sampled_delay for p in flat], dtype=np.int64)
+    valid = paths.valid
+    sampled = paths.sampled_delay[valid]
     bad = np.flatnonzero((sampled < 0) | (sampled >= ofdm.n_subcarriers))
     if len(bad):
         raise DelayOverflow(
             f"sampled delay {sampled[bad[0]]} outside [0, {ofdm.n_subcarriers})"
         )
-    steering = array_response(np.array([p.aoa for p in flat]), array)
     l = np.arange(ofdm.n_subcarriers)
     # ramp of every delay bin, each element the same double as the ramp of
     # one path: the same factors in the same order
     ramps = np.exp(-2j * np.pi * l * l[:, None] / ofdm.n_subcarriers)
-    gain = np.array([p.gain for p in flat], dtype=np.complex128)
-    counts = np.array([len(lst) for lst in lists], dtype=np.int64)
-    owner = np.repeat(np.arange(len(lists)), counts)
-    rank = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
-    h = np.zeros((len(lists), array.n_antennas, ofdm.n_subcarriers),
+    h = np.zeros((len(paths), array.n_antennas, ofdm.n_subcarriers),
                  dtype=np.complex128)
-    # the j-th terms of all lists at once: each matrix sums its own terms
-    # one at a time in list order, as a loop over one list would
-    for j in range(int(counts.max(initial=0))):
-        sel = np.flatnonzero(rank == j)
-        term = gain[sel, None, None] * (
-            steering[sel, :, None] * ramps[sampled[sel], None, :])
-        if len(sel) == len(lists):
-            h += term  # every list has a j-th term; half the time of h[idx]
+    # column j of every row at once: each matrix sums its own terms one at
+    # a time in column order, as a loop over one row would
+    for j in range(valid.shape[1]):
+        rows = np.flatnonzero(valid[:, j])
+        steering = array_response(paths.aoa[rows, j], array)
+        term = paths.gain[rows, j][:, None, None] * (
+            steering[:, :, None] * ramps[paths.sampled_delay[rows, j], None, :])
+        if len(rows) == len(h):
+            h += term  # every row has a path here; half the time of h[rows]
         else:
-            h[owner[sel]] += term
-    return h if stacked else h[0]
+            h[rows] += term
+    return h
 
 
 # --- environment description files ---------------------------------------

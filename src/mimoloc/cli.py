@@ -189,6 +189,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # e.g. --out names a file, report.json a folder
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except MimolocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

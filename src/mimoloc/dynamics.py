@@ -6,23 +6,24 @@ edge forces a new uniformly-drawn feasible one, mode 2 redraws a feasible
 heading every step. Distortions model a foreground object appearing
 mid-sequence: blocking the strongest path, blocking the second-strongest,
 or adding a foreign reflection a fixed level below the strongest path.
+Each is one column operation on the distorted rows of a walk's traced
+paths: a blockage clears a column, an addition appends one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import container
 from .adp import DftPair, adp_from_csi, build_dft_pair
 from .channel import (
-    SPEED_OF_LIGHT,
     ArrayConfig,
     Environment,
     OfdmConfig,
-    Path,
+    Paths,
     synthesize_csi,
     trace_paths,
 )
@@ -45,16 +46,19 @@ class DistortionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DistortionScenario:
-    """What the foreground object does to frames past ``distort_from``.
+    """What the foreground object does to frames from ``distort_from`` on.
 
-    ``addition_level_db`` sets the injected path magnitude relative to the
-    strongest existing path (amplitude dB, default -6). The injected path's
-    angle, delay and phase come from ``rng_seed`` alone, so every sequence
-    generated with one scenario shares them: ``evaluation_walks`` seeds it
-    with the config's seed, which makes every walk of an evaluation carry
-    the same draw. Only its magnitude follows each sequence, set from the
-    strongest path of its first distorted frame, and the path is held
-    fixed across that sequence's distorted frames.
+    Blockage clears each distorted frame's strongest path (los-block) or
+    its second strongest (nlos-block) in the walk's traced paths; addition
+    appends one foreign path to them. ``addition_level_db`` sets its
+    magnitude relative to the strongest existing path (amplitude dB,
+    default -6). Its angle, delay and phase come from ``rng_seed`` alone,
+    so every sequence generated with one scenario shares them:
+    ``evaluation_walks`` seeds it with the config's seed, which makes every
+    walk of an evaluation carry the same draw. Only its magnitude follows
+    each sequence, set from the strongest path of its first distorted
+    frame, and the path is held fixed across that sequence's distorted
+    frames.
     """
 
     kind: DistortionKind
@@ -132,83 +136,51 @@ def random_walk(grid: GridSpec, mode: WalkMode, length: int, rng_seed) -> Walk:
     return Walk(mode=mode, cells=np.array(cells, dtype=int), grid=grid)
 
 
-def _strongest_index(paths: list[Path]) -> int:
-    return max(range(len(paths)), key=lambda i: abs(paths[i].gain))
+def _distort(paths: Paths, scenario: DistortionScenario, start: int,
+             ofdm: OfdmConfig, speed_of_light: float) -> Paths:
+    """A walk's paths with one scenario applied to rows ``start`` on.
 
-
-def draw_foreground_path(
-    scenario: DistortionScenario,
-    paths: list[Path],
-    ofdm: OfdmConfig,
-    speed_of_light: float = SPEED_OF_LIGHT,
-) -> Path:
-    """Draw the injected foreign path for an addition scenario.
-
-    The draw is seeded by ``scenario.rng_seed`` alone, so every call with
-    one scenario draws the same angle, delay and phase; only the magnitude
-    depends on ``paths``.
-
-    Arrival angle is uniform over (0, pi), the delay bin uniform over the
-    OFDM window, the phase uniform; magnitude sits ``addition_level_db``
-    below the strongest path in ``paths``.
-    """
-    if not paths:
-        raise NotEnoughPaths("addition needs at least one reference path")
-    rng = np.random.default_rng(scenario.rng_seed)
-    aoa = float(rng.uniform(0.0, np.pi))
-    nbin = int(rng.integers(0, ofdm.n_subcarriers))
-    phase = float(rng.uniform(0.0, 2.0 * np.pi))
-    magnitude = 10.0 ** (scenario.addition_level_db / 20.0) * max(
-        abs(p.gain) for p in paths
-    )
-    delay = nbin * ofdm.sample_duration
-    return Path(
-        aoa=aoa,
-        delay=delay,
-        sampled_delay=nbin,
-        gain=complex(magnitude * np.exp(1j * phase)),
-        path_length=delay * speed_of_light,
-        cluster_id=-1,
-        is_los=False,
-    )
-
-
-def distort_paths(
-    paths: list[Path],
-    scenario: DistortionScenario,
-    ofdm: OfdmConfig | None = None,
-    speed_of_light: float = SPEED_OF_LIGHT,
-    foreground: Path | None = None,
-) -> list[Path]:
-    """Apply one scenario to a path list, returning a new list.
-
-    Blockage removes the strongest (or second-strongest) path by gain
-    magnitude, first index winning ties. Addition appends ``foreground`` if
-    given, else draws one from the scenario seed (``ofdm`` required then).
+    Rows hold their paths strongest first, as ``trace_paths`` sorts them,
+    so blockage clears column 0 or 1 of those rows. Addition appends a
+    column holding the foreground path in those rows: angle, delay bin and
+    phase uniform over (0, pi), the OFDM window and a turn, drawn from
+    ``scenario.rng_seed`` alone; magnitude ``addition_level_db`` below the
+    strongest path of row ``start``. ``paths`` is not modified.
 
     Raises:
-        NotEnoughPaths: blockage of an empty list, second-path blockage
-            with fewer than two paths, or addition with no reference path.
+        NotEnoughPaths: a distorted row without the path to block, or
+            addition to a row ``start`` without a path.
     """
-    result = list(paths)
-    if scenario.kind is DistortionKind.LOS_BLOCKAGE:
-        if not result:
-            raise NotEnoughPaths("no path to block")
-        result.pop(_strongest_index(result))
-    elif scenario.kind is DistortionKind.NLOS_BLOCKAGE:
-        if len(result) < 2:
-            raise NotEnoughPaths("second-path blockage needs >= 2 paths")
-        order = sorted(range(len(result)), key=lambda i: (-abs(result[i].gain), i))
-        result.pop(order[1])
-    elif scenario.kind is DistortionKind.NLOS_ADDITION:
-        if foreground is None:
-            if ofdm is None:
-                raise ValueError("addition without a prebuilt path needs ofdm")
-            foreground = draw_foreground_path(scenario, result, ofdm, speed_of_light)
-        result.append(foreground)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown distortion kind {scenario.kind}")
-    return result
+    hit = np.arange(len(paths)) >= start
+    if not hit.any():
+        return paths
+    if scenario.kind is DistortionKind.NLOS_ADDITION:
+        first = int(np.argmax(hit))
+        reference = paths.gain[first][paths.valid[first]].tolist()
+        if not reference:
+            raise NotEnoughPaths("addition needs at least one reference path")
+        rng = np.random.default_rng(scenario.rng_seed)
+        aoa = float(rng.uniform(0.0, np.pi))
+        nbin = int(rng.integers(0, ofdm.n_subcarriers))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        magnitude = 10.0 ** (scenario.addition_level_db / 20.0) * max(
+            map(abs, reference))
+        gain = complex(magnitude * np.exp(1j * phase))
+        length = nbin * ofdm.sample_duration * speed_of_light
+
+        def grow(field, value):
+            return np.column_stack([field, np.broadcast_to(value, len(hit))])
+
+        return Paths(grow(paths.aoa, aoa), grow(paths.sampled_delay, nbin),
+                     grow(paths.gain, gain), grow(paths.length, length),
+                     grow(paths.cluster, -1), grow(paths.valid, hit))
+    blocked = 0 if scenario.kind is DistortionKind.LOS_BLOCKAGE else 1
+    if paths.valid.shape[1] <= blocked or not paths.valid[hit, blocked].all():
+        raise NotEnoughPaths("no path to block" if blocked == 0 else
+                             "second-path blockage needs >= 2 paths")
+    valid = paths.valid.copy()
+    valid[hit, blocked] = False
+    return replace(paths, valid=valid)
 
 
 def generate_sequence(
@@ -232,24 +204,13 @@ def generate_sequence(
     if dft is None:
         dft = build_dft_pair(array.n_antennas, ofdm.n_subcarriers)
     positions = walk.positions()
-    traced = trace_paths(env, positions, array, ofdm)
-    foreground: Path | None = None
-    flags = []
-    effective = []
-    for i, paths in enumerate(traced):
-        distorted = scenario is not None and i >= distort_from
-        if distorted:
-            if (scenario.kind is DistortionKind.NLOS_ADDITION
-                    and foreground is None):
-                foreground = draw_foreground_path(
-                    scenario, paths, ofdm, env.speed_of_light
-                )
-            paths = distort_paths(paths, scenario, ofdm,
-                                  foreground=foreground)
-        flags.append(distorted)
-        effective.append(paths)
-    adps = adp_from_csi(synthesize_csi(effective, array, ofdm), dft)
-    adps32 = adps.astype("<f4")
+    paths = trace_paths(env, positions, array, ofdm)
+    if scenario is not None:
+        paths = _distort(paths, scenario, distort_from, ofdm,
+                         env.speed_of_light)
+    flags = [scenario is not None and i >= distort_from
+             for i in range(len(positions))]
+    adps32 = adp_from_csi(synthesize_csi(paths, array, ofdm), dft).astype("<f4")
     frames = [
         Frame(
             position=pos,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ from .dynamics import (
     generate_sequence,
     random_walk,
 )
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, FormatError
 from .fingerprint import FingerprintDb, GridSpec, build_db
 from .helper import Helper, collect
 from .neural import (
@@ -153,7 +154,8 @@ class ExperimentConfig:
         """
         for f in dataclasses.fields(self):
             if not _IS_TYPE[f.type](getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be of type {f.type}")
+                finite = " and finite" if f.type in ("float", "tuple") else ""
+                raise ConfigError(f"{f.name} must be of type {f.type}{finite}")
         for name, allowed in (("scenario", SCENARIOS),
                               ("localizer", LOCALIZERS),
                               ("predictor", PREDICTORS)):
@@ -192,14 +194,24 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number a float holds finitely. json.load reads NaN, Infinity
+    and 1e400 (as inf), and ints too large for a float."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # what each field annotation of ExperimentConfig admits: an int field
-# takes no bool, a float field takes an int, grid_origin two numbers
+# takes no bool, a float field takes an int, grid_origin two numbers;
+# every float is finite
 _IS_TYPE = {
     "str": lambda v: isinstance(v, str),
     "int": lambda v: _is_real(v) and isinstance(v, int),
-    "float": _is_real,
+    "float": _is_finite,
     "tuple": lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
-                        and all(map(_is_real, v))),
+                        and all(map(_is_finite, v))),
 }
 
 
@@ -209,7 +221,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     origin = data.get("grid_origin")
-    if isinstance(origin, list) and all(_is_real(v) for v in origin):
+    if isinstance(origin, list) and all(_is_finite(v) for v in origin):
         data = dict(data, grid_origin=tuple(float(v) for v in origin))
     config = ExperimentConfig(**data)
     config.validate()
@@ -244,6 +256,8 @@ def environment_for(config: ExperimentConfig) -> Environment:
         return load_environment(config.environment)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"environment {config.environment}: {exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"environment {config.environment}: {exc}") from exc
 
 
 def pieces(config: ExperimentConfig):

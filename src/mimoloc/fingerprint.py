@@ -29,7 +29,7 @@ from .errors import FormatError
 META_FORMAT_VERSION = 1
 
 # positions per pass of the channel kernel. A pass holds about 25 kB per
-# position (path lists, CSI and profile temporaries): 64 keeps the build's
+# position (traced paths, CSI and profile temporaries): 64 keeps the build's
 # peak near 3.5 MB on a 40x40 grid, where one pass over the whole grid
 # peaks near 36 MB; larger blocks are no faster
 BUILD_BLOCK = 64

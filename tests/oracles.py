@@ -5,20 +5,20 @@ arithmetic, deliberately not reusing the package's vectorized code. The
 reference layers, the trainers that prepare every batch on their own
 (``train``, ``train_predictor``), ``baseline_track``, ``detect_peaks``,
 ``gaussian_profile``, the reference peak tracker, ``run_sequence`` and the
-scalar channel (``trace_paths``, ``synthesize_csi``, ``build_db_adps``)
-are earlier, plainer forms of package code, kept as the references their
-replacements must match bit for bit.
+scalar channel (``trace_paths``, ``synthesize_csi``, ``build_db_adps``,
+``distort``) are earlier, plainer forms of package code, kept as the
+references their replacements must match bit for bit.
 """
 
 import cmath
 import logging
 import math
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from mimoloc.channel import Path
+from mimoloc.dynamics import DistortionKind
 from mimoloc.errors import DelayOverflow, EmptyNeighborhood, ZeroDistance
 from mimoloc.neural import Conv2d, MaxPool2x2, Softmax, training_data
 from mimoloc.pipeline import (
@@ -546,16 +546,19 @@ def _aoa_from_axis(env, direction):
     return float(math.acos(max(-1.0, min(1.0, float(np.dot(axis, u))))))
 
 
+# one path of a path list, named as the fields of ``channel.Paths``
+Ray = namedtuple("Ray", "aoa sampled_delay gain length cluster")
+
+
 def trace_paths(env, user_position, array, ofdm):
-    """``channel.trace_paths`` for one position, ray by ray."""
+    """``channel.trace_paths`` for one position, ray by ray, as a list."""
     user = np.asarray(user_position, dtype=float)
     bs = np.asarray(env.bs_position, dtype=float)
     if np.array_equal(user, bs):
         raise ZeroDistance("user position coincides with the base station")
     candidates = []
     if not _segment_blocked(env, bs, user):
-        candidates.append((float(np.linalg.norm(user - bs)), user - bs, 1.0, 0,
-                           True))
+        candidates.append((float(np.linalg.norm(user - bs)), user - bs, 1.0, 0))
     for i, ref in enumerate(env.reflectors):
         a = np.asarray(ref.p1, dtype=float)
         b = np.asarray(ref.p2, dtype=float)
@@ -576,9 +579,9 @@ def trace_paths(env, user_position, array, ofdm):
         if _segment_blocked(env, bs, spec) or _segment_blocked(env, spec, user):
             continue
         length = float(np.linalg.norm(image - bs))
-        candidates.append((length, d_ray, ref.coefficient, i + 1, False))
+        candidates.append((length, d_ray, ref.coefficient, i + 1))
     paths = []
-    for length, direction, coeff, cluster, los in candidates:
+    for length, direction, coeff, cluster in candidates:
         delay = length / env.speed_of_light
         n = int(round(delay / ofdm.sample_duration))
         if n >= ofdm.n_subcarriers:
@@ -587,16 +590,14 @@ def trace_paths(env, user_position, array, ofdm):
             continue
         amplitude = coeff * array.wavelength / (4.0 * np.pi * length)
         gain = amplitude * np.exp(-2j * np.pi * length / array.wavelength)
-        paths.append(Path(
+        paths.append(Ray(
             aoa=_aoa_from_axis(env, direction),
-            delay=delay,
             sampled_delay=n,
             gain=complex(gain),
-            path_length=length,
-            cluster_id=cluster,
-            is_los=los,
+            length=length,
+            cluster=cluster,
         ))
-    paths.sort(key=lambda p: (-abs(p.gain), p.cluster_id))
+    paths.sort(key=lambda p: (-abs(p.gain), p.cluster))
     return paths
 
 
@@ -618,6 +619,28 @@ def synthesize_csi(paths, array, ofdm):
     return h
 
 
+def foreground_ray(scenario, paths, ofdm, speed_of_light):
+    """The foreign path an addition scenario injects: angle, delay bin and
+    phase from the scenario seed, magnitude below the strongest path."""
+    rng = np.random.default_rng(scenario.rng_seed)
+    aoa = float(rng.uniform(0.0, np.pi))
+    nbin = int(rng.integers(0, ofdm.n_subcarriers))
+    phase = float(rng.uniform(0.0, 2.0 * np.pi))
+    magnitude = 10.0 ** (scenario.addition_level_db / 20.0) * max(
+        abs(p.gain) for p in paths)
+    return Ray(aoa, nbin, complex(magnitude * np.exp(1j * phase)),
+               nbin * ofdm.sample_duration * speed_of_light, -1)
+
+
+def distort(paths, scenario, foreground):
+    """One frame's sorted path list under a scenario: blockage pops the
+    strongest path or the second strongest, addition appends ``foreground``."""
+    if scenario.kind is DistortionKind.NLOS_ADDITION:
+        return paths + [foreground]
+    rank = 0 if scenario.kind is DistortionKind.LOS_BLOCKAGE else 1
+    return paths[:rank] + paths[rank + 1:]
+
+
 def build_db_adps(env, grid, array, ofdm, dft):
     """``fingerprint.build_db``'s profiles, one grid point at a time."""
     positions = grid.all_positions()
@@ -629,11 +652,13 @@ def build_db_adps(env, grid, array, ofdm, dft):
     return adps
 
 
-def assert_same_paths(got, want):
-    """Two path lists are equal field by field, in order, type for type."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for name in ("aoa", "delay", "sampled_delay", "gain", "path_length",
-                     "cluster_id", "is_los"):
-            a, b = getattr(g, name), getattr(w, name)
+def assert_same_paths(got, row, want):
+    """Row ``row`` of a ``channel.Paths`` record holds the path list
+    ``want`` in its first columns, field by field, in order, type for type."""
+    m = len(want)
+    assert got.valid[row].tolist() == [True] * m + [False] * (
+        got.valid.shape[1] - m)
+    for name in Ray._fields:
+        for a, b in zip(getattr(got, name)[row, :m].tolist(),
+                        [getattr(w, name) for w in want]):
             assert type(a) is type(b) and repr(a) == repr(b), (name, a, b)

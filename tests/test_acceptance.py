@@ -37,7 +37,7 @@ from mimoloc.adp import adp_from_csi, build_dft_pair
 from mimoloc.channel import (
     ArrayConfig,
     OfdmConfig,
-    Path,
+    Paths,
     synthesize_csi,
     trace_paths,
 )
@@ -130,9 +130,11 @@ def test_criterion_02_peak_matches_scalar_oracle():
         aoa = float(rng.uniform(0.1, np.pi - 0.1))
         n = int(rng.integers(0, OFDM.n_subcarriers))
         gain = complex(rng.normal(), rng.normal())
-        path = Path(aoa=aoa, delay=n * OFDM.sample_duration, sampled_delay=n,
-                    gain=gain, path_length=1.0, cluster_id=0, is_los=True)
-        csi = synthesize_csi([path], ARRAY, OFDM)
+        path = Paths(aoa=np.array([[aoa]]), sampled_delay=np.array([[n]]),
+                     gain=np.array([[gain]]), length=np.ones((1, 1)),
+                     cluster=np.zeros((1, 1), dtype=int),
+                     valid=np.ones((1, 1), dtype=bool))
+        csi = synthesize_csi(path, ARRAY, OFDM)[0]
         adp = adp_from_csi(csi, DFT)
         flat = int(np.argmax(adp))
         argmax_hits += flat == int(np.argmax(direct_adp(csi)))

@@ -15,7 +15,7 @@ from mimoloc.adp import (
 from mimoloc.channel import ArrayConfig, OfdmConfig, synthesize_csi
 from mimoloc.errors import DimensionMismatch, ZeroAdp
 
-from test_channel import make_path
+from test_channel import make_path, make_paths
 
 ARRAY = ArrayConfig(n_antennas=16, wavelength=0.1)
 OFDM = OfdmConfig(n_subcarriers=16, bandwidth=20e6)
@@ -58,7 +58,8 @@ class TestAdpFromCsi:
 
     def test_broadside_path_peak_position(self):
         # broadside aoa -> middle angle row; delay bin 5 -> column 5
-        h = synthesize_csi([make_path(aoa=math.pi / 2, sampled_delay=5)], ARRAY, OFDM)
+        h = synthesize_csi(make_paths([make_path(aoa=math.pi / 2, sampled_delay=5)]),
+                           ARRAY, OFDM)[0]
         a = adp_from_csi(h, DFT)
         assert np.unravel_index(np.argmax(a), a.shape) == (8, 5)
 
@@ -74,7 +75,8 @@ class TestAdpFromCsi:
         for _ in range(10):
             aoa = rng.uniform(0.1, math.pi - 0.1)
             n = int(rng.integers(0, 16))
-            h = synthesize_csi([make_path(aoa=aoa, sampled_delay=n)], ARRAY, OFDM)
+            h = synthesize_csi(make_paths([make_path(aoa=aoa, sampled_delay=n)]),
+                               ARRAY, OFDM)[0]
             a = adp_from_csi(h, DFT)
             fast = np.unravel_index(np.argmax(a), a.shape)
             ref = direct_adp(h)
@@ -90,7 +92,8 @@ class TestAdpFromCsi:
             u = 16 * (0.5 + ARRAY.element_spacing * math.cos(aoa) / ARRAY.wavelength)
             if abs(u - round(u)) > 0.4:  # skip near-ambiguous midpoints
                 continue
-            h = synthesize_csi([make_path(aoa=aoa, sampled_delay=3)], ARRAY, OFDM)
+            h = synthesize_csi(make_paths([make_path(aoa=aoa, sampled_delay=3)]),
+                               ARRAY, OFDM)[0]
             a = adp_from_csi(h, DFT)
             row = np.unravel_index(np.argmax(a), a.shape)[0]
             assert row == angle_bin_of_aoa(

@@ -13,7 +13,7 @@ from mimoloc.channel import (
     Blocker,
     Environment,
     OfdmConfig,
-    Path,
+    Paths,
     Reflector,
     array_response,
     format_environment,
@@ -30,17 +30,43 @@ ARRAY = ArrayConfig(n_antennas=8, wavelength=0.1)
 OFDM = OfdmConfig(n_subcarriers=16, bandwidth=20e6)
 
 
-def make_path(aoa=math.pi / 2, gain=1.0 + 0j, sampled_delay=0, v_c=299792458.0):
-    delay = sampled_delay / OFDM.bandwidth
-    return Path(
-        aoa=aoa,
-        delay=delay,
-        sampled_delay=sampled_delay,
-        gain=gain,
-        path_length=delay * v_c if delay > 0 else 1.0,
-        cluster_id=0,
-        is_los=True,
-    )
+def make_path(aoa=math.pi / 2, gain=1.0 + 0j, sampled_delay=0):
+    """One hand-made path, for ``make_paths``."""
+    return oracles.Ray(aoa=aoa, sampled_delay=sampled_delay, gain=gain,
+                       length=1.0, cluster=0)
+
+
+def make_paths(*rows):
+    """A ``Paths`` record with one row per argument, each a list of
+    ``make_path`` paths filled in from column 0 on, in list order."""
+    n, k = len(rows), max(map(len, rows), default=0)
+    fields = {name: np.zeros((n, k), dtype) for name, dtype in (
+        ("aoa", float), ("sampled_delay", np.int64), ("gain", complex),
+        ("length", float), ("cluster", np.int64), ("valid", bool))}
+    for i, row in enumerate(rows):
+        for j, path in enumerate(row):
+            for name, value in path._asdict().items():
+                fields[name][i, j] = value
+            fields["valid"][i, j] = True
+    return Paths(**fields)
+
+
+def row_paths(paths, row):
+    """One row of a ``Paths`` record as a path list, the inverse of
+    ``make_paths``: its valid entries in column order."""
+    return [oracles.Ray(*(getattr(paths, name)[row, j].item()
+                          for name in oracles.Ray._fields))
+            for j in np.flatnonzero(paths.valid[row])]
+
+
+def clusters(paths, row=0):
+    """Cluster ids of one row's paths, in column order."""
+    return paths.cluster[row][paths.valid[row]].tolist()
+
+
+def by_cluster(paths):
+    """Column of each path of a one-row record, keyed by cluster id."""
+    return {int(paths.cluster[0, j]): j for j in np.flatnonzero(paths.valid[0])}
 
 
 class TestArrayResponse:
@@ -95,24 +121,26 @@ class TestTracePaths:
     def test_free_space_single_los(self):
         env = Environment(bs_position=(0.0, 0.0))
         paths = trace_paths(env, (10.0, 0.0), ARRAY, OFDM)
-        assert len(paths) == 1
-        p = paths[0]
-        assert p.is_los and p.cluster_id == 0
-        assert p.path_length == pytest.approx(10.0)
-        assert p.delay == pytest.approx(10.0 / env.speed_of_light)
+        assert len(paths) == 1 and paths.valid.tolist() == [[True]]
+        assert clusters(paths) == [0]
+        assert paths.length[0, 0] == pytest.approx(10.0)
+        assert paths.sampled_delay[0, 0] == quantize_delay(
+            10.0 / env.speed_of_light, OFDM)
         # default array axis is +y, user sits along +x: broadside arrival
-        assert p.aoa == pytest.approx(math.pi / 2)
+        assert paths.aoa[0, 0] == pytest.approx(math.pi / 2)
+        gain = complex(paths.gain[0, 0])
         expected_amp = ARRAY.wavelength / (4 * math.pi * 10.0)
-        assert abs(p.gain) == pytest.approx(expected_amp, rel=1e-12)
+        assert abs(gain) == pytest.approx(expected_amp, rel=1e-12)
         expected_phase = cmath.exp(-2j * math.pi * 10.0 / ARRAY.wavelength)
-        assert p.gain / abs(p.gain) == pytest.approx(expected_phase, rel=1e-9)
+        assert gain / abs(gain) == pytest.approx(expected_phase, rel=1e-9)
 
     def test_blocker_removes_los(self):
         env = Environment(
             bs_position=(0.0, 0.0),
             blockers=(Blocker((5.0, -1.0), (5.0, 1.0)),),
         )
-        assert trace_paths(env, (10.0, 0.0), ARRAY, OFDM) == []
+        paths = trace_paths(env, (10.0, 0.0), ARRAY, OFDM)
+        assert len(paths) == 1 and not paths.valid.any()
 
     def test_mirror_wall_geometry(self):
         # BS (0,0), user (4,0), wall y=3: image across the wall at distance
@@ -122,26 +150,23 @@ class TestTracePaths:
             reflectors=(Reflector((-10.0, 3.0), (10.0, 3.0), 0.6),),
         )
         paths = trace_paths(env, (4.0, 0.0), ARRAY, OFDM)
-        assert len(paths) == 2
-        los, nlos = paths[0], paths[1]
-        assert los.is_los
-        assert nlos.path_length == pytest.approx(math.sqrt(52.0), rel=1e-12)
-        assert abs(nlos.gain) == pytest.approx(
+        assert clusters(paths) == [0, 1]
+        assert paths.length[0, 1] == pytest.approx(math.sqrt(52.0), rel=1e-12)
+        assert abs(complex(paths.gain[0, 1])) == pytest.approx(
             0.6 * ARRAY.wavelength / (4 * math.pi * math.sqrt(52.0)), rel=1e-12
         )
         # arrival direction is toward the specular point (2, 3)
         expected_aoa = math.acos(
             np.dot([0.0, 1.0], [2.0, 3.0]) / math.sqrt(13.0)
         )
-        assert nlos.aoa == pytest.approx(expected_aoa, rel=1e-12)
+        assert paths.aoa[0, 1] == pytest.approx(expected_aoa, rel=1e-12)
 
     def test_specular_point_must_lie_on_segment(self):
         env = Environment(
             bs_position=(0.0, 0.0),
             reflectors=(Reflector((5.0, 3.0), (6.0, 3.0), 0.6),),
         )
-        paths = trace_paths(env, (4.0, 0.0), ARRAY, OFDM)
-        assert len(paths) == 1 and paths[0].is_los
+        assert clusters(trace_paths(env, (4.0, 0.0), ARRAY, OFDM)) == [0]
 
     def test_reflection_needs_same_side(self):
         env = Environment(
@@ -149,7 +174,7 @@ class TestTracePaths:
             reflectors=(Reflector((-10.0, 3.0), (10.0, 3.0), 0.6),),
         )
         paths = trace_paths(env, (4.0, 6.0), ARRAY, OFDM)
-        assert all(p.is_los for p in paths)
+        assert set(clusters(paths)) <= {0}
 
     def test_blocked_reflection_leg(self):
         wall = Reflector((-10.0, 3.0), (10.0, 3.0), 0.6)
@@ -159,8 +184,7 @@ class TestTracePaths:
             reflectors=(wall,),
             blockers=(Blocker((0.5, 2.0), (3.0, 2.0)),),
         )
-        paths = trace_paths(env, (4.0, 0.0), ARRAY, OFDM)
-        assert [p.cluster_id for p in paths] == [0]
+        assert clusters(trace_paths(env, (4.0, 0.0), ARRAY, OFDM)) == [0]
 
     def test_sorted_by_descending_gain(self):
         env = Environment(
@@ -171,8 +195,35 @@ class TestTracePaths:
         for _ in range(20):
             user = (rng.uniform(2.0, 12.0), rng.uniform(-2.0, 2.0))
             paths = trace_paths(env, user, ARRAY, OFDM)
-            gains = [abs(p.gain) for p in paths]
+            gains = [abs(g) for g in paths.gain[0][paths.valid[0]].tolist()]
             assert gains == sorted(gains, reverse=True)
+
+    def test_rows_hold_paths_first_strongest_first(self):
+        # the record's row order is what distortion relies on: column 0
+        # is a row's strongest path, column 1 its second strongest
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(20):
+            env = _random_environment(rng)
+            users = rng.uniform(-15.0, 15.0, size=(30, 2))
+            paths = trace_paths(env, users, ARRAY, TestMotionBounds.WIDE)
+            for i in range(len(paths)):
+                m = int(paths.valid[i].sum())
+                assert paths.valid[i, :m].all()
+                keys = [(-abs(g), c) for g, c in zip(
+                    paths.gain[i, :m].tolist(), paths.cluster[i, :m].tolist())]
+                assert keys == sorted(keys)
+                checked += m > 1
+        assert checked > 100
+        # mirror-image walls: two reflections of the same gain, in cluster
+        # order whichever wall is listed first
+        walls = (Reflector((-10.0, -3.0), (10.0, -3.0), 0.6),
+                 Reflector((-10.0, 3.0), (10.0, 3.0), 0.6))
+        for listed in (walls, walls[::-1]):
+            env = Environment(bs_position=(0.0, 0.0), reflectors=listed)
+            paths = trace_paths(env, (4.0, 0.0), ARRAY, OFDM)
+            assert clusters(paths) == [0, 1, 2]
+            assert paths.gain[0, 1] == paths.gain[0, 2]
 
     def test_zero_distance_rejected(self):
         env = Environment(bs_position=(1.0, 2.0))
@@ -184,7 +235,7 @@ class TestTracePaths:
         # 10 m -> 33 ns -> bin 7 >= 4: dropped
         env = Environment(bs_position=(0.0, 0.0))
         with caplog.at_level(logging.DEBUG, logger="mimoloc.channel"):
-            assert trace_paths(env, (10.0, 0.0), ARRAY, narrow) == []
+            assert not trace_paths(env, (10.0, 0.0), ARRAY, narrow).valid.any()
         assert [r.getMessage() for r in caplog.records] == [
             "dropped path with sampled delay 7 (cluster 0)"]
 
@@ -197,8 +248,9 @@ class TestTracePaths:
         # 10 m and 12 m direct (bins 7, 8); reflections sqrt(136) and
         # sqrt(180) m (bins 8, 9): every path of both positions is dropped
         with caplog.at_level(logging.DEBUG, logger="mimoloc.channel"):
-            assert trace_paths(env, [(10.0, 0.0), (12.0, 0.0)], ARRAY,
-                               narrow) == [[], []]
+            paths = trace_paths(env, [(10.0, 0.0), (12.0, 0.0)], ARRAY,
+                                narrow)
+        assert len(paths) == 2 and not paths.valid.any()
         assert [r.getMessage() for r in caplog.records] == [
             "dropped path with sampled delay 7 (cluster 0)",
             "dropped path with sampled delay 8 (cluster 1)",
@@ -218,14 +270,18 @@ class TestTracePaths:
     def test_stack_rows_equal_single_calls(self):
         env = rich_environment()
         users = np.random.default_rng(5).uniform(-1.0, 15.0, size=(40, 2))
-        rows = trace_paths(env, users, ARRAY, OFDM)
-        assert len(rows) == 40
-        for user, row in zip(users, rows):
-            oracles.assert_same_paths(row, trace_paths(env, user, ARRAY, OFDM))
+        paths = trace_paths(env, users, ARRAY, OFDM)
+        assert len(paths) == 40
+        for i, user in enumerate(users):
+            alone = trace_paths(env, user, ARRAY, OFDM)
+            assert len(alone) == 1
+            oracles.assert_same_paths(paths, i, row_paths(alone, 0))
 
     def test_empty_stack(self):
         env = sparse_environment()
-        assert trace_paths(env, np.zeros((0, 2)), ARRAY, OFDM) == []
+        paths = trace_paths(env, np.zeros((0, 2)), ARRAY, OFDM)
+        assert len(paths) == 0
+        assert paths.valid.shape == (0, 1 + len(env.reflectors))
 
 
 def _blocked_environment():
@@ -252,18 +308,18 @@ class TestStackedTraceMatchesScalarOracle:
 
     @staticmethod
     def check(env, users, array=ARRAY, ofdm=OFDM):
-        rows = trace_paths(env, np.asarray(users, dtype=float), array, ofdm)
-        for user, row in zip(users, rows):
+        paths = trace_paths(env, np.asarray(users, dtype=float), array, ofdm)
+        assert len(paths) == len(users)
+        for i, user in enumerate(users):
             oracles.assert_same_paths(
-                row, oracles.trace_paths(env, user, array, ofdm))
-        return rows
+                paths, i, oracles.trace_paths(env, user, array, ofdm))
+        return paths
 
     @pytest.mark.parametrize("env", [sparse_environment(), rich_environment()],
                              ids=["sparse", "rich"])
     def test_random_off_grid_points(self, env):
         users = np.random.default_rng(17).uniform(-3.0, 18.0, size=(300, 2))
-        rows = self.check(env, users)
-        assert sum(map(len, rows)) > 300
+        assert self.check(env, users).valid.sum() > 300
 
     def test_blockers_from_an_environment_file(self):
         env = _blocked_environment()
@@ -287,19 +343,18 @@ class TestStackedTraceMatchesScalarOracle:
         # the ray to (8, -2) passes (4, -1), the blocker's end point; the
         # ray to (9, 0) runs along the collinear blocker
         for user in ((8.0, -2.0), (9.0, 0.0)):
-            assert 0 not in [p.cluster_id for p in self.check(env, [user])[0]]
+            assert 0 not in clusters(self.check(env, [user]))
         # short of the collinear blocker, the ray is clear
-        assert 0 in [p.cluster_id for p in self.check(env, [(5.0, 0.0)])[0]]
+        assert 0 in clusters(self.check(env, [(5.0, 0.0)]))
 
     def test_user_or_base_station_on_a_reflector_line(self):
         wall = Reflector((-10.0, 3.0), (10.0, 3.0), 0.6)
         env = Environment(bs_position=(0.0, 0.0), reflectors=(wall,))
-        rows = self.check(env, [(4.0, 3.0), (4.0, 0.0)])
-        assert [p.cluster_id for p in rows[0]] == [0]
-        assert [p.cluster_id for p in rows[1]] == [0, 1]
+        paths = self.check(env, [(4.0, 3.0), (4.0, 0.0)])
+        assert clusters(paths, 0) == [0]
+        assert clusters(paths, 1) == [0, 1]
         on_line = Environment(bs_position=(0.0, 3.0), reflectors=(wall,))
-        assert [p.cluster_id for p in self.check(on_line, [(4.0, 0.0)])[0]] \
-            == [0]
+        assert clusters(self.check(on_line, [(4.0, 0.0)])) == [0]
 
     def test_ray_parallel_to_the_wall(self):
         # both ends sit a rounding error off the wall line, so the ray to
@@ -313,7 +368,7 @@ class TestStackedTraceMatchesScalarOracle:
         assert oracles._cross((0.0, 0.0), b - a, d_ray) == 0.0
         env = Environment(bs_position=tuple(bs),
                           reflectors=(Reflector(tuple(a), tuple(b), 0.5),))
-        assert [p.cluster_id for p in self.check(env, [user])[0]] == [0]
+        assert clusters(self.check(env, [user])) == [0]
 
     def test_narrow_band_drops_match(self, caplog):
         # a 1.2 us window: the long reflections overflow it, the short
@@ -322,32 +377,33 @@ class TestStackedTraceMatchesScalarOracle:
         env = rich_environment()
         users = np.random.default_rng(3).uniform(-1.0, 15.0, size=(60, 2))
         with caplog.at_level(logging.DEBUG, logger="mimoloc.channel"):
-            rows = trace_paths(env, users, ARRAY, narrow)
+            paths = trace_paths(env, users, ARRAY, narrow)
             stacked = [r.getMessage() for r in caplog.records]
             caplog.clear()
             want = [oracles.trace_paths(env, u, ARRAY, narrow) for u in users]
             scalar = [r.getMessage() for r in caplog.records]
-        for row, w in zip(rows, want):
-            oracles.assert_same_paths(row, w)
+        for i, w in enumerate(want):
+            oracles.assert_same_paths(paths, i, w)
         assert stacked == scalar
-        assert stacked and all(rows)
+        assert stacked and paths.valid[:, 0].all()
 
 
 class TestSynthesizeCsi:
     def test_empty_paths_zero_matrix(self):
-        h = synthesize_csi([], ARRAY, OFDM)
-        assert h.shape == (8, 16)
+        h = synthesize_csi(make_paths([]), ARRAY, OFDM)
+        assert h.shape == (1, 8, 16)
         assert not np.any(h)
 
     def test_single_broadside_zero_delay_all_ones(self):
-        h = synthesize_csi([make_path()], ARRAY, OFDM)
-        np.testing.assert_allclose(h, np.ones((8, 16)), atol=1e-12)
+        h = synthesize_csi(make_paths([make_path()]), ARRAY, OFDM)
+        np.testing.assert_allclose(h, np.ones((1, 8, 16)), atol=1e-12)
 
     def test_additivity(self):
         p1 = make_path(aoa=1.0, gain=0.5 + 0.1j, sampled_delay=3)
         p2 = make_path(aoa=2.0, gain=0.1 - 0.2j, sampled_delay=7)
-        h = synthesize_csi([p1, p2], ARRAY, OFDM)
-        h_sum = synthesize_csi([p1], ARRAY, OFDM) + synthesize_csi([p2], ARRAY, OFDM)
+        h = synthesize_csi(make_paths([p1, p2]), ARRAY, OFDM)
+        h_sum = (synthesize_csi(make_paths([p1]), ARRAY, OFDM)
+                 + synthesize_csi(make_paths([p2]), ARRAY, OFDM))
         np.testing.assert_allclose(h, h_sum, rtol=1e-12)
 
     def test_single_path_energy(self):
@@ -359,36 +415,44 @@ class TestSynthesizeCsi:
                 gain=complex(g),
                 sampled_delay=int(rng.integers(0, 16)),
             )
-            h = synthesize_csi([p], ARRAY, OFDM)
+            h = synthesize_csi(make_paths([p]), ARRAY, OFDM)
             energy = np.linalg.norm(h) ** 2
             assert energy == pytest.approx(8 * 16 * abs(g) ** 2, rel=1e-12)
 
     def test_delay_out_of_window_raises(self):
         with pytest.raises(DelayOverflow):
-            synthesize_csi([make_path(sampled_delay=16)], ARRAY, OFDM)
+            synthesize_csi(make_paths([make_path(sampled_delay=16)]), ARRAY, OFDM)
 
     def test_delay_out_of_window_in_a_stack_raises(self):
         good = [make_path(sampled_delay=3)]
         for bad in (16, -1):
             with pytest.raises(DelayOverflow, match=f"sampled delay {bad} "):
-                synthesize_csi([good, [], good + [make_path(sampled_delay=bad)]],
-                               ARRAY, OFDM)
+                synthesize_csi(
+                    make_paths(good, [], good + [make_path(sampled_delay=bad)]),
+                    ARRAY, OFDM)
+        # an entry that holds no path is never read
+        paths = make_paths(good, [])
+        paths.sampled_delay[1, 0] = 16
+        assert not np.any(synthesize_csi(paths, ARRAY, OFDM)[1])
 
     def test_stack_equals_scalar_oracle(self):
         env = rich_environment()
         users = np.random.default_rng(9).uniform(-1.0, 15.0, size=(50, 2))
-        lists = trace_paths(env, users, ARRAY, OFDM)
-        lists[7] = []  # a lost link inside the stack
-        h = synthesize_csi(lists, ARRAY, OFDM)
+        paths = trace_paths(env, users, ARRAY, OFDM)
+        paths.valid[7] = False  # a lost link inside the stack
+        paths.valid[11, 0] = False  # a path missing ahead of others
+        h = synthesize_csi(paths, ARRAY, OFDM)
         assert h.shape == (50, 8, 16)
-        for hi, paths in zip(h, lists):
-            want = oracles.synthesize_csi(paths, ARRAY, OFDM)
+        for i, hi in enumerate(h):
+            row = row_paths(paths, i)
+            want = oracles.synthesize_csi(row, ARRAY, OFDM)
             assert np.array_equal(hi, want)
-            assert np.array_equal(synthesize_csi(paths, ARRAY, OFDM), want)
+            assert np.array_equal(
+                synthesize_csi(make_paths(row), ARRAY, OFDM)[0], want)
         assert not np.any(h[7])
 
     def test_stack_of_empty_lists(self):
-        h = synthesize_csi([[], []], ARRAY, OFDM)
+        h = synthesize_csi(make_paths([], []), ARRAY, OFDM)
         assert h.shape == (2, 8, 16) and not np.any(h)
 
 
@@ -418,15 +482,16 @@ class TestMotionBounds:
             user = rng.uniform(2.0, 15.0, size=2)
             delta = rng.uniform(0.01, 0.5)
             step = delta * _unit(rng)
-            before = {p.cluster_id: p for p in trace_paths(env, user, ARRAY, self.WIDE)}
-            after = {
-                p.cluster_id: p
-                for p in trace_paths(env, user + step, ARRAY, self.WIDE)
-            }
+            p0 = trace_paths(env, user, ARRAY, self.WIDE)
+            p1 = trace_paths(env, user + step, ARRAY, self.WIDE)
+            before, after = by_cluster(p0), by_cluster(p1)
             for cid in before.keys() & after.keys():
-                dt = abs(after[cid].delay - before[cid].delay)
+                i, j = before[cid], after[cid]
+                dt = abs(p1.length[0, j] / env.speed_of_light
+                         - p0.length[0, i] / env.speed_of_light)
                 assert dt <= delta / env.speed_of_light * (1 + 1e-9)
-                assert abs(after[cid].sampled_delay - before[cid].sampled_delay) <= 1
+                assert abs(int(p1.sampled_delay[0, j])
+                           - int(p0.sampled_delay[0, i])) <= 1
                 checked += 1
         assert checked > 30
 
@@ -436,18 +501,18 @@ class TestMotionBounds:
         for _ in range(50):
             env = _random_environment(rng)
             user = rng.uniform(2.0, 15.0, size=2)
-            before = {p.cluster_id: p for p in trace_paths(env, user, ARRAY, self.WIDE)}
+            p0 = trace_paths(env, user, ARRAY, self.WIDE)
+            before = by_cluster(p0)
             if not before:
                 continue
-            min_len = min(p.path_length for p in before.values())
+            min_len = p0.length[p0.valid].min()
             delta = 1e-3 * min_len
-            after = {
-                p.cluster_id: p
-                for p in trace_paths(env, user + delta * _unit(rng), ARRAY, self.WIDE)
-            }
+            p1 = trace_paths(env, user + delta * _unit(rng), ARRAY, self.WIDE)
+            after = by_cluster(p1)
             for cid in before.keys() & after.keys():
-                dtheta = abs(after[cid].aoa - before[cid].aoa)
-                assert dtheta <= 1.1 * delta / before[cid].path_length
+                i, j = before[cid], after[cid]
+                dtheta = abs(p1.aoa[0, j] - p0.aoa[0, i])
+                assert dtheta <= 1.1 * delta / p0.length[0, i]
                 checked += 1
         assert checked > 30
 
@@ -456,7 +521,7 @@ class TestMotionBounds:
         for _ in range(50):
             env = _random_environment(rng)
             user = rng.uniform(2.0, 15.0, size=2)
-            before = {p.cluster_id for p in trace_paths(env, user, ARRAY, self.WIDE)}
+            before = set(clusters(trace_paths(env, user, ARRAY, self.WIDE)))
             cx, cy = rng.uniform(-15, 15, size=2)
             dx, dy = rng.uniform(-5, 5, size=2)
             blocked_env = Environment(
@@ -464,9 +529,8 @@ class TestMotionBounds:
                 reflectors=env.reflectors,
                 blockers=(Blocker((cx - dx, cy - dy), (cx + dx or 1.0, cy + dy)),),
             )
-            after = {
-                p.cluster_id for p in trace_paths(blocked_env, user, ARRAY, self.WIDE)
-            }
+            after = set(clusters(trace_paths(blocked_env, user, ARRAY,
+                                             self.WIDE)))
             assert after <= before
 
 

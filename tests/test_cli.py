@@ -158,9 +158,15 @@ def test_seed_override_lands_in_report(config_path, tmp_path):
     None,  # a directory, not a file
     json.dumps({"environment": "ENV_DIR"}).encode(),
     json.dumps({"environment": "ENV_NOT_UTF8"}).encode(),
+    b'{"scenario": "nlos-add", "addition_level_db": NaN}',
+    b'{"addition_level_db": -Infinity}',
+    b'{"grid_origin": [NaN, 0]}',
+    b'{"grid_origin": [0, 1e400]}',  # json.load reads 1e400 as inf
+    b'{"grid_origin": [0, 1' + b"0" * 400 + b']}',  # too large for a float
 ], ids=["unknown-scenario", "number-origin", "text-origin", "text-count",
         "not-utf8", "directory", "environment-directory",
-        "environment-not-utf8"])
+        "environment-not-utf8", "nan-level", "infinite-level", "nan-origin",
+        "overflowing-origin", "huge-int-origin"])
 def test_bad_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     if content is None:
@@ -197,6 +203,34 @@ def test_missing_report_exits_3(tmp_path, capsys, content, message):
         (out / "report.json").write_bytes(content)
     assert main(["report", "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_bad_environment_file_is_named(tmp_path, capsys):
+    env = tmp_path / "office.env"
+    env.write_text("bs_position = 0 0\nreflector = 0 6 17 6 nan\n")
+    path = tmp_path / "config.json"
+    save_config(ExperimentConfig(**dict(TINY, environment=str(env))), path)
+    assert main(["build-db", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"environment {env}: line 2: non-finite value" in err
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "report-is-a-directory",
+                                  "report-out-is-a-file"])
+def test_file_system_error_exits_3(config_path, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "report-is-a-directory":
+        (out / "report.json").mkdir(parents=True)
+    else:
+        out.write_text("not a directory\n")
+    if case == "out-is-a-file":
+        argv = ["build-db", "--config", config_path, "--out", str(out)]
+    else:
+        argv = ["report", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_unknown_flag_exits_2(config_path, tmp_path):

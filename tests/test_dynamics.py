@@ -8,13 +8,18 @@ import pytest
 
 import oracles
 from mimoloc.adp import build_dft_pair, similarity
-from mimoloc.channel import ArrayConfig, Environment, OfdmConfig, Reflector
+from mimoloc.channel import (
+    SPEED_OF_LIGHT,
+    ArrayConfig,
+    Environment,
+    OfdmConfig,
+    Reflector,
+)
 from mimoloc.dynamics import (
     DistortionKind,
     DistortionScenario,
     WalkMode,
-    distort_paths,
-    draw_foreground_path,
+    _distort,
     generate_sequence,
     load_sequences,
     random_walk,
@@ -23,7 +28,7 @@ from mimoloc.dynamics import (
 from mimoloc.errors import NotEnoughPaths
 from mimoloc.fingerprint import GridSpec, build_db
 
-from test_channel import make_path
+from test_channel import make_path, make_paths, row_paths
 
 ARRAY = ArrayConfig(n_antennas=8, wavelength=0.1)
 OFDM = OfdmConfig(n_subcarriers=8, bandwidth=20e6)
@@ -89,6 +94,11 @@ class TestRandomWalk:
         )
 
 
+def distort(paths, kind, start=0, rng_seed=0):
+    return _distort(paths, DistortionScenario(kind, rng_seed=rng_seed), start,
+                    OFDM, SPEED_OF_LIGHT)
+
+
 class TestDistortPaths:
     def make_pair(self):
         return [
@@ -97,68 +107,102 @@ class TestDistortPaths:
         ]
 
     def test_los_blockage_removes_strongest(self):
-        out = distort_paths(
-            self.make_pair(), DistortionScenario(DistortionKind.LOS_BLOCKAGE)
-        )
-        assert len(out) == 1 and abs(out[0].gain) == pytest.approx(0.3)
+        pair = self.make_pair()
+        out = distort(make_paths(pair, pair, pair), DistortionKind.LOS_BLOCKAGE,
+                      start=1)
+        assert row_paths(out, 0) == pair  # before the onset
+        for row in (1, 2):
+            left = row_paths(out, row)
+            assert len(left) == 1 and abs(left[0].gain) == pytest.approx(0.3)
 
     def test_nlos_blockage_removes_second(self):
-        out = distort_paths(
-            self.make_pair(), DistortionScenario(DistortionKind.NLOS_BLOCKAGE)
-        )
-        assert len(out) == 1 and abs(out[0].gain) == pytest.approx(1.0)
+        pair = self.make_pair()
+        out = distort(make_paths(pair, pair, pair), DistortionKind.NLOS_BLOCKAGE,
+                      start=1)
+        assert row_paths(out, 0) == pair  # before the onset
+        for row in (1, 2):
+            left = row_paths(out, row)
+            assert len(left) == 1 and abs(left[0].gain) == pytest.approx(1.0)
 
     def test_single_path_los_blockage_empties(self):
-        out = distort_paths(
-            [make_path()], DistortionScenario(DistortionKind.LOS_BLOCKAGE)
-        )
-        assert out == []
+        out = distort(make_paths([make_path()]), DistortionKind.LOS_BLOCKAGE)
+        assert len(out) == 1 and not out.valid.any()
 
     def test_not_enough_paths(self):
         with pytest.raises(NotEnoughPaths):
-            distort_paths([], DistortionScenario(DistortionKind.LOS_BLOCKAGE))
+            distort(make_paths([]), DistortionKind.LOS_BLOCKAGE)
         with pytest.raises(NotEnoughPaths):
-            distort_paths(
-                [make_path()], DistortionScenario(DistortionKind.NLOS_BLOCKAGE)
-            )
+            distort(make_paths([make_path()]), DistortionKind.NLOS_BLOCKAGE)
         with pytest.raises(NotEnoughPaths):
-            distort_paths([], DistortionScenario(DistortionKind.NLOS_ADDITION), OFDM)
+            distort(make_paths([]), DistortionKind.NLOS_ADDITION)
+        # any distorted row too short for a blockage fails it; addition
+        # needs a reference path in the first distorted row only
+        pair, one = self.make_pair(), [make_path()]
+        with pytest.raises(NotEnoughPaths):
+            distort(make_paths(pair, []), DistortionKind.LOS_BLOCKAGE, 1)
+        with pytest.raises(NotEnoughPaths):
+            distort(make_paths(pair, pair, one), DistortionKind.NLOS_BLOCKAGE, 1)
+        with pytest.raises(NotEnoughPaths):
+            distort(make_paths(pair, [], pair), DistortionKind.NLOS_ADDITION, 1)
+        distort(make_paths([], pair), DistortionKind.LOS_BLOCKAGE, 1)
+        distort(make_paths(one, pair), DistortionKind.NLOS_BLOCKAGE, 1)
+        distort(make_paths(pair, one, []), DistortionKind.NLOS_ADDITION, 1)
 
     def test_addition_level(self):
-        scenario = DistortionScenario(DistortionKind.NLOS_ADDITION, rng_seed=4)
-        out = distort_paths(self.make_pair(), scenario, OFDM)
-        assert len(out) == 3
+        pair = self.make_pair()
+        out = distort(make_paths(pair, pair, pair), DistortionKind.NLOS_ADDITION,
+                      start=1, rng_seed=4)
+        assert out.valid.shape == (3, 3)
+        assert out.valid[:, 2].tolist() == [False, True, True]
+        assert row_paths(out, 0) == pair
+        foreground = row_paths(out, 1)[-1]
+        assert row_paths(out, 2) == pair + [foreground]
         # -6 dB below the strongest gain of 1.0
-        assert abs(out[-1].gain) == pytest.approx(10 ** (-6 / 20), rel=1e-12)
-        assert abs(abs(out[-1].gain) - 0.5012) < 1e-3
-        assert 0.0 < out[-1].aoa < math.pi
-        assert 0 <= out[-1].sampled_delay < 8
-        assert out[-1].cluster_id == -1
+        assert abs(foreground.gain) == pytest.approx(10 ** (-6 / 20), rel=1e-12)
+        assert abs(abs(foreground.gain) - 0.5012) < 1e-3
+        assert 0.0 < foreground.aoa < math.pi
+        assert 0 <= foreground.sampled_delay < 8
+        assert foreground.cluster == -1
+        # the first distorted row alone sets the magnitude
+        weak = [make_path(gain=0.5 + 0j)]
+        out = distort(make_paths(pair, weak, pair), DistortionKind.NLOS_ADDITION,
+                      start=1, rng_seed=4)
+        assert abs(out.gain[2, 2]) == pytest.approx(
+            0.5 * 10 ** (-6 / 20), rel=1e-12)
 
     def test_input_never_mutated(self):
-        paths = self.make_pair()
-        snapshot = list(paths)
+        paths = make_paths(self.make_pair(), self.make_pair())
+        snapshot = {k: v.copy() for k, v in vars(paths).items()}
         for kind in DistortionKind:
-            distort_paths(paths, DistortionScenario(kind, rng_seed=1), OFDM)
-            assert paths == snapshot
+            distort(paths, kind, rng_seed=1)
+            for k, v in vars(paths).items():
+                assert np.array_equal(v, snapshot[k]), (kind, k)
 
     def test_composition_counts(self):
-        paths = [
+        paths = make_paths([
             make_path(gain=1.0 + 0j),
             make_path(gain=0.5 + 0j, sampled_delay=2),
             make_path(gain=0.2 + 0j, sampled_delay=4),
-        ]
-        blocked = distort_paths(paths, DistortionScenario(DistortionKind.LOS_BLOCKAGE))
-        full = distort_paths(
-            blocked, DistortionScenario(DistortionKind.NLOS_ADDITION, rng_seed=2), OFDM
-        )
-        assert len(full) == len(paths) - 1 + 1
+        ])
+        blocked = distort(paths, DistortionKind.LOS_BLOCKAGE)
+        full = distort(blocked, DistortionKind.NLOS_ADDITION, rng_seed=2)
+        assert full.valid.sum() == paths.valid.sum() - 1 + 1
+        # the foreground is set from the strongest path left, 0.5
+        assert abs(full.gain[0, -1]) == pytest.approx(
+            0.5 * 10 ** (-6 / 20), rel=1e-12)
 
     def test_foreground_draw_deterministic(self):
-        scenario = DistortionScenario(DistortionKind.NLOS_ADDITION, rng_seed=9)
-        f1 = draw_foreground_path(scenario, [make_path()], OFDM)
-        f2 = draw_foreground_path(scenario, [make_path()], OFDM)
-        assert f1 == f2
+        f1 = distort(make_paths([make_path()]), DistortionKind.NLOS_ADDITION,
+                     rng_seed=9)
+        f2 = distort(make_paths([make_path()]), DistortionKind.NLOS_ADDITION,
+                     rng_seed=9)
+        assert row_paths(f1, 0) == row_paths(f2, 0)
+        f3 = distort(make_paths([make_path(gain=0.1j)]),
+                     DistortionKind.NLOS_ADDITION, rng_seed=9)
+        for name in ("aoa", "sampled_delay"):
+            assert getattr(f3, name)[0, 1] == getattr(f1, name)[0, 1]
+        assert np.angle(f3.gain[0, 1]) == pytest.approx(np.angle(f1.gain[0, 1]))
+        assert abs(f3.gain[0, 1]) == pytest.approx(0.1 * abs(f1.gain[0, 1]))
 
 
 class TestGenerateSequence:
@@ -187,9 +231,9 @@ class TestGenerateSequence:
             paths = oracles.trace_paths(ENV, pos, ARRAY, OFDM)
             if i >= 6:
                 if kind is DistortionKind.NLOS_ADDITION and foreground is None:
-                    foreground = draw_foreground_path(scenario, paths, OFDM)
-                paths = distort_paths(paths, scenario, OFDM,
-                                      foreground=foreground)
+                    foreground = oracles.foreground_ray(
+                        scenario, paths, OFDM, ENV.speed_of_light)
+                paths = oracles.distort(paths, scenario, foreground)
             csi = oracles.synthesize_csi(paths, ARRAY, OFDM)
             want = np.abs(self.DFT.v.conj().T @ csi @ self.DFT.f)
             assert np.array_equal(frame.adp, want.astype("<f4"))

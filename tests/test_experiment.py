@@ -124,6 +124,11 @@ class TestConfig:
         ("n_sequences", 2.5),
         ("n_sequences", True),
         ("seed", -1),
+        ("addition_level_db", float("nan")),
+        ("addition_level_db", float("inf")),
+        ("grid_origin", (float("nan"), 0.0)),
+        ("grid_origin", (0.0, -float("inf"))),
+        ("grid_origin", (10 ** 400, 0)),
     ])
     def test_bad_field_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})

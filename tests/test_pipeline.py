@@ -18,7 +18,7 @@ from mimoloc.dynamics import (
     DistortionKind,
     DistortionScenario,
     WalkMode,
-    distort_paths,
+    _distort,
     generate_sequence,
     random_walk,
 )
@@ -89,8 +89,8 @@ def nn_localizer(db):
 def frame_at(position, scenario=None):
     paths = trace_paths(ENV, np.asarray(position, float), ARRAY, OFDM)
     if scenario is not None:
-        paths = distort_paths(paths, scenario, OFDM)
-    return adp_from_csi(synthesize_csi(paths, ARRAY, OFDM), DFT)
+        paths = _distort(paths, scenario, 0, OFDM, ENV.speed_of_light)
+    return adp_from_csi(synthesize_csi(paths, ARRAY, OFDM), DFT)[0]
 
 
 class TestThresholds:

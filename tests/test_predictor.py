@@ -53,7 +53,7 @@ def bumps(shape, centers, amps, sigma=0.5):
 
 def adp_at(position):
     paths = trace_paths(FREE_SPACE, np.asarray(position, dtype=float), ARRAY, OFDM)
-    return adp_from_csi(synthesize_csi(paths, ARRAY, OFDM), DFT)
+    return adp_from_csi(synthesize_csi(paths, ARRAY, OFDM), DFT)[0]
 
 
 class TestDetectPeaks:
@@ -293,9 +293,8 @@ def assert_same_peaks(frame, **kwargs):
 def walk_frames(seed, env=MULTIPATH, length=16):
     grid = GridSpec(origin=(6.0, -2.0), spacing=0.5, n_rows=8, n_cols=8)
     walk = random_walk(grid, WalkMode.MODE2, length, [11, seed])
-    return [adp_from_csi(synthesize_csi(
-        trace_paths(env, p, ARRAY, OFDM), ARRAY, OFDM), DFT)
-        for p in walk.positions()]
+    return list(adp_from_csi(synthesize_csi(
+        trace_paths(env, walk.positions(), ARRAY, OFDM), ARRAY, OFDM), DFT))
 
 
 @pytest.mark.parametrize("predictor", [PeakTrackingPredictor(),
