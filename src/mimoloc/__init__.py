@@ -8,7 +8,7 @@ distorted frames and recovers them by fusing a predicted frame with
 database neighbors.
 """
 
-from .adp import DftPair, adp_from_csi, build_dft_pair, gaussian_profile, similarity
+from .adp import DftPair, adp_from_csi, build_dft_pair, similarity
 from .channel import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -28,7 +28,6 @@ from .channel import (
 from .dynamics import (
     DistortionKind,
     DistortionScenario,
-    Frame,
     FrameSequence,
     Walk,
     WalkMode,

@@ -68,40 +68,15 @@ def adp_from_csi(csi: np.ndarray, dft: DftPair) -> np.ndarray:
     return np.abs(dft.v.conj().T @ csi @ dft.f)
 
 
-def gaussian_profile(
-    shape: tuple[int, int],
-    centers: np.ndarray,
-    amplitudes: np.ndarray,
-    sigma: float,
-) -> np.ndarray:
-    """Sum of isotropic Gaussian bumps on a cyclic angle-delay canvas.
-
-    Both axes are DFT bins, so distances wrap: a bump near an edge spills
-    onto the opposite edge. ``centers`` is (k, 2) in (row, col) bin
-    coordinates, subpixel allowed.
-
-    Returns:
-        float64 image of the given shape.
-    """
-    out = np.zeros(shape, dtype=np.float64)
-    if len(centers) == 0:
-        return out
-    centers = np.atleast_2d(centers)
-    amplitudes = np.ravel(amplitudes)
-    k = min(len(centers), len(amplitudes))
-    # added one at a time, in order: a sum over the first axis may pair
-    # the terms differently and move the last bits
-    for bump in gaussian_bumps(shape, centers[:k], amplitudes[:k], sigma):
-        out += bump
-    return out
-
-
 def gaussian_bumps(shape: tuple[int, int], centers: np.ndarray,
                    amplitudes: np.ndarray, sigma: float) -> np.ndarray:
-    """The bumps ``gaussian_profile`` sums, one image per center.
+    """Isotropic Gaussian bumps on a cyclic angle-delay canvas, one image
+    per center.
 
-    ``centers`` is a (k, 2) array and ``amplitudes`` a (k,) array;
-    returns (k, n_t, n_c).
+    Both axes are DFT bins, so distances wrap: a bump near an edge spills
+    onto the opposite edge. ``centers`` is a (k, 2) array in (row, col)
+    bin coordinates, subpixel allowed, and ``amplitudes`` a (k,) array;
+    returns (k, n_t, n_c) float64.
     """
     n_t, n_c = shape
     cz, cq = centers.T

@@ -1,13 +1,15 @@
-"""User motion and channel distortion over frame sequences.
+"""User motion and channel distortion over walks.
 
 Random walks live on the fingerprint grid and step to one of the four
 neighboring cells. Two regimes: mode 1 keeps a heading until the grid
 edge forces a new uniformly-drawn feasible one, mode 2 redraws a feasible
 heading every step. Distortions model a foreground object appearing
-mid-sequence: blocking the strongest path, blocking the second-strongest,
+mid-walk: blocking the strongest path, blocking the second-strongest,
 or adding a foreign reflection a fixed level below the strongest path.
 Each is one column operation on the distorted rows of a walk's traced
-paths: a blockage clears a column, an addition appends one.
+paths: a blockage clears a column, an addition appends one. A simulated
+walk is one ``FrameSequence`` record of per-frame arrays, saved to and
+loaded from an ADPF version-2 container one column at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .channel import (
     synthesize_csi,
     trace_paths,
 )
-from .errors import NotEnoughPaths
+from .errors import FormatError, NotEnoughPaths
 from .fingerprint import GridSpec
 
 _DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -72,10 +74,6 @@ class Walk:
     cells: np.ndarray  # (length, 2) int rows/cols
     grid: GridSpec
 
-    @property
-    def length(self) -> int:
-        return len(self.cells)
-
     def positions(self) -> np.ndarray:
         """(length, 2) positions in meters."""
         x = self.grid.origin[0] + self.cells[:, 1] * self.grid.spacing
@@ -84,28 +82,17 @@ class Walk:
 
 
 @dataclass
-class Frame:
-    position: np.ndarray
-    adp: np.ndarray  # (n_t, n_c) float32, the persisted precision
-    distorted: bool
-    lost_link: bool
-
-
-@dataclass
 class FrameSequence:
-    frames: list[Frame]
+    """One walk of T frames; len() is T. ``mode`` is None for a walk read
+    from a file, which does not store it."""
+
+    positions: np.ndarray  # (T, 2) float64 meters
+    adps: np.ndarray  # (T, n_t, n_c) float32, the persisted precision
+    distorted: np.ndarray  # (T,) bool, set where the scenario applies
     mode: WalkMode | None = None
-    scenario: DistortionScenario | None = None
-    distort_from: int | None = None
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    def adps(self) -> np.ndarray:
-        return np.stack([f.adp for f in self.frames])
-
-    def positions(self) -> np.ndarray:
-        return np.stack([f.position for f in self.frames])
+        return len(self.adps)
 
 
 def random_walk(grid: GridSpec, mode: WalkMode, length: int, rng_seed) -> Walk:
@@ -192,84 +179,74 @@ def generate_sequence(
     ofdm: OfdmConfig,
     dft: DftPair | None = None,
 ) -> FrameSequence:
-    """Simulate one walk into a frame sequence of angle-delay profiles.
+    """Simulate one walk into a record of angle-delay profiles.
 
     Frames before ``distort_from`` (or all frames when ``scenario`` is
     None) replay the static pipeline exactly, so their profiles match the
     fingerprint database bit for bit. From ``distort_from`` on, the
-    scenario is applied to the traced paths before CSI synthesis. A frame
-    with no remaining path is marked ``lost_link``. The whole walk is
-    traced in one call and its frames are synthesized in one call.
+    scenario is applied to the traced paths before CSI synthesis; a frame
+    left with no path has an all-zero profile. The whole walk is traced
+    in one call and its frames are synthesized in one call.
     """
     if dft is None:
         dft = build_dft_pair(array.n_antennas, ofdm.n_subcarriers)
     positions = walk.positions()
     paths = trace_paths(env, positions, array, ofdm)
+    distorted = np.zeros(len(positions), dtype=bool)
     if scenario is not None:
         paths = _distort(paths, scenario, distort_from, ofdm,
                          env.speed_of_light)
-    flags = [scenario is not None and i >= distort_from
-             for i in range(len(positions))]
-    adps32 = adp_from_csi(synthesize_csi(paths, array, ofdm), dft).astype("<f4")
-    frames = [
-        Frame(
-            position=pos,
-            adp=adp32,
-            distorted=distorted,
-            lost_link=not np.any(adp32),
-        )
-        for pos, adp32, distorted in zip(positions, adps32, flags)
-    ]
-    return FrameSequence(
-        frames=frames,
-        mode=walk.mode,
-        scenario=scenario,
-        distort_from=distort_from if scenario is not None else None,
-    )
+        distorted = np.arange(len(positions)) >= distort_from
+    adps = adp_from_csi(synthesize_csi(paths, array, ofdm), dft).astype("<f4")
+    return FrameSequence(positions, adps, distorted, walk.mode)
 
 
 def save_sequences(path, sequences: list[FrameSequence]) -> None:
     """Persist sequences to an ADPF version-2 container.
 
-    Sequence ids are assigned by list position.
+    Sequence ids are assigned by list position. The walk mode is not
+    stored.
+
+    Raises:
+        ValueError: no sequence, or a walk too long for the u16 frame index.
     """
     if not sequences:
         raise ValueError("nothing to save")
-    n_t, n_c = sequences[0].frames[0].adp.shape
-    total = sum(len(s.frames) for s in sequences)
-    records = container.make_records(container.VERSION_SEQUENCES, n_t, n_c, total)
-    k = 0
-    for sid, seq in enumerate(sequences):
-        for fi, fr in enumerate(seq.frames):
-            records[k]["position"] = fr.position
-            records[k]["pixels"] = fr.adp
-            records[k]["sequence_id"] = sid
-            records[k]["frame_index"] = fi
-            records[k]["distorted"] = int(fr.distorted)
-            k += 1
+    n_t, n_c = sequences[0].adps.shape[1:]
+    lengths = [len(s) for s in sequences]
+    if max(lengths) > 1 << 16:
+        raise ValueError("a walk is too long for the u16 frame index")
+    records = container.make_records(container.VERSION_SEQUENCES, n_t, n_c,
+                                     sum(lengths))
+    records["position"] = np.concatenate([s.positions for s in sequences])
+    records["pixels"] = np.concatenate([s.adps for s in sequences])
+    records["sequence_id"] = np.repeat(np.arange(len(sequences)), lengths)
+    records["frame_index"] = np.concatenate([np.arange(n) for n in lengths])
+    records["distorted"] = np.concatenate([s.distorted for s in sequences])
     container.write_container(path, container.VERSION_SEQUENCES, n_t, n_c, records)
 
 
 def load_sequences(path) -> list[FrameSequence]:
+    """Read the sequences of an ADPF version-2 container, by sequence id.
+
+    Records may come in any order; frames are put in index order. The
+    file stores no walk mode, so every ``mode`` is None.
+
+    Raises:
+        FormatError: a sequence whose frame indices are not 0..n-1.
+    """
     _, _, _, records = container.read_container(
         path, expect_version=container.VERSION_SEQUENCES
     )
-    by_id: dict[int, list] = {}
-    for rec in records:
-        by_id.setdefault(int(rec["sequence_id"]), []).append(rec)
-    sequences = []
-    for sid in sorted(by_id):
-        recs = sorted(by_id[sid], key=lambda r: int(r["frame_index"]))
-        frames = [
-            Frame(
-                position=rec["position"].astype(np.float64),
-                adp=rec["pixels"].copy(),
-                distorted=bool(rec["distorted"]),
-                lost_link=not np.any(rec["pixels"]),
-            )
-            for rec in recs
-        ]
-        flags = [f.distorted for f in frames]
-        first = flags.index(True) if any(flags) else None
-        sequences.append(FrameSequence(frames=frames, distort_from=first))
-    return sequences
+    records = records[np.lexsort((records["frame_index"],
+                                  records["sequence_id"]))]
+    _, starts, counts = np.unique(records["sequence_id"], return_index=True,
+                                  return_counts=True)
+    # sorted, frame k of a whole sequence sits k records after its start
+    if np.any(records["frame_index"]
+              != np.arange(len(records)) - np.repeat(starts, counts)):
+        raise FormatError("a sequence's frame indices are not 0..n-1")
+    positions, adps = records["position"], records["pixels"]
+    distorted = records["distorted"] != 0
+    return [FrameSequence(positions[a:b], adps[a:b], distorted[a:b])
+            for a, b in zip(starts, starts + counts)]

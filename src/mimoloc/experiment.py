@@ -179,6 +179,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be at least 0")
+        if self.addition_level_db > 100.0:
+            raise ConfigError(
+                "addition_level_db must be at most 100 dB, a foreign path "
+                "1e5 times the strongest one")
         if not 0 <= self.distort_from < self.sequence_length:
             raise ConfigError(
                 "distort_from must be nonnegative and below sequence_length, "
@@ -278,7 +282,9 @@ def database_for(config: ExperimentConfig) -> FingerprintDb:
 
 
 def evaluation_walks(config: ExperimentConfig):
-    """Yield each evaluation walk of ``config`` as a ``FrameSequence``.
+    """Yield each evaluation walk of ``config`` as a ``FrameSequence``
+    record: its true positions, float32 profiles and distorted flags
+    (set from ``distort_from`` on unless the scenario is "none").
 
     Walk ``i`` takes the seed ``[seed, i]``. The first half keeps a heading
     (mode 1), the second half redraws it every step (mode 2).
@@ -339,7 +345,8 @@ def train_recurrent_predictor(config: ExperimentConfig):
         mode = WalkMode.MODE1 if i % 2 == 0 else WalkMode.MODE2
         walk = random_walk(grid, mode, config.sequence_length,
                            [config.seed, 9_000_000 + i])
-        clean.append(generate_sequence(env, walk, None, 0, array, ofdm, dft))
+        clean.append(generate_sequence(env, walk, None, 0, array, ofdm,
+                                       dft).adps)
     predictor = ConvRecurrentPredictor(config.n_antennas,
                                        config.n_subcarriers,
                                        seed=config.seed)
@@ -527,9 +534,9 @@ def evaluate(world: World, scenario: str, out_dir=None,
     say(f"running {n_seq} sequences")
     for i, seq in enumerate(evaluation_walks(config)):
         modes.append(seq.mode)
-        truths[i] = seq.positions()
-        distorted[i] = [fr.distorted for fr in seq.frames]
-        walks.append(seq.adps())
+        truths[i] = seq.positions
+        distorted[i] = seq.distorted
+        walks.append(seq.adps)
     runs = run_sequence(walks, world.localizers[config.localizer], world.db,
                         world.thresholds, world.predictor,
                         history_length=config.history_length)

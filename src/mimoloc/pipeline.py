@@ -76,26 +76,24 @@ def default_thresholds(grid: GridSpec, similarity_floor: float) -> Thresholds:
     return Thresholds(3.0 * grid.spacing, similarity_floor, 2.0 * grid.spacing)
 
 
-def calibrate_similarity_floor(db: FingerprintDb, radius: float | None = None,
-                               percentile: float = 1.0) -> float:
+def calibrate_similarity_floor(db: FingerprintDb) -> float:
     """Derive the detection similarity floor from the database itself.
 
     For every identifiable grid point, take the best similarity to any
-    other identifiable point within ``radius``. A clean frame measured
-    near the grid should score at least like a grid point scores against
-    its own neighborhood, so the floor is a low percentile of those
-    per-point maxima. The default percentile is deliberately tight to the
-    bottom of that distribution: a path loss or a strong foreign path
-    drops the best-neighbor similarity far below anything clean frames
-    produce, while a floor set higher up starts flagging frames whose
-    distortion is too mild to hurt the localizer, and rebuilding those
-    replaces a good estimate with a worse one.
+    other identifiable point within 3 grid spacings. A clean frame
+    measured near the grid should score at least like a grid point scores
+    against its own neighborhood, so the floor is the 1st percentile of
+    those per-point maxima. That is deliberately tight to the bottom of
+    that distribution: a path loss or a strong foreign path drops the
+    best-neighbor similarity far below anything clean frames produce,
+    while a floor set higher up starts flagging frames whose distortion
+    is too mild to hurt the localizer, and rebuilding those replaces a
+    good estimate with a worse one.
 
     Raises:
         EmptyNeighborhood: if no grid point has a neighbor in range.
     """
-    if radius is None:
-        radius = 3.0 * db.grid.spacing
+    radius = 3.0 * db.grid.spacing
     maxima = []
     for i in np.flatnonzero(~db.zero_flags):
         idx = neighbor_indices_within(db, db.positions[i], radius)
@@ -105,7 +103,7 @@ def calibrate_similarity_floor(db: FingerprintDb, radius: float | None = None,
         maxima.append(similarity(db.adps[i], db.adps[idx]).max())
     if not maxima:
         raise EmptyNeighborhood("no grid point has a neighbor within the radius")
-    return float(np.percentile(maxima, percentile))
+    return float(np.percentile(maxima, 1.0))
 
 
 class DetectionResult(NamedTuple):

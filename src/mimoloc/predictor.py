@@ -289,8 +289,7 @@ class PeakTrackingPredictor:
         q = np.where(moved, q1 + (q1 - q0) / span * dt, q1) % n_c
         amp = np.where(moved, a1 + (a1 - a0) / span * dt, a1)
         amp = np.where(0.0 > amp, 0.0, amp)  # max(amp, 0.0): keeps -0.0, NaN
-        # each row's bumps added one track at a time, in slot order, as
-        # gaussian_profile adds them
+        # each row's bumps added one track at a time, in slot order
         i, s = np.nonzero(alive)
         rank = np.arange(i.size) - np.searchsorted(i, i)
         centers = np.stack([z[i, s], q[i, s]], axis=1)
@@ -431,10 +430,8 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
 
 
 def _as_frame_array(sequences) -> np.ndarray:
-    arrays = []
-    for seq in sequences:
-        a = seq.adps() if hasattr(seq, "adps") else np.asarray(seq)
-        arrays.append(np.asarray(a, dtype=np.float64))
+    """The (frames, n_t, n_c) walks stacked into a new float64 array."""
+    arrays = [np.asarray(seq, dtype=np.float64) for seq in sequences]
     if not arrays:
         raise EmptyHistory("no training sequences")
     lengths = {a.shape for a in arrays}
@@ -447,10 +444,11 @@ def train_predictor(model: ConvRecurrentPredictor, sequences,
                     config: TrainConfig):
     """Fit the recurrent predictor on whole sequences with ``neural.sgd``.
 
-    Sequences may be ``FrameSequence`` objects or plain (frames, n_t, n_c)
-    arrays; all must share one shape. Sets the model scale to the peak
-    pixel of the training set, then descends the teacher-forced
-    next-frame loss, one walk per example. The input layer's columns of
+    Sequences are (frames, n_t, n_c) arrays, such as the ``adps`` of a
+    ``FrameSequence``; all must share one shape, and none is modified.
+    Sets the model scale to the peak pixel of the training set, then
+    descends the teacher-forced next-frame loss, one walk per example.
+    The input layer's columns of
     every frame are built once for the whole call, and each batch gathers
     its rows: the same weights and losses as building them at every step.
 

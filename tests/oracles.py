@@ -337,7 +337,9 @@ def detect_peaks(adp, max_peaks=8, min_amplitude=0.0):
 
 
 def gaussian_profile(shape, centers, amplitudes, sigma):
-    """``adp.gaussian_profile`` with one ``exp`` per bump."""
+    """Sum of isotropic Gaussian bumps on a cyclic canvas, one ``exp`` per
+    bump, added in order: the reference for ``adp.gaussian_bumps`` image
+    by image and for the tracker's resynthesis."""
     n_t, n_c = shape
     out = np.zeros(shape, dtype=np.float64)
     if len(centers) == 0:

@@ -9,7 +9,7 @@ from oracles import angle_bin_of_aoa, direct_adp
 from mimoloc.adp import (
     adp_from_csi,
     build_dft_pair,
-    gaussian_profile,
+    gaussian_bumps,
     similarity,
 )
 from mimoloc.channel import ArrayConfig, OfdmConfig, synthesize_csi
@@ -204,15 +204,16 @@ class TestStackedSimilarity:
 
 class TestGaussianProfile:
     def test_peak_at_center(self):
-        img = gaussian_profile((16, 16), np.array([[5.0, 9.0]]), np.array([2.0]), 0.7)
+        (img,) = gaussian_bumps((16, 16), np.array([[5.0, 9.0]]), np.array([2.0]), 0.7)
         assert np.unravel_index(np.argmax(img), img.shape) == (5, 9)
         assert img.max() == pytest.approx(2.0)
 
     def test_wraps_cyclically(self):
-        img = gaussian_profile((16, 16), np.array([[0.0, 0.0]]), np.array([1.0]), 1.0)
+        (img,) = gaussian_bumps((16, 16), np.array([[0.0, 0.0]]), np.array([1.0]), 1.0)
         # mass spills across both edges symmetrically
         assert img[15, 0] == pytest.approx(img[1, 0], rel=1e-12)
         assert img[0, 15] == pytest.approx(img[0, 1], rel=1e-12)
 
     def test_empty_centers(self):
-        assert not np.any(gaussian_profile((8, 8), np.zeros((0, 2)), np.zeros(0), 0.7))
+        empty = gaussian_bumps((8, 8), np.zeros((0, 2)), np.zeros(0), 0.7)
+        assert empty.shape == (0, 8, 8)

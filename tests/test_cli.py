@@ -110,13 +110,13 @@ def test_gen_sequences(config_path, tmp_path):
     sequences = load_sequences(out + "/sequences.adpf")
     assert len(sequences) == 3
     assert all(len(s) == 6 for s in sequences)
-    assert any(f.distorted for s in sequences for f in s.frames)
+    assert any(s.distorted.any() for s in sequences)
     # exactly the walks a run of the same config evaluates
     result = run_experiment(ExperimentConfig(**TINY, scenario="nlos-add"))
-    assert np.array_equal(np.stack([s.positions() for s in sequences]),
+    assert np.array_equal(np.stack([s.positions for s in sequences]),
                           result.truths)
-    assert np.array_equal([[f.distorted for f in s.frames]
-                           for s in sequences], result.distorted)
+    assert np.array_equal(np.stack([s.distorted for s in sequences]),
+                          result.distorted)
 
 
 def test_calibrate_thresholds(config_path, tmp_path):
@@ -160,12 +160,15 @@ def test_seed_override_lands_in_report(config_path, tmp_path):
     json.dumps({"environment": "ENV_NOT_UTF8"}).encode(),
     b'{"scenario": "nlos-add", "addition_level_db": NaN}',
     b'{"addition_level_db": -Infinity}',
+    b'{"scenario": "nlos-add", "addition_level_db": 1e5}',
+    b'{"scenario": "nlos-add", "addition_level_db": 1000}',
     b'{"grid_origin": [NaN, 0]}',
     b'{"grid_origin": [0, 1e400]}',  # json.load reads 1e400 as inf
     b'{"grid_origin": [0, 1' + b"0" * 400 + b']}',  # too large for a float
 ], ids=["unknown-scenario", "number-origin", "text-origin", "text-count",
         "not-utf8", "directory", "environment-directory",
-        "environment-not-utf8", "nan-level", "infinite-level", "nan-origin",
+        "environment-not-utf8", "nan-level", "infinite-level",
+        "overflowing-level", "infinite-profile-level", "nan-origin",
         "overflowing-origin", "huge-int-origin"])
 def test_bad_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mimoloc import container
 from mimoloc.adp import build_dft_pair, similarity
 from mimoloc.channel import (
     SPEED_OF_LIGHT,
@@ -18,6 +19,7 @@ from mimoloc.channel import (
 from mimoloc.dynamics import (
     DistortionKind,
     DistortionScenario,
+    FrameSequence,
     WalkMode,
     _distort,
     generate_sequence,
@@ -25,7 +27,7 @@ from mimoloc.dynamics import (
     random_walk,
     save_sequences,
 )
-from mimoloc.errors import NotEnoughPaths
+from mimoloc.errors import FormatError, NotEnoughPaths
 from mimoloc.fingerprint import GridSpec, build_db
 
 from test_channel import make_path, make_paths, row_paths
@@ -215,11 +217,12 @@ class TestGenerateSequence:
         db = build_db(ENV, GRID, ARRAY, OFDM)
         walk = self.walk()
         seq = generate_sequence(ENV, walk, None, 0, ARRAY, OFDM, dft=self.DFT)
-        assert len(seq) == 12
-        for frame, (r, c) in zip(seq.frames, walk.cells):
-            assert not frame.distorted and not frame.lost_link
-            idx = r * GRID.n_cols + c
-            np.testing.assert_array_equal(frame.adp, db.adps[idx])
+        assert len(seq) == 12 and seq.mode is WalkMode.MODE1
+        assert seq.adps.dtype == np.float32 and not seq.distorted.any()
+        assert seq.adps.any(axis=(1, 2)).all()
+        np.testing.assert_array_equal(seq.positions, walk.positions())
+        idx = walk.cells[:, 0] * GRID.n_cols + walk.cells[:, 1]
+        np.testing.assert_array_equal(seq.adps, db.adps[idx])
 
     @pytest.mark.parametrize("kind", list(DistortionKind))
     def test_frames_match_scalar_oracle(self, kind):
@@ -227,7 +230,7 @@ class TestGenerateSequence:
         scenario = DistortionScenario(kind, rng_seed=3)
         seq = generate_sequence(ENV, walk, scenario, 6, ARRAY, OFDM, dft=self.DFT)
         foreground = None
-        for i, (frame, pos) in enumerate(zip(seq.frames, walk.positions())):
+        for i, (adp, pos) in enumerate(zip(seq.adps, walk.positions())):
             paths = oracles.trace_paths(ENV, pos, ARRAY, OFDM)
             if i >= 6:
                 if kind is DistortionKind.NLOS_ADDITION and foreground is None:
@@ -236,22 +239,17 @@ class TestGenerateSequence:
                 paths = oracles.distort(paths, scenario, foreground)
             csi = oracles.synthesize_csi(paths, ARRAY, OFDM)
             want = np.abs(self.DFT.v.conj().T @ csi @ self.DFT.f)
-            assert np.array_equal(frame.adp, want.astype("<f4"))
+            assert np.array_equal(adp, want.astype("<f4"))
 
     def test_blockage_lowers_energy_from_distort_from(self):
         walk = self.walk()
         clean = generate_sequence(ENV, walk, None, 0, ARRAY, OFDM, dft=self.DFT)
         scenario = DistortionScenario(DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(ENV, walk, scenario, 6, ARRAY, OFDM, dft=self.DFT)
-        for i, frame in enumerate(seq.frames):
-            if i < 6:
-                assert not frame.distorted
-                np.testing.assert_array_equal(frame.adp, clean.frames[i].adp)
-            else:
-                assert frame.distorted
-                assert np.linalg.norm(frame.adp) < np.linalg.norm(
-                    clean.frames[i].adp
-                )
+        assert seq.distorted.tolist() == [i >= 6 for i in range(12)]
+        np.testing.assert_array_equal(seq.adps[:6], clean.adps[:6])
+        for adp, clean_adp in zip(seq.adps[6:], clean.adps[6:]):
+            assert np.linalg.norm(adp) < np.linalg.norm(clean_adp)
 
     def test_addition_changes_distorted_frames(self):
         walk = self.walk()
@@ -259,7 +257,7 @@ class TestGenerateSequence:
         scenario = DistortionScenario(DistortionKind.NLOS_ADDITION, rng_seed=3)
         seq = generate_sequence(ENV, walk, scenario, 6, ARRAY, OFDM, dft=self.DFT)
         for i in range(6, 12):
-            s = similarity(seq.frames[i].adp, clean.frames[i].adp)
+            s = similarity(seq.adps[i], clean.adps[i])
             assert s < 1.0 - 1e-6
 
     def test_blocking_the_only_path_loses_link(self):
@@ -268,10 +266,8 @@ class TestGenerateSequence:
         seq = generate_sequence(
             free, self.walk(), scenario, 6, ARRAY, OFDM, dft=self.DFT
         )
-        for i, frame in enumerate(seq.frames):
-            assert frame.lost_link == (i >= 6)
-            if frame.lost_link:
-                assert not np.any(frame.adp)
+        lost_link = ~seq.adps.any(axis=(1, 2))
+        assert lost_link.tolist() == [i >= 6 for i in range(12)]
 
     def test_frozen_foreground_constant_across_frames(self):
         free = Environment(bs_position=(0.0, 0.0))
@@ -279,7 +275,7 @@ class TestGenerateSequence:
         seq = generate_sequence(
             free, self.walk(), scenario, 4, ARRAY, OFDM, dft=self.DFT
         )
-        bins = {self._secondary_peak(f.adp) for f in seq.frames[4:]}
+        bins = {self._secondary_peak(adp) for adp in seq.adps[4:]}
         assert len(bins) == 1
 
     @staticmethod
@@ -293,8 +289,7 @@ class TestGenerateSequence:
         scenario = DistortionScenario(DistortionKind.NLOS_ADDITION, rng_seed=5)
         a = generate_sequence(ENV, self.walk(), scenario, 6, ARRAY, OFDM, dft=self.DFT)
         b = generate_sequence(ENV, self.walk(), scenario, 6, ARRAY, OFDM, dft=self.DFT)
-        for fa, fb in zip(a.frames, b.frames):
-            np.testing.assert_array_equal(fa.adp, fb.adp)
+        np.testing.assert_array_equal(a.adps, b.adps)
 
 class TestSequencePersistence:
     def test_round_trip(self, tmp_path):
@@ -311,13 +306,58 @@ class TestSequencePersistence:
         loaded = load_sequences(path)
         assert len(loaded) == 2
         for orig, got in zip(seqs, loaded):
-            assert got.distort_from == 4
-            np.testing.assert_array_equal(orig.adps(), got.adps())
-            np.testing.assert_array_equal(orig.positions(), got.positions())
-            assert [f.distorted for f in orig.frames] == [
-                f.distorted for f in got.frames
-            ]
+            assert got.mode is None
+            assert got.distorted.tolist() == [i >= 4 for i in range(8)]
+            np.testing.assert_array_equal(orig.adps, got.adps)
+            np.testing.assert_array_equal(orig.positions, got.positions)
+            np.testing.assert_array_equal(orig.distorted, got.distorted)
         # second save of the loaded data is byte-identical
         path2 = tmp_path / "seqs2.adpf"
         save_sequences(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_walk_too_long_for_the_frame_index_raises(self, tmp_path):
+        n = (1 << 16) + 1
+        seq = FrameSequence(np.zeros((n, 2)), np.zeros((n, 1, 1), "<f4"),
+                            np.zeros(n, dtype=bool))
+        with pytest.raises(ValueError, match="frame index"):
+            save_sequences(tmp_path / "seqs.adpf", [seq])
+
+    @staticmethod
+    def saved_records(tmp_path):
+        """A file of two walks, 5 and 3 frames long, and its records."""
+        seqs = [
+            generate_sequence(
+                ENV, random_walk(GRID, WalkMode.MODE2, n, s),
+                DistortionScenario(DistortionKind.NLOS_BLOCKAGE), 2,
+                ARRAY, OFDM,
+            )
+            for n, s in ((5, 3), (3, 4))
+        ]
+        path = tmp_path / "seqs.adpf"
+        save_sequences(path, seqs)
+        return seqs, path, container.read_container(path)[3]
+
+    def test_shuffled_records_load_in_order(self, tmp_path):
+        seqs, path, records = self.saved_records(tmp_path)
+        shuffled = records[np.random.default_rng(0).permutation(len(records))]
+        assert not np.array_equal(shuffled, records)
+        container.write_container(path, container.VERSION_SEQUENCES, 8, 8,
+                                  shuffled)
+        loaded = load_sequences(path)
+        assert [len(s) for s in loaded] == [5, 3]
+        for orig, got in zip(seqs, loaded):
+            np.testing.assert_array_equal(orig.adps, got.adps)
+            np.testing.assert_array_equal(orig.positions, got.positions)
+            np.testing.assert_array_equal(orig.distorted, got.distorted)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda r: np.concatenate([r, r[6:7]]),  # frame 1 of walk 1 twice
+        lambda r: np.delete(r, 2),  # walk 0 skips frame 2
+    ], ids=["duplicated-index", "missing-index"])
+    def test_bad_frame_indices_raise(self, tmp_path, corrupt):
+        _, path, records = self.saved_records(tmp_path)
+        container.write_container(path, container.VERSION_SEQUENCES, 8, 8,
+                                  corrupt(records))
+        with pytest.raises(FormatError, match="0..n-1"):
+            load_sequences(path)

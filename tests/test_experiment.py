@@ -129,11 +129,19 @@ class TestConfig:
         ("grid_origin", (float("nan"), 0.0)),
         ("grid_origin", (0.0, -float("inf"))),
         ("grid_origin", (10 ** 400, 0)),
+        ("addition_level_db", 1e5),
     ])
     def test_bad_field_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_addition_level_of_100_db_accepted(self):
+        cfg = ExperimentConfig(**dict(TINY, scenario="nlos-add",
+                                      addition_level_db=100.0))
+        cfg.validate()
+        for seq in evaluation_walks(cfg):
+            assert np.isfinite(seq.adps).all() and seq.distorted.any()
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -291,7 +299,7 @@ class TestLockstep:
                                        scenario, predictor, localizer):
         world = tiny_world if predictor == "peak-track" else recurrent_world
         config = dataclasses.replace(world.config, scenario=scenario)
-        walks = [seq.adps() for seq in evaluation_walks(config)]
+        walks = [seq.adps for seq in evaluation_walks(config)]
         assert len(walks) >= 3
         args = (world.localizers[localizer], world.db, world.thresholds,
                 world.predictor)
@@ -388,7 +396,7 @@ def train_in_process(config):
             walk = random_walk(grid, mode, config.sequence_length,
                                [config.seed, 9_000_000 + i])
             clean.append(generate_sequence(env, walk, None, 0, array, ofdm,
-                                           dft))
+                                           dft).adps)
         models["predictor"] = ConvRecurrentPredictor(db.n_t, db.n_c,
                                                      seed=config.seed)
         curves["predictor"] = train_predictor(

@@ -114,10 +114,6 @@ class TestCalibration:
         floor = calibrate_similarity_floor(db)
         assert 0.9 < floor < 1.0
 
-    def test_percentile_is_monotone(self, db):
-        assert calibrate_similarity_floor(db, percentile=5.0) <= \
-            calibrate_similarity_floor(db, percentile=50.0)
-
     def test_identical_profiles_calibrate_to_one(self):
         tiny = GridSpec(origin=(0.0, 0.0), spacing=1.0, n_rows=2, n_cols=2)
         adp = np.zeros((4, 4, 4), dtype=np.float32)
@@ -125,9 +121,10 @@ class TestCalibration:
         copies = FingerprintDb(tiny, tiny.all_positions(), adp)
         assert calibrate_similarity_floor(copies) == pytest.approx(1.0)
 
-    def test_no_neighbors_in_range_raises(self, db):
+    def test_no_neighbors_in_range_raises(self):
+        single = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=1, n_cols=1)
         with pytest.raises(EmptyNeighborhood):
-            calibrate_similarity_floor(db, radius=0.1 * GRID.spacing)
+            calibrate_similarity_floor(build_db(ENV, single, ARRAY, OFDM))
 
 
 class TestDetection:
@@ -271,19 +268,19 @@ def walk_sequence(scenario, distort_from, seed, length=12):
 class TestRunSequence:
     def test_clean_sequence_tracks_exactly(self, db, thresholds):
         seq = walk_sequence(None, 0, [200, 0])
-        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
                               PeakTrackingPredictor())
         assert all(e.verdict is Verdict.ACCURATE for e in est)
         assert all(e.source == "measured" for e in est)
         assert np.allclose(np.stack([e.position for e in est]),
-                           seq.positions())
+                           seq.positions)
 
     def test_blocked_tail_is_recovered(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 0])
-        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
                               PeakTrackingPredictor())
-        truth = seq.positions()
+        truth = seq.positions
         for e, p in zip(est[:5], truth[:5]):
             assert e.source == "measured"
             assert np.allclose(e.position, p)
@@ -297,7 +294,7 @@ class TestRunSequence:
         scen = DistortionScenario(kind=DistortionKind.NLOS_ADDITION, rng_seed=2)
         seq = walk_sequence(scen, 4, [200, 2])
         runs = [
-            run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+            run_sequence([seq.adps], nn_localizer(db), db, thresholds,
                          PeakTrackingPredictor())[0]
             for _ in range(2)
         ]
@@ -309,7 +306,7 @@ class TestRunSequence:
     def test_distorted_first_frame_falls_back(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=1)
         seq = walk_sequence(scen, 0, [200, 3])
-        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
                               PeakTrackingPredictor())
         assert est[0].source == "fallback"
         assert est[0].verdict is Verdict.DISTORTED
@@ -324,7 +321,7 @@ class TestRunSequence:
         seq = generate_sequence(free, walk, scen, 0, ARRAY, OFDM)
         thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
         with pytest.raises(EmptyNeighborhood):
-            run_sequence([seq.adps()], nn_localizer(free_db), free_db, thr,
+            run_sequence([seq.adps], nn_localizer(free_db), free_db, thr,
                          PeakTrackingPredictor())
 
     def test_lost_link_mid_sequence_is_recovered(self, thresholds):
@@ -334,9 +331,9 @@ class TestRunSequence:
         walk = random_walk(tiny, WalkMode.MODE2, 8, 1)
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
-        assert any(fr.lost_link for fr in seq.frames[4:])
+        assert (~seq.adps[4:].any(axis=(1, 2))).any()  # a lost link
         thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
-        (est,) = run_sequence([seq.adps()], nn_localizer(free_db), free_db,
+        (est,) = run_sequence([seq.adps], nn_localizer(free_db), free_db,
                               thr, PeakTrackingPredictor())
         for e in est[4:]:
             assert e.verdict is Verdict.LOST_LINK
@@ -371,7 +368,7 @@ class TestRunSequence:
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 0])
         calls, detected, predictions, est = self.count_localizations(
-            seq.adps(), db, thresholds)
+            seq.adps, db, thresholds)
         assert sum(e.source == "recovered" for e in est) == 7
         assert calls == detected + predictions
 
@@ -384,7 +381,7 @@ class TestRunSequence:
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
         thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
         calls, detected, predictions, est = self.count_localizations(
-            seq.adps(), free_db, thr)
+            seq.adps, free_db, thr)
         assert detected < len(est)
         assert calls == detected + predictions
 
@@ -400,7 +397,7 @@ def lockstep_walks():
             walk_sequence(None, 0, [300, 0]),
             walk_sequence(block, 0, [300, 3]),
             walk_sequence(add, 7, [300, 4])]
-    return [seq.adps() for seq in seqs]
+    return [seq.adps for seq in seqs]
 
 
 class TestLockstep:
@@ -448,7 +445,7 @@ class TestLockstep:
     def test_no_walks_and_unequal_walks(self, db, thresholds):
         assert run_sequence([], nn_localizer(db), db, thresholds,
                             PeakTrackingPredictor()) == []
-        adps = walk_sequence(None, 0, [300, 0]).adps()
+        adps = walk_sequence(None, 0, [300, 0]).adps
         with pytest.raises(LengthMismatch):
             run_sequence([adps, adps[:-1]], nn_localizer(db), db,
                          thresholds, PeakTrackingPredictor())
@@ -458,7 +455,7 @@ class TestEstimateStream:
     def test_round_trip(self, db, thresholds, tmp_path):
         scen = DistortionScenario(kind=DistortionKind.NLOS_BLOCKAGE, rng_seed=7)
         seq = walk_sequence(scen, 5, [200, 5])
-        (est,) = run_sequence([seq.adps()], nn_localizer(db), db, thresholds,
+        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
                               PeakTrackingPredictor())
         path = tmp_path / "estimates.jsonl"
         save_estimates(path, est)
