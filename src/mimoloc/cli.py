@@ -97,7 +97,7 @@ def cmd_train_localizer(config: ExperimentConfig, out: str) -> None:
 
 def cmd_train_predictor(config: ExperimentConfig, out: str) -> None:
     if config.predictor == "peak-track":
-        print("peak-track predictor has no trainable parameters; "
+        print("peak-track predictor has fixed settings and no checkpoint; "
               "nothing to do")
         return
     predictor, losses = train_recurrent_predictor(config)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the argument checks, shared across the package."""
+
+import math
+import numbers
 
 
 class MimolocError(Exception):
@@ -59,3 +62,29 @@ class ConfigError(MimolocError):
 
 class HelperFailed(MimolocError):
     """A helper process ended without sending its jobs' results."""
+
+
+def check_int(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer of at least
+    ``least``; a bool is no integer here."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+
+
+def is_finite(value) -> bool:
+    """``value`` is an int or a float, not a bool, that a float holds
+    finitely. json.load reads NaN, Infinity and 1e400 (as inf), and ints
+    too large for a float."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is ``is_finite`` and above 0."""
+    if not (is_finite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and above 0, got {value!r}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ from .dynamics import (
     generate_sequence,
     random_walk,
 )
-from .errors import ConfigError, DimensionMismatch, FormatError
+from .errors import ConfigError, DimensionMismatch, FormatError, is_finite
 from .fingerprint import FingerprintDb, GridSpec, build_db
 from .helper import Helper, collect
 from .neural import (
@@ -194,28 +193,15 @@ class ExperimentConfig:
         return d
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A real number a float holds finitely. json.load reads NaN, Infinity
-    and 1e400 (as inf), and ints too large for a float."""
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 # what each field annotation of ExperimentConfig admits: an int field
 # takes no bool, a float field takes an int, grid_origin two numbers;
 # every float is finite
 _IS_TYPE = {
     "str": lambda v: isinstance(v, str),
-    "int": lambda v: _is_real(v) and isinstance(v, int),
-    "float": _is_finite,
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": is_finite,
     "tuple": lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
-                        and all(map(_is_finite, v))),
+                        and all(map(is_finite, v))),
 }
 
 
@@ -225,7 +211,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     origin = data.get("grid_origin")
-    if isinstance(origin, list) and all(_is_finite(v) for v in origin):
+    if isinstance(origin, list) and all(map(is_finite, origin)):
         data = dict(data, grid_origin=tuple(float(v) for v in origin))
     config = ExperimentConfig(**data)
     config.validate()

@@ -24,7 +24,7 @@ from .channel import (
     synthesize_csi,
     trace_paths,
 )
-from .errors import FormatError
+from .errors import FormatError, check_int, check_positive, is_finite
 
 META_FORMAT_VERSION = 1
 
@@ -41,6 +41,10 @@ class GridSpec:
 
     Point (row, col) sits at origin + (col*spacing, row*spacing); row-major
     flattening defines the database order and all tie-breaking.
+
+    Raises:
+        ValueError: ``origin`` is not two finite numbers, ``spacing`` is
+            not finite and above 0, or a count is not an integer above 0.
     """
 
     origin: tuple[float, float]
@@ -49,10 +53,12 @@ class GridSpec:
     n_cols: int
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("grid must have at least one point")
+        if len(self.origin) != 2 or not all(map(is_finite, self.origin)):
+            raise ValueError(f"origin must be two finite numbers, got "
+                             f"{self.origin!r}")
+        check_positive("spacing", self.spacing)
+        check_int("n_rows", self.n_rows)
+        check_int("n_cols", self.n_cols)
 
     @property
     def n_points(self) -> int:
@@ -201,8 +207,8 @@ def load_db(path) -> FingerprintDb:
 
     Raises:
         FormatError: the container is malformed, or the sidecar is not
-            UTF-8 JSON, lacks a valid grid, or describes a grid whose point
-            count differs from the record count.
+            UTF-8 JSON, lacks a grid ``GridSpec`` accepts, or describes a
+            grid whose point count differs from the record count.
         TruncatedFile: the container is cut short.
         VersionError: the container is not a fingerprint container.
     """

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adp import similarity
 from .container import read_checkpoint, read_weights, write_checkpoint
-from .errors import DimensionMismatch, DivergedLoss, FormatError
+from .errors import DimensionMismatch, DivergedLoss, FormatError, check_int
 from .fingerprint import FingerprintDb
 
 CHECKPOINT_MAGIC = b"NNCK"
@@ -94,6 +94,8 @@ class Conv2d(WeightedLayer):
     def __init__(self, out_channels: int, kernel_size: int, padding: str = "valid"):
         if padding not in ("valid", "same"):
             raise ValueError("padding must be 'valid' or 'same'")
+        check_int("out_channels", out_channels)
+        check_int("kernel_size", kernel_size)
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.padding = padding
@@ -288,6 +290,7 @@ class Dense(WeightedLayer):
     single row."""
 
     def __init__(self, out_width: int):
+        check_int("out_width", out_width)
         self.out_width = out_width
 
     def spec(self) -> dict:
@@ -799,12 +802,16 @@ def load_model(path) -> Model:
     Raises:
         TruncatedFile: the file is cut short.
         FormatError: bad magic, trailing bytes, or a header that does not
-            describe a model, such as a position normalization that is not
-            two finite numbers (scales above 0) per field.
+            describe a model: a bad layer size, seed or ``normalize_input``,
+            or a position normalization that is not two finite numbers
+            (scales above 0) per field.
         VersionError: unsupported checkpoint version.
     """
     header, body = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
+        check_int("seed", header["seed"], least=0)
+        if not isinstance(header["normalize_input"], bool):
+            raise ValueError("normalize_input must be true or false")
         cells = header["head"]["cells"]
         head = Head(
             kind=header["head"]["kind"],

@@ -1,20 +1,21 @@
 """Next-frame prediction for angle-delay profile sequences.
 
-Two predictors share one calling convention: a history (a list of past
-profiles) in, one predicted profile out; or a stack of equal-length
-histories, one (n, frames, n_t, n_c) array, in, and the stack of their
-predictions out, each row bit for bit its own history's prediction.
+As in video frame prediction, a stack of past frames goes in and the
+next frame comes out. Both predictors take one float (n, frames, n_t,
+n_c) stack of n equal-length histories and return the (n, n_t, n_c)
+stack of their next frames; row i depends on history i alone, bit for
+bit. A single history is a stack of one.
 
-* ``PeakTrackingPredictor`` is model based. It detects local maxima in
-  each frame, associates them across frames into tracks, extrapolates
-  every track one step, and repaints the frame as a sum of narrow
-  Gaussian bumps. A stack is worked in array passes over all histories
-  at once: one detection call, then one association pass per frame
-  index, with ties and rounding settled exactly as the scalar rule for
-  one history settles them.
+* ``PeakTrackingPredictor`` is model based, with fixed settings (the
+  module constants below). It detects local maxima in each frame,
+  associates them across frames into tracks, extrapolates every track
+  one step, and repaints the frame as a sum of narrow Gaussian bumps,
+  with ties and rounding settled exactly as the scalar rule for one
+  history settles them.
 * ``ConvRecurrentPredictor`` is learned. A small convolutional recurrent
   net, trained by backpropagation through time, emits the next frame as
-  a residual correction on the latest one.
+  a residual correction on the latest one. It is the only predictor
+  with a checkpoint.
 
 Both axes of a profile are DFT bins, so peak coordinates, distances and
 resynthesis all wrap cyclically.
@@ -23,7 +24,6 @@ resynthesis all wrap cyclically.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,19 +36,28 @@ from .errors import (
     EmptyHistory,
     FormatError,
     LengthMismatch,
+    check_int,
+    check_positive,
 )
 from .neural import Conv2d, TrainConfig, sgd
 
 PREDICTOR_MAGIC = b"PRED"
 PREDICTOR_VERSION = 1
 
+# the peak tracker's settings
+MAX_PEAKS = 8  # peaks kept per frame, strongest first
+GATE = 3.0  # association radius, in bins
+MAX_MISSES = 2  # unmatched frames in a row before a track is dropped
+SIGMA = 0.5  # width of the resynthesis bumps, in bins
+MIN_AMPLITUDE = 0.0  # detection floor: maxima at or below it are no peaks
+
 
 class Peak(NamedTuple):
-    """One local maximum in a profile, with subpixel bin coordinates."""
+    """Local maxima of a stack of profiles, one (F, P) array per field."""
 
-    angle_bin: float
-    delay_bin: float
-    amplitude: float
+    angle_bin: np.ndarray
+    delay_bin: np.ndarray
+    amplitude: np.ndarray
 
 
 # the cyclic 3x3 window in centroid summation order, center included
@@ -59,36 +68,31 @@ _NEIGHBORS = tuple((dz, dq) for dz in (-1, 0, 1) for dq in (-1, 0, 1))
 _HYPOT_TIE = 1e-12
 
 
-def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0):
+def detect_peaks(frames) -> Peak:
     """Find strict local maxima over the cyclic 8-neighborhood.
 
-    Each maximum is refined to subpixel coordinates with an intensity
-    centroid over its cyclic 3x3 window. Plateaus (exact ties with a
-    neighbor) are not maxima, so an all-zero frame yields no peaks. A
-    frame's peaks are sorted by descending amplitude, ties by coordinates,
-    and the first ``max_peaks`` are kept.
+    Maxima at or below ``MIN_AMPLITUDE`` are no peaks. Each maximum is
+    refined to subpixel coordinates with an intensity centroid over its
+    cyclic 3x3 window. Plateaus (exact ties with a neighbor) are not
+    maxima, so an all-zero frame yields no peaks. A frame's peaks are
+    sorted by descending amplitude, ties by angle then delay bin, and the
+    first ``MAX_PEAKS`` are kept.
 
     Args:
-        adp: one 2D profile, or an (F, n_t, n_c) stack of them; any real
-            dtype.
-        max_peaks: keep at most this many per frame, strongest first;
-            an integer of at least 1.
-        min_amplitude: discard maxima at or below this pixel value.
+        frames: an (F, n_t, n_c) stack of profiles; any real dtype.
 
     Returns:
-        For one profile, its peaks as a list. For a stack, one ``Peak`` of
-        three (F, P) float64 arrays, P the most peaks kept in any frame:
-        row f holds frame f's peaks in list order, padded with NaN.
+        One ``Peak`` of three (F, P) float64 arrays, P the most peaks kept
+        in any frame: row f holds frame f's peaks in sorted order, padded
+        with NaN.
 
     Raises:
-        ValueError: ``max_peaks`` is not an integer of at least 1.
+        DimensionMismatch: ``frames`` is not a 3D stack.
     """
-    _check_count("max_peaks", max_peaks)
-    a = np.asarray(adp, dtype=np.float64)
-    if a.ndim not in (2, 3):
+    stack = np.asarray(frames, dtype=np.float64)
+    if stack.ndim != 3:
         raise DimensionMismatch(
-            f"expected a 2D profile or a stack of them, got shape {a.shape}")
-    stack = a if a.ndim == 3 else a[None]
+            f"expected an (F, n_t, n_c) stack, got shape {stack.shape}")
     n_f, n_t, n_c = stack.shape
     # cyclically padded by one bin; its shifted slices are the 8 neighbors
     padded = np.zeros((n_f, n_t + 2, n_c + 2))
@@ -96,7 +100,7 @@ def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0):
     if stack.size:
         padded[:, 0, 1:-1], padded[:, -1, 1:-1] = stack[:, -1], stack[:, 0]
         padded[:, :, 0], padded[:, :, -1] = padded[:, :, -2], padded[:, :, 1]
-    is_max = stack > min_amplitude
+    is_max = stack > MIN_AMPLITUDE
     for dz, dq in _NEIGHBORS:
         if dz or dq:
             is_max &= stack > padded[:, 1 + dz:1 + dz + n_t,
@@ -118,43 +122,28 @@ def detect_peaks(adp, max_peaks: int = 8, min_amplitude: float = 0.0):
     fs, z, q, amp = fs[order], z[order], q[order], amp[order]
     counts = np.bincount(fs, minlength=n_f)
     rank = np.arange(fs.size) - (np.cumsum(counts) - counts)[fs]
-    keep = rank < max_peaks
+    keep = rank < MAX_PEAKS
     fs, rank, z, q, amp = fs[keep], rank[keep], z[keep], q[keep], amp[keep]
-    if a.ndim == 2:
-        return [Peak(*p) for p in zip(z, q, amp.tolist())]
     out = np.full((3, n_f, rank.max(initial=-1) + 1), np.nan)
     out[:, fs, rank] = z, q, amp
     return Peak(*out)
 
 
-def _check_count(name, value):
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ValueError(f"{name} must be an integer of at least 1, "
-                         f"got {value!r}")
-
-
-def _check_width(name, value):
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value < math.inf):
-        raise ValueError(f"{name} must be finite and above 0, got {value!r}")
-
-
-def _hypot(dz, dq, candidate, gate):
+def _hypot(dz, dq, candidate):
     """Distances, as ``math.hypot`` would order the candidates of each row
-    (last axis) among themselves and against ``gate``."""
+    (last axis) among themselves and against ``GATE``."""
     dist = np.hypot(dz, dq)
     ranked = np.sort(np.where(candidate, dist, np.nan), axis=-1)  # NaN last
     near = ((np.diff(ranked, axis=-1) <= _HYPOT_TIE * ranked[..., 1:])
-            .any(axis=-1) | (np.abs(ranked - gate)
-                             <= _HYPOT_TIE * abs(gate)).any(axis=-1))
+            .any(axis=-1) | (np.abs(ranked - GATE)
+                             <= _HYPOT_TIE * GATE).any(axis=-1))
     for row in zip(*np.nonzero(near)):
         dist[row] = [math.hypot(z, q)
                      for z, q in zip(dz[row].tolist(), dq[row].tolist())]
     return dist
 
 
-def _associate(pz, pq, pamp, shape, gate, max_misses):
+def _associate(pz, pq, pamp, shape):
     """Link the (n, frames, P) peaks, padded as ``detect_peaks`` pads
     them, into tracks: slot s of row i is the s-th track history i opened.
 
@@ -182,12 +171,12 @@ def _associate(pz, pq, pamp, shape, gate, max_misses):
                   + n_c / 2.0) % n_c - n_c / 2.0
             # candidates are the tracks alive before this frame
             candidate = alive[:, None, :k] & found[:, :, None]
-            dist = _hypot(dz, dq, candidate, gate)
+            dist = _hypot(dz, dq, candidate)
             # a peak joins the last of its nearest candidates within the
             # gate (a scan keeping each dist <= the best so far); tracks
             # reversed so argmin finds it. Offsets are finite or NaN, so
             # only non-candidates cost inf.
-            cost = np.where(candidate & (dist <= gate), dist,
+            cost = np.where(candidate & (dist <= GATE), dist,
                             np.inf)[:, :, ::-1]
             for r in range(found.sum(axis=1).max()):  # strongest first
                 j = cost[:, r].argmin(axis=1)
@@ -206,23 +195,22 @@ def _associate(pz, pq, pamp, shape, gate, max_misses):
             np.full(i.size, t), pz[i, t, r], pq[i, t, r], pamp[i, t, r])
         alive[i, s] = True
         opened += new.sum(axis=1)
-        alive &= t - last[0] < max_misses  # frames missed in a row
+        alive &= t - last[0] < MAX_MISSES  # frames missed in a row
     return first, last, alive
 
 
-def _history_stack(history):
-    """One history (a list of frames) or a stack of them as one float64
-    (n, frames, n_t, n_c) array, and whether it came as a stack."""
-    stack = getattr(history, "ndim", None) == 4
+def _history_stack(histories):
+    """The (n, frames, n_t, n_c) stack of histories as a float64 array."""
     try:
-        x = np.array(history if stack else [list(history)], dtype=np.float64)
+        x = np.asarray(histories, dtype=np.float64)
     except ValueError as exc:  # frames of different shapes
         raise DimensionMismatch(f"frames differ in shape: {exc}") from exc
+    if x.ndim != 4:
+        raise DimensionMismatch(
+            f"expected an (n, frames, n_t, n_c) stack, got shape {x.shape}")
     if x.shape[1] == 0:
         raise EmptyHistory("need at least one past frame")
-    if x.ndim != 4:
-        raise DimensionMismatch(f"expected 2D frames, got {x.shape[2:]}")
-    return x, stack
+    return x
 
 
 @dataclass(frozen=True)
@@ -230,57 +218,35 @@ class PeakTrackingPredictor:
     """Track peaks across past frames and extrapolate them one step.
 
     Peaks are associated frame to frame greedily, strongest first, to the
-    nearest live track within ``gate`` bins (cyclic distance); of tracks
+    nearest live track within ``GATE`` bins (cyclic distance); of tracks
     at equal distance the one opened last wins, and a track opened in a
     frame is no candidate in it. A track that goes unmatched
-    ``max_misses`` frames in a row is dropped. Each surviving track
-    contributes one Gaussian bump to the predicted frame, in the order
-    the tracks were opened: position and amplitude are extrapolated
-    linearly from the first and last observation (a single-observation
-    track is held stationary), and amplitude is clamped at zero.
+    ``MAX_MISSES`` frames in a row is dropped. Each surviving track
+    contributes one Gaussian bump of width ``SIGMA`` to the predicted
+    frame, in the order the tracks were opened: position and amplitude
+    are extrapolated linearly from the first and last observation (a
+    single-observation track is held stationary), and amplitude is
+    clamped at zero.
 
-    A stack of histories is worked as one (one history is a stack of
-    one): one ``detect_peaks`` call over all its frames, then per frame
-    index one distance tensor over every history's peaks and tracks and
-    one masked argmin per peak rank, with the tracks in fixed slots under
-    an alive mask. The prediction is a pure function of the history.
-
-    Attributes:
-        max_peaks: peaks kept per frame.
-        gate: association radius in bins.
-        max_misses: consecutive unmatched frames before a track is dropped.
-        sigma: width of the resynthesis bumps, in bins.
-        min_amplitude: detection floor passed to :func:`detect_peaks`.
-
-    Raises:
-        ValueError: ``max_peaks`` or ``max_misses`` is not an integer of at
-            least 1, or ``gate`` or ``sigma`` is not finite and above 0.
+    The stack of histories is worked as one: one ``detect_peaks`` call
+    over all its frames, then per frame index one distance tensor over
+    every history's peaks and tracks and one masked argmin per peak rank,
+    with the tracks in fixed slots under an alive mask. The settings are
+    the module constants, so the tracker has no fields and no checkpoint;
+    the prediction is a pure function of the history.
     """
 
-    max_peaks: int = 8
-    gate: float = 3.0
-    max_misses: int = 2
-    sigma: float = 0.5
-    min_amplitude: float = 0.0
+    def __call__(self, histories) -> np.ndarray:
+        return self.predict(histories)
 
-    def __post_init__(self):
-        _check_count("max_peaks", self.max_peaks)
-        _check_count("max_misses", self.max_misses)
-        _check_width("gate", self.gate)
-        _check_width("sigma", self.sigma)
-
-    def __call__(self, history) -> np.ndarray:
-        return self.predict(history)
-
-    def predict(self, history) -> np.ndarray:
-        """Predict one history, or a stack of them in one pass."""
-        x, stack = _history_stack(history)
+    def predict(self, histories) -> np.ndarray:
+        """The (n, n_t, n_c) next frames of an (n, frames, n_t, n_c)
+        stack of histories."""
+        x = _history_stack(histories)
         n, n_frames, n_t, n_c = x.shape
-        peaks = detect_peaks(x.reshape(n * n_frames, n_t, n_c),
-                             self.max_peaks, self.min_amplitude)
+        peaks = detect_peaks(x.reshape(n * n_frames, n_t, n_c))
         pz, pq, pamp = (p.reshape(n, n_frames, p.shape[1]) for p in peaks)
-        first, last, alive = _associate(pz, pq, pamp, (n_t, n_c), self.gate,
-                                        self.max_misses)
+        first, last, alive = _associate(pz, pq, pamp, (n_t, n_c))
         (t0, z0, q0, a0), (t1, z1, q1, a1) = first, last
         moved = t1 > t0  # seen more than once
         span = np.where(moved, t1 - t0, 1.0)
@@ -298,8 +264,8 @@ class PeakTrackingPredictor:
         for j in range(rank.max(initial=-1) + 1):
             pick = rank == j
             out[i[pick]] += gaussian_bumps((n_t, n_c), centers[pick],
-                                           amp[pick], self.sigma)
-        return out if stack else out[0]
+                                           amp[pick], SIGMA)
+        return out
 
 
 # --- learned predictor ------------------------------------------------------
@@ -315,8 +281,9 @@ class ConvRecurrentPredictor:
     on the training set so tanh stays responsive.
 
     Raises:
-        ValueError: a size is not an integer of at least 1, or
-            ``kernel_size`` is even.
+        ValueError: a size is not an integer of at least 1,
+            ``kernel_size`` is even, or ``seed`` is not an integer of at
+            least 0.
     """
 
     def __init__(self, n_antennas: int, n_subcarriers: int,
@@ -324,7 +291,8 @@ class ConvRecurrentPredictor:
         for name, size in (("n_antennas", n_antennas),
                            ("n_subcarriers", n_subcarriers),
                            ("hidden_channels", hidden_channels)):
-            _check_count(name, size)
+            check_int(name, size)
+        check_int("seed", seed, least=0)
         if kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd")
         self.n_antennas = n_antennas
@@ -356,13 +324,14 @@ class ConvRecurrentPredictor:
             "scale": self.scale,
         }
 
-    def __call__(self, history) -> np.ndarray:
-        return self.predict(history)
+    def __call__(self, histories) -> np.ndarray:
+        return self.predict(histories)
 
-    def predict(self, history) -> np.ndarray:
-        """Predict one history, or a stack of them in one recurrence."""
+    def predict(self, histories) -> np.ndarray:
+        """The (n, n_t, n_c) next frames of an (n, frames, n_t, n_c)
+        stack of histories, in one recurrence."""
         shape = (self.n_antennas, self.n_subcarriers)
-        x, stack = _history_stack(history)
+        x = _history_stack(histories)
         if x.shape[2:] != shape:
             raise DimensionMismatch(
                 f"frames have shape {x.shape[2:]}, expected {shape}")
@@ -373,7 +342,7 @@ class ConvRecurrentPredictor:
                         + self._hh.forward(h, train=False))
         out = np.maximum(x[:, -1, None] + self._out.forward(h, train=False),
                          0.0)[:, 0] * self.scale
-        return out if stack else out[0]
+        return out
 
 
 def _clone_conv(proto: Conv2d) -> Conv2d:
@@ -472,54 +441,41 @@ def train_predictor(model: ConvRecurrentPredictor, sequences,
 
 # --- persistence -------------------------------------------------------------
 
-def save_predictor(predictor, path) -> None:
-    """Write a predictor checkpoint (JSON header plus float32 weights)."""
-    if isinstance(predictor, PeakTrackingPredictor):
-        header = {"kind": "peak-track",
-                  "max_peaks": predictor.max_peaks,
-                  "gate": predictor.gate,
-                  "max_misses": predictor.max_misses,
-                  "sigma": predictor.sigma,
-                  "min_amplitude": predictor.min_amplitude}
-        weights = []
-    elif isinstance(predictor, ConvRecurrentPredictor):
-        header = predictor.spec()
-        weights = predictor.parameters()
-    else:
+def save_predictor(predictor: ConvRecurrentPredictor, path) -> None:
+    """Write a trained predictor's checkpoint (JSON header plus float32
+    weights). The peak tracker has fixed settings and no checkpoint.
+
+    Raises:
+        FormatError: ``predictor`` is not a ``ConvRecurrentPredictor``.
+    """
+    if not isinstance(predictor, ConvRecurrentPredictor):
         raise FormatError(f"cannot serialize a {type(predictor).__name__}")
-    write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION, header, weights)
+    write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION,
+                     predictor.spec(), predictor.parameters())
 
 
-def load_predictor(path):
+def load_predictor(path) -> ConvRecurrentPredictor:
     """Rebuild a predictor saved by ``save_predictor``.
 
     Raises:
         TruncatedFile: the file is cut short.
         FormatError: bad magic, trailing bytes, or a header that does not
-            describe a predictor.
+            describe a ``ConvRecurrentPredictor``.
         VersionError: unsupported checkpoint version.
     """
     header, body = read_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION)
     kind = header.get("kind")
-    weights = []
+    if kind != "conv-recurrent":
+        raise FormatError(f"unknown predictor kind {kind!r}")
     try:
-        if kind == "peak-track":
-            predictor = PeakTrackingPredictor(
-                max_peaks=header["max_peaks"], gate=header["gate"],
-                max_misses=header["max_misses"], sigma=header["sigma"],
-                min_amplitude=header["min_amplitude"])
-        elif kind == "conv-recurrent":
-            predictor = ConvRecurrentPredictor(
-                header["n_antennas"], header["n_subcarriers"],
-                hidden_channels=header["hidden_channels"],
-                kernel_size=header["kernel_size"], seed=header["seed"])
-            _check_width("scale", header["scale"])
-            predictor.scale = header["scale"]
-            weights = predictor.parameters()
-        else:
-            raise FormatError(f"unknown predictor kind {kind!r}")
+        predictor = ConvRecurrentPredictor(
+            header["n_antennas"], header["n_subcarriers"],
+            hidden_channels=header["hidden_channels"],
+            kernel_size=header["kernel_size"], seed=header["seed"])
+        check_positive("scale", header["scale"])
+        predictor.scale = header["scale"]
     except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a "
                           f"predictor: {exc!r}") from exc
-    read_weights(body, weights)
+    read_weights(body, predictor.parameters())
     return predictor

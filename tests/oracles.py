@@ -28,8 +28,11 @@ from mimoloc.pipeline import (
     recover_and_locate,
 )
 from mimoloc.predictor import (
-    Peak,
-    PeakTrackingPredictor,
+    GATE,
+    MAX_MISSES,
+    MAX_PEAKS,
+    MIN_AMPLITUDE,
+    SIGMA,
     _as_frame_array,
     _clone_conv,
 )
@@ -306,8 +309,13 @@ def angle_bin_of_aoa(aoa: float, n_antennas: int, element_spacing: float,
     return int(round(u)) % n_antennas
 
 
-def detect_peaks(adp, max_peaks=8, min_amplitude=0.0):
-    """``predictor.detect_peaks`` by ``np.roll`` and a scalar 3x3 centroid."""
+# one local maximum, with subpixel bin coordinates
+Peak = namedtuple("Peak", "angle_bin delay_bin amplitude")
+
+
+def detect_peaks(adp, max_peaks=MAX_PEAKS, min_amplitude=MIN_AMPLITUDE):
+    """``predictor.detect_peaks`` of one frame, as a list of ``Peak``s, by
+    ``np.roll`` and a scalar 3x3 centroid."""
     a = np.asarray(adp, dtype=np.float64)
     n_t, n_c = a.shape
     is_max = a > min_amplitude
@@ -371,9 +379,21 @@ class _Track:
         return self.times[-1], self.zs[-1], self.qs[-1], self.amps[-1]
 
 
-class ReferencePeakTrackingPredictor(PeakTrackingPredictor):
+@dataclass(frozen=True)
+class ReferencePeakTrackingPredictor:
     """PeakTrackingPredictor as a scalar loop over the histories of a
-    stack, their frames, and the (peak, track) pairs of each frame."""
+    stack, their frames, and the (peak, track) pairs of each frame. It
+    also takes one history, and its settings are fields, so tests can
+    compare the tracker at other values of its module constants."""
+
+    max_peaks: int = MAX_PEAKS
+    gate: float = GATE
+    max_misses: int = MAX_MISSES
+    sigma: float = SIGMA
+    min_amplitude: float = MIN_AMPLITUDE
+
+    def __call__(self, history):
+        return self.predict(history)
 
     def predict(self, history):
         if getattr(history, "ndim", None) == 4:
@@ -442,14 +462,14 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
                  history_length=4):
     """``pipeline.run_sequence`` over one walk, frame by frame: one
     localizer call per frame with energy and per nonzero prediction, and
-    one predictor call per history."""
+    one predictor call per history, on a stack of one."""
     history = deque(maxlen=history_length)
     prev_position = None
     estimates = []
     for t, adp in enumerate(adps):
         fix = localizer(adp) if np.any(adp) else None
         det = detect_distorted(adp, fix, db, thresholds)
-        predicted = predictor(list(history)) if history else None
+        predicted = predictor(np.stack(history)[None])[0] if history else None
         predicted_position = None
         if predicted is not None and np.any(predicted):
             predicted_position = localizer(predicted)

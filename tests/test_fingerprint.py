@@ -1,5 +1,6 @@
 """ADPF container and fingerprint database."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,12 @@ class TestGridSpec:
             GridSpec(origin=(0, 0), spacing=0.0, n_rows=2, n_cols=2)
         with pytest.raises(ValueError):
             GridSpec(origin=(0, 0), spacing=1.0, n_rows=0, n_cols=2)
+        good = dict(origin=(0, 0), spacing=1.0, n_rows=2, n_cols=2)
+        for bad in [{"spacing": math.nan}, {"spacing": math.inf},
+                    {"origin": (math.nan, 0.0)}, {"n_rows": 3.0},
+                    {"n_cols": True}]:
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                GridSpec(**dict(good, **bad))
 
 
 # the benchmark's worlds: the acceptance grid and the 40x40 rich grid
@@ -237,6 +244,14 @@ class TestBuildDb:
         '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 3, '
         '"n_cols": 3}}',
         b'{"grid": "\xff"}',  # not UTF-8
+        '{"grid": {"origin": [4.0, -1.0], "spacing": NaN, "n_rows": 2, '
+        '"n_cols": 3}}',
+        '{"grid": {"origin": [4.0, -1.0], "spacing": Infinity, "n_rows": 2, '
+        '"n_cols": 3}}',
+        '{"grid": {"origin": [NaN, -1.0], "spacing": 0.5, "n_rows": 2, '
+        '"n_cols": 3}}',
+        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 2.0, '
+        '"n_cols": 3}}',
     ])
     def test_bad_sidecar_is_a_format_error(self, tmp_path, sidecar):
         grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)

@@ -754,6 +754,31 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="pos_"):
             load_model(path)
 
+    @pytest.mark.parametrize("where, value", [
+        (("layer_specs", 0, "out_channels"), 0),
+        (("layer_specs", 0, "kernel_size"), 0),
+        (("layer_specs", 3, "out_width"), 0),
+        (("normalize_input",), "no"),
+        (("seed",), True)])
+    def test_header_field_out_of_range(self, tmp_path, where, value):
+        head = Head("regression")
+        specs = [{"kind": "conv2d", "out_channels": 2, "kernel_size": 3,
+                  "padding": "same"}, {"kind": "relu"}, {"kind": "flatten"},
+                 {"kind": "dense", "out_width": 3},
+                 {"kind": "dense", "out_width": 2}]
+        model = build_model(specs, (1, 4, 4), head, seed=1)
+        path = tmp_path / "m.nnck"
+        save_model(model, path)
+        header, _ = read_checkpoint(path, CHECKPOINT_MAGIC, 1)
+        *keys, field = where
+        owner = header
+        for key in keys:
+            owner = owner[key]
+        owner[field] = value
+        write_checkpoint(path, CHECKPOINT_MAGIC, 1, header, model.parameters())
+        with pytest.raises(FormatError, match=field):
+            load_model(path)
+
 
 def save_small_classifier(path):
     head = Head("classification", ClassifierGrid(2, 2))

@@ -250,7 +250,7 @@ class TestRecovery:
             history = [frame_at(point)] * 3
             measured = frame_at(
                 point, DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE))
-            predicted = tracker(history)
+            predicted = tracker(np.stack(history)[None])[0]
             rec = recover_and_locate(measured, predicted,
                                      nn_localizer(db)(predicted), point, db,
                                      thresholds)

@@ -27,8 +27,10 @@ from mimoloc.errors import (
     VersionError,
 )
 from mimoloc.fingerprint import GridSpec
+from mimoloc import predictor as predictor_module
 from mimoloc.neural import TrainConfig
 from mimoloc.predictor import (
+    MAX_PEAKS,
     PREDICTOR_MAGIC,
     PREDICTOR_VERSION,
     ConvRecurrentPredictor,
@@ -56,23 +58,54 @@ def adp_at(position):
     return adp_from_csi(synthesize_csi(paths, ARRAY, OFDM), DFT)[0]
 
 
+def frame_peaks(frame):
+    """The peaks ``detect_peaks`` keeps in one frame, strongest first."""
+    fields = detect_peaks(np.asarray(frame)[None])
+    return [oracles.Peak(*p) for p in zip(*(f[0].tolist() for f in fields))]
+
+
+def predict_one(predictor, history):
+    """A predictor's next frame for one history, as a stack of one."""
+    return predictor(np.asarray(history, dtype=np.float64)[None])[0]
+
+
+# the tracker's module constants, by the names of the reference's fields
+SETTINGS = ("max_peaks", "gate", "max_misses", "sigma", "min_amplitude")
+
+
+@pytest.fixture
+def settings(monkeypatch):
+    """``settings(**changed)`` sets the tracker's module constants to their
+    values at the start of the test, updated by ``changed``, and returns
+    all five as ``oracles.ReferencePeakTrackingPredictor`` takes them."""
+    start = {name: getattr(predictor_module, name.upper())
+             for name in SETTINGS}
+
+    def use(**changed):
+        values = dict(start, **changed)
+        for name, value in values.items():
+            monkeypatch.setattr(predictor_module, name.upper(), value)
+        return values
+    return use
+
+
 class TestDetectPeaks:
     def test_isolated_pixel(self):
         a = np.zeros((8, 8))
         a[3, 5] = 2.0
-        peaks = detect_peaks(a)
+        peaks = frame_peaks(a)
         assert len(peaks) == 1
         assert peaks[0] == (3.0, 5.0, 2.0)
 
     def test_subpixel_refinement(self):
         a = bumps((16, 16), [(5.4, 7.3)], [1.0])
-        (peak,) = detect_peaks(a)
+        (peak,) = frame_peaks(a)
         assert abs(peak.angle_bin - 5.4) < 0.1
         assert abs(peak.delay_bin - 7.3) < 0.1
 
     def test_sorted_strongest_first(self):
         a = bumps((16, 16), [(2.0, 2.0), (10.0, 12.0)], [0.5, 1.0])
-        peaks = detect_peaks(a)
+        peaks = frame_peaks(a)
         assert [round(p.angle_bin) for p in peaks] == [10, 2]
         assert peaks[0].amplitude > peaks[1].amplitude
 
@@ -80,44 +113,44 @@ class TestDetectPeaks:
         a = np.zeros((12, 12))
         a[6, 9] = 1.0
         a[2, 3] = 1.0
-        peaks = detect_peaks(a)
+        peaks = frame_peaks(a)
         assert (peaks[0].angle_bin, peaks[0].delay_bin) == (2.0, 3.0)
 
     def test_max_peaks_keeps_strongest(self):
-        a = bumps((16, 16), [(2, 2), (8, 8), (13, 4)], [0.3, 1.0, 0.6])
-        peaks = detect_peaks(a, max_peaks=2)
-        assert len(peaks) == 2
-        assert {round(p.angle_bin) for p in peaks} == {8, 13}
+        # ten isolated maxima, four bins apart (cyclically too)
+        spots = [(z, q) for z in (1, 5, 9, 13) for q in (2, 6, 10, 14)][:10]
+        a = np.zeros((16, 16))
+        for amp, (z, q) in enumerate(spots, start=1):
+            a[z, q] = amp
+        assert MAX_PEAKS == 8
+        assert frame_peaks(a) == [(*spots[amp - 1], float(amp))
+                                  for amp in range(10, 2, -1)]
 
     def test_min_amplitude_filters(self):
-        a = bumps((16, 16), [(3, 3), (11, 11)], [1.0, 0.05])
-        assert len(detect_peaks(a, min_amplitude=0.1)) == 1
+        # a strict maximum at the floor of 0.0 is no peak
+        a = np.full((8, 8), -1.0)
+        a[3, 5] = 0.0
+        assert frame_peaks(a) == []
 
     def test_wraparound_peak(self):
         a = bumps((16, 16), [(0.3, 15.6)], [1.0])
-        (peak,) = detect_peaks(a)
+        (peak,) = frame_peaks(a)
         assert abs(peak.angle_bin - 0.3) < 0.1
         assert abs(peak.delay_bin - 15.6) < 0.1
 
-    @pytest.mark.parametrize("max_peaks", [0, -1, 2.5, True, "8"])
-    def test_rejects_max_peaks_below_one(self, max_peaks):
-        a = bumps((16, 16), [(2, 2), (8, 8), (13, 4)], [0.3, 1.0, 0.6])
-        with pytest.raises(ValueError, match="max_peaks"):
-            detect_peaks(a, max_peaks=max_peaks)
-
     def test_zero_frame_has_no_peaks(self):
-        assert detect_peaks(np.zeros((8, 8))) == []
+        assert frame_peaks(np.zeros((8, 8))) == []
 
     def test_plateau_is_not_a_peak(self):
         a = np.zeros((8, 8))
         a[3, 5] = a[3, 6] = 1.0
-        assert detect_peaks(a) == []
+        assert frame_peaks(a) == []
 
     def test_translation_consistency(self):
         a = bumps((16, 16), [(4.2, 6.7), (11.6, 2.1)], [1.0, 0.7])
         rolled = np.roll(a, (5, 7), axis=(0, 1))
-        base = detect_peaks(a)
-        shifted = detect_peaks(rolled)
+        base = frame_peaks(a)
+        shifted = frame_peaks(rolled)
         assert len(base) == len(shifted)
         for p, s in zip(base, shifted):
             assert s.angle_bin == pytest.approx((p.angle_bin + 5) % 16, abs=1e-9)
@@ -131,24 +164,28 @@ class TestDetectPeaks:
 
     @pytest.mark.parametrize("kwargs", [{}, {"max_peaks": 2},
                                         {"min_amplitude": 0.5}])
-    def test_stack_rows_are_frame_lists(self, kwargs):
+    def test_stack_rows_are_frame_lists(self, kwargs, settings):
         rng = np.random.default_rng(8)
         frames = rng.uniform(0.0, 1.0, size=(7, 9, 11))
         frames[2] = np.round(frames[2], 1)
         frames[4] = 0.0
-        got = detect_peaks(frames, **kwargs)
-        lists = [detect_peaks(f, **kwargs) for f in frames]
-        width = max(len(peaks) for peaks in lists)
-        assert all(field.shape == (7, width) for field in got)
-        for row, peaks in enumerate(lists):
-            want = np.full((3, width), np.nan)
-            want[:, :len(peaks)] = np.array(peaks, dtype=float).T.reshape(3, -1)
-            assert np.array_equal(np.array([f[row] for f in got]), want,
-                                  equal_nan=True)
+        assert_same_peaks(frames, settings(**kwargs))
 
     def test_empty_stack(self):
         got = detect_peaks(np.zeros((0, 8, 8)))
         assert all(field.shape == (0, 0) for field in got)
+
+    def test_rejects_a_single_frame(self):
+        with pytest.raises(DimensionMismatch):
+            detect_peaks(np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("max_peaks", [0, -1, 2.5, True, "8"])
+    def test_rejects_max_peaks_below_one(self, max_peaks):
+        # the peak count is the constant MAX_PEAKS, so every value of the
+        # old parameter, in range or not, is now an unknown argument
+        a = bumps((16, 16), [(2, 2), (8, 8), (13, 4)], [0.3, 1.0, 0.6])
+        with pytest.raises(TypeError, match="max_peaks"):
+            detect_peaks(a[None], max_peaks=max_peaks)
 
 
 class TestPeakTracking:
@@ -159,17 +196,18 @@ class TestPeakTracking:
         ("gate", math.inf), ("gate", "3"),
         ("sigma", 0.0), ("sigma", math.nan), ("sigma", math.inf)])
     def test_rejects_bad_parameters(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        # the tracker's settings are module constants, so it takes none
+        with pytest.raises(TypeError, match=field):
             PeakTrackingPredictor(**{field: value})
 
     def test_static_history_reproduces_frame(self):
         frame = bumps((16, 16), [(4.0, 6.0), (10.0, 12.0)], [1.0, 0.6])
-        pred = PeakTrackingPredictor()([frame] * 4)
+        pred = predict_one(PeakTrackingPredictor(), [frame] * 4)
         assert similarity(pred, frame) > 0.99
 
     def test_moving_peak_extrapolated(self):
         frames = [bumps((16, 16), [(2.0 + t, 3.0 + t)], [1.0]) for t in range(4)]
-        pred = PeakTrackingPredictor()(frames)
+        pred = predict_one(PeakTrackingPredictor(), frames)
         z, q = np.unravel_index(np.argmax(pred), pred.shape)
         assert (z, q) == (6, 7)
 
@@ -178,44 +216,45 @@ class TestPeakTracking:
             bumps((16, 16), [(3.0 + 0.4 * t, 4.0 + 0.2 * t)], [1.0])
             for t in range(5)
         ]
-        pred = PeakTrackingPredictor()(frames)
-        (peak,) = detect_peaks(pred, max_peaks=1)
+        pred = predict_one(PeakTrackingPredictor(), frames)
+        peak = frame_peaks(pred)[0]
         assert abs(peak.angle_bin - 5.0) < 0.15
         assert abs(peak.delay_bin - 5.0) < 0.15
 
     def test_amplitude_trend_extrapolated(self):
         amps = [1.0, 0.8, 0.6, 0.4]
         frames = [bumps((16, 16), [(5.0, 5.0)], [a]) for a in amps]
-        pred = PeakTrackingPredictor()(frames)
+        pred = predict_one(PeakTrackingPredictor(), frames)
         assert pred[5, 5] == pytest.approx(0.2, abs=1e-9)
 
     def test_amplitude_clamped_at_zero(self):
         frames = [bumps((16, 16), [(5.0, 5.0)], [a]) for a in (1.0, 0.4)]
-        pred = PeakTrackingPredictor()(frames)
+        pred = predict_one(PeakTrackingPredictor(), frames)
         assert np.all(pred == 0.0)
 
     def test_zero_history_gives_zero_frame(self):
-        pred = PeakTrackingPredictor()([np.zeros((8, 8))] * 3)
-        assert pred.shape == (8, 8)
+        pred = PeakTrackingPredictor()(np.zeros((1, 3, 8, 8)))
+        assert pred.shape == (1, 8, 8)
         assert np.all(pred == 0.0)
 
     def test_empty_history_raises(self):
         with pytest.raises(EmptyHistory):
-            PeakTrackingPredictor()([])
+            PeakTrackingPredictor()(np.zeros((1, 0, 8, 8)))
         with pytest.raises(EmptyHistory):
             PeakTrackingPredictor()(np.zeros((3, 0, 8, 8)))
 
     def test_stale_track_dropped(self):
         both = bumps((16, 16), [(3.0, 3.0), (10.0, 12.0)], [1.0, 0.8])
         only_a = bumps((16, 16), [(3.0, 3.0)], [1.0])
-        pred = PeakTrackingPredictor()([both, both, only_a, only_a, only_a])
+        pred = predict_one(PeakTrackingPredictor(),
+                           [both, both, only_a, only_a, only_a])
         assert pred[3, 3] == pytest.approx(1.0, abs=1e-6)
         assert pred[10, 12] < 1e-8
 
     def test_single_miss_recovers(self):
         both = bumps((16, 16), [(3.0, 3.0), (10.0, 12.0)], [1.0, 0.8])
         only_a = bumps((16, 16), [(3.0, 3.0)], [1.0])
-        pred = PeakTrackingPredictor()([both, both, only_a, both])
+        pred = predict_one(PeakTrackingPredictor(), [both, both, only_a, both])
         assert pred[10, 12] == pytest.approx(0.8, abs=1e-6)
 
     def test_translation_equivariance(self):
@@ -226,20 +265,20 @@ class TestPeakTracking:
         rolled = [np.roll(f, (5, 7), axis=(0, 1)) for f in frames]
         tracker = PeakTrackingPredictor()
         assert np.allclose(
-            tracker(rolled),
-            np.roll(tracker(frames), (5, 7), axis=(0, 1)),
+            predict_one(tracker, rolled),
+            np.roll(predict_one(tracker, frames), (5, 7), axis=(0, 1)),
             atol=1e-12,
         )
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        frames = [rng.uniform(0, 1, size=(16, 16)) for _ in range(4)]
+        frames = rng.uniform(0, 1, size=(1, 4, 16, 16))
         tracker = PeakTrackingPredictor()
         assert np.array_equal(tracker(frames), tracker(frames))
 
     def test_mismatched_frame_shapes_raise(self):
         with pytest.raises(DimensionMismatch):
-            PeakTrackingPredictor()([np.zeros((8, 8)), np.zeros((8, 9))])
+            PeakTrackingPredictor()([[np.zeros((8, 8)), np.zeros((8, 9))]])
 
     def test_beats_persistence_on_coarse_walks(self):
         # grid spacing comparable to one delay bin, so peaks move visibly
@@ -251,7 +290,7 @@ class TestPeakTracking:
             adps = [adp_at(p) for p in walk.positions()]
             for t in range(4, len(adps)):
                 history = adps[t - 4:t]
-                pred_sim = similarity(tracker(history), adps[t])
+                pred_sim = similarity(predict_one(tracker, history), adps[t])
                 stay_sim = similarity(history[-1], adps[t])
                 wins += pred_sim > stay_sim
                 total += 1
@@ -264,7 +303,7 @@ class TestPeakTracking:
             r = rng.uniform(5, 80)
             theta = rng.uniform(0.2, np.pi - 0.2)
             a = adp_at((r * np.cos(theta), r * np.sin(theta)))
-            peaks = detect_peaks(a, max_peaks=8)
+            peaks = frame_peaks(a)
             centers = np.array([(p.angle_bin, p.delay_bin) for p in peaks])
             amps = np.array([p.amplitude for p in peaks])
             sims.append(similarity(
@@ -280,15 +319,16 @@ MULTIPATH = Environment(
 )
 
 
-def peak_types(peaks):
-    return [tuple(type(v) for v in p) for p in peaks]
-
-
-def assert_same_peaks(frame, **kwargs):
-    got = detect_peaks(frame, **kwargs)
-    want = oracles.detect_peaks(frame, **kwargs)
-    assert got == want
-    assert peak_types(got) == peak_types(want)
+def assert_same_peaks(frames, values):
+    """``detect_peaks`` of an (F, n_t, n_c) stack is the reference's peak
+    list of each frame, padded with NaN, to the bit."""
+    lists = [oracles.detect_peaks(f, values["max_peaks"],
+                                  values["min_amplitude"]) for f in frames]
+    want = np.full((3, len(lists), max(map(len, lists), default=0)), np.nan)
+    for row, peaks in enumerate(lists):
+        want[:, row, :len(peaks)] = np.array(peaks, dtype=float).T.reshape(3, -1)
+    assert np.array_equal(np.array(detect_peaks(frames)), want,
+                          equal_nan=True)
 
 
 def walk_frames(seed, env=MULTIPATH, length=16):
@@ -304,6 +344,16 @@ def walk_frames(seed, env=MULTIPATH, length=16):
 def test_empty_stack_gives_empty_stack(predictor):
     got = predictor(np.zeros((0, 3, 16, 16)))
     assert got.shape == (0, 16, 16) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("predictor", [PeakTrackingPredictor(),
+                                       ConvRecurrentPredictor(16, 16)],
+                         ids=["peak-track", "conv-recurrent"])
+def test_one_history_is_no_stack(predictor):
+    history = np.zeros((4, 16, 16))
+    for one in (history, list(history)):
+        with pytest.raises(DimensionMismatch):
+            predictor(one)
 
 
 def moving_bump_stack(rng, n, frames):
@@ -329,12 +379,12 @@ def moving_bump_stack(rng, n, frames):
     return stack
 
 
-def assert_rows_match_reference(tracker, stack):
-    got = tracker(stack)
+def assert_rows_match_reference(stack, **settings):
+    """Each row of the tracker's prediction for ``stack`` is the
+    reference's for its history, at the given settings."""
+    got = PeakTrackingPredictor()(stack)
     assert got.shape == (len(stack),) + stack.shape[2:]
-    reference = oracles.ReferencePeakTrackingPredictor(
-        tracker.max_peaks, tracker.gate, tracker.max_misses, tracker.sigma,
-        tracker.min_amplitude)
+    reference = oracles.ReferencePeakTrackingPredictor(**settings)
     for row, history in zip(got, stack):
         assert row.tobytes() == reference(history).tobytes()
 
@@ -345,12 +395,13 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("kwargs", [{}, {"gate": 1.0},
                                         {"max_misses": 1}, {"max_peaks": 3}])
-    def test_random_stacks(self, kwargs):
+    def test_random_stacks(self, kwargs, settings):
+        values = settings(**kwargs)
         rng = np.random.default_rng(10)
         for _ in range(300):
             stack = moving_bump_stack(rng, int(rng.integers(1, 12)),
                                       int(rng.integers(1, 6)))
-            assert_rows_match_reference(PeakTrackingPredictor(**kwargs), stack)
+            assert_rows_match_reference(stack, **values)
 
     def test_equidistant_tracks(self):
         # a peak halfway between two tracks joins the one opened last
@@ -364,16 +415,16 @@ class TestMatchesReference:
             history[0, (z - dz) % 16, (q - dq) % 16] = rng.uniform(0.5, 1.0)
             history[0, (z + dz) % 16, (q + dq) % 16] = rng.uniform(0.5, 1.0)
             history[1:, z, q] = rng.uniform(0.5, 1.0)
-        assert_rows_match_reference(PeakTrackingPredictor(), stack[:, :2])
-        assert_rows_match_reference(PeakTrackingPredictor(), stack)
+        assert_rows_match_reference(stack[:, :2])
+        assert_rows_match_reference(stack)
         two = np.zeros((2, 16, 16))
         two[0, 4, 4], two[0, 4, 8], two[1, 4, 6] = 1.0, 0.5, 0.8
-        pred = PeakTrackingPredictor()(two)
+        pred = predict_one(PeakTrackingPredictor(), two)
         # (4, 8) moved on to (4, 4), where the missed (4, 4) holds still
         assert pred[4, 4] == pytest.approx(1.1 + 1.0)
         assert pred[4, 8] < 1e-6
 
-    def test_hypot_at_the_gate(self):
+    def test_hypot_at_the_gate(self, settings):
         # A track at (4, 4) and, one frame later, a peak whose offset from
         # it np.hypot and math.hypot round apart. With the gate at the
         # smaller of the two, np.hypot alone would decide the match the
@@ -384,7 +435,7 @@ class TestMatchesReference:
             a, b = rng.uniform(0.05, 0.95, size=2)
             later = np.zeros((16, 16))
             later[5, 6], later[6, 6], later[5, 7] = 1.0, a, b
-            (peak,) = detect_peaks(later)
+            (peak,) = frame_peaks(later)
             dz = oracles._wrap(peak.angle_bin - 4.0, 16)
             dq = oracles._wrap(peak.delay_bin - 4.0, 16)
             fast, exact = float(np.hypot(dz, dq)), math.hypot(dz, dq)
@@ -394,32 +445,32 @@ class TestMatchesReference:
         first[4, 4] = 1.0
         stack = np.stack([[first, later] for later, _ in traps])
         for later, gate in traps:
-            assert_rows_match_reference(PeakTrackingPredictor(gate=gate),
-                                        stack)
+            assert_rows_match_reference(stack, **settings(gate=gate))
 
     @pytest.mark.parametrize("max_peaks, floor", [(8, 0.0), (3, 0.0),
                                                   (8, 0.2)])
-    def test_detect_peaks_on_measured_profiles(self, max_peaks, floor):
+    def test_detect_peaks_on_measured_profiles(self, max_peaks, floor,
+                                               settings):
         frames = walk_frames(0) + [adp_at(p) for p in
                                    [(5.0, 1.0), (30.0, -20.0), (3.0, 9.0)]]
         for frame in frames:
-            kwargs = {"max_peaks": max_peaks,
-                      "min_amplitude": floor * frame.max()}
-            assert detect_peaks(frame, **kwargs)
-            assert_same_peaks(frame, **kwargs)
+            values = settings(max_peaks=max_peaks,
+                              min_amplitude=floor * frame.max())
+            assert frame_peaks(frame)
+            assert_same_peaks(frame[None], values)
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"max_peaks": 3}, {"min_amplitude": 0.5}])
-    def test_detect_peaks_on_random_frames(self, kwargs):
+    def test_detect_peaks_on_random_frames(self, kwargs, settings):
+        values = settings(**kwargs)
         rng = np.random.default_rng(21)
         for _ in range(200):
             shape = tuple(int(n) for n in rng.integers(1, 18, size=2))
             frame = rng.uniform(0.0, 1.0, size=shape)
-            assert_same_peaks(frame, **kwargs)
             # coarse levels make plateaus and ties between peaks
-            assert_same_peaks(np.round(frame, 1), **kwargs)
+            assert_same_peaks(np.stack([frame, np.round(frame, 1)]), values)
 
-    def test_detect_peaks_edge_cases(self):
+    def test_detect_peaks_edge_cases(self, settings):
         wrapped = bumps((16, 16), [(0.3, 15.6), (15.7, 8.0), (8.0, 0.0)],
                         [1.0, 0.7, 0.4])
         plateau = np.zeros((8, 8))
@@ -430,9 +481,10 @@ class TestMatchesReference:
         for frame in (wrapped, plateau, corners, np.zeros((8, 8)),
                       np.ones((1, 1)), np.zeros((0, 5)), np.zeros((5, 0))):
             for kwargs in ({}, {"max_peaks": 3}, {"min_amplitude": 0.45}):
-                assert_same_peaks(frame, **kwargs)
-        assert len(detect_peaks(wrapped)) == 3
-        assert detect_peaks(np.zeros((8, 8))) == []
+                assert_same_peaks(frame[None], settings(**kwargs))
+        settings()
+        assert len(frame_peaks(wrapped)) == 3
+        assert frame_peaks(np.zeros((8, 8))) == []
 
     def test_gaussian_profile(self):
         """Each image of ``gaussian_bumps`` is the reference profile of
@@ -458,21 +510,22 @@ class TestMatchesReference:
         reused = PeakTrackingPredictor()
         for t in range(1, len(frames)):
             window = frames[max(0, t - 4):t]
-            pred = reused(window)
-            assert np.array_equal(pred, PeakTrackingPredictor()(window))
+            pred = predict_one(reused, window)
+            assert np.array_equal(
+                pred, predict_one(PeakTrackingPredictor(), window))
             assert np.array_equal(
                 pred, oracles.ReferencePeakTrackingPredictor()(window))
         odd = [frames[2], frames[3], frames[2], frames[2]]
-        assert np.array_equal(reused(odd), PeakTrackingPredictor()(odd))
+        assert np.array_equal(predict_one(reused, odd),
+                              predict_one(PeakTrackingPredictor(), odd))
 
     def test_memo_tells_shapes_apart(self):
         # the same bytes laid out as 8x8 and as 4x16 are different frames
         flat = bumps((8, 8), [(2.0, 3.0), (6.0, 6.0)], [1.0, 0.5]).ravel()
         tracker = PeakTrackingPredictor()
-        tracker([flat.reshape(8, 8)])
-        pred = tracker([flat.reshape(4, 16)])
-        assert np.array_equal(pred,
-                              PeakTrackingPredictor()([flat.reshape(4, 16)]))
+        tracker(flat.reshape(1, 1, 8, 8))
+        tall = flat.reshape(1, 1, 4, 16)
+        assert np.array_equal(tracker(tall), PeakTrackingPredictor()(tall))
 
     def test_stack_equals_single_predictions(self):
         frames = walk_frames(3, length=9)
@@ -487,7 +540,7 @@ class TestMatchesReference:
 
     def test_memo_takes_no_part_in_equality(self):
         used = PeakTrackingPredictor()
-        used([bumps((8, 8), [(2.0, 3.0)], [1.0])])
+        used(bumps((8, 8), [(2.0, 3.0)], [1.0])[None, None])
         assert used == PeakTrackingPredictor()
         assert hash(used) == hash(PeakTrackingPredictor())
         assert repr(used) == repr(PeakTrackingPredictor())
@@ -550,8 +603,8 @@ class TestConvRecurrent:
         model = ConvRecurrentPredictor(8, 8, hidden_channels=4, seed=0)
         train_predictor(model, seqs, fit_config(5))
         assert model.scale == pytest.approx(float(np.stack(seqs).max()))
-        pred = model.predict(list(seqs[0][:4]))
-        assert pred.shape == (8, 8)
+        pred = model.predict(seqs[0][None, :4])
+        assert pred.shape == (1, 8, 8)
         assert np.all(pred >= 0.0)
 
     def test_training_leaves_its_input_alone(self):
@@ -589,19 +642,19 @@ class TestConvRecurrent:
         got = model(histories)
         assert got.shape == (9, 8, 8)
         for row, history in zip(got, histories):
-            assert row.tobytes() == model.predict(list(history)).tobytes()
+            assert row.tobytes() == predict_one(model, history).tobytes()
         assert all(conv._cache is None
                    for conv in (model._xh, model._hh, model._out))
 
     def test_empty_history_raises(self):
         with pytest.raises(EmptyHistory):
-            ConvRecurrentPredictor(8, 8)([])
+            ConvRecurrentPredictor(8, 8)(np.zeros((1, 0, 8, 8)))
         with pytest.raises(EmptyHistory):
             ConvRecurrentPredictor(8, 8)(np.zeros((3, 0, 8, 8)))
 
     def test_wrong_frame_shape_raises(self):
         with pytest.raises(DimensionMismatch):
-            ConvRecurrentPredictor(8, 8)([np.zeros((8, 9))])
+            ConvRecurrentPredictor(8, 8)(np.zeros((1, 1, 8, 9)))
 
     def test_mixed_sequence_lengths_raise(self):
         with pytest.raises(LengthMismatch):
@@ -640,31 +693,41 @@ class TestCheckpoints:
         save_predictor(loaded, again)
         assert path.read_bytes() == again.read_bytes()
         assert loaded.scale == model.scale
-        history = list(seqs[0][:3])
+        history = seqs[0][None, :3]
         assert np.allclose(loaded.predict(history), model.predict(history), atol=1e-5)
 
-    def test_peak_tracker_round_trip(self, tmp_path):
-        tracker = PeakTrackingPredictor(max_peaks=5, gate=2.5, sigma=0.6)
+    def test_peak_tracker_has_no_checkpoint(self, tmp_path):
         path = tmp_path / "tracker.ckpt"
-        save_predictor(tracker, path)
-        assert load_predictor(path) == tracker
+        with pytest.raises(FormatError, match="PeakTrackingPredictor"):
+            save_predictor(PeakTrackingPredictor(), path)
+        assert not path.exists()
+
+    def test_peak_track_header_is_unknown(self, tmp_path):
+        # the header an earlier version wrote for the tracker
+        header = {"kind": "peak-track", "max_peaks": 8, "gate": 3.0,
+                  "max_misses": 2, "sigma": 0.5, "min_amplitude": 0.0}
+        path = tmp_path / "tracker.ckpt"
+        write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION, header, [])
+        with pytest.raises(FormatError, match="peak-track"):
+            load_predictor(path)
 
     @pytest.mark.parametrize("field, value", [
         ("max_peaks", -1), ("max_misses", 0), ("gate", None), ("gate", -3.0),
         ("sigma", 0.0)])
     def test_tracker_header_out_of_range(self, tmp_path, field, value):
+        # a tracker header is an unknown kind, whatever its fields hold
         header = {"kind": "peak-track", "max_peaks": 8, "gate": 3.0,
                   "max_misses": 2, "sigma": 0.5, "min_amplitude": 0.0}
         path = tmp_path / "tracker.ckpt"
         write_checkpoint(path, PREDICTOR_MAGIC, PREDICTOR_VERSION,
                          dict(header, **{field: value}), [])
-        with pytest.raises(FormatError, match=field):
+        with pytest.raises(FormatError, match="peak-track"):
             load_predictor(path)
 
     @pytest.mark.parametrize("field, value", [
         ("scale", "abc"), ("scale", 0), ("scale", -1.0), ("scale", None),
         ("hidden_channels", 0), ("n_antennas", 0), ("n_subcarriers", 2.5),
-        ("n_antennas", True)])
+        ("n_antennas", True), ("seed", True)])
     def test_recurrent_header_out_of_range(self, tmp_path, field, value):
         model = ConvRecurrentPredictor(4, 4, hidden_channels=2, seed=0)
         path = tmp_path / "recurrent.ckpt"
@@ -682,7 +745,7 @@ class TestCheckpoints:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        save_predictor(PeakTrackingPredictor(), path)
+        save_predictor(ConvRecurrentPredictor(4, 4, hidden_channels=2), path)
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
