@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DelayOverflow, FormatError, ZeroDistance
+from .errors import DelayOverflow, FormatError, ZeroDistance, check_positive
 
 logger = logging.getLogger(__name__)
 
@@ -48,12 +48,10 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        check_positive("wavelength", self.wavelength)
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
-        if self.element_spacing <= 0.0:
-            raise ValueError("element_spacing must be positive")
+        check_positive("element_spacing", self.element_spacing)
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,7 @@ class OfdmConfig:
     def __post_init__(self):
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be >= 1")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        check_positive("bandwidth", self.bandwidth)
 
     @property
     def sample_duration(self) -> float:

@@ -13,6 +13,7 @@ the matching forward and is held to finite-difference checks in the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,14 +73,36 @@ class WeightedLayer(Layer):
         self._cache = self.gw = self.gb = None
 
 
+@functools.cache
+def _column_index(c: int, h: int, w: int, k: int, lo: int,
+                  hi: int) -> np.ndarray:
+    """Where each column value of a (c, h, w) image lies in its flat copy.
+
+    Entry (y, x, ci, i, j), in C order, is the flat position of input
+    pixel (y + i - lo, x + j - lo) of channel ci, or ``c * h * w``, the
+    slot of the trailing zero, where that pixel lies in the padding.
+    Built once per shape and read-only, as every caller shares it.
+    """
+    ho, wo = h + lo + hi - k + 1, w + lo + hi - k + 1
+    ci, i, j = np.indices((c, k, k)).reshape(3, -1)
+    yy = np.arange(ho)[:, None, None] + (i - lo)
+    xx = np.arange(wo)[None, :, None] + (j - lo)
+    inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+    idx = np.where(inside, ci * (h * w) + yy * w + xx, c * h * w).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 class Conv2d(WeightedLayer):
     """2D convolution, stride 1, 'valid' (default) or 'same' zero padding.
 
     'same' pads ``(k - 1) // 2`` before and ``k // 2`` after, so an even
-    kernel pads one more at the bottom and right. The input is copied once
-    into a zero-filled channels-last buffer, and the column matrix is
-    filled from its k x k shifted slices; the gradient is scattered back
-    the same way. Outputs and gradients are bit-identical to the plain
+    kernel pads one more at the bottom and right. The column matrix is one
+    gather: each image is copied once into a flat buffer with one trailing
+    zero, and a cached index per input shape (``_column_index``) picks
+    every column value from it, the zero standing in for the padding. The
+    gradient is scattered back from the k x k shifted slices of a padded
+    buffer. Outputs and gradients are bit-identical to the plain
     pad-and-window im2col: the columns hold the same values in the same
     order, the products are the same calls, and every input-gradient
     pixel sums its taps in the same (row, column) order. The input
@@ -137,20 +160,16 @@ class Conv2d(WeightedLayer):
 
         Row (n, y, x) of it depends on image n alone, so the columns of a
         whole data set may be built once and any batch's rows gathered
-        from them.
+        from them. It is a new C-contiguous array.
         """
         b, c, h, w = x.shape
         k = self.kernel_size
         lo, hi = self._pad()
-        xp = np.zeros((b, h + lo + hi, w + lo + hi, c), dtype=x.dtype)
-        xp[:, lo:lo + h, lo:lo + w] = x.transpose(0, 2, 3, 1)
         ho, wo = h + lo + hi - k + 1, w + lo + hi - k + 1
-        # column (ci, i, j) of output pixel (y, x) is input pixel
-        # (y + i, x + j) of channel ci
-        cols = np.empty((b, ho, wo, c, k, k), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[..., i, j] = xp[:, i:i + ho, j:j + wo]
+        flat = np.empty((b, c * h * w + 1), dtype=x.dtype)
+        flat[:, :-1] = x.reshape(b, c * h * w)
+        flat[:, -1] = 0.0
+        cols = np.take(flat, _column_index(c, h, w, k, lo, hi), axis=1)
         return cols.reshape(b, ho, wo, c * k * k)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:

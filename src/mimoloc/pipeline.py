@@ -32,6 +32,7 @@ from .errors import (
     FormatError,
     LengthMismatch,
     VersionError,
+    check_positive,
 )
 from .fingerprint import FingerprintDb, GridSpec, neighbor_indices_within
 
@@ -65,8 +66,8 @@ class Thresholds:
     recovery_radius: float
 
     def __post_init__(self):
-        if self.neighborhood_radius <= 0.0 or self.recovery_radius <= 0.0:
-            raise ValueError("radii must be positive")
+        check_positive("neighborhood_radius", self.neighborhood_radius)
+        check_positive("recovery_radius", self.recovery_radius)
         if not 0.0 <= self.similarity_floor <= 1.0:
             raise ValueError("similarity floor must lie in [0, 1]")
 

@@ -368,17 +368,21 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
     ``x`` is (batch, frames, n_t, n_c), already divided by the model
     scale, and ``xcols`` its ``_step_columns``. Every frame after the
     first is a target for the prediction made from the frames before it.
+    Each hidden state's column matrix is built once, and the output layer
+    of its step and the recurrent layer of the next both run on it.
     Returns the mean loss and gradients in ``parameters()`` order.
     """
     b, t_len, n_t, n_c = x.shape
     h = np.zeros((b, model.hidden_channels, n_t, n_c))
+    hcols = model._out.columns(h)
     steps = []
     preds = np.empty((b, t_len - 1, n_t, n_c))
     for t in range(t_len - 1):
         xh, hh, out = (_clone_conv(model._xh), _clone_conv(model._hh),
                        _clone_conv(model._out))
-        h = np.tanh(xh.forward_columns(xcols[t]) + hh.forward(h))
-        pre_out = x[:, t][:, None] + out.forward(h)
+        h = np.tanh(xh.forward_columns(xcols[t]) + hh.forward_columns(hcols))
+        hcols = out.columns(h)
+        pre_out = x[:, t][:, None] + out.forward_columns(hcols)
         preds[:, t] = np.maximum(pre_out, 0.0)[:, 0]
         steps.append((xh, hh, out, h, pre_out))
     diff = preds - x[:, 1:]

@@ -225,7 +225,8 @@ def train(model, db, cfg):
 
 
 def _predictor_loss_and_grads(model, x):
-    # the input layer runs on each step's frames, columns built at each step
+    # every layer builds its own columns at every step, the input layer
+    # from that step's frames
     b, t_len, n_t, n_c = x.shape
     h = np.zeros((b, model.hidden_channels, n_t, n_c))
     steps = []

@@ -69,6 +69,26 @@ def by_cluster(paths):
     return {int(paths.cluster[0, j]): j for j in np.flatnonzero(paths.valid[0])}
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: ArrayConfig(8, 0.0),
+        lambda: ArrayConfig(8, -0.1),
+        lambda: ArrayConfig(8, math.nan),
+        lambda: ArrayConfig(8, math.inf),
+        lambda: ArrayConfig(8, 0.1, element_spacing=0.0),
+        lambda: ArrayConfig(8, 0.1, element_spacing=math.nan),
+        lambda: ArrayConfig(8, 0.1, element_spacing=math.inf),
+        lambda: OfdmConfig(16, 0.0),
+        lambda: OfdmConfig(16, math.nan),
+        lambda: OfdmConfig(16, math.inf),
+    ], ids=["wavelength-0", "wavelength-negative", "wavelength-nan",
+            "wavelength-inf", "spacing-0", "spacing-nan", "spacing-inf",
+            "bandwidth-0", "bandwidth-nan", "bandwidth-inf"])
+    def test_rejects_a_value_that_is_not_finite_and_positive(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
 class TestArrayResponse:
     def test_broadside_is_all_ones(self):
         e = array_response(math.pi / 2, ARRAY)

@@ -7,6 +7,7 @@ import oracles
 import pytest
 from oracles import ReferenceConv2d, ReferenceMaxPool2x2, classifier_cell
 
+from mimoloc import neural, predictor
 from mimoloc.container import read_checkpoint, write_checkpoint
 from mimoloc.errors import (
     DimensionMismatch,
@@ -158,9 +159,10 @@ def assert_same_bits(got, want):
 class TestKernelsMatchReference:
     """The layers against their plainer reference forms: equal to the bit."""
 
-    @pytest.mark.parametrize("batch", [1, 8, 32])
-    @pytest.mark.parametrize("padding,k", [("valid", 3), ("same", 3),
-                                           ("valid", 2), ("same", 2)])
+    @pytest.mark.parametrize("batch", [0, 1, 8, 32])
+    @pytest.mark.parametrize("padding,k", [
+        ("valid", 3), ("same", 3), ("valid", 2), ("same", 2),
+        ("valid", 1), ("same", 1), ("valid", 5), ("same", 5)])
     def test_conv(self, padding, k, batch):
         rng = np.random.default_rng(batch * 10 + k)
         layer = Conv2d(4, k, padding)
@@ -168,7 +170,14 @@ class TestKernelsMatchReference:
         ref = ReferenceConv2d(4, k, padding)
         ref.w, ref.b = layer.w, layer.b
         x = rng.standard_normal((batch, 3, 7, 9))
+        lo, hi = layer._pad()
+        # the gather index is shared by every call on this shape
+        assert not neural._column_index(3, 7, 9, k, lo, hi).flags.writeable
         for xi in layouts(x):
+            cols = layer.columns(xi)
+            assert_same_bits(cols, ReferenceConv2d.columns(layer, xi))
+            assert cols.flags.c_contiguous
+            assert not np.shares_memory(cols, xi)
             y = layer.forward(xi)
             assert_same_bits(y, ref.forward(xi))
             for g in layouts(rng.standard_normal(y.shape)):
@@ -331,6 +340,22 @@ class TestColumnCache:
 
     def test_predictor_training_without_momentum(self):
         self.test_predictor_training(momentum=0.0)
+
+    def test_predictor_builds_each_hidden_state_once(self, monkeypatch):
+        # five steps: the zero state and five hidden states, each built
+        # once for both the recurrent and the output layer
+        model = ConvRecurrentPredictor(8, 8, seed=2)
+        x = np.random.default_rng(5).uniform(0.0, 1.0, size=(2, 6, 8, 8))
+        xcols = predictor._step_columns(model, x)
+        calls, build = [], Conv2d.columns
+
+        def counted(layer, inputs):
+            calls.append(inputs.shape)
+            return build(layer, inputs)
+
+        monkeypatch.setattr(Conv2d, "columns", counted)
+        predictor._loss_and_grads(model, x, xcols)
+        assert calls == [(2, 8, 8, 8)] * 6
 
 
 class TestComposedGradients:

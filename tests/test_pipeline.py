@@ -1,5 +1,7 @@
 """Detection verdicts, recovery fusion, and whole-sequence runs."""
 
+import math
+
 import numpy as np
 import oracles
 import pytest
@@ -107,6 +109,11 @@ class TestThresholds:
             Thresholds(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             Thresholds(1.0, 1.5, 1.0)
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Thresholds(radius, 0.5, 1.0)
+            with pytest.raises(ValueError):
+                Thresholds(1.0, 0.5, radius)
 
 
 class TestCalibration:
