@@ -67,17 +67,16 @@ from .predictor import (
     train_predictor,
 )
 from .pipeline import (
-    FrameEstimate,
+    VERDICTS,
+    Estimates,
     RecoveryResult,
     Thresholds,
     Verdict,
     calibrate_similarity_floor,
     default_thresholds,
     detect_distorted,
-    load_estimates,
     recover_and_locate,
     run_sequence,
-    save_estimates,
 )
 from .experiment import (
     ExperimentConfig,

@@ -58,6 +58,7 @@ from .neural import (
     train,
 )
 from .pipeline import (
+    VERDICTS,
     Thresholds,
     Verdict,
     calibrate_similarity_floor,
@@ -172,6 +173,10 @@ class ExperimentConfig:
                      "predictor_epochs", "predictor_train_walks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.predictor == "conv-recurrent" and self.sequence_length < 2:
+            raise ConfigError(
+                "sequence_length must be at least 2 with the conv-recurrent "
+                "predictor, which trains on walks of two frames or more")
         for name in ("wavelength", "bandwidth", "grid_spacing",
                      "train_learning_rate"):
             if not 0.0 < getattr(self, name) < np.inf:
@@ -415,33 +420,19 @@ def rmse_per_frame(errors) -> np.ndarray:
     return np.sqrt(np.mean(e * e, axis=0))
 
 
-def _baseline_track(fixes, fallback):
-    # ``fixes`` holds a static localizer's position for each frame, None on
-    # a lost-link frame, which gives it nothing to work with; the baseline
-    # holds its previous estimate (or the grid center before any fix)
-    positions = []
-    last = np.asarray(fallback, dtype=float)
-    for fix in fixes:
-        if fix is not None:
-            last = np.asarray(fix, dtype=float)
-        positions.append(last)
-    return np.stack(positions)
+def _hold(fixes, fallback):
+    """A static localizer's (n, T, 2) track from its fixes of every frame.
 
-
-def _predictor_only_track(estimates):
-    """Positions of the predictive arm alone, without database fusion.
-
-    Wherever a frame has a localized prediction out of its history, that
-    is the method's answer; the first frame has no history and keeps the
-    pipeline estimate.
+    A fix is NaN on a lost-link frame, which gives the localizer nothing
+    to work with; the track holds its previous fix there, or
+    ``fallback`` (the grid center) before any fix.
     """
-    positions = []
-    for e in estimates:
-        if e.predicted_position is not None:
-            positions.append(np.asarray(e.predicted_position, dtype=float))
-        else:
-            positions.append(np.asarray(e.position, dtype=float))
-    return np.stack(positions)
+    n, length = fixes.shape[:2]
+    held = np.concatenate([np.broadcast_to(fallback, (n, 1, 2)), fixes],
+                          axis=1)
+    last = np.where(np.isnan(fixes[..., 0]), 0, np.arange(1, length + 1))
+    last = np.maximum.accumulate(last, axis=1)
+    return np.take_along_axis(held, last[..., None], axis=1)
 
 
 def build_world(config: ExperimentConfig, log=None) -> World:
@@ -512,8 +503,6 @@ def evaluate(world: World, scenario: str, out_dir=None,
     n_seq, length = config.n_sequences, config.sequence_length
     x0, y0, x1, y1 = world.db.grid.extent()
     fallback = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
-    errors = {m: np.zeros((n_seq, length)) for m in METHODS}
-    flagged = np.zeros((n_seq, length), dtype=bool)
     distorted = np.zeros((n_seq, length), dtype=bool)
     truths = np.zeros((n_seq, length, 2))
     modes, walks = [], []
@@ -523,31 +512,30 @@ def evaluate(world: World, scenario: str, out_dir=None,
         truths[i] = seq.positions
         distorted[i] = seq.distorted
         walks.append(seq.adps)
-    runs = run_sequence(walks, world.localizers[config.localizer], world.db,
-                        world.thresholds, world.predictor,
-                        history_length=config.history_length)
+    est = run_sequence(walks, world.localizers[config.localizer], world.db,
+                       world.thresholds, world.predictor,
+                       history_length=config.history_length)
     # the dynamic head's baseline is the fix detection already took of each
     # measured frame; only the other head localizes the walks again, each
     # time step of every walk in one call
     other = next(name for name in LOCALIZERS if name != config.localizer)
-    other_fixes = [locate_each(world.localizers[other],
-                               [walk[t] for walk in walks])
-                   for t in range(length)]
-    for i, estimates in enumerate(runs):
-        flagged[i] = [e.verdict is not Verdict.ACCURATE for e in estimates]
-        tracks = {
-            "dynamic": np.stack([e.position for e in estimates]),
-            "predictor-only": _predictor_only_track(estimates),
-            config.localizer: _baseline_track(
-                [e.measured_position for e in estimates], fallback),
-            other: _baseline_track([fixes[i] for fixes in other_fixes],
-                                   fallback),
-        }
-        for method, track in tracks.items():
-            errors[method][i] = np.linalg.norm(track - truths[i], axis=1)
+    other_fixes = np.stack([locate_each(world.localizers[other],
+                                        [walk[t] for walk in walks])
+                            for t in range(length)], axis=1)
+    tracks = {
+        "dynamic": est.position,
+        # the predictive arm alone: each frame's localized prediction out
+        # of its history, and the pipeline estimate where there is none
+        "predictor-only": np.where(np.isnan(est.predicted_position),
+                                   est.position, est.predicted_position),
+        config.localizer: _hold(est.measured_position, fallback),
+        other: _hold(other_fixes, fallback),
+    }
+    errors = {m: np.linalg.norm(tracks[m] - truths, axis=2) for m in METHODS}
     result = ExperimentResult(
         config=config, world=world, modes=modes, truths=truths,
-        errors=errors, flagged=flagged, distorted=distorted,
+        errors=errors, distorted=distorted,
+        flagged=est.verdict != VERDICTS.index(Verdict.ACCURATE),
         runtime_seconds=world.build_seconds + time.perf_counter() - t0,
     )
     if out_dir is not None:

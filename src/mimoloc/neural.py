@@ -378,6 +378,10 @@ class ClassifierGrid:
     n_rows: int
     n_cols: int
 
+    def __post_init__(self):
+        check_int("cells n_rows", self.n_rows)
+        check_int("cells n_cols", self.n_cols)
+
     @property
     def n_cells(self) -> int:
         return self.n_rows * self.n_cols
@@ -821,9 +825,9 @@ def load_model(path) -> Model:
     Raises:
         TruncatedFile: the file is cut short.
         FormatError: bad magic, trailing bytes, or a header that does not
-            describe a model: a bad layer size, seed or ``normalize_input``,
-            or a position normalization that is not two finite numbers
-            (scales above 0) per field.
+            describe a model: a bad layer size, classifier cell count,
+            seed or ``normalize_input``, or a position normalization that
+            is not two finite numbers (scales above 0) per field.
         VersionError: unsupported checkpoint version.
     """
     header, body = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)

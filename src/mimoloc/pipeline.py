@@ -10,15 +10,15 @@ the previous position.
 
 ``run_sequence`` steps any number of equal-length walks together, so the
 localizer and the predictor see each time step's frames of every walk as
-one stack. Localizers and predictors are plain callables here (a stack
-of profiles in, a stack of positions out; a stack of equal-length
-histories in, a stack of predicted profiles out), so the pieces can be
-swapped or faked independently.
+one stack, and returns every walk's per-frame outcomes as one array
+record, ``Estimates``. Localizers and predictors are plain callables here
+(a stack of profiles in, a stack of positions out; a stack of
+equal-length histories in, a stack of predicted profiles out), so the
+pieces can be swapped or faked independently.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -27,17 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .adp import similarity
-from .errors import (
-    EmptyNeighborhood,
-    FormatError,
-    LengthMismatch,
-    VersionError,
-    check_positive,
-)
+from .errors import EmptyNeighborhood, LengthMismatch, check_positive
 from .fingerprint import FingerprintDb, GridSpec, neighbor_indices_within
-
-ESTIMATES_FORMAT = "mimoloc-estimates"
-ESTIMATES_VERSION = 1
 
 
 class Verdict(Enum):
@@ -46,6 +37,9 @@ class Verdict(Enum):
     ACCURATE = "accurate"
     DISTORTED = "distorted"
     LOST_LINK = "lost-link"
+
+
+VERDICTS = tuple(Verdict)  # ``Estimates.verdict`` indexes this
 
 
 @dataclass(frozen=True)
@@ -212,36 +206,48 @@ def recover_and_locate(measured, predicted, predicted_position,
                           prediction_weight, int(idx.size))
 
 
-class FrameEstimate(NamedTuple):
-    """One frame's outcome. ``measured_position`` is the localizer's fix
-    of the frame as measured, the one detection judged (None on a
-    lost-link frame); the estimate stream does not carry it."""
+class Estimates(NamedTuple):
+    """Every frame's outcome for n walks of T frames, as (n, T) arrays.
 
-    frame_index: int
-    verdict: Verdict
+    ``position`` is the pipeline's estimate, ``measured_position`` the
+    localizer's fix of the frame as measured (the fix detection judged)
+    and ``predicted_position`` its fix of the frame predicted out of the
+    walk's history. Each is (n, T, 2) float64 meters and NaN where there
+    is no such fix: on a lost-link frame for ``measured_position``, and
+    on a first frame or an empty (all-zero) prediction for
+    ``predicted_position``. ``verdict`` is (n, T) int8, an index into
+    ``VERDICTS``; ``best_similarity`` and ``prediction_weight`` (the
+    prediction's share of a recovery, 0 where none ran) are (n, T)
+    float64.
+
+    A frame's source follows from its verdict: an accurate frame is
+    measured (its ``position`` is its ``measured_position``); an
+    untrusted first frame is a fallback, which keeps its untrusted fix as
+    the best available; every later untrusted frame is recovered.
+    """
+
     position: np.ndarray
-    best_similarity: float
-    source: str
-    predicted_position: np.ndarray | None
-    prediction_weight: float
-    measured_position: np.ndarray | None = None
+    measured_position: np.ndarray
+    predicted_position: np.ndarray
+    verdict: np.ndarray
+    best_similarity: np.ndarray
+    prediction_weight: np.ndarray
 
 
-def locate_each(localizer, frames) -> list:
-    """The localizer's fix of each frame of a stack that has energy, all
-    taken in one call, and None for each all-zero frame."""
+def locate_each(localizer, frames) -> np.ndarray:
+    """The localizer's fix of each frame of a stack, as an (n, 2) array
+    with a NaN row for each all-zero frame; the frames with energy are
+    located in one call."""
     frames = np.asarray(frames)
-    live = [i for i, frame in enumerate(frames) if np.any(frame)]
-    fixes = [None] * len(frames)
-    if live:
-        for i, fix in zip(live, localizer(frames[live])):
-            fixes[i] = fix
+    live = frames.any(axis=tuple(range(1, frames.ndim)))
+    fixes = np.full((len(frames), 2), np.nan)
+    if live.any():
+        fixes[live] = localizer(frames[live])
     return fixes
 
 
 def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
-                 predictor,
-                 history_length: int = 4) -> list[list[FrameEstimate]]:
+                 predictor, history_length: int = 4) -> Estimates:
     """Estimate a position for every frame of each of ``walks``.
 
     ``walks`` is a list of equal-length walks, each a sequence of profiles;
@@ -249,15 +255,14 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
     step the localizer locates the frames with energy of every walk in one
     call, the predictor predicts every walk's history in one call, and the
     localizer locates the nonempty predictions in one more. Every walk is
-    then judged, recovered and scored on its own, and its estimates are
-    those it would get alone, since a localizer or predictor answers each
-    row of a stack as it would answer that row by itself.
+    then judged and recovered on its own, and its estimates are those it
+    would get alone, since a localizer or predictor answers each row of a
+    stack as it would answer that row by itself.
 
-    Accurate frames feed a walk's rolling history as measured; distorted
-    and lost-link frames are recovered and feed it as rebuilt. ``source``
-    records which happened: "measured", "recovered", or "fallback" for a
-    distorted very first frame, where there is no history to predict
-    from and the untrusted estimate is kept as the best available.
+    Accurate frames, and an untrusted first frame, which has no history to
+    predict from, feed a walk's rolling history as measured; every later
+    distorted or lost-link frame is recovered around the walk's previous
+    position and feeds it as rebuilt.
 
     The predictor runs on every frame that has a history, accepted or
     not, and its localized output is recorded as ``predicted_position``.
@@ -266,7 +271,7 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
     prediction at that same fix, so each prediction is localized once.
 
     Returns:
-        One list of estimates per walk, in the order of ``walks``.
+        One ``Estimates`` record; row i is walk i of ``walks``.
 
     Raises:
         EmptyNeighborhood: if the link is lost on the very first frame of
@@ -275,110 +280,36 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
     """
     if len({len(w) for w in walks}) > 1:
         raise LengthMismatch("the walks differ in length")
+    n, length = len(walks), len(walks[0]) if walks else 0
+    est = Estimates(
+        np.full((n, length, 2), np.nan), np.full((n, length, 2), np.nan),
+        np.full((n, length, 2), np.nan), np.zeros((n, length), np.int8),
+        np.zeros((n, length)), np.zeros((n, length)))
     histories = [deque(maxlen=history_length) for _ in walks]
-    prev_positions = [None] * len(walks)
-    estimates = [[] for _ in walks]
-    for t in range(len(walks[0]) if walks else 0):
+    for t in range(length):
         frames = np.stack([np.asarray(w[t], dtype=np.float64) for w in walks])
-        fixes = locate_each(localizer, frames)
-        predicted = predicted_positions = [None] * len(walks)
+        est.measured_position[:, t] = locate_each(localizer, frames)
         if t > 0:  # every history holds min(t, history_length) frames
             predicted = predictor(np.stack([np.stack(h) for h in histories]))
-            predicted_positions = locate_each(localizer, predicted)
+            est.predicted_position[:, t] = locate_each(localizer, predicted)
         for i, frame in enumerate(frames):
-            det = detect_distorted(frame, fixes[i], db, thresholds)
-            history = histories[i]
-            if det.verdict is Verdict.ACCURATE:
-                history.append(frame)
-                estimate = FrameEstimate(
-                    t, det.verdict, det.position, det.best_similarity,
-                    "measured", predicted_positions[i], 0.0, det.position)
-            elif not history:
+            det = detect_distorted(frame, est.measured_position[i, t], db,
+                                   thresholds)
+            est.verdict[i, t] = VERDICTS.index(det.verdict)
+            est.best_similarity[i, t] = det.best_similarity
+            if det.verdict is Verdict.ACCURATE or t == 0:
                 if det.verdict is Verdict.LOST_LINK:
                     raise EmptyNeighborhood(
                         f"frame {t}: link lost before any usable frame"
                     )
-                history.append(frame)
-                estimate = FrameEstimate(
-                    t, det.verdict, det.position, det.best_similarity,
-                    "fallback", predicted_positions[i], 0.0, det.position)
+                histories[i].append(frame)
+                est.position[i, t] = det.position
             else:
-                rec = recover_and_locate(frame, predicted[i],
-                                         predicted_positions[i],
-                                         prev_positions[i], db, thresholds)
-                history.append(rec.adp)
-                estimate = FrameEstimate(
-                    t, det.verdict, rec.position, det.best_similarity,
-                    "recovered", rec.predicted_position,
-                    rec.prediction_weight, det.position)
-            estimates[i].append(estimate)
-            prev_positions[i] = estimate.position
-    return estimates
-
-
-# --- estimate stream ---------------------------------------------------------
-
-def save_estimates(path, estimates) -> None:
-    """Write estimates as JSON lines under a versioned header line."""
-    header = {"format": ESTIMATES_FORMAT, "format_version": ESTIMATES_VERSION}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for e in estimates:
-            row = {
-                "frame_index": e.frame_index,
-                "verdict": e.verdict.value,
-                "position": [float(e.position[0]), float(e.position[1])],
-                "best_similarity": e.best_similarity,
-                "source": e.source,
-                "predicted_position": (
-                    None if e.predicted_position is None
-                    else [float(e.predicted_position[0]),
-                          float(e.predicted_position[1])]
-                ),
-                "prediction_weight": e.prediction_weight,
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def load_estimates(path) -> list[FrameEstimate]:
-    """Read estimates written by ``save_estimates``.
-
-    Raises:
-        FormatError: an empty file, a header or row that is not JSON, a
-            header of another format, or a row that lacks a field or
-            holds a bad value (an unknown verdict, say).
-        VersionError: unsupported estimate version.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
-    if not lines:
-        raise FormatError("empty estimate file")
-    try:
-        header = json.loads(lines[0])
-    except ValueError as exc:
-        raise FormatError(f"estimate header is not JSON: {exc}") from exc
-    if (not isinstance(header, dict)
-            or header.get("format") != ESTIMATES_FORMAT):
-        raise FormatError(f"unexpected header {header!r}")
-    if header.get("format_version") != ESTIMATES_VERSION:
-        raise VersionError(
-            f"unsupported estimate version {header.get('format_version')!r}"
-        )
-    estimates = []
-    for number, line in enumerate(lines[1:], start=1):
-        try:
-            row = json.loads(line)
-            predicted = row["predicted_position"]
-            estimates.append(FrameEstimate(
-                int(row["frame_index"]),
-                Verdict(row["verdict"]),
-                np.asarray(row["position"], dtype=float),
-                float(row["best_similarity"]),
-                str(row["source"]),
-                None if predicted is None
-                else np.asarray(predicted, dtype=float),
-                float(row["prediction_weight"]),
-            ))
-        except (LookupError, TypeError, ValueError) as exc:
-            raise FormatError(f"estimate row {number}: {exc!r}") from exc
-    return estimates
+                fix = est.predicted_position[i, t]
+                rec = recover_and_locate(
+                    frame, predicted[i], None if np.isnan(fix[0]) else fix,
+                    est.position[i, t - 1], db, thresholds)
+                histories[i].append(rec.adp)
+                est.position[i, t] = rec.position
+                est.prediction_weight[i, t] = rec.prediction_weight
+    return est

@@ -22,7 +22,8 @@ from mimoloc.dynamics import DistortionKind
 from mimoloc.errors import DelayOverflow, EmptyNeighborhood, ZeroDistance
 from mimoloc.neural import Conv2d, MaxPool2x2, Softmax, training_data
 from mimoloc.pipeline import (
-    FrameEstimate,
+    VERDICTS,
+    Estimates,
     Verdict,
     detect_distorted,
     recover_and_locate,
@@ -463,10 +464,11 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
                  history_length=4):
     """``pipeline.run_sequence`` over one walk, frame by frame: one
     localizer call per frame with energy and per nonzero prediction, and
-    one predictor call per history, on a stack of one."""
+    one predictor call per history, on a stack of one. Returns the
+    one-walk ``Estimates`` record."""
     history = deque(maxlen=history_length)
     prev_position = None
-    estimates = []
+    frames = []  # one Estimates-ordered tuple of fields per frame
     for t, adp in enumerate(adps):
         fix = localizer(adp) if np.any(adp) else None
         det = detect_distorted(adp, fix, db, thresholds)
@@ -474,12 +476,10 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
         predicted_position = None
         if predicted is not None and np.any(predicted):
             predicted_position = localizer(predicted)
+        weight = 0.0
         if det.verdict is Verdict.ACCURATE:
             position = det.position
             history.append(np.asarray(adp, dtype=np.float64))
-            estimates.append(FrameEstimate(
-                t, det.verdict, position, det.best_similarity, "measured",
-                predicted_position, 0.0, det.position))
         elif not history:
             if det.verdict is Verdict.LOST_LINK:
                 raise EmptyNeighborhood(
@@ -487,32 +487,51 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
                 )
             position = det.position
             history.append(np.asarray(adp, dtype=np.float64))
-            estimates.append(FrameEstimate(
-                t, det.verdict, position, det.best_similarity, "fallback",
-                predicted_position, 0.0, det.position))
         else:
             rec = recover_and_locate(adp, predicted, predicted_position,
                                      prev_position, db, thresholds)
             position = rec.position
             history.append(rec.adp)
-            estimates.append(FrameEstimate(
-                t, det.verdict, position, det.best_similarity, "recovered",
-                rec.predicted_position, rec.prediction_weight, det.position))
+            predicted_position = rec.predicted_position
+            weight = rec.prediction_weight
+        frames.append((position, det.position, predicted_position,
+                       VERDICTS.index(det.verdict), det.best_similarity,
+                       weight))
         prev_position = position
-    return estimates
+    fields = list(zip(*frames))
+
+    def fixes(column):
+        return np.array([(math.nan, math.nan) if p is None else p
+                         for p in column], dtype=np.float64).reshape(1, -1, 2)
+
+    return Estimates(*map(fixes, fields[:3]),
+                     np.array([fields[3]], dtype=np.int8),
+                     np.array([fields[4]], dtype=np.float64),
+                     np.array([fields[5]], dtype=np.float64))
+
+
+def walk_of(est, i):
+    """Walk ``i`` of an ``Estimates`` record, as a one-walk record."""
+    return Estimates(*(field[i:i + 1] for field in est))
+
+
+def sources(est):
+    """Each frame's source, derived from its verdict as ``Estimates``
+    says: "measured" where accurate, "fallback" where an untrusted frame
+    is first, "recovered" elsewhere."""
+    accurate = est.verdict == VERDICTS.index(Verdict.ACCURATE)
+    first = np.arange(est.verdict.shape[1]) == 0
+    return np.where(accurate, "measured",
+                    np.where(first, "fallback", "recovered"))
 
 
 def assert_same_estimates(got, want):
-    """Two runs' estimates are equal field by field, arrays to the bit."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g._fields == w._fields
-        for name, a, b in zip(g._fields, g, w):
-            if isinstance(b, np.ndarray):
-                assert isinstance(a, np.ndarray), name
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
-            else:
-                assert type(a) is type(b) and a == b, name
+    """Two ``Estimates`` records are equal field by field: the same dtype,
+    shape and values, NaN matching NaN."""
+    assert type(got) is type(want)
+    for name, a, b in zip(want._fields, got, want):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=True), name
 
 
 # --- the scalar channel: one position, one path, one blocker at a time ------

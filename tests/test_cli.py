@@ -165,11 +165,13 @@ def test_seed_override_lands_in_report(config_path, tmp_path):
     b'{"grid_origin": [NaN, 0]}',
     b'{"grid_origin": [0, 1e400]}',  # json.load reads 1e400 as inf
     b'{"grid_origin": [0, 1' + b"0" * 400 + b']}',  # too large for a float
+    json.dumps({"predictor": "conv-recurrent", "sequence_length": 1,
+                "distort_from": 0}).encode(),
 ], ids=["unknown-scenario", "number-origin", "text-origin", "text-count",
         "not-utf8", "directory", "environment-directory",
         "environment-not-utf8", "nan-level", "infinite-level",
         "overflowing-level", "infinite-profile-level", "nan-origin",
-        "overflowing-origin", "huge-int-origin"])
+        "overflowing-origin", "huge-int-origin", "one-frame-recurrent"])
 def test_bad_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     if content is None:

@@ -231,6 +231,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "run_sequence", run_sequence)
         result = run_experiment(ExperimentConfig(
             scenario="los-block", **dict(TINY, localizer=localizer)))
+        assert result.flagged[:, 2].all()  # a lost link is flagged
         x0, y0, x1, y1 = result.world.db.grid.extent()
         center = ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
         for name, loc in result.world.localizers.items():
@@ -271,6 +272,17 @@ class TestWorld:
         first = evaluate(tiny_world, "nlos-add")
         assert_same_run(evaluate(tiny_world, "nlos-add"), first)
 
+    def test_predictor_only_without_predictions_is_dynamic(self,
+                                                           tiny_world):
+        # with every prediction empty, recovery fuses database entries
+        # alone and the predictive arm answers with the pipeline estimate
+        world = dataclasses.replace(
+            tiny_world, predictor=lambda h: np.zeros_like(h[:, -1]))
+        result = evaluate(world, "los-block")
+        assert result.flagged.any()
+        assert np.array_equal(result.errors["predictor-only"],
+                              result.errors["dynamic"])
+
     def test_runtime_counts_the_build(self, tiny_world):
         result = evaluate(tiny_world, "none")
         assert result.world is tiny_world
@@ -303,9 +315,15 @@ class TestLockstep:
         assert len(walks) >= 3
         args = (world.localizers[localizer], world.db, world.thresholds,
                 world.predictor)
-        runs = pipeline.run_sequence(walks, *args)
-        for adps, got in zip(walks, runs):
-            oracles.assert_same_estimates(got,
+        est = pipeline.run_sequence(walks, *args)
+        source = oracles.sources(est)
+        measured = source == "measured"
+        assert np.array_equal(est.position[measured],
+                              est.measured_position[measured])
+        if scenario == "none":
+            assert measured.all()
+        for i, adps in enumerate(walks):
+            oracles.assert_same_estimates(oracles.walk_of(est, i),
                                           oracles.run_sequence(adps, *args))
 
 
@@ -562,3 +580,15 @@ class TestHelpers:
         monkeypatch.setattr(subprocess, "Popen", no_process)
         with pytest.raises(ConfigError):
             build_world(ExperimentConfig(**dict(TINY, scenario="jamming")))
+
+    def test_one_frame_recurrent_config_starts_no_process(self, monkeypatch):
+        # the recurrent predictor cannot train on one-frame walks, so the
+        # config is refused before a helper starts or the database is built
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        with pytest.raises(ConfigError, match="sequence_length"):
+            build_world(ExperimentConfig(**dict(
+                TINY, predictor="conv-recurrent", sequence_length=1,
+                distort_from=0)))

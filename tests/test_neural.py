@@ -784,13 +784,16 @@ class TestCheckpoints:
         (("layer_specs", 0, "kernel_size"), 0),
         (("layer_specs", 3, "out_width"), 0),
         (("normalize_input",), "no"),
-        (("seed",), True)])
+        (("seed",), True),
+        # four cells either way, so the dense width still fits
+        (("head", "cells"), [-2, -2]),
+        (("head", "cells"), [True, 4])])
     def test_header_field_out_of_range(self, tmp_path, where, value):
-        head = Head("regression")
+        head = Head("classification", ClassifierGrid(2, 2))
         specs = [{"kind": "conv2d", "out_channels": 2, "kernel_size": 3,
                   "padding": "same"}, {"kind": "relu"}, {"kind": "flatten"},
                  {"kind": "dense", "out_width": 3},
-                 {"kind": "dense", "out_width": 2}]
+                 {"kind": "dense", "out_width": 4}]
         model = build_model(specs, (1, 4, 4), head, seed=1)
         path = tmp_path / "m.nnck"
         save_model(model, path)

@@ -24,23 +24,17 @@ from mimoloc.dynamics import (
     generate_sequence,
     random_walk,
 )
-from mimoloc.errors import (
-    EmptyNeighborhood,
-    FormatError,
-    LengthMismatch,
-    VersionError,
-)
+from mimoloc.errors import EmptyNeighborhood, LengthMismatch
 from mimoloc.fingerprint import FingerprintDb, GridSpec, build_db
 from mimoloc.pipeline import (
+    VERDICTS,
     Thresholds,
     Verdict,
     calibrate_similarity_floor,
     default_thresholds,
     detect_distorted,
-    load_estimates,
     recover_and_locate,
     run_sequence,
-    save_estimates,
 )
 from mimoloc.predictor import PeakTrackingPredictor
 
@@ -272,52 +266,56 @@ def walk_sequence(scenario, distort_from, seed, length=12):
     return generate_sequence(ENV, walk, scenario, distort_from, ARRAY, OFDM)
 
 
+def verdicts(est):
+    """Walk 0's verdicts, as ``Verdict`` members."""
+    return [VERDICTS[v] for v in est.verdict[0]]
+
+
 class TestRunSequence:
     def test_clean_sequence_tracks_exactly(self, db, thresholds):
         seq = walk_sequence(None, 0, [200, 0])
-        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
-                              PeakTrackingPredictor())
-        assert all(e.verdict is Verdict.ACCURATE for e in est)
-        assert all(e.source == "measured" for e in est)
-        assert np.allclose(np.stack([e.position for e in est]),
-                           seq.positions)
+        est = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
+                           PeakTrackingPredictor())
+        assert all(v is Verdict.ACCURATE for v in verdicts(est))
+        assert (oracles.sources(est) == "measured").all()
+        assert np.allclose(est.position[0], seq.positions)
+        assert np.array_equal(est.position, est.measured_position)
 
     def test_blocked_tail_is_recovered(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 0])
-        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
-                              PeakTrackingPredictor())
-        truth = seq.positions
-        for e, p in zip(est[:5], truth[:5]):
-            assert e.source == "measured"
-            assert np.allclose(e.position, p)
-        for e, p in zip(est[5:], truth[5:]):
-            assert e.source == "recovered"
-            assert e.verdict is Verdict.DISTORTED
-            assert np.linalg.norm(e.position - p) < 1.5
-            assert e.predicted_position is not None
+        est = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
+                           PeakTrackingPredictor())
+        (source,), truth = oracles.sources(est), seq.positions
+        assert (source[:5] == "measured").all()
+        assert np.allclose(est.position[0, :5], truth[:5])
+        assert (source[5:] == "recovered").all()
+        assert all(v is Verdict.DISTORTED for v in verdicts(est)[5:])
+        assert (np.linalg.norm(est.position[0, 5:] - truth[5:], axis=1)
+                < 1.5).all()
+        assert not np.isnan(est.predicted_position[0, 5:]).any()
 
     def test_deterministic(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.NLOS_ADDITION, rng_seed=2)
         seq = walk_sequence(scen, 4, [200, 2])
         runs = [
             run_sequence([seq.adps], nn_localizer(db), db, thresholds,
-                         PeakTrackingPredictor())[0]
+                         PeakTrackingPredictor())
             for _ in range(2)
         ]
-        for a, b in zip(*runs):
-            assert np.array_equal(a.position, b.position)
-            assert a.best_similarity == b.best_similarity
-            assert a.prediction_weight == b.prediction_weight
+        oracles.assert_same_estimates(*runs)
 
     def test_distorted_first_frame_falls_back(self, db, thresholds):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=1)
         seq = walk_sequence(scen, 0, [200, 3])
-        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
-                              PeakTrackingPredictor())
-        assert est[0].source == "fallback"
-        assert est[0].verdict is Verdict.DISTORTED
-        assert all(e.source == "recovered" for e in est[1:])
+        est = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
+                           PeakTrackingPredictor())
+        (source,) = oracles.sources(est)
+        assert source[0] == "fallback"
+        assert verdicts(est)[0] is Verdict.DISTORTED
+        assert np.array_equal(est.position[0, 0], est.measured_position[0, 0])
+        assert np.isnan(est.predicted_position[0, 0]).all()
+        assert (source[1:] == "recovered").all()
 
     def test_lost_link_first_frame_raises(self, thresholds):
         free = Environment(bs_position=(0.0, 0.0))
@@ -340,12 +338,12 @@ class TestRunSequence:
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
         assert (~seq.adps[4:].any(axis=(1, 2))).any()  # a lost link
         thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
-        (est,) = run_sequence([seq.adps], nn_localizer(free_db), free_db,
-                              thr, PeakTrackingPredictor())
-        for e in est[4:]:
-            assert e.verdict is Verdict.LOST_LINK
-            assert e.source == "recovered"
-            assert np.all(np.isfinite(e.position))
+        est = run_sequence([seq.adps], nn_localizer(free_db), free_db, thr,
+                           PeakTrackingPredictor())
+        assert all(v is Verdict.LOST_LINK for v in verdicts(est)[4:])
+        assert (oracles.sources(est)[0, 4:] == "recovered").all()
+        assert np.isfinite(est.position[0, 4:]).all()
+        assert np.isnan(est.measured_position[0, 4:]).all()
 
     @staticmethod
     def count_localizations(adps, db, thresholds):
@@ -364,8 +362,8 @@ class TestRunSequence:
             nonzero.extend(bool(np.any(p)) for p in out)
             return out
 
-        (est,) = run_sequence([adps], counting_localizer, db, thresholds,
-                              predictor)
+        est = run_sequence([adps], counting_localizer, db, thresholds,
+                           predictor)
         detected = sum(bool(np.any(a)) for a in adps)
         return sum(calls), detected, sum(nonzero), est
 
@@ -376,7 +374,7 @@ class TestRunSequence:
         seq = walk_sequence(scen, 5, [200, 0])
         calls, detected, predictions, est = self.count_localizations(
             seq.adps, db, thresholds)
-        assert sum(e.source == "recovered" for e in est) == 7
+        assert (oracles.sources(est) == "recovered").sum() == 7
         assert calls == detected + predictions
 
     def test_lost_link_frames_are_not_localized(self, thresholds):
@@ -389,7 +387,7 @@ class TestRunSequence:
         thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
         calls, detected, predictions, est = self.count_localizations(
             seq.adps, free_db, thr)
-        assert detected < len(est)
+        assert detected < est.verdict.size
         assert calls == detected + predictions
 
 
@@ -412,15 +410,19 @@ class TestLockstep:
 
     def test_equals_one_walk_at_a_time(self, db, thresholds):
         walks = lockstep_walks()
-        runs = run_sequence(walks, nn_localizer(db), db, thresholds,
-                            PeakTrackingPredictor())
-        assert len(runs) == len(walks)
-        assert {e.source for run in runs for e in run} == {
-            "measured", "recovered", "fallback"}
-        for adps, got in zip(walks, runs):
-            oracles.assert_same_estimates(got, oracles.run_sequence(
-                adps, nn_localizer(db), db, thresholds,
-                PeakTrackingPredictor()))
+        est = run_sequence(walks, nn_localizer(db), db, thresholds,
+                           PeakTrackingPredictor())
+        assert est.verdict.shape == (len(walks), len(walks[0]))
+        source = oracles.sources(est)
+        assert set(source.ravel()) == {"measured", "recovered", "fallback"}
+        measured = source == "measured"
+        assert np.array_equal(est.position[measured],
+                              est.measured_position[measured])
+        for i, adps in enumerate(walks):
+            oracles.assert_same_estimates(
+                oracles.walk_of(est, i),
+                oracles.run_sequence(adps, nn_localizer(db), db, thresholds,
+                                     PeakTrackingPredictor()))
 
     def test_one_detection_per_step(self, db, thresholds, monkeypatch):
         # per step: the stack of histories, and the frames of each
@@ -450,79 +452,11 @@ class TestLockstep:
             assert np.array_equal(frames, histories.reshape(-1, n_t, n_c))
 
     def test_no_walks_and_unequal_walks(self, db, thresholds):
-        assert run_sequence([], nn_localizer(db), db, thresholds,
-                            PeakTrackingPredictor()) == []
+        est = run_sequence([], nn_localizer(db), db, thresholds,
+                           PeakTrackingPredictor())
+        assert est.position.shape == (0, 0, 2)
+        assert est.verdict.shape == (0, 0) and est.verdict.dtype == np.int8
         adps = walk_sequence(None, 0, [300, 0]).adps
         with pytest.raises(LengthMismatch):
             run_sequence([adps, adps[:-1]], nn_localizer(db), db,
                          thresholds, PeakTrackingPredictor())
-
-
-class TestEstimateStream:
-    def test_round_trip(self, db, thresholds, tmp_path):
-        scen = DistortionScenario(kind=DistortionKind.NLOS_BLOCKAGE, rng_seed=7)
-        seq = walk_sequence(scen, 5, [200, 5])
-        (est,) = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
-                              PeakTrackingPredictor())
-        path = tmp_path / "estimates.jsonl"
-        save_estimates(path, est)
-        loaded = load_estimates(path)
-        assert len(loaded) == len(est)
-        for a, b in zip(est, loaded):
-            assert a.frame_index == b.frame_index
-            assert a.verdict is b.verdict
-            assert np.array_equal(a.position, b.position)
-            assert a.best_similarity == b.best_similarity
-            assert a.source == b.source
-            if a.predicted_position is None:
-                assert b.predicted_position is None
-            else:
-                assert np.array_equal(a.predicted_position,
-                                      b.predicted_position)
-            assert a.prediction_weight == b.prediction_weight
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "estimates.jsonl"
-        path.write_text('{"format": "something-else", "format_version": 1}\n')
-        with pytest.raises(FormatError):
-            load_estimates(path)
-
-    HEADER = '{"format": "mimoloc-estimates", "format_version": 1}\n'
-    ROW = ('{"best_similarity": 0.9, "frame_index": 0, "position": [1.0, 2.0],'
-           ' "predicted_position": null, "prediction_weight": 0.0,'
-           ' "source": "measured", "verdict": "accurate"}\n')
-
-    def test_minimal_file_loads(self, tmp_path):
-        path = tmp_path / "estimates.jsonl"
-        path.write_text(self.HEADER + self.ROW)
-        (e,) = load_estimates(path)
-        assert e.verdict is Verdict.ACCURATE
-        assert np.array_equal(e.position, [1.0, 2.0])
-
-    @pytest.mark.parametrize("text", [
-        "{not json\n" + ROW,
-        '["mimoloc-estimates", 1]\n' + ROW,
-        HEADER + ROW + '{"frame_index": 1,\n',
-        HEADER + ROW.replace(' "source": "measured",', ""),
-        HEADER + ROW.replace('"accurate"', '"fine"'),
-    ], ids=["header-not-json", "header-list", "row-not-json",
-            "row-missing-field", "unknown-verdict"])
-    def test_malformed_rejected(self, tmp_path, text):
-        path = tmp_path / "estimates.jsonl"
-        path.write_text(text)
-        with pytest.raises(FormatError):
-            load_estimates(path)
-
-    def test_bad_version_rejected(self, tmp_path):
-        path = tmp_path / "estimates.jsonl"
-        path.write_text(
-            '{"format": "mimoloc-estimates", "format_version": 99}\n'
-        )
-        with pytest.raises(VersionError):
-            load_estimates(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "estimates.jsonl"
-        path.write_text("")
-        with pytest.raises(FormatError):
-            load_estimates(path)
