@@ -27,6 +27,7 @@ from mimoloc.experiment import (
     METHODS,
     SCENARIOS,
     ExperimentConfig,
+    _hold,
     build_world,
     config_from_dict,
     emit_report,
@@ -240,6 +241,41 @@ class TestRunExperiment:
                 assert np.array_equal(
                     np.linalg.norm(track - result.truths[i], axis=1),
                     result.errors[name][i])
+
+
+def toy_localizer(frames):
+    """A stack localizer whose fix of a frame depends on that frame alone."""
+    return np.stack([frames[:, 0, 0], frames.sum(axis=(1, 2))], axis=1)
+
+
+class TestHold:
+    """A static baseline's track, held over lost links, as one frame-by-
+    frame pass of the same localizer gives it."""
+
+    FALLBACK = np.array([-1.5, 2.5])
+
+    @pytest.mark.parametrize("lost", [
+        [], [0, 1], [2, 4], [5], [0, 1, 2, 3, 4, 5]],
+        ids=["no-gaps", "leading-gaps", "middle-gaps", "trailing-gap",
+             "all-lost"])
+    def test_equals_frame_by_frame_hold(self, lost):
+        adps = np.random.default_rng(len(lost)).random((6, 3, 4)) + 0.5
+        adps[lost] = 0.0
+        track = _hold(pipeline.locate_each(toy_localizer, adps)[None],
+                      self.FALLBACK)
+        assert track.shape == (1, 6, 2)
+        want = baseline_track(lambda adp: toy_localizer(adp[None])[0],
+                              adps, self.FALLBACK)
+        assert np.array_equal(track[0], want)
+
+    def test_walks_are_held_apart(self):
+        fixes = np.full((2, 3, 2), np.nan)
+        fixes[0, 0] = (1.0, 2.0)  # walk 0 has a fix before walk 1 has any
+        fixes[1, 2] = (3.0, 4.0)
+        track = _hold(fixes, self.FALLBACK)
+        assert np.array_equal(track[0], [[1.0, 2.0]] * 3)
+        assert np.array_equal(track[1], [self.FALLBACK, self.FALLBACK,
+                                         (3.0, 4.0)])
 
 
 @pytest.fixture(scope="module")

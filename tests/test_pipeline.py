@@ -33,6 +33,7 @@ from mimoloc.pipeline import (
     calibrate_similarity_floor,
     default_thresholds,
     detect_distorted,
+    locate_each,
     recover_and_locate,
     run_sequence,
 )
@@ -389,6 +390,35 @@ class TestRunSequence:
             seq.adps, free_db, thr)
         assert detected < est.verdict.size
         assert calls == detected + predictions
+
+
+class TestLocateEach:
+    @staticmethod
+    def recording_localizer(calls):
+        def localize(frames):
+            calls.append(frames.copy())
+            return np.stack([frames[:, 0, 0], frames.sum(axis=(1, 2))],
+                            axis=1)
+        return localize
+
+    def test_zero_frames_get_nan_rows_in_one_call(self):
+        frames = np.random.default_rng(0).random((5, 3, 4)) + 0.5
+        frames[[1, 3]] = 0.0
+        calls = []
+        fixes = locate_each(self.recording_localizer(calls), frames)
+        (located,) = calls
+        assert np.array_equal(located, frames[[0, 2, 4]])
+        assert fixes.shape == (5, 2) and fixes.dtype == np.float64
+        assert np.isnan(fixes[[1, 3]]).all()
+        assert np.array_equal(fixes[[0, 2, 4]], np.stack(
+            [located[:, 0, 0], located.sum(axis=(1, 2))], axis=1))
+
+    def test_all_zero_stack_calls_nothing(self):
+        calls = []
+        fixes = locate_each(self.recording_localizer(calls),
+                            np.zeros((3, 3, 4)))
+        assert calls == []
+        assert fixes.shape == (3, 2) and np.isnan(fixes).all()
 
 
 def lockstep_walks():
