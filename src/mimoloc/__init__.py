@@ -21,7 +21,6 @@ from .channel import (
     load_environment,
     parse_environment,
     quantize_delay,
-    save_environment,
     synthesize_csi,
     trace_paths,
 )
@@ -32,9 +31,7 @@ from .dynamics import (
     Walk,
     WalkMode,
     generate_sequence,
-    load_sequences,
     random_walk,
-    save_sequences,
 )
 from .fingerprint import (
     FingerprintDb,

@@ -446,8 +446,3 @@ def format_environment(env: Environment) -> str:
 def load_environment(path) -> Environment:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_environment(fh.read())
-
-
-def save_environment(env: Environment, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_environment(env))

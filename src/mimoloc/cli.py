@@ -19,25 +19,26 @@ import sys
 
 import numpy as np
 
-from .dynamics import save_sequences
 from .errors import ConfigError, FormatError, MimolocError
 from .experiment import (
+    LOCALIZERS,
     METHODS,
+    PREDICTORS,
+    SCENARIOS,
     ExperimentConfig,
     database_for,
-    evaluation_walks,
     load_config,
     run_experiment,
+    thresholds_for,
     train_localizer,
     train_recurrent_predictor,
 )
 from .fingerprint import save_db
 from .neural import save_model
-from .pipeline import calibrate_similarity_floor, default_thresholds
 from .predictor import save_predictor
 
 SUBCOMMANDS = ("build-db", "train-localizer", "train-predictor",
-               "gen-sequences", "calibrate-thresholds", "run", "report")
+               "calibrate-thresholds", "run", "report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,15 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", default="mimoloc-out",
                         help="artifact directory (default: %(default)s)")
-    parser.add_argument("--scenario",
-                        choices=["los-block", "nlos-block", "nlos-add",
-                                 "none"],
+    parser.add_argument("--scenario", choices=SCENARIOS,
                         help="override the distortion scenario")
-    parser.add_argument("--localizer",
-                        choices=["regressor", "classifier-wknn"],
+    parser.add_argument("--localizer", choices=LOCALIZERS,
                         help="override the localizer choice")
-    parser.add_argument("--predictor",
-                        choices=["peak-track", "conv-recurrent"],
+    parser.add_argument("--predictor", choices=PREDICTORS,
                         help="override the predictor kind")
     return parser
 
@@ -107,18 +104,8 @@ def cmd_train_predictor(config: ExperimentConfig, out: str) -> None:
           f"after {len(losses)} epochs")
 
 
-def cmd_gen_sequences(config: ExperimentConfig, out: str) -> None:
-    sequences = list(evaluation_walks(config))
-    path = os.path.join(out, "sequences.adpf")
-    save_sequences(path, sequences)
-    n_frames = sum(len(s) for s in sequences)
-    print(f"wrote {path}: {len(sequences)} sequences, {n_frames} frames")
-
-
 def cmd_calibrate_thresholds(config: ExperimentConfig, out: str) -> None:
-    db = database_for(config)
-    thresholds = default_thresholds(db.grid, calibrate_similarity_floor(db))
-    payload = dataclasses.asdict(thresholds)
+    payload = dataclasses.asdict(thresholds_for(database_for(config)))
     path = os.path.join(out, "thresholds.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -177,7 +164,6 @@ def main(argv=None) -> int:
             "build-db": cmd_build_db,
             "train-localizer": cmd_train_localizer,
             "train-predictor": cmd_train_predictor,
-            "gen-sequences": cmd_gen_sequences,
             "calibrate-thresholds": cmd_calibrate_thresholds,
             "run": cmd_run,
         }[args.command]

@@ -3,15 +3,14 @@
 Layout, all little-endian:
 
     magic   4 bytes  b"ADPF"
-    version u16      1 = fingerprint records, 2 = sequence records
+    version u16      1, the only layout
     n_t     u32      angle rows per profile
     n_c     u32      delay columns per profile
     count   u64      record count
 
-Version 1 record: position as two float64 (x, y), then n_t*n_c float32
-pixels row-major. Version 2 appends walk metadata per record: sequence id
-u32, frame index u16, distorted flag u8. Pixels are stored exactly as
-given (float32), so write -> read -> write is byte-identical.
+Record: position as two float64 (x, y), then n_t*n_c float32 pixels
+row-major. Pixels are stored exactly as given (float32), so write -> read
+-> write is byte-identical.
 
 Model checkpoints (localizer and predictor) share a second layout:
 
@@ -32,52 +31,35 @@ import numpy as np
 from .errors import FormatError, TruncatedFile, VersionError
 
 MAGIC = b"ADPF"
-VERSION_FINGERPRINTS = 1
-VERSION_SEQUENCES = 2
+VERSION = 1
 
 _HEADER = struct.Struct("<4sHIIQ")
 
 
-def _record_dtype(version: int, n_t: int, n_c: int) -> np.dtype:
-    fields = [("position", "<f8", (2,)), ("pixels", "<f4", (n_t, n_c))]
-    if version == VERSION_SEQUENCES:
-        fields += [
-            ("sequence_id", "<u4"),
-            ("frame_index", "<u2"),
-            ("distorted", "u1"),
-        ]
-    return np.dtype(fields)
+def _record_dtype(n_t: int, n_c: int) -> np.dtype:
+    return np.dtype([("position", "<f8", (2,)), ("pixels", "<f4", (n_t, n_c))])
 
 
-def write_container(
-    path,
-    version: int,
-    n_t: int,
-    n_c: int,
-    records: np.ndarray,
-) -> None:
-    """Write a structured record array (matching ``record_dtype``) to disk."""
-    if version not in (VERSION_FINGERPRINTS, VERSION_SEQUENCES):
-        raise VersionError(f"unsupported container version {version}")
-    expected = _record_dtype(version, n_t, n_c)
-    if records.dtype != expected:
+def write_container(path, n_t: int, n_c: int, records: np.ndarray) -> None:
+    """Write a structured record array (from ``make_records``) to disk."""
+    if records.dtype != _record_dtype(n_t, n_c):
         raise FormatError("record array dtype does not match container layout")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, version, n_t, n_c, len(records)))
+        fh.write(_HEADER.pack(MAGIC, VERSION, n_t, n_c, len(records)))
         fh.write(records.tobytes())
 
 
-def read_container(path, expect_version: int | None = None):
+def read_container(path):
     """Read an ADPF file.
 
     Returns:
-        (version, n_t, n_c, records) where records is a structured array
-        with fields position/pixels (+ sequence metadata for version 2).
+        (n_t, n_c, records) where records is a structured array with
+        fields position/pixels.
 
     Raises:
         FormatError: bad magic, a profile size of zero or too large for a
             record, or trailing garbage.
-        VersionError: version unsupported or not the expected one.
+        VersionError: any version but 1.
         TruncatedFile: file ends before the declared record count.
     """
     with open(path, "rb") as fh:
@@ -87,14 +69,12 @@ def read_container(path, expect_version: int | None = None):
     magic, version, n_t, n_c, count = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
-    if version not in (VERSION_FINGERPRINTS, VERSION_SEQUENCES):
+    if version != VERSION:
         raise VersionError(f"unsupported container version {version}")
-    if expect_version is not None and version != expect_version:
-        raise VersionError(f"expected version {expect_version}, found {version}")
     if n_t == 0 or n_c == 0:
         raise FormatError(f"empty {n_t}x{n_c} profile size")
     try:
-        dtype = _record_dtype(version, n_t, n_c)
+        dtype = _record_dtype(n_t, n_c)
     except ValueError as exc:  # numpy caps a record's size and dimensions
         raise FormatError(f"profile size {n_t}x{n_c} is too large: {exc}") \
             from exc
@@ -107,12 +87,12 @@ def read_container(path, expect_version: int | None = None):
     if len(body) > need:
         raise FormatError(f"{len(body) - need} trailing bytes after records")
     records = np.frombuffer(body, dtype=dtype, count=count).copy()
-    return version, n_t, n_c, records
+    return n_t, n_c, records
 
 
-def make_records(version: int, n_t: int, n_c: int, count: int) -> np.ndarray:
+def make_records(n_t: int, n_c: int, count: int) -> np.ndarray:
     """Allocate an empty record array with the exact on-disk layout."""
-    return np.zeros(count, dtype=_record_dtype(version, n_t, n_c))
+    return np.zeros(count, dtype=_record_dtype(n_t, n_c))
 
 
 # --- model checkpoints -------------------------------------------------------
@@ -165,7 +145,8 @@ def read_weights(body: bytes, arrays) -> None:
 
     Raises:
         TruncatedFile: fewer bytes than the arrays need.
-        FormatError: bytes left over after the last array.
+        FormatError: a NaN or infinite weight, or bytes left over after the
+            last array.
     """
     offset = 0
     for array in arrays:
@@ -173,6 +154,8 @@ def read_weights(body: bytes, arrays) -> None:
         if offset + nbytes > len(body):
             raise TruncatedFile("checkpoint weights are cut off")
         flat = np.frombuffer(body, dtype="<f4", count=array.size, offset=offset)
+        if not np.isfinite(flat).all():
+            raise FormatError("checkpoint holds a NaN or infinite weight")
         array[...] = flat.reshape(array.shape)
         offset += nbytes
     if offset != len(body):

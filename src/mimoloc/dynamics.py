@@ -8,8 +8,7 @@ mid-walk: blocking the strongest path, blocking the second-strongest,
 or adding a foreign reflection a fixed level below the strongest path.
 Each is one column operation on the distorted rows of a walk's traced
 paths: a blockage clears a column, an addition appends one. A simulated
-walk is one ``FrameSequence`` record of per-frame arrays, saved to and
-loaded from an ADPF version-2 container one column at a time.
+walk is one ``FrameSequence`` record of per-frame arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import container
 from .adp import DftPair, adp_from_csi, build_dft_pair
 from .channel import (
     ArrayConfig,
@@ -29,7 +27,7 @@ from .channel import (
     synthesize_csi,
     trace_paths,
 )
-from .errors import FormatError, NotEnoughPaths
+from .errors import NotEnoughPaths
 from .fingerprint import GridSpec
 
 _DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -83,13 +81,12 @@ class Walk:
 
 @dataclass
 class FrameSequence:
-    """One walk of T frames; len() is T. ``mode`` is None for a walk read
-    from a file, which does not store it."""
+    """One walk of T frames; len() is T."""
 
     positions: np.ndarray  # (T, 2) float64 meters
-    adps: np.ndarray  # (T, n_t, n_c) float32, the persisted precision
+    adps: np.ndarray  # (T, n_t, n_c) float32, the database's precision
     distorted: np.ndarray  # (T,) bool, set where the scenario applies
-    mode: WalkMode | None = None
+    mode: WalkMode
 
     def __len__(self) -> int:
         return len(self.adps)
@@ -199,54 +196,3 @@ def generate_sequence(
         distorted = np.arange(len(positions)) >= distort_from
     adps = adp_from_csi(synthesize_csi(paths, array, ofdm), dft).astype("<f4")
     return FrameSequence(positions, adps, distorted, walk.mode)
-
-
-def save_sequences(path, sequences: list[FrameSequence]) -> None:
-    """Persist sequences to an ADPF version-2 container.
-
-    Sequence ids are assigned by list position. The walk mode is not
-    stored.
-
-    Raises:
-        ValueError: no sequence, or a walk too long for the u16 frame index.
-    """
-    if not sequences:
-        raise ValueError("nothing to save")
-    n_t, n_c = sequences[0].adps.shape[1:]
-    lengths = [len(s) for s in sequences]
-    if max(lengths) > 1 << 16:
-        raise ValueError("a walk is too long for the u16 frame index")
-    records = container.make_records(container.VERSION_SEQUENCES, n_t, n_c,
-                                     sum(lengths))
-    records["position"] = np.concatenate([s.positions for s in sequences])
-    records["pixels"] = np.concatenate([s.adps for s in sequences])
-    records["sequence_id"] = np.repeat(np.arange(len(sequences)), lengths)
-    records["frame_index"] = np.concatenate([np.arange(n) for n in lengths])
-    records["distorted"] = np.concatenate([s.distorted for s in sequences])
-    container.write_container(path, container.VERSION_SEQUENCES, n_t, n_c, records)
-
-
-def load_sequences(path) -> list[FrameSequence]:
-    """Read the sequences of an ADPF version-2 container, by sequence id.
-
-    Records may come in any order; frames are put in index order. The
-    file stores no walk mode, so every ``mode`` is None.
-
-    Raises:
-        FormatError: a sequence whose frame indices are not 0..n-1.
-    """
-    _, _, _, records = container.read_container(
-        path, expect_version=container.VERSION_SEQUENCES
-    )
-    records = records[np.lexsort((records["frame_index"],
-                                  records["sequence_id"]))]
-    _, starts, counts = np.unique(records["sequence_id"], return_index=True,
-                                  return_counts=True)
-    # sorted, frame k of a whole sequence sits k records after its start
-    if np.any(records["frame_index"]
-              != np.arange(len(records)) - np.repeat(starts, counts)):
-        raise FormatError("a sequence's frame indices are not 0..n-1")
-    positions, adps = records["position"], records["pixels"]
-    distorted = records["distorted"] != 0
-    return [FrameSequence(positions[a:b], adps[a:b], distorted[a:b])
-            for a, b in zip(starts, starts + counts)]

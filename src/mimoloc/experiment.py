@@ -296,6 +296,11 @@ def evaluation_walks(config: ExperimentConfig):
                                 array, ofdm, dft)
 
 
+def thresholds_for(db: FingerprintDb) -> Thresholds:
+    """Detection and recovery thresholds calibrated on ``db``."""
+    return default_thresholds(db.grid, calibrate_similarity_floor(db))
+
+
 # --- training jobs -----------------------------------------------------------
 # build_world runs these in helper processes and the CLI's stage commands
 # call them directly, so both train the same models from the same seeds
@@ -468,8 +473,7 @@ def build_world(config: ExperimentConfig, log=None) -> World:
             say("training the localizers in two helper processes")
             helpers[0].send(heads[:1])
             helpers[1].send(heads[1:])
-        thresholds = default_thresholds(db.grid,
-                                        calibrate_similarity_floor(db))
+        thresholds = thresholds_for(db)
         say(f"similarity floor {thresholds.similarity_floor:.4f}")
         trained = [r for results in collect(helpers) for r in results]
     (reg_model, reg_losses), (cls_model, cls_losses) = trained[:2]

@@ -189,14 +189,10 @@ def neighbor_indices_within(db: FingerprintDb, center, radius: float) -> np.ndar
 
 def save_db(db: FingerprintDb, path) -> None:
     """Persist to an ADPF container plus a '<path>.meta.json' sidecar."""
-    records = container.make_records(
-        container.VERSION_FINGERPRINTS, db.n_t, db.n_c, len(db.positions)
-    )
+    records = container.make_records(db.n_t, db.n_c, len(db.positions))
     records["position"] = db.positions
     records["pixels"] = db.adps
-    container.write_container(
-        path, container.VERSION_FINGERPRINTS, db.n_t, db.n_c, records
-    )
+    container.write_container(path, db.n_t, db.n_c, records)
     with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
         json.dump(db.meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -206,15 +202,15 @@ def load_db(path) -> FingerprintDb:
     """Read a database written by ``save_db``.
 
     Raises:
-        FormatError: the container is malformed, or the sidecar is not
-            UTF-8 JSON, lacks a grid ``GridSpec`` accepts, or describes a
-            grid whose point count differs from the record count.
+        FormatError: the container is malformed; the sidecar is not UTF-8
+            JSON, lacks a grid ``GridSpec`` accepts, or describes a grid
+            whose point count differs from the record count; the record
+            positions are not that grid's points in row-major order; or a
+            pixel is NaN, infinite or negative.
         TruncatedFile: the container is cut short.
-        VersionError: the container is not a fingerprint container.
+        VersionError: the container's version is not 1.
     """
-    _, n_t, n_c, records = container.read_container(
-        path, expect_version=container.VERSION_FINGERPRINTS
-    )
+    _, _, records = container.read_container(path)
     sidecar = _sidecar_path(path)
     with open(sidecar, "r", encoding="utf-8") as fh:
         try:
@@ -230,10 +226,15 @@ def load_db(path) -> FingerprintDb:
             f"{sidecar}: grid has {grid.n_points} points, container "
             f"holds {len(records)} records"
         )
+    if not np.array_equal(records["position"], grid.all_positions()):
+        raise FormatError(f"{path}: positions are not the grid's points")
+    pixels = records["pixels"]
+    if not (np.isfinite(pixels) & (pixels >= 0)).all():
+        raise FormatError(f"{path}: a pixel is NaN, infinite or negative")
     return FingerprintDb(
         grid=grid,
         positions=records["position"].astype(np.float64),
-        adps=records["pixels"],
+        adps=pixels,
         meta=meta,
     )
 

@@ -103,9 +103,7 @@ def calibrate_similarity_floor(db: FingerprintDb) -> float:
 
 class DetectionResult(NamedTuple):
     verdict: Verdict
-    position: np.ndarray | None
     best_similarity: float
-    neighbor_count: int
 
 
 def detect_distorted(adp, position, db: FingerprintDb,
@@ -121,22 +119,19 @@ def detect_distorted(adp, position, db: FingerprintDb,
     """
     frame = np.asarray(adp, dtype=np.float64)
     if not np.any(frame):
-        return DetectionResult(Verdict.LOST_LINK, None, 0.0, 0)
-    position = np.asarray(position, dtype=float)
+        return DetectionResult(Verdict.LOST_LINK, 0.0)
     idx = neighbor_indices_within(db, position, thresholds.neighborhood_radius)
     idx = idx[~db.zero_flags[idx]]
     best = float(np.max(similarity(frame, db.adps[idx]), initial=0.0))
     verdict = (Verdict.ACCURATE if best >= thresholds.similarity_floor
                else Verdict.DISTORTED)
-    return DetectionResult(verdict, position, best, int(idx.size))
+    return DetectionResult(verdict, best)
 
 
 class RecoveryResult(NamedTuple):
     position: np.ndarray
     adp: np.ndarray
-    predicted_position: np.ndarray | None
     prediction_weight: float
-    neighbor_count: int
 
 
 def recover_and_locate(measured, predicted, predicted_position,
@@ -175,8 +170,7 @@ def recover_and_locate(measured, predicted, predicted_position,
             raise EmptyNeighborhood(
                 "link lost and the prediction out of history is empty"
             )
-        return RecoveryResult(predicted_position, predicted,
-                              predicted_position, 1.0, 0)
+        return RecoveryResult(predicted_position, predicted, 1.0)
     idx = np.empty(0, dtype=int)
     if prev_position is not None:
         idx = neighbor_indices_within(db, prev_position,
@@ -202,8 +196,7 @@ def recover_and_locate(measured, predicted, predicted_position,
     position = np.einsum("i,ij->j", weights, positions)
     fused = np.einsum("i,ijk->jk", weights, adps)
     prediction_weight = float(weights[-1]) if has_prediction else 0.0
-    return RecoveryResult(position, fused, predicted_position,
-                          prediction_weight, int(idx.size))
+    return RecoveryResult(position, fused, prediction_weight)
 
 
 class Estimates(NamedTuple):
@@ -303,7 +296,7 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
                         f"frame {t}: link lost before any usable frame"
                     )
                 histories[i].append(frame)
-                est.position[i, t] = det.position
+                est.position[i, t] = est.measured_position[i, t]
             else:
                 fix = est.predicted_position[i, t]
                 rec = recover_and_locate(

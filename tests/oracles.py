@@ -478,23 +478,22 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
             predicted_position = localizer(predicted)
         weight = 0.0
         if det.verdict is Verdict.ACCURATE:
-            position = det.position
+            position = fix
             history.append(np.asarray(adp, dtype=np.float64))
         elif not history:
             if det.verdict is Verdict.LOST_LINK:
                 raise EmptyNeighborhood(
                     f"frame {t}: link lost before any usable frame"
                 )
-            position = det.position
+            position = fix
             history.append(np.asarray(adp, dtype=np.float64))
         else:
             rec = recover_and_locate(adp, predicted, predicted_position,
                                      prev_position, db, thresholds)
             position = rec.position
             history.append(rec.adp)
-            predicted_position = rec.predicted_position
             weight = rec.prediction_weight
-        frames.append((position, det.position, predicted_position,
+        frames.append((position, fix, predicted_position,
                        VERDICTS.index(det.verdict), det.best_similarity,
                        weight))
         prev_position = position

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mimoloc.cli import main
-from mimoloc.dynamics import load_sequences
 from mimoloc.experiment import (
     LOCALIZERS,
     ExperimentConfig,
@@ -101,22 +100,6 @@ def test_checkpoints_hold_the_models_of_a_run(config_path, tmp_path):
         assert len(saved[name]) == len(params)
         for p, q in zip(saved[name], params):
             assert np.array_equal(p, q.astype(np.float32)), name
-
-
-def test_gen_sequences(config_path, tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["gen-sequences", "--config", config_path, "--out", out,
-                 "--scenario", "nlos-add"]) == 0
-    sequences = load_sequences(out + "/sequences.adpf")
-    assert len(sequences) == 3
-    assert all(len(s) == 6 for s in sequences)
-    assert any(s.distorted.any() for s in sequences)
-    # exactly the walks a run of the same config evaluates
-    result = run_experiment(ExperimentConfig(**TINY, scenario="nlos-add"))
-    assert np.array_equal(np.stack([s.positions for s in sequences]),
-                          result.truths)
-    assert np.array_equal(np.stack([s.distorted for s in sequences]),
-                          result.distorted)
 
 
 def test_calibrate_thresholds(config_path, tmp_path):
@@ -242,3 +225,12 @@ def test_unknown_flag_exits_2(config_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", config_path, "--grid", "40"])
     assert exc.value.code == 2
+
+
+def test_gen_sequences_is_gone(config_path, tmp_path):
+    # walks are not written to disk: evaluation_walks(config) yields them
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-sequences", "--config", config_path,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import oracles
-from mimoloc import container
 from mimoloc.adp import build_dft_pair, similarity
 from mimoloc.channel import (
     SPEED_OF_LIGHT,
@@ -19,15 +18,12 @@ from mimoloc.channel import (
 from mimoloc.dynamics import (
     DistortionKind,
     DistortionScenario,
-    FrameSequence,
     WalkMode,
     _distort,
     generate_sequence,
-    load_sequences,
     random_walk,
-    save_sequences,
 )
-from mimoloc.errors import FormatError, NotEnoughPaths
+from mimoloc.errors import NotEnoughPaths
 from mimoloc.fingerprint import GridSpec, build_db
 
 from test_channel import make_path, make_paths, row_paths
@@ -290,74 +286,3 @@ class TestGenerateSequence:
         a = generate_sequence(ENV, self.walk(), scenario, 6, ARRAY, OFDM, dft=self.DFT)
         b = generate_sequence(ENV, self.walk(), scenario, 6, ARRAY, OFDM, dft=self.DFT)
         np.testing.assert_array_equal(a.adps, b.adps)
-
-class TestSequencePersistence:
-    def test_round_trip(self, tmp_path):
-        scenario = DistortionScenario(DistortionKind.LOS_BLOCKAGE)
-        seqs = [
-            generate_sequence(
-                ENV, random_walk(GRID, WalkMode.MODE1, 8, s), scenario, 4,
-                ARRAY, OFDM,
-            )
-            for s in (1, 2)
-        ]
-        path = tmp_path / "seqs.adpf"
-        save_sequences(path, seqs)
-        loaded = load_sequences(path)
-        assert len(loaded) == 2
-        for orig, got in zip(seqs, loaded):
-            assert got.mode is None
-            assert got.distorted.tolist() == [i >= 4 for i in range(8)]
-            np.testing.assert_array_equal(orig.adps, got.adps)
-            np.testing.assert_array_equal(orig.positions, got.positions)
-            np.testing.assert_array_equal(orig.distorted, got.distorted)
-        # second save of the loaded data is byte-identical
-        path2 = tmp_path / "seqs2.adpf"
-        save_sequences(path2, loaded)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_walk_too_long_for_the_frame_index_raises(self, tmp_path):
-        n = (1 << 16) + 1
-        seq = FrameSequence(np.zeros((n, 2)), np.zeros((n, 1, 1), "<f4"),
-                            np.zeros(n, dtype=bool))
-        with pytest.raises(ValueError, match="frame index"):
-            save_sequences(tmp_path / "seqs.adpf", [seq])
-
-    @staticmethod
-    def saved_records(tmp_path):
-        """A file of two walks, 5 and 3 frames long, and its records."""
-        seqs = [
-            generate_sequence(
-                ENV, random_walk(GRID, WalkMode.MODE2, n, s),
-                DistortionScenario(DistortionKind.NLOS_BLOCKAGE), 2,
-                ARRAY, OFDM,
-            )
-            for n, s in ((5, 3), (3, 4))
-        ]
-        path = tmp_path / "seqs.adpf"
-        save_sequences(path, seqs)
-        return seqs, path, container.read_container(path)[3]
-
-    def test_shuffled_records_load_in_order(self, tmp_path):
-        seqs, path, records = self.saved_records(tmp_path)
-        shuffled = records[np.random.default_rng(0).permutation(len(records))]
-        assert not np.array_equal(shuffled, records)
-        container.write_container(path, container.VERSION_SEQUENCES, 8, 8,
-                                  shuffled)
-        loaded = load_sequences(path)
-        assert [len(s) for s in loaded] == [5, 3]
-        for orig, got in zip(seqs, loaded):
-            np.testing.assert_array_equal(orig.adps, got.adps)
-            np.testing.assert_array_equal(orig.positions, got.positions)
-            np.testing.assert_array_equal(orig.distorted, got.distorted)
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda r: np.concatenate([r, r[6:7]]),  # frame 1 of walk 1 twice
-        lambda r: np.delete(r, 2),  # walk 0 skips frame 2
-    ], ids=["duplicated-index", "missing-index"])
-    def test_bad_frame_indices_raise(self, tmp_path, corrupt):
-        _, path, records = self.saved_records(tmp_path)
-        container.write_container(path, container.VERSION_SEQUENCES, 8, 8,
-                                  corrupt(records))
-        with pytest.raises(FormatError, match="0..n-1"):
-            load_sequences(path)

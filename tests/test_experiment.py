@@ -14,7 +14,7 @@ import pytest
 from oracles import baseline_track
 
 from mimoloc import experiment, pipeline
-from mimoloc.channel import Environment, Reflector, save_environment
+from mimoloc.channel import Environment, Reflector, format_environment
 from mimoloc.cli import main as cli_main
 from mimoloc.dynamics import WalkMode, generate_sequence, random_walk
 from mimoloc.errors import (
@@ -159,7 +159,7 @@ class TestConfig:
         env = Environment(bs_position=(1.0, 2.0),
                           reflectors=(Reflector((0.0, 5.0), (8.0, 5.0), 0.7),))
         path = tmp_path / "office.env"
-        save_environment(env, path)
+        path.write_text(format_environment(env), encoding="utf-8")
         cfg = ExperimentConfig(environment=str(path))
         cfg.validate()
         loaded = environment_for(cfg)
@@ -190,6 +190,14 @@ class TestRunExperiment:
             assert np.all(np.isfinite(errs))
             assert np.all(errs >= 0.0)
             assert smoke_result.rmse(method).shape == (6,)
+
+    def test_scores_the_walks_of_evaluation_walks(self, smoke_result):
+        walks = list(evaluation_walks(smoke_result.config))
+        assert np.array_equal(np.stack([w.positions for w in walks]),
+                              smoke_result.truths)
+        assert np.array_equal(np.stack([w.distorted for w in walks]),
+                              smoke_result.distorted)
+        assert [w.mode for w in walks] == smoke_result.modes
 
     def test_walk_modes_split(self, smoke_result):
         modes = smoke_result.modes

@@ -35,34 +35,29 @@ ENV = Environment(
 )
 
 
-def _fill_records(version, n_t, n_c, count, rng):
-    recs = container.make_records(version, n_t, n_c, count)
+def _fill_records(n_t, n_c, count, rng):
+    recs = container.make_records(n_t, n_c, count)
     recs["position"] = rng.uniform(-5, 5, size=(count, 2))
     recs["pixels"] = rng.uniform(0, 1, size=(count, n_t, n_c)).astype("<f4")
-    if version == container.VERSION_SEQUENCES:
-        recs["sequence_id"] = rng.integers(0, 4, size=count)
-        recs["frame_index"] = np.arange(count)
-        recs["distorted"] = rng.integers(0, 2, size=count)
     return recs
 
 
 class TestContainer:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_write_read_write_byte_identical(self, tmp_path, version):
+    def test_write_read_write_byte_identical(self, tmp_path):
         rng = np.random.default_rng(1)
-        recs = _fill_records(version, 4, 6, 5, rng)
+        recs = _fill_records(4, 6, 5, rng)
         p1 = tmp_path / "a.adpf"
         p2 = tmp_path / "b.adpf"
-        container.write_container(p1, version, 4, 6, recs)
-        got_version, n_t, n_c, loaded = container.read_container(p1)
-        assert (got_version, n_t, n_c) == (version, 4, 6)
-        container.write_container(p2, version, 4, 6, loaded)
+        container.write_container(p1, 4, 6, recs)
+        n_t, n_c, loaded = container.read_container(p1)
+        assert (n_t, n_c) == (4, 6)
+        container.write_container(p2, 4, 6, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_layout(self, tmp_path):
-        recs = container.make_records(1, 2, 3, 1)
+        recs = container.make_records(2, 3, 1)
         path = tmp_path / "h.adpf"
-        container.write_container(path, 1, 2, 3, recs)
+        container.write_container(path, 2, 3, recs)
         raw = path.read_bytes()
         assert raw[:4] == b"ADPF"
         assert int.from_bytes(raw[4:6], "little") == 1
@@ -84,17 +79,20 @@ class TestContainer:
         with pytest.raises(VersionError):
             container.read_container(path)
 
-    def test_version_mismatch(self, tmp_path):
-        recs = container.make_records(2, 2, 2, 1)
+    def test_version_2_is_unsupported(self, tmp_path):
+        # the retired walk layout: each record also held a sequence id
+        # (u32), a frame index (u16) and a distorted flag (u8)
         path = tmp_path / "v2.adpf"
-        container.write_container(path, 2, 2, 2, recs)
+        path.write_bytes(b"ADPF" + (2).to_bytes(2, "little")
+                         + (2).to_bytes(4, "little") + (2).to_bytes(4, "little")
+                         + (1).to_bytes(8, "little") + bytes(16 + 16 + 7))
         with pytest.raises(VersionError):
-            container.read_container(path, expect_version=1)
+            container.read_container(path)
 
     def test_truncated(self, tmp_path):
-        recs = container.make_records(1, 4, 4, 3)
+        recs = container.make_records(4, 4, 3)
         path = tmp_path / "t.adpf"
-        container.write_container(path, 1, 4, 4, recs)
+        container.write_container(path, 4, 4, recs)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(TruncatedFile):
@@ -103,11 +101,10 @@ class TestContainer:
         with pytest.raises(TruncatedFile):
             container.read_container(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_every_cut_raises_truncated(self, tmp_path, version):
-        recs = _fill_records(version, 2, 3, 2, np.random.default_rng(2))
+    def test_every_cut_raises_truncated(self, tmp_path):
+        recs = _fill_records(2, 3, 2, np.random.default_rng(2))
         path = tmp_path / "c.adpf"
-        container.write_container(path, version, 2, 3, recs)
+        container.write_container(path, 2, 3, recs)
         raw = path.read_bytes()
         container.read_container(path)  # the uncut file loads
         for size in range(len(raw)):
@@ -129,9 +126,9 @@ class TestContainer:
             container.read_container(path)
 
     def test_trailing_garbage(self, tmp_path):
-        recs = container.make_records(1, 4, 4, 1)
+        recs = container.make_records(4, 4, 1)
         path = tmp_path / "g.adpf"
-        container.write_container(path, 1, 4, 4, recs)
+        container.write_container(path, 4, 4, recs)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
             container.read_container(path)
@@ -262,6 +259,26 @@ class TestBuildDb:
             meta.write_bytes(sidecar)
         else:
             meta.write_text(sidecar)
+        with pytest.raises(FormatError):
+            load_db(path)
+
+
+    @pytest.mark.parametrize("field,index,value", [
+        ("position", (1, 0), np.nan),
+        ("position", (1,), (100.0, 100.0)),
+        ("pixels", (2, 0, 0), np.inf),
+        ("pixels", (2, 0, 0), -1e-3),
+    ], ids=["nan-position", "off-grid-position", "inf-pixel",
+            "negative-pixel"])
+    def test_record_contradicting_the_grid_is_a_format_error(
+            self, tmp_path, field, index, value):
+        grid = GridSpec(origin=(2.0, -2.0), spacing=1.0, n_rows=4, n_cols=4)
+        path = tmp_path / "db.adpf"
+        save_db(build_db(ENV, grid, ARRAY, OFDM), path)
+        load_db(path)  # the file as saved loads
+        n_t, n_c, records = container.read_container(path)
+        records[field][index] = value
+        container.write_container(path, n_t, n_c, records)
         with pytest.raises(FormatError):
             load_db(path)
 

@@ -839,6 +839,23 @@ class TestCorruptCheckpoints:
                 load(cut)
             assert isinstance(info.value, TruncatedFile), (size, info.value)
 
+    @pytest.mark.parametrize("save,magic,load", [
+        (save_small_classifier, CHECKPOINT_MAGIC, load_model),
+        (save_small_recurrent, PREDICTOR_MAGIC, load_predictor),
+    ], ids=["model", "predictor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_is_a_format_error(self, tmp_path, save, magic,
+                                                 load, value):
+        # ReLU maps a NaN to 0, so a model would load and answer wrongly
+        path = tmp_path / "w.ckpt"
+        save(path)
+        raw = bytearray(path.read_bytes())
+        first = len(raw) - len(read_checkpoint(path, magic, 1)[1])
+        raw[first:first + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            load(path)
+
     @pytest.mark.parametrize("magic,load", [
         (CHECKPOINT_MAGIC, load_model),
         (PREDICTOR_MAGIC, load_predictor),
