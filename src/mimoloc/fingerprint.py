@@ -34,6 +34,11 @@ META_FORMAT_VERSION = 1
 # peaks near 36 MB; larger blocks are no faster
 BUILD_BLOCK = 64
 
+# prints per float64 pass over a whole database (the print norms, the
+# threshold calibration): a pass copies 128 kB of 16x16 profiles, where
+# one pass over a 40x40 grid would copy 3.3 MB
+PRINT_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -111,6 +116,10 @@ class FingerprintDb:
         positions: (n_points, 2) float64, row-major grid order.
         adps: (n_points, n_t, n_c) float32 profiles.
         meta: build configs; round-trips through the JSON sidecar.
+        zero_flags: (n_points,) bool, True for an all-zero profile.
+        norms: (n_points,) float64 Frobenius norm of each profile, taken
+            as ``adp.similarity`` takes the norms of a stack, so a
+            similarity against any subset of prints can reuse them.
     """
 
     grid: GridSpec
@@ -121,7 +130,13 @@ class FingerprintDb:
     def __post_init__(self):
         # Zero-profile points (no traced paths) stay in the database but are
         # flagged so similarity-based consumers can skip them.
-        self.zero_flags = ~self.adps.reshape(len(self.adps), -1).any(axis=1)
+        flat = self.adps.reshape(len(self.adps), -1)
+        self.zero_flags = ~flat.any(axis=1)
+        self.norms = np.zeros(len(flat))
+        for start in range(0, len(flat), PRINT_BLOCK):
+            block = slice(start, start + PRINT_BLOCK)
+            rows = flat[block].astype(np.float64)
+            self.norms[block] = np.linalg.norm(rows, axis=1)
 
     @property
     def n_t(self) -> int:
@@ -205,12 +220,14 @@ def load_db(path) -> FingerprintDb:
         FormatError: the container is malformed; the sidecar is not UTF-8
             JSON, lacks a grid ``GridSpec`` accepts, or describes a grid
             whose point count differs from the record count; the record
-            positions are not that grid's points in row-major order; or a
-            pixel is NaN, infinite or negative.
+            positions are not that grid's points in row-major order; the
+            sidecar's ``array.n_antennas`` or ``ofdm.n_subcarriers``
+            differs from the container's profile size; or a pixel is NaN,
+            infinite or negative.
         TruncatedFile: the container is cut short.
         VersionError: the container's version is not 1.
     """
-    _, _, records = container.read_container(path)
+    n_t, n_c, records = container.read_container(path)
     sidecar = _sidecar_path(path)
     with open(sidecar, "r", encoding="utf-8") as fh:
         try:
@@ -228,6 +245,15 @@ def load_db(path) -> FingerprintDb:
         )
     if not np.array_equal(records["position"], grid.all_positions()):
         raise FormatError(f"{path}: positions are not the grid's points")
+    try:
+        sizes = (meta["array"]["n_antennas"], meta["ofdm"]["n_subcarriers"])
+    except (LookupError, TypeError) as exc:
+        raise FormatError(f"{sidecar}: no profile size: {exc!r}") from exc
+    if sizes != (n_t, n_c):
+        raise FormatError(
+            f"{sidecar}: describes {sizes[0]}x{sizes[1]} profiles, the "
+            f"container holds {n_t}x{n_c}"
+        )
     pixels = records["pixels"]
     if not (np.isfinite(pixels) & (pixels >= 0)).all():
         raise FormatError(f"{path}: a pixel is NaN, infinite or negative")

@@ -14,15 +14,17 @@ the matching forward and is held to finite-difference checks in the tests.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .adp import similarity
+from .adp import similarity  # noqa: F401  (perfbench's tracer wraps it here)
 from .container import read_checkpoint, read_weights, write_checkpoint
 from .errors import DimensionMismatch, DivergedLoss, FormatError, check_int
 from .fingerprint import FingerprintDb
+from .pipeline import stacked_similarity
 
 CHECKPOINT_MAGIC = b"NNCK"
 CHECKPOINT_VERSION = 1
@@ -277,10 +279,14 @@ class Relu(Layer):
         return {"kind": "relu"}
 
     def forward(self, x, train: bool = True):
-        mask = x > 0
         if train:
-            self._cache = mask
-        return np.where(mask, x, 0.0)
+            self._cache = x > 0
+        # where(x > 0, x, 0) in two cheap passes: fmax maps NaN to +0.0,
+        # and adding 0.0 turns the -0.0 that fmax keeps in its scalar tail
+        # loop into +0.0
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grad):
         return grad * self._cache
@@ -712,6 +718,32 @@ def print_cells(model: Model, db: FingerprintDb):
                                             db.grid.extent())
 
 
+def _wknn(adps, members, db: FingerprintDb, k: int):
+    """Fuse, for each profile of a stack, the k prints of ``members`` most
+    similar to it.
+
+    One ``stacked_similarity`` product scores the whole (g, n_t, n_c)
+    float64 stack against the members, the same rows for every profile.
+    Returns (positions (g, 2), chosen prints (g, k'), weights (g, k')),
+    k' = min(k, len(members)); row j is what profile j gets alone.
+    """
+    if adps.shape[1:] != db.adps.shape[1:]:
+        raise DimensionMismatch(
+            f"profile shapes {adps.shape[1:]} vs {db.adps.shape[1:]}")
+    size = math.prod(db.adps.shape[1:])
+    rows = db.adps[members].astype(np.float64).reshape(len(members), size)
+    sims = stacked_similarity(adps.reshape(len(adps), size), rows,
+                              db.norms[members])
+    order = np.lexsort((np.broadcast_to(members, sims.shape), -sims),
+                       axis=-1)[:, :min(k, len(members))]
+    chosen = members[order]
+    w = sims[np.arange(len(sims))[:, None], order]
+    total = w.sum(axis=-1, keepdims=True)
+    w = np.divide(w, total, out=np.full_like(w, 1.0 / w.shape[1]),
+                  where=total > 0)
+    return (w[:, None, :] @ db.positions[chosen])[:, 0], chosen, w
+
+
 def classify_then_wknn(model: Model, adp: np.ndarray, db: FingerprintDb,
                        k: int = 3, probs=None, cells=None) -> WknnResult:
     """Pick the most likely cell, then fuse the k most similar prints in it.
@@ -722,25 +754,19 @@ def classify_then_wknn(model: Model, adp: np.ndarray, db: FingerprintDb,
     (flagged in the result). A zero total similarity degrades to uniform
     weights. ``probs`` (the model's output for ``adp``) and ``cells``
     (``print_cells(model, db)``) are computed here unless the caller has
-    them already.
+    them already. The refinement is ``_wknn`` on a stack of one.
     """
     if probs is None:
         probs = forward(model, adp)
     usable, cell_of_print = cells if cells is not None else print_cells(
         model, db)
     members = usable[cell_of_print == int(np.argmax(probs))]
-    used_fallback = False
-    if len(members) == 0:
+    used_fallback = len(members) == 0
+    if used_fallback:
         members = usable
-        used_fallback = True
-    sims = similarity(adp, db.adps[members])
-    order = np.lexsort((members, -sims))[: min(k, len(members))]
-    chosen = members[order]
-    w = sims[order]
-    total = w.sum()
-    w = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
-    position = w @ db.positions[chosen]
-    return WknnResult(position, chosen, w, used_fallback)
+    position, chosen, w = _wknn(np.asarray(adp, dtype=np.float64)[None],
+                                members, db, k)
+    return WknnResult(position[0], chosen[0], w[0], used_fallback)
 
 
 # --- localizer adapters ----------------------------------------------------
@@ -771,8 +797,11 @@ class RegressionLocalizer:
 class ClassifierWknnLocalizer:
     """Callable adp -> position using cell classification + refinement.
 
-    One forward pass classifies a whole stack; each profile is then
-    refined on its own. The cell of every usable print is computed once.
+    One forward pass classifies a whole stack, and the profiles that land
+    in one cell are refined together, in one product against that cell's
+    prints. A profile whose cell has no usable print falls back to
+    ``classify_then_wknn`` on its own. The cell of every usable print is
+    computed once.
     """
 
     def __init__(self, model: Model, db: FingerprintDb, k: int = 3):
@@ -784,15 +813,23 @@ class ClassifierWknnLocalizer:
         self.cells = print_cells(model, db)
 
     def __call__(self, adp: np.ndarray) -> np.ndarray:
-        adps = np.asarray(adp)
-        probs = forward(self.model, adps)
-        if adps.ndim == 2:
-            return self._refine(adps, probs)
-        return np.stack([self._refine(a, p) for a, p in zip(adps, probs)])
-
-    def _refine(self, adp, probs) -> np.ndarray:
-        return classify_then_wknn(self.model, adp, self.db, self.k, probs,
-                                  self.cells).position
+        adps = np.asarray(adp, dtype=np.float64)
+        stack = adps.reshape((-1,) + adps.shape[-2:])
+        probs = forward(self.model, stack)
+        picked = np.argmax(probs, axis=1)
+        usable, cell_of_print = self.cells
+        out = np.empty((len(stack), 2))
+        for cell in np.unique(picked):
+            sel = np.flatnonzero(picked == cell)
+            members = usable[cell_of_print == cell]
+            if len(members):
+                out[sel] = _wknn(stack[sel], members, self.db, self.k)[0]
+            else:  # an empty cell: each profile falls back on its own
+                for j in sel:
+                    out[j] = classify_then_wknn(self.model, stack[j], self.db,
+                                                self.k, probs[j],
+                                                self.cells).position
+        return out[0] if adps.ndim == 2 else out
 
 
 # --- checkpoints -----------------------------------------------------------

@@ -15,10 +15,21 @@ record, ``Estimates``. Localizers and predictors are plain callables here
 (a stack of profiles in, a stack of positions out; a stack of
 equal-length histories in, a stack of predicted profiles out), so the
 pieces can be swapped or faked independently.
+
+Detection, recovery and the threshold calibration score frames against
+database prints through one stacked kernel: ``neighbors_each`` finds the
+prints around many centers in one pass, and ``score_lists`` scores each
+frame against its own list of rows, with one matrix-vector product per
+frame in a stack of frames whose lists have one length. The print norms
+are ``FingerprintDb.norms``. Every similarity equals, bit for bit, the one
+``adp.similarity`` gives for that frame and those rows, so a time step's
+frames are judged, and its untrusted frames recovered, in one pass each,
+and every walk still gets the estimates it gets alone.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -26,9 +37,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adp import similarity
-from .errors import EmptyNeighborhood, LengthMismatch, check_positive
-from .fingerprint import FingerprintDb, GridSpec, neighbor_indices_within
+# ``similarity`` and ``neighbor_indices_within`` are the one-frame forms of
+# the stacked kernel below; they stay importable here, where perfbench's
+# tracer wraps them
+from .adp import similarity  # noqa: F401
+from .errors import (
+    DimensionMismatch,
+    EmptyNeighborhood,
+    LengthMismatch,
+    ZeroAdp,
+    check_positive,
+)
+from .fingerprint import (  # noqa: F401
+    PRINT_BLOCK,
+    FingerprintDb,
+    GridSpec,
+    neighbor_indices_within,
+)
+
+# float64 bytes a stacked pass may gather at most (about 1 MB), so a
+# time step's transient stacks stay that small at any grid size
+STACK_BYTES = 1 << 20
 
 
 class Verdict(Enum):
@@ -40,6 +69,7 @@ class Verdict(Enum):
 
 
 VERDICTS = tuple(Verdict)  # ``Estimates.verdict`` indexes this
+ACCURATE, DISTORTED, LOST_LINK = (VERDICTS.index(v) for v in Verdict)
 
 
 @dataclass(frozen=True)
@@ -71,6 +101,96 @@ def default_thresholds(grid: GridSpec, similarity_floor: float) -> Thresholds:
     return Thresholds(3.0 * grid.spacing, similarity_floor, 2.0 * grid.spacing)
 
 
+def neighbors_each(db: FingerprintDb, centers, radius: float) -> list:
+    """The identifiable prints within ``radius`` of each of ``centers``.
+
+    Entry i is ``neighbor_indices_within(db, centers[i], radius)`` without
+    the zero-profile prints: sorted by distance, computed as there, ties
+    broken by row-major grid order. A NaN center has no neighbors. The
+    distances to all prints are taken for a pass of centers at a time,
+    the pass's two (centers, prints) arrays ``STACK_BYTES`` at most.
+    """
+    if radius < 0.0:
+        raise ValueError("radius must be nonnegative")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    x, y = db.positions.T
+    step = max(1, STACK_BYTES // (16 * max(len(x), 1)))
+    out = []
+    for start in range(0, len(centers), step):
+        block = centers[start:start + step]
+        # in place, the terms and the sum np.linalg.norm(positions - c,
+        # axis=1) takes
+        dist = x - block[:, :1]
+        dy = y - block[:, 1:]
+        dist *= dist
+        dy *= dy
+        dist += dy
+        np.sqrt(dist, out=dist)
+        rows, cols = np.nonzero((dist <= radius) & ~db.zero_flags)
+        order = np.lexsort((cols, dist[rows, cols], rows))
+        counts = np.bincount(rows, minlength=len(block))
+        out += np.split(cols[order], np.cumsum(counts)[:-1])
+    return out
+
+
+def stacked_similarity(frames, rows, row_norms) -> np.ndarray:
+    """``adp.similarity`` of each of g frames against its own k rows.
+
+    ``frames`` is (g, D) float64, one flattened profile per row; ``rows``
+    is (g, k, D) float64, k rows for each frame, or (k, D) shared by every
+    frame; ``row_norms`` holds the rows' norms, (g, k) or (k,), taken as
+    ``similarity`` takes them (``FingerprintDb.norms`` for prints). Each
+    frame's k rows are one matrix-vector product of the stack, so row j
+    of the (g, k) result is bit for bit ``similarity(frames[j], rows[j])``
+    (tests/test_numerics.py pins the identities this rests on).
+
+    Raises:
+        ZeroAdp: if a frame or a row has zero norm.
+    """
+    # np.linalg.norm of one vector is sqrt(x.dot(x)), as similarity takes it
+    frame_norms = np.sqrt([f.dot(f) for f in frames])
+    if np.any(frame_norms == 0.0) or np.any(row_norms == 0.0):
+        raise ZeroAdp("similarity against an all-zero profile")
+    dots = (rows @ frames[:, :, None])[:, :, 0]
+    return np.clip(dots / (frame_norms[:, None] * row_norms), 0.0, 1.0)
+
+
+def score_lists(frames, lists, table, norms) -> list:
+    """``similarity(frames[i], table[lists[i]])`` for every i, stacked.
+
+    ``table`` is (N, n_t, n_c), ``norms`` its (N,) row norms and
+    ``lists[i]`` the rows frame i is scored against, in order. Frames
+    whose lists have one length are scored in one ``stacked_similarity``
+    pass (several when the rows gathered would exceed ``STACK_BYTES``),
+    each frame against exactly its own rows.
+
+    Raises:
+        DimensionMismatch: if the frames are not shaped like the rows.
+        ZeroAdp: if a frame or a listed row is all zero.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[1:] != table.shape[1:]:
+        raise DimensionMismatch(
+            f"profile shapes {frames.shape[1:]} vs {table.shape[1:]}")
+    size = math.prod(table.shape[1:])
+    flat = frames.reshape(len(frames), size)
+    table = table.reshape(len(table), size)
+    sizes = np.array([len(idx) for idx in lists], dtype=int)
+    out = [None] * len(lists)
+    for k in np.unique(sizes):
+        group = np.flatnonzero(sizes == k)
+        step = max(1, STACK_BYTES // (8 * max(k * size, 1)))
+        for start in range(0, len(group), step):
+            sel = group[start:start + step]
+            idx = np.array([lists[j] for j in sel], dtype=int)
+            idx = idx.reshape(len(sel), k)
+            sims = stacked_similarity(
+                flat[sel], table[idx].astype(np.float64), norms[idx])
+            for j, row in zip(sel, sims):
+                out[j] = row
+    return out
+
+
 def calibrate_similarity_floor(db: FingerprintDb) -> float:
     """Derive the detection similarity floor from the database itself.
 
@@ -85,17 +205,21 @@ def calibrate_similarity_floor(db: FingerprintDb) -> float:
     is too mild to hurt the localizer, and rebuilding those replaces a
     good estimate with a worse one.
 
+    The points are scored with ``score_lists``, ``PRINT_BLOCK`` at a
+    time.
+
     Raises:
         EmptyNeighborhood: if no grid point has a neighbor in range.
     """
     radius = 3.0 * db.grid.spacing
+    points = np.flatnonzero(~db.zero_flags)
     maxima = []
-    for i in np.flatnonzero(~db.zero_flags):
-        idx = neighbor_indices_within(db, db.positions[i], radius)
-        idx = idx[(idx != i) & ~db.zero_flags[idx]]
-        if idx.size == 0:
-            continue
-        maxima.append(similarity(db.adps[i], db.adps[idx]).max())
+    for start in range(0, len(points), PRINT_BLOCK):
+        block = points[start:start + PRINT_BLOCK]
+        lists = [idx[idx != i] for idx, i in
+                 zip(neighbors_each(db, db.positions[block], radius), block)]
+        sims = score_lists(db.adps[block], lists, db.adps, db.norms)
+        maxima += [s.max() for s in sims if s.size]
     if not maxima:
         raise EmptyNeighborhood("no grid point has a neighbor within the radius")
     return float(np.percentile(maxima, 1.0))
@@ -106,26 +230,45 @@ class DetectionResult(NamedTuple):
     best_similarity: float
 
 
+def detect_each(frames, positions, db: FingerprintDb,
+                thresholds: Thresholds):
+    """Judge each frame of a stack, given the localizer's fix of each.
+
+    An all-zero frame is ``LOST_LINK``, and its position is not read (it
+    can be NaN). Every other frame is compared against the identifiable
+    database entries within the detection radius of its fix, all frames in
+    one ``score_lists`` pass: ``ACCURATE`` when the best similarity
+    reaches the floor, ``DISTORTED`` when it does not (in particular when
+    there are no neighbors at all to vouch for it).
+
+    Returns:
+        (verdicts, best similarities): (n,) int8 indices into ``VERDICTS``
+        and (n,) float64, 0 for a lost link.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    live = frames.any(axis=tuple(range(1, frames.ndim)))
+    lists = neighbors_each(db, np.asarray(positions, dtype=float)[live],
+                           thresholds.neighborhood_radius)
+    best = np.zeros(len(frames))
+    best[live] = [np.max(s, initial=0.0) for s in
+                  score_lists(frames[live], lists, db.adps, db.norms)]
+    verdicts = np.where(best >= thresholds.similarity_floor, ACCURATE,
+                        DISTORTED).astype(np.int8)
+    verdicts[~live] = LOST_LINK
+    return verdicts, best
+
+
 def detect_distorted(adp, position, db: FingerprintDb,
                      thresholds: Thresholds) -> DetectionResult:
     """Judge one measured frame, given the localizer's fix of it.
 
-    An all-zero frame is ``LOST_LINK``, and its ``position`` is not read
-    (it can be None). Otherwise the frame is compared against
-    identifiable database entries within the detection radius of its
-    fix: ``ACCURATE`` when the best similarity reaches the floor,
-    ``DISTORTED`` when it does not (in particular when there are no
-    neighbors at all to vouch for it).
+    ``detect_each`` on a stack of one; ``position`` can be None for an
+    all-zero frame, which is ``LOST_LINK``.
     """
-    frame = np.asarray(adp, dtype=np.float64)
-    if not np.any(frame):
-        return DetectionResult(Verdict.LOST_LINK, 0.0)
-    idx = neighbor_indices_within(db, position, thresholds.neighborhood_radius)
-    idx = idx[~db.zero_flags[idx]]
-    best = float(np.max(similarity(frame, db.adps[idx]), initial=0.0))
-    verdict = (Verdict.ACCURATE if best >= thresholds.similarity_floor
-               else Verdict.DISTORTED)
-    return DetectionResult(verdict, best)
+    fix = np.full(2, np.nan) if position is None else position
+    verdicts, best = detect_each(np.asarray(adp, dtype=np.float64)[None],
+                                 [fix], db, thresholds)
+    return DetectionResult(VERDICTS[verdicts[0]], float(best[0]))
 
 
 class RecoveryResult(NamedTuple):
@@ -134,69 +277,114 @@ class RecoveryResult(NamedTuple):
     prediction_weight: float
 
 
-def recover_and_locate(measured, predicted, predicted_position,
-                       prev_position, db: FingerprintDb,
-                       thresholds: Thresholds) -> RecoveryResult:
-    """Rebuild position and profile for a frame that cannot be trusted.
+def recover_each(frames, predicted, predicted_positions, prev_positions,
+                 db: FingerprintDb, thresholds: Thresholds):
+    """Rebuild position and profile for each frame of a stack that cannot
+    be trusted.
 
-    ``predicted`` is the frame a predictor extrapolated from recent
-    history and ``predicted_position`` the localizer's fix of it, or None
-    when the prediction is empty (all zero) and so unusable. Fusion
-    candidates are the identifiable database entries within the recovery
-    radius of the previous position, plus the predicted frame itself at
-    its fix. Every candidate is weighted by its similarity to the
-    measured frame, distorted as it is: the distortion usually leaves
-    part of the profile intact, and that part votes for the right
-    candidates. Weights are normalized to sum to one; if every similarity
-    is zero the candidates are weighted uniformly. The fused position and
-    profile are the weighted means.
+    ``predicted`` holds the frames a predictor extrapolated from each
+    frame's recent history and ``predicted_positions`` the localizer's
+    fixes of them, a NaN row where the prediction is empty (all zero) and
+    so unusable; ``prev_positions`` are the previous positions, a NaN row
+    where there is none. Fusion candidates of a frame are the identifiable
+    database entries within the recovery radius of its previous position,
+    plus its predicted frame at its fix. Every candidate is weighted by
+    its similarity to the measured frame, distorted as it is: the
+    distortion usually leaves part of the profile intact, and that part
+    votes for the right candidates. Weights are normalized to sum to one;
+    if every similarity is zero the candidates are weighted uniformly. The
+    fused position and profile are the weighted means.
 
     A measured frame with no energy carries no vote at all, so recovery
     falls back to the prediction alone: its localized position and the
     predicted profile are returned as they are.
+
+    The similarities of all frames are taken in one ``score_lists`` pass
+    over the database candidates and one over the predictions; each
+    frame's weights are then normalized and fused on its own.
+
+    Returns:
+        (positions, profiles, prediction weights): (n, 2), the frames'
+        shape and (n,) float64, the last the prediction's share of each
+        fusion.
+
+    Raises:
+        EmptyNeighborhood: for the first frame, in stack order, without
+            candidates (no identifiable database entry in range and no
+            usable prediction), or a lost link without a usable
+            prediction.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    predicted_positions = np.asarray(predicted_positions, dtype=float)
+    has_prediction = ~np.isnan(predicted_positions[:, 0])
+    live = frames.any(axis=tuple(range(1, frames.ndim)))
+    lists = neighbors_each(db, np.asarray(prev_positions, dtype=float)[live],
+                           thresholds.recovery_radius)
+    db_sims = score_lists(frames[live], lists, db.adps, db.norms)
+    voting = np.flatnonzero(live & has_prediction)
+    prediction_sims = np.zeros(len(frames))
+    if voting.size:
+        votes = predicted[voting]
+        norms = np.linalg.norm(votes.reshape(len(votes), -1), axis=1)
+        prediction_sims[voting] = np.concatenate(score_lists(
+            frames[voting], np.arange(len(voting))[:, None], votes, norms))
+    positions = np.empty((len(frames), 2))
+    fused = np.empty(frames.shape)
+    shares = np.zeros(len(frames))
+    for i, rank in enumerate(np.cumsum(live) - 1):
+        if not live[i]:
+            if not has_prediction[i]:
+                raise EmptyNeighborhood(
+                    "link lost and the prediction out of history is empty"
+                )
+            positions[i], fused[i], shares[i] = (predicted_positions[i],
+                                                 predicted[i], 1.0)
+            continue
+        weights = db_sims[rank]
+        candidates = db.positions[lists[rank]]
+        adps = db.adps[lists[rank]].astype(np.float64)
+        if has_prediction[i]:
+            weights = np.append(weights, prediction_sims[i])
+            candidates = np.vstack([candidates, predicted_positions[i]])
+            adps = np.concatenate([adps, predicted[i][None]])
+        if not weights.size:
+            raise EmptyNeighborhood(
+                "no database entries near the previous position and no "
+                "usable prediction"
+            )
+        total = float(weights.sum())
+        if total > 0.0:
+            weights = weights / total
+        else:
+            weights = np.full(weights.size, 1.0 / weights.size)
+        positions[i] = np.einsum("i,ij->j", weights, candidates)
+        fused[i] = np.einsum("i,ijk->jk", weights, adps)
+        shares[i] = weights[-1] if has_prediction[i] else 0.0
+    return positions, fused, shares
+
+
+def recover_and_locate(measured, predicted, predicted_position,
+                       prev_position, db: FingerprintDb,
+                       thresholds: Thresholds) -> RecoveryResult:
+    """Rebuild position and profile for one frame that cannot be trusted.
+
+    ``recover_each`` on a stack of one; ``predicted_position`` is None
+    when the prediction is empty, and ``prev_position`` None when there is
+    no previous position.
 
     Raises:
         EmptyNeighborhood: no candidates (no identifiable database entry
             in range and no usable prediction), or a lost link without a
             usable prediction.
     """
-    frame = np.asarray(measured, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.float64)
-    has_prediction = predicted_position is not None
-    if has_prediction:
-        predicted_position = np.asarray(predicted_position, dtype=float)
-    if not np.any(frame):
-        if not has_prediction:
-            raise EmptyNeighborhood(
-                "link lost and the prediction out of history is empty"
-            )
-        return RecoveryResult(predicted_position, predicted, 1.0)
-    idx = np.empty(0, dtype=int)
-    if prev_position is not None:
-        idx = neighbor_indices_within(db, prev_position,
-                                      thresholds.recovery_radius)
-        idx = idx[~db.zero_flags[idx]]
-    positions = db.positions[idx]
-    adps = db.adps[idx].astype(np.float64)
-    weights = similarity(frame, adps)
-    if has_prediction:
-        weights = np.append(weights, similarity(frame, predicted))
-        positions = np.vstack([positions, predicted_position])
-        adps = np.concatenate([adps, predicted[None]])
-    if not weights.size:
-        raise EmptyNeighborhood(
-            "no database entries near the previous position and no usable "
-            "prediction"
-        )
-    total = float(weights.sum())
-    if total > 0.0:
-        weights /= total
-    else:
-        weights = np.full(weights.size, 1.0 / weights.size)
-    position = np.einsum("i,ij->j", weights, positions)
-    fused = np.einsum("i,ijk->jk", weights, adps)
-    prediction_weight = float(weights[-1]) if has_prediction else 0.0
-    return RecoveryResult(position, fused, prediction_weight)
+    nan = np.full(2, np.nan)
+    positions, fused, shares = recover_each(
+        np.asarray(measured, dtype=np.float64)[None],
+        np.asarray(predicted, dtype=np.float64)[None],
+        [nan if predicted_position is None else predicted_position],
+        [nan if prev_position is None else prev_position], db, thresholds)
+    return RecoveryResult(positions[0], fused[0], float(shares[0]))
 
 
 class Estimates(NamedTuple):
@@ -247,10 +435,12 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
     one walk is a list of one. They are stepped together: at each time
     step the localizer locates the frames with energy of every walk in one
     call, the predictor predicts every walk's history in one call, and the
-    localizer locates the nonempty predictions in one more. Every walk is
-    then judged and recovered on its own, and its estimates are those it
-    would get alone, since a localizer or predictor answers each row of a
-    stack as it would answer that row by itself.
+    localizer locates the nonempty predictions in one more. The step's
+    frames are then judged in one ``detect_each`` pass and its untrusted
+    frames recovered in one ``recover_each`` pass. Every walk's estimates
+    are those it would get alone, since a localizer or predictor answers
+    each row of a stack as it would answer that row by itself, and the
+    stacked scoring gives each frame the similarities it gets alone.
 
     Accurate frames, and an untrusted first frame, which has no history to
     predict from, feed a walk's rolling history as measured; every later
@@ -285,24 +475,25 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
         if t > 0:  # every history holds min(t, history_length) frames
             predicted = predictor(np.stack([np.stack(h) for h in histories]))
             est.predicted_position[:, t] = locate_each(localizer, predicted)
-        for i, frame in enumerate(frames):
-            det = detect_distorted(frame, est.measured_position[i, t], db,
-                                   thresholds)
-            est.verdict[i, t] = VERDICTS.index(det.verdict)
-            est.best_similarity[i, t] = det.best_similarity
-            if det.verdict is Verdict.ACCURATE or t == 0:
-                if det.verdict is Verdict.LOST_LINK:
-                    raise EmptyNeighborhood(
-                        f"frame {t}: link lost before any usable frame"
-                    )
-                histories[i].append(frame)
-                est.position[i, t] = est.measured_position[i, t]
-            else:
-                fix = est.predicted_position[i, t]
-                rec = recover_and_locate(
-                    frame, predicted[i], None if np.isnan(fix[0]) else fix,
-                    est.position[i, t - 1], db, thresholds)
-                histories[i].append(rec.adp)
-                est.position[i, t] = rec.position
-                est.prediction_weight[i, t] = rec.prediction_weight
+        verdicts, est.best_similarity[:, t] = detect_each(
+            frames, est.measured_position[:, t], db, thresholds)
+        est.verdict[:, t] = verdicts
+        trusted = verdicts == ACCURATE
+        if t == 0:  # no history to recover from: keep the untrusted fix
+            if (verdicts == LOST_LINK).any():
+                raise EmptyNeighborhood(
+                    f"frame {t}: link lost before any usable frame"
+                )
+            trusted[:] = True
+        est.position[trusted, t] = est.measured_position[trusted, t]
+        redo = np.flatnonzero(~trusted)
+        if redo.size:  # the histories get the rebuilt profiles
+            positions, frames[redo], weights = recover_each(
+                frames[redo], predicted[redo],
+                est.predicted_position[redo, t], est.position[redo, t - 1],
+                db, thresholds)
+            est.position[redo, t] = positions
+            est.prediction_weight[redo, t] = weights
+        for history, frame in zip(histories, frames):
+            history.append(frame)
     return est

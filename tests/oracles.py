@@ -4,8 +4,10 @@ Most of this is written directly from the interface contracts with scalar
 arithmetic, deliberately not reusing the package's vectorized code. The
 reference layers, the trainers that prepare every batch on their own
 (``train``, ``train_predictor``), ``baseline_track``, ``detect_peaks``,
-``gaussian_profile``, the reference peak tracker, ``run_sequence`` and the
-scalar channel (``trace_paths``, ``synthesize_csi``, ``build_db_adps``,
+``gaussian_profile``, the reference peak tracker, ``run_sequence``, the
+one-frame database scoring (``calibrate_similarity_floor``,
+``detect_distorted``, ``recover_and_locate``, ``classify_then_wknn``) and
+the scalar channel (``trace_paths``, ``synthesize_csi``, ``build_db_adps``,
 ``distort``) are earlier, plainer forms of package code, kept as the
 references their replacements must match bit for bit.
 """
@@ -18,15 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mimoloc.adp import similarity
 from mimoloc.dynamics import DistortionKind
 from mimoloc.errors import DelayOverflow, EmptyNeighborhood, ZeroDistance
-from mimoloc.neural import Conv2d, MaxPool2x2, Softmax, training_data
+from mimoloc.fingerprint import neighbor_indices_within
+from mimoloc.neural import (
+    Conv2d,
+    MaxPool2x2,
+    Softmax,
+    WknnResult,
+    forward,
+    print_cells,
+    training_data,
+)
 from mimoloc.pipeline import (
     VERDICTS,
+    DetectionResult,
     Estimates,
+    RecoveryResult,
     Verdict,
-    detect_distorted,
-    recover_and_locate,
 )
 from mimoloc.predictor import (
     GATE,
@@ -460,12 +472,127 @@ class ReferencePeakTrackingPredictor:
         return tracks
 
 
+# --- database scoring, one frame at a time ---------------------------------
+# each frame is scored with its own ``similarity`` call against the prints
+# ``neighbor_indices_within`` lists for it
+
+def calibrate_similarity_floor(db):
+    """``pipeline.calibrate_similarity_floor``, one grid point at a time."""
+    radius = 3.0 * db.grid.spacing
+    maxima = []
+    for i in np.flatnonzero(~db.zero_flags):
+        idx = neighbor_indices_within(db, db.positions[i], radius)
+        idx = idx[(idx != i) & ~db.zero_flags[idx]]
+        if idx.size == 0:
+            continue
+        maxima.append(similarity(db.adps[i], db.adps[idx]).max())
+    if not maxima:
+        raise EmptyNeighborhood("no grid point has a neighbor within the radius")
+    return float(np.percentile(maxima, 1.0))
+
+
+def detect_distorted(adp, position, db, thresholds):
+    """``pipeline.detect_distorted`` for one frame."""
+    frame = np.asarray(adp, dtype=np.float64)
+    if not np.any(frame):
+        return DetectionResult(Verdict.LOST_LINK, 0.0)
+    idx = neighbor_indices_within(db, position, thresholds.neighborhood_radius)
+    idx = idx[~db.zero_flags[idx]]
+    best = float(np.max(similarity(frame, db.adps[idx]), initial=0.0))
+    verdict = (Verdict.ACCURATE if best >= thresholds.similarity_floor
+               else Verdict.DISTORTED)
+    return DetectionResult(verdict, best)
+
+
+def recover_and_locate(measured, predicted, predicted_position,
+                       prev_position, db, thresholds):
+    """``pipeline.recover_and_locate`` for one frame."""
+    frame = np.asarray(measured, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    has_prediction = predicted_position is not None
+    if has_prediction:
+        predicted_position = np.asarray(predicted_position, dtype=float)
+    if not np.any(frame):
+        if not has_prediction:
+            raise EmptyNeighborhood(
+                "link lost and the prediction out of history is empty"
+            )
+        return RecoveryResult(predicted_position, predicted, 1.0)
+    idx = np.empty(0, dtype=int)
+    if prev_position is not None:
+        idx = neighbor_indices_within(db, prev_position,
+                                      thresholds.recovery_radius)
+        idx = idx[~db.zero_flags[idx]]
+    positions = db.positions[idx]
+    adps = db.adps[idx].astype(np.float64)
+    weights = similarity(frame, adps)
+    if has_prediction:
+        weights = np.append(weights, similarity(frame, predicted))
+        positions = np.vstack([positions, predicted_position])
+        adps = np.concatenate([adps, predicted[None]])
+    if not weights.size:
+        raise EmptyNeighborhood(
+            "no database entries near the previous position and no usable "
+            "prediction"
+        )
+    total = float(weights.sum())
+    if total > 0.0:
+        weights /= total
+    else:
+        weights = np.full(weights.size, 1.0 / weights.size)
+    position = np.einsum("i,ij->j", weights, positions)
+    fused = np.einsum("i,ijk->jk", weights, adps)
+    prediction_weight = float(weights[-1]) if has_prediction else 0.0
+    return RecoveryResult(position, fused, prediction_weight)
+
+
+def classify_then_wknn(model, adp, db, k=3, probs=None, cells=None):
+    """``neural.classify_then_wknn`` for one profile."""
+    if probs is None:
+        probs = forward(model, adp)
+    usable, cell_of_print = cells if cells is not None else print_cells(
+        model, db)
+    members = usable[cell_of_print == int(np.argmax(probs))]
+    used_fallback = False
+    if len(members) == 0:
+        members = usable
+        used_fallback = True
+    sims = similarity(adp, db.adps[members])
+    order = np.lexsort((members, -sims))[: min(k, len(members))]
+    chosen = members[order]
+    w = sims[order]
+    total = w.sum()
+    w = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
+    position = w @ db.positions[chosen]
+    return WknnResult(position, chosen, w, used_fallback)
+
+
+class ReferenceWknnLocalizer:
+    """``neural.ClassifierWknnLocalizer`` refining one profile at a time
+    with the reference ``classify_then_wknn``."""
+
+    def __init__(self, localizer):
+        self.model = localizer.model
+        self.db, self.k = localizer.db, localizer.k
+
+    def __call__(self, adp):
+        adps = np.asarray(adp)
+        probs = forward(self.model, adps)
+        if adps.ndim == 2:
+            return classify_then_wknn(self.model, adps, self.db, self.k,
+                                      probs).position
+        return np.stack([classify_then_wknn(self.model, a, self.db, self.k,
+                                            p).position
+                         for a, p in zip(adps, probs)])
+
+
 def run_sequence(adps, localizer, db, thresholds, predictor,
                  history_length=4):
     """``pipeline.run_sequence`` over one walk, frame by frame: one
-    localizer call per frame with energy and per nonzero prediction, and
-    one predictor call per history, on a stack of one. Returns the
-    one-walk ``Estimates`` record."""
+    localizer call per frame with energy and per nonzero prediction, one
+    predictor call per history, on a stack of one, and the reference
+    ``detect_distorted`` and ``recover_and_locate``. Returns the one-walk
+    ``Estimates`` record."""
     history = deque(maxlen=history_length)
     prev_position = None
     frames = []  # one Estimates-ordered tuple of fields per frame

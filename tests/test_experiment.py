@@ -21,7 +21,9 @@ from mimoloc.errors import (
     ConfigError,
     DimensionMismatch,
     DivergedLoss,
+    EmptyNeighborhood,
     HelperFailed,
+    ZeroAdp,
 )
 from mimoloc.experiment import (
     METHODS,
@@ -42,14 +44,17 @@ from mimoloc.experiment import (
     save_config,
     sparse_environment,
 )
-from mimoloc.fingerprint import build_db
+from mimoloc.fingerprint import FingerprintDb, build_db
 from mimoloc.helper import Helper, collect, serve
 from mimoloc.neural import (
     ClassifierGrid,
+    ClassifierWknnLocalizer,
     Head,
     TrainConfig,
     build_model,
+    classify_then_wknn,
     default_localizer_spec,
+    forward,
     train,
 )
 from mimoloc.predictor import (
@@ -366,9 +371,145 @@ class TestLockstep:
                               est.measured_position[measured])
         if scenario == "none":
             assert measured.all()
+        reference = (reference_localizer(world, localizer),) + args[1:]
         for i, adps in enumerate(walks):
-            oracles.assert_same_estimates(oracles.walk_of(est, i),
-                                          oracles.run_sequence(adps, *args))
+            oracles.assert_same_estimates(
+                oracles.walk_of(est, i),
+                oracles.run_sequence(adps, *reference))
+
+    @pytest.mark.parametrize("localizer", ["regressor", "classifier-wknn"])
+    def test_lost_link_mid_walk(self, tiny_world, localizer):
+        config = dataclasses.replace(tiny_world.config, scenario="nlos-add")
+        walks = [np.array(seq.adps) for seq in evaluation_walks(config)]
+        walks[1][3] = 0.0
+        args = (tiny_world.db, tiny_world.thresholds, tiny_world.predictor)
+        est = pipeline.run_sequence(
+            walks, tiny_world.localizers[localizer], *args)
+        lost = pipeline.VERDICTS.index(pipeline.Verdict.LOST_LINK)
+        assert est.verdict[1, 3] == lost
+        for i, adps in enumerate(walks):
+            oracles.assert_same_estimates(
+                oracles.walk_of(est, i), oracles.run_sequence(
+                    adps, reference_localizer(tiny_world, localizer), *args))
+
+
+def reference_localizer(world, name):
+    """The world's localizer, refining one profile at a time with the
+    reference ``classify_then_wknn`` when it is the classifier."""
+    localizer = world.localizers[name]
+    if name == "classifier-wknn":
+        return oracles.ReferenceWknnLocalizer(localizer)
+    return localizer
+
+
+def scenario_frames(world):
+    """Every frame with energy of every scenario's walks in ``world``."""
+    frames = np.concatenate([
+        seq.adps for scenario in SCENARIOS for seq in evaluation_walks(
+            dataclasses.replace(world.config, scenario=scenario))])
+    return frames[frames.any(axis=(1, 2))]
+
+
+def same_fields(got, want):
+    assert type(got) is type(want)
+    for name, a, b in zip(want._fields, got, want):
+        assert np.array_equal(a, b), name
+
+
+class TestStackedScoring:
+    """The stacked database scoring of detection, recovery, calibration
+    and the classifier's refinement gives, field by field, what the
+    one-frame references in ``oracles`` give, errors included."""
+
+    def test_calibration(self, tiny_world):
+        rich = experiment.database_for(ExperimentConfig(environment="rich"))
+        assert len(rich.positions) == 1600
+        for db in (tiny_world.db, rich):
+            assert (pipeline.calibrate_similarity_floor(db)
+                    == oracles.calibrate_similarity_floor(db))
+
+    def test_detection_and_recovery_of_every_frame(self, tiny_world):
+        db, thresholds = tiny_world.db, tiny_world.thresholds
+        frames = scenario_frames(tiny_world)
+        fixes = tiny_world.localizers["regressor"](frames)
+        verdicts, best = pipeline.detect_each(frames, fixes, db, thresholds)
+        for i, (frame, fix) in enumerate(zip(frames, fixes)):
+            want = oracles.detect_distorted(frame, fix, db, thresholds)
+            same_fields(pipeline.detect_distorted(frame, fix, db, thresholds),
+                        want)
+            assert pipeline.VERDICTS[verdicts[i]] is want.verdict
+            assert best[i] == want.best_similarity
+            # recover around the fix, fusing the previous frame at the
+            # previous fix, and without a prediction
+            args = (frames[i - 1], fixes[i - 1], fix, db, thresholds)
+            same_fields(pipeline.recover_and_locate(frame, *args),
+                        oracles.recover_and_locate(frame, *args))
+            args = (frames[i - 1], None, fix, db, thresholds)
+            same_fields(pipeline.recover_and_locate(frame, *args),
+                        oracles.recover_and_locate(frame, *args))
+        redo = np.arange(1, len(frames), 3)
+        positions, fused, shares = pipeline.recover_each(
+            frames[redo], frames[redo - 1], fixes[redo - 1], fixes[redo],
+            db, thresholds)
+        for j, i in enumerate(redo):
+            want = oracles.recover_and_locate(
+                frames[i], frames[i - 1], fixes[i - 1], fixes[i], db,
+                thresholds)
+            same_fields(pipeline.RecoveryResult(positions[j], fused[j],
+                                                shares[j]), want)
+
+    def test_refinement_with_an_empty_cell(self, tiny_world):
+        classifier = tiny_world.localizers["classifier-wknn"]
+        model, db = classifier.model, tiny_world.db
+        frames = scenario_frames(tiny_world)
+        picked = np.argmax(forward(model, frames), axis=1)
+        usable, cell_of_print = classifier.cells
+        emptied = db.adps.copy()
+        emptied[usable[cell_of_print == picked[0]]] = 0.0
+        for adps in (db.adps, emptied):
+            stacked = ClassifierWknnLocalizer(
+                model, FingerprintDb(db.grid, db.positions, adps),
+                classifier.k)
+            reference = oracles.ReferenceWknnLocalizer(stacked)
+            assert np.array_equal(stacked(frames), reference(frames))
+            fallbacks = 0
+            for frame in frames:
+                got = classify_then_wknn(model, frame, stacked.db, stacked.k)
+                same_fields(got, oracles.classify_then_wknn(
+                    model, frame, stacked.db, stacked.k))
+                fallbacks += got.used_fallback
+            assert fallbacks == (0 if adps is db.adps
+                                 else np.count_nonzero(picked == picked[0]))
+
+    def test_world_with_zero_prints(self, tiny_world):
+        db = tiny_world.db
+        empty = FingerprintDb(db.grid, db.positions, np.zeros_like(db.adps))
+        classifier = tiny_world.localizers["classifier-wknn"]
+        frames = scenario_frames(tiny_world)[:4]
+        thresholds = tiny_world.thresholds
+        for scoring, wknn in ((pipeline, classify_then_wknn),
+                              (oracles, oracles.classify_then_wknn)):
+            with pytest.raises(EmptyNeighborhood):
+                scoring.calibrate_similarity_floor(empty)
+            with pytest.raises(EmptyNeighborhood):
+                scoring.recover_and_locate(frames[1], frames[0], None,
+                                           db.positions[3], empty, thresholds)
+            with pytest.raises(ZeroDivisionError):
+                wknn(classifier.model, frames[0], empty)
+            with pytest.raises(ZeroAdp):
+                wknn(classifier.model, np.zeros_like(frames[0]), db)
+            with pytest.raises(DimensionMismatch):
+                scoring.detect_distorted(frames[0][:-1], db.positions[3], db,
+                                         thresholds)
+        fix = db.positions[3]
+        same_fields(
+            pipeline.detect_distorted(frames[0], fix, empty, thresholds),
+            oracles.detect_distorted(frames[0], fix, empty, thresholds))
+        args = (frames[0], fix, fix, empty, thresholds)
+        same_fields(pipeline.recover_and_locate(frames[1], *args),
+                    oracles.recover_and_locate(frames[1], *args))
+        with pytest.raises(ZeroDivisionError):
+            ClassifierWknnLocalizer(classifier.model, empty)(frames)
 
 
 class TestEmitReport:

@@ -1,5 +1,6 @@
 """ADPF container and fingerprint database."""
 
+import json
 import math
 import tracemalloc
 
@@ -262,6 +263,19 @@ class TestBuildDb:
         with pytest.raises(FormatError):
             load_db(path)
 
+    def test_sidecar_contradicting_the_profile_size_is_a_format_error(
+            self, tmp_path):
+        grid = GridSpec(origin=(2.0, -2.0), spacing=1.0, n_rows=4, n_cols=4)
+        path = tmp_path / "db.adpf"
+        save_db(build_db(ENV, grid, ARRAY, OFDM), path)
+        load_db(path)  # the file as saved loads
+        sidecar = tmp_path / "db.adpf.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["array"]["n_antennas"] = 64
+        meta["ofdm"]["n_subcarriers"] = 3
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="64x3"):
+            load_db(path)
 
     @pytest.mark.parametrize("field,index,value", [
         ("position", (1, 0), np.nan),

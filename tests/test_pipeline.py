@@ -24,8 +24,19 @@ from mimoloc.dynamics import (
     generate_sequence,
     random_walk,
 )
-from mimoloc.errors import EmptyNeighborhood, LengthMismatch
-from mimoloc.fingerprint import FingerprintDb, GridSpec, build_db
+from mimoloc.errors import (
+    DimensionMismatch,
+    EmptyNeighborhood,
+    LengthMismatch,
+    ZeroAdp,
+)
+from mimoloc.experiment import ExperimentConfig, database_for
+from mimoloc.fingerprint import (
+    FingerprintDb,
+    GridSpec,
+    build_db,
+    neighbor_indices_within,
+)
 from mimoloc.pipeline import (
     VERDICTS,
     Thresholds,
@@ -34,8 +45,10 @@ from mimoloc.pipeline import (
     default_thresholds,
     detect_distorted,
     locate_each,
+    neighbors_each,
     recover_and_locate,
     run_sequence,
+    score_lists,
 )
 from mimoloc.predictor import PeakTrackingPredictor
 
@@ -254,6 +267,67 @@ class TestRecovery:
             hi = point + thresholds.recovery_radius + 1e-9
             assert np.all(rec.position >= lo) and np.all(rec.position <= hi)
             assert 0.0 <= rec.prediction_weight <= 1.0
+
+
+class TestStackedKernel:
+    """The stacked scoring kernel gives each frame what the one-frame
+    functions give it alone."""
+
+    @pytest.fixture(scope="class")
+    def rich_db(self):
+        # a 40x40 database with a few zero prints, so that the lists have
+        # many lengths and skip entries
+        db = database_for(ExperimentConfig(environment="rich"))
+        adps = db.adps.copy()
+        adps[[0, 41, 700, 701, 1599]] = 0.0
+        return FingerprintDb(db.grid, db.positions, adps)
+
+    @staticmethod
+    def centers(db, rng, n):
+        x0, y0, x1, y1 = db.grid.extent()
+        off_grid = rng.uniform((x0 - 1, y0 - 1), (x1 + 1, y1 + 1), (n, 2))
+        on_grid = db.positions[rng.choice(len(db.positions), n)]
+        return np.concatenate([off_grid, on_grid, [[np.nan, np.nan]]])
+
+    def test_neighbors_each_equals_one_center_at_a_time(self, rich_db):
+        rng = np.random.default_rng(0)
+        centers = self.centers(rich_db, rng, 60)
+        for radius in (0.0, 0.3, 3.0 * rich_db.grid.spacing, 2.5):
+            lists = neighbors_each(rich_db, centers, radius)
+            assert len(lists) == len(centers)
+            for center, got in zip(centers, lists):
+                want = neighbor_indices_within(rich_db, center, radius)
+                want = want[~rich_db.zero_flags[want]]
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            neighbors_each(rich_db, centers, -1.0)
+
+    def test_score_lists_equals_similarity(self, rich_db):
+        rng = np.random.default_rng(1)
+        usable = np.flatnonzero(~rich_db.zero_flags)
+        frames = (rich_db.adps[rng.choice(usable, 121)]
+                  * rng.uniform(0.5, 2.0, (121, 1, 1)))
+        frames[::7] += rng.random(frames[::7].shape)  # distorted frames
+        lists = neighbors_each(rich_db, self.centers(rich_db, rng, 60),
+                               3.0 * rich_db.grid.spacing)
+        lists[::5] = [np.sort(rng.choice(usable, rng.integers(0, 130),
+                                         replace=False))
+                      for _ in lists[::5]]
+        assert len({len(idx) for idx in lists}) > 10
+        got = score_lists(frames, lists, rich_db.adps, rich_db.norms)
+        for frame, idx, sims in zip(frames, lists, got):
+            assert np.array_equal(sims, similarity(frame, rich_db.adps[idx]))
+
+    def test_score_lists_errors(self, rich_db):
+        frame = rich_db.adps[5:6]
+        with pytest.raises(ZeroAdp):
+            score_lists(frame, [[0, 5]], rich_db.adps, rich_db.norms)
+        with pytest.raises(ZeroAdp):
+            score_lists(np.zeros_like(frame), [[]], rich_db.adps,
+                        rich_db.norms)
+        with pytest.raises(DimensionMismatch):
+            score_lists(frame[:, :-1], [[5]], rich_db.adps, rich_db.norms)
 
 
 def walk_sequence(scenario, distort_from, seed, length=12):
