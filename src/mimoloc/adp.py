@@ -116,3 +116,25 @@ def similarity(a: np.ndarray, b: np.ndarray):
         raise ZeroAdp("similarity against an all-zero profile")
     sims = np.clip(bm @ av / (na * nb), 0.0, 1.0)
     return float(sims[0]) if b.ndim == a.ndim else sims
+
+
+def stacked_similarity(frames, rows, row_norms) -> np.ndarray:
+    """``similarity`` of each of g frames against its own k rows.
+
+    ``frames`` is (g, D) float64, one flattened profile per row; ``rows``
+    is (g, k, D) float64, k rows for each frame, or (k, D) shared by every
+    frame; ``row_norms`` holds the rows' norms, (g, k) or (k,), taken as
+    ``similarity`` takes them (``FingerprintDb.norms`` for database
+    prints). Each frame's k rows are one matrix-vector product of the stack, so row j
+    of the (g, k) result is bit for bit ``similarity(frames[j], rows[j])``
+    (tests/test_numerics.py pins the identities this rests on).
+
+    Raises:
+        ZeroAdp: if a frame or a row has zero norm.
+    """
+    # np.linalg.norm of one vector is sqrt(x.dot(x)), as similarity takes it
+    frame_norms = np.sqrt([f.dot(f) for f in frames])
+    if np.any(frame_norms == 0.0) or np.any(row_norms == 0.0):
+        raise ZeroAdp("similarity against an all-zero profile")
+    dots = (rows @ frames[:, :, None])[:, :, 0]
+    return np.clip(dots / (frame_norms[:, None] * row_norms), 0.0, 1.0)

@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adp import similarity  # noqa: F401  (perfbench's tracer wraps it here)
+# perfbench's tracer wraps ``similarity`` here
+from .adp import similarity, stacked_similarity  # noqa: F401
 from .container import read_checkpoint, read_weights, write_checkpoint
 from .errors import DimensionMismatch, DivergedLoss, FormatError, check_int
 from .fingerprint import FingerprintDb
-from .pipeline import stacked_similarity
 
 CHECKPOINT_MAGIC = b"NNCK"
 CHECKPOINT_VERSION = 1
@@ -799,8 +799,8 @@ class ClassifierWknnLocalizer:
 
     One forward pass classifies a whole stack, and the profiles that land
     in one cell are refined together, in one product against that cell's
-    prints. A profile whose cell has no usable print falls back to
-    ``classify_then_wknn`` on its own. The cell of every usable print is
+    prints, or against every usable print when the cell has none (the
+    fallback of ``classify_then_wknn``). The cell of every usable print is
     computed once.
     """
 
@@ -822,13 +822,9 @@ class ClassifierWknnLocalizer:
         for cell in np.unique(picked):
             sel = np.flatnonzero(picked == cell)
             members = usable[cell_of_print == cell]
-            if len(members):
-                out[sel] = _wknn(stack[sel], members, self.db, self.k)[0]
-            else:  # an empty cell: each profile falls back on its own
-                for j in sel:
-                    out[j] = classify_then_wknn(self.model, stack[j], self.db,
-                                                self.k, probs[j],
-                                                self.cells).position
+            if not len(members):
+                members = usable
+            out[sel] = _wknn(stack[sel], members, self.db, self.k)[0]
         return out[0] if adps.ndim == 2 else out
 
 

@@ -40,12 +40,11 @@ import numpy as np
 # ``similarity`` and ``neighbor_indices_within`` are the one-frame forms of
 # the stacked kernel below; they stay importable here, where perfbench's
 # tracer wraps them
-from .adp import similarity  # noqa: F401
+from .adp import similarity, stacked_similarity  # noqa: F401
 from .errors import (
     DimensionMismatch,
     EmptyNeighborhood,
     LengthMismatch,
-    ZeroAdp,
     check_positive,
 )
 from .fingerprint import (  # noqa: F401
@@ -131,28 +130,6 @@ def neighbors_each(db: FingerprintDb, centers, radius: float) -> list:
         counts = np.bincount(rows, minlength=len(block))
         out += np.split(cols[order], np.cumsum(counts)[:-1])
     return out
-
-
-def stacked_similarity(frames, rows, row_norms) -> np.ndarray:
-    """``adp.similarity`` of each of g frames against its own k rows.
-
-    ``frames`` is (g, D) float64, one flattened profile per row; ``rows``
-    is (g, k, D) float64, k rows for each frame, or (k, D) shared by every
-    frame; ``row_norms`` holds the rows' norms, (g, k) or (k,), taken as
-    ``similarity`` takes them (``FingerprintDb.norms`` for prints). Each
-    frame's k rows are one matrix-vector product of the stack, so row j
-    of the (g, k) result is bit for bit ``similarity(frames[j], rows[j])``
-    (tests/test_numerics.py pins the identities this rests on).
-
-    Raises:
-        ZeroAdp: if a frame or a row has zero norm.
-    """
-    # np.linalg.norm of one vector is sqrt(x.dot(x)), as similarity takes it
-    frame_norms = np.sqrt([f.dot(f) for f in frames])
-    if np.any(frame_norms == 0.0) or np.any(row_norms == 0.0):
-        raise ZeroAdp("similarity against an all-zero profile")
-    dots = (rows @ frames[:, :, None])[:, :, 0]
-    return np.clip(dots / (frame_norms[:, None] * row_norms), 0.0, 1.0)
 
 
 def score_lists(frames, lists, table, norms) -> list:
@@ -247,11 +224,12 @@ def detect_each(frames, positions, db: FingerprintDb,
     """
     frames = np.asarray(frames, dtype=np.float64)
     live = frames.any(axis=tuple(range(1, frames.ndim)))
-    lists = neighbors_each(db, np.asarray(positions, dtype=float)[live],
-                           thresholds.neighborhood_radius)
     best = np.zeros(len(frames))
-    best[live] = [np.max(s, initial=0.0) for s in
-                  score_lists(frames[live], lists, db.adps, db.norms)]
+    if live.any():
+        lists = neighbors_each(db, np.asarray(positions, dtype=float)[live],
+                               thresholds.neighborhood_radius)
+        best[live] = [np.max(s, initial=0.0) for s in
+                      score_lists(frames[live], lists, db.adps, db.norms)]
     verdicts = np.where(best >= thresholds.similarity_floor, ACCURATE,
                         DISTORTED).astype(np.int8)
     verdicts[~live] = LOST_LINK
@@ -300,8 +278,9 @@ def recover_each(frames, predicted, predicted_positions, prev_positions,
     predicted profile are returned as they are.
 
     The similarities of all frames are taken in one ``score_lists`` pass
-    over the database candidates and one over the predictions; each
-    frame's weights are then normalized and fused on its own.
+    over the database candidates and one ``stacked_similarity`` pass over
+    the predictions; each frame's weights are then normalized and fused on
+    its own.
 
     Returns:
         (positions, profiles, prediction weights): (n, 2), the frames'
@@ -319,16 +298,22 @@ def recover_each(frames, predicted, predicted_positions, prev_positions,
     predicted_positions = np.asarray(predicted_positions, dtype=float)
     has_prediction = ~np.isnan(predicted_positions[:, 0])
     live = frames.any(axis=tuple(range(1, frames.ndim)))
-    lists = neighbors_each(db, np.asarray(prev_positions, dtype=float)[live],
-                           thresholds.recovery_radius)
-    db_sims = score_lists(frames[live], lists, db.adps, db.norms)
+    lists = db_sims = []
+    if live.any():
+        lists = neighbors_each(
+            db, np.asarray(prev_positions, dtype=float)[live],
+            thresholds.recovery_radius)
+        db_sims = score_lists(frames[live], lists, db.adps, db.norms)
     voting = np.flatnonzero(live & has_prediction)
     prediction_sims = np.zeros(len(frames))
     if voting.size:
-        votes = predicted[voting]
-        norms = np.linalg.norm(votes.reshape(len(votes), -1), axis=1)
-        prediction_sims[voting] = np.concatenate(score_lists(
-            frames[voting], np.arange(len(voting))[:, None], votes, norms))
+        if predicted.shape[1:] != frames.shape[1:]:
+            raise DimensionMismatch(
+                f"profile shapes {frames.shape[1:]} vs {predicted.shape[1:]}")
+        votes = predicted[voting].reshape(len(voting), -1)
+        prediction_sims[voting] = stacked_similarity(
+            frames[voting].reshape(len(voting), -1), votes[:, None],
+            np.linalg.norm(votes, axis=1)[:, None])[:, 0]
     positions = np.empty((len(frames), 2))
     fused = np.empty(frames.shape)
     shares = np.zeros(len(frames))

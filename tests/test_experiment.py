@@ -481,6 +481,28 @@ class TestStackedScoring:
             assert fallbacks == (0 if adps is db.adps
                                  else np.count_nonzero(picked == picked[0]))
 
+    def test_lost_link_of_any_shape(self, tiny_world):
+        # an all-zero frame is lost before its shape or its fix is read,
+        # in a stack as alone; a live frame's prediction must match it
+        db, thresholds = tiny_world.db, tiny_world.thresholds
+        frame = scenario_frames(tiny_world)[0]
+        fix = db.positions[3]
+        lost = np.zeros((3, 5))
+        for scoring in (pipeline, oracles):
+            got = scoring.detect_distorted(lost, None, db, thresholds)
+            assert got.verdict is pipeline.Verdict.LOST_LINK
+            same_fields(got, pipeline.DetectionResult(got.verdict, 0.0))
+            with pytest.raises(DimensionMismatch):
+                scoring.recover_and_locate(frame, frame[:-1], fix, fix, db,
+                                           thresholds)
+        verdicts, best = pipeline.detect_each(
+            np.zeros((2, 3, 5)), np.full((2, 2), np.nan), db, thresholds)
+        assert verdicts.tolist() == [pipeline.LOST_LINK] * 2
+        assert best.tolist() == [0.0, 0.0]
+        args = (lost, np.ones((3, 5)), fix, fix, db, thresholds)
+        same_fields(pipeline.recover_and_locate(*args),
+                    oracles.recover_and_locate(*args))
+
     def test_world_with_zero_prints(self, tiny_world):
         db = tiny_world.db
         empty = FingerprintDb(db.grid, db.positions, np.zeros_like(db.adps))
