@@ -396,7 +396,8 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
         gh = out.backward(g_out) + gh_next
         gpre = gh * (1.0 - h_t * h_t)
         xh.backward(gpre, input_grad=False)  # its input is data
-        gh_next = hh.backward(gpre)
+        # the gradient to the initial state, at t = 0, is never read
+        gh_next = hh.backward(gpre, input_grad=t > 0)
         for acc, g in zip(grads, [xh.gw, xh.gb, hh.gw, hh.gb, out.gw, out.gb]):
             acc += g
     return loss, grads

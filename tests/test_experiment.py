@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import json
 import os
+import platform
+import resource
 import signal
 import subprocess
 import time
@@ -32,6 +34,7 @@ from mimoloc.experiment import (
     _hold,
     build_world,
     config_from_dict,
+    database_for,
     emit_report,
     environment_for,
     evaluate,
@@ -43,9 +46,10 @@ from mimoloc.experiment import (
     run_experiment,
     save_config,
     sparse_environment,
+    train_localizer,
 )
 from mimoloc.fingerprint import FingerprintDb, build_db
-from mimoloc.helper import Helper, collect, serve
+from mimoloc.helper import HELPER_ENV, Helper, collect, serve
 from mimoloc.neural import (
     ClassifierGrid,
     ClassifierWknnLocalizer,
@@ -662,13 +666,32 @@ class TestHelpers:
                                                    train_learning_rate=1e6)))
 
     def test_helper_runs_with_one_blas_thread(self):
+        # and with the rest of its environment dict, none of it the caller's
         environ = dict(os.environ)
         with Helper() as helper:
-            helper.send([(os.getenv, (name,)) for name in
-                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                          "MKL_NUM_THREADS")])
-            assert collect([helper]) == [["1", "1", "1"]]
+            helper.send([(os.getenv, (name,)) for name in HELPER_ENV])
+            got, = collect([helper])
+        assert dict(zip(HELPER_ENV, got)) == HELPER_ENV
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert [HELPER_ENV[name] for name in blas] == ["1", "1", "1"]
         assert dict(os.environ) == environ
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator settings are glibc's")
+    def test_training_steps_reuse_the_helper_heap(self):
+        # ten more epochs of the 16x16 regressor take almost no new pages
+        # (about 27,000 faults when each step's temporaries go back to the
+        # kernel and are faulted in again on the next step)
+        config = ExperimentConfig(**dict(TINY, grid_rows=16, grid_cols=16))
+        db = database_for(config)
+        usage = (resource.getrusage, (resource.RUSAGE_SELF,))
+        with Helper() as short, Helper() as long:
+            for helper, epochs in ((short, 10), (long, 20)):
+                job = dataclasses.replace(config, train_epochs=epochs)
+                helper.send([(train_localizer, (job, db, "regressor")),
+                             usage])
+            (_, short_usage), (_, long_usage) = collect([short, long])
+        assert long_usage.ru_minflt - short_usage.ru_minflt < 2000
 
     def test_helper_refuses_another_package_tree(self, capsys):
         # a helper that imported mimoloc from elsewhere (say, a copy in
