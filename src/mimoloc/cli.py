@@ -1,9 +1,12 @@
 """Command line front end for the evaluation harness.
 
 Every subcommand reads the same JSON experiment configuration (or the
-built-in defaults) and a handful of override flags, so a pipeline can be
-driven step by step (build-db, train-localizer, ...) or in one shot
-(run). Artifacts land in the --out directory under fixed names.
+built-in defaults) and a handful of override flags. ``build-world``
+builds and trains a world through ``build_world`` and writes what it
+trained (the database, the checkpoints, the thresholds and the effective
+config); ``run`` builds a world the same way and evaluates its scenario
+in it; ``report`` summarizes a run's report.json. Artifacts land in the
+--out directory under fixed names.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for runtime
 failures.
@@ -26,19 +29,16 @@ from .experiment import (
     PREDICTORS,
     SCENARIOS,
     ExperimentConfig,
-    database_for,
+    build_world,
     load_config,
     run_experiment,
-    thresholds_for,
-    train_localizer,
-    train_recurrent_predictor,
+    save_config,
 )
 from .fingerprint import save_db
 from .neural import save_model
 from .predictor import save_predictor
 
-SUBCOMMANDS = ("build-db", "train-localizer", "train-predictor",
-               "calibrate-thresholds", "run", "report")
+SUBCOMMANDS = ("build-world", "run", "report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,44 +74,39 @@ def _load_effective_config(args) -> ExperimentConfig:
     return config
 
 
-def cmd_build_db(config: ExperimentConfig, out: str) -> None:
-    db = database_for(config)
-    path = os.path.join(out, "db.adpf")
-    save_db(db, path)
-    usable = int(np.sum(~db.zero_flags))
-    print(f"wrote {path}: {len(db.positions)} fingerprints, "
-          f"{usable} identifiable")
-
-
-def cmd_train_localizer(config: ExperimentConfig, out: str) -> None:
-    model, losses = train_localizer(config, database_for(config),
-                                    config.localizer)
-    path = os.path.join(out, f"localizer_{config.localizer}.ckpt")
-    save_model(model, path)
-    print(f"wrote {path}: final loss {losses[-1]:.6f} "
-          f"after {len(losses)} epochs")
-
-
-def cmd_train_predictor(config: ExperimentConfig, out: str) -> None:
-    if config.predictor == "peak-track":
-        print("peak-track predictor has fixed settings and no checkpoint; "
-              "nothing to do")
-        return
-    predictor, losses = train_recurrent_predictor(config)
-    path = os.path.join(out, "predictor.ckpt")
-    save_predictor(predictor, path)
-    print(f"wrote {path}: final loss {losses[-1]:.6f} "
-          f"after {len(losses)} epochs")
-
-
-def cmd_calibrate_thresholds(config: ExperimentConfig, out: str) -> None:
-    payload = dataclasses.asdict(thresholds_for(database_for(config)))
-    path = os.path.join(out, "thresholds.json")
+def _save_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {path}: " + ", ".join(
-        f"{k}={v:.4f}" for k, v in payload.items()))
+
+
+def cmd_build_world(config: ExperimentConfig, out: str) -> None:
+    """Build ``config``'s world and write each trained artifact to ``out``."""
+    world = build_world(config, log=print)
+    losses = world.train_losses
+
+    def write(name, save, obj, detail):
+        path = os.path.join(out, name)
+        save(obj, path)
+        print(f"wrote {path}: {detail}")
+
+    def trained(name):
+        return (f"final loss {losses[name][-1]:.6f} "
+                f"after {len(losses[name])} epochs")
+
+    db = world.db
+    write("db.adpf", save_db, db, f"{len(db.positions)} fingerprints, "
+          f"{int(np.sum(~db.zero_flags))} identifiable")
+    for name, localizer in world.localizers.items():
+        write(f"localizer_{name}.ckpt", save_model, localizer.model,
+              trained(name))
+    if config.predictor == "conv-recurrent":
+        write("predictor.ckpt", save_predictor, world.predictor,
+              trained("predictor"))
+    thresholds = dataclasses.asdict(world.thresholds)
+    write("thresholds.json", _save_json, thresholds,
+          ", ".join(f"{k}={v:.4f}" for k, v in thresholds.items()))
+    write("config.json", save_config, config, "the effective configuration")
 
 
 def cmd_run(config: ExperimentConfig, out: str) -> None:
@@ -160,14 +155,8 @@ def main(argv=None) -> int:
             return 0
         config = _load_effective_config(args)
         os.makedirs(args.out, exist_ok=True)
-        handler = {
-            "build-db": cmd_build_db,
-            "train-localizer": cmd_train_localizer,
-            "train-predictor": cmd_train_predictor,
-            "calibrate-thresholds": cmd_calibrate_thresholds,
-            "run": cmd_run,
-        }[args.command]
-        handler(config, args.out)
+        handler = {"build-world": cmd_build_world, "run": cmd_run}
+        handler[args.command](config, args.out)
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

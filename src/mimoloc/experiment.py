@@ -302,8 +302,8 @@ def thresholds_for(db: FingerprintDb) -> Thresholds:
 
 
 # --- training jobs -----------------------------------------------------------
-# build_world runs these in helper processes and the CLI's stage commands
-# call them directly, so both train the same models from the same seeds
+# build_world runs these only as helper jobs (see mimoloc.helper), which
+# name a job by its import path, so each is a module-level function
 
 def train_localizer(config: ExperimentConfig, db: FingerprintDb,
                     localizer: str):

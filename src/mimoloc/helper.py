@@ -27,9 +27,7 @@ benchmark's acceptance workload (16x16 grid, 45 epochs), against under
 4,000 with the two settings. They are set together:
 setting either one turns off glibc's dynamic thresholds, and either
 alone faults more than neither. The numerics do not change, and neither
-does a helper's peak memory. The stage commands ``train-localizer`` and
-``train-predictor`` train in the caller's own process, whose allocator is
-left alone, so their first training still pays the faults.
+does a helper's peak memory.
 
 A plain child process, not ``multiprocessing``: the caller's environment
 is never touched, nothing outlives the ``with`` block (a helper still

@@ -859,7 +859,8 @@ def load_model(path) -> Model:
         TruncatedFile: the file is cut short.
         FormatError: bad magic, trailing bytes, or a header that does not
             describe a model: a bad layer size, classifier cell count,
-            seed or ``normalize_input``, or a position normalization that
+            seed or ``normalize_input``, layers that do not chain from the
+            input shape to the head, or a position normalization that
             is not two finite numbers (scales above 0) per field.
         VersionError: unsupported checkpoint version.
     """
@@ -887,7 +888,8 @@ def load_model(path) -> Model:
                 or not 0.0 < model.pos_scale.min() < np.inf):
             raise ValueError("pos_offset and pos_scale must each be two "
                              "finite numbers, pos_scale above 0")
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (AttributeError, DimensionMismatch, LookupError, TypeError,
+            ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a model: "
                           f"{exc!r}") from exc
     read_weights(body, model.parameters())

@@ -21,10 +21,15 @@ blockages at training seeds 0, 1 and 2. The regressor-over-classifier
 ordering is now asserted on the undistorted frames of the same runs, where
 the regressor leads at every one of those seeds. Its distorted medians are
 still printed.
+
+The last test pins the behaviour digests of the same fixture runs, so a
+change that moves any error of any method in them shows here.
 """
 
 import dataclasses
+import hashlib
 import json
+import platform
 import time
 
 import numpy as np
@@ -43,6 +48,7 @@ from mimoloc.channel import (
 )
 from mimoloc.cli import main as cli_main
 from mimoloc.experiment import (
+    METHODS,
     ExperimentConfig,
     build_world,
     environment_for,
@@ -416,9 +422,8 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
     reports_match = r1 == r2
 
     art = str(tmp_path / "artifacts")
-    for command in ("build-db", "train-localizer", "train-predictor"):
-        assert cli_main([command, "--config", str(cfg_path), "--out",
-                         art]) == 0
+    assert cli_main(["build-world", "--config", str(cfg_path), "--out",
+                     art]) == 0
 
     db_path = tmp_path / "artifacts" / "db.adpf"
     db_copy = tmp_path / "db-copy.adpf"
@@ -445,3 +450,42 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
            f"{len(identical)}/{len(bodies)} report bodies byte-identical, "
            f"db/model/predictor checkpoints round-trip bit-exact, "
            f"{elapsed:.0f}s")
+
+
+# Behaviour digests of the fixture runs: the first 16 hex characters of
+# the sha256 over errors[m].tobytes() in METHODS order, one per scenario
+# in SCENARIOS order. A change that moves one records the new value here
+# and says why. Another Python, numpy or BLAS may round differently, so
+# the values are keyed by the numeric environment that gave them.
+DIGESTS = {
+    ("3.11.7", "2.4.6", "scipy-openblas 0.3.31.188.0"): {
+        "sparse": ("d75e1c65a43f7d38", "004c8f4d62d504f0",
+                   "bd556aaba2a13a3a"),
+        "rich": ("29611e792e418761", "1cba3e0da72ee75b", "fab2eb65f4cd7973"),
+    },
+}
+
+
+def numeric_environment() -> tuple:
+    """(Python version, numpy version, BLAS name and version)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (platform.python_version(), np.__version__,
+            f"{blas['name']} {blas['version']}")
+
+
+def _digest(run) -> str:
+    h = hashlib.sha256()
+    for method in METHODS:
+        h.update(run.errors[method].tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_fixture_digests_are_pinned(sparse_runs, rich_runs):
+    digests = {name: tuple(_digest(runs[s]) for s in SCENARIOS)
+               for name, runs in (("sparse", sparse_runs),
+                                  ("rich", rich_runs))}
+    env = numeric_environment()
+    print(f"digests on {env}: {digests}")
+    if env not in DIGESTS:
+        pytest.skip(f"no digests recorded for {env}; measured {digests}")
+    assert digests == DIGESTS[env]

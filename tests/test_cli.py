@@ -1,5 +1,6 @@
 """Command line behavior: artifacts, overrides, and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from mimoloc.cli import main
 from mimoloc.experiment import (
     LOCALIZERS,
+    PREDICTORS,
     ExperimentConfig,
+    load_config,
     run_experiment,
     save_config,
 )
@@ -39,77 +42,46 @@ def config_path(tmp_path):
     return str(path)
 
 
-def test_build_db(config_path, tmp_path, capsys):
+@pytest.mark.parametrize("predictor", PREDICTORS)
+def test_build_world_writes_the_trained_world(config_path, tmp_path, capsys,
+                                              predictor):
+    # build-world trains what run_experiment trains, to the last float32
+    # bit a checkpoint keeps, and writes the config it was given
     out = str(tmp_path / "out")
-    assert main(["build-db", "--config", config_path, "--out", out]) == 0
+    assert main(["build-world", "--config", config_path, "--out", out,
+                 "--predictor", predictor]) == 0
+    printed = capsys.readouterr().out
+    config = ExperimentConfig(**TINY, predictor=predictor)
+    world = run_experiment(config).world
+    assert load_config(out + "/config.json") == config
+
     db = load_db(out + "/db.adpf")
     assert len(db.positions) == 25
-    assert "25 fingerprints" in capsys.readouterr().out
+    assert "25 fingerprints" in printed
+    for name, kind in zip(LOCALIZERS, ("regression", "classification")):
+        model = load_model(f"{out}/localizer_{name}.ckpt")
+        assert model.head.kind == kind
+        _assert_float32_equal(model, world.localizers[name].model)
+    if predictor == "conv-recurrent":
+        saved = load_predictor(out + "/predictor.ckpt")
+        assert isinstance(saved, ConvRecurrentPredictor)
+        _assert_float32_equal(saved, world.predictor)
+    else:
+        assert not (tmp_path / "out" / "predictor.ckpt").exists()
+    assert printed.count("final loss") == 2 + (predictor == "conv-recurrent")
 
-
-def test_train_localizer_regressor(config_path, tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["train-localizer", "--config", config_path,
-                 "--out", out]) == 0
-    model = load_model(out + "/localizer_regressor.ckpt")
-    assert model.head.kind == "regression"
-
-
-def test_train_localizer_classifier(config_path, tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["train-localizer", "--config", config_path, "--out", out,
-                 "--localizer", "classifier-wknn"]) == 0
-    model = load_model(out + "/localizer_classifier-wknn.ckpt")
-    assert model.head.kind == "classification"
-
-
-def test_train_predictor_peak_track_is_noop(config_path, tmp_path, capsys):
-    out = str(tmp_path / "out")
-    assert main(["train-predictor", "--config", config_path,
-                 "--out", out]) == 0
-    assert "nothing to do" in capsys.readouterr().out
-
-
-def test_train_predictor_conv_recurrent(config_path, tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["train-predictor", "--config", config_path, "--out", out,
-                 "--predictor", "conv-recurrent"]) == 0
-    predictor = load_predictor(out + "/predictor.ckpt")
-    assert isinstance(predictor, ConvRecurrentPredictor)
-
-
-def test_checkpoints_hold_the_models_of_a_run(config_path, tmp_path):
-    # the stage commands train what run_experiment trains, to the last
-    # float32 bit a checkpoint keeps
-    result = run_experiment(ExperimentConfig(**TINY,
-                                             predictor="conv-recurrent"))
-    out = str(tmp_path / "out")
-    for localizer in LOCALIZERS:
-        assert main(["train-localizer", "--config", config_path, "--out",
-                     out, "--localizer", localizer]) == 0
-    assert main(["train-predictor", "--config", config_path, "--out", out,
-                 "--predictor", "conv-recurrent"]) == 0
-    saved = {name: load_model(f"{out}/localizer_{name}.ckpt").parameters()
-             for name in LOCALIZERS}
-    saved["predictor"] = load_predictor(out + "/predictor.ckpt").parameters()
-    trained = {name: loc.model.parameters()
-               for name, loc in result.world.localizers.items()}
-    trained["predictor"] = result.world.predictor.parameters()
-    assert set(saved) == set(trained)
-    for name, params in trained.items():
-        assert len(saved[name]) == len(params)
-        for p, q in zip(saved[name], params):
-            assert np.array_equal(p, q.astype(np.float32)), name
-
-
-def test_calibrate_thresholds(config_path, tmp_path):
-    out = str(tmp_path / "out")
-    assert main(["calibrate-thresholds", "--config", config_path,
-                 "--out", out]) == 0
     payload = json.loads((tmp_path / "out" / "thresholds.json").read_text())
+    assert payload == dataclasses.asdict(world.thresholds)
     assert payload["neighborhood_radius"] == pytest.approx(0.75)
     assert payload["recovery_radius"] == pytest.approx(0.5)
     assert 0.0 < payload["similarity_floor"] <= 1.0
+
+
+def _assert_float32_equal(saved, trained):
+    params = trained.parameters()
+    assert len(saved.parameters()) == len(params)
+    for p, q in zip(saved.parameters(), params):
+        assert np.array_equal(p, q.astype(np.float32))
 
 
 def test_run_and_report(config_path, tmp_path, capsys):
@@ -166,7 +138,7 @@ def test_bad_config_exits_2(tmp_path, capsys, content):
         path.write_bytes(
             content.replace(b"ENV_DIR", str(tmp_path / "env-dir").encode())
             .replace(b"ENV_NOT_UTF8", str(tmp_path / "env.txt").encode()))
-    assert main(["build-db", "--config", str(path),
+    assert main(["build-world", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
 
@@ -198,7 +170,7 @@ def test_bad_environment_file_is_named(tmp_path, capsys):
     env.write_text("bs_position = 0 0\nreflector = 0 6 17 6 nan\n")
     path = tmp_path / "config.json"
     save_config(ExperimentConfig(**dict(TINY, environment=str(env))), path)
-    assert main(["build-db", "--config", str(path),
+    assert main(["build-world", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"environment {env}: line 2: non-finite value" in err
@@ -213,7 +185,7 @@ def test_file_system_error_exits_3(config_path, tmp_path, capsys, case):
     else:
         out.write_text("not a directory\n")
     if case == "out-is-a-file":
-        argv = ["build-db", "--config", config_path, "--out", str(out)]
+        argv = ["build-world", "--config", config_path, "--out", str(out)]
     else:
         argv = ["report", "--out", str(out)]
     assert main(argv) == 3
@@ -227,10 +199,15 @@ def test_unknown_flag_exits_2(config_path, tmp_path):
     assert exc.value.code == 2
 
 
-def test_gen_sequences_is_gone(config_path, tmp_path):
+@pytest.mark.parametrize("command", [
     # walks are not written to disk: evaluation_walks(config) yields them
+    "gen-sequences",
+    # build-world writes what these wrote, trained in the helpers
+    "build-db", "train-localizer", "train-predictor", "calibrate-thresholds",
+])
+def test_removed_subcommand_is_gone(config_path, tmp_path, command):
     with pytest.raises(SystemExit) as exc:
-        main(["gen-sequences", "--config", config_path,
+        main([command, "--config", config_path,
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert not (tmp_path / "out").exists()

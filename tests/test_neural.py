@@ -864,6 +864,12 @@ class TestCorruptCheckpoints:
         {}, {"kind": "conv-recurrent"}, {"head": {"kind": "regression"}},
         {"layer_specs": 3, "head": {"kind": "regression", "cells": None}},
         [1, 2],
+        # every field present, but a dense layer cannot take a 1x4x4 input
+        {"layer_specs": [{"kind": "dense", "out_width": 2}],
+         "input_shape": [1, 4, 4], "head": {"kind": "regression",
+                                            "cells": None},
+         "seed": 0, "normalize_input": False, "pos_offset": [0.0, 0.0],
+         "pos_scale": [1.0, 1.0]},
     ])
     def test_header_without_its_fields_is_a_format_error(self, tmp_path,
                                                          magic, load, header):
