@@ -1,11 +1,11 @@
 """From-scratch convolutional localizer on angle-delay profiles.
 
 Minimal layer zoo (valid/same conv, 2x2 max pool, relu, flatten, dense,
-softmax), batched float64 forward/backward, and ``sgd``: the one seeded
-mini-batch momentum loop that trains both localizer heads and the
-recurrent predictor. Two heads: direct 2D regression on positions normalized
-to the unit square, or classification over coarse cells followed by a
-similarity-weighted k-nearest refinement inside the predicted cell.
+softmax), batched float32 forward/backward, a checkpoint's precision, and
+``sgd``: the one seeded mini-batch momentum loop that trains both localizer
+heads and the recurrent predictor. Two heads: direct 2D regression on positions
+normalized to the unit square, or classification over coarse cells followed by
+a similarity-weighted k-nearest refinement inside the predicted cell.
 
 No autograd framework on purpose: every backward pass is written against
 the matching forward and is held to finite-difference checks in the tests.
@@ -61,7 +61,7 @@ class Layer:
 
 
 class WeightedLayer(Layer):
-    """A layer with a weight ``w`` and a bias ``b``, and their gradients."""
+    """A layer with a float32 weight ``w`` and bias ``b``, and gradients."""
 
     w = b = gw = gb = None
 
@@ -73,6 +73,11 @@ class WeightedLayer(Layer):
 
     def forget(self) -> None:
         self._cache = self.gw = self.gb = None
+
+    def _init_params(self, shape, rng: np.random.Generator) -> None:
+        scale = 1.0 / np.sqrt(math.prod(shape[1:]))
+        self.w = rng.uniform(-scale, scale, size=shape).astype(np.float32)
+        self.b = np.zeros(shape[0], dtype=np.float32)
 
 
 @functools.cache
@@ -145,11 +150,8 @@ class Conv2d(WeightedLayer):
         return (self.out_channels, h, w)
 
     def init_params(self, in_shape, rng: np.random.Generator):
-        c = in_shape[0]
         k = self.kernel_size
-        scale = 1.0 / np.sqrt(c * k * k)
-        self.w = rng.uniform(-scale, scale, size=(self.out_channels, c, k, k))
-        self.b = np.zeros(self.out_channels)
+        self._init_params((self.out_channels, in_shape[0], k, k), rng)
 
     def _pad(self):
         if self.padding == "valid":
@@ -204,7 +206,7 @@ class Conv2d(WeightedLayer):
         wmat = self.w.reshape(self.out_channels, -1)
         dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
         # the padded input is (ho + k - 1) x (wo + k - 1)
-        dxp = np.zeros((b, ho + k - 1, wo + k - 1, c))
+        dxp = np.zeros((b, ho + k - 1, wo + k - 1, c), dtype=dcols.dtype)
         for i in range(k):
             for j in range(k):
                 dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
@@ -265,7 +267,7 @@ class MaxPool2x2(Layer):
         left_top, left_bottom = _first_wins(tl, tr), _first_wins(bl, br)
         top_wins = _first_wins(top, bottom)
         bottom_wins = ~top_wins
-        dx = np.zeros(x.shape)
+        dx = np.zeros(x.shape, dtype=grad.dtype)
         dtl, dtr, dbl, dbr = _pool_taps(dx, h2, w2)
         dtl[...] = np.where(top_wins & left_top, grad, 0.0)
         dtr[...] = np.where(top_wins & ~left_top, grad, 0.0)
@@ -327,9 +329,7 @@ class Dense(WeightedLayer):
         return (self.out_width,)
 
     def init_params(self, in_shape, rng):
-        scale = 1.0 / np.sqrt(in_shape[0])
-        self.w = rng.uniform(-scale, scale, size=(self.out_width, in_shape[0]))
-        self.b = np.zeros(self.out_width)
+        self._init_params((self.out_width, in_shape[0]), rng)
 
     def forward(self, x, train: bool = True):
         if not train:
@@ -487,7 +487,7 @@ class Model:
         if not self.normalize_input:
             return x
         peak = np.abs(x).max(axis=(1, 2, 3), keepdims=True)
-        return np.divide(x, peak, out=x.astype(float), where=peak > 0)
+        return np.divide(x, peak, out=x.copy(), where=peak > 0)
 
     def backward_batch(self, grad: np.ndarray, skip_top: int = 0) -> None:
         """Fill every layer's parameter gradients from ``grad``, the
@@ -580,7 +580,7 @@ def forward(model: Model, adp: np.ndarray) -> np.ndarray:
     classification heads return the cell probability vector; a stack gets
     one row per profile, bit for bit the output of its own single call.
     """
-    x = np.asarray(adp, dtype=np.float64)
+    x = np.asarray(adp, dtype=np.float32)
     out = model.forward_batch(x.reshape((-1, 1) + x.shape[-2:]), train=False)
     if model.head.kind == "regression":
         out = model.denormalize_positions(out)
@@ -662,11 +662,11 @@ def _loss_and_grads(model: Model, data, y):
 
 
 def training_data(model: Model, db: FingerprintDb):
-    """(inputs, targets) for a database, excluding zero-profile points."""
+    """(float32 inputs, targets) for a database, without zero profiles."""
     keep = ~db.zero_flags
-    x = db.adps[keep].astype(np.float64)[:, None, :, :]
+    x = np.asarray(db.adps[keep], dtype=np.float32)[:, None, :, :]
     if model.head.kind == "regression":
-        y = model.normalize_positions(db.positions[keep])
+        y = model.normalize_positions(db.positions[keep]).astype(np.float32)
     else:
         y = model.head.cells.cell_of(db.positions[keep], db.grid.extent())
     return x, y

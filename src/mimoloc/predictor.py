@@ -200,7 +200,7 @@ def _associate(pz, pq, pamp, shape):
 
 
 def _history_stack(histories):
-    """The (n, frames, n_t, n_c) stack of histories as a float64 array."""
+    """The (n, frames, n_t, n_c) histories as float64, the tracker's dtype."""
     try:
         x = np.asarray(histories, dtype=np.float64)
     except ValueError as exc:  # frames of different shapes
@@ -278,7 +278,7 @@ class ConvRecurrentPredictor:
     geometry. The prediction is ``relu(x_last + conv_out(h))``, a residual
     correction on the latest frame; an untrained model therefore starts
     out close to persistence. Inputs are divided by a global scale fitted
-    on the training set so tanh stays responsive.
+    on the training set so tanh stays responsive. It is float32 throughout.
 
     Raises:
         ValueError: a size is not an integer of at least 1,
@@ -335,8 +335,8 @@ class ConvRecurrentPredictor:
         if x.shape[2:] != shape:
             raise DimensionMismatch(
                 f"frames have shape {x.shape[2:]}, expected {shape}")
-        x = x / self.scale
-        h = np.zeros((len(x), self.hidden_channels) + shape)
+        x = x.astype(np.float32) / self.scale
+        h = np.zeros((len(x), self.hidden_channels) + shape, dtype=np.float32)
         for t in range(x.shape[1]):
             h = np.tanh(self._xh.forward(x[:, t, None], train=False)
                         + self._hh.forward(h, train=False))
@@ -373,10 +373,10 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
     Returns the mean loss and gradients in ``parameters()`` order.
     """
     b, t_len, n_t, n_c = x.shape
-    h = np.zeros((b, model.hidden_channels, n_t, n_c))
+    h = np.zeros((b, model.hidden_channels, n_t, n_c), dtype=x.dtype)
     hcols = model._out.columns(h)
     steps = []
-    preds = np.empty((b, t_len - 1, n_t, n_c))
+    preds = np.empty((b, t_len - 1, n_t, n_c), dtype=x.dtype)
     for t in range(t_len - 1):
         xh, hh, out = (_clone_conv(model._xh), _clone_conv(model._hh),
                        _clone_conv(model._out))
@@ -404,8 +404,8 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
 
 
 def _as_frame_array(sequences) -> np.ndarray:
-    """The (frames, n_t, n_c) walks stacked into a new float64 array."""
-    arrays = [np.asarray(seq, dtype=np.float64) for seq in sequences]
+    """The (frames, n_t, n_c) walks stacked into a new float32 array."""
+    arrays = [np.asarray(seq, dtype=np.float32) for seq in sequences]
     if not arrays:
         raise EmptyHistory("no training sequences")
     lengths = {a.shape for a in arrays}

@@ -142,7 +142,7 @@ class ReferenceConv2d(Conv2d):
         )
         self.gb = gt.sum(axis=(0, 1, 2))
         dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
-        dxp = np.zeros(xp_shape)
+        dxp = np.zeros(xp_shape, dtype=dcols.dtype)
         for i in range(k):
             for j in range(k):
                 dxp[:, :, i:i + ho, j:j + wo] += dcols[:, :, :, :, i, j].transpose(
@@ -174,9 +174,9 @@ class ReferenceMaxPool2x2(MaxPool2x2):
         x_shape, idx = self._cache
         b, c, h, w = x_shape
         h2, w2 = h // 2, w // 2
-        dwins = np.zeros((b, c, h2, w2, 4))
+        dwins = np.zeros((b, c, h2, w2, 4), dtype=grad.dtype)
         np.put_along_axis(dwins, idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros(x_shape)
+        dx = np.zeros(x_shape, dtype=grad.dtype)
         dx[:, :, : h2 * 2, : w2 * 2] = (
             dwins.reshape(b, c, h2, w2, 2, 2)
             .transpose(0, 1, 2, 4, 3, 5)
@@ -241,9 +241,9 @@ def _predictor_loss_and_grads(model, x):
     # every layer builds its own columns at every step, the input layer
     # from that step's frames
     b, t_len, n_t, n_c = x.shape
-    h = np.zeros((b, model.hidden_channels, n_t, n_c))
+    h = np.zeros((b, model.hidden_channels, n_t, n_c), dtype=x.dtype)
     steps = []
-    preds = np.empty((b, t_len - 1, n_t, n_c))
+    preds = np.empty((b, t_len - 1, n_t, n_c), dtype=x.dtype)
     for t in range(t_len - 1):
         xh, hh, out = (_clone_conv(model._xh), _clone_conv(model._hh),
                        _clone_conv(model._out))

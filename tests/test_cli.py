@@ -81,7 +81,8 @@ def _assert_float32_equal(saved, trained):
     params = trained.parameters()
     assert len(saved.parameters()) == len(params)
     for p, q in zip(saved.parameters(), params):
-        assert np.array_equal(p, q.astype(np.float32))
+        assert p.dtype == q.dtype == np.float32
+        assert np.array_equal(p, q)
 
 
 def test_run_and_report(config_path, tmp_path, capsys):

@@ -72,10 +72,20 @@ def fd_input_grad(f, x, h=1e-4):
     return g
 
 
+def widen(layers):
+    """Cast the layers' float32 weights to float64 for a finite-difference
+    check: rounding a 1e-4 step to float32 would swamp it."""
+    for layer in layers:
+        if isinstance(layer, WeightedLayer):
+            layer.w, layer.b = (layer.w.astype(np.float64),
+                                layer.b.astype(np.float64))
+
+
 def check_layer(layer, x, seed=1):
     """FD-check input and parameter gradients through a squared loss."""
     rng = np.random.default_rng(seed)
     layer.init_params(x.shape[1:], rng)
+    widen([layer])
     target = rng.standard_normal(layer.forward(x).shape)
 
     def loss():
@@ -358,6 +368,50 @@ class TestColumnCache:
         assert calls == [(2, 8, 8, 8)] * 6
 
 
+class TestFloat32:
+    """Both heads and the recurrent predictor compute in float32, the
+    precision of the stored profiles and of a checkpoint: nothing widens
+    back to float64 in training, and a float64 input gives the output of
+    its float32 values."""
+
+    @pytest.mark.parametrize("head", [
+        Head("regression"), Head("classification", ClassifierGrid(2, 2))],
+        ids=["regression", "classifier"])
+    def test_localizer(self, head):
+        db = synthetic_db(n_rows=3, n_cols=3)
+        model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
+                            head, seed=1, normalize_input=True)
+        train(model, db, TrainConfig(epochs=2, batch_size=4, seed=0))
+        assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        x, y = neural.training_data(model, db)
+        data = model.training_input(x)
+        assert data.dtype == np.float32
+        _, grads = neural._loss_and_grads(model, data[:4], y[:4])
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+        # inference runs the float32 stack that training runs
+        out = model.forward_batch(x, train=False)
+        if head.kind == "regression":
+            out = model.denormalize_positions(out)
+        assert np.array_equal(forward(model, db.adps), out)
+        assert np.array_equal(forward(model, db.adps.astype(np.float64)), out)
+
+    def test_predictor(self):
+        seqs = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 4, 8, 8))
+        model = ConvRecurrentPredictor(8, 8, hidden_channels=2, seed=0)
+        train_predictor(model, seqs, TrainConfig(epochs=2, batch_size=2,
+                                                 seed=0))
+        assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        data = predictor._as_frame_array(seqs) / model.scale
+        assert data.dtype == np.float32
+        _, grads = predictor._loss_and_grads(
+            model, data, predictor._step_columns(model, data))
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+        seqs32 = seqs.astype(np.float32)
+        got = model.predict(seqs32.astype(np.float64))
+        assert got.dtype == np.float32
+        assert np.array_equal(got, model.predict(seqs32))
+
+
 class TestComposedGradients:
     def test_regression_stack(self):
         # the default stack shrunk to a finite-difference-friendly size:
@@ -377,6 +431,7 @@ class TestComposedGradients:
             {"kind": "dense", "out_width": 2},
         ]
         model = build_model(specs, (1, 12, 12), head, seed=3)
+        widen(model.layers)
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 1, 12, 12))
         target = np.random.default_rng(5).uniform(0, 1, size=(2, 2))
 
@@ -395,6 +450,7 @@ class TestComposedGradients:
         specs = [{"kind": "flatten"}, {"kind": "dense", "out_width": 5},
                  {"kind": "relu"}, {"kind": "dense", "out_width": 2}]
         model = build_model(specs, (1, 3, 4), head, seed=8)
+        widen(model.layers)
         x = np.random.default_rng(9).uniform(0, 1, size=(3, 1, 3, 4))
         target = np.random.default_rng(10).uniform(0, 1, size=(3, 2))
 
@@ -417,6 +473,7 @@ class TestComposedGradients:
             {"kind": "softmax"},
         ]
         model = build_model(specs, (1, 8, 8), head, seed=6)
+        widen(model.layers)
         x = np.random.default_rng(7).uniform(0, 1, size=(3, 1, 8, 8))
         y = np.array([0, 3, 1])
 
@@ -747,11 +804,10 @@ class TestCheckpoints:
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.input_shape == model.input_shape
         np.testing.assert_allclose(loaded.pos_offset, model.pos_offset)
-        # f32 storage: predictions agree to float32 precision
+        # the model is float32, as stored: the loaded one is the trained one
         query = db.adps[0]
-        np.testing.assert_allclose(
-            forward(loaded, query), forward(model, query), rtol=1e-4, atol=1e-4
-        )
+        np.testing.assert_array_equal(forward(loaded, query),
+                                      forward(model, query))
 
     def test_classification_head_round_trip(self, tmp_path):
         head = Head("classification", ClassifierGrid(2, 2))
@@ -887,6 +943,10 @@ class TestInputNormalization:
             normalize_input=True,
         )
         adp = np.random.default_rng(3).uniform(0, 1, size=(8, 8))
+        # the model computes in float32: the scaled profile, normalized,
+        # may differ from the plain one by an ulp per pixel, and the
+        # outputs by float32 rounding (about 2e-9 here)
         np.testing.assert_allclose(
-            forward(model, adp), forward(model, 7.5 * adp), atol=1e-12
+            forward(model, adp), forward(model, 7.5 * adp),
+            atol=np.finfo(np.float32).eps
         )
