@@ -3,8 +3,8 @@
 One experiment run has two parts. ``build_world`` builds a fingerprint
 database for a chosen environment and trains both localizer heads on it
 (and the recurrent predictor, when one is chosen) in two helper
-processes, started before the database is built, while it calibrates
-detection thresholds; none of this depends on the distortion scenario.
+processes forked from the caller, while it calibrates detection
+thresholds; none of this depends on the distortion scenario.
 ``evaluate`` then simulates a batch of random walks with one distortion
 scenario in that world and scores four estimation methods frame by
 frame:
@@ -302,8 +302,7 @@ def thresholds_for(db: FingerprintDb) -> Thresholds:
 
 
 # --- training jobs -----------------------------------------------------------
-# build_world runs these only as helper jobs (see mimoloc.helper), which
-# name a job by its import path, so each is a module-level function
+# build_world runs these as helper jobs (see mimoloc.helper)
 
 def train_localizer(config: ExperimentConfig, db: FingerprintDb,
                     localizer: str):
@@ -367,6 +366,7 @@ class World:
     localizers: dict
     predictor: object
     train_losses: dict
+    helpers: list  # per helper process, what it trained and its usage
     build_seconds: float
 
 
@@ -443,36 +443,33 @@ def _hold(fixes, fallback):
 def build_world(config: ExperimentConfig, log=None) -> World:
     """Build the database and thresholds, train the localizers and predictor.
 
-    Training runs in two helper processes (see ``mimoloc.helper``), one
-    per head, or, with the recurrent predictor, one for both heads and
-    one for the predictor; each uses one BLAS thread. Both helpers start
-    before the database is built, so their start-up overlaps the build,
-    and each is handed its job as soon as that job exists: the
-    predictor's, which needs no database, at once, and the heads' once
-    the database is built (a job larger than the pipe is handed over
-    once its helper reads it). The caller calibrates the thresholds
-    while they train. Leaving the build for any reason kills and reaps
-    every helper it started.
+    Training runs in two helper processes forked from this one (see
+    ``mimoloc.helper``): one per head or, with the recurrent predictor,
+    one for both heads and one for the predictor, which starts at once.
+    The heads' start once the database is built, and the caller then
+    calibrates the thresholds while they train. Leaving the build for
+    any reason kills and reaps every helper it started.
     """
     config.validate()
     say = log if log is not None else (lambda msg: None)
     t0 = time.perf_counter()
     recurrent = config.predictor == "conv-recurrent"
     with contextlib.ExitStack() as stack:
-        helpers = [stack.enter_context(Helper()) for _ in range(2)]
         if recurrent:
             say("training the recurrent predictor in a helper process")
-            helpers[1].send([(train_recurrent_predictor, (config,))])
+            predictor_helper = stack.enter_context(
+                Helper([(train_recurrent_predictor, (config,))]))
         say("building fingerprint database")
         db = database_for(config)
         heads = [(train_localizer, (config, db, name)) for name in LOCALIZERS]
         if recurrent:
             say("training the localizers in a helper process")
-            helpers[0].send(heads)
+            jobs = [list(LOCALIZERS), ["predictor"]]
+            helpers = [stack.enter_context(Helper(heads)), predictor_helper]
         else:
             say("training the localizers in two helper processes")
-            helpers[0].send(heads[:1])
-            helpers[1].send(heads[1:])
+            jobs = [[name] for name in LOCALIZERS]
+            helpers = [stack.enter_context(Helper([head])) for head in heads]
         thresholds = thresholds_for(db)
         say(f"similarity floor {thresholds.similarity_floor:.4f}")
         trained = [r for results in collect(helpers) for r in results]
@@ -489,6 +486,8 @@ def build_world(config: ExperimentConfig, log=None) -> World:
         predictor=predictor,
         train_losses={"regressor": reg_losses, "classifier-wknn": cls_losses,
                       "predictor": predictor_losses},
+        helpers=[dict(helper.usage, trains=names)
+                 for helper, names in zip(helpers, jobs)],
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -560,7 +559,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
 
     Every file except report.json is a pure function of the configuration,
     so reruns produce identical bytes; report.json carries the wall-clock
-    numbers and aggregate metrics.
+    numbers, the helpers' resource usage and aggregate metrics.
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = ["method,frame,rmse_m"]
@@ -605,6 +604,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
             for name, losses in result.world.train_losses.items()
         },
         "runtime_seconds": result.runtime_seconds,
+        "helpers": result.world.helpers,
     }
     with open(os.path.join(out_dir, "report.json"), "w",
               encoding="utf-8") as fh:

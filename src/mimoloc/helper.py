@@ -1,118 +1,112 @@
 """Helper processes that run training jobs beside the calling process.
 
-A helper is used in two steps, so that its start-up overlaps the caller's
-own work. ``Helper()`` starts a fresh interpreter running ``serve``, with
-``HELPER_ENV`` added to the child's environment; the child imports numpy
-and mimoloc and then waits for its job. ``helper.send(calls)``
-hands it a pickled list of ``(function, args)`` calls over its stdin;
-large arrays are written from their own memory, not copied. ``send``
-returns once the pipe holds what the helper has not read, so a job
-larger than the pipe waits for the helper's start-up: start helpers
-early and hand them their jobs late.
-``collect(helpers)`` reads back each helper's list of return values from
-its stdout, from all helpers at once, as each finishes. Functions travel
-by import path, so a job is a module-level function. An exception a job
-raises is sent back and raised again in the caller; a helper that ends
-without a result, before or after its hand-off, raises ``HelperFailed``.
+``Helper(calls)`` forks the caller, numpy and mimoloc already imported.
+The child runs the ``(function, args)`` calls it inherited, in order, and
+pickles back over its own pipe their results and its resource usage
+(``usage``). Nothing is pickled on the way in: the child sees the
+caller's memory copy-on-write, so a job's arguments (the fingerprint
+database, say) are shared, not copied. ``collect(helpers)`` reads all
+replies at once. An exception a job raises, or a result that does not
+pickle, is raised again in the caller; a helper that ends without a
+result raises ``HelperFailed``. Its ``with`` block kills and reaps it.
 
-``HELPER_ENV`` pins BLAS to one thread and sets two glibc allocator
-thresholds. ``MALLOC_MMAP_THRESHOLD_`` (16 MiB) serves blocks under 16 MiB
-from the heap rather than from their own mappings, and
-``MALLOC_TRIM_THRESHOLD_`` (64 MiB) keeps up to 64 MiB of freed heap
-instead of handing it back to the kernel. A fresh interpreter starts both
-at 128 KiB, and then hands each SGD step's temporaries (column matrices,
-gradients) back to the kernel and faults them in again on the next step:
-about 120,000 minor faults and 0.3 s of system time per head of the
-benchmark's acceptance workload (16x16 grid, 45 epochs), against under
-4,000 with the two settings. They are set together:
-setting either one turns off glibc's dynamic thresholds, and either
-alone faults more than neither. The numerics do not change, and neither
-does a helper's peak memory.
-
-A plain child process, not ``multiprocessing``: the caller's environment
-is never touched, nothing outlives the ``with`` block (a helper still
-running at its end, handed a job or not, is killed and reaped), the
-caller's ``__main__`` is not imported again, and the caller starts no
-thread. Pickled bytes only ever pass between a caller and the helpers it
-started.
+The child sets, for itself alone, what a fresh process would have read
+from its environment: one BLAS thread (through the setter of each
+OpenBLAS in ``/proc/self/maps``), so two helpers fill two cores; and
+glibc ``mallopt`` thresholds that keep each SGD step's temporaries on
+the heap instead of faulting them in again every step (see the README).
+Forking needs POSIX. Only the forking thread is copied; OpenBLAS stops
+its workers before a fork, but Python 3.12+ warns when a caller with
+threads of its own forks. Standard streams are flushed before the fork,
+so that the child does not write the caller's buffered text again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
+import resource
 import selectors
-import subprocess
+import signal
 import sys
+import time
 
 from .errors import HelperFailed
 
-# one BLAS thread per helper: two helpers fill two cores, and a
-# multithreaded BLAS in each would oversubscribe them; the allocator
-# thresholds are explained in the module docstring
-HELPER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-              "MKL_NUM_THREADS": "1",
-              "MALLOC_MMAP_THRESHOLD_": str(16 << 20),
-              "MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
+# mallopt's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and their values
+_MALLOPT = ((-3, 16 << 20), (-1, 64 << 20))
 
-# the directory the running mimoloc package was imported from
-_ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 
-# not ``-m mimoloc.helper``: importing the package imports this module, and
-# runpy warns when the module it is asked to run is already imported
-_ENTRY = ("import sys; from mimoloc.helper import serve; "
-          "sys.exit(serve(sys.argv[1]))")
+def openblas_thread_functions(verb: str) -> list:
+    """``openblas_<verb>_num_threads`` ("get" or "set") of each OpenBLAS
+    mapped into this process, plain or as numpy's wheels bundle it."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line and ".so" in line})
+    except OSError:  # no /proc
+        return []
+    names = [f"{prefix}openblas_{verb}_num_threads{suffix}"
+             for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    found = []
+    for lib in map(ctypes.CDLL, paths):
+        fn = next(filter(None, (getattr(lib, n, None) for n in names)), None)
+        if fn is not None:
+            fn.argtypes = (ctypes.c_int,) if verb == "set" else ()
+            fn.restype = None if verb == "set" else ctypes.c_int
+            found.append(fn)
+    return found
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
 
 
 class Helper:
-    """One child interpreter that runs the calls it is handed, in order."""
+    """One forked child that runs the calls it inherited, in order."""
 
-    def __init__(self):
-        self.name = None  # set when the helper is handed its calls
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, **HELPER_ENV,
-                   PYTHONPATH=_ROOT + (os.pathsep + path if path else ""))
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c", _ENTRY, _ROOT],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-
-    def send(self, calls) -> None:
-        """Hand the helper its calls; a helper takes one list of calls.
-
-        Returns once the pipe holds what the helper has not read yet, so
-        calls larger than the pipe wait for the helper's start-up.
-        """
-        if self.name is not None:
-            raise ValueError(f"helper for {self.name} already has its calls")
+    def __init__(self, calls):
         self.name = ", ".join(fn.__qualname__ for fn, _ in calls)
+        self.usage = None  # the child's resource usage, once collected
+        self.returncode = None
+        _flush_std_streams()
+        read, write = os.pipe()
         try:
-            with self.proc.stdin:
-                pickle.dump(calls, self.proc.stdin,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        except BrokenPipeError:
-            pass  # the helper died; collect() reports its status
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            _child(calls, read, write)
+        os.close(write)
+        self.reply = open(read, "rb", buffering=0)
+
+    def _reap(self) -> None:
+        self.returncode = os.waitstatus_to_exitcode(
+            os.waitpid(self.pid, 0)[1])
 
     def _finish(self, data: bytearray) -> list:
-        # the helper closed its stdout after sending ``data``
-        self.proc.stdout.close()
-        status = self.proc.wait()
-        # a helper exits 0 only after its whole reply is written
-        if status != 0 or not data:
+        self._reap()
+        # a child exits 0 only after its whole reply is written
+        if self.returncode != 0 or not data:
             raise HelperFailed(
-                f"helper for {self.name} exited with status {status} "
-                f"without a result")
-        ok, payload = pickle.loads(data)
+                f"helper for {self.name} exited with status "
+                f"{self.returncode} without a result")
+        ok, payload, self.usage = pickle.loads(data)
         if not ok:
             raise payload
         return payload
 
     def close(self) -> None:
         """Kill the helper if it still runs, and reap it."""
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait()
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            pipe.close()
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        self.reply.close()
 
     def __enter__(self):
         return self
@@ -131,20 +125,17 @@ def collect(helpers) -> list:
     may still run (the caller's ``with`` blocks then kill them).
 
     Raises:
-        ValueError: a helper has not been handed its calls.
         HelperFailed: a helper ended without sending a result.
-        Exception: whatever a job raised, raised again here.
+        Exception: whatever a job raised, or the error pickling a
+            result, raised again here.
     """
-    if any(helper.name is None for helper in helpers):
-        raise ValueError("a helper was handed no calls")
     # one growing buffer per reply, dropped once unpickled: replies that
     # arrive together hold no more than their own size each
     replies = {helper: bytearray() for helper in helpers}
     results = {}
     with selectors.DefaultSelector() as selector:
         for helper in helpers:
-            selector.register(helper.proc.stdout, selectors.EVENT_READ,
-                              helper)
+            selector.register(helper.reply, selectors.EVENT_READ, helper)
         while selector.get_map():
             for key, _ in selector.select():
                 data = os.read(key.fd, 1 << 16)
@@ -157,24 +148,37 @@ def collect(helpers) -> list:
     return [results[helper] for helper in helpers]
 
 
-def serve(root: str) -> int:
-    """The helper's side: run the calls read from stdin, reply on stdout.
-
-    ``root`` is where the caller imported mimoloc from; a helper that
-    imported another copy (say, one in its working directory) refuses to
-    run it.
-    """
-    if _ROOT != root:
-        print(f"helper imported mimoloc from {_ROOT}, not {root}",
-              file=sys.stderr)
-        return 2
-    out = sys.stdout.buffer
-    sys.stdout = sys.stderr  # a stray print must not corrupt the result
-    calls = pickle.load(sys.stdin.buffer)
+def _child(calls, read: int, write: int):
+    """The child's side: run the calls, reply on ``write``; never returns."""
+    start, status = time.perf_counter(), 1
     try:
-        reply = (True, [fn(*args) for fn, args in calls])
-    except Exception as exc:  # sent back, raised again by the caller
-        reply = (False, exc)
-    pickle.dump(reply, out, protocol=pickle.HIGHEST_PROTOCOL)
-    out.flush()
-    return 0
+        os.close(read)
+        try:
+            for setter in openblas_thread_functions("set"):
+                setter(1)
+            mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+            if mallopt is not None:
+                mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+                mallopt.restype = ctypes.c_int
+                for param, value in _MALLOPT:
+                    mallopt(param, value)
+            reply = (True, [fn(*args) for fn, args in calls])
+        except Exception as exc:  # sent back, raised again by the caller
+            reply = (False, exc)
+        ru = resource.getrusage(resource.RUSAGE_SELF)
+        usage = {"wall_s": time.perf_counter() - start,
+                 "cpu_s": ru.ru_utime + ru.ru_stime,
+                 "minflt": ru.ru_minflt,
+                 "maxrss_mb": ru.ru_maxrss / 1024.0}  # Linux counts KiB
+        try:
+            data = pickle.dumps(reply + (usage,), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # a result or an error that cannot pickle
+            data = pickle.dumps((False, exc, usage))
+        with open(write, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        try:
+            _flush_std_streams()
+        finally:
+            os._exit(status)

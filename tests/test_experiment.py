@@ -4,10 +4,11 @@ import contextlib
 import dataclasses
 import json
 import os
+import pickle
 import platform
-import resource
 import signal
 import subprocess
+import sys
 import time
 
 import numpy as np
@@ -49,7 +50,7 @@ from mimoloc.experiment import (
     train_localizer,
 )
 from mimoloc.fingerprint import FingerprintDb, build_db
-from mimoloc.helper import HELPER_ENV, Helper, collect, serve
+from mimoloc.helper import Helper, collect, openblas_thread_functions
 from mimoloc.neural import (
     ClassifierGrid,
     ClassifierWknnLocalizer,
@@ -560,6 +561,15 @@ class TestEmitReport:
         assert set(report["median_distorted_rmse_m"]) == set(METHODS)
         assert report["runtime_seconds"] > 0.0
 
+    def test_report_records_each_helper(self, smoke_result, tmp_path):
+        emit_report(smoke_result, tmp_path)
+        helpers = json.loads((tmp_path / "report.json").read_text())["helpers"]
+        assert [h["trains"] for h in helpers] == [["regressor"],
+                                                  ["classifier-wknn"]]
+        for helper in helpers:
+            for key in ("wall_s", "cpu_s", "minflt", "maxrss_mb"):
+                assert helper[key] > 0, key
+
     def test_undefined_ratios_are_null_in_strict_json(self, clean_result,
                                                       tmp_path, capsys):
         # nothing distorted and nothing flagged: precision and recall are
@@ -588,8 +598,9 @@ class TestEmitReport:
             if name == "report.json":
                 a = json.loads((dir_a / name).read_text())
                 b = json.loads((dir_b / name).read_text())
-                a.pop("runtime_seconds")
-                b.pop("runtime_seconds")
+                # wall-clock figures, and the helpers' times and page counts
+                for key in ("runtime_seconds", "helpers"):
+                    a.pop(key), b.pop(key)
                 assert a == b
             else:
                 assert ((dir_a / name).read_bytes()
@@ -635,6 +646,26 @@ def train_in_process(config):
     return models, curves
 
 
+def run_script(script: str) -> str:
+    """The standard output of ``script`` run by a fresh interpreter that
+    imports this mimoloc, its stdout a pipe and block-buffered."""
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(env, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def no_process():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_process)
+
+
 class TestHelpers:
     """Training runs in helper processes; the caller sees the same run."""
 
@@ -666,50 +697,58 @@ class TestHelpers:
                                                    train_learning_rate=1e6)))
 
     def test_helper_runs_with_one_blas_thread(self):
-        # and with the rest of its environment dict, none of it the caller's
+        # set in the child alone: the caller's count and environment stay
+        if "openblas" not in np.show_config(
+                mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            pytest.skip("numpy is not built on OpenBLAS")
         environ = dict(os.environ)
-        with Helper() as helper:
-            helper.send([(os.getenv, (name,)) for name in HELPER_ENV])
-            got, = collect([helper])
-        assert dict(zip(HELPER_ENV, got)) == HELPER_ENV
-        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        assert [HELPER_ENV[name] for name in blas] == ["1", "1", "1"]
+
+        def counts():
+            return [get() for get in openblas_thread_functions("get")]
+
+        caller = counts()
+        assert caller
+        with Helper([(counts, ())]) as helper:
+            (got,), = collect([helper])
+        assert got == [1] * len(caller)
+        assert counts() == caller
         assert dict(os.environ) == environ
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator settings are glibc's")
     def test_training_steps_reuse_the_helper_heap(self):
-        # ten more epochs of the 16x16 regressor take almost no new pages
-        # (about 27,000 faults when each step's temporaries go back to the
-        # kernel and are faulted in again on the next step)
-        config = ExperimentConfig(**dict(TINY, grid_rows=16, grid_cols=16))
-        db = database_for(config)
-        usage = (resource.getrusage, (resource.RUSAGE_SELF,))
-        with Helper() as short, Helper() as long:
-            for helper, epochs in ((short, 10), (long, 20)):
-                job = dataclasses.replace(config, train_epochs=epochs)
-                helper.send([(train_localizer, (job, db, "regressor")),
-                             usage])
-            (_, short_usage), (_, long_usage) = collect([short, long])
-        assert long_usage.ru_minflt - short_usage.ru_minflt < 2000
-
-    def test_helper_refuses_another_package_tree(self, capsys):
-        # a helper that imported mimoloc from elsewhere (say, a copy in
-        # its working directory) would train with other sources
-        assert serve(os.path.join("elsewhere", "src")) == 2
-        assert "elsewhere" in capsys.readouterr().err
+        # 90 more epochs of the 16x16 regressor take almost no new pages
+        # (about 7,000 more when each step's temporaries go back to the
+        # kernel and are faulted in again on the next step). Run from a
+        # fresh interpreter: a caller whose heap has grown, as this test
+        # process's has, may pass on allocator thresholds high enough
+        # that the helper's own settings make no difference.
+        fields = dict(TINY, grid_rows=16, grid_cols=16)
+        out = run_script(
+            "import dataclasses\n"
+            "from mimoloc.experiment import *\n"
+            "from mimoloc.helper import Helper, collect\n"
+            f"config = ExperimentConfig(**{fields!r})\n"
+            "db = database_for(config)\n"
+            "jobs = [[(train_localizer, (dataclasses.replace(\n"
+            "    config, train_epochs=epochs), db, 'regressor'))]\n"
+            "    for epochs in (10, 100)]\n"
+            "with Helper(jobs[0]) as short, Helper(jobs[1]) as long:\n"
+            "    collect([short, long])\n"
+            "print(short.usage['minflt'], long.usage['minflt'])\n")
+        short, long = map(int, out.split())
+        assert long - short < 2000
 
     def test_job_that_exits_without_a_result(self):
         t0 = time.perf_counter()
-        with Helper() as sleeper, Helper() as failing:
-            sleeper.send([(time.sleep, (120,))])
-            failing.send([(os._exit, (3,))])
+        with Helper([(time.sleep, (120,))]) as sleeper, \
+                Helper([(os._exit, (3,))]) as failing:
             with pytest.raises(HelperFailed, match="_exit.*status 3"):
                 collect([failing])
         # leaving the block kills the helper still at work, and reaps both
         assert time.perf_counter() - t0 < 60.0
-        assert failing.proc.returncode == 3
-        assert sleeper.proc.returncode is not None
+        assert failing.returncode == 3
+        assert sleeper.returncode == -signal.SIGKILL
 
     def test_failure_surfaces_before_a_slower_helper_ends(self):
         # collected as they end, not in order: the second helper's failure
@@ -717,79 +756,56 @@ class TestHelpers:
         t0 = time.perf_counter()
         with pytest.raises(HelperFailed, match="_exit.*status 3"):
             with contextlib.ExitStack() as stack:
-                helpers = [stack.enter_context(Helper()) for _ in range(2)]
-                helpers[0].send([(time.sleep, (120,))])
-                helpers[1].send([(os._exit, (3,))])
+                helpers = [stack.enter_context(Helper(calls)) for calls in
+                           ([(time.sleep, (120,))], [(os._exit, (3,))])]
                 collect(helpers)
         assert time.perf_counter() - t0 < 60.0
-        assert [h.proc.returncode for h in helpers][1] == 3
-        assert helpers[0].proc.returncode is not None
+        assert [h.returncode for h in helpers] == [-signal.SIGKILL, 3]
 
     def test_collect_returns_results_in_the_order_given(self):
-        with Helper() as slow, Helper() as fast:
-            slow.send([(time.sleep, (0.5,)),
-                       (os.getenv, ("OMP_NUM_THREADS",))])
-            fast.send([(abs, (-2,))])
-            assert collect([slow, fast]) == [[None, "1"], [2]]
+        with Helper([(time.sleep, (0.5,)), (abs, (-1,))]) as slow, \
+                Helper([(abs, (-2,))]) as fast:
+            assert collect([slow, fast]) == [[None, 1], [2]]
 
-    def test_large_calls_arrive_whole(self):
-        # far more than the pipe holds: arrays in either order, and a str
-        # whose only owner is the temporary list of calls
+    def test_large_results_arrive_whole(self):
+        # far more than the pipe holds: arrays in either order, and bytes
         data = np.arange(1 << 18, dtype=np.float64).reshape(512, 512)
-        with Helper() as helper:
-            helper.send([(np.copy, (data,)),
-                         (np.copy, (np.asfortranarray(data),)),
-                         (str.encode, ("x" * (1 << 17),))])
+        with Helper([(np.copy, (data,)), (np.asfortranarray, (data,)),
+                     (str.encode, ("x" * (1 << 17),))]) as helper:
             (c_order, f_order, raw), = collect([helper])
         assert np.array_equal(c_order, data) and c_order.flags.c_contiguous
         assert np.array_equal(f_order, data) and f_order.flags.f_contiguous
         assert raw == b"x" * (1 << 17)
 
-    def test_helper_never_handed_a_job_is_killed(self):
-        with Helper() as idle:
-            pass
-        assert idle.proc.returncode is not None
-        assert idle.proc.stdin.closed and idle.proc.stdout.closed
-
-    def test_collect_needs_every_helper_handed_its_calls(self):
-        with Helper() as idle:
-            with pytest.raises(ValueError, match="no calls"):
-                collect([idle])
-            idle.send([(abs, (-1,))])
-            with pytest.raises(ValueError, match="already"):
-                idle.send([(abs, (-1,))])
-
-    @pytest.mark.parametrize("dies", ["before send", "during send"])
-    def test_helper_that_dies_before_its_hand_off(self, dies):
-        calls = [(len, (np.zeros(1 << 18),))]  # more than the pipe holds
-
-        def kill(signum, frame):
-            helper.proc.kill()
-
-        with Helper() as helper:
-            if dies == "during send":
-                # the helper reads nothing, so send waits until it dies
-                os.kill(helper.proc.pid, signal.SIGSTOP)
-                handler = signal.signal(signal.SIGALRM, kill)
-                signal.setitimer(signal.ITIMER_REAL, 0.5)
-                try:
-                    helper.send(calls)
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
-                    signal.signal(signal.SIGALRM, handler)
-            else:
-                helper.proc.kill()
-                helper.proc.wait()
-                helper.send(calls)
-            with pytest.raises(HelperFailed, match="len.*status -9"):
+    def test_result_that_cannot_pickle_fails_in_the_caller(self):
+        t0 = time.perf_counter()
+        with Helper([(lambda: lambda: None, ())]) as helper:
+            # which of the two pickle raises depends on the Python version
+            with pytest.raises((AttributeError, pickle.PicklingError),
+                               match="pickle.*lambda"):
                 collect([helper])
+        assert time.perf_counter() - t0 < 30.0
+        assert helper.returncode == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(helper.pid, os.WNOHANG)
+
+    def test_caller_output_is_written_once(self):
+        # a piped stdout is block-buffered, so the caller's line is still
+        # in its buffer when it forks; the child flushes its own prints
+        out = run_script(
+            "from mimoloc.helper import Helper, collect\n"
+            "print('caller line')\n"
+            "with Helper([(print, ('job line',)), (abs, (-3,))]) as h:\n"
+            "    print('result', collect([h]))\n")
+        assert out.splitlines() == [
+            "caller line", "job line", "result [[None, 3]]"]
 
     def test_database_error_leaves_no_helper(self, monkeypatch):
         started = []
 
         class Recorded(Helper):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, calls):
+                super().__init__(calls)
                 started.append(self)
 
         def broken(config):
@@ -800,25 +816,26 @@ class TestHelpers:
         for predictor in ("peak-track", "conv-recurrent"):
             with pytest.raises(MemoryError):
                 build_world(ExperimentConfig(predictor=predictor, **TINY))
-        assert len(started) == 4
-        assert all(h.proc.returncode is not None for h in started)
+        # only the recurrent predictor's helper starts before the database
+        assert len(started) == 1
+        assert started[0].returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-    def test_bad_config_starts_no_process(self, monkeypatch):
-        def no_process(*args, **kwargs):
-            raise AssertionError("a process was started")
-
-        monkeypatch.setattr(subprocess, "Popen", no_process)
+    def test_bad_config_starts_no_process(self, no_fork):
         with pytest.raises(ConfigError):
             build_world(ExperimentConfig(**dict(TINY, scenario="jamming")))
 
-    def test_one_frame_recurrent_config_starts_no_process(self, monkeypatch):
+    def test_one_frame_recurrent_config_starts_no_process(self, no_fork):
         # the recurrent predictor cannot train on one-frame walks, so the
         # config is refused before a helper starts or the database is built
-        def no_process(*args, **kwargs):
-            raise AssertionError("a process was started")
-
-        monkeypatch.setattr(subprocess, "Popen", no_process)
         with pytest.raises(ConfigError, match="sequence_length"):
             build_world(ExperimentConfig(**dict(
                 TINY, predictor="conv-recurrent", sequence_length=1,
                 distort_from=0)))
+
+    @pytest.mark.parametrize("predictor", ["peak-track", "conv-recurrent"])
+    def test_valid_config_starts_a_process(self, no_fork, predictor):
+        # the guard above trips when a helper is started
+        with pytest.raises(AssertionError, match="a process was started"):
+            build_world(ExperimentConfig(predictor=predictor, **TINY))
