@@ -212,11 +212,20 @@ class TestKernelsMatchReference:
         else:
             x = rng.standard_normal((batch, 3, h, w))
         layer, ref = MaxPool2x2(), ReferenceMaxPool2x2()
-        for xi in layouts(x):
-            y = layer.forward(xi)
-            assert_same_bits(y, ref.forward(xi))
-            g = rng.standard_normal(y.shape)
-            assert_same_bits(layer.backward(g), ref.backward(g))
+        for dtype in (np.float64, np.float32):
+            for xi in layouts(x.astype(dtype)):
+                y = layer.forward(xi)
+                assert_same_bits(y, ref.forward(xi))
+                g = rng.standard_normal(y.shape).astype(dtype)
+                # a winning tap passes -0.0, NaN and inf on with their sign
+                special = g.copy()
+                special.flat[::2] = np.resize(
+                    [-0.0, np.nan, -np.nan, np.inf, -np.inf, 0.0],
+                    special.flat[::2].size)
+                for gi in (g, special):
+                    got, want = layer.backward(gi), ref.backward(gi)
+                    assert_same_bits(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_maxpool_tie_goes_to_first_tap(self):
         layer = MaxPool2x2()
@@ -614,6 +623,46 @@ class TestTraining:
         curve = train(model, db, TrainConfig(epochs=60, batch_size=8,
                                              learning_rate=0.1, seed=0))
         assert curve[-1] < curve[0] / 2
+
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])
+    def test_sgd_update_leaves_the_gradients_alone(self, momentum):
+        # the scaled gradient goes into sgd's own scratch array, with the
+        # roundings of ``v -= learning_rate * g``
+        g = np.random.default_rng(6).standard_normal(5).astype(np.float32)
+        given = g.copy()
+        p = np.ones(5, dtype=np.float32)
+        cfg = TrainConfig(epochs=3, batch_size=1, learning_rate=0.07,
+                          momentum=momentum)
+        neural.sgd([p], 2, lambda sel: (1.0, [g]), cfg)
+        assert np.array_equal(g, given)
+        want, v = np.ones(5, dtype=np.float32), np.zeros(5, dtype=np.float32)
+        for _ in range(6):
+            v *= momentum
+            v -= 0.07 * g
+            want += v
+        assert_same_bits(p, want)
+
+    @pytest.mark.parametrize("head", [
+        Head("regression"), Head("classification", ClassifierGrid(2, 2))],
+        ids=["regression", "classifier"])
+    def test_relu_masks_and_gradients_share_one_layout(self, monkeypatch,
+                                                       head):
+        # a channels-last mask times a C-order gradient made the first
+        # ReLU's backward 10x slower than two C-order operands
+        seen = []
+        backward = Relu.backward
+
+        def spy(layer, grad):
+            seen.append((layer._cache.flags.c_contiguous,
+                         grad.flags.c_contiguous))
+            return backward(layer, grad)
+
+        monkeypatch.setattr(Relu, "backward", spy)
+        db = synthetic_db(n_rows=3, n_cols=3)
+        model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
+                            head, seed=1, normalize_input=True)
+        train(model, db, TrainConfig(epochs=1, batch_size=9, seed=0))
+        assert seen == [(True, True)] * 3
 
 
 HEADS = [Head("regression"), Head("classification", ClassifierGrid(2, 2))]

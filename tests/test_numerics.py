@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mimoloc.fingerprint import PRINT_BLOCK, FingerprintDb, GridSpec
-from mimoloc.neural import Relu
+from mimoloc.neural import Relu, _select
 
 KS = range(1, 131)  # list lengths, multiples of 4 and not
 SIZES = (16, 64, 256)  # profile sizes of 4x4, 8x8 and 16x16
@@ -111,3 +111,29 @@ def test_relu_equals_where_on_a_batch_of_special_values():
         got = Relu().forward(view, train=False)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("dtype,bits,nans", [
+    (np.float32, np.uint32, [0x7FC00000, 0xFFC00000, 0x7F800001,
+                             0xFFC12345]),
+    (np.float64, np.uint64, [0x7FF8000000000000, 0xFFF8000000000000,
+                             0x7FF0000000000001, 0xFFF8123456789ABC])])
+def test_bit_select_equals_where(dtype, bits, nans):
+    # MaxPool2x2's backward routes each window's gradient with the select;
+    # NaN payloads (quiet and signalling), -0.0, subnormals and infinities
+    # keep every bit where the mask holds, and become +0.0 elsewhere
+    info = np.finfo(dtype)
+    special = np.concatenate([
+        np.array(nans, dtype=bits).view(dtype),
+        np.array([-0.0, 0.0, np.inf, -np.inf, info.smallest_subnormal,
+                  -info.smallest_subnormal, info.tiny / 3, 1.5, -2.0],
+                 dtype=dtype)])
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((4, 3, 8, 8)).astype(dtype)
+    a.flat[rng.choice(a.size, 300, replace=False)] = np.resize(special, 300)
+    mask = rng.random(a.shape) < 0.5
+    want = np.where(mask, a, 0.0)
+    out = np.full((4, 3, 16, 16), np.nan, dtype=dtype)
+    for dest in (np.empty_like(a), out[:, :, 1::2, ::2]):
+        _select(mask, a, dest)
+        assert dest.tobytes() == want.tobytes()
