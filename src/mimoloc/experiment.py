@@ -6,8 +6,10 @@ database for a chosen environment and trains both localizer heads on it
 processes forked from the caller, while it calibrates detection
 thresholds; none of this depends on the distortion scenario.
 ``evaluate`` then simulates a batch of random walks with one distortion
-scenario in that world and scores four estimation methods frame by
-frame:
+scenario in that world, on two cores: the caller runs the first half of
+the walks while one helper process forked from it runs the rest, with
+the world shared copy-on-write. It scores four estimation methods frame
+by frame:
 
 * ``dynamic``: detection plus prediction-fused recovery (the full
   pipeline).
@@ -59,6 +61,7 @@ from .neural import (
 )
 from .pipeline import (
     VERDICTS,
+    Estimates,
     Thresholds,
     Verdict,
     calibrate_similarity_floor,
@@ -272,13 +275,15 @@ def database_for(config: ExperimentConfig) -> FingerprintDb:
     return build_db(env, grid, array, ofdm, dft, seed=config.seed)
 
 
-def evaluation_walks(config: ExperimentConfig):
-    """Yield each evaluation walk of ``config`` as a ``FrameSequence``
-    record: its true positions, float32 profiles and distorted flags
-    (set from ``distort_from`` on unless the scenario is "none").
+def evaluation_walks(config: ExperimentConfig, indices=None):
+    """Yield evaluation walk ``i`` of ``config`` for each ``i`` of
+    ``indices`` (every walk by default) as a ``FrameSequence`` record: its
+    true positions, float32 profiles and distorted flags (set from
+    ``distort_from`` on unless the scenario is "none").
 
     Walk ``i`` takes the seed ``[seed, i]``. The first half keeps a heading
-    (mode 1), the second half redraws it every step (mode 2).
+    (mode 1), the second half redraws it every step (mode 2). So a walk is
+    the same whichever indices it is yielded with.
     """
     env, array, ofdm, grid, dft = pieces(config)
     scenario = None
@@ -288,7 +293,7 @@ def evaluation_walks(config: ExperimentConfig):
             addition_level_db=config.addition_level_db,
             rng_seed=config.seed)
     n_seq = config.n_sequences
-    for i in range(n_seq):
+    for i in range(n_seq) if indices is None else indices:
         mode = WalkMode.MODE1 if i < n_seq // 2 else WalkMode.MODE2
         walk = random_walk(grid, mode, config.sequence_length,
                            [config.seed, i])
@@ -385,6 +390,7 @@ class ExperimentResult:
     flagged: np.ndarray
     distorted: np.ndarray
     runtime_seconds: float
+    walkers: list  # per walk process, its walk range and times
 
     def rmse(self, method: str) -> np.ndarray:
         return rmse_per_frame(self.errors[method])
@@ -492,39 +498,41 @@ def build_world(config: ExperimentConfig, log=None) -> World:
     )
 
 
-def evaluate(world: World, scenario: str, out_dir=None,
-             log=None) -> ExperimentResult:
-    """Score the four methods on ``scenario``'s walks in ``world``.
+def run_walks(world: World, config: ExperimentConfig, indices) -> tuple:
+    """Run the evaluation walks ``indices`` of ``config`` in ``world``.
 
-    Optionally writes the reports to ``out_dir``. An unknown scenario
-    raises ``ConfigError``.
+    Returns (modes, truths, distorted, estimates, other fixes): the walks'
+    modes, (n, T, 2) true positions and (n, T) distorted flags, the
+    ``run_sequence`` record of the configured head, and the other head's
+    (n, T, 2) fixes of every frame as measured.
     """
-    config = dataclasses.replace(world.config, scenario=scenario)
-    config.validate()
-    say = log if log is not None else (lambda msg: None)
-    t0 = time.perf_counter()
-    n_seq, length = config.n_sequences, config.sequence_length
-    x0, y0, x1, y1 = world.db.grid.extent()
-    fallback = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
-    distorted = np.zeros((n_seq, length), dtype=bool)
-    truths = np.zeros((n_seq, length, 2))
-    modes, walks = [], []
-    say(f"running {n_seq} sequences")
-    for i, seq in enumerate(evaluation_walks(config)):
-        modes.append(seq.mode)
-        truths[i] = seq.positions
-        distorted[i] = seq.distorted
-        walks.append(seq.adps)
+    seqs = list(evaluation_walks(config, indices))
+    walks = [seq.adps for seq in seqs]
     est = run_sequence(walks, world.localizers[config.localizer], world.db,
                        world.thresholds, world.predictor,
                        history_length=config.history_length)
     # the dynamic head's baseline is the fix detection already took of each
     # measured frame; only the other head localizes the walks again, each
     # time step of every walk in one call
-    other = next(name for name in LOCALIZERS if name != config.localizer)
-    other_fixes = np.stack([locate_each(world.localizers[other],
-                                        [walk[t] for walk in walks])
-                            for t in range(length)], axis=1)
+    other = world.localizers[_other_head(config)]
+    other_fixes = np.stack([locate_each(other, [walk[t] for walk in walks])
+                            for t in range(config.sequence_length)], axis=1)
+    return ([seq.mode for seq in seqs],
+            np.stack([seq.positions for seq in seqs]),
+            np.stack([seq.distorted for seq in seqs]), est, other_fixes)
+
+
+def _other_head(config: ExperimentConfig) -> str:
+    return next(name for name in LOCALIZERS if name != config.localizer)
+
+
+def score_walks(world: World, config: ExperimentConfig, truths, est,
+                other_fixes) -> tuple:
+    """(errors, flagged) of walks that ``run_walks`` ran: each method's
+    (n, T) distance to the ``truths``, and the frames detection did not
+    accept."""
+    x0, y0, x1, y1 = world.db.grid.extent()
+    fallback = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
     tracks = {
         "dynamic": est.position,
         # the predictive arm alone: each frame's localized prediction out
@@ -532,14 +540,52 @@ def evaluate(world: World, scenario: str, out_dir=None,
         "predictor-only": np.where(np.isnan(est.predicted_position),
                                    est.position, est.predicted_position),
         config.localizer: _hold(est.measured_position, fallback),
-        other: _hold(other_fixes, fallback),
+        _other_head(config): _hold(other_fixes, fallback),
     }
     errors = {m: np.linalg.norm(tracks[m] - truths, axis=2) for m in METHODS}
+    return errors, est.verdict != VERDICTS.index(Verdict.ACCURATE)
+
+
+def evaluate(world: World, scenario: str, out_dir=None,
+             log=None) -> ExperimentResult:
+    """Score the four methods on ``scenario``'s walks in ``world``.
+
+    The walks run on two cores: a helper process forked from this one
+    (see ``mimoloc.helper``) runs walks ``[n // 2, n)``, the mode-2 half,
+    while this process runs walks ``[0, n // 2)``. The helper shares the
+    world copy-on-write and sends back only its walks' results, which are
+    those one pass over every walk gives (see ``run_sequence``). Leaving
+    for any reason kills and reaps the helper. ``ExperimentResult.walkers``
+    records the caller's walk range and wall time for it, then the
+    helper's range and resource usage.
+
+    Optionally writes the reports to ``out_dir``. An unknown scenario
+    raises ``ConfigError`` before the helper starts.
+    """
+    config = dataclasses.replace(world.config, scenario=scenario)
+    config.validate()
+    say = log if log is not None else (lambda msg: None)
+    t0 = time.perf_counter()
+    n_seq = config.n_sequences
+    half = n_seq // 2
+    say(f"running {n_seq} sequences")
+    with Helper([(run_walks, (world, config, range(half, n_seq)))]) as helper:
+        t_lower = time.perf_counter()
+        parts = [run_walks(world, config, range(half))] if half else []
+        lower_s = time.perf_counter() - t_lower
+        parts += collect([helper])[0]
+    modes, truths, distorted, est, other_fixes = zip(*parts)
+    truths, distorted, other_fixes = map(np.concatenate,
+                                         (truths, distorted, other_fixes))
+    errors, flagged = score_walks(
+        world, config, truths, Estimates(*map(np.concatenate, zip(*est))),
+        other_fixes)
     result = ExperimentResult(
-        config=config, world=world, modes=modes, truths=truths,
-        errors=errors, distorted=distorted,
-        flagged=est.verdict != VERDICTS.index(Verdict.ACCURATE),
+        config=config, world=world, modes=sum(modes, []), truths=truths,
+        errors=errors, flagged=flagged, distorted=distorted,
         runtime_seconds=world.build_seconds + time.perf_counter() - t0,
+        walkers=[{"walks": [0, half], "wall_s": lower_s},
+                 dict(helper.usage, walks=[half, n_seq])],
     )
     if out_dir is not None:
         emit_report(result, out_dir)
@@ -559,7 +605,8 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
 
     Every file except report.json is a pure function of the configuration,
     so reruns produce identical bytes; report.json carries the wall-clock
-    numbers, the helpers' resource usage and aggregate metrics.
+    numbers, the training helpers' resource usage (``helpers``), each walk
+    process's range and times (``walkers``) and aggregate metrics.
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = ["method,frame,rmse_m"]
@@ -605,6 +652,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
         },
         "runtime_seconds": result.runtime_seconds,
         "helpers": result.world.helpers,
+        "walkers": result.walkers,
     }
     with open(os.path.join(out_dir, "report.json"), "w",
               encoding="utf-8") as fh:

@@ -428,8 +428,9 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
     ]
     r1 = json.loads((tmp_path / "run1" / "report.json").read_text())
     r2 = json.loads((tmp_path / "run2" / "report.json").read_text())
-    r1.pop("runtime_seconds"), r2.pop("runtime_seconds")
-    r1.pop("helpers"), r2.pop("helpers")  # wall times and page counts
+    # wall times and page counts: the run's, its helpers' and its walkers'
+    for key in ("runtime_seconds", "helpers", "walkers"):
+        r1.pop(key), r2.pop(key)
     reports_match = r1 == r2
 
     art = str(tmp_path / "artifacts")

@@ -29,7 +29,9 @@ from mimoloc.errors import (
     ZeroAdp,
 )
 from mimoloc.experiment import (
+    LOCALIZERS,
     METHODS,
+    PREDICTORS,
     SCENARIOS,
     ExperimentConfig,
     _hold,
@@ -45,7 +47,9 @@ from mimoloc.experiment import (
     rich_environment,
     rmse_per_frame,
     run_experiment,
+    run_walks,
     save_config,
+    score_walks,
     sparse_environment,
     train_localizer,
 )
@@ -238,27 +242,33 @@ class TestRunExperiment:
     def test_baselines_equal_a_second_localization(self, monkeypatch,
                                                    localizer):
         # the dynamic head's baseline reuses detection's fixes; it must be
-        # the track a second pass of the same localizer gives
-        walks = []
-
+        # the track a second pass of the same localizer gives. Half the
+        # walks run in a helper process, whose calls this process cannot
+        # record, so each mutated walk is rebuilt here from its index
         def run_sequence(adps_of_walks, *args, **kwargs):
             for adps in adps_of_walks:
                 adps[2] = 0.0  # a lost link mid-walk: the baseline holds
-                walks.append(adps.copy())
             return pipeline.run_sequence(adps_of_walks, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "run_sequence", run_sequence)
         result = run_experiment(ExperimentConfig(
             scenario="los-block", **dict(TINY, localizer=localizer)))
-        assert result.flagged[:, 2].all()  # a lost link is flagged
+        assert result.flagged[:, 2].all()  # every lost link is flagged
         x0, y0, x1, y1 = result.world.db.grid.extent()
         center = ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-        for name, loc in result.world.localizers.items():
-            for i, adps in enumerate(walks):
+        checked = 0
+        for i in range(TINY["n_sequences"]):
+            (seq,) = evaluation_walks(result.config, [i])
+            assert np.array_equal(seq.positions, result.truths[i])
+            adps = seq.adps.copy()
+            adps[2] = 0.0
+            for name, loc in result.world.localizers.items():
                 track = baseline_track(loc, adps, center)
                 assert np.array_equal(
                     np.linalg.norm(track - result.truths[i], axis=1),
                     result.errors[name][i])
+            checked += 1
+        assert checked == len(result.truths) == 3
 
 
 def toy_localizer(frames):
@@ -342,7 +352,8 @@ class TestWorld:
         assert result.world is tiny_world
         assert result.runtime_seconds >= tiny_world.build_seconds > 0.0
 
-    def test_unknown_scenario_rejected(self, tiny_world):
+    def test_unknown_scenario_rejected(self, tiny_world, no_fork):
+        # refused before the walk helper starts
         with pytest.raises(ConfigError):
             evaluate(tiny_world, "jamming")
 
@@ -352,6 +363,75 @@ def recurrent_world():
     return build_world(ExperimentConfig(**dict(
         TINY, predictor="conv-recurrent", predictor_epochs=3,
         predictor_train_walks=4)))
+
+
+class TestWalkSplit:
+    """``evaluate`` runs the first half of the walks here and the rest in
+    a helper process; the run is the one a single pass over every walk
+    gives, and no process outlives it."""
+
+    @pytest.mark.parametrize("n_sequences", [1, 2, 3])
+    @pytest.mark.parametrize("localizer", LOCALIZERS)
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_equals_one_pass_over_every_walk(self, tiny_world,
+                                             recurrent_world, predictor,
+                                             localizer, n_sequences):
+        world = tiny_world if predictor == "peak-track" else recurrent_world
+        world = dataclasses.replace(world, config=dataclasses.replace(
+            world.config, localizer=localizer, n_sequences=n_sequences))
+        got = evaluate(world, "los-block")
+        modes, truths, distorted, est, other_fixes = run_walks(
+            world, got.config, range(n_sequences))
+        errors, flagged = score_walks(world, got.config, truths, est,
+                                      other_fixes)
+        assert got.modes == modes
+        assert len(modes) == n_sequences
+        for name, want in (("truths", truths), ("distorted", distorted),
+                           ("flagged", flagged)):
+            assert np.array_equal(getattr(got, name), want), name
+        assert set(got.errors) == set(errors)
+        for method, want in errors.items():
+            assert np.array_equal(got.errors[method], want), method
+        half = n_sequences // 2
+        assert [w["walks"] for w in got.walkers] == [[0, half],
+                                                     [half, n_sequences]]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_each_walk_of_an_index_is_that_walk_of_the_run(self, tiny_world,
+                                                          scenario):
+        config = dataclasses.replace(tiny_world.config, scenario=scenario)
+        walks = list(evaluation_walks(config))
+        for i, want in enumerate(walks):
+            (got,) = evaluation_walks(config, [i])
+            assert got.mode is want.mode
+            for name in ("positions", "adps", "distorted"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+        upper = list(evaluation_walks(config, range(1, len(walks))))
+        assert [w.mode for w in upper] == [w.mode for w in walks[1:]]
+
+    def test_no_process_outlives_a_run(self, tiny_world):
+        evaluate(tiny_world, "nlos-add")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failed_half_raises_here_and_leaves_no_process(
+            self, tiny_world, monkeypatch, failing):
+        caller = os.getpid()
+
+        def run_sequence(walks, *args, **kwargs):
+            if (os.getpid() == caller) == (failing == "caller"):
+                raise EmptyNeighborhood(f"walks of the {failing}")
+            return pipeline.run_sequence(walks, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_sequence", run_sequence)
+        t0 = time.perf_counter()
+        with pytest.raises(EmptyNeighborhood, match=failing):
+            evaluate(tiny_world, "los-block")
+        assert time.perf_counter() - t0 < 60.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestLockstep:
@@ -570,6 +650,16 @@ class TestEmitReport:
             for key in ("wall_s", "cpu_s", "minflt", "maxrss_mb"):
                 assert helper[key] > 0, key
 
+    def test_report_records_each_walk_process(self, smoke_result,
+                                              tmp_path):
+        emit_report(smoke_result, tmp_path)
+        caller, helper = json.loads(
+            (tmp_path / "report.json").read_text())["walkers"]
+        assert caller["walks"] == [0, 1] and caller["wall_s"] > 0
+        assert helper["walks"] == [1, 3]
+        for key in ("wall_s", "cpu_s", "minflt", "maxrss_mb"):
+            assert helper[key] > 0, key
+
     def test_undefined_ratios_are_null_in_strict_json(self, clean_result,
                                                       tmp_path, capsys):
         # nothing distorted and nothing flagged: precision and recall are
@@ -599,7 +689,7 @@ class TestEmitReport:
                 a = json.loads((dir_a / name).read_text())
                 b = json.loads((dir_b / name).read_text())
                 # wall-clock figures, and the helpers' times and page counts
-                for key in ("runtime_seconds", "helpers"):
+                for key in ("runtime_seconds", "helpers", "walkers"):
                     a.pop(key), b.pop(key)
                 assert a == b
             else:
