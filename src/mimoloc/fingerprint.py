@@ -45,7 +45,8 @@ class GridSpec:
     """Uniform rectangular grid of candidate positions.
 
     Point (row, col) sits at origin + (col*spacing, row*spacing); row-major
-    flattening defines the database order and all tie-breaking.
+    flattening defines the database order and all tie-breaking. ``origin``
+    and ``spacing`` are stored as floats.
 
     Raises:
         ValueError: ``origin`` is not two finite numbers, ``spacing`` is
@@ -64,6 +65,10 @@ class GridSpec:
         check_positive("spacing", self.spacing)
         check_int("n_rows", self.n_rows)
         check_int("n_cols", self.n_cols)
+        # as floats, so that a JSON integer too large for int64 (a spacing
+        # of 2**63, say) cannot overflow the position arithmetic
+        object.__setattr__(self, "origin", tuple(map(float, self.origin)))
+        object.__setattr__(self, "spacing", float(self.spacing))
 
     @property
     def n_points(self) -> int:

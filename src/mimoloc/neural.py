@@ -763,22 +763,17 @@ def _wknn(adps, members, db: FingerprintDb, k: int):
 
 
 def classify_then_wknn(model: Model, adp: np.ndarray, db: FingerprintDb,
-                       k: int = 3, probs=None, cells=None) -> WknnResult:
+                       k: int = 3) -> WknnResult:
     """Pick the most likely cell, then fuse the k most similar prints in it.
 
     Weights are the similarities normalized to sum to one, so the estimate
     stays inside the convex hull of the selected fingerprints. A predicted
     cell with no usable fingerprint falls back to a whole-database search
     (flagged in the result). A zero total similarity degrades to uniform
-    weights. ``probs`` (the model's output for ``adp``) and ``cells``
-    (``print_cells(model, db)``) are computed here unless the caller has
-    them already. The refinement is ``_wknn`` on a stack of one.
+    weights. The refinement is ``_wknn`` on a stack of one.
     """
-    if probs is None:
-        probs = forward(model, adp)
-    usable, cell_of_print = cells if cells is not None else print_cells(
-        model, db)
-    members = usable[cell_of_print == int(np.argmax(probs))]
+    usable, cell_of_print = print_cells(model, db)
+    members = usable[cell_of_print == int(np.argmax(forward(model, adp)))]
     used_fallback = len(members) == 0
     if used_fallback:
         members = usable
@@ -876,10 +871,11 @@ def load_model(path) -> Model:
     Raises:
         TruncatedFile: the file is cut short.
         FormatError: bad magic, trailing bytes, or a header that does not
-            describe a model: a bad layer size, classifier cell count,
-            seed or ``normalize_input``, layers that do not chain from the
-            input shape to the head, or a position normalization that
-            is not two finite numbers (scales above 0) per field.
+            describe a model: a bad input size, layer size, classifier
+            cell count, seed or ``normalize_input``, layers that do not
+            chain from the input shape to the head, or a position
+            normalization that is not two finite numbers (scales above
+            0) per field.
         VersionError: unsupported checkpoint version.
     """
     header, body = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
@@ -887,6 +883,8 @@ def load_model(path) -> Model:
         check_int("seed", header["seed"], least=0)
         if not isinstance(header["normalize_input"], bool):
             raise ValueError("normalize_input must be true or false")
+        for size in header["input_shape"]:
+            check_int("input_shape", size)
         cells = header["head"]["cells"]
         head = Head(
             kind=header["head"]["kind"],

@@ -852,6 +852,33 @@ class TestHelpers:
         assert time.perf_counter() - t0 < 60.0
         assert [h.returncode for h in helpers] == [-signal.SIGKILL, 3]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors through /proc")
+    def test_nothing_outlives_a_helper(self):
+        # a result, a job that raises, one that exits, one that is killed:
+        # each leaves no descriptor open and no process behind
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        baseline = open_fds()
+        with Helper([(abs, (-1,))]) as done:
+            assert collect([done]) == [[1]]
+        assert open_fds() == baseline
+        with Helper([(int, ("x",))]) as raising, pytest.raises(ValueError):
+            collect([raising])
+        assert open_fds() == baseline
+        with Helper([(os._exit, (3,))]) as exiting, \
+                pytest.raises(HelperFailed):
+            collect([exiting])
+        assert open_fds() == baseline
+        with Helper([(time.sleep, (120,))]) as sleeping:
+            pass
+        assert open_fds() == baseline
+        assert [h.returncode for h in (done, raising, exiting, sleeping)] \
+            == [0, 0, 3, -signal.SIGKILL]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_collect_returns_results_in_the_order_given(self):
         with Helper([(time.sleep, (0.5,)), (abs, (-1,))]) as slow, \
                 Helper([(abs, (-2,))]) as fast:

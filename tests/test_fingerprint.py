@@ -250,6 +250,11 @@ class TestBuildDb:
         '"n_cols": 3}}',
         '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 2.0, '
         '"n_cols": 3}}',
+        # integers past int64 once overflowed the grid's positions
+        '{"grid": {"origin": [4.0, -1.0], "spacing": 9223372036854775808, '
+        '"n_rows": 2, "n_cols": 3}}',
+        '{"grid": {"origin": [9223372036854775808, -1], "spacing": 1, '
+        '"n_rows": 2, "n_cols": 3}}',
     ])
     def test_bad_sidecar_is_a_format_error(self, tmp_path, sidecar):
         grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)

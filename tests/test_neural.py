@@ -888,6 +888,8 @@ class TestCheckpoints:
         (("layer_specs", 0, "out_channels"), 0),
         (("layer_specs", 0, "kernel_size"), 0),
         (("layer_specs", 3, "out_width"), 0),
+        # one flipped byte: a zero input size once overflowed the init
+        (("input_shape",), [0, 4, 4]),
         (("normalize_input",), "no"),
         (("seed",), True),
         # four cells either way, so the dense width still fits
