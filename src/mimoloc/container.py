@@ -140,6 +140,22 @@ def read_checkpoint(path, magic: bytes, version: int) -> tuple[dict, bytes]:
     return header, raw[end:]
 
 
+def check_weight_count(body: bytes, count: int) -> None:
+    """Raise unless ``body`` holds exactly ``count`` float32 weights. A
+    loader calls it with the count its header implies before it makes
+    any weight, so a header that declares huge sizes allocates nothing.
+
+    Raises:
+        TruncatedFile: fewer bytes than the weights need.
+        FormatError: bytes left over after the last weight.
+    """
+    nbytes = 4 * count
+    if nbytes > len(body):
+        raise TruncatedFile("checkpoint weights are cut off")
+    if nbytes < len(body):
+        raise FormatError(f"{len(body) - nbytes} trailing bytes after weights")
+
+
 def read_weights(body: bytes, arrays) -> None:
     """Fill ``arrays`` in order from the float32 weights of a checkpoint.
 
@@ -148,15 +164,11 @@ def read_weights(body: bytes, arrays) -> None:
         FormatError: a NaN or infinite weight, or bytes left over after the
             last array.
     """
+    check_weight_count(body, sum(array.size for array in arrays))
     offset = 0
     for array in arrays:
-        nbytes = array.size * 4
-        if offset + nbytes > len(body):
-            raise TruncatedFile("checkpoint weights are cut off")
         flat = np.frombuffer(body, dtype="<f4", count=array.size, offset=offset)
         if not np.isfinite(flat).all():
             raise FormatError("checkpoint holds a NaN or infinite weight")
         array[...] = flat.reshape(array.shape)
-        offset += nbytes
-    if offset != len(body):
-        raise FormatError(f"{len(body) - offset} trailing bytes after weights")
+        offset += array.size * 4

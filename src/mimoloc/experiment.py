@@ -372,6 +372,7 @@ class World:
     predictor: object
     train_losses: dict
     helpers: list  # per helper process, what it trained and its usage
+    stages: dict  # the caller's own stages and their wall times
     build_seconds: float
 
 
@@ -453,8 +454,10 @@ def build_world(config: ExperimentConfig, log=None) -> World:
     ``mimoloc.helper``): one per head or, with the recurrent predictor,
     one for both heads and one for the predictor, which starts at once.
     The heads' start once the database is built, and the caller then
-    calibrates the thresholds while they train. Leaving the build for
-    any reason kills and reaps every helper it started.
+    calibrates the thresholds while they train. ``World.helpers`` records
+    each helper's usage and per-job wall times, and ``World.stages`` the
+    wall times of the caller's database and threshold stages. Leaving the
+    build for any reason kills and reaps every helper it started.
     """
     config.validate()
     say = log if log is not None else (lambda msg: None)
@@ -466,7 +469,9 @@ def build_world(config: ExperimentConfig, log=None) -> World:
             predictor_helper = stack.enter_context(
                 Helper([(train_recurrent_predictor, (config,))]))
         say("building fingerprint database")
+        t_db = time.perf_counter()
         db = database_for(config)
+        database_s = time.perf_counter() - t_db
         heads = [(train_localizer, (config, db, name)) for name in LOCALIZERS]
         if recurrent:
             say("training the localizers in a helper process")
@@ -476,7 +481,9 @@ def build_world(config: ExperimentConfig, log=None) -> World:
             say("training the localizers in two helper processes")
             jobs = [[name] for name in LOCALIZERS]
             helpers = [stack.enter_context(Helper([head])) for head in heads]
+        t_thresholds = time.perf_counter()
         thresholds = thresholds_for(db)
+        thresholds_s = time.perf_counter() - t_thresholds
         say(f"similarity floor {thresholds.similarity_floor:.4f}")
         trained = [r for results in collect(helpers) for r in results]
     (reg_model, reg_losses), (cls_model, cls_losses) = trained[:2]
@@ -494,6 +501,7 @@ def build_world(config: ExperimentConfig, log=None) -> World:
                       "predictor": predictor_losses},
         helpers=[dict(helper.usage, trains=names)
                  for helper, names in zip(helpers, jobs)],
+        stages={"database_s": database_s, "thresholds_s": thresholds_s},
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -605,8 +613,10 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
 
     Every file except report.json is a pure function of the configuration,
     so reruns produce identical bytes; report.json carries the wall-clock
-    numbers, the training helpers' resource usage (``helpers``), each walk
-    process's range and times (``walkers``) and aggregate metrics.
+    numbers (the run's; each training helper's resource usage and per-job
+    times under ``helpers``; the database and threshold stages under
+    ``stages``; each walk process's range and times under ``walkers``)
+    and aggregate metrics.
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = ["method,frame,rmse_m"]
@@ -652,6 +662,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
         },
         "runtime_seconds": result.runtime_seconds,
         "helpers": result.world.helpers,
+        "stages": result.world.stages,
         "walkers": result.walkers,
     }
     with open(os.path.join(out_dir, "report.json"), "w",

@@ -4,12 +4,13 @@
 on multiprocessing's ``"fork"`` context (pinned: Python 3.14 defaults to
 a forkserver, which pickles what it runs). The child runs the
 ``(function, args)`` calls it inherited, in order, and sends back over
-its own pipe their results and its resource usage (``usage``). Nothing
-is pickled on the way in: the child sees the caller's memory
-copy-on-write, so a job's arguments (the fingerprint database, say) are
-shared, not copied. An exception a job raises, or a result that does
-not pickle, is raised again in the caller; a helper that ends without a
-result raises ``HelperFailed``. Its ``with`` block kills and reaps it.
+its own pipe their results and its resource usage (``usage``, with each
+call's wall time under ``job_s``). Nothing is pickled on the way in: the
+child sees the caller's memory copy-on-write, so a job's arguments (the
+fingerprint database, say) are shared, not copied. An exception a job
+raises, or a result that does not pickle, is raised again in the caller;
+a helper that ends without a result raises ``HelperFailed``. Its
+``with`` block kills and reaps it.
 
 The child sets, for itself alone, one BLAS thread (through the setter of
 each OpenBLAS in ``/proc/self/maps``), so two helpers fill two cores,
@@ -128,6 +129,7 @@ def collect(helpers) -> list:
 def _child(calls, reply) -> None:
     """The child's side: run the calls and send the outcome on ``reply``."""
     start = time.perf_counter()
+    results, job_s = [], []
     try:
         for setter in openblas_thread_functions("set"):
             setter(1)
@@ -137,11 +139,16 @@ def _child(calls, reply) -> None:
             mallopt.restype = ctypes.c_int
             for param, value in _MALLOPT:
                 mallopt(param, value)
-        outcome = (True, [fn(*args) for fn, args in calls])
+        for fn, args in calls:
+            t0 = time.perf_counter()
+            results.append(fn(*args))
+            job_s.append(time.perf_counter() - t0)
+        outcome = (True, results)
     except Exception as exc:  # sent back, raised again by the caller
         outcome = (False, exc)
     ru = resource.getrusage(resource.RUSAGE_SELF)
     usage = {"wall_s": time.perf_counter() - start,
+             "job_s": job_s,  # each finished call's wall time, in order
              "cpu_s": ru.ru_utime + ru.ru_stime,
              "minflt": ru.ru_minflt,
              "maxrss_mb": ru.ru_maxrss / 1024.0}  # Linux counts KiB

@@ -22,7 +22,12 @@ import numpy as np
 
 # perfbench's tracer wraps ``similarity`` here
 from .adp import similarity, stacked_similarity  # noqa: F401
-from .container import read_checkpoint, read_weights, write_checkpoint
+from .container import (
+    check_weight_count,
+    read_checkpoint,
+    read_weights,
+    write_checkpoint,
+)
 from .errors import DimensionMismatch, DivergedLoss, FormatError, check_int
 from .fingerprint import FingerprintDb
 
@@ -49,6 +54,10 @@ class Layer:
     def init_params(self, in_shape, rng):
         pass
 
+    def n_weights(self, in_shape) -> int:
+        """How many weights the layer holds on an ``in_shape`` input."""
+        return 0
+
     def parameters(self):
         return []
 
@@ -61,9 +70,17 @@ class Layer:
 
 
 class WeightedLayer(Layer):
-    """A layer with a float32 weight ``w`` and bias ``b``, and gradients."""
+    """A layer with a float32 weight ``w`` of ``weight_shape(in_shape)``,
+    a bias ``b`` per row of it, and their gradients."""
 
     w = b = gw = gb = None
+
+    def weight_shape(self, in_shape) -> tuple:
+        raise NotImplementedError
+
+    def n_weights(self, in_shape) -> int:
+        shape = self.weight_shape(in_shape)
+        return math.prod(shape) + shape[0]
 
     def parameters(self):
         return [self.w, self.b]
@@ -74,7 +91,8 @@ class WeightedLayer(Layer):
     def forget(self) -> None:
         self._cache = self.gw = self.gb = None
 
-    def _init_params(self, shape, rng: np.random.Generator) -> None:
+    def init_params(self, in_shape, rng: np.random.Generator) -> None:
+        shape = self.weight_shape(in_shape)
         scale = 1.0 / np.sqrt(math.prod(shape[1:]))
         self.w = rng.uniform(-scale, scale, size=shape).astype(np.float32)
         self.b = np.zeros(shape[0], dtype=np.float32)
@@ -112,13 +130,21 @@ class Conv2d(WeightedLayer):
     buffer. Outputs and gradients are bit-identical to the plain
     pad-and-window im2col: the columns hold the same values in the same
     order, the products are the same calls, and every input-gradient
-    pixel sums its taps in the same (row, column) order. The input
-    gradient is returned C-contiguous, since the memory order of an array
-    can change the summation order of a later matrix product. A layer
-    whose input is data skips its input gradient (``input_grad=False``)
-    and fills only ``gw`` and ``gb``; its trainer builds the columns of
-    the whole data set once (``columns``) and runs each batch's rows
-    (``forward_columns``).
+    pixel sums its taps in the same (row, column) order. A layer with one
+    output channel (the recurrent predictor's output layer) builds its
+    input gradient without the column product, whose contraction length
+    is 1, and its scatter: tap by tap, in (row, column) order, it
+    multiplies the gradient plane by the tap's weight of each input
+    channel and adds the products into the input gradient, leaving out
+    those that would land in the padding. That is bit-identical too: each
+    product is still one rounding of ``g * w``, and each pixel adds them
+    in the same order to the same +0.0, where the sign of a zero product
+    cannot show. The input gradient is returned C-contiguous, since the
+    memory order of an array can change the summation order of a later
+    matrix product. A layer whose input is data skips its input gradient
+    (``input_grad=False``) and fills only ``gw`` and ``gb``; its trainer
+    builds the columns of the whole data set once (``columns``) and runs
+    each batch's rows (``forward_columns``).
     """
 
     def __init__(self, out_channels: int, kernel_size: int, padding: str = "valid"):
@@ -149,9 +175,9 @@ class Conv2d(WeightedLayer):
             return (self.out_channels, h - k + 1, w - k + 1)
         return (self.out_channels, h, w)
 
-    def init_params(self, in_shape, rng: np.random.Generator):
+    def weight_shape(self, in_shape) -> tuple:
         k = self.kernel_size
-        self._init_params((self.out_channels, in_shape[0], k, k), rng)
+        return (self.out_channels, in_shape[0], k, k)
 
     def _pad(self):
         if self.padding == "valid":
@@ -173,7 +199,10 @@ class Conv2d(WeightedLayer):
         flat = np.empty((b, c * h * w + 1), dtype=x.dtype)
         flat[:, :-1] = x.reshape(b, c * h * w)
         flat[:, -1] = 0.0
-        cols = np.take(flat, _column_index(c, h, w, k, lo, hi), axis=1)
+        # every index lies in [0, c*h*w], so "wrap" never wraps; it skips
+        # the bounds check that the default "raise" makes
+        cols = np.take(flat, _column_index(c, h, w, k, lo, hi), axis=1,
+                       mode="wrap")
         return cols.reshape(b, ho, wo, c * k * k)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -203,6 +232,8 @@ class Conv2d(WeightedLayer):
         self.gb = gt.sum(axis=(0, 1, 2))
         if not input_grad:
             return None
+        if self.out_channels == 1:
+            return self._one_channel_input_grad(grad)
         wmat = self.w.reshape(self.out_channels, -1)
         dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
         # the padded input is (ho + k - 1) x (wo + k - 1)
@@ -213,6 +244,26 @@ class Conv2d(WeightedLayer):
         h, w = ho + k - 1 - lo - hi, wo + k - 1 - lo - hi
         return np.ascontiguousarray(
             dxp[:, lo:lo + h, lo:lo + w].transpose(0, 3, 1, 2))
+
+    def _one_channel_input_grad(self, grad: np.ndarray) -> np.ndarray:
+        # tap (i, j) sends output pixel (y, x) to input pixel
+        # (y + i - lo, x + j - lo); the products that would land in the
+        # padding are never made
+        k = self.kernel_size
+        lo, hi = self._pad()
+        b, _, ho, wo = grad.shape
+        h, w = ho + k - 1 - lo - hi, wo + k - 1 - lo - hi
+        taps = self.w[0, :, :, :, None, None]  # (c, k, k, 1, 1)
+        dx = np.zeros((b, taps.shape[0], h, w),
+                      dtype=np.result_type(grad, taps))
+        for i in range(k):
+            y0, y1 = max(i - lo, 0), min(i - lo + ho, h)
+            rows = slice(y0 + lo - i, y1 + lo - i)
+            for j in range(k):
+                x0, x1 = max(j - lo, 0), min(j - lo + wo, w)
+                cols = slice(x0 + lo - j, x1 + lo - j)
+                dx[:, :, y0:y1, x0:x1] += grad[:, :, rows, cols] * taps[:, i, j]
+        return dx
 
 
 def _pool_taps(x: np.ndarray, h2: int, w2: int) -> list:
@@ -313,7 +364,7 @@ class Flatten(Layer):
         return {"kind": "flatten"}
 
     def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
 
     def forward(self, x, train: bool = True):
         if train:
@@ -342,8 +393,8 @@ class Dense(WeightedLayer):
             raise DimensionMismatch("dense layer needs a flat input")
         return (self.out_width,)
 
-    def init_params(self, in_shape, rng):
-        self._init_params((self.out_width, in_shape[0]), rng)
+    def weight_shape(self, in_shape) -> tuple:
+        return (self.out_width, in_shape[0])
 
     def forward(self, x, train: bool = True):
         if not train:
@@ -526,6 +577,31 @@ class Model:
         return coords * self.pos_scale + self.pos_offset
 
 
+def _layer_chain(layer_specs: list[dict], input_shape: tuple,
+                 head: Head) -> list:
+    """(layer, its input shape) for each of ``layer_specs``, no weights
+    made yet.
+
+    Raises:
+        DimensionMismatch: if shapes do not chain, or the final width does
+            not match the head.
+    """
+    chain = []
+    shape = tuple(input_shape)
+    for spec in layer_specs:
+        kind = spec.get("kind")
+        if kind not in _LAYER_KINDS:
+            raise ValueError(f"unknown layer kind {kind!r}")
+        layer = _LAYER_KINDS[kind](spec)
+        chain.append((layer, shape))
+        shape = layer.out_shape(shape)  # validates
+    if shape != (head.out_width,):
+        raise DimensionMismatch(
+            f"stack emits {shape}, head needs ({head.out_width},)"
+        )
+    return chain
+
+
 def build_model(
     layer_specs: list[dict],
     input_shape: tuple[int, int, int],
@@ -539,23 +615,12 @@ def build_model(
         DimensionMismatch: if shapes do not chain, or the final width does
             not match the head.
     """
-    layers = []
     rng = np.random.default_rng(seed)
-    shape = tuple(input_shape)
-    for spec in layer_specs:
-        kind = spec.get("kind")
-        if kind not in _LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        layer = _LAYER_KINDS[kind](spec)
-        out = layer.out_shape(shape)  # validates
+    chain = _layer_chain(layer_specs, input_shape, head)
+    for layer, shape in chain:
         layer.init_params(shape, rng)
-        layers.append(layer)
-        shape = out
-    if shape != (head.out_width,):
-        raise DimensionMismatch(
-            f"stack emits {shape}, head needs ({head.out_width},)"
-        )
-    return Model(layers, input_shape, head, seed, normalize_input)
+    return Model([layer for layer, _ in chain], input_shape, head, seed,
+                 normalize_input)
 
 
 def default_localizer_spec(n_t: int, n_c: int, head: Head) -> list[dict]:
@@ -868,8 +933,12 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Rebuild a model saved by ``save_model``.
 
+    The header is checked, and the weight count it implies compared with
+    the body, before any weight is made.
+
     Raises:
-        TruncatedFile: the file is cut short.
+        TruncatedFile: the file is cut short, or holds fewer weights than
+            its header implies.
         FormatError: bad magic, trailing bytes, or a header that does not
             describe a model: a bad input size, layer size, classifier
             cell count, seed or ``normalize_input``, layers that do not
@@ -890,23 +959,25 @@ def load_model(path) -> Model:
             kind=header["head"]["kind"],
             cells=ClassifierGrid(cells[0], cells[1]) if cells else None,
         )
-        model = build_model(
-            header["layer_specs"],
-            tuple(header["input_shape"]),
-            head,
-            seed=header["seed"],
-            normalize_input=header["normalize_input"],
-        )
-        model.pos_offset = np.array(header["pos_offset"], dtype=float)
-        model.pos_scale = np.array(header["pos_scale"], dtype=float)
-        if (model.pos_offset.shape != (2,) or model.pos_scale.shape != (2,)
-                or not np.isfinite(model.pos_offset).all()
-                or not 0.0 < model.pos_scale.min() < np.inf):
+        input_shape = tuple(header["input_shape"])
+        chain = _layer_chain(header["layer_specs"], input_shape, head)
+        pos_offset = np.array(header["pos_offset"], dtype=float)
+        pos_scale = np.array(header["pos_scale"], dtype=float)
+        if (pos_offset.shape != (2,) or pos_scale.shape != (2,)
+                or not np.isfinite(pos_offset).all()
+                or not 0.0 < pos_scale.min() < np.inf):
             raise ValueError("pos_offset and pos_scale must each be two "
                              "finite numbers, pos_scale above 0")
     except (AttributeError, DimensionMismatch, LookupError, TypeError,
             ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a model: "
                           f"{exc!r}") from exc
+    # the weight count the header implies, checked before any is made
+    check_weight_count(body, sum(layer.n_weights(shape)
+                                 for layer, shape in chain))
+    model = build_model(header["layer_specs"], input_shape, head,
+                        seed=header["seed"],
+                        normalize_input=header["normalize_input"])
+    model.pos_offset, model.pos_scale = pos_offset, pos_scale
     read_weights(body, model.parameters())
     return model

@@ -30,7 +30,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .adp import gaussian_bumps
-from .container import read_checkpoint, read_weights, write_checkpoint
+from .container import (
+    check_weight_count,
+    read_checkpoint,
+    read_weights,
+    write_checkpoint,
+)
 from .errors import (
     DimensionMismatch,
     EmptyHistory,
@@ -345,6 +350,15 @@ class ConvRecurrentPredictor:
         return out
 
 
+def _weight_count(hidden_channels: int, kernel_size: int) -> int:
+    """The number of weights in ``ConvRecurrentPredictor.parameters()``:
+    k x k kernels from 1, ``hidden_channels`` and ``hidden_channels``
+    channels to ``hidden_channels``, ``hidden_channels`` and 1, and a bias
+    per output channel."""
+    return (kernel_size * kernel_size * hidden_channels * (hidden_channels + 2)
+            + 2 * hidden_channels + 1)
+
+
 def _clone_conv(proto: Conv2d) -> Conv2d:
     layer = Conv2d(proto.out_channels, proto.kernel_size, proto.padding)
     layer.w, layer.b = proto.w, proto.b
@@ -462,8 +476,13 @@ def save_predictor(predictor: ConvRecurrentPredictor, path) -> None:
 def load_predictor(path) -> ConvRecurrentPredictor:
     """Rebuild a predictor saved by ``save_predictor``.
 
+    The weight count that the header's ``hidden_channels`` and
+    ``kernel_size`` imply is compared with the body before any weight is
+    made.
+
     Raises:
-        TruncatedFile: the file is cut short.
+        TruncatedFile: the file is cut short, or holds fewer weights than
+            its header implies.
         FormatError: bad magic, trailing bytes, or a header that does not
             describe a ``ConvRecurrentPredictor``.
         VersionError: unsupported checkpoint version.
@@ -473,10 +492,14 @@ def load_predictor(path) -> ConvRecurrentPredictor:
     if kind != "conv-recurrent":
         raise FormatError(f"unknown predictor kind {kind!r}")
     try:
+        hidden, k = header["hidden_channels"], header["kernel_size"]
+        check_int("hidden_channels", hidden)
+        check_int("kernel_size", k)
+        # the weight count the header implies, checked before any is made
+        check_weight_count(body, _weight_count(hidden, k))
         predictor = ConvRecurrentPredictor(
             header["n_antennas"], header["n_subcarriers"],
-            hidden_channels=header["hidden_channels"],
-            kernel_size=header["kernel_size"], seed=header["seed"])
+            hidden_channels=hidden, kernel_size=k, seed=header["seed"])
         check_positive("scale", header["scale"])
         predictor.scale = header["scale"]
     except (LookupError, TypeError, ValueError) as exc:

@@ -108,8 +108,10 @@ def classifier_cell(position, extent, n_rows, n_cols):
 
 
 class ReferenceConv2d(Conv2d):
-    """Conv2d by ``np.pad`` plus a ``sliding_window_view`` im2col copy.
-    It keeps its cache whether or not it trains."""
+    """Conv2d by ``np.pad`` plus a ``sliding_window_view`` im2col copy,
+    made C-contiguous as the layer's own columns are (at k = 1 the reshape
+    alone is a strided view, which a one-column product sums in another
+    order). It keeps its cache whether or not it trains."""
 
     def columns(self, x):
         k = self.kernel_size
@@ -117,7 +119,8 @@ class ReferenceConv2d(Conv2d):
         xp = np.pad(x, ((0, 0), (0, 0), (lo, hi), (lo, hi)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         b, c, ho, wo = win.shape[:4]
-        return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho, wo, c * k * k)
+        return np.ascontiguousarray(
+            win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho, wo, c * k * k))
 
     def forward(self, x, train=True):
         cols = self.columns(x)

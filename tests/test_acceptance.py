@@ -428,8 +428,9 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
     ]
     r1 = json.loads((tmp_path / "run1" / "report.json").read_text())
     r2 = json.loads((tmp_path / "run2" / "report.json").read_text())
-    # wall times and page counts: the run's, its helpers' and its walkers'
-    for key in ("runtime_seconds", "helpers", "walkers"):
+    # wall times and page counts: the run's, its helpers', its stages' and
+    # its walkers'
+    for key in ("runtime_seconds", "helpers", "stages", "walkers"):
         r1.pop(key), r2.pop(key)
     reports_match = r1 == r2
 
@@ -476,7 +477,21 @@ DIGESTS = {
                    "1ff09f4f274f385e"),
         "rich": ("4297f0a2698e2c03", "64f52278afe8fcab", "964800f0f1f9b692"),
     },
+    # RECURRENT's run, the one pinned run of the learned predictor: its
+    # errors digest and the first 16 hex characters of the sha256 over
+    # the trained predictor's parameters, in ``parameters()`` order. Keyed
+    # apart, since each environment's entry above holds the fixture runs
+    "recurrent": {
+        ("3.11.7", "2.4.6", "scipy-openblas 0.3.31.188.0"): (
+            "222a5f0bfb0cabde", "ce8623a38bbcdd3b"),
+    },
 }
+
+# a small world whose predictor is the conv-recurrent one, trained in
+# batches of eight walks and run on the distorted frames of six walks
+RECURRENT = dataclasses.replace(
+    BASE, n_sequences=6, sequence_length=8, distort_from=4, train_epochs=5,
+    predictor="conv-recurrent", predictor_epochs=3, predictor_train_walks=10)
 
 
 def numeric_environment() -> tuple:
@@ -502,3 +517,16 @@ def test_fixture_digests_are_pinned(sparse_runs, rich_runs):
     if env not in DIGESTS:
         pytest.skip(f"no digests recorded for {env}; measured {digests}")
     assert digests == DIGESTS[env]
+
+
+def test_recurrent_digests_are_pinned():
+    world = build_world(RECURRENT)
+    h = hashlib.sha256()
+    for p in world.predictor.parameters():
+        h.update(p.tobytes())
+    digests = (_digest(evaluate(world, "los-block")), h.hexdigest()[:16])
+    env = numeric_environment()
+    print(f"recurrent digests on {env}: {digests}")
+    if env not in DIGESTS["recurrent"]:
+        pytest.skip(f"no digests recorded for {env}; measured {digests}")
+    assert digests == DIGESTS["recurrent"][env]

@@ -650,6 +650,18 @@ class TestEmitReport:
             for key in ("wall_s", "cpu_s", "minflt", "maxrss_mb"):
                 assert helper[key] > 0, key
 
+    def test_report_records_job_and_stage_times(self, smoke_result,
+                                                tmp_path):
+        emit_report(smoke_result, tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        for helper in report["helpers"]:
+            # one time per job, in the order of what it trains
+            assert len(helper["job_s"]) == len(helper["trains"])
+            assert 0 < sum(helper["job_s"]) <= helper["wall_s"]
+        assert set(report["stages"]) == {"database_s", "thresholds_s"}
+        assert all(t > 0 for t in report["stages"].values())
+        assert report["stages"] == smoke_result.world.stages
+
     def test_report_records_each_walk_process(self, smoke_result,
                                               tmp_path):
         emit_report(smoke_result, tmp_path)
@@ -688,8 +700,10 @@ class TestEmitReport:
             if name == "report.json":
                 a = json.loads((dir_a / name).read_text())
                 b = json.loads((dir_b / name).read_text())
-                # wall-clock figures, and the helpers' times and page counts
-                for key in ("runtime_seconds", "helpers", "walkers"):
+                # wall-clock figures, the helpers' times and page counts,
+                # and the stage times
+                for key in ("runtime_seconds", "helpers", "stages",
+                            "walkers"):
                     a.pop(key), b.pop(key)
                 assert a == b
             else:
@@ -878,6 +892,12 @@ class TestHelpers:
             == [0, 0, 3, -signal.SIGKILL]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_usage_times_each_call(self):
+        with Helper([(time.sleep, (0.3,)), (abs, (-1,))]) as helper:
+            collect([helper])
+        slow, fast = helper.usage["job_s"]
+        assert 0.3 <= slow <= helper.usage["wall_s"] and fast < slow
 
     def test_collect_returns_results_in_the_order_given(self):
         with Helper([(time.sleep, (0.5,)), (abs, (-1,))]) as slow, \

@@ -201,6 +201,34 @@ class TestKernelsMatchReference:
                 assert_same_bits(layer.gw, ref.gw)
                 assert_same_bits(layer.gb, ref.gb)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_conv_one_output_channel(self, k, padding, dtype):
+        # the predictor's output layer: its input gradient is built tap by
+        # tap, not by a product over one channel. The gradient is masked
+        # the way the predictor masks it (pre_out > 0), so it holds zeros
+        # of both signs
+        rng = np.random.default_rng(k)
+        layer = Conv2d(1, k, padding)
+        layer.init_params((5, 7, 9), rng)
+        layer.w = layer.w.astype(dtype)
+        ref = ReferenceConv2d(1, k, padding)
+        ref.w, ref.b = layer.w, layer.b
+        x = rng.standard_normal((8, 5, 7, 9)).astype(dtype)
+        y = layer.forward(x)
+        assert_same_bits(y, ref.forward(x))
+        g = rng.standard_normal(y.shape).astype(dtype) * (y > 0.0)
+        g[g == 0.0] *= np.resize([1.0, -1.0], int(np.sum(g == 0.0)))
+        assert np.signbit(g[g == 0.0]).any() and not np.signbit(g).all()
+        for gi in layouts(g):
+            got, want = layer.backward(gi), ref.backward(gi)
+            assert_same_bits(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.flags.c_contiguous
+            assert_same_bits(layer.gw, ref.gw)
+            assert_same_bits(layer.gb, ref.gb)
+
     @pytest.mark.parametrize("batch", [1, 8, 32])
     @pytest.mark.parametrize("h,w", [(8, 8), (7, 9)])
     @pytest.mark.parametrize("values", ["continuous", "ties"])
@@ -279,6 +307,24 @@ class TestKernelsMatchReference:
 
         def fit():
             model = ConvRecurrentPredictor(8, 8, seed=1)
+            return train_predictor(model, seqs, cfg), model.parameters()
+
+        history, params = fit()
+        with monkeypatch.context() as m:
+            self.use_reference_layers(m)
+            ref_history, ref_params = fit()
+        assert history == ref_history
+        for p, q in zip(params, ref_params):
+            assert_same_bits(p, q)
+
+    def test_predictor_training_at_benchmark_shape(self, monkeypatch):
+        # the benchmark's recurrent shape: 16x16 profiles, eight hidden
+        # channels, batches of eight walks
+        seqs = np.random.default_rng(8).uniform(0.0, 1.0, size=(8, 4, 16, 16))
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.2, seed=0)
+
+        def fit():
+            model = ConvRecurrentPredictor(16, 16, hidden_channels=8, seed=1)
             return train_predictor(model, seqs, cfg), model.parameters()
 
         history, params = fit()
@@ -535,6 +581,19 @@ class TestBuildModel:
         m2 = build_model(spec, (1, 12, 12), head, seed=9)
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize("head", [
+        Head("regression"), Head("classification", ClassifierGrid(2, 2))],
+        ids=["regression", "classifier"])
+    def test_layers_count_their_weights(self, head):
+        # the count a checkpoint loader checks before it builds anything
+        spec = default_localizer_spec(12, 12, head)
+        model = build_model(spec, (1, 12, 12), head, seed=9)
+        shape, counted = (1, 12, 12), 0
+        for layer in model.layers:
+            counted += layer.n_weights(shape)
+            shape = layer.out_shape(shape)
+        assert counted == sum(p.size for p in model.parameters())
 
     def test_head_validation(self):
         with pytest.raises(ValueError):
@@ -962,6 +1021,38 @@ class TestCorruptCheckpoints:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="NaN or infinite"):
             load(path)
+
+    @pytest.mark.parametrize("save,magic,load,field,value", [
+        (save_small_classifier, CHECKPOINT_MAGIC, load_model,
+         "input_shape", [1, 10_000_000, 16]),
+        (save_small_classifier, CHECKPOINT_MAGIC, load_model,
+         "layer_specs", [{"kind": "flatten"},
+                         {"kind": "dense", "out_width": 10_000_000},
+                         {"kind": "dense", "out_width": 4}]),
+        (save_small_recurrent, PREDICTOR_MAGIC, load_predictor,
+         "hidden_channels", 10_000_000),
+        (save_small_recurrent, PREDICTOR_MAGIC, load_predictor,
+         "kernel_size", 10_001),
+    ], ids=["input-shape", "dense-width", "hidden-channels", "kernel-size"])
+    def test_huge_sizes_fail_before_anything_is_built(
+            self, tmp_path, monkeypatch, save, magic, load, field, value):
+        # the header's sizes ask for gigabytes of weights: the weight
+        # count they imply is compared with the body first, so nothing is
+        # allocated and the error is the typed one
+        path = tmp_path / "huge.ckpt"
+        save(path)
+        header, body = read_checkpoint(path, magic, 1)
+        write_checkpoint(path, magic, 1, dict(header, **{field: value}),
+                         [np.frombuffer(body, dtype="<f4")])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built before the size check")
+
+        monkeypatch.setattr(neural, "build_model", refuse)
+        monkeypatch.setattr(ConvRecurrentPredictor, "__init__", refuse)
+        with pytest.raises(MimolocError) as info:
+            load(path)
+        assert isinstance(info.value, (TruncatedFile, FormatError))
 
     @pytest.mark.parametrize("magic,load", [
         (CHECKPOINT_MAGIC, load_model),

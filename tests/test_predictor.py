@@ -746,6 +746,14 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=field):
             load_predictor(path)
 
+    @pytest.mark.parametrize("hidden,k", [(1, 1), (2, 3), (8, 3), (3, 5)])
+    def test_weight_count_is_the_parameter_count(self, hidden, k):
+        # the count load_predictor checks before it builds anything
+        model = ConvRecurrentPredictor(4, 4, hidden_channels=hidden,
+                                       kernel_size=k)
+        assert predictor_module._weight_count(hidden, k) == sum(
+            p.size for p in model.parameters())
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"JUNK" + bytes(8))
