@@ -248,13 +248,16 @@ class Conv2d(WeightedLayer):
     def _one_channel_input_grad(self, grad: np.ndarray) -> np.ndarray:
         # tap (i, j) sends output pixel (y, x) to input pixel
         # (y + i - lo, x + j - lo); the products that would land in the
-        # padding are never made
+        # padding are never made. The batch is the last axis while the
+        # taps are summed, so each product and sum runs over rows of
+        # (pixel, batch) values, b times longer than the rows of an image
         k = self.kernel_size
         lo, hi = self._pad()
         b, _, ho, wo = grad.shape
         h, w = ho + k - 1 - lo - hi, wo + k - 1 - lo - hi
-        taps = self.w[0, :, :, :, None, None]  # (c, k, k, 1, 1)
-        dx = np.zeros((b, taps.shape[0], h, w),
+        g = np.ascontiguousarray(grad[:, 0].transpose(1, 2, 0))  # (ho, wo, b)
+        taps = self.w[0, :, :, :, None, None, None]  # (c, k, k, 1, 1, 1)
+        dx = np.zeros((taps.shape[0], h, w, b),
                       dtype=np.result_type(grad, taps))
         for i in range(k):
             y0, y1 = max(i - lo, 0), min(i - lo + ho, h)
@@ -262,8 +265,8 @@ class Conv2d(WeightedLayer):
             for j in range(k):
                 x0, x1 = max(j - lo, 0), min(j - lo + wo, w)
                 cols = slice(x0 + lo - j, x1 + lo - j)
-                dx[:, :, y0:y1, x0:x1] += grad[:, :, rows, cols] * taps[:, i, j]
-        return dx
+                dx[:, y0:y1, x0:x1] += g[rows, cols] * taps[:, i, j]
+        return np.ascontiguousarray(dx.transpose(3, 0, 1, 2))
 
 
 def _pool_taps(x: np.ndarray, h2: int, w2: int) -> list:
