@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroAdp
+from .errors import DimensionMismatch, ZeroAdp, check_int
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,11 @@ def build_dft_pair(n_antennas: int, n_subcarriers: int) -> DftPair:
 
     V[z, q] = exp(-2j*pi*z*(q - n_antennas/2)/n_antennas) / sqrt(n_antennas)
     F[z, q] = exp(+2j*pi*z*q/n_subcarriers) / sqrt(n_subcarriers)
+
+    Raises ValueError unless both dimensions are integers of at least 1.
     """
-    if n_antennas < 1 or n_subcarriers < 1:
-        raise ValueError("dimensions must be >= 1")
+    check_int("n_antennas", n_antennas)
+    check_int("n_subcarriers", n_subcarriers)
     z_t = np.arange(n_antennas)[:, None]
     q_t = np.arange(n_antennas)[None, :]
     v = np.exp(-2j * np.pi * z_t * (q_t - n_antennas / 2.0) / n_antennas)

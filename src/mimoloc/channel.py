@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DelayOverflow, FormatError, ZeroDistance, check_positive
+from .errors import DelayOverflow, FormatError, ZeroDistance, check_int, check_positive
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +46,7 @@ class ArrayConfig:
     element_spacing: float | None = None
 
     def __post_init__(self):
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be >= 1")
+        check_int("n_antennas", self.n_antennas)
         check_positive("wavelength", self.wavelength)
         if self.element_spacing is None:
             object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
@@ -62,8 +61,7 @@ class OfdmConfig:
     bandwidth: float
 
     def __post_init__(self):
-        if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be >= 1")
+        check_int("n_subcarriers", self.n_subcarriers)
         check_positive("bandwidth", self.bandwidth)
 
     @property

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigError, FormatError, MimolocError
 from .experiment import (
     LOCALIZERS,
-    METHODS,
     PREDICTORS,
     SCENARIOS,
     ExperimentConfig,
@@ -110,13 +109,10 @@ def cmd_build_world(config: ExperimentConfig, out: str) -> None:
 
 
 def cmd_run(config: ExperimentConfig, out: str) -> None:
-    result = run_experiment(config, out_dir=out, log=print)
-    precision, recall = result.precision_recall()
+    """Run the experiment, then print its summary as ``report`` does."""
+    run_experiment(config, out_dir=out, log=print)
     print(f"report written to {out}")
-    print(f"detection precision={precision:.3f} recall={recall:.3f}")
-    for method in METHODS:
-        print(f"{method:16s} median distorted-frame rmse "
-              f"{result.median_distorted_rmse(method):.3f} m")
+    cmd_report(out)
 
 
 def cmd_report(out: str) -> None:

@@ -8,8 +8,8 @@ thresholds; none of this depends on the distortion scenario.
 ``evaluate`` then simulates a batch of random walks with one distortion
 scenario in that world, on two cores: the caller runs the first half of
 the walks while one helper process forked from it runs the rest, with
-the world shared copy-on-write. It scores four estimation methods frame
-by frame:
+the world shared copy-on-write, and each half scores its own walks. It
+scores four estimation methods frame by frame:
 
 * ``dynamic``: detection plus prediction-fused recovery (the full
   pipeline).
@@ -61,7 +61,6 @@ from .neural import (
 )
 from .pipeline import (
     VERDICTS,
-    Estimates,
     Thresholds,
     Verdict,
     calibrate_similarity_floor,
@@ -285,7 +284,6 @@ def evaluation_walks(config: ExperimentConfig, indices=None):
     (mode 1), the second half redraws it every step (mode 2). So a walk is
     the same whichever indices it is yielded with.
     """
-    env, array, ofdm, grid, dft = pieces(config)
     scenario = None
     if config.scenario != "none":
         scenario = DistortionScenario(
@@ -293,12 +291,23 @@ def evaluation_walks(config: ExperimentConfig, indices=None):
             addition_level_db=config.addition_level_db,
             rng_seed=config.seed)
     n_seq = config.n_sequences
-    for i in range(n_seq) if indices is None else indices:
-        mode = WalkMode.MODE1 if i < n_seq // 2 else WalkMode.MODE2
+    yield from _walks(config, (
+        (i, WalkMode.MODE1 if i < n_seq // 2 else WalkMode.MODE2)
+        for i in (range(n_seq) if indices is None else indices)),
+        scenario, config.distort_from)
+
+
+def _walks(config: ExperimentConfig, steps, scenario=None,
+           distort_from: int = 0):
+    """Yield a ``FrameSequence`` for each (seed offset, mode) of ``steps``:
+    the ``random_walk`` of that mode seeded ``[seed, offset]``, measured in
+    ``config``'s world under ``scenario`` from frame ``distort_from`` on."""
+    env, array, ofdm, grid, dft = pieces(config)
+    for offset, mode in steps:
         walk = random_walk(grid, mode, config.sequence_length,
-                           [config.seed, i])
-        yield generate_sequence(env, walk, scenario, config.distort_from,
-                                array, ofdm, dft)
+                           [config.seed, offset])
+        yield generate_sequence(env, walk, scenario, distort_from, array,
+                                ofdm, dft)
 
 
 def thresholds_for(db: FingerprintDb) -> Thresholds:
@@ -339,14 +348,9 @@ def train_recurrent_predictor(config: ExperimentConfig):
     Returns (predictor, per-epoch losses). Walk ``i`` takes the seed
     ``[seed, 9_000_000 + i]``, apart from every evaluation walk's.
     """
-    env, array, ofdm, grid, dft = pieces(config)
-    clean = []
-    for i in range(config.predictor_train_walks):
-        mode = WalkMode.MODE1 if i % 2 == 0 else WalkMode.MODE2
-        walk = random_walk(grid, mode, config.sequence_length,
-                           [config.seed, 9_000_000 + i])
-        clean.append(generate_sequence(env, walk, None, 0, array, ofdm,
-                                       dft).adps)
+    clean = [seq.adps for seq in _walks(config, (
+        (9_000_000 + i, WalkMode.MODE1 if i % 2 == 0 else WalkMode.MODE2)
+        for i in range(config.predictor_train_walks)))]
     predictor = ConvRecurrentPredictor(config.n_antennas,
                                        config.n_subcarriers,
                                        seed=config.seed)
@@ -507,38 +511,27 @@ def build_world(config: ExperimentConfig, log=None) -> World:
 
 
 def run_walks(world: World, config: ExperimentConfig, indices) -> tuple:
-    """Run the evaluation walks ``indices`` of ``config`` in ``world``.
+    """Run and score the evaluation walks ``indices`` of ``config``.
 
-    Returns (modes, truths, distorted, estimates, other fixes): the walks'
-    modes, (n, T, 2) true positions and (n, T) distorted flags, the
-    ``run_sequence`` record of the configured head, and the other head's
-    (n, T, 2) fixes of every frame as measured.
+    Returns (modes, truths, distorted, errors, flagged): the walks' modes,
+    (n, T, 2) true positions and (n, T) distorted flags, each method's
+    (n, T) distance to the truths, and the (n, T) frames detection did not
+    accept. Every row is its walk's alone, so the rows of a run over some
+    of the walks are those of a run over all of them.
     """
     seqs = list(evaluation_walks(config, indices))
     walks = [seq.adps for seq in seqs]
+    truths = np.stack([seq.positions for seq in seqs])
     est = run_sequence(walks, world.localizers[config.localizer], world.db,
                        world.thresholds, world.predictor,
                        history_length=config.history_length)
     # the dynamic head's baseline is the fix detection already took of each
     # measured frame; only the other head localizes the walks again, each
     # time step of every walk in one call
-    other = world.localizers[_other_head(config)]
-    other_fixes = np.stack([locate_each(other, [walk[t] for walk in walks])
-                            for t in range(config.sequence_length)], axis=1)
-    return ([seq.mode for seq in seqs],
-            np.stack([seq.positions for seq in seqs]),
-            np.stack([seq.distorted for seq in seqs]), est, other_fixes)
-
-
-def _other_head(config: ExperimentConfig) -> str:
-    return next(name for name in LOCALIZERS if name != config.localizer)
-
-
-def score_walks(world: World, config: ExperimentConfig, truths, est,
-                other_fixes) -> tuple:
-    """(errors, flagged) of walks that ``run_walks`` ran: each method's
-    (n, T) distance to the ``truths``, and the frames detection did not
-    accept."""
+    other = next(name for name in LOCALIZERS if name != config.localizer)
+    other_fixes = np.stack([
+        locate_each(world.localizers[other], [walk[t] for walk in walks])
+        for t in range(config.sequence_length)], axis=1)
     x0, y0, x1, y1 = world.db.grid.extent()
     fallback = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
     tracks = {
@@ -548,10 +541,12 @@ def score_walks(world: World, config: ExperimentConfig, truths, est,
         "predictor-only": np.where(np.isnan(est.predicted_position),
                                    est.position, est.predicted_position),
         config.localizer: _hold(est.measured_position, fallback),
-        _other_head(config): _hold(other_fixes, fallback),
+        other: _hold(other_fixes, fallback),
     }
     errors = {m: np.linalg.norm(tracks[m] - truths, axis=2) for m in METHODS}
-    return errors, est.verdict != VERDICTS.index(Verdict.ACCURATE)
+    return ([seq.mode for seq in seqs], truths,
+            np.stack([seq.distorted for seq in seqs]), errors,
+            est.verdict != VERDICTS.index(Verdict.ACCURATE))
 
 
 def evaluate(world: World, scenario: str, out_dir=None,
@@ -560,10 +555,11 @@ def evaluate(world: World, scenario: str, out_dir=None,
 
     The walks run on two cores: a helper process forked from this one
     (see ``mimoloc.helper``) runs walks ``[n // 2, n)``, the mode-2 half,
-    while this process runs walks ``[0, n // 2)``. The helper shares the
-    world copy-on-write and sends back only its walks' results, which are
-    those one pass over every walk gives (see ``run_sequence``). Leaving
-    for any reason kills and reaps the helper. ``ExperimentResult.walkers``
+    while this process runs walks ``[0, n // 2)``. Each half runs and
+    scores its own walks with ``run_walks``; the helper shares the world
+    copy-on-write and sends back only its walks' rows, which are those one
+    pass over every walk gives (see ``run_sequence``). Leaving for any
+    reason kills and reaps the helper. ``ExperimentResult.walkers``
     records the caller's walk range and wall time for it, then the
     helper's range and resource usage.
 
@@ -582,15 +578,12 @@ def evaluate(world: World, scenario: str, out_dir=None,
         parts = [run_walks(world, config, range(half))] if half else []
         lower_s = time.perf_counter() - t_lower
         parts += collect([helper])[0]
-    modes, truths, distorted, est, other_fixes = zip(*parts)
-    truths, distorted, other_fixes = map(np.concatenate,
-                                         (truths, distorted, other_fixes))
-    errors, flagged = score_walks(
-        world, config, truths, Estimates(*map(np.concatenate, zip(*est))),
-        other_fixes)
+    modes, truths, distorted, errors, flagged = zip(*parts)
     result = ExperimentResult(
-        config=config, world=world, modes=sum(modes, []), truths=truths,
-        errors=errors, flagged=flagged, distorted=distorted,
+        config=config, world=world, modes=sum(modes, []),
+        truths=np.concatenate(truths),
+        errors={m: np.concatenate([e[m] for e in errors]) for m in METHODS},
+        flagged=np.concatenate(flagged), distorted=np.concatenate(distorted),
         runtime_seconds=world.build_seconds + time.perf_counter() - t0,
         walkers=[{"walks": [0, half], "wall_s": lower_s},
                  dict(helper.usage, walks=[half, n_seq])],

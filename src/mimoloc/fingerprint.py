@@ -59,7 +59,8 @@ class GridSpec:
     n_cols: int
 
     def __post_init__(self):
-        if len(self.origin) != 2 or not all(map(is_finite, self.origin)):
+        if not (np.iterable(self.origin) and len(self.origin) == 2
+                and all(map(is_finite, self.origin))):
             raise ValueError(f"origin must be two finite numbers, got "
                              f"{self.origin!r}")
         check_positive("spacing", self.spacing)

@@ -8,12 +8,13 @@ are not trusted; their position and profile are rebuilt from a
 prediction out of recent history, fused with database entries around
 the previous position.
 
-``run_sequence`` steps any number of equal-length walks together, so the
-localizer and the predictor see each time step's frames of every walk as
-one stack, and returns every walk's per-frame outcomes as one array
-record, ``Estimates``. Localizers and predictors are plain callables here
-(a stack of profiles in, a stack of positions out; a stack of
-equal-length histories in, a stack of predicted profiles out), so the
+``run_sequence`` steps a walk stack (n equal-length walks) as one array
+of the profiles its frames feed to the walks' histories, so the localizer
+sees each time step's frames of every walk as one stack and the predictor
+a window of that array, and returns every walk's per-frame outcomes as
+one array record, ``Estimates``. Localizers and predictors are plain
+callables here (a stack of profiles in, a stack of positions out; a stack
+of equal-length histories in, a stack of predicted profiles out), so the
 pieces can be swapped or faked independently.
 
 Detection, recovery and the threshold calibration score frames against
@@ -30,7 +31,6 @@ and every walk still gets the estimates it gets alone.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -45,6 +45,7 @@ from .errors import (
     DimensionMismatch,
     EmptyNeighborhood,
     LengthMismatch,
+    check_int,
     check_positive,
 )
 from .fingerprint import (  # noqa: F401
@@ -416,21 +417,24 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
                  predictor, history_length: int = 4) -> Estimates:
     """Estimate a position for every frame of each of ``walks``.
 
-    ``walks`` is a list of equal-length walks, each a sequence of profiles;
-    one walk is a list of one. They are stepped together: at each time
-    step the localizer locates the frames with energy of every walk in one
-    call, the predictor predicts every walk's history in one call, and the
-    localizer locates the nonempty predictions in one more. The step's
-    frames are then judged in one ``detect_each`` pass and its untrusted
-    frames recovered in one ``recover_each`` pass. Every walk's estimates
-    are those it would get alone, since a localizer or predictor answers
-    each row of a stack as it would answer that row by itself, and the
-    stacked scoring gives each frame the similarities it gets alone.
+    ``walks`` is a walk stack of n equal-length walks of T profiles, an
+    (n, T, n_t, n_c) array or a list of n walks (one walk is a list of
+    one), copied once as float64 into the fed profiles. The walks are
+    stepped together: at each time step the localizer locates the frames
+    with energy of every walk in one call, the predictor predicts every
+    walk's history in one call, and the localizer locates the nonempty
+    predictions in one more. The step's frames are then judged in one
+    ``detect_each`` pass and its untrusted frames recovered in one
+    ``recover_each`` pass. Every walk's estimates are those it would get
+    alone, since a localizer or predictor answers each row of a stack as
+    it would answer that row by itself, and the stacked scoring gives each
+    frame the similarities it gets alone.
 
     Accurate frames, and an untrusted first frame, which has no history to
-    predict from, feed a walk's rolling history as measured; every later
-    distorted or lost-link frame is recovered around the walk's previous
-    position and feeds it as rebuilt.
+    predict from, are fed as measured; every later distorted or lost-link
+    frame is recovered around the walk's previous position and fed as
+    rebuilt. The histories at step t are the (n, min(t, history_length),
+    n_t, n_c) window of the fed profiles before t, a read-only view.
 
     The predictor runs on every frame that has a history, accepted or
     not, and its localized output is recorded as ``predicted_position``.
@@ -442,23 +446,27 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
         One ``Estimates`` record; row i is walk i of ``walks``.
 
     Raises:
+        ValueError: if ``history_length`` is not an integer of at least 1.
         EmptyNeighborhood: if the link is lost on the very first frame of
             a walk.
         LengthMismatch: if the walks differ in length.
     """
+    check_int("history_length", history_length)
     if len({len(w) for w in walks}) > 1:
         raise LengthMismatch("the walks differ in length")
-    n, length = len(walks), len(walks[0]) if walks else 0
+    n, length = len(walks), len(walks[0]) if len(walks) else 0
+    fed = np.array(walks, dtype=np.float64)
     est = Estimates(
         np.full((n, length, 2), np.nan), np.full((n, length, 2), np.nan),
         np.full((n, length, 2), np.nan), np.zeros((n, length), np.int8),
         np.zeros((n, length)), np.zeros((n, length)))
-    histories = [deque(maxlen=history_length) for _ in walks]
     for t in range(length):
-        frames = np.stack([np.asarray(w[t], dtype=np.float64) for w in walks])
+        frames = fed[:, t]  # recovery writes the rebuilt frames into fed
         est.measured_position[:, t] = locate_each(localizer, frames)
-        if t > 0:  # every history holds min(t, history_length) frames
-            predicted = predictor(np.stack([np.stack(h) for h in histories]))
+        if t > 0:
+            history = fed[:, max(0, t - history_length):t]
+            history.flags.writeable = False
+            predicted = predictor(history)
             est.predicted_position[:, t] = locate_each(localizer, predicted)
         verdicts, est.best_similarity[:, t] = detect_each(
             frames, est.measured_position[:, t], db, thresholds)
@@ -472,13 +480,11 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
             trusted[:] = True
         est.position[trusted, t] = est.measured_position[trusted, t]
         redo = np.flatnonzero(~trusted)
-        if redo.size:  # the histories get the rebuilt profiles
+        if redo.size:
             positions, frames[redo], weights = recover_each(
                 frames[redo], predicted[redo],
                 est.predicted_position[redo, t], est.position[redo, t - 1],
                 db, thresholds)
             est.position[redo, t] = positions
             est.prediction_weight[redo, t] = weights
-        for history, frame in zip(histories, frames):
-            history.append(frame)
     return est

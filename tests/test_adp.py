@@ -37,9 +37,11 @@ class TestDftPair:
         pair = build_dft_pair(4, 4)
         assert pair.f[1, 1] == pytest.approx(0.5j, abs=1e-12)
 
-    def test_bad_dims_rejected(self):
-        with pytest.raises(ValueError):
-            build_dft_pair(0, 4)
+    @pytest.mark.parametrize("dims", [(0, 4), (4, 0), (2.5, 4), (4, 2.5),
+                                      (4.0, 4), (True, 4)])
+    def test_bad_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="n_antennas|n_subcarriers"):
+            build_dft_pair(*dims)
 
 
 class TestAdpFromCsi:

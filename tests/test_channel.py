@@ -88,6 +88,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: ArrayConfig(0, 0.1),
+        lambda: ArrayConfig(16.5, 0.1),
+        lambda: ArrayConfig(16.0, 0.1),
+        lambda: ArrayConfig(True, 0.1),
+        lambda: OfdmConfig(0, 1e6),
+        lambda: OfdmConfig(8.5, 1e6),
+        lambda: OfdmConfig(False, 1e6),
+    ], ids=["antennas-0", "antennas-fraction", "antennas-float",
+            "antennas-bool", "subcarriers-0", "subcarriers-fraction",
+            "subcarriers-bool"])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, make):
+        with pytest.raises(ValueError, match="n_antennas|n_subcarriers"):
+            make()
+
 
 class TestArrayResponse:
     def test_broadside_is_all_ones(self):

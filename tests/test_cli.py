@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from mimoloc import cli
 from mimoloc.cli import main
 from mimoloc.experiment import (
     LOCALIZERS,
@@ -148,6 +150,32 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_run_prints_what_report_prints(tmp_path, capsys, monkeypatch):
+    # the run's summary is read back from its report.json, so an undefined
+    # precision prints as the report command prints it
+    out = str(tmp_path / "out")
+
+    def run_experiment(config, out_dir, log):
+        os.makedirs(out_dir, exist_ok=True)
+        report = {
+            "config": config.to_dict(),
+            "detection": {"tp": 0, "fp": 0, "fn": 2, "tn": 7,
+                          "precision": None, "recall": 0.0},
+            "median_distorted_rmse_m": {"dynamic": 1.25},
+            "runtime_seconds": 3.0,
+        }
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            json.dump(report, fh)
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    cli.cmd_run(ExperimentConfig(**TINY), out)
+    run_output = capsys.readouterr().out
+    assert "precision=n/a recall=0.000" in run_output
+    assert main(["report", "--out", out]) == 0
+    assert run_output == (f"report written to {out}\n"
+                          + capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("content,message", [

@@ -49,7 +49,6 @@ from mimoloc.experiment import (
     run_experiment,
     run_walks,
     save_config,
-    score_walks,
     sparse_environment,
     train_localizer,
 )
@@ -380,10 +379,8 @@ class TestWalkSplit:
         world = dataclasses.replace(world, config=dataclasses.replace(
             world.config, localizer=localizer, n_sequences=n_sequences))
         got = evaluate(world, "los-block")
-        modes, truths, distorted, est, other_fixes = run_walks(
+        modes, truths, distorted, errors, flagged = run_walks(
             world, got.config, range(n_sequences))
-        errors, flagged = score_walks(world, got.config, truths, est,
-                                      other_fixes)
         assert got.modes == modes
         assert len(modes) == n_sequences
         for name, want in (("truths", truths), ("distorted", distorted),

@@ -156,7 +156,8 @@ class TestGridSpec:
             GridSpec(origin=(0, 0), spacing=1.0, n_rows=0, n_cols=2)
         good = dict(origin=(0, 0), spacing=1.0, n_rows=2, n_cols=2)
         for bad in [{"spacing": math.nan}, {"spacing": math.inf},
-                    {"origin": (math.nan, 0.0)}, {"n_rows": 3.0},
+                    {"origin": (math.nan, 0.0)}, {"origin": 5.0},
+                    {"origin": (1.0, 2.0, 3.0)}, {"n_rows": 3.0},
                     {"n_cols": True}]:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 GridSpec(**dict(good, **bad))

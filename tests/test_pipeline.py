@@ -6,6 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
+from mimoloc import pipeline as pipeline_module
 from mimoloc import predictor as predictor_module
 from mimoloc.adp import adp_from_csi, build_dft_pair, similarity
 from mimoloc.channel import (
@@ -548,6 +549,65 @@ class TestLockstep:
             # one call over all n x T frames of the step
             (frames,) = detected
             assert np.array_equal(frames, histories.reshape(-1, n_t, n_c))
+
+    @pytest.mark.parametrize("history_length", [1, 2, 4])
+    def test_histories_are_windows_of_the_fed_profiles(
+            self, db, thresholds, monkeypatch, history_length):
+        # the fed profiles, rebuilt here: each walk as measured, with the
+        # frames recovery rebuilt in their place
+        walks = lockstep_walks()
+        fed = np.array(walks, dtype=np.float64)
+        assert fed.shape[1] > history_length
+        recover = pipeline_module.recover_each
+        tracker = PeakTrackingPredictor()
+        histories, rebuilt = [], []
+
+        def recording_recover(*args):
+            positions, fused, weights = recover(*args)
+            rebuilt.append((len(histories), fused))
+            return positions, fused, weights
+
+        def predictor(stack):
+            assert not stack.flags.writeable
+            histories.append(np.array(stack))
+            return tracker(stack)
+
+        monkeypatch.setattr(pipeline_module, "recover_each",
+                            recording_recover)
+        est = run_sequence(walks, nn_localizer(db), db, thresholds,
+                           predictor, history_length=history_length)
+        measured = fed.copy()
+        for t, fused in rebuilt:  # one recovery per step, after step t's call
+            fed[est.verdict[:, t] != pipeline_module.ACCURATE, t] = fused
+        # frames rebuilt before the last step feed later histories
+        assert min(t for t, _ in rebuilt) < fed.shape[1] - 1
+        assert not np.array_equal(fed, measured)
+        assert len(histories) == fed.shape[1] - 1
+        for t, got in enumerate(histories, start=1):
+            assert got.shape[1] == min(t, history_length)
+            assert np.array_equal(got, fed[:, t - got.shape[1]:t])
+
+    def test_a_walk_stack_equals_its_list(self, db, thresholds):
+        walks = lockstep_walks()
+        runs = [run_sequence(w, nn_localizer(db), db, thresholds,
+                             PeakTrackingPredictor())
+                for w in (walks, np.stack(walks))]
+        oracles.assert_same_estimates(*runs)
+
+    @pytest.mark.parametrize("history_length", [0, -1, 1.5, True])
+    def test_bad_history_length_raises_before_any_call(
+            self, db, thresholds, history_length):
+        calls = []
+
+        def localizer(frames):
+            calls.append(frames)
+            return nn_localizer(db)(frames)
+
+        with pytest.raises(ValueError, match="history_length"):
+            run_sequence(lockstep_walks(), localizer, db, thresholds,
+                         PeakTrackingPredictor(),
+                         history_length=history_length)
+        assert calls == []
 
     def test_no_walks_and_unequal_walks(self, db, thresholds):
         est = run_sequence([], nn_localizer(db), db, thresholds,
