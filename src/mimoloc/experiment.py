@@ -78,6 +78,10 @@ METHODS = ("dynamic", "regressor", "classifier-wknn", "predictor-only")
 SCENARIOS = ("los-block", "nlos-block", "nlos-add", "none")
 LOCALIZERS = ("regressor", "classifier-wknn")
 PREDICTORS = ("peak-track", "conv-recurrent")
+# the classifier head's cells per grid side, and the neighbours its
+# WKNN refinement weighs
+CLASSIFIER_CELLS = 4
+WKNN_K = 3
 
 
 def sparse_environment() -> Environment:
@@ -140,8 +144,6 @@ class ExperimentConfig:
     addition_level_db: float = -6.0
     localizer: str = "regressor"
     predictor: str = "peak-track"
-    classifier_cells: int = 4
-    wknn_k: int = 3
     history_length: int = 4
     train_epochs: int = 300
     train_learning_rate: float = 0.1
@@ -170,9 +172,9 @@ class ExperimentConfig:
                 f"({sorted(_NAMED_ENVIRONMENTS)}) nor a file"
             )
         for name in ("n_antennas", "n_subcarriers", "grid_rows", "grid_cols",
-                     "n_sequences", "sequence_length", "classifier_cells",
-                     "wknn_k", "history_length", "train_epochs",
-                     "predictor_epochs", "predictor_train_walks"):
+                     "n_sequences", "sequence_length", "history_length",
+                     "train_epochs", "predictor_epochs",
+                     "predictor_train_walks"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.predictor == "conv-recurrent" and self.sequence_length < 2:
@@ -329,8 +331,7 @@ def train_localizer(config: ExperimentConfig, db: FingerprintDb,
         head, seed = Head("regression"), config.seed
     else:
         head = Head("classification",
-                    ClassifierGrid(config.classifier_cells,
-                                   config.classifier_cells))
+                    ClassifierGrid(CLASSIFIER_CELLS, CLASSIFIER_CELLS))
         seed = config.seed + 1
     model = build_model(default_localizer_spec(db.n_t, db.n_c, head),
                         (1, db.n_t, db.n_c), head, seed=seed,
@@ -498,7 +499,7 @@ def build_world(config: ExperimentConfig, log=None) -> World:
         localizers={
             "regressor": RegressionLocalizer(reg_model),
             "classifier-wknn": ClassifierWknnLocalizer(cls_model, db,
-                                                       k=config.wknn_k),
+                                                       k=WKNN_K),
         },
         predictor=predictor,
         train_losses={"regressor": reg_losses, "classifier-wknn": cls_losses,

@@ -2,14 +2,15 @@
 
 One profile per grid point, built by running the full channel pipeline
 over the grid in blocks of positions. Profiles are stored as float32
-images (the persisted precision) in row-major grid order, so a rebuild
-with identical configs is byte-identical on disk.
+images (the persisted precision) in row-major grid order. On disk
+(``save_db``) the build configs are the header and the profiles the
+float32 body of ``mimoloc.container``'s one layout; positions are not
+stored, since they are the grid's. A rebuild with identical configs is
+byte-identical on disk.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,9 @@ from .channel import (
 )
 from .errors import FormatError, check_int, check_positive, is_finite
 
-META_FORMAT_VERSION = 1
+DB_MAGIC = b"ADPF"
+# 1 was records plus a JSON sidecar, 2 the retired walk layout
+DB_VERSION = 3
 
 # positions per pass of the channel kernel. A pass holds about 25 kB per
 # position (traced paths, CSI and profile temporaries): 64 keeps the build's
@@ -121,7 +124,7 @@ class FingerprintDb:
         grid: sampling grid.
         positions: (n_points, 2) float64, row-major grid order.
         adps: (n_points, n_t, n_c) float32 profiles.
-        meta: build configs; round-trips through the JSON sidecar.
+        meta: build configs; round-trips as the file's header.
         zero_flags: (n_points,) bool, True for an all-zero profile.
         norms: (n_points,) float64 Frobenius norm of each profile, taken
             as ``adp.similarity`` takes the norms of a stack, so a
@@ -178,7 +181,6 @@ def build_db(
         csi = synthesize_csi(paths, array, ofdm)
         adps[block] = adp_from_csi(csi, dft)
     meta = {
-        "format_version": META_FORMAT_VERSION,
         "grid": grid.to_meta(),
         "array": {
             "n_antennas": array.n_antennas,
@@ -209,67 +211,43 @@ def neighbor_indices_within(db: FingerprintDb, center, radius: float) -> np.ndar
 
 
 def save_db(db: FingerprintDb, path) -> None:
-    """Persist to an ADPF container plus a '<path>.meta.json' sidecar."""
-    records = container.make_records(db.n_t, db.n_c, len(db.positions))
-    records["position"] = db.positions
-    records["pixels"] = db.adps
-    container.write_container(path, db.n_t, db.n_c, records)
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(db.meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write the database in the layout of ``mimoloc.container``: ``meta``
+    as the header, the profiles as the float32 body."""
+    container.write_checkpoint(path, DB_MAGIC, DB_VERSION, db.meta, [db.adps])
 
 
 def load_db(path) -> FingerprintDb:
     """Read a database written by ``save_db``.
 
+    The grid and the profile size come from the header. The pixel count
+    they imply is compared with the body before any profile is made.
+
     Raises:
-        FormatError: the container is malformed; the sidecar is not UTF-8
-            JSON, lacks a grid ``GridSpec`` accepts, or describes a grid
-            whose point count differs from the record count; the record
-            positions are not that grid's points in row-major order; the
-            sidecar's ``array.n_antennas`` or ``ofdm.n_subcarriers``
-            differs from the container's profile size; or a pixel is NaN,
-            infinite or negative.
-        TruncatedFile: the container is cut short.
-        VersionError: the container's version is not 1.
+        TruncatedFile: the file is cut short, or holds fewer pixels than
+            its header implies.
+        FormatError: bad magic; a header that is not a JSON object, lacks
+            a grid ``GridSpec`` accepts, or whose ``array.n_antennas`` or
+            ``ofdm.n_subcarriers`` is not an integer of at least 1; a grid
+            whose positions overflow; trailing bytes; or a pixel that is
+            NaN, infinite or negative.
+        VersionError: a version other than 3.
     """
-    n_t, n_c, records = container.read_container(path)
-    sidecar = _sidecar_path(path)
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise FormatError(f"{sidecar}: not JSON: {exc}") from exc
+    meta, body = container.read_checkpoint(path, DB_MAGIC, DB_VERSION)
     try:
         grid = GridSpec.from_meta(meta["grid"])
+        n_t, n_c = meta["array"]["n_antennas"], meta["ofdm"]["n_subcarriers"]
+        check_int("array.n_antennas", n_t)
+        check_int("ofdm.n_subcarriers", n_c)
     except (LookupError, TypeError, ValueError) as exc:
-        raise FormatError(f"{sidecar}: no valid grid: {exc!r}") from exc
-    if grid.n_points != len(records):
-        raise FormatError(
-            f"{sidecar}: grid has {grid.n_points} points, container "
-            f"holds {len(records)} records"
-        )
-    if not np.array_equal(records["position"], grid.all_positions()):
-        raise FormatError(f"{path}: positions are not the grid's points")
-    try:
-        sizes = (meta["array"]["n_antennas"], meta["ofdm"]["n_subcarriers"])
-    except (LookupError, TypeError) as exc:
-        raise FormatError(f"{sidecar}: no profile size: {exc!r}") from exc
-    if sizes != (n_t, n_c):
-        raise FormatError(
-            f"{sidecar}: describes {sizes[0]}x{sizes[1]} profiles, the "
-            f"container holds {n_t}x{n_c}"
-        )
-    pixels = records["pixels"]
-    if not (np.isfinite(pixels) & (pixels >= 0)).all():
-        raise FormatError(f"{path}: a pixel is NaN, infinite or negative")
-    return FingerprintDb(
-        grid=grid,
-        positions=records["position"].astype(np.float64),
-        adps=pixels,
-        meta=meta,
-    )
-
-
-def _sidecar_path(path) -> str:
-    return os.fspath(path) + ".meta.json"
+        raise FormatError(f"{path}: header does not describe a database: "
+                          f"{exc!r}") from exc
+    # the pixel count the header implies, checked before any is made
+    container.check_weight_count(body, grid.n_points * n_t * n_c)
+    if not all(map(is_finite, grid.extent())):
+        raise FormatError(f"{path}: the grid's positions overflow")
+    adps = np.empty((grid.n_points, n_t, n_c), dtype="<f4")
+    container.read_weights(body, [adps])
+    if (adps < 0).any():
+        raise FormatError(f"{path}: a pixel is negative")
+    return FingerprintDb(grid=grid, positions=grid.all_positions(), adps=adps,
+                         meta=meta)

@@ -307,12 +307,10 @@ class ConvRecurrentPredictor:
         self.seed = seed
         self.scale = 1.0
         rng = np.random.default_rng(seed)
-        self._xh = Conv2d(hidden_channels, kernel_size, "same")
-        self._xh.init_params((1, n_antennas, n_subcarriers), rng)
-        self._hh = Conv2d(hidden_channels, kernel_size, "same")
-        self._hh.init_params((hidden_channels, n_antennas, n_subcarriers), rng)
-        self._out = Conv2d(1, kernel_size, "same")
-        self._out.init_params((hidden_channels, n_antennas, n_subcarriers), rng)
+        layers = _layers(hidden_channels, kernel_size)
+        for layer, channels in layers:
+            layer.init_params((channels, n_antennas, n_subcarriers), rng)
+        self._xh, self._hh, self._out = (layer for layer, _ in layers)
 
     def parameters(self):
         return [self._xh.w, self._xh.b, self._hh.w, self._hh.b,
@@ -350,13 +348,18 @@ class ConvRecurrentPredictor:
         return out
 
 
+def _layers(hidden_channels: int, kernel_size: int) -> list:
+    """The input, recurrent and output convolutions of a
+    ``ConvRecurrentPredictor``, each with the channel count it takes in."""
+    return [(Conv2d(hidden_channels, kernel_size, "same"), 1),
+            (Conv2d(hidden_channels, kernel_size, "same"), hidden_channels),
+            (Conv2d(1, kernel_size, "same"), hidden_channels)]
+
+
 def _weight_count(hidden_channels: int, kernel_size: int) -> int:
-    """The number of weights in ``ConvRecurrentPredictor.parameters()``:
-    k x k kernels from 1, ``hidden_channels`` and ``hidden_channels``
-    channels to ``hidden_channels``, ``hidden_channels`` and 1, and a bias
-    per output channel."""
-    return (kernel_size * kernel_size * hidden_channels * (hidden_channels + 2)
-            + 2 * hidden_channels + 1)
+    """The number of weights in ``ConvRecurrentPredictor.parameters()``."""
+    return sum(layer.n_weights((channels,))
+               for layer, channels in _layers(hidden_channels, kernel_size))
 
 
 def _clone_conv(proto: Conv2d) -> Conv2d:

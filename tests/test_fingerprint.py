@@ -1,4 +1,4 @@
-"""ADPF container and fingerprint database."""
+"""Fingerprint database and its file."""
 
 import json
 import math
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import oracles
-from mimoloc import container
 from mimoloc.adp import similarity
 from mimoloc.channel import (
     ArrayConfig,
@@ -17,7 +16,12 @@ from mimoloc.channel import (
     Reflector,
     parse_environment,
 )
-from mimoloc.errors import FormatError, TruncatedFile, VersionError
+from mimoloc.errors import (
+    FormatError,
+    MimolocError,
+    TruncatedFile,
+    VersionError,
+)
 from mimoloc.experiment import ExperimentConfig, pieces
 from mimoloc.fingerprint import (
     FingerprintDb,
@@ -36,103 +40,112 @@ ENV = Environment(
 )
 
 
-def _fill_records(n_t, n_c, count, rng):
-    recs = container.make_records(n_t, n_c, count)
-    recs["position"] = rng.uniform(-5, 5, size=(count, 2))
-    recs["pixels"] = rng.uniform(0, 1, size=(count, n_t, n_c)).astype("<f4")
-    return recs
+def _random_db(n_rows=2, n_cols=3, n_t=4, n_c=6, seed=1):
+    """A database of random pixels with the header ``load_db`` reads."""
+    grid = GridSpec(origin=(-5.0, 2.5), spacing=0.5, n_rows=n_rows,
+                    n_cols=n_cols)
+    adps = np.random.default_rng(seed).uniform(
+        0, 1, size=(grid.n_points, n_t, n_c)).astype("<f4")
+    meta = {"grid": grid.to_meta(), "array": {"n_antennas": n_t},
+            "ofdm": {"n_subcarriers": n_c}}
+    return FingerprintDb(grid=grid, positions=grid.all_positions(),
+                         adps=adps, meta=meta)
+
+
+DELETE = object()
+
+
+def _saved_db(tmp_path, section, key, value):
+    """Save a 4x4 database of 8x8 profiles with ``meta[section][key]``
+    (``meta[key]`` for a ``section`` of None) set to ``value``, or deleted
+    for ``DELETE``, and return its path."""
+    grid = GridSpec(origin=(2.0, -2.0), spacing=1.0, n_rows=4, n_cols=4)
+    db = build_db(ENV, grid, ARRAY, OFDM)
+    path = tmp_path / "db.adpf"
+    save_db(db, path)
+    load_db(path)  # the file as saved loads
+    target = db.meta if section is None else db.meta[section]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    save_db(db, path)
+    return path
 
 
 class TestContainer:
+    """The database file: the layout of ``mimoloc.container``."""
+
     def test_write_read_write_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(1)
-        recs = _fill_records(4, 6, 5, rng)
-        p1 = tmp_path / "a.adpf"
-        p2 = tmp_path / "b.adpf"
-        container.write_container(p1, 4, 6, recs)
-        n_t, n_c, loaded = container.read_container(p1)
-        assert (n_t, n_c) == (4, 6)
-        container.write_container(p2, 4, 6, loaded)
+        db = _random_db()
+        p1, p2 = tmp_path / "a.adpf", tmp_path / "b.adpf"
+        save_db(db, p1)
+        loaded = load_db(p1)
+        assert (loaded.n_t, loaded.n_c) == (4, 6)
+        np.testing.assert_array_equal(loaded.adps, db.adps)
+        np.testing.assert_array_equal(loaded.positions, db.positions)
+        save_db(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.adpf",
+                                                             "b.adpf"]
 
     def test_header_layout(self, tmp_path):
-        recs = container.make_records(2, 3, 1)
+        db = _random_db(n_rows=1, n_cols=1, n_t=2, n_c=3)
         path = tmp_path / "h.adpf"
-        container.write_container(path, 2, 3, recs)
+        save_db(db, path)
         raw = path.read_bytes()
         assert raw[:4] == b"ADPF"
-        assert int.from_bytes(raw[4:6], "little") == 1
-        assert int.from_bytes(raw[6:10], "little") == 2
-        assert int.from_bytes(raw[10:14], "little") == 3
-        assert int.from_bytes(raw[14:22], "little") == 1
-        # record: 2 float64 + 6 float32
-        assert len(raw) == 22 + 16 + 24
+        assert int.from_bytes(raw[4:6], "little") == 3
+        head_len = int.from_bytes(raw[6:10], "little")
+        assert json.loads(raw[10:10 + head_len]) == db.meta
+        # the body: one 2x3 float32 profile, and no positions
+        assert raw[10 + head_len:] == db.adps.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.adpf"
-        path.write_bytes(b"NOPE" + bytes(18))
+        save_db(_random_db(), path)
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
         with pytest.raises(FormatError):
-            container.read_container(path)
+            load_db(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_layouts_are_unsupported(self, tmp_path, version):
+        # after two u32 profile sizes and a u64 record count, version 1 held
+        # records of a float64 position and float32 pixels; version 2, the
+        # walk layout, added a sequence id (u32), a frame index (u16) and a
+        # distorted flag (u8) to each
+        path = tmp_path / "old.adpf"
+        path.write_bytes(b"ADPF" + version.to_bytes(2, "little")
+                         + (2).to_bytes(4, "little") + (2).to_bytes(4, "little")
+                         + (1).to_bytes(8, "little")
+                         + bytes(16 + 16 + 7 * (version == 2)))
+        with pytest.raises(VersionError):
+            load_db(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.adpf"
-        path.write_bytes(b"ADPF" + (99).to_bytes(2, "little") + bytes(16))
-        with pytest.raises(VersionError):
-            container.read_container(path)
-
-    def test_version_2_is_unsupported(self, tmp_path):
-        # the retired walk layout: each record also held a sequence id
-        # (u32), a frame index (u16) and a distorted flag (u8)
-        path = tmp_path / "v2.adpf"
-        path.write_bytes(b"ADPF" + (2).to_bytes(2, "little")
-                         + (2).to_bytes(4, "little") + (2).to_bytes(4, "little")
-                         + (1).to_bytes(8, "little") + bytes(16 + 16 + 7))
-        with pytest.raises(VersionError):
-            container.read_container(path)
-
-    def test_truncated(self, tmp_path):
-        recs = container.make_records(4, 4, 3)
-        path = tmp_path / "t.adpf"
-        container.write_container(path, 4, 4, recs)
+        save_db(_random_db(), path)
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 10])
-        with pytest.raises(TruncatedFile):
-            container.read_container(path)
-        path.write_bytes(raw[:10])
-        with pytest.raises(TruncatedFile):
-            container.read_container(path)
+        path.write_bytes(raw[:4] + (99).to_bytes(2, "little") + raw[6:])
+        with pytest.raises(VersionError):
+            load_db(path)
 
     def test_every_cut_raises_truncated(self, tmp_path):
-        recs = _fill_records(2, 3, 2, np.random.default_rng(2))
         path = tmp_path / "c.adpf"
-        container.write_container(path, 2, 3, recs)
+        save_db(_random_db(n_t=2, n_c=3), path)
         raw = path.read_bytes()
-        container.read_container(path)  # the uncut file loads
+        load_db(path)  # the uncut file loads
         for size in range(len(raw)):
             path.write_bytes(raw[:size])
             with pytest.raises(TruncatedFile):
-                container.read_container(path)
-
-    @pytest.mark.parametrize("n_t,n_c", [
-        (0, 4), (4, 0), (2**20, 2**20), (2**32 - 1, 2**32 - 1)])
-    def test_bad_profile_size_in_header(self, tmp_path, n_t, n_c):
-        # the body is one record of an empty profile (its position
-        # alone); numpy refuses the last two layouts with a bare ValueError
-        path = tmp_path / "s.adpf"
-        path.write_bytes(b"ADPF" + (1).to_bytes(2, "little")
-                         + n_t.to_bytes(4, "little")
-                         + n_c.to_bytes(4, "little")
-                         + (1).to_bytes(8, "little") + bytes(16))
-        with pytest.raises(FormatError):
-            container.read_container(path)
+                load_db(path)
 
     def test_trailing_garbage(self, tmp_path):
-        recs = container.make_records(4, 4, 1)
         path = tmp_path / "g.adpf"
-        container.write_container(path, 4, 4, recs)
+        save_db(_random_db(), path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError):
-            container.read_container(path)
+            load_db(path)
 
 
 class TestGridSpec:
@@ -211,11 +224,8 @@ class TestBuildDb:
         p1, p2 = tmp_path / "a.adpf", tmp_path / "b.adpf"
         save_db(build_db(ENV, grid, ARRAY, OFDM, seed=3), p1)
         save_db(build_db(ENV, grid, ARRAY, OFDM, seed=3), p2)
+        # the bytes hold the build configs too, as the header
         assert p1.read_bytes() == p2.read_bytes()
-        assert (
-            (tmp_path / "a.adpf.meta.json").read_bytes()
-            == (tmp_path / "b.adpf.meta.json").read_bytes()
-        )
 
     def test_save_load_round_trip(self, tmp_path):
         grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
@@ -233,72 +243,82 @@ class TestBuildDb:
         save_db(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    @pytest.mark.parametrize("sidecar", [
-        "{not json",
-        "[1, 2]",
-        '{"format_version": 1}',
-        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 2}}',
-        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.0, "n_rows": 2, '
-        '"n_cols": 3}}',
-        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 3, '
-        '"n_cols": 3}}',
-        b'{"grid": "\xff"}',  # not UTF-8
-        '{"grid": {"origin": [4.0, -1.0], "spacing": NaN, "n_rows": 2, '
-        '"n_cols": 3}}',
-        '{"grid": {"origin": [4.0, -1.0], "spacing": Infinity, "n_rows": 2, '
-        '"n_cols": 3}}',
-        '{"grid": {"origin": [NaN, -1.0], "spacing": 0.5, "n_rows": 2, '
-        '"n_cols": 3}}',
-        '{"grid": {"origin": [4.0, -1.0], "spacing": 0.5, "n_rows": 2.0, '
-        '"n_cols": 3}}',
-        # integers past int64 once overflowed the grid's positions
-        '{"grid": {"origin": [4.0, -1.0], "spacing": 9223372036854775808, '
-        '"n_rows": 2, "n_cols": 3}}',
-        '{"grid": {"origin": [9223372036854775808, -1], "spacing": 1, '
-        '"n_rows": 2, "n_cols": 3}}',
-    ])
-    def test_bad_sidecar_is_a_format_error(self, tmp_path, sidecar):
-        grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
+    @pytest.mark.parametrize("header", [
+        b"{not json", b"[1, 2]", b'{"grid": "\xff"}'])  # the last not UTF-8
+    def test_header_that_is_no_json_object_is_a_format_error(self, tmp_path,
+                                                             header):
         path = tmp_path / "db.adpf"
-        save_db(build_db(ENV, grid, ARRAY, OFDM), path)
-        meta = tmp_path / "db.adpf.meta.json"
-        if isinstance(sidecar, bytes):
-            meta.write_bytes(sidecar)
-        else:
-            meta.write_text(sidecar)
+        path.write_bytes(b"ADPF" + (3).to_bytes(2, "little")
+                         + len(header).to_bytes(4, "little") + header
+                         + bytes(4))
         with pytest.raises(FormatError):
             load_db(path)
 
-    def test_sidecar_contradicting_the_profile_size_is_a_format_error(
-            self, tmp_path):
-        grid = GridSpec(origin=(2.0, -2.0), spacing=1.0, n_rows=4, n_cols=4)
-        path = tmp_path / "db.adpf"
-        save_db(build_db(ENV, grid, ARRAY, OFDM), path)
-        load_db(path)  # the file as saved loads
-        sidecar = tmp_path / "db.adpf.meta.json"
-        meta = json.loads(sidecar.read_text())
-        meta["array"]["n_antennas"] = 64
-        meta["ofdm"]["n_subcarriers"] = 3
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match="64x3"):
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "grid", DELETE),
+        ("grid", "n_cols", DELETE),
+        ("grid", "spacing", 0.0),
+        ("grid", "spacing", math.nan),
+        ("grid", "spacing", math.inf),
+        ("grid", "origin", [math.nan, -2.0]),
+        ("grid", "n_rows", 4.0),
+        ("grid", "spacing", 1e308),  # positions past the largest float
+        ("grid", "n_rows", 2),  # fewer pixels than the body holds
+        (None, "array", DELETE),
+        ("array", "n_antennas", 0),
+        ("array", "n_antennas", True),
+        ("ofdm", "n_subcarriers", 2.5),
+        ("ofdm", "n_subcarriers", 4),  # fewer pixels than the body holds
+    ])
+    def test_bad_header_is_a_format_error(self, tmp_path, section, key,
+                                          value):
+        path = _saved_db(tmp_path, section, key, value)
+        with pytest.raises(FormatError):
             load_db(path)
 
-    @pytest.mark.parametrize("field,index,value", [
-        ("position", (1, 0), np.nan),
-        ("position", (1,), (100.0, 100.0)),
-        ("pixels", (2, 0, 0), np.inf),
-        ("pixels", (2, 0, 0), -1e-3),
-    ], ids=["nan-position", "off-grid-position", "inf-pixel",
-            "negative-pixel"])
-    def test_record_contradicting_the_grid_is_a_format_error(
-            self, tmp_path, field, index, value):
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "n_rows", 5), ("array", "n_antennas", 64)])
+    def test_header_implying_more_pixels_than_the_body_is_truncated(
+            self, tmp_path, section, key, value):
+        path = _saved_db(tmp_path, section, key, value)
+        with pytest.raises(TruncatedFile):
+            load_db(path)
+
+    @pytest.mark.parametrize("section,key,value", [
+        # integers past int64 once overflowed the grid's positions
+        ("grid", "spacing", 2**63), ("grid", "origin", [2**63, -1])])
+    def test_huge_integer_grid_loads_or_is_a_typed_error(
+            self, tmp_path, section, key, value):
+        path = _saved_db(tmp_path, section, key, value)
+        try:
+            load_db(path)
+        except MimolocError:
+            pass
+
+    @pytest.mark.parametrize("section,key", [
+        ("grid", "n_rows"), ("array", "n_antennas")])
+    def test_huge_sizes_fail_before_any_profile_is_allocated(
+            self, tmp_path, section, key):
+        # 10^7 rows or antennas ask for gigabytes of profiles: the pixel
+        # count they imply is compared with the body first
+        path = _saved_db(tmp_path, section, key, 10_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFile):
+                load_db(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3],
+                             ids=["nan-pixel", "inf-pixel", "negative-pixel"])
+    def test_bad_pixel_is_a_format_error(self, tmp_path, value):
         grid = GridSpec(origin=(2.0, -2.0), spacing=1.0, n_rows=4, n_cols=4)
+        db = build_db(ENV, grid, ARRAY, OFDM)
+        db.adps[2, 0, 0] = value
         path = tmp_path / "db.adpf"
-        save_db(build_db(ENV, grid, ARRAY, OFDM), path)
-        load_db(path)  # the file as saved loads
-        n_t, n_c, records = container.read_container(path)
-        records[field][index] = value
-        container.write_container(path, n_t, n_c, records)
+        save_db(db, path)
         with pytest.raises(FormatError):
             load_db(path)
 
