@@ -73,10 +73,10 @@ class Walk:
     grid: GridSpec
 
     def positions(self) -> np.ndarray:
-        """(length, 2) positions in meters."""
-        x = self.grid.origin[0] + self.cells[:, 1] * self.grid.spacing
-        y = self.grid.origin[1] + self.cells[:, 0] * self.grid.spacing
-        return np.stack([x, y], axis=1)
+        """(length, 2) positions in meters: the grid's own points, so a
+        clean frame is the database print of its cell bit for bit."""
+        rows, cols = self.cells.T
+        return self.grid.all_positions()[rows * self.grid.n_cols + cols]
 
 
 @dataclass

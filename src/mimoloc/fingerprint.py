@@ -78,11 +78,6 @@ class GridSpec:
     def n_points(self) -> int:
         return self.n_rows * self.n_cols
 
-    def position(self, row: int, col: int) -> np.ndarray:
-        return np.array(
-            [self.origin[0] + col * self.spacing, self.origin[1] + row * self.spacing]
-        )
-
     def all_positions(self) -> np.ndarray:
         cols, rows = np.meshgrid(np.arange(self.n_cols), np.arange(self.n_rows))
         x = self.origin[0] + cols.ravel() * self.spacing

@@ -126,22 +126,22 @@ class Conv2d(WeightedLayer):
     gather: each image is copied once into a flat buffer with one trailing
     zero, and a cached index per input shape (``_column_index``) picks
     every column value from it, the zero standing in for the padding. The
-    gradient is scattered back from the k x k shifted slices of a padded
-    buffer. Outputs and gradients are bit-identical to the plain
-    pad-and-window im2col: the columns hold the same values in the same
-    order, the products are the same calls, and every input-gradient
-    pixel sums its taps in the same (row, column) order. A layer with one
-    output channel (the recurrent predictor's output layer) builds its
-    input gradient without the column product, whose contraction length
-    is 1, and its scatter: tap by tap, in (row, column) order, it
-    multiplies the gradient plane by the tap's weight of each input
-    channel and adds the products into the input gradient, leaving out
-    those that would land in the padding. That is bit-identical too: each
-    product is still one rounding of ``g * w``, and each pixel adds them
-    in the same order to the same +0.0, where the sign of a zero product
-    cannot show. The input gradient is returned C-contiguous, since the
-    memory order of an array can change the summation order of a later
-    matrix product. A layer whose input is data skips its input gradient
+    input gradient is built tap by tap: the gradient is copied once, batch
+    last, into an (out, ho*wo*b) plane, and for each tap in (row, column)
+    order the tap's (c, out) weights times the plane are added into the
+    input pixels the tap reaches, never into the padding. Outputs and
+    gradients are bit-identical to the plain pad-and-window im2col
+    wherever its column product sums the output channels in order, as at
+    every float32 shape tested: the columns hold the same values in the
+    same order, and each input pixel adds the same products in the same
+    order to the same +0.0, where the sign of a zero product cannot show.
+    Over one output channel the product is ``np.multiply``, one rounding
+    of ``g * w`` as a contraction of length 1 is, and cheaper. (At float64
+    and 16 output channels the im2col's product is out of order and
+    depends on the gradient's memory layout; this one does not.) The
+    input gradient is returned C-contiguous, since the memory order of an
+    array can change the summation order of a later matrix product. A
+    layer whose input is data skips its input gradient
     (``input_grad=False``) and fills only ``gw`` and ``gb``; its trainer
     builds the columns of the whole data set once (``columns``) and runs
     each batch's rows (``forward_columns``).
@@ -232,40 +232,24 @@ class Conv2d(WeightedLayer):
         self.gb = gt.sum(axis=(0, 1, 2))
         if not input_grad:
             return None
-        if self.out_channels == 1:
-            return self._one_channel_input_grad(grad)
-        wmat = self.w.reshape(self.out_channels, -1)
-        dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
-        # the padded input is (ho + k - 1) x (wo + k - 1)
-        dxp = np.zeros((b, ho + k - 1, wo + k - 1, c), dtype=dcols.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, i:i + ho, j:j + wo] += dcols[..., i, j]
-        h, w = ho + k - 1 - lo - hi, wo + k - 1 - lo - hi
-        return np.ascontiguousarray(
-            dxp[:, lo:lo + h, lo:lo + w].transpose(0, 3, 1, 2))
-
-    def _one_channel_input_grad(self, grad: np.ndarray) -> np.ndarray:
         # tap (i, j) sends output pixel (y, x) to input pixel
-        # (y + i - lo, x + j - lo); the products that would land in the
-        # padding are never made. The batch is the last axis while the
-        # taps are summed, so each product and sum runs over rows of
-        # (pixel, batch) values, b times longer than the rows of an image
-        k = self.kernel_size
-        lo, hi = self._pad()
-        b, _, ho, wo = grad.shape
+        # (y + i - lo, x + j - lo); with the batch last, each product and
+        # add runs over rows of (pixel, batch) values
         h, w = ho + k - 1 - lo - hi, wo + k - 1 - lo - hi
-        g = np.ascontiguousarray(grad[:, 0].transpose(1, 2, 0))  # (ho, wo, b)
-        taps = self.w[0, :, :, :, None, None, None]  # (c, k, k, 1, 1, 1)
-        dx = np.zeros((taps.shape[0], h, w, b),
-                      dtype=np.result_type(grad, taps))
+        g = np.ascontiguousarray(grad.transpose(1, 2, 3, 0)).reshape(
+            self.out_channels, -1)
+        # taps[i, j] is tap (i, j)'s (c, out) weights
+        taps = np.ascontiguousarray(self.w.transpose(2, 3, 1, 0))
+        product = np.multiply if self.out_channels == 1 else np.matmul
+        dx = np.zeros((c, h, w, b), dtype=np.result_type(g, taps))
         for i in range(k):
             y0, y1 = max(i - lo, 0), min(i - lo + ho, h)
-            rows = slice(y0 + lo - i, y1 + lo - i)
+            ys = slice(y0 + lo - i, y1 + lo - i)
             for j in range(k):
                 x0, x1 = max(j - lo, 0), min(j - lo + wo, w)
-                cols = slice(x0 + lo - j, x1 + lo - j)
-                dx[:, y0:y1, x0:x1] += g[rows, cols] * taps[:, i, j]
+                xs = slice(x0 + lo - j, x1 + lo - j)
+                p = product(taps[i, j], g).reshape(c, ho, wo, b)
+                dx[:, y0:y1, x0:x1] += p[:, ys, xs]
         return np.ascontiguousarray(dx.transpose(3, 0, 1, 2))
 
 

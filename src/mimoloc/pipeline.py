@@ -59,6 +59,11 @@ from .fingerprint import (  # noqa: F401
 # time step's transient stacks stay that small at any grid size
 STACK_BYTES = 1 << 20
 
+# default radii in grid spacings; the similarity floor is calibrated at
+# the detection radius
+DETECTION_CELLS = 3.0
+RECOVERY_CELLS = 2.0
+
 
 class Verdict(Enum):
     """What the detector concluded about one measured frame."""
@@ -97,8 +102,9 @@ class Thresholds:
 
 
 def default_thresholds(grid: GridSpec, similarity_floor: float) -> Thresholds:
-    """Radii tied to the grid pitch: 3 cells for detection, 2 for recovery."""
-    return Thresholds(3.0 * grid.spacing, similarity_floor, 2.0 * grid.spacing)
+    """Radii tied to the grid pitch, for detection and recovery."""
+    return Thresholds(DETECTION_CELLS * grid.spacing, similarity_floor,
+                      RECOVERY_CELLS * grid.spacing)
 
 
 def neighbors_each(db: FingerprintDb, centers, radius: float) -> list:
@@ -173,10 +179,11 @@ def calibrate_similarity_floor(db: FingerprintDb) -> float:
     """Derive the detection similarity floor from the database itself.
 
     For every identifiable grid point, take the best similarity to any
-    other identifiable point within 3 grid spacings. A clean frame
-    measured near the grid should score at least like a grid point scores
-    against its own neighborhood, so the floor is the 1st percentile of
-    those per-point maxima. That is deliberately tight to the bottom of
+    other identifiable point within the detection radius
+    (``DETECTION_CELLS`` grid spacings). A clean frame measured near the
+    grid should score at least like a grid point scores against its own
+    neighborhood, so the floor is the 1st percentile of those per-point
+    maxima. That is deliberately tight to the bottom of
     that distribution: a path loss or a strong foreign path drops the
     best-neighbor similarity far below anything clean frames produce,
     while a floor set higher up starts flagging frames whose distortion
@@ -189,7 +196,7 @@ def calibrate_similarity_floor(db: FingerprintDb) -> float:
     Raises:
         EmptyNeighborhood: if no grid point has a neighbor in range.
     """
-    radius = 3.0 * db.grid.spacing
+    radius = DETECTION_CELLS * db.grid.spacing
     points = np.flatnonzero(~db.zero_flags)
     maxima = []
     for start in range(0, len(points), PRINT_BLOCK):

@@ -91,6 +91,15 @@ class TestRandomWalk:
             [6.0 + w.cells[0, 1] * 0.5, -2.0 + w.cells[0, 0] * 0.5],
         )
 
+    def test_positions_are_grid_points_bit_for_bit(self):
+        grid = GridSpec(origin=(6.3, -2.1), spacing=0.37, n_rows=3, n_cols=7)
+        points = grid.all_positions()
+        for seed in range(5):
+            for mode in WalkMode:
+                w = random_walk(grid, mode, 30, seed)
+                for (row, col), pos in zip(w.cells, w.positions()):
+                    assert np.array_equal(pos, points[row * grid.n_cols + col])
+
 
 def distort(paths, kind, start=0, rng_seed=0):
     return _distort(paths, DistortionScenario(kind, rng_seed=rng_seed), start,

@@ -157,7 +157,7 @@ class TestGridSpec:
         np.testing.assert_allclose(pos[0], [1.0, 2.0])
         np.testing.assert_allclose(pos[1], [1.5, 2.0])  # col varies fastest
         np.testing.assert_allclose(pos[4], [1.0, 2.5])
-        np.testing.assert_allclose(self.GRID.position(2, 3), [2.5, 3.0])
+        np.testing.assert_allclose(pos[2 * 4 + 3], [2.5, 3.0])
 
     def test_extent(self):
         assert self.GRID.extent() == (1.0, 2.0, 2.5, 3.0)

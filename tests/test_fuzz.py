@@ -1,4 +1,4 @@
-"""A seeded, bounded fuzz of the files mimoloc writes.
+"""A seeded, bounded fuzz of the files mimoloc writes and reads.
 
 The fingerprint database (``ADPF``) and both checkpoints (``NNCK``,
 ``PRED``) share one layout (``mimoloc.container``). Every cut in the first
@@ -6,7 +6,10 @@ The fingerprint database (``ADPF``) and both checkpoints (``NNCK``,
 header set to 0x00 or 0xff or with its lowest bit flipped, and every JSON
 leaf of each header set to each of a fixed list of odd values or deleted,
 loads or raises a ``MimolocError``, and no case allocates more than a few
-megabytes.
+megabytes. A config with any field set to one of those values or deleted
+loads or raises a ``ConfigError``, and an environment text with any token
+replaced, or any line deleted or doubled, parses to an environment that
+round-trips through ``format_environment`` or raises a ``FormatError``.
 """
 
 import functools
@@ -18,9 +21,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mimoloc.channel import ArrayConfig, Environment, OfdmConfig, Reflector
+from mimoloc.channel import (
+    ArrayConfig,
+    Environment,
+    OfdmConfig,
+    Reflector,
+    format_environment,
+    parse_environment,
+)
 from mimoloc.container import read_checkpoint, write_checkpoint
-from mimoloc.errors import MimolocError, TruncatedFile
+from mimoloc.errors import ConfigError, FormatError, MimolocError, TruncatedFile
+from mimoloc.experiment import ExperimentConfig, load_config
 from mimoloc.fingerprint import (
     DB_MAGIC,
     DB_VERSION,
@@ -183,3 +194,63 @@ def test_every_header_leaf_set_to_an_odd_value_or_deleted(
     failures, peak = load_each(load, path, cases())
     assert not failures
     assert peak < 4e6
+
+
+def test_every_config_field_set_to_an_odd_value_or_deleted(tmp_path):
+    config = ExperimentConfig().to_dict()
+    path = tmp_path / "config.json"
+    failures = []
+    for field in config:
+        for value in ODD_VALUES + (DELETE,):
+            path.write_text(json.dumps(mutated(config, (field,), value)))
+            try:
+                load_config(path)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the finding
+                failures.append((field, value, repr(exc)))
+    assert not failures
+
+
+ENVIRONMENT_TEXT = """bs_position = 0.5 -1.0
+array_axis = 1.5
+speed_of_light = 3e8
+reflector = -30.0 6.0 30.0 6.0 0.8
+reflector = 10.0 -4.0 10.0 4.0 0.5
+blocker = 2.0 1.0 4.0 1.0
+"""
+TOKEN_VALUES = ("nan", "inf", "-1", "0", "1e309", "x", "", "=", "#")
+
+
+def environment_texts():
+    """The fuzzed texts: each token of ``ENVIRONMENT_TEXT`` replaced with
+    each of ``TOKEN_VALUES``, and each line deleted or doubled."""
+    lines = ENVIRONMENT_TEXT.splitlines()
+    for n, line in enumerate(lines):
+        tokens = line.split()
+        for t in range(len(tokens)):
+            for value in TOKEN_VALUES:
+                edited = " ".join(tokens[:t] + [value] + tokens[t + 1:])
+                yield "\n".join(lines[:n] + [edited] + lines[n + 1:])
+        yield "\n".join(lines[:n] + lines[n + 1:])
+        yield "\n".join(lines[:n + 1] + lines[n:])
+
+
+def test_every_environment_text_mutation_parses_or_is_a_format_error():
+    base = parse_environment(ENVIRONMENT_TEXT)
+    assert len(base.reflectors) == 2 and len(base.blockers) == 1
+    failures = []
+    parsed = 0
+    for text in environment_texts():
+        try:
+            env = parse_environment(text)
+        except FormatError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - the finding
+            failures.append((text, repr(exc)))
+            continue
+        parsed += 1
+        if parse_environment(format_environment(env)) != env:
+            failures.append((text, "no round trip"))
+    assert not failures
+    assert parsed  # some mutations are still valid environments

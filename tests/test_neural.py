@@ -169,17 +169,23 @@ def assert_same_bits(got, want):
 class TestKernelsMatchReference:
     """The layers against their plainer reference forms: equal to the bit."""
 
+    # 16 output channels are compared in float32 only: there the
+    # reference's float64 input gradient depends on the memory layout of
+    # the gradient, so it fixes no summation order
+    # (test_conv_input_grad_ignores_memory_layout covers that case)
+    @pytest.mark.parametrize("out_channels,dtype", [
+        (1, np.float32), (4, np.float32), (4, np.float64), (16, np.float32)])
     @pytest.mark.parametrize("batch", [0, 1, 8, 32])
     @pytest.mark.parametrize("padding,k", [
         ("valid", 3), ("same", 3), ("valid", 2), ("same", 2),
         ("valid", 1), ("same", 1), ("valid", 5), ("same", 5)])
-    def test_conv(self, padding, k, batch):
+    def test_conv(self, padding, k, batch, out_channels, dtype):
         rng = np.random.default_rng(batch * 10 + k)
-        layer = Conv2d(4, k, padding)
+        layer = Conv2d(out_channels, k, padding)
         layer.init_params((3, 7, 9), rng)
-        ref = ReferenceConv2d(4, k, padding)
+        ref = ReferenceConv2d(out_channels, k, padding)
         ref.w, ref.b = layer.w, layer.b
-        x = rng.standard_normal((batch, 3, 7, 9))
+        x = rng.standard_normal((batch, 3, 7, 9)).astype(dtype)
         lo, hi = layer._pad()
         # the gather index is shared by every call on this shape
         assert not neural._column_index(3, 7, 9, k, lo, hi).flags.writeable
@@ -190,7 +196,7 @@ class TestKernelsMatchReference:
             assert not np.shares_memory(cols, xi)
             y = layer.forward(xi)
             assert_same_bits(y, ref.forward(xi))
-            for g in layouts(rng.standard_normal(y.shape)):
+            for g in layouts(rng.standard_normal(y.shape).astype(dtype)):
                 dx = layer.backward(g)
                 assert_same_bits(dx, ref.backward(g))
                 assert dx.flags.c_contiguous
@@ -202,13 +208,27 @@ class TestKernelsMatchReference:
                 assert_same_bits(layer.gb, ref.gb)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("out_channels", [1, 4, 16])
+    def test_conv_input_grad_ignores_memory_layout(self, out_channels, dtype):
+        # a conv output reaches the next layer channels-last, and its
+        # gradient may come back in either order
+        rng = np.random.default_rng(out_channels)
+        layer = Conv2d(out_channels, 3, "same")
+        layer.init_params((3, 7, 9), rng)
+        layer.forward(rng.standard_normal((8, 3, 7, 9)).astype(dtype))
+        c_order, channels_last = layouts(
+            rng.standard_normal((8, out_channels, 7, 9)).astype(dtype))
+        assert_same_bits(layer.backward(c_order), layer.backward(channels_last))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padding", ["valid", "same"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_conv_one_output_channel(self, k, padding, dtype):
-        # the predictor's output layer: its input gradient is built tap by
-        # tap, not by a product over one channel. The gradient is masked
-        # the way the predictor masks it (pre_out > 0), so it holds zeros
-        # of both signs
+        # the predictor's output layer: each tap's product over its one
+        # channel is a plain multiply, where the reference makes a matrix
+        # product of contraction length 1. The gradient is masked the way
+        # the predictor masks it (pre_out > 0), so it holds zeros of both
+        # signs
         rng = np.random.default_rng(k)
         layer = Conv2d(1, k, padding)
         layer.init_params((5, 7, 9), rng)

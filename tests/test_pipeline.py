@@ -64,6 +64,7 @@ ENV = Environment(
     ),
 )
 GRID = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=16, n_cols=16)
+POINTS = GRID.all_positions()
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,7 @@ class TestDetection:
         assert det.best_similarity == 0.0
 
     def test_clean_frame_is_accurate(self, db, thresholds):
-        point = GRID.position(7, 9)
+        point = POINTS[7 * GRID.n_cols + 9]
         frame = frame_at(point)
         det = detect_distorted(frame, nn_localizer(db)(frame), db, thresholds)
         assert det.verdict is Verdict.ACCURATE
@@ -158,7 +159,7 @@ class TestDetection:
 
     @pytest.mark.parametrize("kind", list(DistortionKind))
     def test_distorted_frame_is_flagged(self, db, thresholds, kind):
-        point = GRID.position(7, 9)
+        point = POINTS[7 * GRID.n_cols + 9]
         scen = DistortionScenario(kind=kind, addition_level_db=-1.0,
                                   rng_seed=3)
         frame = frame_at(point, scen)
@@ -167,7 +168,7 @@ class TestDetection:
         assert det.verdict is Verdict.DISTORTED
 
     def test_faint_addition_is_waved_through(self, db, thresholds):
-        point = GRID.position(7, 9)
+        point = POINTS[7 * GRID.n_cols + 9]
         scen = DistortionScenario(kind=DistortionKind.NLOS_ADDITION,
                                   addition_level_db=-30.0, rng_seed=3)
         frame = frame_at(point, scen)
@@ -177,9 +178,9 @@ class TestDetection:
 
     def test_verdict_survives_frame_scaling(self, db, thresholds):
         loc = nn_localizer(db)
-        clean = frame_at(GRID.position(3, 3))
+        clean = frame_at(POINTS[3 * GRID.n_cols + 3])
         blocked = frame_at(
-            GRID.position(3, 3),
+            POINTS[3 * GRID.n_cols + 3],
             DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE),
         )
         for frame in (clean, blocked):
@@ -190,7 +191,7 @@ class TestDetection:
             assert scaled.best_similarity == pytest.approx(base.best_similarity)
 
     def test_no_neighbors_means_distorted(self, db, thresholds):
-        det = detect_distorted(frame_at(GRID.position(2, 2)),
+        det = detect_distorted(frame_at(POINTS[2 * GRID.n_cols + 2]),
                                np.array([1000.0, 1000.0]), db, thresholds)
         assert det.verdict is Verdict.DISTORTED
         assert det.best_similarity == 0.0
@@ -225,8 +226,8 @@ class TestRecovery:
         measured[3, 3] = 1.0
         thr = Thresholds(1.0, 0.5, 1.0)
         rec = recover_and_locate(measured, np.zeros((4, 4)), None,
-                                 tiny.position(1, 1), tiny_db, thr)
-        assert np.allclose(rec.position, tiny.position(1, 1), atol=1e-12)
+                                 tiny.all_positions()[4], tiny_db, thr)
+        assert np.allclose(rec.position, tiny.all_positions()[4], atol=1e-12)
         # the five cross entries within the radius, in equal parts
         cross = [1, 3, 4, 5, 7]
         assert np.allclose(rec.adp, adps[cross].mean(axis=0), atol=1e-12)
@@ -248,15 +249,15 @@ class TestRecovery:
         with pytest.raises(EmptyNeighborhood):
             recover_and_locate(zero, zero, None, None, db, thresholds)
         with pytest.raises(EmptyNeighborhood):
-            recover_and_locate(frame_at(GRID.position(4, 4)), zero, None,
-                               None, db, thresholds)
+            recover_and_locate(frame_at(POINTS[4 * GRID.n_cols + 4]), zero,
+                               None, None, db, thresholds)
 
     def test_fused_position_stays_in_candidate_hull(self, db, thresholds):
         rng = np.random.default_rng(9)
         tracker = PeakTrackingPredictor()
         for _ in range(10):
             row, col = rng.integers(2, 14, size=2)
-            point = GRID.position(int(row), int(col))
+            point = POINTS[row * GRID.n_cols + col]
             history = [frame_at(point)] * 3
             measured = frame_at(
                 point, DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE))
