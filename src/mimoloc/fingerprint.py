@@ -22,6 +22,7 @@ from .channel import (
     Environment,
     OfdmConfig,
     format_environment,
+    parse_environment,
     synthesize_csi,
     trace_paths,
 )
@@ -222,9 +223,13 @@ def load_db(path) -> FingerprintDb:
             its header implies.
         FormatError: bad magic; a header that is not a JSON object, lacks
             a grid ``GridSpec`` accepts, or whose ``array.n_antennas`` or
-            ``ofdm.n_subcarriers`` is not an integer of at least 1; a grid
-            whose positions overflow; trailing bytes; or a pixel that is
-            NaN, infinite or negative.
+            ``ofdm.n_subcarriers`` is not an integer of at least 1, whose
+            ``array.wavelength``, ``array.element_spacing`` or
+            ``ofdm.bandwidth`` is not a finite number above 0, whose
+            ``environment`` is not a text ``parse_environment`` accepts, or
+            whose ``seed`` is neither null nor an integer of at least 0; a
+            grid whose positions overflow; trailing bytes; or a pixel that
+            is NaN, infinite or negative.
         VersionError: a version other than 3.
     """
     meta, body = container.read_checkpoint(path, DB_MAGIC, DB_VERSION)
@@ -233,7 +238,16 @@ def load_db(path) -> FingerprintDb:
         n_t, n_c = meta["array"]["n_antennas"], meta["ofdm"]["n_subcarriers"]
         check_int("array.n_antennas", n_t)
         check_int("ofdm.n_subcarriers", n_c)
-    except (LookupError, TypeError, ValueError) as exc:
+        for section, key in (("array", "wavelength"),
+                             ("array", "element_spacing"),
+                             ("ofdm", "bandwidth")):
+            check_positive(f"{section}.{key}", meta[section][key])
+        if meta["seed"] is not None:
+            check_int("seed", meta["seed"], least=0)
+        if not isinstance(meta["environment"], str):
+            raise TypeError("environment must be a string")
+        parse_environment(meta["environment"])
+    except (LookupError, TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"{path}: header does not describe a database: "
                           f"{exc!r}") from exc
     # the pixel count the header implies, checked before any is made

@@ -130,18 +130,21 @@ class Conv2d(WeightedLayer):
     last, into an (out, ho*wo*b) plane, and for each tap in (row, column)
     order the tap's (c, out) weights times the plane are added into the
     input pixels the tap reaches, never into the padding. Outputs and
-    gradients are bit-identical to the plain pad-and-window im2col
-    wherever its column product sums the output channels in order, as at
-    every float32 shape tested: the columns hold the same values in the
-    same order, and each input pixel adds the same products in the same
-    order to the same +0.0, where the sign of a zero product cannot show.
-    Over one output channel the product is ``np.multiply``, one rounding
-    of ``g * w`` as a contraction of length 1 is, and cheaper. (At float64
-    and 16 output channels the im2col's product is out of order and
-    depends on the gradient's memory layout; this one does not.) The
-    input gradient is returned C-contiguous, since the memory order of an
-    array can change the summation order of a later matrix product. A
-    layer whose input is data skips its input gradient
+    gradients are bit-identical to a plain pad-and-window im2col whose
+    input gradient sums each column value over the output channels in
+    order, one fused multiply-add at a time, wherever the BLAS product
+    here does the same, as at every float32 shape tested and at every
+    float64 one but 16 output channels on a 3x3 'valid' kernel at batch
+    1: the columns hold the same values in the same order, and each input
+    pixel adds the same products in the same order to the same +0.0,
+    where the sign of a zero product cannot show. Over one output channel
+    the product is ``np.multiply``, one rounding of ``g * w`` as a
+    contraction of length 1 is, and cheaper. A layer with one input
+    channel agrees only to rounding: each tap's (1, out) weights times
+    the plane run as a BLAS gemv, which does not sum the output channels
+    in order. The input gradient is returned C-contiguous, since the
+    memory order of an array can change the summation order of a later
+    matrix product. A layer whose input is data skips its input gradient
     (``input_grad=False``) and fills only ``gw`` and ``gb``; its trainer
     builds the columns of the whole data set once (``columns``) and runs
     each batch's rows (``forward_columns``).

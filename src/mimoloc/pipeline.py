@@ -12,10 +12,12 @@ the previous position.
 of the profiles its frames feed to the walks' histories, so the localizer
 sees each time step's frames of every walk as one stack and the predictor
 a window of that array, and returns every walk's per-frame outcomes as
-one array record, ``Estimates``. Localizers and predictors are plain
-callables here (a stack of profiles in, a stack of positions out; a stack
-of equal-length histories in, a stack of predicted profiles out), so the
-pieces can be swapped or faked independently.
+one array record, ``Estimates``. Each step makes one localizer call, on
+the step's measured frames stacked with the frames predicted for them.
+Localizers and predictors are plain callables here (a stack of profiles
+in, a stack of positions out; a stack of equal-length histories in, a
+stack of predicted profiles out), so the pieces can be swapped or faked
+independently.
 
 Detection, recovery and the threshold calibration score frames against
 database prints through one stacked kernel: ``neighbors_each`` finds the
@@ -427,15 +429,17 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
     ``walks`` is a walk stack of n equal-length walks of T profiles, an
     (n, T, n_t, n_c) array or a list of n walks (one walk is a list of
     one), copied once as float64 into the fed profiles. The walks are
-    stepped together: at each time step the localizer locates the frames
-    with energy of every walk in one call, the predictor predicts every
-    walk's history in one call, and the localizer locates the nonempty
-    predictions in one more. The step's frames are then judged in one
-    ``detect_each`` pass and its untrusted frames recovered in one
-    ``recover_each`` pass. Every walk's estimates are those it would get
-    alone, since a localizer or predictor answers each row of a stack as
-    it would answer that row by itself, and the stacked scoring gives each
-    frame the similarities it gets alone.
+    stepped together: at each time step from t = 1 the predictor
+    predicts every walk's history in one call, and at every step the
+    localizer locates the step's measured frames stacked with their
+    predictions in one call (``locate_each``, which skips the all-zero
+    rows; step 0 has no history, and its predictions are all zero). The
+    step's frames are then judged in one ``detect_each`` pass and its
+    untrusted frames recovered in one ``recover_each`` pass. Every walk's
+    estimates are those it would get alone, since a localizer or
+    predictor answers each row of a stack as it would answer that row by
+    itself, and the stacked scoring gives each frame the similarities it
+    gets alone.
 
     Accurate frames, and an untrusted first frame, which has no history to
     predict from, are fed as measured; every later distorted or lost-link
@@ -457,6 +461,8 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
         EmptyNeighborhood: if the link is lost on the very first frame of
             a walk.
         LengthMismatch: if the walks differ in length.
+        DimensionMismatch: if the predictor's stack is not shaped like
+            the step's frames.
     """
     check_int("history_length", history_length)
     if len({len(w) for w in walks}) > 1:
@@ -469,12 +475,19 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
         np.zeros((n, length)), np.zeros((n, length)))
     for t in range(length):
         frames = fed[:, t]  # recovery writes the rebuilt frames into fed
-        est.measured_position[:, t] = locate_each(localizer, frames)
-        if t > 0:
+        if t == 0:  # no history: all-zero predictions, located as NaN
+            predicted = np.zeros_like(frames)
+        else:
             history = fed[:, max(0, t - history_length):t]
             history.flags.writeable = False
-            predicted = predictor(history)
-            est.predicted_position[:, t] = locate_each(localizer, predicted)
+            predicted = np.asarray(predictor(history))
+            if predicted.shape != frames.shape:
+                raise DimensionMismatch(
+                    f"predicted stack {predicted.shape} vs frames "
+                    f"{frames.shape}")
+        fixes = locate_each(localizer, np.concatenate([frames, predicted]))
+        est.measured_position[:, t] = fixes[:n]
+        est.predicted_position[:, t] = fixes[n:]
         verdicts, est.best_similarity[:, t] = detect_each(
             frames, est.measured_position[:, t], db, thresholds)
         est.verdict[:, t] = verdicts

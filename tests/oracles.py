@@ -9,7 +9,10 @@ one-frame database scoring (``calibrate_similarity_floor``,
 ``detect_distorted``, ``recover_and_locate``, ``classify_then_wknn``) and
 the scalar channel (``trace_paths``, ``synthesize_csi``, ``build_db_adps``,
 ``distort``) are earlier, plainer forms of package code, kept as the
-references their replacements must match bit for bit.
+references their replacements must match bit for bit. The reference
+convolution's input gradient is the exception: it sums in a fixed order
+with an emulated fused multiply-add (``fma``), so that it does not hang
+on the order in which a BLAS kernel happens to sum.
 """
 
 import cmath
@@ -107,11 +110,64 @@ def classifier_cell(position, extent, n_rows, n_cols):
     return max(0, row) * n_cols + max(0, col)
 
 
+def _two_sum(a, b):
+    """s = a + b rounded, and the exact error of that rounding."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_product(a, b):
+    """p = a * b rounded, and its exact error (Veltkamp's split)."""
+    p = a * b
+    ah = a * 134217729.0
+    ah -= ah - a
+    bh = b * 134217729.0
+    bh -= bh - b
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _round_to_odd(s, err):
+    """``s`` rounded to odd, given the error ``err`` of its rounding: where
+    it is inexact and its last bit is even, the neighbor toward
+    ``s + err``."""
+    even = (s.view(np.int64) & 1) == 0
+    return np.where((err != 0.0) & even, np.nextafter(s, s + err), s)
+
+
+def fma(a, b, c):
+    """``a * b + c`` rounded once, elementwise, as a fused multiply-add
+    rounds it, in float32 or float64 by numpy's promotion of the three.
+
+    A float32 product is exact in float64, and the sum rounded to odd in
+    float64 then rounds to float32 as the exact sum would. A float64 one
+    is Boldo and Melquiond's emulation: the exact product and the sum's
+    exact error, their low parts summed and rounded to odd, then one
+    rounding of the whole. Both hold for operands that neither overflow
+    nor underflow.
+    """
+    dtype = np.result_type(a, b, c)
+    a, b, c = (np.asarray(v, dtype=np.float64) for v in (a, b, c))
+    if dtype == np.float32:
+        return _round_to_odd(*_two_sum(a * b, c)).astype(np.float32)
+    uh, ul = _two_product(a, b)
+    th, tl = _two_sum(c, uh)
+    return th + _round_to_odd(*_two_sum(tl, ul))
+
+
 class ReferenceConv2d(Conv2d):
     """Conv2d by ``np.pad`` plus a ``sliding_window_view`` im2col copy,
     made C-contiguous as the layer's own columns are (at k = 1 the reshape
     alone is a strided view, which a one-column product sums in another
-    order). It keeps its cache whether or not it trains."""
+    order). It keeps its cache whether or not it trains.
+
+    Its input gradient fixes the summation order: each output pixel's
+    column gradient is a chain of fused multiply-adds over the output
+    channels in order, from +0.0, as a BLAS kernel that sums them in order
+    computes it, and each input pixel adds its taps' values in (row,
+    column) order. So it does not depend on the gradient's memory layout
+    at any dtype or width."""
 
     def columns(self, x):
         k = self.kernel_size
@@ -144,7 +200,10 @@ class ReferenceConv2d(Conv2d):
             self.w.shape
         )
         self.gb = gt.sum(axis=(0, 1, 2))
-        dcols = (gt @ wmat).reshape(b, ho, wo, c, k, k)
+        dcols = np.zeros((b, ho, wo, c * k * k), np.result_type(gt, wmat))
+        for o in range(self.out_channels):
+            dcols = fma(gt[..., o:o + 1], wmat[o], dcols)
+        dcols = dcols.reshape(b, ho, wo, c, k, k)
         dxp = np.zeros(xp_shape, dtype=dcols.dtype)
         for i in range(k):
             for j in range(k):

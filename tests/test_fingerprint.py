@@ -14,6 +14,7 @@ from mimoloc.channel import (
     Environment,
     OfdmConfig,
     Reflector,
+    format_environment,
     parse_environment,
 )
 from mimoloc.errors import (
@@ -46,8 +47,11 @@ def _random_db(n_rows=2, n_cols=3, n_t=4, n_c=6, seed=1):
                     n_cols=n_cols)
     adps = np.random.default_rng(seed).uniform(
         0, 1, size=(grid.n_points, n_t, n_c)).astype("<f4")
-    meta = {"grid": grid.to_meta(), "array": {"n_antennas": n_t},
-            "ofdm": {"n_subcarriers": n_c}}
+    meta = {"grid": grid.to_meta(),
+            "array": {"n_antennas": n_t, "wavelength": 0.1,
+                      "element_spacing": 0.05},
+            "ofdm": {"n_subcarriers": n_c, "bandwidth": 20e6},
+            "environment": format_environment(ENV), "seed": None}
     return FingerprintDb(grid=grid, positions=grid.all_positions(),
                          adps=adps, meta=meta)
 
@@ -269,6 +273,9 @@ class TestBuildDb:
         ("array", "n_antennas", True),
         ("ofdm", "n_subcarriers", 2.5),
         ("ofdm", "n_subcarriers", 4),  # fewer pixels than the body holds
+        ("ofdm", "bandwidth", math.inf),
+        (None, "environment", "bs_position = 0"),
+        (None, "seed", 2.0),
     ])
     def test_bad_header_is_a_format_error(self, tmp_path, section, key,
                                           value):

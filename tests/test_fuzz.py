@@ -6,10 +6,13 @@ The fingerprint database (``ADPF``) and both checkpoints (``NNCK``,
 header set to 0x00 or 0xff or with its lowest bit flipped, and every JSON
 leaf of each header set to each of a fixed list of odd values or deleted,
 loads or raises a ``MimolocError``, and no case allocates more than a few
-megabytes. A config with any field set to one of those values or deleted
-loads or raises a ``ConfigError``, and an environment text with any token
-replaced, or any line deleted or doubled, parses to an environment that
-round-trips through ``format_environment`` or raises a ``FormatError``.
+megabytes; a database header whose build record (array, OFDM,
+environment, seed) takes a value it does not allow raises a
+``FormatError``. A config with any field set to one of those values or
+deleted loads or raises a ``ConfigError``, and an environment text with
+any token replaced, or any line deleted or doubled, parses to an
+environment that round-trips through ``format_environment`` or raises a
+``FormatError``.
 """
 
 import functools
@@ -194,6 +197,40 @@ def test_every_header_leaf_set_to_an_odd_value_or_deleted(
     failures, peak = load_each(load, path, cases())
     assert not failures
     assert peak < 4e6
+
+
+def positive(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+# which odd values each leaf of a database header's build record takes:
+# a finite number above 0, null or an integer of at least 0; no odd value
+# is an environment text
+BUILD_RECORD = {
+    ("array", "wavelength"): positive,
+    ("array", "element_spacing"): positive,
+    ("ofdm", "bandwidth"): positive,
+    ("environment",): lambda value: False,
+    ("seed",): lambda value: value is None or (
+        type(value) is int and value >= 0),
+}
+
+
+def test_every_build_record_leaf_loads_only_if_valid(tmp_path):
+    path = tmp_path / "db"
+    save_small_db(path)
+    header, body = read_checkpoint(path, DB_MAGIC, DB_VERSION)
+    weights = np.frombuffer(body, dtype="<f4")
+    for trail, valid in BUILD_RECORD.items():
+        for value in ODD_VALUES + (DELETE,):
+            meta = mutated(header, trail, value)
+            write_checkpoint(path, DB_MAGIC, DB_VERSION, meta, [weights])
+            if value is not DELETE and valid(value):
+                assert load_db(path).meta == meta, (trail, value)
+            else:
+                with pytest.raises(FormatError):
+                    load_db(path)
 
 
 def test_every_config_field_set_to_an_odd_value_or_deleted(tmp_path):

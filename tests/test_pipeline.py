@@ -588,6 +588,55 @@ class TestLockstep:
             assert got.shape[1] == min(t, history_length)
             assert np.array_equal(got, fed[:, t - got.shape[1]:t])
 
+    def test_one_localizer_call_per_step(self, db, thresholds):
+        # step 0 locates its measured frames, every later step its
+        # measured frames with energy stacked with its nonzero
+        # predictions. At step 6 walk 1's link is lost and the
+        # predictions from walk 0's clean frame 5 (walks 0 and 3) are all
+        # zero, so both halves of that stack skip rows
+        walks = np.stack(lockstep_walks())
+        walks[1, 6] = 0.0
+        mark = walks[0, 5]
+        localize, tracker = nn_localizer(db), PeakTrackingPredictor()
+        calls, predictions = [], []
+
+        def counting_localizer(stack):
+            calls.append(len(stack))
+            return localize(stack)
+
+        def predictor(histories):
+            out = tracker(histories)
+            out[(histories[:, -1] == mark).all(axis=(1, 2))] = 0.0
+            predictions.append(out)
+            return out
+
+        est = run_sequence(walks, counting_localizer, db, thresholds,
+                           predictor)
+        steps = [np.zeros((0,) + walks.shape[2:])] + predictions
+        assert calls == [
+            np.count_nonzero(np.concatenate([walks[:, t], p]).any(
+                axis=(1, 2))) for t, p in enumerate(steps)]
+        assert calls[6] == 2 * len(walks) - 3
+        assert est.verdict[1, 6] == pipeline_module.LOST_LINK
+        assert np.isnan(est.predicted_position[[0, 3], 6]).all()
+        for i, adps in enumerate(walks):
+            oracles.assert_same_estimates(
+                oracles.walk_of(est, i),
+                oracles.run_sequence(adps, localize, db, thresholds,
+                                     predictor))
+
+    @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1]],
+                             ids=["walks", "antennas"])
+    def test_misshapen_prediction_raises(self, db, thresholds, cut):
+        tracker = PeakTrackingPredictor()
+
+        def predictor(histories):
+            return tracker(histories)[cut]
+
+        with pytest.raises(DimensionMismatch):
+            run_sequence(lockstep_walks(), nn_localizer(db), db, thresholds,
+                         predictor)
+
     def test_a_walk_stack_equals_its_list(self, db, thresholds):
         walks = lockstep_walks()
         runs = [run_sequence(w, nn_localizer(db), db, thresholds,
