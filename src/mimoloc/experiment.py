@@ -60,9 +60,8 @@ from .neural import (
     train,
 )
 from .pipeline import (
-    VERDICTS,
+    ACCURATE,
     Thresholds,
-    Verdict,
     calibrate_similarity_floor,
     default_thresholds,
     locate_each,
@@ -78,10 +77,8 @@ METHODS = ("dynamic", "regressor", "classifier-wknn", "predictor-only")
 SCENARIOS = ("los-block", "nlos-block", "nlos-add", "none")
 LOCALIZERS = ("regressor", "classifier-wknn")
 PREDICTORS = ("peak-track", "conv-recurrent")
-# the classifier head's cells per grid side, and the neighbours its
-# WKNN refinement weighs
+# the classifier head's cells per grid side
 CLASSIFIER_CELLS = 4
-WKNN_K = 3
 
 
 def sparse_environment() -> Environment:
@@ -273,7 +270,7 @@ def pieces(config: ExperimentConfig):
 def database_for(config: ExperimentConfig) -> FingerprintDb:
     """The fingerprint database of a config's world."""
     env, array, ofdm, grid, dft = pieces(config)
-    return build_db(env, grid, array, ofdm, dft, seed=config.seed)
+    return build_db(env, grid, array, ofdm, dft)
 
 
 def evaluation_walks(config: ExperimentConfig, indices=None):
@@ -334,8 +331,7 @@ def train_localizer(config: ExperimentConfig, db: FingerprintDb,
                     ClassifierGrid(CLASSIFIER_CELLS, CLASSIFIER_CELLS))
         seed = config.seed + 1
     model = build_model(default_localizer_spec(db.n_t, db.n_c, head),
-                        (1, db.n_t, db.n_c), head, seed=seed,
-                        normalize_input=True)
+                        (1, db.n_t, db.n_c), head, seed=seed)
     losses = train(model, db,
                    TrainConfig(epochs=config.train_epochs,
                                learning_rate=config.train_learning_rate,
@@ -498,8 +494,7 @@ def build_world(config: ExperimentConfig, log=None) -> World:
         config=config, db=db, thresholds=thresholds,
         localizers={
             "regressor": RegressionLocalizer(reg_model),
-            "classifier-wknn": ClassifierWknnLocalizer(cls_model, db,
-                                                       k=WKNN_K),
+            "classifier-wknn": ClassifierWknnLocalizer(cls_model, db),
         },
         predictor=predictor,
         train_losses={"regressor": reg_losses, "classifier-wknn": cls_losses,
@@ -547,7 +542,7 @@ def run_walks(world: World, config: ExperimentConfig, indices) -> tuple:
     errors = {m: np.linalg.norm(tracks[m] - truths, axis=2) for m in METHODS}
     return ([seq.mode for seq in seqs], truths,
             np.stack([seq.distorted for seq in seqs]), errors,
-            est.verdict != VERDICTS.index(Verdict.ACCURATE))
+            est.verdict != ACCURATE)
 
 
 def evaluate(world: World, scenario: str, out_dir=None,

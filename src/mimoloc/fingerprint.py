@@ -5,8 +5,8 @@ over the grid in blocks of positions. Profiles are stored as float32
 images (the persisted precision) in row-major grid order. On disk
 (``save_db``) the build configs are the header and the profiles the
 float32 body of ``mimoloc.container``'s one layout; positions are not
-stored, since they are the grid's. A rebuild with identical configs is
-byte-identical on disk.
+stored, since they are the grid's, nor a seed, since the build draws no
+random number. A rebuild with identical configs is byte-identical on disk.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .channel import (
 from .errors import FormatError, check_int, check_positive, is_finite
 
 DB_MAGIC = b"ADPF"
-# 1 was records plus a JSON sidecar, 2 the retired walk layout
-DB_VERSION = 3
+# 1 was records plus a JSON sidecar, 2 the retired walk layout, 3 also
+# recorded a seed that no part of the database depends on
+DB_VERSION = 4
 
 # positions per pass of the channel kernel. A pass holds about 25 kB per
 # position (traced paths, CSI and profile temporaries): 64 keeps the build's
@@ -120,7 +121,8 @@ class FingerprintDb:
         grid: sampling grid.
         positions: (n_points, 2) float64, row-major grid order.
         adps: (n_points, n_t, n_c) float32 profiles.
-        meta: build configs; round-trips as the file's header.
+        meta: build configs (grid, array, OFDM, environment);
+            round-trips as the file's header.
         zero_flags: (n_points,) bool, True for an all-zero profile.
         norms: (n_points,) float64 Frobenius norm of each profile, taken
             as ``adp.similarity`` takes the norms of a stack, so a
@@ -158,12 +160,11 @@ def build_db(
     array: ArrayConfig,
     ofdm: OfdmConfig,
     dft: DftPair | None = None,
-    seed: int | None = None,
 ) -> FingerprintDb:
     """Build the fingerprint database by simulation at every grid point.
 
-    Deterministic: no randomness is involved, the optional seed is recorded
-    in the metadata only so downstream artifacts can echo it.
+    Deterministic: no randomness is involved, so ``meta`` records the
+    build configs alone.
     """
     if dft is None:
         dft = build_dft_pair(array.n_antennas, ofdm.n_subcarriers)
@@ -185,7 +186,6 @@ def build_db(
         },
         "ofdm": {"n_subcarriers": ofdm.n_subcarriers, "bandwidth": ofdm.bandwidth},
         "environment": format_environment(env),
-        "seed": seed,
     }
     return FingerprintDb(grid=grid, positions=positions, adps=adps, meta=meta)
 
@@ -225,12 +225,11 @@ def load_db(path) -> FingerprintDb:
             a grid ``GridSpec`` accepts, or whose ``array.n_antennas`` or
             ``ofdm.n_subcarriers`` is not an integer of at least 1, whose
             ``array.wavelength``, ``array.element_spacing`` or
-            ``ofdm.bandwidth`` is not a finite number above 0, whose
-            ``environment`` is not a text ``parse_environment`` accepts, or
-            whose ``seed`` is neither null nor an integer of at least 0; a
+            ``ofdm.bandwidth`` is not a finite number above 0, or whose
+            ``environment`` is not a text ``parse_environment`` accepts; a
             grid whose positions overflow; trailing bytes; or a pixel that
             is NaN, infinite or negative.
-        VersionError: a version other than 3.
+        VersionError: a version other than 4.
     """
     meta, body = container.read_checkpoint(path, DB_MAGIC, DB_VERSION)
     try:
@@ -242,8 +241,6 @@ def load_db(path) -> FingerprintDb:
                              ("array", "element_spacing"),
                              ("ofdm", "bandwidth")):
             check_positive(f"{section}.{key}", meta[section][key])
-        if meta["seed"] is not None:
-            check_int("seed", meta["seed"], least=0)
         if not isinstance(meta["environment"], str):
             raise TypeError("environment must be a string")
         parse_environment(meta["environment"])

@@ -32,7 +32,10 @@ from .errors import DimensionMismatch, DivergedLoss, FormatError, check_int
 from .fingerprint import FingerprintDb
 
 CHECKPOINT_MAGIC = b"NNCK"
-CHECKPOINT_VERSION = 1
+# 1 also recorded the weights' seed and whether the input was normalized
+CHECKPOINT_VERSION = 2
+# the prints a classifier head's refinement weighs
+WKNN_K = 3
 
 
 # --- layers ---------------------------------------------------------------
@@ -483,15 +486,13 @@ class Head:
 
 
 class Model:
-    """Layer stack plus head bookkeeping and position normalization."""
+    """Layer stack plus head bookkeeping, and the normalization of its
+    input (each profile scaled by its own peak) and of positions."""
 
-    def __init__(self, layers, input_shape, head: Head, seed: int,
-                 normalize_input: bool = False):
+    def __init__(self, layers, input_shape, head: Head):
         self.layers = layers
         self.input_shape = tuple(input_shape)  # (1, n_t, n_c)
         self.head = head
-        self.seed = seed
-        self.normalize_input = normalize_input
         self.pos_offset = np.zeros(2)
         self.pos_scale = np.ones(2)
 
@@ -508,8 +509,8 @@ class Model:
 
     def training_input(self, x: np.ndarray) -> np.ndarray:
         """What ``forward_training`` takes for the input batch ``x``: the
-        batch, normalized if the model normalizes its input, or, when the
-        first layer is a ``Conv2d``, that batch's column matrix.
+        batch, each row normalized, or, when the first layer is a
+        ``Conv2d``, that batch's column matrix.
 
         A row of it depends on its own input row alone, so a training set
         is prepared once and each batch gathers its rows.
@@ -540,8 +541,6 @@ class Model:
             raise DimensionMismatch(
                 f"input shape {x.shape[1:]}, expected {self.input_shape}"
             )
-        if not self.normalize_input:
-            return x
         peak = np.abs(x).max(axis=(1, 2, 3), keepdims=True)
         return np.divide(x, peak, out=x.copy(), where=peak > 0)
 
@@ -597,9 +596,9 @@ def build_model(
     input_shape: tuple[int, int, int],
     head: Head,
     seed: int = 0,
-    normalize_input: bool = False,
 ) -> Model:
-    """Instantiate a model and validate the whole dimension chain.
+    """Instantiate a model, its initial weights drawn from ``seed``, and
+    validate the whole dimension chain.
 
     Raises:
         DimensionMismatch: if shapes do not chain, or the final width does
@@ -609,8 +608,7 @@ def build_model(
     chain = _layer_chain(layer_specs, input_shape, head)
     for layer, shape in chain:
         layer.init_params(shape, rng)
-    return Model([layer for layer, _ in chain], input_shape, head, seed,
-                 normalize_input)
+    return Model([layer for layer, _ in chain], input_shape, head)
 
 
 def default_localizer_spec(n_t: int, n_c: int, head: Head) -> list[dict]:
@@ -818,7 +816,7 @@ def _wknn(adps, members, db: FingerprintDb, k: int):
 
 
 def classify_then_wknn(model: Model, adp: np.ndarray, db: FingerprintDb,
-                       k: int = 3) -> WknnResult:
+                       k: int = WKNN_K) -> WknnResult:
     """Pick the most likely cell, then fuse the k most similar prints in it.
 
     Weights are the similarities normalized to sum to one, so the estimate
@@ -869,15 +867,15 @@ class ClassifierWknnLocalizer:
     in one cell are refined together, in one product against that cell's
     prints, or against every usable print when the cell has none (the
     fallback of ``classify_then_wknn``). The cell of every usable print is
-    computed once.
+    computed once. Each refinement fuses the ``WKNN_K`` most similar
+    prints.
     """
 
-    def __init__(self, model: Model, db: FingerprintDb, k: int = 3):
+    def __init__(self, model: Model, db: FingerprintDb):
         if model.head.kind != "classification":
             raise ValueError("needs a classification head")
         self.model = model
         self.db = db
-        self.k = k
         self.cells = print_cells(model, db)
 
     def __call__(self, adp: np.ndarray) -> np.ndarray:
@@ -892,7 +890,7 @@ class ClassifierWknnLocalizer:
             members = usable[cell_of_print == cell]
             if not len(members):
                 members = usable
-            out[sel] = _wknn(stack[sel], members, self.db, self.k)[0]
+            out[sel] = _wknn(stack[sel], members, self.db, WKNN_K)[0]
         return out[0] if adps.ndim == 2 else out
 
 
@@ -911,8 +909,6 @@ def save_model(model: Model, path) -> None:
                 else None
             ),
         },
-        "seed": model.seed,
-        "normalize_input": model.normalize_input,
         "pos_offset": [float(v) for v in model.pos_offset],
         "pos_scale": [float(v) for v in model.pos_scale],
     }
@@ -924,24 +920,21 @@ def load_model(path) -> Model:
     """Rebuild a model saved by ``save_model``.
 
     The header is checked, and the weight count it implies compared with
-    the body, before any weight is made.
+    the body, before any weight is made. Every weight is the file's; the
+    header records no seed, since no initial weight survives the load.
 
     Raises:
         TruncatedFile: the file is cut short, or holds fewer weights than
             its header implies.
         FormatError: bad magic, trailing bytes, or a header that does not
-            describe a model: a bad input size, layer size, classifier
-            cell count, seed or ``normalize_input``, layers that do not
-            chain from the input shape to the head, or a position
-            normalization that is not two finite numbers (scales above
-            0) per field.
-        VersionError: unsupported checkpoint version.
+            describe a model: a bad input size, layer size or classifier
+            cell count, layers that do not chain from the input shape to
+            the head, or a position normalization that is not two finite
+            numbers (scales above 0) per field.
+        VersionError: a version other than 2.
     """
     header, body = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
-        check_int("seed", header["seed"], least=0)
-        if not isinstance(header["normalize_input"], bool):
-            raise ValueError("normalize_input must be true or false")
         for size in header["input_shape"]:
             check_int("input_shape", size)
         cells = header["head"]["cells"]
@@ -965,9 +958,7 @@ def load_model(path) -> Model:
     # the weight count the header implies, checked before any is made
     check_weight_count(body, sum(layer.n_weights(shape)
                                  for layer, shape in chain))
-    model = build_model(header["layer_specs"], input_shape, head,
-                        seed=header["seed"],
-                        normalize_input=header["normalize_input"])
+    model = build_model(header["layer_specs"], input_shape, head)
     model.pos_offset, model.pos_scale = pos_offset, pos_scale
     read_weights(body, model.parameters())
     return model

@@ -28,6 +28,7 @@ from mimoloc.dynamics import DistortionKind
 from mimoloc.errors import DelayOverflow, EmptyNeighborhood, ZeroDistance
 from mimoloc.fingerprint import neighbor_indices_within
 from mimoloc.neural import (
+    WKNN_K,
     Conv2d,
     MaxPool2x2,
     Softmax,
@@ -634,16 +635,15 @@ class ReferenceWknnLocalizer:
     with the reference ``classify_then_wknn``."""
 
     def __init__(self, localizer):
-        self.model = localizer.model
-        self.db, self.k = localizer.db, localizer.k
+        self.model, self.db = localizer.model, localizer.db
 
     def __call__(self, adp):
         adps = np.asarray(adp)
         probs = forward(self.model, adps)
         if adps.ndim == 2:
-            return classify_then_wknn(self.model, adps, self.db, self.k,
+            return classify_then_wknn(self.model, adps, self.db, WKNN_K,
                                       probs).position
-        return np.stack([classify_then_wknn(self.model, a, self.db, self.k,
+        return np.stack([classify_then_wknn(self.model, a, self.db, WKNN_K,
                                             p).position
                          for a, p in zip(adps, probs)])
 

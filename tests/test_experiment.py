@@ -55,6 +55,7 @@ from mimoloc.experiment import (
 from mimoloc.fingerprint import FingerprintDb, build_db
 from mimoloc.helper import Helper, collect, openblas_thread_functions
 from mimoloc.neural import (
+    WKNN_K,
     ClassifierGrid,
     ClassifierWknnLocalizer,
     Head,
@@ -552,15 +553,14 @@ class TestStackedScoring:
         emptied[usable[cell_of_print == picked[0]]] = 0.0
         for adps in (db.adps, emptied):
             stacked = ClassifierWknnLocalizer(
-                model, FingerprintDb(db.grid, db.positions, adps),
-                classifier.k)
+                model, FingerprintDb(db.grid, db.positions, adps))
             reference = oracles.ReferenceWknnLocalizer(stacked)
             assert np.array_equal(stacked(frames), reference(frames))
             fallbacks = 0
             for frame in frames:
-                got = classify_then_wknn(model, frame, stacked.db, stacked.k)
+                got = classify_then_wknn(model, frame, stacked.db, WKNN_K)
                 same_fields(got, oracles.classify_then_wknn(
-                    model, frame, stacked.db, stacked.k))
+                    model, frame, stacked.db, WKNN_K))
                 fallbacks += got.used_fallback
             assert fallbacks == (0 if adps is db.adps
                                  else np.count_nonzero(picked == picked[0]))
@@ -717,7 +717,7 @@ def train_in_process(config):
     recurrent predictor on clean walks seeded [seed, 9_000_000 + i].
     """
     env, array, ofdm, grid, dft = pieces(config)
-    db = build_db(env, grid, array, ofdm, dft, seed=config.seed)
+    db = build_db(env, grid, array, ofdm, dft)
     cells = ClassifierGrid(experiment.CLASSIFIER_CELLS,
                            experiment.CLASSIFIER_CELLS)
     models, curves = {}, {}
@@ -726,8 +726,7 @@ def train_in_process(config):
             ("classifier-wknn", Head("classification", cells),
              config.seed + 1)):
         model = build_model(default_localizer_spec(db.n_t, db.n_c, head),
-                            (1, db.n_t, db.n_c), head, seed=seed,
-                            normalize_input=True)
+                            (1, db.n_t, db.n_c), head, seed=seed)
         curves[name] = train(model, db, TrainConfig(
             epochs=config.train_epochs,
             learning_rate=config.train_learning_rate, seed=seed))

@@ -17,6 +17,7 @@ from mimoloc.channel import (
     format_environment,
     parse_environment,
 )
+from mimoloc.container import read_checkpoint, write_checkpoint
 from mimoloc.errors import (
     FormatError,
     MimolocError,
@@ -25,6 +26,8 @@ from mimoloc.errors import (
 )
 from mimoloc.experiment import ExperimentConfig, pieces
 from mimoloc.fingerprint import (
+    DB_MAGIC,
+    DB_VERSION,
     FingerprintDb,
     GridSpec,
     build_db,
@@ -51,7 +54,7 @@ def _random_db(n_rows=2, n_cols=3, n_t=4, n_c=6, seed=1):
             "array": {"n_antennas": n_t, "wavelength": 0.1,
                       "element_spacing": 0.05},
             "ofdm": {"n_subcarriers": n_c, "bandwidth": 20e6},
-            "environment": format_environment(ENV), "seed": None}
+            "environment": format_environment(ENV)}
     return FingerprintDb(grid=grid, positions=grid.all_positions(),
                          adps=adps, meta=meta)
 
@@ -99,7 +102,7 @@ class TestContainer:
         save_db(db, path)
         raw = path.read_bytes()
         assert raw[:4] == b"ADPF"
-        assert int.from_bytes(raw[4:6], "little") == 3
+        assert int.from_bytes(raw[4:6], "little") == DB_VERSION
         head_len = int.from_bytes(raw[6:10], "little")
         assert json.loads(raw[10:10 + head_len]) == db.meta
         # the body: one 2x3 float32 profile, and no positions
@@ -125,6 +128,22 @@ class TestContainer:
                          + bytes(16 + 16 + 7 * (version == 2)))
         with pytest.raises(VersionError):
             load_db(path)
+
+    def test_retired_seed_layout_is_unsupported(self, tmp_path):
+        # version 3 also held a seed that nothing in the database used
+        path = tmp_path / "old.adpf"
+        db = _random_db()
+        write_checkpoint(path, DB_MAGIC, 3, dict(db.meta, seed=None),
+                         [db.adps])
+        with pytest.raises(VersionError):
+            load_db(path)
+
+    def test_header_holds_only_the_build_configs(self, tmp_path):
+        grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
+        path = tmp_path / "db.adpf"
+        save_db(build_db(ENV, grid, ARRAY, OFDM), path)
+        header, _ = read_checkpoint(path, DB_MAGIC, DB_VERSION)
+        assert sorted(header) == ["array", "environment", "grid", "ofdm"]
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.adpf"
@@ -226,14 +245,14 @@ class TestBuildDb:
     def test_deterministic_rebuild_byte_identical(self, tmp_path):
         grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
         p1, p2 = tmp_path / "a.adpf", tmp_path / "b.adpf"
-        save_db(build_db(ENV, grid, ARRAY, OFDM, seed=3), p1)
-        save_db(build_db(ENV, grid, ARRAY, OFDM, seed=3), p2)
+        save_db(build_db(ENV, grid, ARRAY, OFDM), p1)
+        save_db(build_db(ENV, grid, ARRAY, OFDM), p2)
         # the bytes hold the build configs too, as the header
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_load_round_trip(self, tmp_path):
         grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
-        db = build_db(ENV, grid, ARRAY, OFDM, seed=3)
+        db = build_db(ENV, grid, ARRAY, OFDM)
         path = tmp_path / "db.adpf"
         save_db(db, path)
         loaded = load_db(path)
@@ -252,7 +271,7 @@ class TestBuildDb:
     def test_header_that_is_no_json_object_is_a_format_error(self, tmp_path,
                                                              header):
         path = tmp_path / "db.adpf"
-        path.write_bytes(b"ADPF" + (3).to_bytes(2, "little")
+        path.write_bytes(b"ADPF" + DB_VERSION.to_bytes(2, "little")
                          + len(header).to_bytes(4, "little") + header
                          + bytes(4))
         with pytest.raises(FormatError):
@@ -275,7 +294,6 @@ class TestBuildDb:
         ("ofdm", "n_subcarriers", 4),  # fewer pixels than the body holds
         ("ofdm", "bandwidth", math.inf),
         (None, "environment", "bs_position = 0"),
-        (None, "seed", 2.0),
     ])
     def test_bad_header_is_a_format_error(self, tmp_path, section, key,
                                           value):

@@ -7,12 +7,11 @@ header set to 0x00 or 0xff or with its lowest bit flipped, and every JSON
 leaf of each header set to each of a fixed list of odd values or deleted,
 loads or raises a ``MimolocError``, and no case allocates more than a few
 megabytes; a database header whose build record (array, OFDM,
-environment, seed) takes a value it does not allow raises a
-``FormatError``. A config with any field set to one of those values or
-deleted loads or raises a ``ConfigError``, and an environment text with
-any token replaced, or any line deleted or doubled, parses to an
-environment that round-trips through ``format_environment`` or raises a
-``FormatError``.
+environment) takes a value it does not allow raises a ``FormatError``.
+A config with any field set to one of those values or deleted loads or
+raises a ``ConfigError``, and an environment text with any token
+replaced, or any line deleted or doubled, parses to an environment that
+round-trips through ``format_environment`` or raises a ``FormatError``.
 """
 
 import functools
@@ -69,7 +68,7 @@ def save_small_db(path):
                       reflectors=(Reflector((-30.0, 6.0), (30.0, 6.0), 0.8),))
     grid = GridSpec(origin=(4.0, -1.0), spacing=0.5, n_rows=2, n_cols=3)
     save_db(build_db(env, grid, ArrayConfig(n_antennas=4, wavelength=0.1),
-                     OfdmConfig(n_subcarriers=4, bandwidth=20e6), seed=3),
+                     OfdmConfig(n_subcarriers=4, bandwidth=20e6)),
             path)
 
 
@@ -80,8 +79,7 @@ def save_small_model(path):
               "padding": "same"}, {"kind": "relu"}, {"kind": "maxpool2x2"},
              {"kind": "flatten"}, {"kind": "dense", "out_width": 4},
              {"kind": "softmax"}]
-    save_model(build_model(specs, (1, 4, 4), head, seed=1,
-                           normalize_input=True), path)
+    save_model(build_model(specs, (1, 4, 4), head, seed=1), path)
 
 
 def save_small_predictor(path):
@@ -205,15 +203,12 @@ def positive(value):
 
 
 # which odd values each leaf of a database header's build record takes:
-# a finite number above 0, null or an integer of at least 0; no odd value
-# is an environment text
+# a finite number above 0; no odd value is an environment text
 BUILD_RECORD = {
     ("array", "wavelength"): positive,
     ("array", "element_spacing"): positive,
     ("ofdm", "bandwidth"): positive,
     ("environment",): lambda value: False,
-    ("seed",): lambda value: value is None or (
-        type(value) is int and value >= 0),
 }
 
 

@@ -16,10 +16,12 @@ from mimoloc.errors import (
     FormatError,
     MimolocError,
     TruncatedFile,
+    VersionError,
 )
 from mimoloc.fingerprint import FingerprintDb, GridSpec
 from mimoloc.neural import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     ClassifierGrid,
     ClassifierWknnLocalizer,
     Conv2d,
@@ -44,6 +46,7 @@ from mimoloc.neural import (
 )
 from mimoloc.predictor import (
     PREDICTOR_MAGIC,
+    PREDICTOR_VERSION,
     ConvRecurrentPredictor,
     load_predictor,
     save_predictor,
@@ -51,6 +54,9 @@ from mimoloc.predictor import (
 )
 
 RNG = np.random.default_rng(0)
+# each checkpoint's current version, by magic
+VERSIONS = {CHECKPOINT_MAGIC: CHECKPOINT_VERSION,
+            PREDICTOR_MAGIC: PREDICTOR_VERSION}
 
 
 def rel_err(a, b):
@@ -365,7 +371,7 @@ class TestKernelsMatchReference:
 
         def fit():
             model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
-                                head, seed=3, normalize_input=True)
+                                head, seed=3)
             return train(model, db, cfg), model.parameters()
 
         curve, params = fit()
@@ -423,11 +429,9 @@ class TestColumnCache:
     each_head = pytest.mark.parametrize("head", [
         Head("regression"), Head("classification", ClassifierGrid(2, 2))],
         ids=["regression", "classifier"])
-    each_normalization = pytest.mark.parametrize("normalize", [True, False])
 
-    @each_normalization
     @each_head
-    def test_localizer_training(self, head, normalize, momentum=0.9):
+    def test_localizer_training(self, head, momentum=0.9):
         db = synthetic_db(n_rows=5, n_cols=5)
         adps = db.adps.copy()
         adps[7] = 0.0  # a zero-profile print, left out of training
@@ -438,7 +442,7 @@ class TestColumnCache:
         cfg = TrainConfig(epochs=3, batch_size=10, learning_rate=0.05,
                           momentum=momentum, seed=2)
         models = [build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
-                              head, seed=3, normalize_input=normalize)
+                              head, seed=3)
                   for _ in range(2)]
         curve = train(models[0], db, cfg)
         assert curve == oracles.train(models[1], db, cfg)
@@ -448,18 +452,17 @@ class TestColumnCache:
         assert np.array_equal(got.pos_offset, want.pos_offset)
         assert np.array_equal(got.pos_scale, want.pos_scale)
 
-    @each_normalization
     @each_head
-    def test_localizer_training_without_momentum(self, head, normalize):
-        self.test_localizer_training(head, normalize, momentum=0.0)
+    def test_localizer_training_without_momentum(self, head):
+        self.test_localizer_training(head, momentum=0.0)
 
     def test_stack_without_a_conv_layer(self):
         db = synthetic_db(n_rows=3, n_cols=3)
         head = Head("regression")
         specs = [{"kind": "flatten"}, {"kind": "dense", "out_width": 2}]
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.05, seed=0)
-        models = [build_model(specs, (1, 8, 8), head, seed=1,
-                              normalize_input=True) for _ in range(2)]
+        models = [build_model(specs, (1, 8, 8), head, seed=1)
+                  for _ in range(2)]
         assert train(models[0], db, cfg) == oracles.train(models[1], db, cfg)
         for p, q in zip(models[0].parameters(), models[1].parameters()):
             assert np.array_equal(p, q)
@@ -510,7 +513,7 @@ class TestFloat32:
     def test_localizer(self, head):
         db = synthetic_db(n_rows=3, n_cols=3)
         model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
-                            head, seed=1, normalize_input=True)
+                            head, seed=1)
         train(model, db, TrainConfig(epochs=2, batch_size=4, seed=0))
         assert {p.dtype for p in model.parameters()} == {np.dtype(np.float32)}
         x, y = neural.training_data(model, db)
@@ -794,7 +797,7 @@ class TestTraining:
         monkeypatch.setattr(Relu, "backward", spy)
         db = synthetic_db(n_rows=3, n_cols=3)
         model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8),
-                            head, seed=1, normalize_input=True)
+                            head, seed=1)
         train(model, db, TrainConfig(epochs=1, batch_size=9, seed=0))
         assert seen == [(True, True)] * 3
 
@@ -803,14 +806,14 @@ HEADS = [Head("regression"), Head("classification", ClassifierGrid(2, 2))]
 
 
 def trained_localizer(head, db):
-    """A default-stack localizer with input normalization, briefly trained."""
+    """A default-stack localizer, briefly trained."""
     model = build_model(default_localizer_spec(8, 8, head), (1, 8, 8), head,
-                        seed=3, normalize_input=True)
+                        seed=3)
     train(model, db, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05,
                                  seed=0))
     if head.kind == "regression":
         return RegressionLocalizer(model)
-    return ClassifierWknnLocalizer(model, db, k=3)
+    return ClassifierWknnLocalizer(model, db)
 
 
 class TestInference:
@@ -996,12 +999,31 @@ class TestCheckpoints:
         head = Head("classification", ClassifierGrid(2, 2))
         specs = [{"kind": "flatten"}, {"kind": "dense", "out_width": 4},
                  {"kind": "softmax"}]
-        model = build_model(specs, (1, 4, 4), head, seed=1, normalize_input=True)
+        model = build_model(specs, (1, 4, 4), head, seed=1)
         path = tmp_path / "c.nnck"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.head.cells == ClassifierGrid(2, 2)
-        assert loaded.normalize_input
+
+    def test_header_holds_only_what_a_load_reads(self, tmp_path):
+        path = tmp_path / "m.nnck"
+        save_small_classifier(path)
+        header, _ = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        assert sorted(header) == ["head", "input_shape", "layer_specs",
+                                  "pos_offset", "pos_scale"]
+
+    def test_retired_version_is_unsupported(self, tmp_path):
+        # version 1 also held the initial weights' seed and whether the
+        # input was normalized
+        path = tmp_path / "m.nnck"
+        save_small_classifier(path)
+        header, body = read_checkpoint(path, CHECKPOINT_MAGIC,
+                                       CHECKPOINT_VERSION)
+        write_checkpoint(path, CHECKPOINT_MAGIC, 1,
+                         dict(header, seed=1, normalize_input=True),
+                         [np.frombuffer(body, dtype="<f4")])
+        with pytest.raises(VersionError):
+            load_model(path)
 
     @pytest.mark.parametrize("field, value", [
         ("pos_scale", [1.0, 1.0, 1.0]), ("pos_scale", [0.0, 1.0]),
@@ -1011,9 +1033,9 @@ class TestCheckpoints:
                                                  value):
         path = tmp_path / "m.nnck"
         save_small_classifier(path)
-        header, _ = read_checkpoint(path, CHECKPOINT_MAGIC, 1)
+        header, _ = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         weights = load_model(path).parameters()
-        write_checkpoint(path, CHECKPOINT_MAGIC, 1,
+        write_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                          dict(header, **{field: value}), weights)
         with pytest.raises(FormatError, match="pos_"):
             load_model(path)
@@ -1024,8 +1046,6 @@ class TestCheckpoints:
         (("layer_specs", 3, "out_width"), 0),
         # one flipped byte: a zero input size once overflowed the init
         (("input_shape",), [0, 4, 4]),
-        (("normalize_input",), "no"),
-        (("seed",), True),
         # four cells either way, so the dense width still fits
         (("head", "cells"), [-2, -2]),
         (("head", "cells"), [True, 4])])
@@ -1038,13 +1058,14 @@ class TestCheckpoints:
         model = build_model(specs, (1, 4, 4), head, seed=1)
         path = tmp_path / "m.nnck"
         save_model(model, path)
-        header, _ = read_checkpoint(path, CHECKPOINT_MAGIC, 1)
+        header, _ = read_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         *keys, field = where
         owner = header
         for key in keys:
             owner = owner[key]
         owner[field] = value
-        write_checkpoint(path, CHECKPOINT_MAGIC, 1, header, model.parameters())
+        write_checkpoint(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                         model.parameters())
         with pytest.raises(FormatError, match=field):
             load_model(path)
 
@@ -1091,7 +1112,8 @@ class TestCorruptCheckpoints:
         path = tmp_path / "w.ckpt"
         save(path)
         raw = bytearray(path.read_bytes())
-        first = len(raw) - len(read_checkpoint(path, magic, 1)[1])
+        body = read_checkpoint(path, magic, VERSIONS[magic])[1]
+        first = len(raw) - len(body)
         raw[first:first + 4] = np.float32(value).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="NaN or infinite"):
@@ -1116,8 +1138,9 @@ class TestCorruptCheckpoints:
         # allocated and the error is the typed one
         path = tmp_path / "huge.ckpt"
         save(path)
-        header, body = read_checkpoint(path, magic, 1)
-        write_checkpoint(path, magic, 1, dict(header, **{field: value}),
+        header, body = read_checkpoint(path, magic, VERSIONS[magic])
+        write_checkpoint(path, magic, VERSIONS[magic],
+                         dict(header, **{field: value}),
                          [np.frombuffer(body, dtype="<f4")])
 
         def refuse(*args, **kwargs):
@@ -1141,13 +1164,12 @@ class TestCorruptCheckpoints:
         {"layer_specs": [{"kind": "dense", "out_width": 2}],
          "input_shape": [1, 4, 4], "head": {"kind": "regression",
                                             "cells": None},
-         "seed": 0, "normalize_input": False, "pos_offset": [0.0, 0.0],
-         "pos_scale": [1.0, 1.0]},
+         "pos_offset": [0.0, 0.0], "pos_scale": [1.0, 1.0]},
     ])
     def test_header_without_its_fields_is_a_format_error(self, tmp_path,
                                                          magic, load, header):
         path = tmp_path / "bad.ckpt"
-        write_checkpoint(path, magic, 1, header, [])
+        write_checkpoint(path, magic, VERSIONS[magic], header, [])
         with pytest.raises(FormatError):
             load(path)
 
@@ -1156,9 +1178,7 @@ class TestInputNormalization:
     def test_scaling_input_does_not_change_output(self):
         head = Head("regression")
         model = build_model(
-            default_localizer_spec(8, 8, head), (1, 8, 8), head, seed=0,
-            normalize_input=True,
-        )
+            default_localizer_spec(8, 8, head), (1, 8, 8), head, seed=0)
         adp = np.random.default_rng(3).uniform(0, 1, size=(8, 8))
         # the model computes in float32: the scaled profile, normalized,
         # may differ from the plain one by an ulp per pixel, and the

@@ -69,7 +69,7 @@ POINTS = GRID.all_positions()
 
 @pytest.fixture(scope="module")
 def db():
-    return build_db(ENV, GRID, ARRAY, OFDM, seed=0)
+    return build_db(ENV, GRID, ARRAY, OFDM)
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +391,7 @@ class TestRunSequence:
     def test_lost_link_first_frame_raises(self, thresholds):
         free = Environment(bs_position=(0.0, 0.0))
         tiny = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=2, n_cols=2)
-        free_db = build_db(free, tiny, ARRAY, OFDM, seed=0)
+        free_db = build_db(free, tiny, ARRAY, OFDM)
         walk = random_walk(tiny, WalkMode.MODE2, 6, 0)
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(free, walk, scen, 0, ARRAY, OFDM)
@@ -403,7 +403,7 @@ class TestRunSequence:
     def test_lost_link_mid_sequence_is_recovered(self, thresholds):
         free = Environment(bs_position=(0.0, 0.0))
         tiny = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=3, n_cols=3)
-        free_db = build_db(free, tiny, ARRAY, OFDM, seed=0)
+        free_db = build_db(free, tiny, ARRAY, OFDM)
         walk = random_walk(tiny, WalkMode.MODE2, 8, 1)
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
@@ -451,7 +451,7 @@ class TestRunSequence:
     def test_lost_link_frames_are_not_localized(self, thresholds):
         free = Environment(bs_position=(0.0, 0.0))
         tiny = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=3, n_cols=3)
-        free_db = build_db(free, tiny, ARRAY, OFDM, seed=0)
+        free_db = build_db(free, tiny, ARRAY, OFDM)
         walk = random_walk(tiny, WalkMode.MODE2, 8, 1)
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
