@@ -290,6 +290,8 @@ class TestBuildDb:
         (None, "array", DELETE),
         ("array", "n_antennas", 0),
         ("array", "n_antennas", True),
+        ("array", "wavelength", 0.0),
+        ("array", "element_spacing", -0.05),
         ("ofdm", "n_subcarriers", 2.5),
         ("ofdm", "n_subcarriers", 4),  # fewer pixels than the body holds
         ("ofdm", "bandwidth", math.inf),

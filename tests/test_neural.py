@@ -1046,6 +1046,8 @@ class TestCheckpoints:
         (("layer_specs", 3, "out_width"), 0),
         # one flipped byte: a zero input size once overflowed the init
         (("input_shape",), [0, 4, 4]),
+        (("layer_specs", 0, "padding"), "full"),
+        (("head", "kind"), "ranking"),
         # four cells either way, so the dense width still fits
         (("head", "cells"), [-2, -2]),
         (("head", "cells"), [True, 4])])
