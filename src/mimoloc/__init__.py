@@ -67,10 +67,8 @@ from .pipeline import (
     VERDICTS,
     Estimates,
     RecoveryResult,
-    Thresholds,
     Verdict,
     calibrate_similarity_floor,
-    default_thresholds,
     detect_distorted,
     recover_and_locate,
     run_sequence,

@@ -156,11 +156,18 @@ def quantize_delay(delay, ofdm: OfdmConfig):
     """Round delays in seconds to the nearest OFDM sample (ties to even).
 
     A float gives an int; an array gives an int64 array of its shape.
+
+    Raises:
+        ValueError: a delay is negative, or its count is not an int64.
     """
     d = np.asarray(delay, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("delay must be nonnegative")
-    n = np.rint(d / ofdm.sample_duration).astype(np.int64)
+    with np.errstate(over="ignore"):  # a count past the largest float is inf
+        n = np.rint(d / ofdm.sample_duration)
+    if not np.all(n < 2.0 ** 63):
+        raise ValueError("delay must be finite and under 2**63 samples")
+    n = n.astype(np.int64)
     return int(n) if n.ndim == 0 else n
 
 
@@ -280,11 +287,17 @@ def trace_paths(env: Environment, user_position, array: ArrayConfig,
     # sqrt of the BLAS ddot, as np.linalg.norm takes it on one 2-vector;
     # hypot, einsum or a sum of squares may differ in the last bit
     length = np.sqrt(np.vecdot(direction, direction))
-    sampled = quantize_delay(length / env.speed_of_light, ofdm)
-    for row, col in zip(*np.nonzero(valid & (sampled >= ofdm.n_subcarriers))):
-        logger.debug("dropped path with sampled delay %d (cluster %d)",
-                     sampled[row, col], col)
-    keep = valid & (sampled < ofdm.n_subcarriers)
+    # a path past the window is dropped before its sample count is cast to
+    # int64, which that count need not fit; a delay or count past the
+    # largest float (a speed of light near 0) is inf, and dropped too
+    with np.errstate(over="ignore"):
+        delay = length / env.speed_of_light
+        samples = np.rint(delay / ofdm.sample_duration)
+    keep = valid & (samples < ofdm.n_subcarriers)
+    for row, col in zip(*np.nonzero(valid & ~keep)):
+        logger.debug("dropped path with sampled delay %.0f (cluster %d)",
+                     samples[row, col], col)
+    sampled = quantize_delay(np.where(keep, delay, 0.0), ofdm)
     coeff = np.array([1.0] + [r.coefficient for r in env.reflectors])
     amplitude = coeff * array.wavelength / (4.0 * np.pi * length)
     # a real phase times 1j: Python's complex / float (-2j*pi*L/wavelength)
@@ -359,15 +372,18 @@ def synthesize_csi(paths: Paths, array: ArrayConfig,
 #   reflector = X1 Y1 X2 Y2 COEFFICIENT   (coefficient in (0, 1])
 #   blocker = X1 Y1 X2 Y2
 
+# how many values each key takes; the scalar keys name Environment fields
+_ARITY = {"bs_position": 2, "array_axis": 1, "speed_of_light": 1,
+          "reflector": 5, "blocker": 4}
+
+
 def parse_environment(text: str) -> Environment:
     """Parse an environment description; see the schema note above.
 
     Raises:
         FormatError: a line that breaks the schema, or a value out of range.
     """
-    bs = None
-    axis = math.pi / 2.0
-    v_c = SPEED_OF_LIGHT
+    scalars = {}
     reflectors: list[Reflector] = []
     blockers: list[Blocker] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -384,44 +400,28 @@ def parse_environment(text: str) -> Environment:
             raise FormatError(f"line {lineno}: non-numeric value") from exc
         if not all(math.isfinite(v) for v in values):
             raise FormatError(f"line {lineno}: non-finite value")
-        if key == "bs_position":
-            if len(values) != 2:
-                raise FormatError(f"line {lineno}: bs_position needs 2 values")
-            bs = (values[0], values[1])
-        elif key == "array_axis":
-            if len(values) != 1:
-                raise FormatError(f"line {lineno}: array_axis needs 1 value")
-            axis = values[0]
-        elif key == "speed_of_light":
-            if len(values) != 1:
-                raise FormatError(f"line {lineno}: speed_of_light needs 1 value")
-            if values[0] <= 0.0:
-                raise FormatError(f"line {lineno}: speed_of_light must be "
-                                  f"above 0")
-            v_c = values[0]
-        elif key == "reflector":
-            if len(values) != 5:
-                raise FormatError(f"line {lineno}: reflector needs 5 values")
+        arity = _ARITY.get(key)
+        if arity is None:
+            raise FormatError(f"line {lineno}: unknown key {key!r}")
+        if len(values) != arity:
+            raise FormatError(f"line {lineno}: {key} needs {arity} "
+                              f"value{'s' * (arity > 1)}")
+        if key == "reflector":
             try:
-                reflectors.append(Reflector((values[0], values[1]),
-                                            (values[2], values[3]), values[4]))
+                reflectors.append(Reflector(tuple(values[:2]),
+                                            tuple(values[2:4]), values[4]))
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
         elif key == "blocker":
-            if len(values) != 4:
-                raise FormatError(f"line {lineno}: blocker needs 4 values")
-            blockers.append(Blocker((values[0], values[1]), (values[2], values[3])))
+            blockers.append(Blocker(tuple(values[:2]), tuple(values[2:])))
+        elif key == "speed_of_light" and values[0] <= 0.0:
+            raise FormatError(f"line {lineno}: speed_of_light must be above 0")
         else:
-            raise FormatError(f"line {lineno}: unknown key {key!r}")
-    if bs is None:
+            scalars[key] = tuple(values) if arity > 1 else values[0]
+    if "bs_position" not in scalars:
         raise FormatError("missing bs_position")
-    return Environment(
-        bs_position=bs,
-        array_axis=axis,
-        reflectors=tuple(reflectors),
-        blockers=tuple(blockers),
-        speed_of_light=v_c,
-    )
+    return Environment(**scalars, reflectors=tuple(reflectors),
+                       blockers=tuple(blockers))
 
 
 def format_environment(env: Environment) -> str:

@@ -3,10 +3,10 @@
 Every subcommand reads the same JSON experiment configuration (or the
 built-in defaults) and a handful of override flags. ``build-world``
 builds and trains a world through ``build_world`` and writes what it
-trained (the database, the checkpoints, the thresholds and the effective
-config); ``run`` builds a world the same way and evaluates its scenario
-in it; ``report`` summarizes a run's report.json. Artifacts land in the
---out directory under fixed names.
+trained (the database, the checkpoints, the similarity floor and the
+effective config); ``run`` builds a world the same way and evaluates its
+scenario in it; ``report`` summarizes a run's report.json. Artifacts land
+in the --out directory under fixed names.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for runtime
 failures.
@@ -102,9 +102,9 @@ def cmd_build_world(config: ExperimentConfig, out: str) -> None:
     if config.predictor == "conv-recurrent":
         write("predictor.ckpt", save_predictor, world.predictor,
               trained("predictor"))
-    thresholds = dataclasses.asdict(world.thresholds)
-    write("thresholds.json", _save_json, thresholds,
-          ", ".join(f"{k}={v:.4f}" for k, v in thresholds.items()))
+    write("thresholds.json", _save_json,
+          {"similarity_floor": world.similarity_floor},
+          f"similarity_floor={world.similarity_floor:.4f}")
     write("config.json", save_config, config, "the effective configuration")
 
 

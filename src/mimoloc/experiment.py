@@ -3,8 +3,8 @@
 One experiment run has two parts. ``build_world`` builds a fingerprint
 database for a chosen environment and trains both localizer heads on it
 (and the recurrent predictor, when one is chosen) in two helper
-processes forked from the caller, while it calibrates detection
-thresholds; none of this depends on the distortion scenario.
+processes forked from the caller, while it calibrates the detection
+similarity floor; none of this depends on the distortion scenario.
 ``evaluate`` then simulates a batch of random walks with one distortion
 scenario in that world, on two cores: the caller runs the first half of
 the walks while one helper process forked from it runs the rest, with
@@ -61,9 +61,7 @@ from .neural import (
 )
 from .pipeline import (
     ACCURATE,
-    Thresholds,
     calibrate_similarity_floor,
-    default_thresholds,
     locate_each,
     run_sequence,
 )
@@ -182,6 +180,13 @@ class ExperimentConfig:
                      "train_learning_rate"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
+        try:
+            extent = GridSpec(self.grid_origin, self.grid_spacing,
+                              self.grid_rows, self.grid_cols).extent()
+        except OverflowError:  # a count too large for a float
+            extent = (np.inf,)
+        if not all(map(is_finite, extent)):
+            raise ConfigError("the grid's positions overflow a float")
         if self.seed < 0:
             raise ConfigError("seed must be at least 0")
         if self.addition_level_db > 100.0:
@@ -309,11 +314,6 @@ def _walks(config: ExperimentConfig, steps, scenario=None,
                                 ofdm, dft)
 
 
-def thresholds_for(db: FingerprintDb) -> Thresholds:
-    """Detection and recovery thresholds calibrated on ``db``."""
-    return default_thresholds(db.grid, calibrate_similarity_floor(db))
-
-
 # --- training jobs -----------------------------------------------------------
 # build_world runs these as helper jobs (see mimoloc.helper)
 
@@ -368,7 +368,7 @@ class World:
 
     config: ExperimentConfig
     db: FingerprintDb
-    thresholds: Thresholds
+    similarity_floor: float
     localizers: dict
     predictor: object
     train_losses: dict
@@ -449,16 +449,17 @@ def _hold(fixes, fallback):
 
 
 def build_world(config: ExperimentConfig, log=None) -> World:
-    """Build the database and thresholds, train the localizers and predictor.
+    """Build the database and floor, train the localizers and predictor.
 
     Training runs in two helper processes forked from this one (see
     ``mimoloc.helper``): one per head or, with the recurrent predictor,
     one for both heads and one for the predictor, which starts at once.
     The heads' start once the database is built, and the caller then
-    calibrates the thresholds while they train. ``World.helpers`` records
-    each helper's usage and per-job wall times, and ``World.stages`` the
-    wall times of the caller's database and threshold stages. Leaving the
-    build for any reason kills and reaps every helper it started.
+    calibrates the similarity floor while they train. ``World.helpers``
+    records each helper's usage and per-job wall times, and
+    ``World.stages`` the wall times of the caller's database and floor
+    stages. Leaving the build for any reason kills and reaps every helper
+    it started.
     """
     config.validate()
     say = log if log is not None else (lambda msg: None)
@@ -483,15 +484,15 @@ def build_world(config: ExperimentConfig, log=None) -> World:
             jobs = [[name] for name in LOCALIZERS]
             helpers = [stack.enter_context(Helper([head])) for head in heads]
         t_thresholds = time.perf_counter()
-        thresholds = thresholds_for(db)
+        floor = calibrate_similarity_floor(db)
         thresholds_s = time.perf_counter() - t_thresholds
-        say(f"similarity floor {thresholds.similarity_floor:.4f}")
+        say(f"similarity floor {floor:.4f}")
         trained = [r for results in collect(helpers) for r in results]
     (reg_model, reg_losses), (cls_model, cls_losses) = trained[:2]
     predictor, predictor_losses = (
         trained[2] if len(trained) > 2 else (PeakTrackingPredictor(), []))
     return World(
-        config=config, db=db, thresholds=thresholds,
+        config=config, db=db, similarity_floor=floor,
         localizers={
             "regressor": RegressionLocalizer(reg_model),
             "classifier-wknn": ClassifierWknnLocalizer(cls_model, db),
@@ -519,7 +520,7 @@ def run_walks(world: World, config: ExperimentConfig, indices) -> tuple:
     walks = [seq.adps for seq in seqs]
     truths = np.stack([seq.positions for seq in seqs])
     est = run_sequence(walks, world.localizers[config.localizer], world.db,
-                       world.thresholds, world.predictor,
+                       world.similarity_floor, world.predictor,
                        history_length=config.history_length)
     # the dynamic head's baseline is the fix detection already took of each
     # measured frame; only the other head localizes the walks again, each
@@ -603,7 +604,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
     Every file except report.json is a pure function of the configuration,
     so reruns produce identical bytes; report.json carries the wall-clock
     numbers (the run's; each training helper's resource usage and per-job
-    times under ``helpers``; the database and threshold stages under
+    times under ``helpers``; the database and floor stages under
     ``stages``; each walk process's range and times under ``walkers``)
     and aggregate metrics.
     """
@@ -633,7 +634,7 @@ def emit_report(result: ExperimentResult, out_dir) -> None:
     precision, recall = result.precision_recall()
     report = {
         "config": result.config.to_dict(),
-        "thresholds": dataclasses.asdict(result.world.thresholds),
+        "similarity_floor": result.world.similarity_floor,
         # a ratio over an empty set (nothing flagged, nothing distorted)
         # is undefined and written as null
         "detection": {"tp": tp, "fp": fp, "fn": fn, "tn": tn,

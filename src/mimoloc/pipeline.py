@@ -19,21 +19,20 @@ in, a stack of positions out; a stack of equal-length histories in, a
 stack of predicted profiles out), so the pieces can be swapped or faked
 independently.
 
-Detection, recovery and the threshold calibration score frames against
+Detection, recovery and the floor calibration score frames against
 database prints through one stacked kernel: ``neighbors_each`` finds the
 prints around many centers in one pass, and ``score_lists`` scores each
 frame against its own list of rows, with one matrix-vector product per
-frame in a stack of frames whose lists have one length. The print norms
-are ``FingerprintDb.norms``. Every similarity equals, bit for bit, the one
-``adp.similarity`` gives for that frame and those rows, so a time step's
-frames are judged, and its untrusted frames recovered, in one pass each,
-and every walk still gets the estimates it gets alone.
+frame in a stack of frames whose lists have one length. Every similarity
+equals, bit for bit, the one ``adp.similarity`` gives for that frame and
+those rows, so a time step's frames are judged, and its untrusted frames
+recovered, in one pass each, and every walk still gets the estimates it
+gets alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -48,12 +47,10 @@ from .errors import (
     EmptyNeighborhood,
     LengthMismatch,
     check_int,
-    check_positive,
 )
 from .fingerprint import (  # noqa: F401
     PRINT_BLOCK,
     FingerprintDb,
-    GridSpec,
     neighbor_indices_within,
 )
 
@@ -61,8 +58,9 @@ from .fingerprint import (  # noqa: F401
 # time step's transient stacks stay that small at any grid size
 STACK_BYTES = 1 << 20
 
-# default radii in grid spacings; the similarity floor is calibrated at
-# the detection radius
+# radii in grid spacings: detection judges a frame by the prints this near
+# its fix, and the similarity floor is calibrated at that radius; recovery
+# fuses the prints this near the previous position
 DETECTION_CELLS = 3.0
 RECOVERY_CELLS = 2.0
 
@@ -77,36 +75,6 @@ class Verdict(Enum):
 
 VERDICTS = tuple(Verdict)  # ``Estimates.verdict`` indexes this
 ACCURATE, DISTORTED, LOST_LINK = (VERDICTS.index(v) for v in Verdict)
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Decision radii (meters) and the similarity floor for detection.
-
-    Attributes:
-        neighborhood_radius: how far around the localized position to look
-            for database entries when judging a frame.
-        similarity_floor: minimum best-neighbor similarity for a frame to
-            count as accurate.
-        recovery_radius: how far around the previous position to gather
-            fusion candidates when rebuilding a distorted frame.
-    """
-
-    neighborhood_radius: float
-    similarity_floor: float
-    recovery_radius: float
-
-    def __post_init__(self):
-        check_positive("neighborhood_radius", self.neighborhood_radius)
-        check_positive("recovery_radius", self.recovery_radius)
-        if not 0.0 <= self.similarity_floor <= 1.0:
-            raise ValueError("similarity floor must lie in [0, 1]")
-
-
-def default_thresholds(grid: GridSpec, similarity_floor: float) -> Thresholds:
-    """Radii tied to the grid pitch, for detection and recovery."""
-    return Thresholds(DETECTION_CELLS * grid.spacing, similarity_floor,
-                      RECOVERY_CELLS * grid.spacing)
 
 
 def neighbors_each(db: FingerprintDb, centers, radius: float) -> list:
@@ -141,11 +109,10 @@ def neighbors_each(db: FingerprintDb, centers, radius: float) -> list:
     return out
 
 
-def score_lists(frames, lists, table, norms) -> list:
-    """``similarity(frames[i], table[lists[i]])`` for every i, stacked.
+def score_lists(frames, lists, db: FingerprintDb) -> list:
+    """``similarity(frames[i], db.adps[lists[i]])`` for every i, stacked.
 
-    ``table`` is (N, n_t, n_c), ``norms`` its (N,) row norms and
-    ``lists[i]`` the rows frame i is scored against, in order. Frames
+    ``lists[i]`` holds the prints frame i is scored against, in order. Frames
     whose lists have one length are scored in one ``stacked_similarity``
     pass (several when the rows gathered would exceed ``STACK_BYTES``),
     each frame against exactly its own rows.
@@ -155,12 +122,12 @@ def score_lists(frames, lists, table, norms) -> list:
         ZeroAdp: if a frame or a listed row is all zero.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[1:] != table.shape[1:]:
+    if frames.shape[1:] != db.adps.shape[1:]:
         raise DimensionMismatch(
-            f"profile shapes {frames.shape[1:]} vs {table.shape[1:]}")
-    size = math.prod(table.shape[1:])
+            f"profile shapes {frames.shape[1:]} vs {db.adps.shape[1:]}")
+    size = math.prod(db.adps.shape[1:])
     flat = frames.reshape(len(frames), size)
-    table = table.reshape(len(table), size)
+    table = db.adps.reshape(len(db.adps), size)
     sizes = np.array([len(idx) for idx in lists], dtype=int)
     out = [None] * len(lists)
     for k in np.unique(sizes):
@@ -171,7 +138,7 @@ def score_lists(frames, lists, table, norms) -> list:
             idx = np.array([lists[j] for j in sel], dtype=int)
             idx = idx.reshape(len(sel), k)
             sims = stacked_similarity(
-                flat[sel], table[idx].astype(np.float64), norms[idx])
+                flat[sel], table[idx].astype(np.float64), db.norms[idx])
             for j, row in zip(sel, sims):
                 out[j] = row
     return out
@@ -205,7 +172,7 @@ def calibrate_similarity_floor(db: FingerprintDb) -> float:
         block = points[start:start + PRINT_BLOCK]
         lists = [idx[idx != i] for idx, i in
                  zip(neighbors_each(db, db.positions[block], radius), block)]
-        sims = score_lists(db.adps[block], lists, db.adps, db.norms)
+        sims = score_lists(db.adps[block], lists, db)
         maxima += [s.max() for s in sims if s.size]
     if not maxima:
         raise EmptyNeighborhood("no grid point has a neighbor within the radius")
@@ -218,36 +185,41 @@ class DetectionResult(NamedTuple):
 
 
 def detect_each(frames, positions, db: FingerprintDb,
-                thresholds: Thresholds):
+                similarity_floor: float):
     """Judge each frame of a stack, given the localizer's fix of each.
 
     An all-zero frame is ``LOST_LINK``, and its position is not read (it
     can be NaN). Every other frame is compared against the identifiable
-    database entries within the detection radius of its fix, all frames in
-    one ``score_lists`` pass: ``ACCURATE`` when the best similarity
-    reaches the floor, ``DISTORTED`` when it does not (in particular when
-    there are no neighbors at all to vouch for it).
+    database entries within ``DETECTION_CELLS`` grid spacings of its fix,
+    all frames in one ``score_lists`` pass: ``ACCURATE`` when the best
+    similarity reaches ``similarity_floor``, ``DISTORTED`` when it does not
+    (in particular when there are no neighbors at all to vouch for it).
 
     Returns:
         (verdicts, best similarities): (n,) int8 indices into ``VERDICTS``
         and (n,) float64, 0 for a lost link.
+
+    Raises:
+        ValueError: if ``similarity_floor`` is not in [0, 1].
     """
+    if not 0.0 <= similarity_floor <= 1.0:
+        raise ValueError("similarity floor must lie in [0, 1]")
     frames = np.asarray(frames, dtype=np.float64)
     live = frames.any(axis=tuple(range(1, frames.ndim)))
     best = np.zeros(len(frames))
     if live.any():
         lists = neighbors_each(db, np.asarray(positions, dtype=float)[live],
-                               thresholds.neighborhood_radius)
+                               DETECTION_CELLS * db.grid.spacing)
         best[live] = [np.max(s, initial=0.0) for s in
-                      score_lists(frames[live], lists, db.adps, db.norms)]
-    verdicts = np.where(best >= thresholds.similarity_floor, ACCURATE,
+                      score_lists(frames[live], lists, db)]
+    verdicts = np.where(best >= similarity_floor, ACCURATE,
                         DISTORTED).astype(np.int8)
     verdicts[~live] = LOST_LINK
     return verdicts, best
 
 
 def detect_distorted(adp, position, db: FingerprintDb,
-                     thresholds: Thresholds) -> DetectionResult:
+                     similarity_floor: float) -> DetectionResult:
     """Judge one measured frame, given the localizer's fix of it.
 
     ``detect_each`` on a stack of one; ``position`` can be None for an
@@ -255,7 +227,7 @@ def detect_distorted(adp, position, db: FingerprintDb,
     """
     fix = np.full(2, np.nan) if position is None else position
     verdicts, best = detect_each(np.asarray(adp, dtype=np.float64)[None],
-                                 [fix], db, thresholds)
+                                 [fix], db, similarity_floor)
     return DetectionResult(VERDICTS[verdicts[0]], float(best[0]))
 
 
@@ -266,7 +238,7 @@ class RecoveryResult(NamedTuple):
 
 
 def recover_each(frames, predicted, predicted_positions, prev_positions,
-                 db: FingerprintDb, thresholds: Thresholds):
+                 db: FingerprintDb):
     """Rebuild position and profile for each frame of a stack that cannot
     be trusted.
 
@@ -275,13 +247,14 @@ def recover_each(frames, predicted, predicted_positions, prev_positions,
     fixes of them, a NaN row where the prediction is empty (all zero) and
     so unusable; ``prev_positions`` are the previous positions, a NaN row
     where there is none. Fusion candidates of a frame are the identifiable
-    database entries within the recovery radius of its previous position,
-    plus its predicted frame at its fix. Every candidate is weighted by
-    its similarity to the measured frame, distorted as it is: the
-    distortion usually leaves part of the profile intact, and that part
-    votes for the right candidates. Weights are normalized to sum to one;
-    if every similarity is zero the candidates are weighted uniformly. The
-    fused position and profile are the weighted means.
+    database entries within ``RECOVERY_CELLS`` grid spacings of its
+    previous position, plus its predicted frame at its fix. Every
+    candidate is weighted by its similarity to the measured frame,
+    distorted as it is: the distortion usually leaves part of the profile
+    intact, and that part votes for the right candidates. Weights are
+    normalized to sum to one; if every similarity is zero the candidates
+    are weighted uniformly. The fused position and profile are the
+    weighted means.
 
     A measured frame with no energy carries no vote at all, so recovery
     falls back to the prediction alone: its localized position and the
@@ -312,8 +285,8 @@ def recover_each(frames, predicted, predicted_positions, prev_positions,
     if live.any():
         lists = neighbors_each(
             db, np.asarray(prev_positions, dtype=float)[live],
-            thresholds.recovery_radius)
-        db_sims = score_lists(frames[live], lists, db.adps, db.norms)
+            RECOVERY_CELLS * db.grid.spacing)
+        db_sims = score_lists(frames[live], lists, db)
     voting = np.flatnonzero(live & has_prediction)
     prediction_sims = np.zeros(len(frames))
     if voting.size:
@@ -360,8 +333,7 @@ def recover_each(frames, predicted, predicted_positions, prev_positions,
 
 
 def recover_and_locate(measured, predicted, predicted_position,
-                       prev_position, db: FingerprintDb,
-                       thresholds: Thresholds) -> RecoveryResult:
+                       prev_position, db: FingerprintDb) -> RecoveryResult:
     """Rebuild position and profile for one frame that cannot be trusted.
 
     ``recover_each`` on a stack of one; ``predicted_position`` is None
@@ -378,7 +350,7 @@ def recover_and_locate(measured, predicted, predicted_position,
         np.asarray(measured, dtype=np.float64)[None],
         np.asarray(predicted, dtype=np.float64)[None],
         [nan if predicted_position is None else predicted_position],
-        [nan if prev_position is None else prev_position], db, thresholds)
+        [nan if prev_position is None else prev_position], db)
     return RecoveryResult(positions[0], fused[0], float(shares[0]))
 
 
@@ -422,7 +394,7 @@ def locate_each(localizer, frames) -> np.ndarray:
     return fixes
 
 
-def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
+def run_sequence(walks, localizer, db: FingerprintDb, similarity_floor: float,
                  predictor, history_length: int = 4) -> Estimates:
     """Estimate a position for every frame of each of ``walks``.
 
@@ -489,7 +461,7 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
         est.measured_position[:, t] = fixes[:n]
         est.predicted_position[:, t] = fixes[n:]
         verdicts, est.best_similarity[:, t] = detect_each(
-            frames, est.measured_position[:, t], db, thresholds)
+            frames, est.measured_position[:, t], db, similarity_floor)
         est.verdict[:, t] = verdicts
         trusted = verdicts == ACCURATE
         if t == 0:  # no history to recover from: keep the untrusted fix
@@ -503,8 +475,7 @@ def run_sequence(walks, localizer, db: FingerprintDb, thresholds: Thresholds,
         if redo.size:
             positions, frames[redo], weights = recover_each(
                 frames[redo], predicted[redo],
-                est.predicted_position[redo, t], est.position[redo, t - 1],
-                db, thresholds)
+                est.predicted_position[redo, t], est.position[redo, t - 1], db)
             est.position[redo, t] = positions
             est.prediction_weight[redo, t] = weights
     return est

@@ -554,22 +554,24 @@ def calibrate_similarity_floor(db):
     return float(np.percentile(maxima, 1.0))
 
 
-def detect_distorted(adp, position, db, thresholds):
-    """``pipeline.detect_distorted`` for one frame."""
+def detect_distorted(adp, position, db, similarity_floor):
+    """``pipeline.detect_distorted`` for one frame, judged by the prints
+    within three grid spacings of ``position``."""
     frame = np.asarray(adp, dtype=np.float64)
     if not np.any(frame):
         return DetectionResult(Verdict.LOST_LINK, 0.0)
-    idx = neighbor_indices_within(db, position, thresholds.neighborhood_radius)
+    idx = neighbor_indices_within(db, position, 3.0 * db.grid.spacing)
     idx = idx[~db.zero_flags[idx]]
     best = float(np.max(similarity(frame, db.adps[idx]), initial=0.0))
-    verdict = (Verdict.ACCURATE if best >= thresholds.similarity_floor
+    verdict = (Verdict.ACCURATE if best >= similarity_floor
                else Verdict.DISTORTED)
     return DetectionResult(verdict, best)
 
 
 def recover_and_locate(measured, predicted, predicted_position,
-                       prev_position, db, thresholds):
-    """``pipeline.recover_and_locate`` for one frame."""
+                       prev_position, db):
+    """``pipeline.recover_and_locate`` for one frame, fusing the prints
+    within two grid spacings of ``prev_position``."""
     frame = np.asarray(measured, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     has_prediction = predicted_position is not None
@@ -584,7 +586,7 @@ def recover_and_locate(measured, predicted, predicted_position,
     idx = np.empty(0, dtype=int)
     if prev_position is not None:
         idx = neighbor_indices_within(db, prev_position,
-                                      thresholds.recovery_radius)
+                                      2.0 * db.grid.spacing)
         idx = idx[~db.zero_flags[idx]]
     positions = db.positions[idx]
     adps = db.adps[idx].astype(np.float64)
@@ -648,7 +650,7 @@ class ReferenceWknnLocalizer:
                          for a, p in zip(adps, probs)])
 
 
-def run_sequence(adps, localizer, db, thresholds, predictor,
+def run_sequence(adps, localizer, db, similarity_floor, predictor,
                  history_length=4):
     """``pipeline.run_sequence`` over one walk, frame by frame: one
     localizer call per frame with energy and per nonzero prediction, one
@@ -660,7 +662,7 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
     frames = []  # one Estimates-ordered tuple of fields per frame
     for t, adp in enumerate(adps):
         fix = localizer(adp) if np.any(adp) else None
-        det = detect_distorted(adp, fix, db, thresholds)
+        det = detect_distorted(adp, fix, db, similarity_floor)
         predicted = predictor(np.stack(history)[None])[0] if history else None
         predicted_position = None
         if predicted is not None and np.any(predicted):
@@ -678,7 +680,7 @@ def run_sequence(adps, localizer, db, thresholds, predictor,
             history.append(np.asarray(adp, dtype=np.float64))
         else:
             rec = recover_and_locate(adp, predicted, predicted_position,
-                                     prev_position, db, thresholds)
+                                     prev_position, db)
             position = rec.position
             history.append(rec.adp)
             weight = rec.prediction_weight

@@ -151,6 +151,17 @@ class TestQuantizeDelay:
         with pytest.raises(ValueError):
             quantize_delay(-1.0, self.OFDM_UNIT)
 
+    def test_count_past_int64_rejected(self):
+        # the largest float below 2**63 still fits; 2**63 does not, nor
+        # does an infinite or NaN delay, and none reaches the cast
+        top = 2 ** 63 - 1024
+        assert quantize_delay(float(top), self.OFDM_UNIT) == top
+        for delay in (2.0 ** 63, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="2\\*\\*63 samples"):
+                quantize_delay(delay, self.OFDM_UNIT)
+        with pytest.raises(ValueError, match="2\\*\\*63 samples"):
+            quantize_delay([1.0, 1e300], OfdmConfig(4, 1e10))
+
 
 class TestTracePaths:
     def test_free_space_single_los(self):
@@ -273,6 +284,24 @@ class TestTracePaths:
             assert not trace_paths(env, (10.0, 0.0), ARRAY, narrow).valid.any()
         assert [r.getMessage() for r in caplog.records] == [
             "dropped path with sampled delay 7 (cluster 0)"]
+
+    def test_delay_past_int64_dropped(self, caplog):
+        # 3e19 m is about 1.25e19 samples at 125 MHz, more than int64
+        # holds: the path is dropped like any other past the window
+        env = Environment(bs_position=(0.0, 0.0))
+        ofdm = OfdmConfig(n_subcarriers=16, bandwidth=125e6)
+        with caplog.at_level(logging.DEBUG, logger="mimoloc.channel"):
+            paths = trace_paths(env, [(3e19, 0.0), (10.0, 0.0)], ARRAY, ofdm)
+        assert paths.valid.tolist() == [[False], [True]]
+        assert paths.sampled_delay[1, 0] == 4
+        samples = 3e19 / env.speed_of_light / ofdm.sample_duration
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dropped path with sampled delay {round(samples)} (cluster 0)"]
+        assert not synthesize_csi(paths, ARRAY, ofdm)[0].any()
+        # at 1e-300 m/s a 10 m path takes 1e301 s, 2e308 samples at 20 MHz:
+        # more than a float holds
+        slow = Environment(bs_position=(0.0, 0.0), speed_of_light=1e-300)
+        assert not trace_paths(slow, (10.0, 0.0), ARRAY, OFDM).valid.any()
 
     def test_stack_logs_each_drop_in_position_order(self, caplog):
         narrow = OfdmConfig(n_subcarriers=4, bandwidth=200e6)
@@ -646,3 +675,20 @@ class TestEnvironmentFiles:
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             parse_environment(text)
+
+    @pytest.mark.parametrize("line,message", [
+        ("bs_position = 1", "bs_position needs 2 values"),
+        ("array_axis = 1 2", "array_axis needs 1 value"),
+        ("speed_of_light =", "speed_of_light needs 1 value"),
+        ("reflector = 1 2 3 4", "reflector needs 5 values"),
+        ("blocker = 1 2 3", "blocker needs 4 values"),
+        ("wall = 1 2 3 4", "unknown key 'wall'"),
+        ("wall = a", "non-numeric value"),
+        ("speed_of_light = 0", "speed_of_light must be above 0"),
+        ("reflector = 0 6 17 6 1.5",
+         "reflection coefficient must be in (0, 1]"),
+    ])
+    def test_message_names_the_line_and_the_rule(self, line, message):
+        with pytest.raises(FormatError) as err:
+            parse_environment(f"bs_position = 0 0\n\n{line}\n")
+        assert str(err.value) == f"line 3: {message}"

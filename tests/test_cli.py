@@ -1,6 +1,5 @@
 """Command line behavior: artifacts, overrides, and exit codes."""
 
-import dataclasses
 import json
 import os
 
@@ -76,9 +75,7 @@ def test_build_world_writes_the_trained_world(config_path, tmp_path, capsys,
     assert printed.count("final loss") == 2 + (predictor == "conv-recurrent")
 
     payload = json.loads((tmp_path / "out" / "thresholds.json").read_text())
-    assert payload == dataclasses.asdict(world.thresholds)
-    assert payload["neighborhood_radius"] == pytest.approx(0.75)
-    assert payload["recovery_radius"] == pytest.approx(0.5)
+    assert payload == {"similarity_floor": world.similarity_floor}
     assert 0.0 < payload["similarity_floor"] <= 1.0
 
 
@@ -126,13 +123,15 @@ def test_seed_override_lands_in_report(config_path, tmp_path):
     b'{"grid_origin": [NaN, 0]}',
     b'{"grid_origin": [0, 1e400]}',  # json.load reads 1e400 as inf
     b'{"grid_origin": [0, 1' + b"0" * 400 + b']}',  # too large for a float
+    b'{"grid_spacing": 1e308, "grid_rows": 3}',  # positions overflow
     json.dumps({"predictor": "conv-recurrent", "sequence_length": 1,
                 "distort_from": 0}).encode(),
 ], ids=["unknown-scenario", "number-origin", "text-origin", "text-count",
         "not-utf8", "directory", "environment-directory",
         "environment-not-utf8", "nan-level", "infinite-level",
         "overflowing-level", "infinite-profile-level", "nan-origin",
-        "overflowing-origin", "huge-int-origin", "one-frame-recurrent"])
+        "overflowing-origin", "huge-int-origin", "overflowing-extent",
+        "one-frame-recurrent"])
 def test_bad_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     if content is None:

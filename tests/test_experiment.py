@@ -147,6 +147,9 @@ class TestConfig:
         ("grid_origin", (0.0, -float("inf"))),
         ("grid_origin", (10 ** 400, 0)),
         ("addition_level_db", 1e5),
+        ("grid_spacing", 1e308),  # positions past the largest float
+        pytest.param("grid_rows", 10 ** 400,  # too large for a float
+                     id="grid_rows-huge"),
     ])
     def test_bad_field_rejected(self, field, value):
         cfg = ExperimentConfig(**{field: value})
@@ -447,8 +450,8 @@ class TestLockstep:
         config = dataclasses.replace(world.config, scenario=scenario)
         walks = [seq.adps for seq in evaluation_walks(config)]
         assert len(walks) >= 3
-        args = (world.localizers[localizer], world.db, world.thresholds,
-                world.predictor)
+        args = (world.localizers[localizer], world.db,
+                world.similarity_floor, world.predictor)
         est = pipeline.run_sequence(walks, *args)
         source = oracles.sources(est)
         measured = source == "measured"
@@ -467,7 +470,8 @@ class TestLockstep:
         config = dataclasses.replace(tiny_world.config, scenario="nlos-add")
         walks = [np.array(seq.adps) for seq in evaluation_walks(config)]
         walks[1][3] = 0.0
-        args = (tiny_world.db, tiny_world.thresholds, tiny_world.predictor)
+        args = (tiny_world.db, tiny_world.similarity_floor,
+                tiny_world.predictor)
         est = pipeline.run_sequence(
             walks, tiny_world.localizers[localizer], *args)
         lost = pipeline.VERDICTS.index(pipeline.Verdict.LOST_LINK)
@@ -514,34 +518,37 @@ class TestStackedScoring:
                     == oracles.calibrate_similarity_floor(db))
 
     def test_detection_and_recovery_of_every_frame(self, tiny_world):
-        db, thresholds = tiny_world.db, tiny_world.thresholds
+        # the radii follow the grid spacing: the tiny world's frames and
+        # fixes are scored against its own database and one on a coarser
+        # grid
+        coarse = experiment.database_for(
+            dataclasses.replace(tiny_world.config, grid_spacing=0.4))
         frames = scenario_frames(tiny_world)
         fixes = tiny_world.localizers["regressor"](frames)
-        verdicts, best = pipeline.detect_each(frames, fixes, db, thresholds)
-        for i, (frame, fix) in enumerate(zip(frames, fixes)):
-            want = oracles.detect_distorted(frame, fix, db, thresholds)
-            same_fields(pipeline.detect_distorted(frame, fix, db, thresholds),
-                        want)
-            assert pipeline.VERDICTS[verdicts[i]] is want.verdict
-            assert best[i] == want.best_similarity
-            # recover around the fix, fusing the previous frame at the
-            # previous fix, and without a prediction
-            args = (frames[i - 1], fixes[i - 1], fix, db, thresholds)
-            same_fields(pipeline.recover_and_locate(frame, *args),
-                        oracles.recover_and_locate(frame, *args))
-            args = (frames[i - 1], None, fix, db, thresholds)
-            same_fields(pipeline.recover_and_locate(frame, *args),
-                        oracles.recover_and_locate(frame, *args))
         redo = np.arange(1, len(frames), 3)
-        positions, fused, shares = pipeline.recover_each(
-            frames[redo], frames[redo - 1], fixes[redo - 1], fixes[redo],
-            db, thresholds)
-        for j, i in enumerate(redo):
-            want = oracles.recover_and_locate(
-                frames[i], frames[i - 1], fixes[i - 1], fixes[i], db,
-                thresholds)
-            same_fields(pipeline.RecoveryResult(positions[j], fused[j],
-                                                shares[j]), want)
+        for db in (tiny_world.db, coarse):
+            floor = pipeline.calibrate_similarity_floor(db)
+            verdicts, best = pipeline.detect_each(frames, fixes, db, floor)
+            for i, (frame, fix) in enumerate(zip(frames, fixes)):
+                want = oracles.detect_distorted(frame, fix, db, floor)
+                same_fields(pipeline.detect_distorted(frame, fix, db, floor),
+                            want)
+                assert pipeline.VERDICTS[verdicts[i]] is want.verdict
+                assert best[i] == want.best_similarity
+                # recover around the fix, fusing the previous frame at the
+                # previous fix, and without a prediction
+                for args in ((frames[i - 1], fixes[i - 1], fix, db),
+                             (frames[i - 1], None, fix, db)):
+                    same_fields(pipeline.recover_and_locate(frame, *args),
+                                oracles.recover_and_locate(frame, *args))
+            positions, fused, shares = pipeline.recover_each(
+                frames[redo], frames[redo - 1], fixes[redo - 1],
+                fixes[redo], db)
+            for j, i in enumerate(redo):
+                want = oracles.recover_and_locate(
+                    frames[i], frames[i - 1], fixes[i - 1], fixes[i], db)
+                same_fields(pipeline.RecoveryResult(positions[j], fused[j],
+                                                    shares[j]), want)
 
     def test_refinement_with_an_empty_cell(self, tiny_world):
         classifier = tiny_world.localizers["classifier-wknn"]
@@ -568,22 +575,21 @@ class TestStackedScoring:
     def test_lost_link_of_any_shape(self, tiny_world):
         # an all-zero frame is lost before its shape or its fix is read,
         # in a stack as alone; a live frame's prediction must match it
-        db, thresholds = tiny_world.db, tiny_world.thresholds
+        db, floor = tiny_world.db, tiny_world.similarity_floor
         frame = scenario_frames(tiny_world)[0]
         fix = db.positions[3]
         lost = np.zeros((3, 5))
         for scoring in (pipeline, oracles):
-            got = scoring.detect_distorted(lost, None, db, thresholds)
+            got = scoring.detect_distorted(lost, None, db, floor)
             assert got.verdict is pipeline.Verdict.LOST_LINK
             same_fields(got, pipeline.DetectionResult(got.verdict, 0.0))
             with pytest.raises(DimensionMismatch):
-                scoring.recover_and_locate(frame, frame[:-1], fix, fix, db,
-                                           thresholds)
+                scoring.recover_and_locate(frame, frame[:-1], fix, fix, db)
         verdicts, best = pipeline.detect_each(
-            np.zeros((2, 3, 5)), np.full((2, 2), np.nan), db, thresholds)
+            np.zeros((2, 3, 5)), np.full((2, 2), np.nan), db, floor)
         assert verdicts.tolist() == [pipeline.LOST_LINK] * 2
         assert best.tolist() == [0.0, 0.0]
-        args = (lost, np.ones((3, 5)), fix, fix, db, thresholds)
+        args = (lost, np.ones((3, 5)), fix, fix, db)
         same_fields(pipeline.recover_and_locate(*args),
                     oracles.recover_and_locate(*args))
 
@@ -592,26 +598,26 @@ class TestStackedScoring:
         empty = FingerprintDb(db.grid, db.positions, np.zeros_like(db.adps))
         classifier = tiny_world.localizers["classifier-wknn"]
         frames = scenario_frames(tiny_world)[:4]
-        thresholds = tiny_world.thresholds
+        floor = tiny_world.similarity_floor
         for scoring, wknn in ((pipeline, classify_then_wknn),
                               (oracles, oracles.classify_then_wknn)):
             with pytest.raises(EmptyNeighborhood):
                 scoring.calibrate_similarity_floor(empty)
             with pytest.raises(EmptyNeighborhood):
                 scoring.recover_and_locate(frames[1], frames[0], None,
-                                           db.positions[3], empty, thresholds)
+                                           db.positions[3], empty)
             with pytest.raises(ZeroDivisionError):
                 wknn(classifier.model, frames[0], empty)
             with pytest.raises(ZeroAdp):
                 wknn(classifier.model, np.zeros_like(frames[0]), db)
             with pytest.raises(DimensionMismatch):
                 scoring.detect_distorted(frames[0][:-1], db.positions[3], db,
-                                         thresholds)
+                                         floor)
         fix = db.positions[3]
         same_fields(
-            pipeline.detect_distorted(frames[0], fix, empty, thresholds),
-            oracles.detect_distorted(frames[0], fix, empty, thresholds))
-        args = (frames[0], fix, fix, empty, thresholds)
+            pipeline.detect_distorted(frames[0], fix, empty, floor),
+            oracles.detect_distorted(frames[0], fix, empty, floor))
+        args = (frames[0], fix, fix, empty)
         same_fields(pipeline.recover_and_locate(frames[1], *args),
                     oracles.recover_and_locate(frames[1], *args))
         with pytest.raises(ZeroDivisionError):

@@ -40,11 +40,10 @@ from mimoloc.fingerprint import (
 )
 from mimoloc.pipeline import (
     VERDICTS,
-    Thresholds,
     Verdict,
     calibrate_similarity_floor,
-    default_thresholds,
     detect_distorted,
+    detect_each,
     locate_each,
     neighbors_each,
     recover_and_locate,
@@ -73,8 +72,8 @@ def db():
 
 
 @pytest.fixture(scope="module")
-def thresholds(db):
-    return default_thresholds(GRID, calibrate_similarity_floor(db))
+def floor(db):
+    return calibrate_similarity_floor(db)
 
 
 def nn_localizer(db):
@@ -105,27 +104,6 @@ def frame_at(position, scenario=None):
     return adp_from_csi(synthesize_csi(paths, ARRAY, OFDM), DFT)[0]
 
 
-class TestThresholds:
-    def test_default_radii_follow_grid_pitch(self):
-        thr = default_thresholds(GRID, 0.9)
-        assert thr.neighborhood_radius == pytest.approx(0.75)
-        assert thr.recovery_radius == pytest.approx(0.5)
-        assert thr.similarity_floor == 0.9
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            Thresholds(-1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            Thresholds(1.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            Thresholds(1.0, 1.5, 1.0)
-        for radius in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                Thresholds(radius, 0.5, 1.0)
-            with pytest.raises(ValueError):
-                Thresholds(1.0, 0.5, radius)
-
-
 class TestCalibration:
     def test_floor_is_high_on_a_dense_grid(self, db):
         floor = calibrate_similarity_floor(db)
@@ -145,38 +123,36 @@ class TestCalibration:
 
 
 class TestDetection:
-    def test_zero_frame_is_lost_link(self, db, thresholds):
-        det = detect_distorted(np.zeros((16, 16)), None, db, thresholds)
+    def test_zero_frame_is_lost_link(self, db, floor):
+        det = detect_distorted(np.zeros((16, 16)), None, db, floor)
         assert det.verdict is Verdict.LOST_LINK
         assert det.best_similarity == 0.0
 
-    def test_clean_frame_is_accurate(self, db, thresholds):
+    def test_clean_frame_is_accurate(self, db, floor):
         point = POINTS[7 * GRID.n_cols + 9]
         frame = frame_at(point)
-        det = detect_distorted(frame, nn_localizer(db)(frame), db, thresholds)
+        det = detect_distorted(frame, nn_localizer(db)(frame), db, floor)
         assert det.verdict is Verdict.ACCURATE
         assert det.best_similarity > 0.999
 
     @pytest.mark.parametrize("kind", list(DistortionKind))
-    def test_distorted_frame_is_flagged(self, db, thresholds, kind):
+    def test_distorted_frame_is_flagged(self, db, floor, kind):
         point = POINTS[7 * GRID.n_cols + 9]
         scen = DistortionScenario(kind=kind, addition_level_db=-1.0,
                                   rng_seed=3)
         frame = frame_at(point, scen)
-        det = detect_distorted(frame, nn_localizer(db)(frame), db,
-                               thresholds)
+        det = detect_distorted(frame, nn_localizer(db)(frame), db, floor)
         assert det.verdict is Verdict.DISTORTED
 
-    def test_faint_addition_is_waved_through(self, db, thresholds):
+    def test_faint_addition_is_waved_through(self, db, floor):
         point = POINTS[7 * GRID.n_cols + 9]
         scen = DistortionScenario(kind=DistortionKind.NLOS_ADDITION,
                                   addition_level_db=-30.0, rng_seed=3)
         frame = frame_at(point, scen)
-        det = detect_distorted(frame, nn_localizer(db)(frame), db,
-                               thresholds)
+        det = detect_distorted(frame, nn_localizer(db)(frame), db, floor)
         assert det.verdict is Verdict.ACCURATE
 
-    def test_verdict_survives_frame_scaling(self, db, thresholds):
+    def test_verdict_survives_frame_scaling(self, db, floor):
         loc = nn_localizer(db)
         clean = frame_at(POINTS[3 * GRID.n_cols + 3])
         blocked = frame_at(
@@ -184,30 +160,65 @@ class TestDetection:
             DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE),
         )
         for frame in (clean, blocked):
-            base = detect_distorted(frame, loc(frame), db, thresholds)
+            base = detect_distorted(frame, loc(frame), db, floor)
             scaled = detect_distorted(3.0 * frame, loc(3.0 * frame), db,
-                                      thresholds)
+                                      floor)
             assert scaled.verdict is base.verdict
             assert scaled.best_similarity == pytest.approx(base.best_similarity)
 
-    def test_no_neighbors_means_distorted(self, db, thresholds):
+    def test_no_neighbors_means_distorted(self, db, floor):
         det = detect_distorted(frame_at(POINTS[2 * GRID.n_cols + 2]),
-                               np.array([1000.0, 1000.0]), db, thresholds)
+                               np.array([1000.0, 1000.0]), db, floor)
         assert det.verdict is Verdict.DISTORTED
         assert det.best_similarity == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+    def test_rejects_floor_outside_unit_interval(self, db, bad):
+        frames = np.stack([frame_at(POINTS[0]), np.zeros((16, 16))])
+        with pytest.raises(ValueError, match="similarity floor"):
+            detect_each(frames, db.positions[:2], db, bad)
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.5])
+def test_radii_follow_grid_spacing(db, spacing):
+    # the prints of ``db`` on a grid of another pitch: detection judges a
+    # frame by the prints within three spacings of its fix, recovery fuses
+    # those within two of the previous position
+    grid = GridSpec(origin=GRID.origin, spacing=spacing, n_rows=GRID.n_rows,
+                    n_cols=GRID.n_cols)
+    scaled = FingerprintDb(grid, grid.all_positions(), db.adps)
+    corner = scaled.positions[0]
+    assert not scaled.zero_flags[0]
+    frame = np.asarray(db.adps[0], dtype=np.float64)
+
+    def left(cells):
+        return corner - (cells * spacing, 0.0)
+
+    near, far = (detect_distorted(frame, left(cells), scaled, 0.5)
+                 for cells in (2.9, 3.1))
+    assert near.best_similarity == pytest.approx(1.0)
+    assert far.best_similarity == 0.0
+    # the corner print is the one candidate within two spacings
+    rec = recover_and_locate(frame, frame, None, left(1.9), scaled)
+    assert np.array_equal(rec.position, corner)
+    with pytest.raises(EmptyNeighborhood):
+        recover_and_locate(frame, frame, None, left(2.1), scaled)
+
 
 class TestRecovery:
-    def test_two_candidate_midpoint(self, db, thresholds):
-        # shrink the recovery radius so exactly one database entry competes
-        # with the prediction, both with similarity one: a clean midpoint
+    def test_two_candidate_midpoint(self, db):
+        # zero every other print within the recovery radius, so exactly
+        # one database entry competes with the prediction, both with
+        # similarity one: a clean midpoint
         point_index = 5 * GRID.n_cols + 5
         point = db.positions[point_index]
         entry = np.asarray(db.adps[point_index], dtype=np.float64)
+        near = neighbor_indices_within(db, point, 2.0 * GRID.spacing)
+        adps = db.adps.copy()
+        adps[near[near != point_index]] = 0.0
+        lone = FingerprintDb(GRID, db.positions, adps)
         elsewhere = np.array([7.5, 0.5])
-        thr = Thresholds(thresholds.neighborhood_radius,
-                         thresholds.similarity_floor, 0.1 * GRID.spacing)
-        rec = recover_and_locate(entry, entry, elsewhere, point, db, thr)
+        rec = recover_and_locate(entry, entry, elsewhere, point, lone)
         assert np.allclose(rec.position, (point + elsewhere) / 2.0, atol=1e-9)
         assert np.allclose(rec.adp, entry, atol=1e-9)
         assert rec.prediction_weight == pytest.approx(0.5, abs=1e-9)
@@ -215,7 +226,7 @@ class TestRecovery:
     def test_unrelated_frame_weights_neighbors_uniformly(self):
         # one-hot database profiles and a measured frame on a pixel no
         # candidate uses: every similarity is zero, so the weights fall
-        # back to uniform and the fused position is the cross centroid
+        # back to uniform and the fused position is the candidates' centroid
         tiny = GridSpec(origin=(0.0, 0.0), spacing=1.0, n_rows=3, n_cols=3)
         adps = np.zeros((9, 4, 4), dtype="<f4")
         for i in range(9):
@@ -224,35 +235,33 @@ class TestRecovery:
                                 adps=adps)
         measured = np.zeros((4, 4))
         measured[3, 3] = 1.0
-        thr = Thresholds(1.0, 0.5, 1.0)
         rec = recover_and_locate(measured, np.zeros((4, 4)), None,
-                                 tiny.all_positions()[4], tiny_db, thr)
-        assert np.allclose(rec.position, tiny.all_positions()[4], atol=1e-12)
-        # the five cross entries within the radius, in equal parts
-        cross = [1, 3, 4, 5, 7]
-        assert np.allclose(rec.adp, adps[cross].mean(axis=0), atol=1e-12)
+                                 tiny.all_positions()[0], tiny_db)
+        # the six entries within two spacings of the corner, in equal parts
+        near = [0, 1, 2, 3, 4, 6]
+        assert np.allclose(rec.position, (2.0 / 3.0, 2.0 / 3.0), atol=1e-12)
+        assert np.allclose(rec.adp, adps[near].mean(axis=0), atol=1e-12)
         assert rec.prediction_weight == 0.0
 
-    def test_lost_link_falls_back_to_prediction(self, db, thresholds):
+    def test_lost_link_falls_back_to_prediction(self, db):
         point_index = 5 * GRID.n_cols + 5
         point = db.positions[point_index]
         entry = np.asarray(db.adps[point_index], dtype=np.float64)
         rec = recover_and_locate(np.zeros((16, 16)), entry,
-                                 nn_localizer(db)(entry), point, db,
-                                 thresholds)
+                                 nn_localizer(db)(entry), point, db)
         assert np.allclose(rec.position, point, atol=1e-12)
         assert np.allclose(rec.adp, entry, atol=1e-12)
         assert rec.prediction_weight == 1.0
 
-    def test_nothing_to_fuse_raises(self, db, thresholds):
+    def test_nothing_to_fuse_raises(self, db):
         zero = np.zeros((16, 16))
         with pytest.raises(EmptyNeighborhood):
-            recover_and_locate(zero, zero, None, None, db, thresholds)
+            recover_and_locate(zero, zero, None, None, db)
         with pytest.raises(EmptyNeighborhood):
             recover_and_locate(frame_at(POINTS[4 * GRID.n_cols + 4]), zero,
-                               None, None, db, thresholds)
+                               None, None, db)
 
-    def test_fused_position_stays_in_candidate_hull(self, db, thresholds):
+    def test_fused_position_stays_in_candidate_hull(self, db):
         rng = np.random.default_rng(9)
         tracker = PeakTrackingPredictor()
         for _ in range(10):
@@ -263,10 +272,9 @@ class TestRecovery:
                 point, DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE))
             predicted = tracker(np.stack(history)[None])[0]
             rec = recover_and_locate(measured, predicted,
-                                     nn_localizer(db)(predicted), point, db,
-                                     thresholds)
-            lo = point - thresholds.recovery_radius - 1e-9
-            hi = point + thresholds.recovery_radius + 1e-9
+                                     nn_localizer(db)(predicted), point, db)
+            lo = point - 2.0 * GRID.spacing - 1e-9
+            hi = point + 2.0 * GRID.spacing + 1e-9
             assert np.all(rec.position >= lo) and np.all(rec.position <= hi)
             assert 0.0 <= rec.prediction_weight <= 1.0
 
@@ -317,19 +325,18 @@ class TestStackedKernel:
                                          replace=False))
                       for _ in lists[::5]]
         assert len({len(idx) for idx in lists}) > 10
-        got = score_lists(frames, lists, rich_db.adps, rich_db.norms)
+        got = score_lists(frames, lists, rich_db)
         for frame, idx, sims in zip(frames, lists, got):
             assert np.array_equal(sims, similarity(frame, rich_db.adps[idx]))
 
     def test_score_lists_errors(self, rich_db):
         frame = rich_db.adps[5:6]
         with pytest.raises(ZeroAdp):
-            score_lists(frame, [[0, 5]], rich_db.adps, rich_db.norms)
+            score_lists(frame, [[0, 5]], rich_db)
         with pytest.raises(ZeroAdp):
-            score_lists(np.zeros_like(frame), [[]], rich_db.adps,
-                        rich_db.norms)
+            score_lists(np.zeros_like(frame), [[]], rich_db)
         with pytest.raises(DimensionMismatch):
-            score_lists(frame[:, :-1], [[5]], rich_db.adps, rich_db.norms)
+            score_lists(frame[:, :-1], [[5]], rich_db)
 
 
 def walk_sequence(scenario, distort_from, seed, length=12):
@@ -343,19 +350,19 @@ def verdicts(est):
 
 
 class TestRunSequence:
-    def test_clean_sequence_tracks_exactly(self, db, thresholds):
+    def test_clean_sequence_tracks_exactly(self, db, floor):
         seq = walk_sequence(None, 0, [200, 0])
-        est = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
+        est = run_sequence([seq.adps], nn_localizer(db), db, floor,
                            PeakTrackingPredictor())
         assert all(v is Verdict.ACCURATE for v in verdicts(est))
         assert (oracles.sources(est) == "measured").all()
         assert np.allclose(est.position[0], seq.positions)
         assert np.array_equal(est.position, est.measured_position)
 
-    def test_blocked_tail_is_recovered(self, db, thresholds):
+    def test_blocked_tail_is_recovered(self, db, floor):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 0])
-        est = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
+        est = run_sequence([seq.adps], nn_localizer(db), db, floor,
                            PeakTrackingPredictor())
         (source,), truth = oracles.sources(est), seq.positions
         assert (source[:5] == "measured").all()
@@ -366,20 +373,20 @@ class TestRunSequence:
                 < 1.5).all()
         assert not np.isnan(est.predicted_position[0, 5:]).any()
 
-    def test_deterministic(self, db, thresholds):
+    def test_deterministic(self, db, floor):
         scen = DistortionScenario(kind=DistortionKind.NLOS_ADDITION, rng_seed=2)
         seq = walk_sequence(scen, 4, [200, 2])
         runs = [
-            run_sequence([seq.adps], nn_localizer(db), db, thresholds,
+            run_sequence([seq.adps], nn_localizer(db), db, floor,
                          PeakTrackingPredictor())
             for _ in range(2)
         ]
         oracles.assert_same_estimates(*runs)
 
-    def test_distorted_first_frame_falls_back(self, db, thresholds):
+    def test_distorted_first_frame_falls_back(self, db, floor):
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=1)
         seq = walk_sequence(scen, 0, [200, 3])
-        est = run_sequence([seq.adps], nn_localizer(db), db, thresholds,
+        est = run_sequence([seq.adps], nn_localizer(db), db, floor,
                            PeakTrackingPredictor())
         (source,) = oracles.sources(est)
         assert source[0] == "fallback"
@@ -388,19 +395,19 @@ class TestRunSequence:
         assert np.isnan(est.predicted_position[0, 0]).all()
         assert (source[1:] == "recovered").all()
 
-    def test_lost_link_first_frame_raises(self, thresholds):
+    def test_lost_link_first_frame_raises(self):
         free = Environment(bs_position=(0.0, 0.0))
         tiny = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=2, n_cols=2)
         free_db = build_db(free, tiny, ARRAY, OFDM)
         walk = random_walk(tiny, WalkMode.MODE2, 6, 0)
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(free, walk, scen, 0, ARRAY, OFDM)
-        thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
+        floor = calibrate_similarity_floor(free_db)
         with pytest.raises(EmptyNeighborhood):
-            run_sequence([seq.adps], nn_localizer(free_db), free_db, thr,
+            run_sequence([seq.adps], nn_localizer(free_db), free_db, floor,
                          PeakTrackingPredictor())
 
-    def test_lost_link_mid_sequence_is_recovered(self, thresholds):
+    def test_lost_link_mid_sequence_is_recovered(self):
         free = Environment(bs_position=(0.0, 0.0))
         tiny = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=3, n_cols=3)
         free_db = build_db(free, tiny, ARRAY, OFDM)
@@ -408,8 +415,8 @@ class TestRunSequence:
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
         assert (~seq.adps[4:].any(axis=(1, 2))).any()  # a lost link
-        thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
-        est = run_sequence([seq.adps], nn_localizer(free_db), free_db, thr,
+        floor = calibrate_similarity_floor(free_db)
+        est = run_sequence([seq.adps], nn_localizer(free_db), free_db, floor,
                            PeakTrackingPredictor())
         assert all(v is Verdict.LOST_LINK for v in verdicts(est)[4:])
         assert (oracles.sources(est)[0, 4:] == "recovered").all()
@@ -417,7 +424,7 @@ class TestRunSequence:
         assert np.isnan(est.measured_position[0, 4:]).all()
 
     @staticmethod
-    def count_localizations(adps, db, thresholds):
+    def count_localizations(adps, db, floor):
         """(profiles localized, frames with energy, nonzero predictions,
         estimates) of one run."""
         localize = nn_localizer(db)
@@ -433,31 +440,31 @@ class TestRunSequence:
             nonzero.extend(bool(np.any(p)) for p in out)
             return out
 
-        est = run_sequence([adps], counting_localizer, db, thresholds,
+        est = run_sequence([adps], counting_localizer, db, floor,
                            predictor)
         detected = sum(bool(np.any(a)) for a in adps)
         return sum(calls), detected, sum(nonzero), est
 
-    def test_each_prediction_localized_once(self, db, thresholds):
+    def test_each_prediction_localized_once(self, db, floor):
         # detection localizes every frame with energy and the prediction
         # is localized once; recovery reuses that fix
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE, rng_seed=5)
         seq = walk_sequence(scen, 5, [200, 0])
         calls, detected, predictions, est = self.count_localizations(
-            seq.adps, db, thresholds)
+            seq.adps, db, floor)
         assert (oracles.sources(est) == "recovered").sum() == 7
         assert calls == detected + predictions
 
-    def test_lost_link_frames_are_not_localized(self, thresholds):
+    def test_lost_link_frames_are_not_localized(self):
         free = Environment(bs_position=(0.0, 0.0))
         tiny = GridSpec(origin=(6.0, -2.0), spacing=0.25, n_rows=3, n_cols=3)
         free_db = build_db(free, tiny, ARRAY, OFDM)
         walk = random_walk(tiny, WalkMode.MODE2, 8, 1)
         scen = DistortionScenario(kind=DistortionKind.LOS_BLOCKAGE)
         seq = generate_sequence(free, walk, scen, 4, ARRAY, OFDM)
-        thr = default_thresholds(tiny, calibrate_similarity_floor(free_db))
+        floor = calibrate_similarity_floor(free_db)
         calls, detected, predictions, est = self.count_localizations(
-            seq.adps, free_db, thr)
+            seq.adps, free_db, floor)
         assert detected < est.verdict.size
         assert calls == detected + predictions
 
@@ -508,9 +515,9 @@ def lockstep_walks():
 class TestLockstep:
     """Walks stepped together get the estimates each gets alone."""
 
-    def test_equals_one_walk_at_a_time(self, db, thresholds):
+    def test_equals_one_walk_at_a_time(self, db, floor):
         walks = lockstep_walks()
-        est = run_sequence(walks, nn_localizer(db), db, thresholds,
+        est = run_sequence(walks, nn_localizer(db), db, floor,
                            PeakTrackingPredictor())
         assert est.verdict.shape == (len(walks), len(walks[0]))
         source = oracles.sources(est)
@@ -521,10 +528,10 @@ class TestLockstep:
         for i, adps in enumerate(walks):
             oracles.assert_same_estimates(
                 oracles.walk_of(est, i),
-                oracles.run_sequence(adps, nn_localizer(db), db, thresholds,
+                oracles.run_sequence(adps, nn_localizer(db), db, floor,
                                      PeakTrackingPredictor()))
 
-    def test_one_detection_per_step(self, db, thresholds, monkeypatch):
+    def test_one_detection_per_step(self, db, floor, monkeypatch):
         # per step: the stack of histories, and the frames of each
         # detect_peaks call made in it
         steps = []
@@ -542,7 +549,7 @@ class TestLockstep:
         monkeypatch.setattr(predictor_module, "detect_peaks",
                             counting_detect)
         walks = lockstep_walks()
-        run_sequence(walks, nn_localizer(db), db, thresholds, predictor)
+        run_sequence(walks, nn_localizer(db), db, floor, predictor)
         assert len(steps) == len(walks[0]) - 1
         for t, (histories, detected) in enumerate(steps, start=1):
             n_t, n_c = histories.shape[2:]
@@ -553,7 +560,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("history_length", [1, 2, 4])
     def test_histories_are_windows_of_the_fed_profiles(
-            self, db, thresholds, monkeypatch, history_length):
+            self, db, floor, monkeypatch, history_length):
         # the fed profiles, rebuilt here: each walk as measured, with the
         # frames recovery rebuilt in their place
         walks = lockstep_walks()
@@ -575,7 +582,7 @@ class TestLockstep:
 
         monkeypatch.setattr(pipeline_module, "recover_each",
                             recording_recover)
-        est = run_sequence(walks, nn_localizer(db), db, thresholds,
+        est = run_sequence(walks, nn_localizer(db), db, floor,
                            predictor, history_length=history_length)
         measured = fed.copy()
         for t, fused in rebuilt:  # one recovery per step, after step t's call
@@ -588,7 +595,7 @@ class TestLockstep:
             assert got.shape[1] == min(t, history_length)
             assert np.array_equal(got, fed[:, t - got.shape[1]:t])
 
-    def test_one_localizer_call_per_step(self, db, thresholds):
+    def test_one_localizer_call_per_step(self, db, floor):
         # step 0 locates its measured frames, every later step its
         # measured frames with energy stacked with its nonzero
         # predictions. At step 6 walk 1's link is lost and the
@@ -610,7 +617,7 @@ class TestLockstep:
             predictions.append(out)
             return out
 
-        est = run_sequence(walks, counting_localizer, db, thresholds,
+        est = run_sequence(walks, counting_localizer, db, floor,
                            predictor)
         steps = [np.zeros((0,) + walks.shape[2:])] + predictions
         assert calls == [
@@ -622,31 +629,31 @@ class TestLockstep:
         for i, adps in enumerate(walks):
             oracles.assert_same_estimates(
                 oracles.walk_of(est, i),
-                oracles.run_sequence(adps, localize, db, thresholds,
+                oracles.run_sequence(adps, localize, db, floor,
                                      predictor))
 
     @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1]],
                              ids=["walks", "antennas"])
-    def test_misshapen_prediction_raises(self, db, thresholds, cut):
+    def test_misshapen_prediction_raises(self, db, floor, cut):
         tracker = PeakTrackingPredictor()
 
         def predictor(histories):
             return tracker(histories)[cut]
 
         with pytest.raises(DimensionMismatch):
-            run_sequence(lockstep_walks(), nn_localizer(db), db, thresholds,
+            run_sequence(lockstep_walks(), nn_localizer(db), db, floor,
                          predictor)
 
-    def test_a_walk_stack_equals_its_list(self, db, thresholds):
+    def test_a_walk_stack_equals_its_list(self, db, floor):
         walks = lockstep_walks()
-        runs = [run_sequence(w, nn_localizer(db), db, thresholds,
+        runs = [run_sequence(w, nn_localizer(db), db, floor,
                              PeakTrackingPredictor())
                 for w in (walks, np.stack(walks))]
         oracles.assert_same_estimates(*runs)
 
     @pytest.mark.parametrize("history_length", [0, -1, 1.5, True])
     def test_bad_history_length_raises_before_any_call(
-            self, db, thresholds, history_length):
+            self, db, floor, history_length):
         calls = []
 
         def localizer(frames):
@@ -654,17 +661,17 @@ class TestLockstep:
             return nn_localizer(db)(frames)
 
         with pytest.raises(ValueError, match="history_length"):
-            run_sequence(lockstep_walks(), localizer, db, thresholds,
+            run_sequence(lockstep_walks(), localizer, db, floor,
                          PeakTrackingPredictor(),
                          history_length=history_length)
         assert calls == []
 
-    def test_no_walks_and_unequal_walks(self, db, thresholds):
-        est = run_sequence([], nn_localizer(db), db, thresholds,
+    def test_no_walks_and_unequal_walks(self, db, floor):
+        est = run_sequence([], nn_localizer(db), db, floor,
                            PeakTrackingPredictor())
         assert est.position.shape == (0, 0, 2)
         assert est.verdict.shape == (0, 0) and est.verdict.dtype == np.int8
         adps = walk_sequence(None, 0, [300, 0]).adps
         with pytest.raises(LengthMismatch):
             run_sequence([adps, adps[:-1]], nn_localizer(db), db,
-                         thresholds, PeakTrackingPredictor())
+                         floor, PeakTrackingPredictor())
