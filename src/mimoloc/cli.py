@@ -62,15 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_effective_config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for name in ("seed", "scenario", "localizer", "predictor"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    config.validate()
-    return config
+    overrides = {name: getattr(args, name)
+                 for name in ("seed", "scenario", "localizer", "predictor")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(config, **overrides)
 
 
 def _save_json(payload: dict, path) -> None:

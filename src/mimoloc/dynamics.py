@@ -27,7 +27,7 @@ from .channel import (
     synthesize_csi,
     trace_paths,
 )
-from .errors import NotEnoughPaths
+from .errors import NotEnoughPaths, is_finite
 from .fingerprint import GridSpec
 
 _DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -59,11 +59,21 @@ class DistortionScenario:
     each sequence, set from the strongest path of its first distorted
     frame, and the path is held fixed across that sequence's distorted
     frames.
+
+    Raises:
+        ValueError: ``addition_level_db`` is not finite and at most 100 dB
+            (a foreign path 1e5 times the strongest one), whatever the kind.
     """
 
     kind: DistortionKind
     addition_level_db: float = -6.0
     rng_seed: int = 0
+
+    def __post_init__(self):
+        if not (is_finite(self.addition_level_db)
+                and self.addition_level_db <= 100.0):
+            raise ValueError(f"addition_level_db must be finite and at "
+                             f"most 100 dB, got {self.addition_level_db!r}")
 
 
 @dataclass

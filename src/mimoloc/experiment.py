@@ -21,9 +21,10 @@ scores four estimation methods frame by frame:
   rolling history, without database fusion, on every frame that has a
   history; the first frame is identical to ``dynamic``.
 
-Reports are written as flat CSV/text files whose bodies depend only on
-the configuration, so a rerun is byte-identical; wall-clock figures go
-to a separate JSON report.
+A configuration (``ExperimentConfig``) is checked when it is made, so
+every function here is handed a usable one. Reports are written as flat
+CSV/text files whose bodies depend only on the configuration, so a rerun
+is byte-identical; wall-clock figures go to a separate JSON report.
 """
 
 from __future__ import annotations
@@ -120,7 +121,13 @@ class ExperimentConfig:
     """Everything a run needs; round-trips through JSON.
 
     ``environment`` is "sparse", "rich", or a path to an environment
-    text file.
+    text file. A config is checked when it is made (constructor,
+    ``dataclasses.replace``, ``load_config``), and a bad field raises
+    ``ConfigError``. Each field takes its annotated type (see
+    ``_IS_TYPE``; ``grid_origin`` is stored as a tuple of floats). The
+    array, band, grid and distortion fields take what ``ArrayConfig``,
+    ``OfdmConfig``, ``GridSpec`` and ``DistortionScenario`` accept, the
+    last only under a scenario that uses it.
     """
 
     environment: str = "sparse"
@@ -146,15 +153,13 @@ class ExperimentConfig:
     predictor_train_walks: int = 20
     seed: int = 0
 
-    def validate(self) -> None:
-        """Raise ``ConfigError`` unless every field holds a usable value.
-
-        Each field takes the type it is annotated with (see ``_IS_TYPE``).
-        """
+    def __post_init__(self):
         for f in dataclasses.fields(self):
             if not _IS_TYPE[f.type](getattr(self, f.name)):
                 finite = " and finite" if f.type in ("float", "tuple") else ""
                 raise ConfigError(f"{f.name} must be of type {f.type}{finite}")
+        object.__setattr__(self, "grid_origin",
+                           tuple(map(float, self.grid_origin)))
         for name, allowed in (("scenario", SCENARIOS),
                               ("localizer", LOCALIZERS),
                               ("predictor", PREDICTORS)):
@@ -166,8 +171,11 @@ class ExperimentConfig:
                 f"environment {self.environment!r} is neither a preset "
                 f"({sorted(_NAMED_ENVIRONMENTS)}) nor a file"
             )
-        for name in ("n_antennas", "n_subcarriers", "grid_rows", "grid_cols",
-                     "n_sequences", "sequence_length", "history_length",
+        try:
+            _records(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for name in ("n_sequences", "sequence_length", "history_length",
                      "train_epochs", "predictor_epochs",
                      "predictor_train_walks"):
             if getattr(self, name) < 1:
@@ -176,23 +184,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "sequence_length must be at least 2 with the conv-recurrent "
                 "predictor, which trains on walks of two frames or more")
-        for name in ("wavelength", "bandwidth", "grid_spacing",
-                     "train_learning_rate"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be positive and finite")
-        try:
-            extent = GridSpec(self.grid_origin, self.grid_spacing,
-                              self.grid_rows, self.grid_cols).extent()
-        except OverflowError:  # a count too large for a float
-            extent = (np.inf,)
-        if not all(map(is_finite, extent)):
-            raise ConfigError("the grid's positions overflow a float")
+        if self.train_learning_rate <= 0.0:
+            raise ConfigError("train_learning_rate must be above 0")
         if self.seed < 0:
             raise ConfigError("seed must be at least 0")
-        if self.addition_level_db > 100.0:
-            raise ConfigError(
-                "addition_level_db must be at most 100 dB, a foreign path "
-                "1e5 times the strongest one")
         if not 0 <= self.distort_from < self.sequence_length:
             raise ConfigError(
                 "distort_from must be nonnegative and below sequence_length, "
@@ -221,12 +216,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    origin = data.get("grid_origin")
-    if isinstance(origin, list) and all(map(is_finite, origin)):
-        data = dict(data, grid_origin=tuple(float(v) for v in origin))
-    config = ExperimentConfig(**data)
-    config.validate()
-    return config
+    return ExperimentConfig(**data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -261,13 +251,21 @@ def environment_for(config: ExperimentConfig) -> Environment:
         raise FormatError(f"environment {config.environment}: {exc}") from exc
 
 
+def _records(config: ExperimentConfig) -> tuple:
+    """(array, OFDM band, grid, distortion or None) of a config; each
+    raises ``ValueError`` on a field it refuses."""
+    return (ArrayConfig(config.n_antennas, config.wavelength),
+            OfdmConfig(config.n_subcarriers, config.bandwidth),
+            GridSpec(config.grid_origin, config.grid_spacing,
+                     config.grid_rows, config.grid_cols),
+            None if config.scenario == "none" else DistortionScenario(
+                DistortionKind(config.scenario), config.addition_level_db,
+                config.seed))
+
+
 def pieces(config: ExperimentConfig):
     """(environment, array, OFDM band, grid, DFT pair) of a config."""
-    array = ArrayConfig(config.n_antennas, config.wavelength)
-    ofdm = OfdmConfig(config.n_subcarriers, config.bandwidth)
-    grid = GridSpec(origin=tuple(config.grid_origin),
-                    spacing=config.grid_spacing,
-                    n_rows=config.grid_rows, n_cols=config.grid_cols)
+    array, ofdm, grid, _ = _records(config)
     dft = build_dft_pair(config.n_antennas, config.n_subcarriers)
     return environment_for(config), array, ofdm, grid, dft
 
@@ -288,17 +286,11 @@ def evaluation_walks(config: ExperimentConfig, indices=None):
     (mode 1), the second half redraws it every step (mode 2). So a walk is
     the same whichever indices it is yielded with.
     """
-    scenario = None
-    if config.scenario != "none":
-        scenario = DistortionScenario(
-            kind=DistortionKind(config.scenario),
-            addition_level_db=config.addition_level_db,
-            rng_seed=config.seed)
     n_seq = config.n_sequences
     yield from _walks(config, (
         (i, WalkMode.MODE1 if i < n_seq // 2 else WalkMode.MODE2)
         for i in (range(n_seq) if indices is None else indices)),
-        scenario, config.distort_from)
+        _records(config)[3], config.distort_from)
 
 
 def _walks(config: ExperimentConfig, steps, scenario=None,
@@ -461,7 +453,6 @@ def build_world(config: ExperimentConfig, log=None) -> World:
     stages. Leaving the build for any reason kills and reaps every helper
     it started.
     """
-    config.validate()
     say = log if log is not None else (lambda msg: None)
     t0 = time.perf_counter()
     recurrent = config.predictor == "conv-recurrent"
@@ -560,11 +551,11 @@ def evaluate(world: World, scenario: str, out_dir=None,
     records the caller's walk range and wall time for it, then the
     helper's range and resource usage.
 
-    Optionally writes the reports to ``out_dir``. An unknown scenario
-    raises ``ConfigError`` before the helper starts.
+    Optionally writes the reports to ``out_dir``. An unknown scenario,
+    or one that cannot use the config's ``addition_level_db``, raises
+    ``ConfigError`` before the helper starts.
     """
     config = dataclasses.replace(world.config, scenario=scenario)
-    config.validate()
     say = log if log is not None else (lambda msg: None)
     t0 = time.perf_counter()
     n_seq = config.n_sequences

@@ -11,7 +11,7 @@ random number. A rebuild with identical configs is byte-identical on disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class GridSpec:
 
     Raises:
         ValueError: ``origin`` is not two finite numbers, ``spacing`` is
-            not finite and above 0, or a count is not an integer above 0.
+            not finite and above 0, a count is not an integer above 0, or
+            a grid position does not fit in a float.
     """
 
     origin: tuple[float, float]
@@ -75,6 +76,12 @@ class GridSpec:
         # of 2**63, say) cannot overflow the position arithmetic
         object.__setattr__(self, "origin", tuple(map(float, self.origin)))
         object.__setattr__(self, "spacing", float(self.spacing))
+        try:
+            finite = all(map(is_finite, self.extent()))
+        except OverflowError:  # a count too large for a float
+            finite = False
+        if not finite:
+            raise ValueError("the grid's positions overflow a float")
 
     @property
     def n_points(self) -> int:
@@ -96,21 +103,8 @@ class GridSpec:
         )
 
     def to_meta(self) -> dict:
-        return {
-            "origin": [self.origin[0], self.origin[1]],
-            "spacing": self.spacing,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-        }
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "GridSpec":
-        return cls(
-            origin=(meta["origin"][0], meta["origin"][1]),
-            spacing=meta["spacing"],
-            n_rows=meta["n_rows"],
-            n_cols=meta["n_cols"],
-        )
+        """The fields as a database header's ``grid`` section holds them."""
+        return dict(asdict(self), origin=list(self.origin))
 
 
 @dataclass
@@ -179,12 +173,8 @@ def build_db(
         adps[block] = adp_from_csi(csi, dft)
     meta = {
         "grid": grid.to_meta(),
-        "array": {
-            "n_antennas": array.n_antennas,
-            "wavelength": array.wavelength,
-            "element_spacing": array.element_spacing,
-        },
-        "ofdm": {"n_subcarriers": ofdm.n_subcarriers, "bandwidth": ofdm.bandwidth},
+        "array": asdict(array),
+        "ofdm": asdict(ofdm),
         "environment": format_environment(env),
     }
     return FingerprintDb(grid=grid, positions=positions, adps=adps, meta=meta)
@@ -221,26 +211,25 @@ def load_db(path) -> FingerprintDb:
     Raises:
         TruncatedFile: the file is cut short, or holds fewer pixels than
             its header implies.
-        FormatError: bad magic; a header that is not a JSON object, lacks
-            a grid ``GridSpec`` accepts, or whose ``array.n_antennas`` or
-            ``ofdm.n_subcarriers`` is not an integer of at least 1, whose
-            ``array.wavelength``, ``array.element_spacing`` or
-            ``ofdm.bandwidth`` is not a finite number above 0, or whose
-            ``environment`` is not a text ``parse_environment`` accepts; a
-            grid whose positions overflow; trailing bytes; or a pixel that
+        FormatError: bad magic; a header that is not a JSON object, or
+            whose ``grid``, ``array`` or ``ofdm`` section ``GridSpec``,
+            ``ArrayConfig`` or ``OfdmConfig`` refuses (a null
+            ``array.element_spacing`` too: only the constructor defaults
+            it), or whose ``environment`` is not a text
+            ``parse_environment`` accepts; trailing bytes; or a pixel that
             is NaN, infinite or negative.
         VersionError: a version other than 4.
     """
     meta, body = container.read_checkpoint(path, DB_MAGIC, DB_VERSION)
     try:
-        grid = GridSpec.from_meta(meta["grid"])
-        n_t, n_c = meta["array"]["n_antennas"], meta["ofdm"]["n_subcarriers"]
-        check_int("array.n_antennas", n_t)
-        check_int("ofdm.n_subcarriers", n_c)
-        for section, key in (("array", "wavelength"),
-                             ("array", "element_spacing"),
-                             ("ofdm", "bandwidth")):
-            check_positive(f"{section}.{key}", meta[section][key])
+        grid = GridSpec(**meta["grid"])
+        array, ofdm = meta["array"], meta["ofdm"]
+        if array["element_spacing"] is None:
+            raise ValueError("array.element_spacing is null")
+        n_t = ArrayConfig(array["n_antennas"], array["wavelength"],
+                          array["element_spacing"]).n_antennas
+        n_c = OfdmConfig(ofdm["n_subcarriers"],
+                         ofdm["bandwidth"]).n_subcarriers
         if not isinstance(meta["environment"], str):
             raise TypeError("environment must be a string")
         parse_environment(meta["environment"])
@@ -249,8 +238,6 @@ def load_db(path) -> FingerprintDb:
                           f"{exc!r}") from exc
     # the pixel count the header implies, checked before any is made
     container.check_weight_count(body, grid.n_points * n_t * n_c)
-    if not all(map(is_finite, grid.extent())):
-        raise FormatError(f"{path}: the grid's positions overflow")
     adps = np.empty((grid.n_points, n_t, n_c), dtype="<f4")
     container.read_weights(body, [adps])
     if (adps < 0).any():

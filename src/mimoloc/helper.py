@@ -13,11 +13,12 @@ a helper that ends without a result raises ``HelperFailed``. Its
 ``with`` block kills and reaps it.
 
 The child sets, for itself alone, one BLAS thread (through the setter of
-each OpenBLAS in ``/proc/self/maps``), so two helpers fill two cores,
-and glibc ``mallopt`` thresholds that keep each SGD step's temporaries
-on the heap (see the README). Forking needs POSIX; Python 3.12+ warns
-when a caller with threads of its own forks. multiprocessing flushes
-the standard streams before the fork, so caller text is written once.
+each OpenBLAS file that ``/proc/self/maps`` names), so two helpers fill
+two cores, and glibc ``mallopt`` thresholds that keep each SGD step's
+temporaries on the heap (see the README). Forking needs POSIX; Python
+3.12+ warns when a caller with threads of its own forks. multiprocessing
+flushes the standard streams before the fork, so caller text is written
+once.
 """
 
 import ctypes
@@ -36,13 +37,17 @@ _FORK = multiprocessing.get_context("fork")
 
 def openblas_thread_functions(verb: str) -> list:
     """``openblas_<verb>_num_threads`` ("get" or "set") of each OpenBLAS
-    mapped into this process, plain or as numpy's wheels bundle it."""
+    mapped into this process, plain or as numpy's wheels bundle it, each
+    found by its whole pathname; a deleted file's mapping is skipped."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line and ".so" in line})
+            # the pathname is the sixth field, and may hold spaces
+            mapped = {line.split(maxsplit=5)[-1].rstrip("\n")
+                      for line in maps}
     except OSError:  # no /proc
         return []
+    paths = sorted(path for path in mapped if "openblas" in path
+                   and ".so" in path and not path.endswith(" (deleted)"))
     names = [f"{prefix}openblas_{verb}_num_threads{suffix}"
              for prefix in ("", "scipy_") for suffix in ("", "64_")]
     found = []

@@ -57,6 +57,9 @@ class Layer:
     def init_params(self, in_shape, rng):
         pass
 
+    def allocate(self, in_shape) -> None:
+        """Make the weights of an ``in_shape`` input, for a load to fill."""
+
     def n_weights(self, in_shape) -> int:
         """How many weights the layer holds on an ``in_shape`` input."""
         return 0
@@ -99,6 +102,11 @@ class WeightedLayer(Layer):
         scale = 1.0 / np.sqrt(math.prod(shape[1:]))
         self.w = rng.uniform(-scale, scale, size=shape).astype(np.float32)
         self.b = np.zeros(shape[0], dtype=np.float32)
+
+    def allocate(self, in_shape) -> None:
+        shape = self.weight_shape(in_shape)
+        self.w = np.empty(shape, dtype=np.float32)
+        self.b = np.empty(shape[0], dtype=np.float32)
 
 
 @functools.cache
@@ -920,8 +928,8 @@ def load_model(path) -> Model:
     """Rebuild a model saved by ``save_model``.
 
     The header is checked, and the weight count it implies compared with
-    the body, before any weight is made. Every weight is the file's; the
-    header records no seed, since no initial weight survives the load.
+    the body, before any weight is made. Every weight is the file's, so
+    none is drawn first and the header records no seed.
 
     Raises:
         TruncatedFile: the file is cut short, or holds fewer weights than
@@ -958,7 +966,9 @@ def load_model(path) -> Model:
     # the weight count the header implies, checked before any is made
     check_weight_count(body, sum(layer.n_weights(shape)
                                  for layer, shape in chain))
-    model = build_model(header["layer_specs"], input_shape, head)
+    for layer, shape in chain:
+        layer.allocate(shape)
+    model = Model([layer for layer, _ in chain], input_shape, head)
     model.pos_offset, model.pos_scale = pos_offset, pos_scale
     read_weights(body, model.parameters())
     return model

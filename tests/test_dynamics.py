@@ -106,6 +106,21 @@ def distort(paths, kind, start=0, rng_seed=0):
                     OFDM, SPEED_OF_LIGHT)
 
 
+class TestDistortionScenario:
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, 1e5])
+    @pytest.mark.parametrize("kind", list(DistortionKind))
+    def test_unusable_addition_level_refused(self, kind, level):
+        # a level is checked whatever the kind, so a scenario that exists
+        # is one whose level could be used
+        with pytest.raises(ValueError, match="addition_level_db"):
+            DistortionScenario(kind, addition_level_db=level)
+
+    def test_level_of_100_db_accepted(self):
+        scenario = DistortionScenario(DistortionKind.NLOS_ADDITION,
+                                      addition_level_db=100.0)
+        assert scenario.addition_level_db == 100.0
+
+
 class TestDistortPaths:
     def make_pair(self):
         return [

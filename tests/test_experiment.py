@@ -104,7 +104,17 @@ class TestRmsePerFrame:
 
 class TestConfig:
     def test_defaults_validate(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()  # checked when made
+
+    def test_origin_is_stored_as_a_tuple_of_floats(self, tmp_path):
+        cfg = ExperimentConfig(grid_origin=[6, -5])
+        assert cfg == ExperimentConfig()
+        assert hash(cfg) == hash(ExperimentConfig())
+        assert cfg.grid_origin == (6.0, -5.0)
+        save_config(cfg, tmp_path / "config.json")
+        saved = json.loads((tmp_path / "config.json").read_text())
+        assert saved["grid_origin"] == [6.0, -5.0]
+        assert all(type(v) is float for v in saved["grid_origin"])
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(**TINY)
@@ -152,14 +162,20 @@ class TestConfig:
                      id="grid_rows-huge"),
     ])
     def test_bad_field_rejected(self, field, value):
-        cfg = ExperimentConfig(**{field: value})
+        # refused when made, by the constructor, dataclasses.replace and
+        # config_from_dict alike
         with pytest.raises(ConfigError):
-            cfg.validate()
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ExperimentConfig(), **{field: value})
+        with pytest.raises(ConfigError):
+            config_from_dict(dict(ExperimentConfig().to_dict(),
+                                  **{field: value}))
 
     def test_addition_level_of_100_db_accepted(self):
+        # made without an error, the config is usable
         cfg = ExperimentConfig(**dict(TINY, scenario="nlos-add",
                                       addition_level_db=100.0))
-        cfg.validate()
         for seq in evaluation_walks(cfg):
             assert np.isfinite(seq.adps).all() and seq.distorted.any()
 
@@ -179,8 +195,7 @@ class TestConfig:
                           reflectors=(Reflector((0.0, 5.0), (8.0, 5.0), 0.7),))
         path = tmp_path / "office.env"
         path.write_text(format_environment(env), encoding="utf-8")
-        cfg = ExperimentConfig(environment=str(path))
-        cfg.validate()
+        cfg = ExperimentConfig(environment=str(path))  # checked when made
         loaded = environment_for(cfg)
         assert loaded.bs_position == (1.0, 2.0)
         assert len(loaded.reflectors) == 1
@@ -361,6 +376,17 @@ class TestWorld:
         # refused before the walk helper starts
         with pytest.raises(ConfigError):
             evaluate(tiny_world, "jamming")
+
+    def test_unused_addition_level_checked_once_used(self, tiny_world,
+                                                     no_fork):
+        # the "none" scenario leaves the level unused, so it is checked
+        # when evaluate swaps in a scenario that uses it, before the walk
+        # helper starts
+        config = dataclasses.replace(tiny_world.config, scenario="none",
+                                     addition_level_db=1e5)
+        world = dataclasses.replace(tiny_world, config=config)
+        with pytest.raises(ConfigError, match="addition_level_db"):
+            evaluate(world, "nlos-add")
 
 
 @pytest.fixture(scope="module")
@@ -822,6 +848,31 @@ class TestHelpers:
         assert got == [1] * len(caller)
         assert counts() == caller
         assert dict(os.environ) == environ
+
+    def test_openblas_mapped_from_a_path_with_a_space(self, tmp_path):
+        # a second OpenBLAS, a copy of numpy's mapped from a directory
+        # whose name holds a space, is found by its whole pathname and set
+        # to one thread in the helper. Run from a fresh interpreter, so
+        # that this process maps no second OpenBLAS
+        if "openblas" not in np.show_config(
+                mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            pytest.skip("numpy is not built on OpenBLAS")
+        folder = tmp_path / "dir with space"
+        folder.mkdir()
+        out = run_script(
+            "import ctypes, shutil\n"
+            "import numpy\n"
+            "from mimoloc.helper import *\n"
+            "with open('/proc/self/maps', encoding='utf-8') as maps:\n"
+            "    bundled = next(line.split(maxsplit=5)[-1].strip()\n"
+            "                   for line in maps if 'openblas' in line)\n"
+            f"ctypes.CDLL(shutil.copy(bundled, {str(folder)!r}))\n"
+            "def counts():\n"
+            "    return [get() for get in openblas_thread_functions('get')]\n"
+            "with Helper([(counts, ())]) as helper:\n"
+            "    (got,), = collect([helper])\n"
+            "print(len(counts()), got)\n")
+        assert out.split(maxsplit=1) == ["2", "[1, 1]\n"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator settings are glibc's")

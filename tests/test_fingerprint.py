@@ -1,5 +1,6 @@
 """Fingerprint database and its file."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -24,7 +25,7 @@ from mimoloc.errors import (
     TruncatedFile,
     VersionError,
 )
-from mimoloc.experiment import ExperimentConfig, pieces
+from mimoloc.experiment import ExperimentConfig, database_for, pieces
 from mimoloc.fingerprint import (
     DB_MAGIC,
     DB_VERSION,
@@ -35,6 +36,8 @@ from mimoloc.fingerprint import (
     neighbor_indices_within,
     save_db,
 )
+
+from test_acceptance import numeric_environment
 
 ARRAY = ArrayConfig(n_antennas=8, wavelength=0.1)
 OFDM = OfdmConfig(n_subcarriers=8, bandwidth=20e6)
@@ -198,6 +201,22 @@ class TestGridSpec:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 GridSpec(**dict(good, **bad))
 
+    @pytest.mark.parametrize("bad", [
+        {"spacing": 1e308, "n_rows": 3},  # positions past the largest float
+        {"origin": (1.7e308, 0.0), "spacing": 1e308},
+        {"n_rows": 10 ** 400},  # a count too large for a float
+    ], ids=["spacing", "origin", "huge-count"])
+    def test_positions_that_overflow_are_refused(self, bad):
+        good = dict(origin=(0, 0), spacing=1.0, n_rows=2, n_cols=2)
+        with pytest.raises(ValueError, match="overflow"):
+            GridSpec(**dict(good, **bad))
+
+
+# the first 16 hex characters of the sha256 of the 4x4 sparse database's
+# file, keyed by the numeric environment that wrote it
+SMALL_DB_DIGESTS = {
+    ("3.11.7", "2.4.6", "scipy-openblas 0.3.31.188.0"): "a1fb951e6c78ec1c",
+}
 
 # the benchmark's worlds: the acceptance grid and the 40x40 rich grid
 SPARSE_16 = ExperimentConfig(grid_origin=(2.0, -2.0), grid_rows=16,
@@ -287,6 +306,9 @@ class TestBuildDb:
         ("grid", "n_rows", 4.0),
         ("grid", "spacing", 1e308),  # positions past the largest float
         ("grid", "n_rows", 2),  # fewer pixels than the body holds
+        ("grid", "origin", [2.0, -2.0, 0.0]),  # once read as its first two
+        ("grid", "rotation", 0.0),  # a key GridSpec does not know
+        ("array", "element_spacing", None),  # only the constructor defaults
         (None, "array", DELETE),
         ("array", "n_antennas", 0),
         ("array", "n_antennas", True),
@@ -302,6 +324,18 @@ class TestBuildDb:
         path = _saved_db(tmp_path, section, key, value)
         with pytest.raises(FormatError):
             load_db(path)
+
+    def test_small_database_file_is_pinned(self, tmp_path):
+        # nothing else compares the header's bytes with an earlier
+        # build's; keyed as the acceptance digests are
+        path = tmp_path / "db.adpf"
+        save_db(database_for(ExperimentConfig(
+            grid_origin=(2.0, -2.0), grid_rows=4, grid_cols=4)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        env = numeric_environment()
+        if env not in SMALL_DB_DIGESTS:
+            pytest.skip(f"no digest recorded for {env}; measured {digest}")
+        assert digest == SMALL_DB_DIGESTS[env]
 
     @pytest.mark.parametrize("section,key,value", [
         ("grid", "n_rows", 5), ("array", "n_antennas", 64)])

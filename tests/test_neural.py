@@ -1148,7 +1148,9 @@ class TestCorruptCheckpoints:
         def refuse(*args, **kwargs):
             raise AssertionError("a model was built before the size check")
 
-        monkeypatch.setattr(neural, "build_model", refuse)
+        # a model's weights are made by allocate, a predictor's by its
+        # constructor
+        monkeypatch.setattr(neural.WeightedLayer, "allocate", refuse)
         monkeypatch.setattr(ConvRecurrentPredictor, "__init__", refuse)
         with pytest.raises(MimolocError) as info:
             load(path)
