@@ -23,6 +23,7 @@ once.
 
 import ctypes
 import multiprocessing
+import os
 import resource
 import time
 from multiprocessing.connection import wait
@@ -40,9 +41,9 @@ def openblas_thread_functions(verb: str) -> list:
     mapped into this process, plain or as numpy's wheels bundle it, each
     found by its whole pathname; a deleted file's mapping is skipped."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
+        with open("/proc/self/maps", "rb") as maps:
             # the pathname is the sixth field, and may hold spaces
-            mapped = {line.split(maxsplit=5)[-1].rstrip("\n")
+            mapped = {os.fsdecode(line.split(maxsplit=5)[-1].rstrip(b"\n"))
                       for line in maps}
     except OSError:  # no /proc
         return []
@@ -52,11 +53,17 @@ def openblas_thread_functions(verb: str) -> list:
              for prefix in ("", "scipy_") for suffix in ("", "64_")]
     found = []
     for lib in map(ctypes.CDLL, paths):
-        fn = next(filter(None, (getattr(lib, n, None) for n in names)), None)
-        if fn is not None:
+        for name in names:
+            try:
+                fn = getattr(lib, name)
+            # a failed lookup raises the text of dlerror(), which names
+            # the library, and Python 3.11 decodes it as UTF-8
+            except (AttributeError, UnicodeDecodeError):
+                continue
             fn.argtypes = (ctypes.c_int,) if verb == "set" else ()
             fn.restype = None if verb == "set" else ctypes.c_int
             found.append(fn)
+            break
     return found
 
 

@@ -43,13 +43,20 @@ WKNN_K = 3
 class Layer:
     """What the layers share, with the defaults of a layer without weights.
 
-    ``forward(x)`` keeps in ``_cache`` what ``backward`` needs.
+    A layer's spec is its ``kind`` and its constructor arguments, which
+    ``fields`` names in order. ``forward(x)`` keeps in ``_cache`` what
+    ``backward`` needs.
     ``forward(x, train=False)`` is inference: it keeps nothing, and no row
     of its output depends on the other rows of the batch, so a batch of n
     gives the outputs of n batches of one, bit for bit.
     """
 
+    fields: tuple = ()
     _cache = None
+
+    def spec(self) -> dict:
+        return {"kind": self.kind,
+                **{field: getattr(self, field) for field in self.fields}}
 
     def out_shape(self, in_shape):
         return in_shape
@@ -161,6 +168,9 @@ class Conv2d(WeightedLayer):
     each batch's rows (``forward_columns``).
     """
 
+    kind = "conv2d"
+    fields = ("out_channels", "kernel_size", "padding")
+
     def __init__(self, out_channels: int, kernel_size: int, padding: str = "valid"):
         if padding not in ("valid", "same"):
             raise ValueError("padding must be 'valid' or 'same'")
@@ -169,14 +179,6 @@ class Conv2d(WeightedLayer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.padding = padding
-
-    def spec(self) -> dict:
-        return {
-            "kind": "conv2d",
-            "out_channels": self.out_channels,
-            "kernel_size": self.kernel_size,
-            "padding": self.padding,
-        }
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -304,8 +306,7 @@ class MaxPool2x2(Layer):
     since mixed layouts stop numpy from merging loops.
     """
 
-    def spec(self) -> dict:
-        return {"kind": "maxpool2x2"}
+    kind = "maxpool2x2"
 
     def out_shape(self, in_shape):
         c, h, w = in_shape
@@ -342,8 +343,7 @@ class Relu(Layer):
     the gradients' layout, since mixed layouts stop numpy from merging
     loops: a channels-last conv output made ``backward`` 10x slower."""
 
-    def spec(self) -> dict:
-        return {"kind": "relu"}
+    kind = "relu"
 
     def forward(self, x, train: bool = True):
         if train:
@@ -361,8 +361,7 @@ class Relu(Layer):
 
 
 class Flatten(Layer):
-    def spec(self) -> dict:
-        return {"kind": "flatten"}
+    kind = "flatten"
 
     def out_shape(self, in_shape):
         return (math.prod(in_shape),)
@@ -382,12 +381,12 @@ class Dense(WeightedLayer):
     many rows may sum a row's terms in another order than it does for a
     single row."""
 
+    kind = "dense"
+    fields = ("out_width",)
+
     def __init__(self, out_width: int):
         check_int("out_width", out_width)
         self.out_width = out_width
-
-    def spec(self) -> dict:
-        return {"kind": "dense", "out_width": self.out_width}
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1:
@@ -410,8 +409,7 @@ class Dense(WeightedLayer):
 
 
 class Softmax(Layer):
-    def spec(self) -> dict:
-        return {"kind": "softmax"}
+    kind = "softmax"
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1:
@@ -431,14 +429,8 @@ class Softmax(Layer):
         return p * (grad - (grad * p).sum(axis=1, keepdims=True))
 
 
-_LAYER_KINDS = {
-    "conv2d": lambda s: Conv2d(s["out_channels"], s["kernel_size"], s["padding"]),
-    "maxpool2x2": lambda s: MaxPool2x2(),
-    "relu": lambda s: Relu(),
-    "flatten": lambda s: Flatten(),
-    "dense": lambda s: Dense(s["out_width"]),
-    "softmax": lambda s: Softmax(),
-}
+_LAYER_KINDS = {cls.kind: cls for cls in
+                (Conv2d, MaxPool2x2, Relu, Flatten, Dense, Softmax)}
 
 
 # --- model ----------------------------------------------------------------
@@ -589,7 +581,8 @@ def _layer_chain(layer_specs: list[dict], input_shape: tuple,
         kind = spec.get("kind")
         if kind not in _LAYER_KINDS:
             raise ValueError(f"unknown layer kind {kind!r}")
-        layer = _LAYER_KINDS[kind](spec)
+        cls = _LAYER_KINDS[kind]
+        layer = cls(*(spec[field] for field in cls.fields))
         chain.append((layer, shape))
         shape = layer.out_shape(shape)  # validates
     if shape != (head.out_width,):
@@ -963,12 +956,18 @@ def load_model(path) -> Model:
             ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a model: "
                           f"{exc!r}") from exc
-    # the weight count the header implies, checked before any is made
+    read_layers(body, chain)
+    model = Model([layer for layer, _ in chain], input_shape, head)
+    model.pos_offset, model.pos_scale = pos_offset, pos_scale
+    return model
+
+
+def read_layers(body: bytes, chain) -> None:
+    """Fill the (layer, its input shape) pairs of ``chain``, in order,
+    with the weights of a checkpoint ``body``. The weight count they imply
+    is compared with the body before any weight is made."""
     check_weight_count(body, sum(layer.n_weights(shape)
                                  for layer, shape in chain))
     for layer, shape in chain:
         layer.allocate(shape)
-    model = Model([layer for layer, _ in chain], input_shape, head)
-    model.pos_offset, model.pos_scale = pos_offset, pos_scale
-    read_weights(body, model.parameters())
-    return model
+    read_weights(body, [p for layer, _ in chain for p in layer.parameters()])

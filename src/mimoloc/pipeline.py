@@ -192,8 +192,9 @@ def detect_each(frames, positions, db: FingerprintDb,
     can be NaN). Every other frame is compared against the identifiable
     database entries within ``DETECTION_CELLS`` grid spacings of its fix,
     all frames in one ``score_lists`` pass: ``ACCURATE`` when the best
-    similarity reaches ``similarity_floor``, ``DISTORTED`` when it does not
-    (in particular when there are no neighbors at all to vouch for it).
+    similarity reaches ``similarity_floor``, ``DISTORTED`` when it does
+    not. A frame with no neighbors scores 0, so it is ``DISTORTED`` at any
+    floor above 0, and a floor of 0 accepts every live frame.
 
     Returns:
         (verdicts, best similarities): (n,) int8 indices into ``VERDICTS``

@@ -23,6 +23,7 @@ resynthesis all wrap cyclically.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,12 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adp import gaussian_bumps
-from .container import (
-    check_weight_count,
-    read_checkpoint,
-    read_weights,
-    write_checkpoint,
-)
+from .container import read_checkpoint, write_checkpoint
 from .errors import (
     DimensionMismatch,
     EmptyHistory,
@@ -44,7 +40,7 @@ from .errors import (
     check_int,
     check_positive,
 )
-from .neural import Conv2d, TrainConfig, sgd
+from .neural import Conv2d, TrainConfig, read_layers, sgd
 
 PREDICTOR_MAGIC = b"PRED"
 PREDICTOR_VERSION = 1
@@ -293,6 +289,16 @@ class ConvRecurrentPredictor:
 
     def __init__(self, n_antennas: int, n_subcarriers: int,
                  hidden_channels: int = 8, kernel_size: int = 3, seed: int = 0):
+        self._configure(n_antennas, n_subcarriers, hidden_channels,
+                        kernel_size, seed)
+        rng = np.random.default_rng(seed)
+        for layer, shape in self._chain:
+            layer.init_params(shape, rng)
+
+    def _configure(self, n_antennas, n_subcarriers, hidden_channels,
+                   kernel_size, seed) -> None:
+        """Check and set the settings, and make the layers, no weights yet:
+        ``_chain`` holds each convolution with its input shape."""
         for name, size in (("n_antennas", n_antennas),
                            ("n_subcarriers", n_subcarriers),
                            ("hidden_channels", hidden_channels)):
@@ -306,15 +312,16 @@ class ConvRecurrentPredictor:
         self.kernel_size = kernel_size
         self.seed = seed
         self.scale = 1.0
-        rng = np.random.default_rng(seed)
-        layers = _layers(hidden_channels, kernel_size)
-        for layer, channels in layers:
-            layer.init_params((channels, n_antennas, n_subcarriers), rng)
-        self._xh, self._hh, self._out = (layer for layer, _ in layers)
+        shape = (n_antennas, n_subcarriers)
+        self._chain = [
+            (Conv2d(hidden_channels, kernel_size, "same"), (1,) + shape),
+            (Conv2d(hidden_channels, kernel_size, "same"),
+             (hidden_channels,) + shape),
+            (Conv2d(1, kernel_size, "same"), (hidden_channels,) + shape)]
+        self._xh, self._hh, self._out = (layer for layer, _ in self._chain)
 
     def parameters(self):
-        return [self._xh.w, self._xh.b, self._hh.w, self._hh.b,
-                self._out.w, self._out.b]
+        return [p for layer, _ in self._chain for p in layer.parameters()]
 
     def spec(self) -> dict:
         return {
@@ -348,26 +355,6 @@ class ConvRecurrentPredictor:
         return out
 
 
-def _layers(hidden_channels: int, kernel_size: int) -> list:
-    """The input, recurrent and output convolutions of a
-    ``ConvRecurrentPredictor``, each with the channel count it takes in."""
-    return [(Conv2d(hidden_channels, kernel_size, "same"), 1),
-            (Conv2d(hidden_channels, kernel_size, "same"), hidden_channels),
-            (Conv2d(1, kernel_size, "same"), hidden_channels)]
-
-
-def _weight_count(hidden_channels: int, kernel_size: int) -> int:
-    """The number of weights in ``ConvRecurrentPredictor.parameters()``."""
-    return sum(layer.n_weights((channels,))
-               for layer, channels in _layers(hidden_channels, kernel_size))
-
-
-def _clone_conv(proto: Conv2d) -> Conv2d:
-    layer = Conv2d(proto.out_channels, proto.kernel_size, proto.padding)
-    layer.w, layer.b = proto.w, proto.b
-    return layer
-
-
 def _step_columns(model: ConvRecurrentPredictor, x: np.ndarray) -> np.ndarray:
     """The input layer's column matrices of a (b, frames, n_t, n_c) batch
     of scaled sequences, one C-contiguous (b, n_t, n_c, k*k) block per
@@ -386,7 +373,9 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
     scale, and ``xcols`` its ``_step_columns``. Every frame after the
     first is a target for the prediction made from the frames before it.
     Each hidden state's column matrix is built once, and the output layer
-    of its step and the recurrent layer of the next both run on it.
+    of its step and the recurrent layer of the next both run on it. Each
+    step runs shallow copies of the model's layers: they share its
+    weights and keep their own activations and gradients.
     Returns the mean loss and gradients in ``parameters()`` order.
     """
     b, t_len, n_t, n_c = x.shape
@@ -395,8 +384,7 @@ def _loss_and_grads(model: ConvRecurrentPredictor, x: np.ndarray,
     steps = []
     preds = np.empty((b, t_len - 1, n_t, n_c), dtype=x.dtype)
     for t in range(t_len - 1):
-        xh, hh, out = (_clone_conv(model._xh), _clone_conv(model._hh),
-                       _clone_conv(model._out))
+        xh, hh, out = map(copy.copy, (model._xh, model._hh, model._out))
         h = np.tanh(xh.forward_columns(xcols[t]) + hh.forward_columns(hcols))
         hcols = out.columns(h)
         pre_out = x[:, t][:, None] + out.forward_columns(hcols)
@@ -479,9 +467,9 @@ def save_predictor(predictor: ConvRecurrentPredictor, path) -> None:
 def load_predictor(path) -> ConvRecurrentPredictor:
     """Rebuild a predictor saved by ``save_predictor``.
 
-    The weight count that the header's ``hidden_channels`` and
-    ``kernel_size`` imply is compared with the body before any weight is
-    made.
+    The header is checked, and the weight count it implies compared with
+    the body, before any weight is made. Every weight is the file's, so
+    none is drawn first.
 
     Raises:
         TruncatedFile: the file is cut short, or holds fewer weights than
@@ -494,19 +482,15 @@ def load_predictor(path) -> ConvRecurrentPredictor:
     kind = header.get("kind")
     if kind != "conv-recurrent":
         raise FormatError(f"unknown predictor kind {kind!r}")
+    predictor = ConvRecurrentPredictor.__new__(ConvRecurrentPredictor)
     try:
-        hidden, k = header["hidden_channels"], header["kernel_size"]
-        check_int("hidden_channels", hidden)
-        check_int("kernel_size", k)
-        # the weight count the header implies, checked before any is made
-        check_weight_count(body, _weight_count(hidden, k))
-        predictor = ConvRecurrentPredictor(
-            header["n_antennas"], header["n_subcarriers"],
-            hidden_channels=hidden, kernel_size=k, seed=header["seed"])
+        predictor._configure(header["n_antennas"], header["n_subcarriers"],
+                             header["hidden_channels"],
+                             header["kernel_size"], header["seed"])
         check_positive("scale", header["scale"])
         predictor.scale = header["scale"]
     except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a "
                           f"predictor: {exc!r}") from exc
-    read_weights(body, predictor.parameters())
+    read_layers(body, predictor._chain)
     return predictor

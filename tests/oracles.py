@@ -16,6 +16,7 @@ on the order in which a BLAS kernel happens to sum.
 """
 
 import cmath
+import copy
 import logging
 import math
 from collections import deque, namedtuple
@@ -51,7 +52,6 @@ from mimoloc.predictor import (
     MIN_AMPLITUDE,
     SIGMA,
     _as_frame_array,
-    _clone_conv,
 )
 
 
@@ -308,8 +308,7 @@ def _predictor_loss_and_grads(model, x):
     steps = []
     preds = np.empty((b, t_len - 1, n_t, n_c), dtype=x.dtype)
     for t in range(t_len - 1):
-        xh, hh, out = (_clone_conv(model._xh), _clone_conv(model._hh),
-                       _clone_conv(model._out))
+        xh, hh, out = map(copy.copy, (model._xh, model._hh, model._out))
         h = np.tanh(xh.forward(x[:, t][:, None]) + hh.forward(h))
         pre_out = x[:, t][:, None] + out.forward(h)
         preds[:, t] = np.maximum(pre_out, 0.0)[:, 0]

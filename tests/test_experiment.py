@@ -850,29 +850,34 @@ class TestHelpers:
         assert dict(os.environ) == environ
 
     def test_openblas_mapped_from_a_path_with_a_space(self, tmp_path):
-        # a second OpenBLAS, a copy of numpy's mapped from a directory
-        # whose name holds a space, is found by its whole pathname and set
-        # to one thread in the helper. Run from a fresh interpreter, so
-        # that this process maps no second OpenBLAS
+        # two more OpenBLAS, copies of numpy's mapped from a directory
+        # whose name holds a space and from one whose name is not UTF-8,
+        # are each found by its whole pathname and set to one thread in
+        # the helper. Run from a fresh interpreter, so that this process
+        # maps no second OpenBLAS
         if "openblas" not in np.show_config(
                 mode="dicts")["Build Dependencies"]["blas"]["name"]:
             pytest.skip("numpy is not built on OpenBLAS")
-        folder = tmp_path / "dir with space"
-        folder.mkdir()
+        folders = [str(tmp_path / name)
+                   for name in ("dir with space", os.fsdecode(b"dir\xff"))]
+        for folder in folders:
+            os.mkdir(folder)
         out = run_script(
-            "import ctypes, shutil\n"
+            "import ctypes, os, shutil\n"
             "import numpy\n"
             "from mimoloc.helper import *\n"
-            "with open('/proc/self/maps', encoding='utf-8') as maps:\n"
-            "    bundled = next(line.split(maxsplit=5)[-1].strip()\n"
-            "                   for line in maps if 'openblas' in line)\n"
-            f"ctypes.CDLL(shutil.copy(bundled, {str(folder)!r}))\n"
+            "with open('/proc/self/maps', 'rb') as maps:\n"
+            "    bundled = next(\n"
+            "        os.fsdecode(line.split(maxsplit=5)[-1].strip())\n"
+            "        for line in maps if b'openblas' in line)\n"
+            f"for folder in {folders!r}:\n"
+            "    ctypes.CDLL(shutil.copy(bundled, folder))\n"
             "def counts():\n"
             "    return [get() for get in openblas_thread_functions('get')]\n"
             "with Helper([(counts, ())]) as helper:\n"
             "    (got,), = collect([helper])\n"
             "print(len(counts()), got)\n")
-        assert out.split(maxsplit=1) == ["2", "[1, 1]\n"]
+        assert out.split(maxsplit=1) == ["3", "[1, 1, 1]\n"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the allocator settings are glibc's")

@@ -1,5 +1,6 @@
 """Layer-by-layer gradient checks and training behavior for the localizer."""
 
+import hashlib
 import pickle
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import numpy as np
 import oracles
 import pytest
 from oracles import ReferenceConv2d, ReferenceMaxPool2x2, classifier_cell
+from test_acceptance import numeric_environment
+from test_fuzz import save_small_model
 
 from mimoloc import neural, predictor
 from mimoloc.container import read_checkpoint, write_checkpoint
@@ -18,6 +21,7 @@ from mimoloc.errors import (
     TruncatedFile,
     VersionError,
 )
+from mimoloc.experiment import CLASSIFIER_CELLS
 from mimoloc.fingerprint import FingerprintDb, GridSpec
 from mimoloc.neural import (
     CHECKPOINT_MAGIC,
@@ -973,7 +977,42 @@ class TestClassifyThenWknn:
             assert (res.position <= chosen.max(axis=0) + 1e-12).all()
 
 
+def save_default_model(head, path):
+    # untrained, as built for a 16x16 profile
+    save_model(build_model(default_localizer_spec(16, 16, head), (1, 16, 16),
+                           head), path)
+
+
+# savers of untrained files, and the sha256 prefix of each file's bytes,
+# keyed as the acceptance digests are: only a save-load-save round trip
+# checks these bytes otherwise, and it compares one build with itself
+UNTRAINED_FILES = {
+    "regressor": lambda path: save_default_model(Head("regression"), path),
+    "classifier": lambda path: save_default_model(
+        Head("classification",
+             ClassifierGrid(CLASSIFIER_CELLS, CLASSIFIER_CELLS)), path),
+    "each-kind": save_small_model,
+    "predictor": lambda path: save_predictor(ConvRecurrentPredictor(16, 16),
+                                             path),
+}
+UNTRAINED_DIGESTS = {
+    ("3.11.7", "2.4.6", "scipy-openblas 0.3.31.188.0"): {
+        "regressor": "9129c1c1cf7ccc56", "classifier": "93fa5b068a1c00f0",
+        "each-kind": "93d0aac49b5a7d86", "predictor": "a9324cfadcfb418e"},
+}
+
+
 class TestCheckpoints:
+    @pytest.mark.parametrize("name", sorted(UNTRAINED_FILES))
+    def test_untrained_file_is_pinned(self, tmp_path, name):
+        path = tmp_path / name
+        UNTRAINED_FILES[name](path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        env = numeric_environment()
+        if env not in UNTRAINED_DIGESTS:
+            pytest.skip(f"no digest recorded for {env}; measured {digest}")
+        assert digest == UNTRAINED_DIGESTS[env][name]
+
     def test_round_trip_bit_exact(self, tmp_path):
         db = synthetic_db()
         head = Head("regression")
@@ -1148,13 +1187,28 @@ class TestCorruptCheckpoints:
         def refuse(*args, **kwargs):
             raise AssertionError("a model was built before the size check")
 
-        # a model's weights are made by allocate, a predictor's by its
-        # constructor
+        # a loaded model's weights and a loaded predictor's are made by
+        # allocate
         monkeypatch.setattr(neural.WeightedLayer, "allocate", refuse)
-        monkeypatch.setattr(ConvRecurrentPredictor, "__init__", refuse)
         with pytest.raises(MimolocError) as info:
             load(path)
         assert isinstance(info.value, (TruncatedFile, FormatError))
+
+    def test_predictor_loads_without_drawing_weights(self, tmp_path,
+                                                     monkeypatch):
+        # every weight is the file's, so a load draws none
+        model = ConvRecurrentPredictor(6, 5, hidden_channels=3, seed=4)
+        model.scale = 2.5
+        path = tmp_path / "pred.ckpt"
+        save_predictor(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a weight was drawn on load")
+
+        monkeypatch.setattr(neural.WeightedLayer, "init_params", refuse)
+        loaded = load_predictor(path)
+        history = np.random.default_rng(1).uniform(0, 3, size=(2, 4, 6, 5))
+        assert np.array_equal(loaded.predict(history), model.predict(history))
 
     @pytest.mark.parametrize("magic,load", [
         (CHECKPOINT_MAGIC, load_model),

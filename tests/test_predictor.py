@@ -748,10 +748,11 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("hidden,k", [(1, 1), (2, 3), (8, 3), (3, 5)])
     def test_weight_count_is_the_parameter_count(self, hidden, k):
-        # the count load_predictor checks before it builds anything
+        # the count load_predictor checks before it makes any weight
         model = ConvRecurrentPredictor(4, 4, hidden_channels=hidden,
                                        kernel_size=k)
-        assert predictor_module._weight_count(hidden, k) == sum(
+        assert sum(layer.n_weights(shape)
+                   for layer, shape in model._chain) == sum(
             p.size for p in model.parameters())
 
     def test_bad_magic(self, tmp_path):
